@@ -9,14 +9,16 @@ works, tagged with its train/test split and in/out zone.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .coco import Dataset, bbox_center
+from .coco import Dataset
 from .errors import IngestError, UndefinedStatisticError
-from .zones import Grid, build_partition
+from .zone_eval import scale_bins
+from .zones import Grid, build_partition, gt_zone_counts
 
 
 def pearson(x: list[float], y: list[float]) -> float:
@@ -63,14 +65,8 @@ def center_counts(ds: Dataset, rows: int, cols: int) -> np.ndarray:
     Uses the same half-open grid cells as the zone partitions, so the counts
     line up with grid_heatmap output.
     """
-    partition = build_partition(Grid(rows, cols))
-    counts = np.zeros((rows, cols), dtype=np.int64)
-    index = {f"g{r}_{c}": (r, c) for r in range(rows) for c in range(cols)}
-    for img in ds.images:
-        for gt in ds.gts_by_image[img.id]:
-            r, c = index[partition.zone_of_clamped(bbox_center(gt.bbox), img)]
-            counts[r, c] += 1
-    return counts
+    # grid zones are numbered row-major
+    return gt_zone_counts(ds, build_partition(Grid(rows, cols))).reshape(rows, cols)
 
 
 @dataclass
@@ -109,16 +105,12 @@ def correlate_zp_distribution(
             raise UndefinedStatisticError(
                 f"fewer than 2 defined cells at threshold {t:g}"
             )
-        zs = [p[0] for p in pairs]
-        cs = [p[1] for p in pairs]
-        try:
-            pccs.append(pearson(zs, cs))
-        except UndefinedStatisticError:
-            pccs.append(None)
-        try:
-            sccs.append(spearman(zs, cs))
-        except UndefinedStatisticError:
-            sccs.append(None)
+        zs, cs = map(list, zip(*pairs))
+        for stat, out in ((pearson, pccs), (spearman, sccs)):
+            try:
+                out.append(stat(zs, cs))
+            except UndefinedStatisticError:
+                out.append(None)
     return CorrelationCurve(thresholds, tuple(pccs), tuple(sccs))
 
 
@@ -167,14 +159,6 @@ def load_feature_records(path: str | Path) -> list[FeatureRecord]:
     return records
 
 
-def _scale_bin(area: float, bin_count: int, bin_width: float) -> int:
-    """Index of the area bin: K-1 finite bins of width r, then a catch-all."""
-    for k in range(bin_count - 1):
-        if (k * bin_width) ** 2 <= area < ((k + 1) * bin_width) ** 2:
-            return k
-    return bin_count - 1
-
-
 def pattern_distance(
     records: list[FeatureRecord],
     side_a: tuple[str, str],
@@ -192,12 +176,14 @@ def pattern_distance(
     """
     if bin_count < 1 or bin_width <= 0:
         raise ValueError("bin_count must be >= 1 and bin_width positive")
+    # K-1 finite bins of width r, then a catch-all
+    lows = [lo for lo, _ in scale_bins(bin_width, cap=(bin_count - 1) * bin_width)]
 
     def side_groups(split: str, tag: str) -> dict[tuple[int, int], list[FeatureRecord]]:
         groups: dict[tuple[int, int], list[FeatureRecord]] = {}
         for rec in records:
             if rec.split == split and rec.zone_tag == tag:
-                key = (_scale_bin(rec.scale, bin_count, bin_width), rec.category_id)
+                key = (bisect_right(lows, rec.scale) - 1, rec.category_id)
                 groups.setdefault(key, []).append(rec)
         return groups
 

@@ -36,6 +36,8 @@ def _parse_thresholds(text: str) -> tuple[float, ...]:
         start, stop, step = (float(p) for p in parts)
         if step <= 0:
             raise argparse.ArgumentTypeError("threshold step must be positive")
+        if stop < start:
+            raise argparse.ArgumentTypeError(f"threshold range {text!r} ends below its start")
         n = int(round((stop - start) / step)) + 1
         return tuple(round(start + i * step, 10) for i in range(n))
     return tuple(float(p) for p in text.split(","))
@@ -43,7 +45,17 @@ def _parse_thresholds(text: str) -> tuple[float, ...]:
 
 def _default_workers() -> int:
     env = os.environ.get("ZONE_EVAL_WORKERS")
-    return int(env) if env else 1
+    try:
+        return int(env) if env else 1
+    except ValueError:
+        raise ValueError(f"ZONE_EVAL_WORKERS must be an integer, got {env!r}") from None
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit with EXIT_INPUT_ERROR, since 2 means "evaluation undefined"."""
+
+    def error(self, message: str):
+        self.exit(EXIT_INPUT_ERROR, f"error: {message}\n")
 
 
 def _add_eval_flags(p: argparse.ArgumentParser) -> None:
@@ -115,20 +127,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
         spec = partition.spec
         if not isinstance(spec, Grid):
             raise PartitionError("--heatmap requires a grid partition")
-        mean_matrix = [
-            [report.zones[r * spec.cols + c].zp for c in range(spec.cols)]
-            for r in range(spec.rows)
-        ]
+        # the mean ZP, then one file per threshold; grid zones are numbered row-major
         base = Path(args.heatmap)
-        with open(base, "w", newline="") as f:
-            write_heatmap_csv(mean_matrix, f)
-        for ti, t in enumerate(cfg.iou_thresholds):
-            matrix = [
-                [report.zones[r * spec.cols + c].zp_by_threshold[ti] for c in range(spec.cols)]
-                for r in range(spec.rows)
-            ]
-            with open(_threshold_path(base, t), "w", newline="") as f:
-                write_heatmap_csv(matrix, f)
+        series = [(base, [z.zp for z in report.zones])] + [
+            (_threshold_path(base, t), [z.zp_by_threshold[ti] for z in report.zones])
+            for ti, t in enumerate(cfg.iou_thresholds)
+        ]
+        for path, values in series:
+            rows = [values[r * spec.cols : (r + 1) * spec.cols] for r in range(spec.rows)]
+            with open(path, "w", newline="") as f:
+                write_heatmap_csv(rows, f)
 
     return EXIT_UNDEFINED if report.full_ap is None else EXIT_OK
 
@@ -295,7 +303,7 @@ def cmd_synth_bench(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="zone-eval",
         description="Zone-by-zone evaluation of object-detection results",
     )
@@ -381,9 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except UndefinedStatisticError as e:
         print(f"undefined: {e}", file=sys.stderr)

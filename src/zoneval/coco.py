@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .errors import IngestError
 
 
@@ -42,23 +44,37 @@ def bbox_center(b: BBox) -> tuple[float, float]:
     return (b.x + b.w / 2.0, b.y + b.h / 2.0)
 
 
-def iou(a: BBox, b: BBox) -> float:
-    """Intersection over union of two boxes; 0.0 when disjoint.
+def xywh(boxes: list[BBox]) -> np.ndarray:
+    """(N, 4) array of the boxes' x, y, w, h."""
+    return np.array([(b.x, b.y, b.w, b.h) for b in boxes], dtype=float).reshape(-1, 4)
 
-    Areas come from the same corner differences as the intersection, so
-    identical boxes score exactly 1.0.
+
+def box_centers(boxes: list[BBox]) -> tuple[np.ndarray, np.ndarray]:
+    """Center coordinates of boxes, by the same arithmetic as bbox_center."""
+    a = xywh(boxes)
+    return a[:, 0] + a[:, 2] / 2.0, a[:, 1] + a[:, 3] / 2.0
+
+
+def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of every row of ``a`` with every row of ``b``, both (N, 4) xywh arrays.
+
+    Disjoint pairs score 0.0.  Areas come from the same corner differences as
+    the intersection, so identical boxes score exactly 1.0.
     """
-    ax1, ay1 = a.x + a.w, a.y + a.h
-    bx1, by1 = b.x + b.w, b.y + b.h
-    iw = min(ax1, bx1) - max(a.x, b.x)
-    ih = min(ay1, by1) - max(a.y, b.y)
-    if iw <= 0 or ih <= 0:
-        return 0.0
-    inter = iw * ih
-    area_a = (ax1 - a.x) * (ay1 - a.y)
-    area_b = (bx1 - b.x) * (by1 - b.y)
-    union = max(area_a + area_b - inter, inter)
-    return inter / union
+    ax0, ay0, bx0, by0 = a[:, 0], a[:, 1], b[:, 0], b[:, 1]
+    ax1, ay1, bx1, by1 = ax0 + a[:, 2], ay0 + a[:, 3], bx0 + b[:, 2], by0 + b[:, 3]
+    iw = np.minimum(ax1[:, None], bx1[None, :]) - np.maximum(ax0[:, None], bx0[None, :])
+    ih = np.minimum(ay1[:, None], by1[None, :]) - np.maximum(ay0[:, None], by0[None, :])
+    inter = np.clip(iw, 0.0, None) * np.clip(ih, 0.0, None)
+    area_a = (ax1 - ax0) * (ay1 - ay0)
+    area_b = (bx1 - bx0) * (by1 - by0)
+    union = np.maximum(area_a[:, None] + area_b[None, :] - inter, inter)
+    return np.divide(inter, union, out=np.zeros_like(inter), where=inter > 0)
+
+
+def iou(a: BBox, b: BBox) -> float:
+    """Intersection over union of two boxes; 0.0 when disjoint."""
+    return float(iou_matrix(xywh([a]), xywh([b]))[0, 0])
 
 
 @dataclass(frozen=True)
@@ -69,9 +85,9 @@ class ImageInfo:
     file_name: str = ""
 
     def __post_init__(self) -> None:
-        if self.width <= 0 or self.height <= 0:
+        if not (0 < self.width < math.inf and 0 < self.height < math.inf):
             raise IngestError(
-                f"image {self.id}: dimensions must be positive, got {self.width}x{self.height}"
+                f"image {self.id}: dimensions must be finite and positive, got {self.width}x{self.height}"
             )
 
 

@@ -9,15 +9,14 @@ simulations over caller-supplied anchors: no feature-map or stride logic.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
-from .coco import BBox, Dataset, GroundTruth, ImageInfo, bbox_center, iou
-from .errors import OutsideImageError
-from .zones import Partition, Zone
+import numpy as np
 
-_JUST_BELOW_ONE = math.nextafter(1.0, 0.0)
+from .coco import BBox, Dataset, GroundTruth, ImageInfo, bbox_center, iou_matrix, xywh
+from .errors import OutsideImageError
+from .zones import Partition, Zone, gt_zone_counts, normalize_points
 
 
 @dataclass(frozen=True)
@@ -73,8 +72,7 @@ class AssignmentResult:
 
     def positive_anchor_indices(self) -> list[int]:
         """Distinct anchors that are positive for at least one ground truth."""
-        seen = sorted({ai for idxs in self.positives.values() for ai in idxs})
-        return seen
+        return sorted({ai for idxs in self.positives.values() for ai in idxs})
 
 
 def sela_assign(
@@ -88,13 +86,8 @@ def sela_assign(
     gamma = 0 reproduces the plain max-IoU threshold rule.
     """
     weights = [spatial_weight(a.center[0], a.center[1], img.width, img.height) for a in anchors]
-    cut = [cfg.t - cfg.gamma * w for w in weights]
-    positives: dict[int, tuple[int, ...]] = {}
-    for gi, gt in enumerate(gts):
-        positives[gi] = tuple(
-            ai for ai, a in enumerate(anchors) if iou(a.box, gt.bbox) >= cut[ai]
-        )
-    return AssignmentResult(anchors, gts, positives)
+    cut = np.array([cfg.t - cfg.gamma * w for w in weights])
+    return _threshold_positives(anchors, gts, cut)
 
 
 def beta_assign(
@@ -116,18 +109,19 @@ def beta_assign(
             f"{zone.id!r} can be positive",
             stacklevel=2,
         )
-    in_zone = []
-    for a in anchors:
-        u = min(max(a.center[0], 0.0), img.width) / img.width
-        v = min(max(a.center[1], 0.0), img.height) / img.height
-        in_zone.append(zone.contains(min(u, _JUST_BELOW_ONE), min(v, _JUST_BELOW_ONE)))
-    positives: dict[int, tuple[int, ...]] = {}
-    for gi, gt in enumerate(gts):
-        positives[gi] = tuple(
-            ai
-            for ai, a in enumerate(anchors)
-            if iou(a.box, gt.bbox) >= alpha_pos + (beta if in_zone[ai] else 0.0)
-        )
+    centers = np.array([a.center for a in anchors], dtype=float).reshape(-1, 2)
+    us, vs = normalize_points(centers[:, 0], centers[:, 1], img.width, img.height)
+    cut = np.array([alpha_pos + (beta if zone.contains(u, v) else 0.0)
+                    for u, v in zip(us.tolist(), vs.tolist())])
+    return _threshold_positives(anchors, gts, cut)
+
+
+def _threshold_positives(
+    anchors: list[Anchor], gts: list[GroundTruth], cut: np.ndarray
+) -> AssignmentResult:
+    """Anchor ai is positive for ground truth gi iff their IoU >= cut[ai]."""
+    hits = iou_matrix(xywh([a.box for a in anchors]), xywh([g.bbox for g in gts])) >= cut[:, None]
+    positives = {gi: tuple(np.flatnonzero(hits[:, gi]).tolist()) for gi in range(len(gts))}
     return AssignmentResult(anchors, gts, positives)
 
 
@@ -158,11 +152,6 @@ def object_density(ds: Dataset, partition: Partition, absolute: bool = False) ->
     image sizes; absolute mode divides by pixel area instead and requires all
     images to share one size.
     """
-    counts = {zid: 0 for zid in partition.zone_ids}
-    for img in ds.images:
-        for gt in ds.gts_by_image[img.id]:
-            counts[partition.zone_of_clamped(bbox_center(gt.bbox), img)] += 1
-
     pixel_area = 1.0
     if absolute:
         sizes = {(im.width, im.height) for im in ds.images}
@@ -170,28 +159,27 @@ def object_density(ds: Dataset, partition: Partition, absolute: bool = False) ->
             raise ValueError("absolute-area densities need a uniform image size")
         w, h = next(iter(sizes)) if sizes else (1.0, 1.0)
         pixel_area = w * h
-
-    zones = []
-    for zid in partition.zone_ids:
-        area = partition.area_fraction(zid) * pixel_area
-        zones.append(
-            ZoneDensity(zid, counts[zid], area, counts[zid] / area if area > 0 else 0.0)
-        )
-    return DensityReport(zones, absolute)
+    return _density_report(partition, gt_zone_counts(ds, partition), pixel_area, absolute)
 
 
 def supervision_density(
     result: AssignmentResult, partition: Partition, img: ImageInfo
 ) -> DensityReport:
     """Positive-anchor count and density per zone (distinct anchors)."""
-    counts = {zid: 0 for zid in partition.zone_ids}
-    for ai in result.positive_anchor_indices():
-        counts[partition.zone_of_clamped(result.anchors[ai].center, img)] += 1
+    centers = [result.anchors[ai].center for ai in result.positive_anchor_indices()]
+    xs, ys = np.array(centers, dtype=float).reshape(-1, 2).T
+    idx = partition.assign(xs, ys, img.width, img.height)
+    return _density_report(partition, np.bincount(idx, minlength=len(partition.zones)), 1.0, False)
+
+
+def _density_report(
+    partition: Partition, counts: np.ndarray, pixel_area: float, absolute: bool
+) -> DensityReport:
     zones = []
-    for zid in partition.zone_ids:
-        area = partition.area_fraction(zid)
-        zones.append(ZoneDensity(zid, counts[zid], area, counts[zid] / area if area > 0 else 0.0))
-    return DensityReport(zones, absolute=False)
+    for zone, count in zip(partition.zones, counts.tolist()):
+        area = zone.area_fraction * pixel_area
+        zones.append(ZoneDensity(zone.id, count, area, count / area if area > 0 else 0.0))
+    return DensityReport(zones, absolute)
 
 
 def anchor_grid(img: ImageInfo, cols: int, rows: int, box_size: float | None = None) -> list[Anchor]:

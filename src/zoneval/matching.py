@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coco import Detection, GroundTruth
+from .coco import Detection, GroundTruth, iou_matrix, xywh
 
 DEFAULT_IOU_THRESHOLDS = tuple(round(0.5 + 0.05 * i, 2) for i in range(10))
 
@@ -67,26 +67,6 @@ def _in_range(area: float, rng: tuple[float, float] | None) -> bool:
     return rng is None or rng[0] <= area < rng[1]
 
 
-def _iou_matrix(dets: list[Detection], gts: list[GroundTruth]) -> np.ndarray:
-    # areas from the same corner differences as the intersection, so a
-    # detection copying a ground-truth box scores exactly 1.0
-    dx0 = np.array([d.bbox.x for d in dets])
-    dy0 = np.array([d.bbox.y for d in dets])
-    dx1 = np.array([d.bbox.x + d.bbox.w for d in dets])
-    dy1 = np.array([d.bbox.y + d.bbox.h for d in dets])
-    gx0 = np.array([g.bbox.x for g in gts])
-    gy0 = np.array([g.bbox.y for g in gts])
-    gx1 = np.array([g.bbox.x + g.bbox.w for g in gts])
-    gy1 = np.array([g.bbox.y + g.bbox.h for g in gts])
-    iw = np.minimum(dx1[:, None], gx1[None, :]) - np.maximum(dx0[:, None], gx0[None, :])
-    ih = np.minimum(dy1[:, None], gy1[None, :]) - np.maximum(dy0[:, None], gy0[None, :])
-    inter = np.clip(iw, 0.0, None) * np.clip(ih, 0.0, None)
-    area_d = (dx1 - dx0) * (dy1 - dy0)
-    area_g = (gx1 - gx0) * (gy1 - gy0)
-    union = np.maximum(area_d[:, None] + area_g[None, :] - inter, inter)
-    return inter / union
-
-
 def match_image(
     gts: list[GroundTruth], dets: list[Detection], cfg: EvalConfig
 ) -> MatchFragment:
@@ -110,7 +90,7 @@ def match_image(
 
     min_t = cfg.iou_thresholds[0]
     if gts_sorted:
-        ious = _iou_matrix(dets, gts_sorted)
+        ious = iou_matrix(xywh([d.bbox for d in dets]), xywh([g.bbox for g in gts_sorted]))
         # per detection: candidate gts with iou >= lowest threshold, best first
         candidates = [
             sorted(
@@ -218,24 +198,29 @@ def ap_matrix(table: MatchTable, cfg: EvalConfig) -> dict[int, list[float]]:
     return out
 
 
+def mean_ap(matrix: dict[int, list[float]]) -> float | None:
+    """Mean of an ap_matrix over all its (category, threshold) entries; None if empty."""
+    if not matrix:
+        return None
+    return float(np.mean([v for row in matrix.values() for v in row]))
+
+
+def threshold_aps(matrix: dict[int, list[float]], n_thresholds: int) -> list[float | None]:
+    """Mean of an ap_matrix over categories, one value per IoU threshold."""
+    if not matrix:
+        return [None] * n_thresholds
+    return [float(np.mean([row[ti] for row in matrix.values()])) for ti in range(n_thresholds)]
+
+
 def ap_from_matches(table: MatchTable, cfg: EvalConfig) -> float | None:
     """Overall AP in [0, 1]: mean over included categories and thresholds.
 
     Returns None (undefined) when no category has any countable ground truth,
     which is distinct from a measured 0.0.
     """
-    matrix = ap_matrix(table, cfg)
-    if not matrix:
-        return None
-    return float(np.mean([v for row in matrix.values() for v in row]))
+    return mean_ap(ap_matrix(table, cfg))
 
 
 def ap_per_threshold(table: MatchTable, cfg: EvalConfig) -> list[float | None]:
     """AP restricted to each IoU threshold, aligned with cfg.iou_thresholds."""
-    matrix = ap_matrix(table, cfg)
-    if not matrix:
-        return [None] * table.n_thresholds
-    return [
-        float(np.mean([row[ti] for row in matrix.values()]))
-        for ti in range(table.n_thresholds)
-    ]
+    return threshold_aps(ap_matrix(table, cfg), table.n_thresholds)

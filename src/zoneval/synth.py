@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .coco import BBox, Category, Dataset, Detection, DetectionSet, GroundTruth, ImageInfo, iou
+from .coco import BBox, Category, Dataset, Detection, DetectionSet, GroundTruth, ImageInfo, iou, iou_matrix, xywh
 from .matching import DEFAULT_IOU_THRESHOLDS
 from .zone_eval import ZoneReport, ZoneResult, zp_variance
 from .zones import Partition, Zone, spec_label
@@ -197,7 +197,7 @@ def synthetic_benchmark(
     categories = [Category(id=category_id, name="object")]
 
     gts = []
-    gt_zone = []
+    centers = []
     for i in range(n_objects):
         img = images[i % n_images]
         while True:
@@ -216,7 +216,9 @@ def synthetic_benchmark(
             area=bw * bh,
         )
         gts.append(gt)
-        gt_zone.append(partition.zone_of_clamped((cx, cy), img))
+        centers.append((cx, cy))
+    xs, ys = np.array(centers).T  # every image shares one size
+    gt_zone = partition.assign(xs, ys, width, height)
 
     ds = Dataset(images, categories, gts)
     gts_by_image: dict[int, list[GroundTruth]] = {im.id: [] for im in images}
@@ -228,9 +230,9 @@ def synthetic_benchmark(
     undefined = []
     defined = []
     total_tp = 0
-    for zone in partition.zones:
+    for zi, zone in enumerate(partition.zones):
         q = profile.zones[zone.id]
-        members = [i for i, z in enumerate(gt_zone) if z == zone.id]
+        members = np.flatnonzero(gt_zone == zi).tolist()
         n_gt = len(members)
         n_tp = int(round(q.recall * n_gt))
         chosen = sorted(rng.choice(members, size=n_tp, replace=False)) if n_tp else []
@@ -301,6 +303,7 @@ def _plant_false_positive(
             bw = rng.uniform(*box_side_range) * shrink
             bh = rng.uniform(*box_side_range) * shrink
             box = BBox(u * img.width - bw / 2.0, v * img.height - bh / 2.0, bw, bh)
-            if all(iou(box, g.bbox) < _FP_IOU_CEILING for g in gts_by_image[img.id]):
+            overlaps = iou_matrix(xywh([box]), xywh([g.bbox for g in gts_by_image[img.id]]))
+            if (overlaps < _FP_IOU_CEILING).all():
                 return Detection(img.id, category_id, box, profile.score_law(0.0))
         shrink /= 2.0

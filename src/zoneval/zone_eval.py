@@ -18,8 +18,8 @@ import math
 from dataclasses import dataclass, replace
 from multiprocessing import get_context
 
-from .coco import Dataset, Detection, DetectionSet, GroundTruth, ImageInfo, bbox_center
-from .matching import EvalConfig, MatchFragment, MatchTable, ap_from_matches, ap_per_threshold, match_image
+from .coco import Dataset, Detection, DetectionSet, GroundTruth, ImageInfo, box_centers
+from .matching import EvalConfig, MatchFragment, MatchTable, ap_from_matches, ap_matrix, match_image, mean_ap, threshold_aps
 from .zones import Grid, Partition, build_partition, spec_label
 
 FULL_ZONE = "__full__"
@@ -112,21 +112,16 @@ def _image_fragments(
 
     Pure function of its arguments; safe to run on any worker.
     """
-    if cfg.cap_after_zone:
-        capped = dets
-    else:
-        capped = dets[: cfg.max_dets_per_image]
+    capped = dets if cfg.cap_after_zone else dets[: cfg.max_dets_per_image]
 
-    gt_zone = [partition.zone_of_clamped(bbox_center(g.bbox), img) for g in gts]
-    det_zone = [partition.zone_of_clamped(bbox_center(d.bbox), img) for d in capped]
-
-    buckets: dict[str, tuple[list[GroundTruth], list[Detection]]] = {
-        zid: ([], []) for zid in partition.zone_ids
-    }
-    for g, zid in zip(gts, gt_zone):
-        buckets[zid][0].append(g)
-    for d, zid in zip(capped, det_zone):
-        buckets[zid][1].append(d)
+    centers = box_centers([b.bbox for b in (*gts, *capped)])
+    zone_idx = partition.assign(*centers, img.width, img.height).tolist()
+    by_index: list[tuple[list[GroundTruth], list[Detection]]] = [([], []) for _ in partition.zones]
+    for g, k in zip(gts, zone_idx):
+        by_index[k][0].append(g)
+    for d, k in zip(capped, zone_idx[len(gts):]):
+        by_index[k][1].append(d)
+    buckets = dict(zip(partition.zone_ids, by_index))
     if cfg.cap_after_zone:
         buckets = {
             zid: (zg, zd[: cfg.max_dets_per_image]) for zid, (zg, zd) in buckets.items()
@@ -209,8 +204,9 @@ def evaluate_zones(
     undefined = []
     defined_zps = []
     for zid in zone_ids:
-        ap = ap_from_matches(tables[zid], cfg)
-        per_thr = ap_per_threshold(tables[zid], cfg)
+        matrix = ap_matrix(tables[zid], cfg)
+        ap = mean_ap(matrix)
+        per_thr = threshold_aps(matrix, n_thr)
         zp = None if ap is None else 100.0 * ap
         if zp is None:
             undefined.append(zid)

@@ -9,12 +9,17 @@ computable.
 Zone areas are computed with rational arithmetic at build time, so e.g. the
 innermost ring of a 5-ring partition has area fraction exactly 0.04 and the
 border union exactly 0.96.
+
+Points are looked up in an edge table built once per partition: the sorted
+unique x and y edges of all rectangles cut the plane into cells, each holding
+the first zone (in partition order) that contains its lower-left corner.  A
+point lies in exactly the rectangles that contain its cell's corner, so two
+binary searches reproduce the half-open ``Rect.contains`` test for any spec.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .coco import ImageInfo
+from .coco import Dataset, ImageInfo, box_centers
 from .errors import OutsideImageError, PartitionError
 
 _FRAC = Fraction
@@ -124,6 +129,14 @@ def _frame_rects(a: Fraction, b: Fraction) -> list[Rect]:
     return [r for r in rects if not r.is_empty]
 
 
+def normalize_points(xs, ys, width, height) -> tuple[np.ndarray, np.ndarray]:
+    """Clamp pixel points into the image, scale them to [0, 1] and nudge 1 inward to [0, 1)."""
+    below_one = np.nextafter(1.0, 0.0)
+    u = np.minimum(np.minimum(np.maximum(xs, 0.0), width) / width, below_one)
+    v = np.minimum(np.minimum(np.maximum(ys, 0.0), height) / height, below_one)
+    return u, v
+
+
 class Partition:
     """Ordered disjoint cover of [0, 1)^2. Immutable after build."""
 
@@ -133,41 +146,48 @@ class Partition:
         self.zones_by_id = {z.id: z for z in zones}
         if len(self.zones_by_id) != len(zones):
             raise PartitionError("duplicate zone id in partition")
+        rects = [(k, r) for k, z in enumerate(zones) for r in z.rects]
+        self._xs = np.array(sorted({e for _, r in rects for e in (r.x0, r.x1)}))
+        self._ys = np.array(sorted({e for _, r in rects for e in (r.y0, r.y1)}))
+        # no half-open rectangle contains the largest edge, so the last row and
+        # column stay -1; they also catch points below the first edge (index -1)
+        self._cells = np.full((len(self._xs), len(self._ys)), -1, dtype=np.int32)
+        for k, r in reversed(rects):  # earlier zones overwrite later ones
+            i0, i1 = np.searchsorted(self._xs, (r.x0, r.x1))
+            j0, j1 = np.searchsorted(self._ys, (r.y0, r.y1))
+            self._cells[i0:i1, j0:j1] = k
 
     @property
     def zone_ids(self) -> list[str]:
         return [z.id for z in self.zones]
 
-    def zone_of(self, point: tuple[float, float], img: ImageInfo) -> str:
-        """Zone id of a pixel-coordinate point.
+    def assign(self, xs, ys, width, height) -> np.ndarray:
+        """Index into ``zones`` of each pixel point, clamped into its image (vectorized).
 
-        The point is normalized by the image size; coordinates exactly on the
-        right/bottom edge are nudged inward so every point of the closed image
-        domain gets a zone.
+        Clamping puts boxes that overflow the image edge in exactly one (border)
+        zone, so zone counts partition the data.  Width and height may be
+        scalars or per-point arrays.
         """
+        u, v = normalize_points(np.asarray(xs, float), np.asarray(ys, float), width, height)
+        i = np.searchsorted(self._xs, u, side="right") - 1
+        j = np.searchsorted(self._ys, v, side="right") - 1
+        idx = self._cells[i, j]
+        if (idx < 0).any():  # unreachable for a valid partition
+            bad = np.argmax(idx < 0)
+            raise PartitionError(f"no zone contains normalized point ({u[bad]}, {v[bad]})")
+        return idx
+
+    def zone_of(self, point: tuple[float, float], img: ImageInfo) -> str:
+        """Zone id of a pixel-coordinate point inside the closed image domain."""
         x, y = point
         if not (0.0 <= x <= img.width and 0.0 <= y <= img.height):
             raise OutsideImageError(
                 f"point ({x}, {y}) outside image {img.id} ({img.width}x{img.height})"
             )
-        u = x / img.width
-        v = y / img.height
-        if u >= 1.0:
-            u = math.nextafter(1.0, 0.0)
-        if v >= 1.0:
-            v = math.nextafter(1.0, 0.0)
-        for z in self.zones:
-            if z.contains(u, v):
-                return z.id
-        # unreachable for a valid partition
-        raise PartitionError(f"no zone contains normalized point ({u}, {v})")
+        return self.zones[self.assign([x], [y], img.width, img.height)[0]].id
 
     def zone_of_clamped(self, point: tuple[float, float], img: ImageInfo) -> str:
-        """Like zone_of, but clamps out-of-image points onto the border first.
-
-        Evaluation uses this so that boxes overflowing the image edge still
-        land in exactly one (border) zone and zone counts partition the data.
-        """
+        """Like zone_of, but clamps out-of-image points onto the border first, as assign does."""
         x = min(max(point[0], 0.0), img.width)
         y = min(max(point[1], 0.0), img.height)
         return self.zone_of((x, y), img)
@@ -190,6 +210,14 @@ class Partition:
                     (us >= r.x0) & (us < r.x1) & (vs >= r.y0) & (vs < r.y1)
                 ).astype(np.int32)
         return count
+
+
+def gt_zone_counts(ds: Dataset, partition: Partition) -> np.ndarray:
+    """Number of ground-truth box centers per zone, clamped into their images."""
+    images = [ds.images_by_id[g.image_id] for g in ds.ground_truths]
+    width, height = np.array([(im.width, im.height) for im in images], float).reshape(-1, 2).T
+    idx = partition.assign(*box_centers([g.bbox for g in ds.ground_truths]), width, height)
+    return np.bincount(idx, minlength=len(partition.zones))
 
 
 def _build_annular(n: int) -> list[Zone]:
@@ -251,14 +279,10 @@ def build_partition(spec: ZoneSpec) -> Partition:
         if spec.n < 1:
             raise PartitionError("annular partition needs n >= 1")
         zones = _build_annular(spec.n)
-    elif isinstance(spec, StripX):
+    elif isinstance(spec, (StripX, StripY)):
         if spec.n < 1:
             raise PartitionError("strip partition needs n >= 1")
-        zones = _build_strips(spec.n, "x")
-    elif isinstance(spec, StripY):
-        if spec.n < 1:
-            raise PartitionError("strip partition needs n >= 1")
-        zones = _build_strips(spec.n, "y")
+        zones = _build_strips(spec.n, "x" if isinstance(spec, StripX) else "y")
     elif isinstance(spec, Grid):
         if spec.rows < 1 or spec.cols < 1:
             raise PartitionError("grid partition needs rows, cols >= 1")
@@ -266,8 +290,7 @@ def build_partition(spec: ZoneSpec) -> Partition:
     elif isinstance(spec, Custom):
         if not spec.zones:
             raise PartitionError("custom partition has no zones")
-        zones = _build_custom(spec)
-        p = Partition(spec, zones)
+        p = Partition(spec, _build_custom(spec))
         _validate_cover(p)
         return p
     else:
@@ -287,18 +310,22 @@ def _validate_cover(p: Partition) -> None:
         raise PartitionError(f"custom zones leave a gap near ({us[i, j]:.4f}, {vs[i, j]:.4f})")
 
 
+# (kind, CLI syntax, label template) of every spec but Custom
+_SPEC_FORMS = (
+    (Annular, r"annular:(\d+)", "annular:{0.n}"),
+    (StripX, r"strip-x:(\d+)", "strip-x:{0.n}"),
+    (StripY, r"strip-y:(\d+)", "strip-y:{0.n}"),
+    (Grid, r"grid:(\d+)x(\d+)", "grid:{0.rows}x{0.cols}"),
+)
+
+
 def spec_label(spec: ZoneSpec) -> str:
     """Stable CLI-style label for a spec, used in report metadata."""
-    if isinstance(spec, Annular):
-        return f"annular:{spec.n}"
-    if isinstance(spec, StripX):
-        return f"strip-x:{spec.n}"
-    if isinstance(spec, StripY):
-        return f"strip-y:{spec.n}"
-    if isinstance(spec, Grid):
-        return f"grid:{spec.rows}x{spec.cols}"
     if isinstance(spec, Custom):
         return f"custom:{len(spec.zones)} zones"
+    for kind, _, label in _SPEC_FORMS:
+        if isinstance(spec, kind):
+            return label.format(spec)
     raise PartitionError(f"unknown zone spec {spec!r}")
 
 
@@ -308,18 +335,10 @@ def parse_zone_spec(text: str) -> ZoneSpec:
     Accepted forms: ``annular:5``, ``strip-x:5``, ``strip-y:5``,
     ``grid:11x11``, ``custom:@zones.json``.
     """
-    m = re.fullmatch(r"annular:(\d+)", text)
-    if m:
-        return Annular(int(m.group(1)))
-    m = re.fullmatch(r"strip-x:(\d+)", text)
-    if m:
-        return StripX(int(m.group(1)))
-    m = re.fullmatch(r"strip-y:(\d+)", text)
-    if m:
-        return StripY(int(m.group(1)))
-    m = re.fullmatch(r"grid:(\d+)x(\d+)", text)
-    if m:
-        return Grid(int(m.group(1)), int(m.group(2)))
+    for kind, pattern, _ in _SPEC_FORMS:
+        m = re.fullmatch(pattern, text)
+        if m:
+            return kind(*map(int, m.groups()))
     m = re.fullmatch(r"custom:@(.+)", text)
     if m:
         return load_custom_spec(m.group(1))

@@ -217,6 +217,20 @@ class TestPatternDistance:
             assert ab == pytest.approx(ba, abs=1e-12)
             assert ab >= 0.0
 
+    def test_bins_are_half_open_with_a_catch_all(self):
+        # bin_width 32, 3 bins: [0, 32^2), [32^2, 64^2), [64^2, inf)
+        def distance(area_a, area_b, bin_count=3):
+            records = [record("train", "in", 1, area_a, [0.0]), record("test", "in", 1, area_b, [1.0])]
+            return pattern_distance(records, ("train", "in"), ("test", "in"), bin_count, 32.0)
+
+        assert distance(1024.0, 2000.0) == 1.0
+        assert distance(4096.0, 1e12) == 1.0
+        with pytest.raises(ValueError):
+            distance(1023.9, 1024.0)
+        with pytest.raises(ValueError):
+            distance(4095.9, 4096.0)
+        assert distance(1.0, 1e12, bin_count=1) == 1.0
+
     def test_mean_reduction_within_bin(self):
         # means are taken per (bin, category) before the difference
         records = [

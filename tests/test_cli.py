@@ -324,3 +324,42 @@ class TestHelp:
         with pytest.raises(SystemExit) as exc:
             main(["eval", "--gt", str(gt), "--dt", str(dt), "--frobnicate"])
         assert exc.value.code != 0
+
+
+class TestUsageErrors:
+    """Usage errors exit 1 with a one-line message; 2 only means "evaluation undefined"."""
+
+    def _exit_code(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        return exc.value.code, err
+
+    def test_bad_workers_flag(self, bench_files, capsys):
+        gt, dt, _ = bench_files
+        code, err = self._exit_code(["eval", "--gt", str(gt), "--dt", str(dt), "--workers", "abc"],
+                                    capsys)
+        assert code == 1
+        assert "--workers" in err
+
+    def test_decreasing_iou_range(self, bench_files, capsys):
+        gt, dt, _ = bench_files
+        code, err = self._exit_code(["eval", "--gt", str(gt), "--dt", str(dt),
+                                     "--iou", "0.5:0.4:0.05"], capsys)
+        assert code == 1
+        assert "ends below its start" in err
+
+    def test_bad_workers_env(self, bench_files, monkeypatch, capsys):
+        gt, _, _ = bench_files
+        monkeypatch.setenv("ZONE_EVAL_WORKERS", "abc")
+        assert main(["density", "--gt", str(gt)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: ZONE_EVAL_WORKERS must be an integer, got 'abc'\n"
+
+    def test_nan_image_width(self, tmp_path, capsys):
+        gt = tmp_path / "gt.json"
+        gt.write_text(json.dumps({"images": [{"id": 1, "width": float("nan"), "height": 100}],
+                                  "annotations": [], "categories": []}))
+        assert main(["density", "--gt", str(gt)]) == 1
+        assert "image 1" in capsys.readouterr().err

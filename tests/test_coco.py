@@ -1,18 +1,23 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from zoneval.coco import (
     BBox,
     DetectionSet,
+    ImageInfo,
     bbox_center,
     iou,
+    iou_matrix,
     load_detections,
     load_ground_truth,
+    xywh,
 )
 from zoneval.errors import IngestError
+from zoneval.oracle import _overlap
 
 from conftest import write_coco_gt
 
@@ -232,6 +237,42 @@ class TestIoUProperties:
     @given(a=boxes)
     def test_self_iou_is_one(self, a):
         assert iou(a, a) == 1.0
+
+
+class TestIoUMatrix:
+    def test_agrees_with_oracle_overlap(self):
+        rng = np.random.default_rng(4)
+        a = [BBox(*rng.uniform(-50, 150, 2), *rng.uniform(0.5, 80, 2)) for _ in range(60)]
+        b = [BBox(*rng.uniform(-50, 150, 2), *rng.uniform(0.5, 80, 2)) for _ in range(40)]
+        got = iou_matrix(xywh(a), xywh(b))
+        want = np.array([[_overlap(p, q) for q in b] for p in a])
+        assert got.shape == (60, 40)
+        assert (want > 0).sum() > 100  # the boxes overlap often enough to test something
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_identical_boxes_score_exactly_one(self):
+        rng = np.random.default_rng(5)
+        boxes = xywh([BBox(*rng.uniform(-1e4, 1e4, 2), *rng.uniform(1e-3, 1e3, 2))
+                      for _ in range(50)])
+        assert (np.diag(iou_matrix(boxes, boxes)) == 1.0).all()
+
+    def test_empty_sides(self):
+        assert iou_matrix(xywh([]), xywh([BBox(0, 0, 1, 1)])).shape == (0, 1)
+
+
+class TestImageInfoValidation:
+    @pytest.mark.parametrize("w,h", [(math.nan, 100.0), (100.0, math.nan), (math.inf, 100.0),
+                                     (100.0, -math.inf), (0.0, 100.0)])
+    def test_rejects_non_finite_or_non_positive_size(self, w, h):
+        with pytest.raises(IngestError, match="image 7"):
+            ImageInfo(id=7, width=w, height=h)
+
+    def test_nan_width_rejected_at_ingest(self, tmp_path):
+        doc = coco_doc([{"id": 1, "width": math.nan, "height": 100}], [], [])
+        path = tmp_path / "gt.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(IngestError, match="image 1"):
+            load_ground_truth(path)
 
 
 class TestBBoxValidation:

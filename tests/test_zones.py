@@ -31,6 +31,12 @@ BUILTIN_SPECS = [
 ]
 
 
+def _probes(edges: set[float]) -> np.ndarray:
+    """Every edge, its two neighbouring floats, and two values outside [0, 1]."""
+    near = {math.nextafter(e, d) for e in edges for d in (-math.inf, math.inf)}
+    return np.array(sorted(edges | near | {-0.3, 1.7}))
+
+
 class TestAnnularRect:
     def test_outermost_is_whole_image(self):
         r = annular_rect(0, 5)
@@ -197,13 +203,44 @@ class TestCoverage:
         counts = p.membership_counts(uu, vv)
         assert (counts == 1).all()
 
-    def test_scalar_lookup_agrees_with_vectorized(self, square_image):
-        p = build_partition(Annular(5))
+    def test_scalar_lookup_agrees_with_vectorized(self):
+        custom = Custom((
+            ("left", ((0.0, 0.0, 0.3, 1.0),)),
+            ("middle", ((0.3, 0.0, 0.7, 0.45), (0.3, 0.55, 0.7, 1.0))),
+            ("right", ((0.7, 0.0, 1.0, 1.0), (0.3, 0.45, 0.7, 0.55))),
+        ))
         rng = np.random.default_rng(0)
-        pts = rng.random((200, 2))
-        for u, v in pts:
-            zid = p.zone_of((u * 600, v * 600), square_image)
-            assert p.zones_by_id[zid].contains(u, v)
+        for spec in BUILTIN_SPECS + [StripX(7), StripY(3), custom]:
+            p = build_partition(spec)
+            rects = [r for z in p.zones for r in z.rects]
+            pu = _probes({e for r in rects for e in (r.x0, r.x1)})
+            pv = _probes({e for r in rects for e in (r.y0, r.y1)})
+            # every probe of each axis against random probes of the other, then
+            # random points, some of them outside the image
+            us = np.concatenate([pu, rng.choice(pu, len(pv)), rng.uniform(-0.2, 1.2, 300)])
+            vs = np.concatenate([rng.choice(pv, len(pu)), pv, rng.uniform(-0.2, 1.2, 300)])
+            for width, height in [(1.0, 1.0), (640.0, 480.0), (427.0, 640.0)]:
+                img = ImageInfo(id=1, width=width, height=height)
+                xs, ys = us * width, vs * height
+                got = p.assign(xs, ys, width, height)
+                assert got.dtype == np.int32
+                for x, y, k in zip(xs.tolist(), ys.tolist(), got.tolist()):
+                    assert p.zone_of_clamped((x, y), img) == p.zones[k].id
+                    u = min(min(max(x, 0.0), width) / width, math.nextafter(1.0, 0.0))
+                    v = min(min(max(y, 0.0), height) / height, math.nextafter(1.0, 0.0))
+                    assert [z.contains(u, v) for z in p.zones].count(True) == 1
+                    assert p.zones[k].contains(u, v)
+
+    def test_assign_takes_per_point_image_sizes(self):
+        p = build_partition(Grid(2, 2))
+        got = p.assign([10.0, 10.0, 700.0], [10.0, 90.0, -5.0], [100.0, 20.0, 640.0], 100.0)
+        assert [p.zones[k].id for k in got] == ["g0_0", "g1_1", "g0_1"]
+        assert p.assign([], [], 10.0, 10.0).shape == (0,)
+
+    def test_assign_reports_points_no_zone_contains(self):
+        p = build_partition(Annular(5))
+        with pytest.raises(PartitionError):
+            p.assign([1.0], [1.0], math.nan, 10.0)
 
 
 class TestSpecParsing:
