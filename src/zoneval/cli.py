@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -208,6 +209,22 @@ def cmd_sela(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _read_heatmap(path: Path) -> list[list[float | None]]:
+    """One per-threshold heatmap CSV; an empty, ragged or non-finite one raises IngestError."""
+    try:
+        with open(path, newline="") as f:
+            matrix = read_heatmap_csv(f)
+    except ValueError as e:
+        raise IngestError(f"{path}: {e}") from e
+    if not matrix or not matrix[0]:
+        raise IngestError(f"{path}: empty heatmap")
+    if any(len(row) != len(matrix[0]) for row in matrix):
+        raise IngestError(f"{path}: heatmap rows differ in length")
+    if not all(math.isfinite(v) for row in matrix for v in row if v is not None):
+        raise IngestError(f"{path}: heatmap cells must be finite or empty")
+    return matrix
+
+
 def cmd_correlate(args: argparse.Namespace) -> int:
     ds = load_ground_truth(args.gt)
     base = Path(args.heatmap)
@@ -217,8 +234,7 @@ def cmd_correlate(args: argparse.Namespace) -> int:
         path = _threshold_path(base, t)
         if not path.exists():
             raise IngestError(f"missing per-threshold heatmap {path}")
-        with open(path, newline="") as f:
-            heatmaps[t] = read_heatmap_csv(f)
+        heatmaps[t] = _read_heatmap(path)
     shape = {(len(m), len(m[0])) for m in heatmaps.values()}
     if len(shape) != 1:
         raise IngestError("per-threshold heatmaps disagree on shape")

@@ -115,6 +115,61 @@ class Detection:
     score: float
 
 
+def _image_record(rec: dict) -> ImageInfo:
+    return ImageInfo(
+        id=int(rec["id"]),
+        width=float(rec["width"]),
+        height=float(rec["height"]),
+        file_name=str(rec.get("file_name", "")),
+    )
+
+
+def _category_record(rec: dict) -> Category:
+    return Category(id=int(rec["id"]), name=str(rec["name"]))
+
+
+def _annotation_record(rec: dict) -> GroundTruth:
+    x, y, w, h = rec["bbox"]
+    bbox = BBox(float(x), float(y), float(w), float(h))
+    return GroundTruth(
+        id=int(rec["id"]),
+        image_id=int(rec["image_id"]),
+        category_id=int(rec["category_id"]),
+        bbox=bbox,
+        area=bbox.area if rec.get("area") is None else float(rec["area"]),
+        ignore=bool(rec.get("iscrowd", 0)),
+    )
+
+
+def _record_error(kind: str, i: int, rec: dict, e: Exception) -> str:
+    """Message for a record that failed to parse, naming it by id, else by position."""
+    name = f"{kind} {rec['id']}" if "id" in rec else f"{kind} #{i}"
+    if isinstance(e, IngestError):  # ImageInfo names its image already
+        return str(e) if str(e).startswith(f"{name}:") else f"{name}: {e}"
+    if isinstance(e, KeyError):
+        return f"{name}: missing field {e}"
+    return f"{name}: malformed record ({e})"
+
+
+def _parse_records(records, kind: str, parse) -> list:
+    """Parse every record of one top-level list; a malformed record raises IngestError.
+
+    Malformed: not an object, missing a required field, or holding a field of
+    the wrong type or an invalid value.
+    """
+    if not isinstance(records, list):
+        raise IngestError(f"the {kind} records must be a JSON list")
+    out = []
+    for i, rec in enumerate(records):
+        if not isinstance(rec, dict):
+            raise IngestError(f"{kind} #{i} is not a JSON object: {rec!r}")
+        try:
+            out.append(parse(rec))
+        except (KeyError, TypeError, ValueError, OverflowError) as e:
+            raise IngestError(_record_error(kind, i, rec, e)) from e
+    return out
+
+
 class Dataset:
     """Validated, indexed ground truth. Immutable after construction.
 
@@ -151,8 +206,8 @@ class Dataset:
                 raise IngestError(
                     f"annotation {gt.id} references missing category {gt.category_id}"
                 )
-            if gt.area <= 0:
-                raise IngestError(f"annotation {gt.id}: area must be positive")
+            if not gt.area > 0:  # also rejects NaN
+                raise IngestError(f"annotation {gt.id}: area must be positive, got {gt.area}")
             self.gts_by_image[gt.image_id].append(gt)
 
     @property
@@ -164,46 +219,9 @@ class Dataset:
         for key in ("images", "annotations", "categories"):
             if key not in data:
                 raise IngestError(f"annotation file missing top-level key '{key}'")
-        images = []
-        for rec in data["images"]:
-            try:
-                images.append(
-                    ImageInfo(
-                        id=int(rec["id"]),
-                        width=float(rec["width"]),
-                        height=float(rec["height"]),
-                        file_name=str(rec.get("file_name", "")),
-                    )
-                )
-            except KeyError as e:
-                raise IngestError(f"image record {rec.get('id', '?')} missing field {e}") from e
-        categories = []
-        for rec in data["categories"]:
-            try:
-                categories.append(Category(id=int(rec["id"]), name=str(rec["name"])))
-            except KeyError as e:
-                raise IngestError(f"category record {rec.get('id', '?')} missing field {e}") from e
-        gts = []
-        for rec in data["annotations"]:
-            ann_id = rec.get("id", "?")
-            try:
-                x, y, w, h = rec["bbox"]
-                bbox = BBox(float(x), float(y), float(w), float(h))
-            except IngestError as e:
-                raise IngestError(f"annotation {ann_id}: {e}") from e
-            except (KeyError, TypeError, ValueError) as e:
-                raise IngestError(f"annotation {ann_id}: malformed bbox") from e
-            area = float(rec["area"]) if "area" in rec and rec["area"] is not None else bbox.area
-            gts.append(
-                GroundTruth(
-                    id=int(rec["id"]),
-                    image_id=int(rec["image_id"]),
-                    category_id=int(rec["category_id"]),
-                    bbox=bbox,
-                    area=area,
-                    ignore=bool(rec.get("iscrowd", 0)),
-                )
-            )
+        images = _parse_records(data["images"], "image", _image_record)
+        categories = _parse_records(data["categories"], "category", _category_record)
+        gts = _parse_records(data["annotations"], "annotation", _annotation_record)
         return cls(images, categories, gts)
 
     def to_coco_dict(self) -> dict:
@@ -273,7 +291,7 @@ class DetectionSet:
                 )
             except IngestError as e:
                 raise IngestError(f"detection #{i}: {e}") from e
-            except (KeyError, TypeError, ValueError) as e:
+            except (KeyError, TypeError, ValueError, OverflowError) as e:
                 raise IngestError(f"detection #{i}: malformed record ({e})") from e
         return cls(dets, dataset)
 

@@ -143,17 +143,24 @@ class MatchTable:
     def __init__(self, category_ids: list[int], n_thresholds: int) -> None:
         self.category_ids = list(category_ids)
         self.n_thresholds = n_thresholds
-        self._fragments: dict[int, dict[int, MatchFragment]] = {c: {} for c in self.category_ids}
+        self._rank = {c: i for i, c in enumerate(self.category_ids)}
+        self._fragments: dict[int, dict[int, MatchFragment]] = {}
 
     def add(self, category_id: int, image_id: int, fragment: MatchFragment) -> None:
-        per_cat = self._fragments[category_id]
+        if category_id not in self._rank:
+            raise KeyError(f"category {category_id} is not in the table")
+        per_cat = self._fragments.setdefault(category_id, {})
         if image_id in per_cat:
             raise ValueError(f"duplicate fragment for image {image_id}, category {category_id}")
         per_cat[image_id] = fragment
 
+    def categories(self) -> list[int]:
+        """Categories holding at least one fragment, in ``category_ids`` order."""
+        return sorted(self._fragments, key=self._rank.__getitem__)
+
     def merged(self, category_id: int) -> tuple[int, list[list[tuple[float, bool, bool]]]]:
         """(total non-ignored GT count, per-threshold entry lists) for a category."""
-        per_cat = self._fragments[category_id]
+        per_cat = self._fragments.get(category_id, {})
         npig = 0
         entries: list[list[tuple[float, bool, bool]]] = [[] for _ in range(self.n_thresholds)]
         for image_id in sorted(per_cat):
@@ -187,10 +194,13 @@ def _ap_single(
 
 
 def ap_matrix(table: MatchTable, cfg: EvalConfig) -> dict[int, list[float]]:
-    """Per-category, per-threshold AP; categories without ground truth omitted."""
+    """Per-category, per-threshold AP; categories without ground truth omitted.
+
+    Only categories that hold fragments are visited, in ``category_ids`` order.
+    """
     grid = cfg.recall_grid()
     out: dict[int, list[float]] = {}
-    for cat in table.category_ids:
+    for cat in table.categories():
         npig, entries = table.merged(cat)
         if npig == 0:
             continue

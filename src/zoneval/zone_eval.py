@@ -5,9 +5,18 @@ ground truths and detections whose box centers fall in it, so the union of
 all zones reproduces the full-image evaluation and the whole-image zone
 reproduces AP bit-for-bit.
 
+Count, then match: a ground truth is countable when it is not crowd and its
+area lies in the configured scale range.  Before any matching, the
+(zone, category) pairs holding at least one countable ground truth are
+collected, and only those pairs are matched.  This is exact: every other pair
+has no positive ground truth in the zone, and AP accumulation leaves such a
+category out of the zone's mean (as COCO's accumulate does), so its matches
+could never reach the report.
+
 Per-image work units are pure, so they can run on any number of workers; the
 reduction merges fragments keyed by image id and is therefore independent of
-arrival order.
+arrival order.  The geometry of an image (cap and zone buckets) does not
+depend on the scale range, so the scale study computes it once for all bins.
 """
 
 from __future__ import annotations
@@ -19,8 +28,18 @@ from dataclasses import dataclass, replace
 from multiprocessing import get_context
 
 from .coco import Dataset, Detection, DetectionSet, GroundTruth, ImageInfo, box_centers
-from .matching import EvalConfig, MatchFragment, MatchTable, ap_from_matches, ap_matrix, match_image, mean_ap, threshold_aps
-from .zones import Grid, Partition, build_partition, spec_label
+from .matching import (
+    EvalConfig,
+    MatchFragment,
+    MatchTable,
+    _in_range,
+    ap_from_matches,
+    ap_matrix,
+    match_image,
+    mean_ap,
+    threshold_aps,
+)
+from .zones import Grid, Partition, build_partition, gt_zone_indices, spec_label
 
 FULL_ZONE = "__full__"
 
@@ -101,16 +120,20 @@ def zp_variance(zps: list[float]) -> float:
     return sum((z - mean) ** 2 for z in zps) / len(zps)
 
 
-def _image_fragments(
+Buckets = dict[str, tuple[list[GroundTruth], list[Detection]]]
+Countable = frozenset[tuple[str, int]]
+
+
+def _image_geometry(
     img: ImageInfo,
     gts: list[GroundTruth],
     dets: list[Detection],
     partition: Partition,
     cfg: EvalConfig,
-) -> tuple[int, dict[str, dict[int, MatchFragment]], dict[str, int], dict[str, int]]:
-    """Per-image evaluation unit: fragments per (zone | FULL_ZONE, category).
+) -> tuple[Buckets, dict[str, int], dict[str, int]]:
+    """Per-image geometry: the cap, zone buckets (plus FULL_ZONE) and per-zone counts.
 
-    Pure function of its arguments; safe to run on any worker.
+    Does not depend on ``cfg.scale_range``, so one pass serves every scale bin.
     """
     capped = dets if cfg.cap_after_zone else dets[: cfg.max_dets_per_image]
 
@@ -129,67 +152,84 @@ def _image_fragments(
         full_dets = dets[: cfg.max_dets_per_image]
     else:
         full_dets = capped
+    gt_counts = {zid: len(zg) for zid, (zg, _) in buckets.items()}
+    det_counts = {zid: len(zd) for zid, (_, zd) in buckets.items()}
     buckets[FULL_ZONE] = (gts, full_dets)
+    return buckets, gt_counts, det_counts
 
+
+def _countable(
+    ds: Dataset, gt_zones: list[int], partition: Partition, cfg: EvalConfig
+) -> Countable:
+    """(zone id | FULL_ZONE, category) pairs with at least one countable ground truth.
+
+    ``gt_zones`` holds the zone index of each of ``ds.ground_truths``.  A ground
+    truth counts when it is not crowd and its area lies in ``cfg.scale_range``,
+    the rule match_image uses for ``n_pos_gt``.
+    """
+    zone_ids = partition.zone_ids
+    pairs = set()
+    for g, k in zip(ds.ground_truths, gt_zones):
+        if not g.ignore and _in_range(g.area, cfg.scale_range):
+            pairs.add((zone_ids[k], g.category_id))
+            pairs.add((FULL_ZONE, g.category_id))
+    return frozenset(pairs)
+
+
+def _match_buckets(
+    buckets: Buckets, countable: Countable, cfg: EvalConfig
+) -> dict[str, dict[int, MatchFragment]]:
+    """Fragments per (zone | FULL_ZONE, category), for the countable pairs only."""
     fragments: dict[str, dict[int, MatchFragment]] = {}
-    gt_counts: dict[str, int] = {}
-    det_counts: dict[str, int] = {}
     for zid, (zgts, zdets) in buckets.items():
-        if zid != FULL_ZONE:
-            gt_counts[zid] = len(zgts)
-            det_counts[zid] = len(zdets)
-        if not zgts and not zdets:
-            continue
-        per_cat: dict[int, MatchFragment] = {}
-        cats = sorted({g.category_id for g in zgts} | {d.category_id for d in zdets})
-        for cat in cats:
-            cgts = [g for g in zgts if g.category_id == cat]
-            cdets = [d for d in zdets if d.category_id == cat]
-            per_cat[cat] = match_image(cgts, cdets, cfg)
-        fragments[zid] = per_cat
-    return img.id, fragments, gt_counts, det_counts
+        by_cat: dict[int, tuple[list[GroundTruth], list[Detection]]] = {}
+        for g in zgts:
+            if (zid, g.category_id) in countable:
+                by_cat.setdefault(g.category_id, ([], []))[0].append(g)
+        for d in zdets:
+            if (zid, d.category_id) in countable:
+                by_cat.setdefault(d.category_id, ([], []))[1].append(d)
+        if by_cat:
+            fragments[zid] = {
+                cat: match_image(cgts, cdets, cfg) for cat, (cgts, cdets) in sorted(by_cat.items())
+            }
+    return fragments
+
+
+def _image_fragments(
+    img: ImageInfo,
+    gts: list[GroundTruth],
+    dets: list[Detection],
+    partition: Partition,
+    cfg: EvalConfig,
+    countable: Countable,
+) -> tuple[int, dict[str, dict[int, MatchFragment]], dict[str, int], dict[str, int]]:
+    """Per-image evaluation unit: geometry, then matching of the countable pairs.
+
+    Pure function of its arguments; safe to run on any worker.
+    """
+    buckets, gt_counts, det_counts = _image_geometry(img, gts, dets, partition, cfg)
+    return img.id, _match_buckets(buckets, countable, cfg), gt_counts, det_counts
 
 
 def _worker_chunk(args) -> list:
-    payloads, partition, cfg = args
-    return [_image_fragments(img, gts, dets, partition, cfg) for img, gts, dets in payloads]
+    payloads, partition, cfg, countable = args
+    return [
+        _image_fragments(img, gts, dets, partition, cfg, countable) for img, gts, dets in payloads
+    ]
 
 
-def evaluate_zones(
-    ds: Dataset,
-    dets: DetectionSet,
-    partition: Partition,
-    cfg: EvalConfig | None = None,
-    workers: int = 1,
-) -> ZoneReport:
-    """Evaluate every zone of a partition plus the whole image.
+def _reduce(results, category_ids: list[int], partition: Partition, cfg: EvalConfig) -> ZoneReport:
+    """Merge per-image (image id, fragments, gt counts, det counts) into a report.
 
-    Zones with no ground truth in any category get an undefined ZP; they are
-    reported in ``undefined_zones`` and excluded from the variance.  The
-    output is identical for any worker count.
+    Consumes ``results`` lazily, so per-image work can stream in.
     """
-    cfg = cfg or EvalConfig()
     zone_ids = partition.zone_ids
     n_thr = len(cfg.iou_thresholds)
-    cats = ds.category_ids
-
-    tables = {zid: MatchTable(cats, n_thr) for zid in zone_ids}
-    tables[FULL_ZONE] = MatchTable(cats, n_thr)
+    tables = {zid: MatchTable(category_ids, n_thr) for zid in zone_ids}
+    tables[FULL_ZONE] = MatchTable(category_ids, n_thr)
     gt_counts = {zid: 0 for zid in zone_ids}
     det_counts = {zid: 0 for zid in zone_ids}
-
-    payloads = [(img, ds.gts_by_image[img.id], dets.for_image(img.id)) for img in ds.images]
-
-    if workers <= 1 or len(payloads) < 2:
-        results = (_image_fragments(img, g, d, partition, cfg) for img, g, d in payloads)
-    else:
-        chunk = max(1, math.ceil(len(payloads) / (workers * 4)))
-        jobs = [
-            (payloads[i : i + chunk], partition, cfg) for i in range(0, len(payloads), chunk)
-        ]
-        with get_context().Pool(workers) as pool:
-            chunks = pool.map(_worker_chunk, jobs)
-        results = (r for ch in chunks for r in ch)
 
     for image_id, fragments, g_counts, d_counts in results:
         for zid, n in g_counts.items():
@@ -232,6 +272,39 @@ def evaluate_zones(
         full_ap=None if full is None else 100.0 * full,
         undefined_zones=undefined,
     )
+
+
+def evaluate_zones(
+    ds: Dataset,
+    dets: DetectionSet,
+    partition: Partition,
+    cfg: EvalConfig | None = None,
+    workers: int = 1,
+) -> ZoneReport:
+    """Evaluate every zone of a partition plus the whole image.
+
+    Zones with no ground truth in any category get an undefined ZP; they are
+    reported in ``undefined_zones`` and excluded from the variance.  The
+    output is identical for any worker count.
+    """
+    cfg = cfg or EvalConfig()
+    countable = _countable(ds, gt_zone_indices(ds, partition).tolist(), partition, cfg)
+    payloads = [(img, ds.gts_by_image[img.id], dets.for_image(img.id)) for img in ds.images]
+
+    if workers <= 1 or len(payloads) < 2:
+        results = (
+            _image_fragments(img, g, d, partition, cfg, countable) for img, g, d in payloads
+        )
+    else:
+        chunk = max(1, math.ceil(len(payloads) / (workers * 4)))
+        jobs = [
+            (payloads[i : i + chunk], partition, cfg, countable)
+            for i in range(0, len(payloads), chunk)
+        ]
+        with get_context().Pool(workers) as pool:
+            chunks = pool.map(_worker_chunk, jobs)
+        results = (r for ch in chunks for r in ch)
+    return _reduce(results, ds.category_ids, partition, cfg)
 
 
 SCALE_STEPS = (4, 8, 16, 32, 64, 128)
@@ -287,16 +360,33 @@ def scale_study(
     Each step r slices ground truth by box area into scale_bins(r); every bin
     is evaluated separately and a zone's mean is taken over the bins where it
     has a defined ZP.  The grand mean averages the per-step means.
+
+    Each bin's report equals ``evaluate_zones`` with that bin as
+    ``scale_range``.  The zone geometry (cap, buckets, counts) does not depend
+    on the bin, so it is computed once; each bin only rebuilds its countable
+    set and matches those pairs.  The bins run in-process: ``workers`` is
+    accepted for compatibility and starts no pool.
     """
     cfg = cfg or EvalConfig()
     zone_ids = partition.zone_ids
+    gt_zones = gt_zone_indices(ds, partition).tolist()
+    geometry = [
+        (img.id, *_image_geometry(img, ds.gts_by_image[img.id], dets.for_image(img.id),
+                                  partition, cfg))
+        for img in ds.images
+    ]
     mean_zp: dict[int | None, list[float | None]] = {}
     for r in steps:
         sums = [0.0] * len(zone_ids)
         counts = [0] * len(zone_ids)
         for lo, hi in scale_bins(r):
             bin_cfg = replace(cfg, scale_range=(lo, hi))
-            report = evaluate_zones(ds, dets, partition, bin_cfg, workers=workers)
+            countable = _countable(ds, gt_zones, partition, bin_cfg)
+            results = (
+                (image_id, _match_buckets(buckets, countable, bin_cfg), g_counts, d_counts)
+                for image_id, buckets, g_counts, d_counts in geometry
+            )
+            report = _reduce(results, ds.category_ids, partition, bin_cfg)
             for zi, z in enumerate(report.zones):
                 if z.zp is not None:
                     sums[zi] += z.zp

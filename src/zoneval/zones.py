@@ -212,12 +212,16 @@ class Partition:
         return count
 
 
-def gt_zone_counts(ds: Dataset, partition: Partition) -> np.ndarray:
-    """Number of ground-truth box centers per zone, clamped into their images."""
+def gt_zone_indices(ds: Dataset, partition: Partition) -> np.ndarray:
+    """Zone index of each of ``ds.ground_truths``, centers clamped into their images."""
     images = [ds.images_by_id[g.image_id] for g in ds.ground_truths]
     width, height = np.array([(im.width, im.height) for im in images], float).reshape(-1, 2).T
-    idx = partition.assign(*box_centers([g.bbox for g in ds.ground_truths]), width, height)
-    return np.bincount(idx, minlength=len(partition.zones))
+    return partition.assign(*box_centers([g.bbox for g in ds.ground_truths]), width, height)
+
+
+def gt_zone_counts(ds: Dataset, partition: Partition) -> np.ndarray:
+    """Number of ground-truth box centers per zone, clamped into their images."""
+    return np.bincount(gt_zone_indices(ds, partition), minlength=len(partition.zones))
 
 
 def _build_annular(n: int) -> list[Zone]:

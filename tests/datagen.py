@@ -73,6 +73,60 @@ def random_instance(rng: np.random.Generator) -> tuple[Dataset, DetectionSet]:
     return ds, DetectionSet(dets, ds)
 
 
+def random_multiclass_benchmark(
+    n_images: int,
+    gts_per_image: int,
+    dets_per_image: int,
+    n_categories: int = 4,
+    crowd_rate: float = 0.15,
+    seed: int = 0,
+    image_size: tuple[float, float] = (320.0, 320.0),
+) -> tuple[Dataset, DetectionSet]:
+    """Several categories, crowd boxes, and box sides log-uniform in [8, 140] pixels.
+
+    Detections are jittered ground-truth copies (some with the wrong category,
+    so categories meet zones where they have no ground truth) plus noise
+    boxes, a few overflowing the image border; scores are rounded to two
+    decimals so that ties occur.
+    """
+    rng = np.random.default_rng(seed)
+    width, height = image_size
+    images = [ImageInfo(id=i + 1, width=width, height=height) for i in range(n_images)]
+    cats = [Category(c + 1, f"c{c + 1}") for c in range(n_categories)]
+    gts, dets = [], []
+    for img in images:
+        img_gts = []
+        for _ in range(gts_per_image):
+            w, h = np.exp(rng.uniform(np.log(8), np.log(140), 2))
+            x, y = rng.uniform(0, width - w), rng.uniform(0, height - h)
+            img_gts.append(
+                GroundTruth(
+                    len(gts) + len(img_gts) + 1,
+                    img.id,
+                    int(rng.integers(1, n_categories + 1)),
+                    BBox(x, y, w, h),
+                    w * h,
+                    ignore=bool(rng.random() < crowd_rate),
+                )
+            )
+        gts.extend(img_gts)
+        for _ in range(dets_per_image):
+            cat = int(rng.integers(1, n_categories + 1))
+            if img_gts and rng.random() < 0.6:
+                g = img_gts[int(rng.integers(0, len(img_gts)))]
+                b = g.bbox
+                box = BBox(b.x + rng.uniform(-8, 8), b.y + rng.uniform(-8, 8),
+                           max(2.0, b.w + rng.uniform(-6, 6)), max(2.0, b.h + rng.uniform(-6, 6)))
+                if rng.random() < 0.8:
+                    cat = g.category_id
+            else:
+                w, h = np.exp(rng.uniform(np.log(8), np.log(140), 2))
+                box = BBox(rng.uniform(-20, width), rng.uniform(-20, height), w, h)
+            dets.append(Detection(img.id, cat, box, round(float(rng.random()), 2)))
+    ds = Dataset(images, cats, gts)
+    return ds, DetectionSet(dets, ds)
+
+
 def random_benchmark(
     n_images: int,
     gts_per_image: int,

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -363,3 +364,67 @@ class TestUsageErrors:
                                   "annotations": [], "categories": []}))
         assert main(["density", "--gt", str(gt)]) == 1
         assert "image 1" in capsys.readouterr().err
+
+
+def _gt_doc(images=None, annotations=None, categories=None):
+    return {
+        "images": [{"id": 1, "width": 10, "height": 10}] if images is None else images,
+        "annotations": [] if annotations is None else annotations,
+        "categories": [{"id": 1, "name": "a"}] if categories is None else categories,
+    }
+
+
+class TestIngestErrors:
+    """A malformed input record exits 1 with one `error:` line that names it."""
+
+    @staticmethod
+    def _run(argv, capsys):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        return code, err
+
+    @pytest.mark.parametrize(
+        "doc,names",
+        [
+            (_gt_doc(annotations=[5]), ["annotation #0", "not a JSON object"]),
+            (_gt_doc(annotations=[{"id": 1, "category_id": 1, "bbox": [1, 1, 2, 2]}]),
+             ["annotation 1", "image_id"]),
+            (_gt_doc(images=[{"id": 1, "width": "abc", "height": 10}]), ["image 1", "'abc'"]),
+            (_gt_doc(images=["x"]), ["image #0"]),
+            (_gt_doc(images=[{"width": 10, "height": 10}]), ["image #0", "'id'"]),
+            (_gt_doc(categories=[{"id": "one", "name": "a"}]), ["category one"]),
+            (_gt_doc(categories=[{"name": "a"}]), ["category #0", "'id'"]),
+            (_gt_doc(annotations=[{"id": 1, "image_id": 1, "bbox": [1, 1, 2, 2]}]),
+             ["annotation 1", "category_id"]),
+            (_gt_doc(annotations=[{"id": 1, "image_id": 1, "category_id": [1], "bbox": [1, 1, 2, 2]}]),
+             ["annotation 1"]),
+            (_gt_doc(annotations=[{"image_id": 1, "category_id": 1, "bbox": [1, 1, 2, 2]}]),
+             ["annotation #0", "'id'"]),
+            (_gt_doc(annotations=[{"id": 1, "image_id": 1, "category_id": 1, "bbox": [1, 1, 2, 2],
+                                   "area": "big"}]), ["annotation 1", "'big'"]),
+            (_gt_doc(annotations=[{"id": 1, "image_id": 1, "category_id": 1, "bbox": [1, 1, 2, 2],
+                                   "area": math.nan}]), ["annotation 1", "area must be positive"]),
+            (_gt_doc(annotations={}), ["annotation records"]),
+        ],
+    )
+    def test_bad_ground_truth_record(self, tmp_path, capsys, doc, names):
+        gt = tmp_path / "gt.json"
+        gt.write_text(json.dumps(doc))
+        code, err = self._run(["density", "--gt", str(gt)], capsys)
+        assert code == 1
+        for name in names:
+            assert name in err
+
+    @pytest.mark.parametrize("text,problem", [("", "empty heatmap"), ("\r\n", "empty heatmap"),
+                                              ("1,2\r\n3\r\n", "rows differ"),
+                                              ("1,x\r\n", "'x'"),
+                                              ("nan,1\r\n2,\r\n", "must be finite")])
+    def test_bad_heatmap_csv(self, tmp_path, capsys, text, problem):
+        gt = tmp_path / "gt.json"
+        gt.write_text(json.dumps(_gt_doc()))
+        (tmp_path / "heat_t0.50.csv").write_text(text)
+        code, err = self._run(["correlate", "--gt", str(gt), "--heatmap", str(tmp_path / "heat.csv"),
+                               "--iou", "0.5"], capsys)
+        assert code == 1
+        assert "heat_t0.50.csv" in err and problem in err

@@ -161,6 +161,16 @@ class TestApFromMatches:
         per_t = ap_per_threshold(table, cfg)
         assert np.mean(per_t) == pytest.approx(ap_from_matches(table, cfg), abs=1e-12)
 
+    def test_categories_follow_table_order(self):
+        table = MatchTable([3, 1, 2], 1)
+        frag = match_image([], [], EvalConfig(iou_thresholds=(0.5,)))
+        table.add(2, 1, frag)
+        table.add(3, 5, frag)
+        assert table.categories() == [3, 2]
+        assert table.merged(1) == (0, [[]])
+        with pytest.raises(KeyError):
+            table.add(9, 1, frag)
+
     def test_duplicate_fragment_rejected(self):
         table = MatchTable([1], 1)
         frag = match_image([], [], EvalConfig(iou_thresholds=(0.5,)))

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -147,18 +148,31 @@ class TestEvaluateZones:
         assert report.zp_variance is None
         assert len(report.undefined_zones) == 2
 
-    @pytest.mark.parametrize("spec", [Annular(3), Grid(2, 2), StripX(4)])
-    def test_zone_zp_equals_manually_filtered_subeval(self, spec):
+    @pytest.mark.parametrize(
+        "spec,scale_range,cap_after_zone",
+        [
+            pytest.param(spec, rng, cap, id=f"spec{i}{label}{'-cap_after_zone' if cap else ''}")
+            for i, spec in enumerate([Annular(3), Grid(2, 2), StripX(4)])
+            for rng, label in [(None, ""), ((0.0, 32.0**2), "-small"), ((32.0**2, 96.0**2), "-medium")]
+            for cap in (False, True)
+        ],
+    )
+    def test_zone_zp_equals_manually_filtered_subeval(self, spec, scale_range, cap_after_zone):
         # independent path: build the per-zone sub-dataset by hand and score it
-        # with the plain full-image evaluator
+        # with the plain full-image evaluator, which matches every category
+        # of every image and prunes nothing
         from zoneval.coco import bbox_center
-        from datagen import full_image_ap, random_benchmark
+        from datagen import full_image_ap, random_multiclass_benchmark
 
-        ds, dets = random_benchmark(12, gts_per_image=6, dets_per_image=10, seed=17)
+        ds, dets = random_multiclass_benchmark(12, gts_per_image=8, dets_per_image=20, seed=17)
         p = build_partition(spec)
-        cfg = EvalConfig()
+        cfg = EvalConfig(max_dets_per_image=12, scale_range=scale_range,
+                         cap_after_zone=cap_after_zone)
         report = evaluate_zones(ds, dets, p, cfg)
+        full = full_image_ap(ds, dets, cfg)
+        assert report.full_ap == (None if full is None else 100.0 * full)
 
+        defined = 0
         for zone, got in zip(p.zones, report.zones):
             sub_gts = [
                 g
@@ -168,12 +182,11 @@ class TestEvaluateZones:
             ]
             sub_dets = []
             for img in ds.images:
-                capped = dets.for_image(img.id)[: cfg.max_dets_per_image]
-                sub_dets += [
-                    d
-                    for d in capped
-                    if p.zone_of_clamped(bbox_center(d.bbox), img) == zone.id
-                ]
+                ranked = dets.for_image(img.id)
+                if not cap_after_zone:
+                    ranked = ranked[: cfg.max_dets_per_image]
+                in_zone = [d for d in ranked if p.zone_of_clamped(bbox_center(d.bbox), img) == zone.id]
+                sub_dets += in_zone[: cfg.max_dets_per_image]
             sub_ds = Dataset(ds.images, ds.categories, sub_gts)
             manual = full_image_ap(sub_ds, DetectionSet(sub_dets, sub_ds), cfg)
             assert got.gt_count == len(sub_gts)
@@ -182,6 +195,68 @@ class TestEvaluateZones:
                 assert got.zp is None
             else:
                 assert got.zp == 100.0 * manual
+                defined += 1
+        assert defined >= 2  # the scale range leaves something to score
+
+
+class TestCountThenMatch:
+    """Only (zone, category) pairs with a countable ground truth are matched."""
+
+    @staticmethod
+    def instance():
+        # category 1: countable ground truth on the left only, detections on
+        # both sides; category 2: crowd ground truth only; category 3:
+        # detections only
+        images = [ImageInfo(id=i, width=200.0, height=100.0) for i in (1, 2, 3)]
+        gts, dets = [], []
+        for img in images:
+            left = BBox(20, 30, 30, 30)
+            gts.append(GroundTruth(len(gts) + 1, img.id, 1, left, 900.0))
+            gts.append(GroundTruth(len(gts) + 1, img.id, 2, BBox(60, 30, 30, 30), 900.0, ignore=True))
+            dets += [
+                Detection(img.id, 1, BBox(22, 31, 30, 30), 0.9),
+                Detection(img.id, 1, BBox(150, 30, 30, 30), 0.8),
+                Detection(img.id, 2, BBox(61, 30, 30, 30), 0.7),
+                Detection(img.id, 3, BBox(120, 40, 20, 20), 0.6),
+                Detection(img.id, 3, BBox(30, 40, 20, 20), 0.5),
+            ]
+        ds = Dataset(images, [Category(c, f"c{c}") for c in (1, 2, 3)], gts)
+        return ds, DetectionSet(dets, ds)
+
+    def test_matches_only_countable_pairs(self, monkeypatch):
+        from zoneval import zone_eval
+
+        ds, dets = self.instance()
+        p = build_partition(StripX(2))
+        calls = []
+        real = zone_eval.match_image
+
+        def counting(gts, zdets, cfg):
+            calls.append((gts, zdets))
+            return real(gts, zdets, cfg)
+
+        monkeypatch.setattr(zone_eval, "match_image", counting)
+        pruned = evaluate_zones(ds, dets, p)
+        # per image: (x0, category 1) and (full image, category 1); the right
+        # strip holds category-1 detections but no category-1 ground truth
+        assert len(calls) == 2 * len(ds.images)
+        for gts, zdets in calls:
+            assert {d.category_id for d in zdets} <= {1}
+            assert [g.category_id for g in gts] == [1]
+
+        calls.clear()
+        every_pair = frozenset(
+            (zid, c) for zid in [*p.zone_ids, zone_eval.FULL_ZONE] for c in ds.category_ids
+        )
+        monkeypatch.setattr(zone_eval, "_countable", lambda *args: every_pair)
+        unpruned = evaluate_zones(ds, dets, p)
+        assert len(calls) > 2 * len(ds.images)
+        assert pruned.to_json() == unpruned.to_json()
+
+    def test_pool_workers_match_the_same_pairs(self):
+        ds, dets = self.instance()
+        p = build_partition(StripX(2))
+        assert evaluate_zones(ds, dets, p, workers=2).to_json() == evaluate_zones(ds, dets, p).to_json()
 
 
 class TestCapPlacement:
@@ -244,6 +319,38 @@ class TestScaleStudy:
         for r in (64, None):
             vals = [v for v in study.mean_zp[r] if v is not None]
             assert max(vals) - min(vals) < 1e-9  # all 100.0
+
+    def test_means_equal_one_evaluation_per_bin(self):
+        from datagen import random_multiclass_benchmark
+
+        ds, dets = random_multiclass_benchmark(6, gts_per_image=8, dets_per_image=20, seed=3)
+        p = build_partition(Annular(3))
+        cfg = EvalConfig(max_dets_per_image=15)
+        study = scale_study(ds, dets, p, cfg)
+        for r in study.steps:
+            sums = [0.0] * len(p.zones)
+            counts = [0] * len(p.zones)
+            for lo, hi in scale_bins(r):
+                report = evaluate_zones(ds, dets, p, replace(cfg, scale_range=(lo, hi)))
+                for zi, z in enumerate(report.zones):
+                    if z.zp is not None:
+                        sums[zi] += z.zp
+                        counts[zi] += 1
+            assert study.mean_zp[r] == [s / c if c else None for s, c in zip(sums, counts)]
+            assert any(counts)
+
+    def test_workers_run_in_process(self, mini_dataset, mini_detections, monkeypatch):
+        from zoneval import zone_eval
+
+        p = build_partition(Annular(2))
+        one = scale_study(mini_dataset, mini_detections, p, steps=(128, None), workers=1)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("scale_study must not start a process pool")
+
+        monkeypatch.setattr(zone_eval, "get_context", no_pool)
+        two = scale_study(mini_dataset, mini_detections, p, steps=(128, None), workers=2)
+        assert two.to_json_dict() == one.to_json_dict()
 
     def test_report_json_shape(self, mini_dataset, mini_detections):
         p = build_partition(StripX(2))
