@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 input error, 2 evaluation undefined (no ground truth
 anywhere).  All outputs are deterministic: the same inputs and flags produce
-byte-identical files regardless of worker count.
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ import argparse
 import io
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -44,12 +43,18 @@ def _parse_thresholds(text: str) -> tuple[float, ...]:
     return tuple(float(p) for p in text.split(","))
 
 
-def _default_workers() -> int:
-    env = os.environ.get("ZONE_EVAL_WORKERS")
+def _parse_scale_range(text: str) -> tuple[float, float] | None:
+    """Parse 'LO:HI' in pixels^2; HI 'inf' or empty means no upper bound."""
+    if not text:
+        return None
+    parts = text.split(":")
+    if len(parts) != 2:
+        raise argparse.ArgumentTypeError(f"expected LO:HI, got {text!r}")
+    lo, hi = parts
     try:
-        return int(env) if env else 1
+        return float(lo), math.inf if hi == "" else float(hi)
     except ValueError:
-        raise ValueError(f"ZONE_EVAL_WORKERS must be an integer, got {env!r}") from None
+        raise argparse.ArgumentTypeError(f"bad scale range {text!r}") from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -64,24 +69,20 @@ def _add_eval_flags(p: argparse.ArgumentParser) -> None:
                    metavar="LO:HI:STEP", help="IoU thresholds (default 0.5:0.95:0.05)")
     p.add_argument("--max-dets", type=int, default=100, help="per-image detection cap")
     p.add_argument("--recall-points", type=int, default=101, help="recall sampling points")
-    p.add_argument("--scale-range", type=str, default=None, metavar="LO:HI",
+    p.add_argument("--scale-range", type=_parse_scale_range, default=None, metavar="LO:HI",
                    help="only score objects with area in [LO, HI) pixels^2")
     p.add_argument("--cap-after-zone", action="store_true",
                    help="apply the per-image cap after zone filtering instead of before")
-    p.add_argument("--workers", type=int, default=_default_workers(),
-                   help="evaluation processes (env ZONE_EVAL_WORKERS)")
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted for compatibility and ignored")
 
 
 def _eval_config(args: argparse.Namespace) -> EvalConfig:
-    scale = None
-    if args.scale_range:
-        lo, hi = args.scale_range.split(":")
-        scale = (float(lo), float("inf") if hi in ("inf", "") else float(hi))
     return EvalConfig(
         iou_thresholds=tuple(args.iou),
         recall_points=args.recall_points,
         max_dets_per_image=args.max_dets,
-        scale_range=scale,
+        scale_range=args.scale_range,
         cap_after_zone=args.cap_after_zone,
     )
 
@@ -103,7 +104,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     partition = build_partition(parse_zone_spec(args.partition))
     cfg = _eval_config(args)
 
-    report = evaluate_zones(ds, dets, partition, cfg, workers=args.workers)
+    report = evaluate_zones(ds, dets, partition, cfg)
     for zid in report.undefined_zones:
         print(f"warning: zone {zid} has no ground truth; ZP undefined", file=sys.stderr)
 

@@ -135,9 +135,9 @@ def match_image(
 class MatchTable:
     """Accumulates per-image fragments keyed by category.
 
-    Fragments may arrive in any order (e.g. from parallel workers); the
-    merged view concatenates them by ascending image id before the global
-    score sort, so the result is independent of insertion order.
+    Fragments may arrive in any order; the merged view concatenates them by
+    ascending image id before the global score sort, so the result is
+    independent of insertion order.
     """
 
     def __init__(self, category_ids: list[int], n_thresholds: int) -> None:

@@ -13,10 +13,10 @@ has no positive ground truth in the zone, and AP accumulation leaves such a
 category out of the zone's mean (as COCO's accumulate does), so its matches
 could never reach the report.
 
-Per-image work units are pure, so they can run on any number of workers; the
-reduction merges fragments keyed by image id and is therefore independent of
-arrival order.  The geometry of an image (cap and zone buckets) does not
-depend on the scale range, so the scale study computes it once for all bins.
+Evaluation runs in-process, one image at a time; the reduction merges
+fragments keyed by image id and is therefore independent of arrival order.
+The geometry of an image (cap and zone buckets) does not depend on the scale
+range, so the scale study computes it once for all bins.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
-from multiprocessing import get_context
 
 from .coco import Dataset, Detection, DetectionSet, GroundTruth, ImageInfo, box_centers
 from .matching import (
@@ -196,47 +196,32 @@ def _match_buckets(
     return fragments
 
 
-def _image_fragments(
-    img: ImageInfo,
-    gts: list[GroundTruth],
-    dets: list[Detection],
+def _evaluate(
+    ds: Dataset,
+    geometry: Iterable[tuple[int, Buckets, dict[str, int], dict[str, int]]],
+    gt_zones: list[int],
     partition: Partition,
     cfg: EvalConfig,
-    countable: Countable,
-) -> tuple[int, dict[str, dict[int, MatchFragment]], dict[str, int], dict[str, int]]:
-    """Per-image evaluation unit: geometry, then matching of the countable pairs.
+) -> ZoneReport:
+    """Count, match and reduce per-image (image id, buckets, gt counts, det counts) into a report.
 
-    Pure function of its arguments; safe to run on any worker.
+    ``gt_zones`` holds the zone index of each of ``ds.ground_truths``.
+    ``geometry`` is consumed once and lazily, so per-image work can stream in.
     """
-    buckets, gt_counts, det_counts = _image_geometry(img, gts, dets, partition, cfg)
-    return img.id, _match_buckets(buckets, countable, cfg), gt_counts, det_counts
-
-
-def _worker_chunk(args) -> list:
-    payloads, partition, cfg, countable = args
-    return [
-        _image_fragments(img, gts, dets, partition, cfg, countable) for img, gts, dets in payloads
-    ]
-
-
-def _reduce(results, category_ids: list[int], partition: Partition, cfg: EvalConfig) -> ZoneReport:
-    """Merge per-image (image id, fragments, gt counts, det counts) into a report.
-
-    Consumes ``results`` lazily, so per-image work can stream in.
-    """
+    countable = _countable(ds, gt_zones, partition, cfg)
     zone_ids = partition.zone_ids
     n_thr = len(cfg.iou_thresholds)
-    tables = {zid: MatchTable(category_ids, n_thr) for zid in zone_ids}
-    tables[FULL_ZONE] = MatchTable(category_ids, n_thr)
+    tables = {zid: MatchTable(ds.category_ids, n_thr) for zid in zone_ids}
+    tables[FULL_ZONE] = MatchTable(ds.category_ids, n_thr)
     gt_counts = {zid: 0 for zid in zone_ids}
     det_counts = {zid: 0 for zid in zone_ids}
 
-    for image_id, fragments, g_counts, d_counts in results:
+    for image_id, buckets, g_counts, d_counts in geometry:
         for zid, n in g_counts.items():
             gt_counts[zid] += n
         for zid, n in d_counts.items():
             det_counts[zid] += n
-        for zid, per_cat in fragments.items():
+        for zid, per_cat in _match_buckets(buckets, countable, cfg).items():
             for cat, frag in per_cat.items():
                 tables[zid].add(cat, image_id, frag)
 
@@ -284,27 +269,16 @@ def evaluate_zones(
     """Evaluate every zone of a partition plus the whole image.
 
     Zones with no ground truth in any category get an undefined ZP; they are
-    reported in ``undefined_zones`` and excluded from the variance.  The
-    output is identical for any worker count.
+    reported in ``undefined_zones`` and excluded from the variance.
+    ``workers`` is accepted for compatibility and ignored.
     """
     cfg = cfg or EvalConfig()
-    countable = _countable(ds, gt_zone_indices(ds, partition).tolist(), partition, cfg)
-    payloads = [(img, ds.gts_by_image[img.id], dets.for_image(img.id)) for img in ds.images]
-
-    if workers <= 1 or len(payloads) < 2:
-        results = (
-            _image_fragments(img, g, d, partition, cfg, countable) for img, g, d in payloads
-        )
-    else:
-        chunk = max(1, math.ceil(len(payloads) / (workers * 4)))
-        jobs = [
-            (payloads[i : i + chunk], partition, cfg, countable)
-            for i in range(0, len(payloads), chunk)
-        ]
-        with get_context().Pool(workers) as pool:
-            chunks = pool.map(_worker_chunk, jobs)
-        results = (r for ch in chunks for r in ch)
-    return _reduce(results, ds.category_ids, partition, cfg)
+    geometry = (
+        (img.id, *_image_geometry(img, ds.gts_by_image[img.id], dets.for_image(img.id),
+                                  partition, cfg))
+        for img in ds.images
+    )
+    return _evaluate(ds, geometry, gt_zone_indices(ds, partition).tolist(), partition, cfg)
 
 
 SCALE_STEPS = (4, 8, 16, 32, 64, 128)
@@ -364,8 +338,8 @@ def scale_study(
     Each bin's report equals ``evaluate_zones`` with that bin as
     ``scale_range``.  The zone geometry (cap, buckets, counts) does not depend
     on the bin, so it is computed once; each bin only rebuilds its countable
-    set and matches those pairs.  The bins run in-process: ``workers`` is
-    accepted for compatibility and starts no pool.
+    set and matches those pairs.  ``workers`` is accepted for compatibility
+    and ignored.
     """
     cfg = cfg or EvalConfig()
     zone_ids = partition.zone_ids
@@ -381,12 +355,7 @@ def scale_study(
         counts = [0] * len(zone_ids)
         for lo, hi in scale_bins(r):
             bin_cfg = replace(cfg, scale_range=(lo, hi))
-            countable = _countable(ds, gt_zones, partition, bin_cfg)
-            results = (
-                (image_id, _match_buckets(buckets, countable, bin_cfg), g_counts, d_counts)
-                for image_id, buckets, g_counts, d_counts in geometry
-            )
-            report = _reduce(results, ds.category_ids, partition, bin_cfg)
+            report = _evaluate(ds, geometry, gt_zones, partition, bin_cfg)
             for zi, z in enumerate(report.zones):
                 if z.zp is not None:
                     sums[zi] += z.zp
@@ -407,13 +376,12 @@ def grid_heatmap(
     cols: int,
     thresholds: tuple[float, ...] | None = None,
     cfg: EvalConfig | None = None,
-    workers: int = 1,
 ) -> list[list[float | None]]:
     """ZP matrix over a rows x cols grid; None marks cells without ground truth."""
     base = cfg or EvalConfig()
     eff = base if thresholds is None else replace(base, iou_thresholds=tuple(thresholds))
     partition = build_partition(Grid(rows, cols))
-    report = evaluate_zones(ds, dets, partition, eff, workers=workers)
+    report = evaluate_zones(ds, dets, partition, eff)
     by_id = {z.zone_id: z.zp for z in report.zones}
     return [[by_id[f"g{r}_{c}"] for c in range(cols)] for r in range(rows)]
 

@@ -363,7 +363,14 @@ def load_custom_spec(path: str | Path) -> Custom:
     zones = []
     for rec in data:
         try:
-            zones.append((str(rec["name"]), tuple(tuple(map(float, r)) for r in rec["rects"])))
+            name, rects = str(rec["name"]), tuple(tuple(map(float, r)) for r in rec["rects"])
         except (KeyError, TypeError, ValueError) as e:
             raise PartitionError(f"{path}: malformed zone record {rec!r}") from e
+        for r in rects:
+            if len(r) != 4:
+                raise PartitionError(
+                    f"{path}: zone {name!r} has a rectangle of {len(r)} numbers, "
+                    "expected 4 (x0, y0, x1, y1)"
+                )
+        zones.append((name, rects))
     return Custom(tuple(zones))

@@ -351,12 +351,18 @@ class TestUsageErrors:
         assert code == 1
         assert "ends below its start" in err
 
-    def test_bad_workers_env(self, bench_files, monkeypatch, capsys):
+    def test_workers_env_is_ignored(self, bench_files, monkeypatch):
         gt, _, _ = bench_files
         monkeypatch.setenv("ZONE_EVAL_WORKERS", "abc")
-        assert main(["density", "--gt", str(gt)]) == 1
-        err = capsys.readouterr().err
-        assert err == "error: ZONE_EVAL_WORKERS must be an integer, got 'abc'\n"
+        assert main(["density", "--gt", str(gt)]) == 0
+
+    @pytest.mark.parametrize("value", ["1:2:3", "5", "abc"])
+    def test_bad_scale_range(self, bench_files, capsys, value):
+        gt, dt, _ = bench_files
+        code, err = self._exit_code(["eval", "--gt", str(gt), "--dt", str(dt),
+                                     "--scale-range", value], capsys)
+        assert code == 1
+        assert err.startswith("error: argument --scale-range: ")
 
     def test_nan_image_width(self, tmp_path, capsys):
         gt = tmp_path / "gt.json"
@@ -428,3 +434,13 @@ class TestIngestErrors:
                                "--iou", "0.5"], capsys)
         assert code == 1
         assert "heat_t0.50.csv" in err and problem in err
+
+    def test_custom_zone_rect_of_three_numbers(self, tmp_path, capsys):
+        gt = tmp_path / "gt.json"
+        gt.write_text(json.dumps(_gt_doc()))
+        zones = tmp_path / "z.json"
+        zones.write_text(json.dumps([{"name": "a", "rects": [[0, 0, 1]]}]))
+        code, err = self._run(["density", "--gt", str(gt), "--partition", f"custom:@{zones}"],
+                              capsys)
+        assert code == 1
+        assert str(zones) in err and "zone 'a'" in err

@@ -340,17 +340,20 @@ class TestScaleStudy:
             assert any(counts)
 
     def test_workers_run_in_process(self, mini_dataset, mini_detections, monkeypatch):
-        from zoneval import zone_eval
+        import multiprocessing.pool
 
         p = build_partition(Annular(2))
         one = scale_study(mini_dataset, mini_detections, p, steps=(128, None), workers=1)
+        report_one = evaluate_zones(mini_dataset, mini_detections, p, workers=1)
 
         def no_pool(*args, **kwargs):
-            raise AssertionError("scale_study must not start a process pool")
+            raise AssertionError("evaluation must not start a process pool")
 
-        monkeypatch.setattr(zone_eval, "get_context", no_pool)
+        monkeypatch.setattr(multiprocessing.pool.Pool, "__init__", no_pool)
         two = scale_study(mini_dataset, mini_detections, p, steps=(128, None), workers=2)
         assert two.to_json_dict() == one.to_json_dict()
+        report_two = evaluate_zones(mini_dataset, mini_detections, p, workers=2)
+        assert report_two.to_json() == report_one.to_json()
 
     def test_report_json_shape(self, mini_dataset, mini_detections):
         p = build_partition(StripX(2))
