@@ -8,6 +8,7 @@ byte-identical files.
 from __future__ import annotations
 
 import argparse
+import csv
 import io
 import json
 import math
@@ -94,6 +95,13 @@ def _write_text(path: str | None, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _csv_text(rows) -> str:
+    """Rows as CSV text, quoted where a field holds a comma (annular zone ids do)."""
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
 def _fmt(v: float | None) -> str:
     return "-" if v is None else f"{v:.1f}"
 
@@ -162,9 +170,9 @@ def cmd_density(args: argparse.Namespace) -> int:
         }
         _write_text(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     else:
-        lines = ["zone,count,area,density"]
-        lines += [f"{z.zone_id},{z.count},{z.area!r},{z.density!r}" for z in report.zones]
-        _write_text(args.out, "\n".join(lines) + "\n")
+        rows = [("zone", "count", "area", "density")]
+        rows += [(z.zone_id, z.count, repr(z.area), repr(z.density)) for z in report.zones]
+        _write_text(args.out, _csv_text(rows))
     return EXIT_OK
 
 
@@ -203,10 +211,10 @@ def cmd_sela(args: argparse.Namespace) -> int:
         }
         _write_text(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     else:
-        lines = ["image_id,zone,positives,density"]
-        lines += [f"{i},{z},{c},{d!r}" for i, z, c, d in rows_out]
-        lines += [f"total,{zid},{totals[zid]}," for zid in partition.zone_ids]
-        _write_text(args.out, "\n".join(lines) + "\n")
+        rows = [("image_id", "zone", "positives", "density")]
+        rows += [(i, z, c, repr(d)) for i, z, c, d in rows_out]
+        rows += [("total", zid, totals[zid], "") for zid in partition.zone_ids]
+        _write_text(args.out, _csv_text(rows))
     return EXIT_OK
 
 

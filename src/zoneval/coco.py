@@ -46,12 +46,13 @@ def bbox_center(b: BBox) -> tuple[float, float]:
 
 def xywh(boxes: list[BBox]) -> np.ndarray:
     """(N, 4) array of the boxes' x, y, w, h."""
-    return np.array([(b.x, b.y, b.w, b.h) for b in boxes], dtype=float).reshape(-1, 4)
+    # one list per column converts several times faster than one tuple per box
+    columns = [[b.x for b in boxes], [b.y for b in boxes], [b.w for b in boxes], [b.h for b in boxes]]
+    return np.array(columns, dtype=float).T
 
 
-def box_centers(boxes: list[BBox]) -> tuple[np.ndarray, np.ndarray]:
-    """Center coordinates of boxes, by the same arithmetic as bbox_center."""
-    a = xywh(boxes)
+def box_centers(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Center coordinates of an (N, 4) xywh array, by the same arithmetic as bbox_center."""
     return a[:, 0] + a[:, 2] / 2.0, a[:, 1] + a[:, 3] / 2.0
 
 

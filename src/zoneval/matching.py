@@ -1,16 +1,31 @@
-"""Greedy IoU matching and interpolated Average Precision.
+"""Greedy IoU matching and interpolated Average Precision, on flat arrays.
 
-This is the metric kernel that zone evaluation restricts: detections are
-matched per image and category in descending score order, each claiming the
-unmatched non-ignored ground truth of highest IoU at or above the threshold.
-A detection that only reaches an ignored ground truth is itself ignored, as
-is an unmatched detection whose own box area falls outside the configured
-scale range.  Every ground truth is matched at most once per threshold.
+This is the metric kernel that zone evaluation restricts.  A group is one
+image's detections and ground truths of one category (within one zone, or
+the whole image).  Its detections are matched in descending score order,
+each claiming the unmatched non-ignored ground truth of highest IoU at or
+above the threshold; on equal IoU the later ground truth wins.  A detection
+that only reaches an ignored ground truth is itself ignored, as is an
+unmatched detection whose own box area falls outside the configured scale
+range.  Every ground truth is matched at most once per threshold.
+
+``greedy_match`` runs this rule for any number of groups and every IoU
+threshold at once.  Its input is the flat list of candidate pairs (detection
+row, ground-truth slot, IoU) with IoU at or above the lowest threshold.  It
+steps over detection rank, at most the per-image cap, and each step decides
+the pairs of that rank in every group and at every threshold with a few
+array operations.  Rows without a candidate pair never match, so they never
+enter the loop.
 
 AP follows the conventional COCO recipe: cumulative TP/FP in global score
 order, precision monotonized from the right, sampled at evenly spaced recall
 points, averaged over categories (those with at least one countable ground
-truth) and IoU thresholds.
+truth) and IoU thresholds.  ``average_precision`` computes it for many
+(category, threshold) curves in one pass over flat arrays, with the same
+floating-point operations per curve as a curve-by-curve loop.
+
+``match_image``, ``MatchTable`` and ``ap_from_matches`` drive the same kernel
+one group at a time, for callers that hold plain lists of boxes.
 """
 
 from __future__ import annotations
@@ -50,21 +65,177 @@ class EvalConfig:
         return np.arange(self.recall_points) / (self.recall_points - 1)
 
 
+def in_scale_range(area: np.ndarray, rng: tuple[float, float] | None) -> np.ndarray:
+    """Whether each area lies in the half-open scale range [lo, hi); all True for None."""
+    if rng is None:
+        return np.ones(np.shape(area), dtype=bool)
+    return (rng[0] <= area) & (area < rng[1])
+
+
+def rank_within(keys: np.ndarray) -> np.ndarray:
+    """Rank of each element among the elements before it that share its key."""
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    pos = np.arange(len(keys))
+    rank = np.empty(len(keys), dtype=np.int64)
+    rank[order] = pos - np.maximum.accumulate(np.where(new, pos, 0))
+    return rank
+
+
+def pair_order(
+    row: np.ndarray, slot: np.ndarray, iou: np.ndarray, row_group: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Order candidate pairs for ``greedy_match``: (permutation, step of each permuted pair).
+
+    ``row_group[r]`` is the group of detection row ``r``; within a group, row
+    ids must increase with detection rank.  A row's step is its rank among the
+    rows of its group that have a pair.  Pairs are ordered by (step, row,
+    -IoU, -slot), so each step and each row is one contiguous run.
+    """
+    rows = np.zeros(len(row_group), dtype=bool)
+    rows[row] = True
+    bearing = np.flatnonzero(rows)
+    step_of = np.zeros(len(row_group), dtype=np.int64)
+    step_of[bearing] = rank_within(row_group[bearing])
+    step = step_of[row]
+    order = np.lexsort((-slot, -iou, row, step))
+    return order, step[order]
+
+
+def greedy_match(
+    row: np.ndarray,
+    slot: np.ndarray,
+    iou: np.ndarray,
+    step: np.ndarray,
+    slot_ignored: np.ndarray,
+    n_rows: int,
+    thresholds: tuple[float, ...],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy matching of many groups at every IoU threshold.
+
+    Pairs come in ``pair_order``.  A slot is one ground truth of one group, so
+    matching in one group never touches another; ``slot_ignored`` flags the
+    ignored slots.  Returns (tp, ignored), both (n_rows, T): whether each row
+    matched a non-ignored and an ignored ground truth at each threshold.
+
+    Per row and threshold the winner is the first pair in (non-ignored first,
+    -IoU, -slot) order whose IoU reaches the threshold and whose slot is still
+    free, which is COCO's greedy rule.  Rows of one step belong to different
+    groups, so a step resolves all of them at once.
+    """
+    t_count = len(thresholds)
+    tp = np.zeros((n_rows, t_count), dtype=bool)
+    ign = np.zeros((n_rows, t_count), dtype=bool)
+    if len(row) == 0:
+        return tp, ign
+    # within a row, non-ignored pairs first; the (-IoU, -slot) order is kept
+    new_row = np.ones(len(row), dtype=bool)
+    new_row[1:] = row[1:] != row[:-1]
+    run = np.cumsum(new_row) - 1
+    order = np.argsort(2 * run + slot_ignored[slot], kind="stable")
+    row, slot, iou, step = row[order], slot[order], iou[order], step[order]
+    pair_ign = slot_ignored[slot]
+    reaches = iou[:, None] >= np.asarray(thresholds)[None, :]
+    matched = np.zeros((len(slot_ignored), t_count), dtype=bool)
+
+    row_start = np.flatnonzero(new_row)  # rows stay contiguous after the reorder
+    step_start = np.searchsorted(step[row_start], np.arange(step[-1] + 2))
+    bounds = np.append(row_start, len(row))
+    none = len(row)
+    for s in range(len(step_start) - 1):
+        r0, r1 = step_start[s], step_start[s + 1]
+        a, b = bounds[r0], bounds[r1]
+        free = reaches[a:b] & ~matched[slot[a:b]]
+        cand = np.where(free, np.arange(a, b)[:, None], none)
+        first = np.minimum.reduceat(cand, row_start[r0:r1] - a, axis=0)
+        hit_row, hit_t = np.nonzero(first < none)
+        p = first[hit_row, hit_t]
+        matched[slot[p], hit_t] = True
+        tp[row[p], hit_t] = ~pair_ign[p]
+        ign[row[p], hit_t] = pair_ign[p]
+    return tp, ign
+
+
+# bounds on the temporaries of average_precision: kept entries per pass and
+# curves sampled per block (each sample row holds len(recall_grid) values)
+_AP_ENTRIES = 1 << 16
+_AP_CURVES = 512
+
+
+def average_precision(
+    tp: np.ndarray,
+    ignored: np.ndarray,
+    starts: np.ndarray,
+    n_pos: np.ndarray,
+    recall_grid: np.ndarray,
+) -> np.ndarray:
+    """Interpolated AP of S segments at T thresholds, as an (S, T) array.
+
+    ``tp`` and ``ignored`` are (T, N): N detections laid out as S segments
+    beginning at ``starts``, each in descending score order (stable), so one
+    sort serves every threshold.  ``n_pos`` is each segment's positive
+    ground-truth count, all > 0, and ``recall_grid`` rises from 0, as
+    ``EvalConfig.recall_grid`` does.  Ignored rows are dropped after the sort.
+    Each (threshold, segment) curve gets the arithmetic of a standalone
+    computation: cumulative counts, recall and precision, precision
+    monotonized from the right, sampled at the first recall >= each grid
+    point (0 past the end), and averaged.
+    """
+    t_count, n = tp.shape
+    s_count, r_count = len(starts), len(recall_grid)
+    seg_of = np.repeat(np.arange(s_count), np.diff(np.append(starts, n)))
+    out = np.empty(t_count * s_count)
+    per_pass = max(1, _AP_ENTRIES // max(n, 1))
+    for t0 in range(0, t_count, per_pass):
+        t1 = min(t0 + per_pass, t_count)
+        # kept entries in (threshold, segment, score) order: one run per curve
+        t_idx, col = np.nonzero(~ignored[t0:t1])
+        run = (t0 + t_idx) * s_count + seg_of[col]
+        hit = tp[t0 + t_idx, col]
+        k = len(run)
+        new = np.ones(k, dtype=bool)
+        new[1:] = run[1:] != run[:-1]
+        first = np.maximum.accumulate(np.where(new, np.arange(k), 0))
+        tp_cum = np.cumsum(hit)
+        tp_cum -= tp_cum[first] - hit[first]
+        recall = tp_cum / n_pos[seg_of[col]]
+        precision = tp_cum / (np.arange(k) - first + 1)
+        # the first entry with recall >= grid[j] is the first whose key exceeds
+        # run * (R + 1) + j, where key = run * (R + 1) + #(grid points <= recall)
+        key = run * (r_count + 1) + np.searchsorted(recall_grid, recall, side="right")
+        for lo in range(t0 * s_count, t1 * s_count, _AP_CURVES):
+            runs = np.arange(lo, min(lo + _AP_CURVES, t1 * s_count))
+            at = np.searchsorted(key, (runs[:, None] * (r_count + 1) + np.arange(r_count)).ravel(),
+                                 side="right")
+            # grid[j] samples the largest precision from at[j] to the end of its
+            # run: the maximum, from the right, of the blocks between samples.
+            # A run's last block ends where the next run's first sample starts.
+            stop = np.searchsorted(key, (runs[-1] + 1) * (r_count + 1))
+            # precision >= 0, so an appended 0 closes the last block harmlessly
+            block = np.maximum.reduceat(np.append(precision[at[0] : stop], 0.0), at - at[0])
+            block[:-1][at[1:] == at[:-1]] = 0.0  # empty blocks
+            sampled = np.maximum.accumulate(block.reshape(len(runs), r_count)[:, ::-1], axis=1)
+            # summed left to right, in the order a single curve's samples are
+            out[lo : lo + len(runs)] = np.ascontiguousarray(sampled[:, ::-1]).mean(axis=1)
+    return np.ascontiguousarray(out.reshape(t_count, s_count).T)
+
+
 @dataclass
 class MatchFragment:
-    """Matching outcome for one (image, category) pair.
+    """Matching outcome for one (image, category) group.
 
-    ``entries[t]`` lists (score, is_tp, is_ignored) per detection in
-    descending score order, one list per IoU threshold; ``n_pos_gt`` counts
-    the non-ignored ground truths.
+    ``scores`` (N) holds the detections' scores in descending order; ``tp``
+    and ``ignored`` (T x N) say per IoU threshold whether each detection is a
+    true positive and whether it is left out of AP.  ``n_pos_gt`` counts the
+    non-ignored ground truths.
     """
 
     n_pos_gt: int
-    entries: list[list[tuple[float, bool, bool]]]
-
-
-def _in_range(area: float, rng: tuple[float, float] | None) -> bool:
-    return rng is None or rng[0] <= area < rng[1]
+    scores: np.ndarray
+    tp: np.ndarray
+    ignored: np.ndarray
 
 
 def match_image(
@@ -73,63 +244,22 @@ def match_image(
     """Match one image's detections of one category against its ground truths.
 
     ``dets`` must already be sorted by descending score and truncated to the
-    per-image cap. Ties in IoU go to the later ground truth in the
-    (non-ignored first, stable) order, and a non-ignored match is always
-    preferred over an ignored one.
+    per-image cap.  This runs ``greedy_match`` on a single group.
     """
-    ignored = [g.ignore or not _in_range(g.area, cfg.scale_range) for g in gts]
-    n_pos = sum(1 for flag in ignored if not flag)
-    if not dets:
-        return MatchFragment(n_pos, [[] for _ in cfg.iou_thresholds])
-
-    order = sorted(range(len(gts)), key=lambda i: ignored[i])  # non-ignored first, stable
-    gts_sorted = [gts[i] for i in order]
-    ign_sorted = [ignored[i] for i in order]
-
-    det_in_range = [_in_range(d.bbox.area, cfg.scale_range) for d in dets]
-
-    min_t = cfg.iou_thresholds[0]
-    if gts_sorted:
-        ious = iou_matrix(xywh([d.bbox for d in dets]), xywh([g.bbox for g in gts_sorted]))
-        # per detection: candidate gts with iou >= lowest threshold, best first
-        candidates = [
-            sorted(
-                ((ious[di, gi], gi) for gi in range(len(gts_sorted)) if ious[di, gi] >= min_t),
-                key=lambda c: (-c[0], -c[1]),
-            )
-            for di in range(len(dets))
-        ]
-    else:
-        candidates = [[] for _ in dets]
-
-    entries: list[list[tuple[float, bool, bool]]] = []
-    for t in cfg.iou_thresholds:
-        matched = [False] * len(gts_sorted)
-        rows = []
-        for di, det in enumerate(dets):
-            best_real = -1
-            best_ign = -1
-            for cand_iou, gi in candidates[di]:
-                if cand_iou < t:
-                    break
-                if matched[gi]:
-                    continue
-                if ign_sorted[gi]:
-                    if best_ign < 0:
-                        best_ign = gi
-                else:
-                    best_real = gi
-                    break
-            if best_real >= 0:
-                matched[best_real] = True
-                rows.append((det.score, True, False))
-            elif best_ign >= 0:
-                matched[best_ign] = True
-                rows.append((det.score, False, True))
-            else:
-                rows.append((det.score, False, not det_in_range[di]))
-        entries.append(rows)
-    return MatchFragment(n_pos, entries)
+    gt_ignored = np.array([g.ignore for g in gts], dtype=bool) | ~in_scale_range(
+        np.array([g.area for g in gts], dtype=float), cfg.scale_range
+    )
+    det_box = xywh([d.bbox for d in dets])
+    ious = iou_matrix(det_box, xywh([g.bbox for g in gts]))
+    row, slot = np.nonzero(ious >= cfg.iou_thresholds[0])
+    iou = ious[row, slot]
+    order, step = pair_order(row, slot, iou, np.zeros(len(dets), dtype=np.int64))
+    tp, ign = greedy_match(row[order], slot[order], iou[order], step,
+                           gt_ignored, len(dets), cfg.iou_thresholds)
+    out_of_range = ~in_scale_range(det_box[:, 2] * det_box[:, 3], cfg.scale_range)
+    ign |= ~tp & out_of_range[:, None]
+    scores = np.array([d.score for d in dets], dtype=float)
+    return MatchFragment(int((~gt_ignored).sum()), scores, tp.T, ign.T)
 
 
 class MatchTable:
@@ -158,68 +288,53 @@ class MatchTable:
         """Categories holding at least one fragment, in ``category_ids`` order."""
         return sorted(self._fragments, key=self._rank.__getitem__)
 
-    def merged(self, category_id: int) -> tuple[int, list[list[tuple[float, bool, bool]]]]:
-        """(total non-ignored GT count, per-threshold entry lists) for a category."""
-        per_cat = self._fragments.get(category_id, {})
-        npig = 0
-        entries: list[list[tuple[float, bool, bool]]] = [[] for _ in range(self.n_thresholds)]
-        for image_id in sorted(per_cat):
-            frag = per_cat[image_id]
-            npig += frag.n_pos_gt
-            for ti in range(self.n_thresholds):
-                entries[ti].extend(frag.entries[ti])
-        return npig, entries
+    def merged(self, category_id: int) -> MatchFragment:
+        """One category's fragments concatenated by ascending image id.
+
+        ``n_pos_gt`` is their total; the scores are in image order, not yet
+        sorted across images.
+        """
+        frags = [f for _, f in sorted(self._fragments.get(category_id, {}).items())]
+        empty = np.zeros((self.n_thresholds, 0), dtype=bool)
+        return MatchFragment(
+            sum(f.n_pos_gt for f in frags),
+            np.concatenate([np.zeros(0)] + [f.scores for f in frags]),
+            np.concatenate([empty] + [f.tp for f in frags], axis=1),
+            np.concatenate([empty] + [f.ignored for f in frags], axis=1),
+        )
 
 
-def _ap_single(
-    entries: list[tuple[float, bool, bool]], npig: int, recall_grid: np.ndarray
-) -> float:
-    """AP of one (category, threshold) slice. npig must be positive."""
-    kept = [(s, tp) for s, tp, ign in entries if not ign]
-    if not kept:
-        return 0.0
-    scores = np.array([s for s, _ in kept])
-    tps = np.array([tp for _, tp in kept], dtype=bool)
-    order = np.argsort(-scores, kind="stable")
-    tps = tps[order]
-    tp_cum = np.cumsum(tps)
-    fp_cum = np.cumsum(~tps)
-    recall = tp_cum / npig
-    precision = tp_cum / (tp_cum + fp_cum)
-    # monotonize from the right: precision at recall r becomes the max at >= r
-    precision = np.maximum.accumulate(precision[::-1])[::-1]
-    idx = np.searchsorted(recall, recall_grid, side="left")
-    sampled = np.where(idx < len(precision), precision[np.minimum(idx, len(precision) - 1)], 0.0)
-    return float(sampled.mean())
+def ap_matrix(table: MatchTable, cfg: EvalConfig) -> np.ndarray:
+    """Per-category, per-threshold AP as a (categories, T) array.
 
-
-def ap_matrix(table: MatchTable, cfg: EvalConfig) -> dict[int, list[float]]:
-    """Per-category, per-threshold AP; categories without ground truth omitted.
-
-    Only categories that hold fragments are visited, in ``category_ids`` order.
+    One row per category that holds fragments and a countable ground truth,
+    in ``category_ids`` order; categories without one are omitted.
     """
-    grid = cfg.recall_grid()
-    out: dict[int, list[float]] = {}
-    for cat in table.categories():
-        npig, entries = table.merged(cat)
-        if npig == 0:
-            continue
-        out[cat] = [_ap_single(entries[ti], npig, grid) for ti in range(table.n_thresholds)]
-    return out
+    merged = [m for m in map(table.merged, table.categories()) if m.n_pos_gt > 0]
+    orders = [np.argsort(-m.scores, kind="stable") for m in merged]
+    empty = np.zeros((table.n_thresholds, 0), dtype=bool)
+    return average_precision(
+        np.concatenate([empty] + [m.tp[:, o] for m, o in zip(merged, orders)], axis=1),
+        np.concatenate([empty] + [m.ignored[:, o] for m, o in zip(merged, orders)], axis=1),
+        np.cumsum([0] + [len(o) for o in orders])[:-1],
+        np.array([m.n_pos_gt for m in merged], dtype=np.int64),
+        cfg.recall_grid(),
+    )
 
 
-def mean_ap(matrix: dict[int, list[float]]) -> float | None:
-    """Mean of an ap_matrix over all its (category, threshold) entries; None if empty."""
-    if not matrix:
-        return None
-    return float(np.mean([v for row in matrix.values() for v in row]))
+def mean_ap(aps: np.ndarray) -> float | None:
+    """Mean of a (categories, T) AP array over all its entries; None if it has no rows.
+
+    The entries are summed in (category, threshold) order.
+    """
+    return float(aps.mean()) if len(aps) else None
 
 
-def threshold_aps(matrix: dict[int, list[float]], n_thresholds: int) -> list[float | None]:
-    """Mean of an ap_matrix over categories, one value per IoU threshold."""
-    if not matrix:
-        return [None] * n_thresholds
-    return [float(np.mean([row[ti] for row in matrix.values()])) for ti in range(n_thresholds)]
+def threshold_aps(aps: np.ndarray) -> list[float | None]:
+    """Mean of a (categories, T) AP array over categories, one value per IoU threshold."""
+    if not len(aps):
+        return [None] * aps.shape[1]
+    return np.ascontiguousarray(aps.T).mean(axis=1).tolist()
 
 
 def ap_from_matches(table: MatchTable, cfg: EvalConfig) -> float | None:
@@ -229,8 +344,3 @@ def ap_from_matches(table: MatchTable, cfg: EvalConfig) -> float | None:
     which is distinct from a measured 0.0.
     """
     return mean_ap(ap_matrix(table, cfg))
-
-
-def ap_per_threshold(table: MatchTable, cfg: EvalConfig) -> list[float | None]:
-    """AP restricted to each IoU threshold, aligned with cfg.iou_thresholds."""
-    return threshold_aps(ap_matrix(table, cfg), table.n_thresholds)

@@ -4,12 +4,17 @@ Everything here is deliberately re-derived from the metric definition with no
 code shared with the production path: its own overlap computation, a plain
 scan for the greedy match, and interpolated precision evaluated directly as
 "the best precision at any recall >= r".  It only accepts small instances.
+``zone_instance`` cuts out one zone's members for it, again with its own
+center, clamp and normalize arithmetic and no use of ``Partition.assign``.
 """
 
 from __future__ import annotations
 
+import math
+
 from .coco import Dataset, DetectionSet
 from .matching import EvalConfig
+from .zones import Zone
 
 MAX_IMAGES = 6
 MAX_DETS_PER_IMAGE = 10
@@ -24,6 +29,34 @@ def _overlap(a, b) -> float:
         return 0.0
     inter = w * h
     return inter / ((ax1 - ax0) * (ay1 - ay0) + (bx1 - bx0) * (by1 - by0) - inter)
+
+
+def _in_zone(box, img, zone: Zone) -> bool:
+    """Whether the box center, clamped into the image and normalized, lies in the zone."""
+    below_one = math.nextafter(1.0, 0.0)
+    u = min(max(box.x + box.w / 2.0, 0.0), img.width) / img.width
+    v = min(max(box.y + box.h / 2.0, 0.0), img.height) / img.height
+    return zone.contains(min(u, below_one), min(v, below_one))
+
+
+def zone_instance(
+    ds: Dataset, dets: DetectionSet, zone: Zone, cfg: EvalConfig
+) -> tuple[Dataset, DetectionSet]:
+    """The ground truths and detections of one zone, as a standalone instance.
+
+    Detections are capped per image before the zone filter, or, with
+    ``cfg.cap_after_zone``, after it.
+    """
+    gts = [g for g in ds.ground_truths if _in_zone(g.bbox, ds.images_by_id[g.image_id], zone)]
+    kept = []
+    for img in ds.images:
+        ranked = dets.for_image(img.id)
+        if not cfg.cap_after_zone:
+            ranked = ranked[: cfg.max_dets_per_image]
+        members = [d for d in ranked if _in_zone(d.bbox, img, zone)]
+        kept += members[: cfg.max_dets_per_image]
+    sub = Dataset(ds.images, ds.categories, gts)
+    return sub, DetectionSet(kept, sub)
 
 
 def ap_oracle(ds: Dataset, dets: DetectionSet, cfg: EvalConfig) -> float | None:

@@ -5,18 +5,24 @@ ground truths and detections whose box centers fall in it, so the union of
 all zones reproduces the full-image evaluation and the whole-image zone
 reproduces AP bit-for-bit.
 
-Count, then match: a ground truth is countable when it is not crowd and its
-area lies in the configured scale range.  Before any matching, the
-(zone, category) pairs holding at least one countable ground truth are
-collected, and only those pairs are matched.  This is exact: every other pair
-has no positive ground truth in the zone, and AP accumulation leaves such a
-category out of the zone's mean (as COCO's accumulate does), so its matches
-could never reach the report.
+One geometry pass per evaluation does everything that does not depend on the
+scale range: the per-image cap, one ``Partition.assign`` call for all box
+centers, and per image one IoU matrix of detections x ground truths.  It
+keeps the candidate pairs (same category, IoU at or above the lowest
+threshold) as flat dataset-wide arrays.  A detection is a row twice, once in
+its zone and once in the whole image; a zone pair is a whole-image pair whose
+detection and ground truth share a zone.
 
-Evaluation runs in-process, one image at a time; the reduction merges
-fragments keyed by image id and is therefore independent of arrival order.
-The geometry of an image (cap and zone buckets) does not depend on the scale
-range, so the scale study computes it once for all bins.
+Count, then match: a ground truth is countable when it is not crowd and its
+area lies in the configured scale range.  Only the pairs of (zone, category)
+segments holding a countable ground truth go through the greedy pass
+(``matching.greedy_match``), which handles every group of every image and
+every IoU threshold at once.  This is exact: AP accumulation leaves every
+other segment out of the zone's mean (as COCO's accumulate does).  AP then
+takes the rows of each segment in one precomputed stable score order.
+
+The scale study builds the geometry once and, per scale bin, reruns only the
+countable set, the greedy pass and AP.
 """
 
 from __future__ import annotations
@@ -24,25 +30,22 @@ from __future__ import annotations
 import csv
 import json
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
-from .coco import Dataset, Detection, DetectionSet, GroundTruth, ImageInfo, box_centers
+import numpy as np
+
+from .coco import Dataset, DetectionSet, box_centers, iou_matrix, xywh
 from .matching import (
     EvalConfig,
-    MatchFragment,
-    MatchTable,
-    _in_range,
-    ap_from_matches,
-    ap_matrix,
-    match_image,
+    average_precision,
+    greedy_match,
+    in_scale_range,
     mean_ap,
+    pair_order,
+    rank_within,
     threshold_aps,
 )
-from .zones import Grid, Partition, build_partition, gt_zone_indices, spec_label
-
-FULL_ZONE = "__full__"
-
+from .zones import Grid, Partition, build_partition, spec_label
 
 @dataclass
 class ZoneResult:
@@ -120,118 +123,176 @@ def zp_variance(zps: list[float]) -> float:
     return sum((z - mean) ** 2 for z in zps) / len(zps)
 
 
-Buckets = dict[str, tuple[list[GroundTruth], list[Detection]]]
-Countable = frozenset[tuple[str, int]]
+@dataclass
+class _Geometry:
+    """The scale-independent part of one evaluation, as flat arrays.
 
-
-def _image_geometry(
-    img: ImageInfo,
-    gts: list[GroundTruth],
-    dets: list[Detection],
-    partition: Partition,
-    cfg: EvalConfig,
-) -> tuple[Buckets, dict[str, int], dict[str, int]]:
-    """Per-image geometry: the cap, zone buckets (plus FULL_ZONE) and per-zone counts.
-
-    Does not depend on ``cfg.scale_range``, so one pass serves every scale bin.
+    Ground truths are indexed in image order.  Row ``d`` is detection ``d`` in
+    its zone and row ``n_dets + d`` the same detection in the whole image.  A
+    segment is a (zone, category) pair, ``zone * n_categories + category``,
+    with zone index ``n_zones`` standing for the whole image.
     """
-    capped = dets if cfg.cap_after_zone else dets[: cfg.max_dets_per_image]
 
-    centers = box_centers([b.bbox for b in (*gts, *capped)])
-    zone_idx = partition.assign(*centers, img.width, img.height).tolist()
-    by_index: list[tuple[list[GroundTruth], list[Detection]]] = [([], []) for _ in partition.zones]
-    for g, k in zip(gts, zone_idx):
-        by_index[k][0].append(g)
-    for d, k in zip(capped, zone_idx[len(gts):]):
-        by_index[k][1].append(d)
-    buckets = dict(zip(partition.zone_ids, by_index))
-    if cfg.cap_after_zone:
-        buckets = {
-            zid: (zg, zd[: cfg.max_dets_per_image]) for zid, (zg, zd) in buckets.items()
-        }
-        full_dets = dets[: cfg.max_dets_per_image]
-    else:
-        full_dets = capped
-    gt_counts = {zid: len(zg) for zid, (zg, _) in buckets.items()}
-    det_counts = {zid: len(zd) for zid, (_, zd) in buckets.items()}
-    buckets[FULL_ZONE] = (gts, full_dets)
-    return buckets, gt_counts, det_counts
+    n_zones: int
+    category_ids: list[int]
+    gt_cat: np.ndarray  # category index per ground truth
+    gt_seg: np.ndarray  # zone segment per ground truth
+    gt_area: np.ndarray
+    gt_crowd: np.ndarray
+    row_seg: np.ndarray
+    row_area: np.ndarray  # box area of the row's detection
+    pair_row: np.ndarray  # candidate pairs, in matching.pair_order
+    pair_slot: np.ndarray  # ground truth g in its zone, n_gts + g in the whole image
+    pair_iou: np.ndarray
+    pair_step: np.ndarray
+    ap_rows: np.ndarray  # rows that exist, by (segment, -score), ties in detection order
+    ap_seg: np.ndarray
+    gt_counts: list[int]
+    det_counts: list[int]
 
 
-def _countable(
-    ds: Dataset, gt_zones: list[int], partition: Partition, cfg: EvalConfig
-) -> Countable:
-    """(zone id | FULL_ZONE, category) pairs with at least one countable ground truth.
+def _candidate_pairs(
+    dt_box: np.ndarray,
+    gt_box: np.ndarray,
+    dt_cat: np.ndarray,
+    gt_cat: np.ndarray,
+    dt_per_image: np.ndarray,
+    gt_per_image: np.ndarray,
+    min_iou: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(detection, ground truth, IoU) of same-image, same-category pairs with IoU >= min_iou.
 
-    ``gt_zones`` holds the zone index of each of ``ds.ground_truths``.  A ground
-    truth counts when it is not crowd and its area lies in ``cfg.scale_range``,
-    the rule match_image uses for ``n_pos_gt``.
+    Boxes are laid out image by image; one IoU matrix per image.
     """
-    zone_ids = partition.zone_ids
-    pairs = set()
-    for g, k in zip(ds.ground_truths, gt_zones):
-        if not g.ignore and _in_range(g.area, cfg.scale_range):
-            pairs.add((zone_ids[k], g.category_id))
-            pairs.add((FULL_ZONE, g.category_id))
-    return frozenset(pairs)
+    found = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))]
+    dt_start = np.cumsum(dt_per_image) - dt_per_image
+    gt_start = np.cumsum(gt_per_image) - gt_per_image
+    for a, n, c, m in zip(dt_start.tolist(), dt_per_image.tolist(),
+                          gt_start.tolist(), gt_per_image.tolist()):
+        if n and m:
+            ious = iou_matrix(dt_box[a : a + n], gt_box[c : c + m])
+            hit = (ious >= min_iou) & (dt_cat[a : a + n, None] == gt_cat[None, c : c + m])
+            d, g = np.nonzero(hit)
+            found.append((d + a, g + c, ious[d, g]))
+    det, gt, iou = zip(*found)
+    return np.concatenate(det), np.concatenate(gt), np.concatenate(iou)
 
 
-def _match_buckets(
-    buckets: Buckets, countable: Countable, cfg: EvalConfig
-) -> dict[str, dict[int, MatchFragment]]:
-    """Fragments per (zone | FULL_ZONE, category), for the countable pairs only."""
-    fragments: dict[str, dict[int, MatchFragment]] = {}
-    for zid, (zgts, zdets) in buckets.items():
-        by_cat: dict[int, tuple[list[GroundTruth], list[Detection]]] = {}
-        for g in zgts:
-            if (zid, g.category_id) in countable:
-                by_cat.setdefault(g.category_id, ([], []))[0].append(g)
-        for d in zdets:
-            if (zid, d.category_id) in countable:
-                by_cat.setdefault(d.category_id, ([], []))[1].append(d)
-        if by_cat:
-            fragments[zid] = {
-                cat: match_image(cgts, cdets, cfg) for cat, (cgts, cdets) in sorted(by_cat.items())
-            }
-    return fragments
+def _geometry(ds: Dataset, dets: DetectionSet, partition: Partition, cfg: EvalConfig) -> _Geometry:
+    """Cap, zone lookup and candidate pairs of every image; independent of ``cfg.scale_range``."""
+    cap = cfg.max_dets_per_image
+    n_zones, n_cat = len(partition.zones), len(ds.category_ids)
+    cat_index = {c: i for i, c in enumerate(ds.category_ids)}
+    gts = [g for img in ds.images for g in ds.gts_by_image[img.id]]
+    ranked = [dets.for_image(img.id) for img in ds.images]
+    if not cfg.cap_after_zone:
+        ranked = [r[:cap] for r in ranked]
+    dts = [d for r in ranked for d in r]
+    n_gt, n_dt = len(gts), len(dts)
+
+    gt_per_image = np.array([len(ds.gts_by_image[img.id]) for img in ds.images], dtype=np.int64)
+    dt_per_image = np.array([len(r) for r in ranked], dtype=np.int64)
+    image_index = np.arange(len(ds.images))
+    gt_img, dt_img = np.repeat(image_index, gt_per_image), np.repeat(image_index, dt_per_image)
+    gt_box, dt_box = xywh([g.bbox for g in gts]), xywh([d.bbox for d in dts])
+    size = np.array([(img.width, img.height) for img in ds.images], dtype=float).reshape(-1, 2)
+    owner = np.concatenate([gt_img, dt_img])
+    zone = partition.assign(*box_centers(np.concatenate([gt_box, dt_box])),
+                            size[owner, 0], size[owner, 1])
+    gt_zone, dt_zone = zone[:n_gt], zone[n_gt:]
+    gt_cat = np.array([cat_index[g.category_id] for g in gts], dtype=np.int64)
+    dt_cat = np.array([cat_index[d.category_id] for d in dts], dtype=np.int64)
+
+    # which detections survive the cap, as whole-image rows and as zone rows
+    in_whole = rank_within(dt_img) < cap
+    in_zone = rank_within(dt_img * n_zones + dt_zone) < cap if cfg.cap_after_zone else in_whole
+
+    det, gt, iou = _candidate_pairs(dt_box, gt_box, dt_cat, gt_cat, dt_per_image, gt_per_image,
+                                    cfg.iou_thresholds[0])
+    same_zone = in_zone[det] & (dt_zone[det] == gt_zone[gt])
+    whole = in_whole[det]
+    pair_row = np.concatenate([det[same_zone], n_dt + det[whole]])
+    pair_slot = np.concatenate([gt[same_zone], n_gt + gt[whole]])
+    pair_iou = np.concatenate([iou[same_zone], iou[whole]])
+
+    row_seg = np.concatenate([dt_zone * n_cat + dt_cat, n_zones * n_cat + dt_cat])
+    row_group = row_seg * len(ds.images) + np.concatenate([dt_img, dt_img])
+    order, pair_step = pair_order(pair_row, pair_slot, pair_iou, row_group)
+
+    score = np.array([d.score for d in dts], dtype=float)
+    rows = np.flatnonzero(np.concatenate([in_zone, in_whole]))
+    ap_rows = rows[np.lexsort((-np.concatenate([score, score])[rows], row_seg[rows]))]
+    area = dt_box[:, 2] * dt_box[:, 3]
+    return _Geometry(
+        n_zones=n_zones,
+        category_ids=list(ds.category_ids),
+        gt_cat=gt_cat,
+        gt_seg=gt_zone * n_cat + gt_cat,
+        gt_area=np.array([g.area for g in gts], dtype=float),
+        gt_crowd=np.array([g.ignore for g in gts], dtype=bool),
+        row_seg=row_seg.astype(np.int32),
+        row_area=np.concatenate([area, area]),
+        pair_row=pair_row[order].astype(np.int32),
+        pair_slot=pair_slot[order].astype(np.int32),
+        pair_iou=pair_iou[order],
+        pair_step=pair_step.astype(np.int32),
+        ap_rows=ap_rows.astype(np.int32),
+        ap_seg=row_seg[ap_rows].astype(np.int32),
+        gt_counts=np.bincount(gt_zone, minlength=n_zones).tolist(),
+        det_counts=np.bincount(dt_zone[in_zone], minlength=n_zones).tolist(),
+    )
 
 
-def _evaluate(
-    ds: Dataset,
-    geometry: Iterable[tuple[int, Buckets, dict[str, int], dict[str, int]]],
-    gt_zones: list[int],
-    partition: Partition,
-    cfg: EvalConfig,
-) -> ZoneReport:
-    """Count, match and reduce per-image (image id, buckets, gt counts, det counts) into a report.
+def _gt_ignored(geo: _Geometry, cfg: EvalConfig) -> np.ndarray:
+    return geo.gt_crowd | ~in_scale_range(geo.gt_area, cfg.scale_range)
 
-    ``gt_zones`` holds the zone index of each of ``ds.ground_truths``.
-    ``geometry`` is consumed once and lazily, so per-image work can stream in.
+
+def _positives(geo: _Geometry, cfg: EvalConfig) -> np.ndarray:
+    """Countable ground truths per segment (crowd and out-of-range ones do not count)."""
+    pos = ~_gt_ignored(geo, cfg)
+    n_cat = len(geo.category_ids)
+    in_segments = np.concatenate([geo.gt_seg[pos], geo.n_zones * n_cat + geo.gt_cat[pos]])
+    return np.bincount(in_segments, minlength=(geo.n_zones + 1) * n_cat)
+
+
+def _match(
+    geo: _Geometry, cfg: EvalConfig, countable: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Greedy pass over the pairs of the countable segments: (live pairs, tp, ignored).
+
+    ``tp`` and ``ignored`` are (rows, T); rows of other segments are left unmatched.
     """
-    countable = _countable(ds, gt_zones, partition, cfg)
-    zone_ids = partition.zone_ids
-    n_thr = len(cfg.iou_thresholds)
-    tables = {zid: MatchTable(ds.category_ids, n_thr) for zid in zone_ids}
-    tables[FULL_ZONE] = MatchTable(ds.category_ids, n_thr)
-    gt_counts = {zid: 0 for zid in zone_ids}
-    det_counts = {zid: 0 for zid in zone_ids}
+    gt_ignored = _gt_ignored(geo, cfg)
+    live = countable[geo.row_seg[geo.pair_row]]
+    tp, ignored = greedy_match(
+        geo.pair_row[live], geo.pair_slot[live], geo.pair_iou[live], geo.pair_step[live],
+        np.concatenate([gt_ignored, gt_ignored]), len(geo.row_seg), cfg.iou_thresholds,
+    )
+    ignored |= ~tp & ~in_scale_range(geo.row_area, cfg.scale_range)[:, None]
+    return live, tp, ignored
 
-    for image_id, buckets, g_counts, d_counts in geometry:
-        for zid, n in g_counts.items():
-            gt_counts[zid] += n
-        for zid, n in d_counts.items():
-            det_counts[zid] += n
-        for zid, per_cat in _match_buckets(buckets, countable, cfg).items():
-            for cat, frag in per_cat.items():
-                tables[zid].add(cat, image_id, frag)
+
+def _evaluate(geo: _Geometry, partition: Partition, cfg: EvalConfig) -> ZoneReport:
+    """Count, match and accumulate AP per zone into a report."""
+    n_pos = _positives(geo, cfg)
+    countable = n_pos > 0
+    _, tp, ignored = _match(geo, cfg, countable)
+    keep = countable[geo.ap_seg]
+    rows, row_seg = geo.ap_rows[keep], geo.ap_seg[keep]
+    segs = np.flatnonzero(countable)
+    aps = average_precision(tp[rows].T, ignored[rows].T, np.searchsorted(row_seg, segs),
+                            n_pos[segs], cfg.recall_grid())
+
+    # a zone's segments are one run of rows of aps, in category order
+    bounds = np.searchsorted(segs, np.arange(geo.n_zones + 2) * len(geo.category_ids)).tolist()
+    zone_aps = [aps[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
     zone_results = []
     undefined = []
     defined_zps = []
-    for zid in zone_ids:
-        matrix = ap_matrix(tables[zid], cfg)
-        ap = mean_ap(matrix)
-        per_thr = threshold_aps(matrix, n_thr)
+    for zid, zaps, n_gt, n_det in zip(partition.zone_ids, zone_aps, geo.gt_counts, geo.det_counts):
+        ap = mean_ap(zaps)
+        per_thr = threshold_aps(zaps)
         zp = None if ap is None else 100.0 * ap
         if zp is None:
             undefined.append(zid)
@@ -242,13 +303,13 @@ def _evaluate(
                 zone_id=zid,
                 zp=zp,
                 zp_by_threshold=[None if v is None else 100.0 * v for v in per_thr],
-                gt_count=gt_counts[zid],
-                det_count=det_counts[zid],
+                gt_count=n_gt,
+                det_count=n_det,
                 area_fraction=partition.area_fraction(zid),
             )
         )
 
-    full = ap_from_matches(tables[FULL_ZONE], cfg)
+    full = mean_ap(zone_aps[-1])
     return ZoneReport(
         partition=spec_label(partition.spec),
         iou_thresholds=cfg.iou_thresholds,
@@ -273,12 +334,7 @@ def evaluate_zones(
     ``workers`` is accepted for compatibility and ignored.
     """
     cfg = cfg or EvalConfig()
-    geometry = (
-        (img.id, *_image_geometry(img, ds.gts_by_image[img.id], dets.for_image(img.id),
-                                  partition, cfg))
-        for img in ds.images
-    )
-    return _evaluate(ds, geometry, gt_zone_indices(ds, partition).tolist(), partition, cfg)
+    return _evaluate(_geometry(ds, dets, partition, cfg), partition, cfg)
 
 
 SCALE_STEPS = (4, 8, 16, 32, 64, 128)
@@ -336,26 +392,21 @@ def scale_study(
     has a defined ZP.  The grand mean averages the per-step means.
 
     Each bin's report equals ``evaluate_zones`` with that bin as
-    ``scale_range``.  The zone geometry (cap, buckets, counts) does not depend
-    on the bin, so it is computed once; each bin only rebuilds its countable
-    set and matches those pairs.  ``workers`` is accepted for compatibility
-    and ignored.
+    ``scale_range``.  The geometry (cap, zones, candidate pairs and their IoU)
+    does not depend on the bin, so it is computed once; each bin only
+    rebuilds its countable set, reruns the greedy pass and accumulates AP.
+    ``workers`` is accepted for compatibility and ignored.
     """
     cfg = cfg or EvalConfig()
     zone_ids = partition.zone_ids
-    gt_zones = gt_zone_indices(ds, partition).tolist()
-    geometry = [
-        (img.id, *_image_geometry(img, ds.gts_by_image[img.id], dets.for_image(img.id),
-                                  partition, cfg))
-        for img in ds.images
-    ]
+    geo = _geometry(ds, dets, partition, cfg)
     mean_zp: dict[int | None, list[float | None]] = {}
     for r in steps:
         sums = [0.0] * len(zone_ids)
         counts = [0] * len(zone_ids)
         for lo, hi in scale_bins(r):
             bin_cfg = replace(cfg, scale_range=(lo, hi))
-            report = _evaluate(ds, geometry, gt_zones, partition, bin_cfg)
+            report = _evaluate(geo, partition, bin_cfg)
             for zi, z in enumerate(report.zones):
                 if z.zp is not None:
                     sums[zi] += z.zp

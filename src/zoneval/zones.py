@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .coco import Dataset, ImageInfo, box_centers
+from .coco import Dataset, ImageInfo, box_centers, xywh
 from .errors import OutsideImageError, PartitionError
 
 _FRAC = Fraction
@@ -212,16 +212,12 @@ class Partition:
         return count
 
 
-def gt_zone_indices(ds: Dataset, partition: Partition) -> np.ndarray:
-    """Zone index of each of ``ds.ground_truths``, centers clamped into their images."""
-    images = [ds.images_by_id[g.image_id] for g in ds.ground_truths]
-    width, height = np.array([(im.width, im.height) for im in images], float).reshape(-1, 2).T
-    return partition.assign(*box_centers([g.bbox for g in ds.ground_truths]), width, height)
-
-
 def gt_zone_counts(ds: Dataset, partition: Partition) -> np.ndarray:
     """Number of ground-truth box centers per zone, clamped into their images."""
-    return np.bincount(gt_zone_indices(ds, partition), minlength=len(partition.zones))
+    images = [ds.images_by_id[g.image_id] for g in ds.ground_truths]
+    width, height = np.array([(im.width, im.height) for im in images], float).reshape(-1, 2).T
+    zone = partition.assign(*box_centers(xywh([g.bbox for g in ds.ground_truths])), width, height)
+    return np.bincount(zone, minlength=len(partition.zones))
 
 
 def _build_annular(n: int) -> list[Zone]:

@@ -11,7 +11,11 @@ from zoneval.matching import EvalConfig, MatchTable, ap_from_matches, match_imag
 
 
 def full_image_ap(ds: Dataset, dets: DetectionSet, cfg: EvalConfig) -> float | None:
-    """Whole-image AP assembled straight from match_image fragments."""
+    """Whole-image AP from match_image fragments: the array kernel, one group at a time.
+
+    Every (image, category) group is matched on its own, with nothing pruned,
+    so tests can hold the batched pass of evaluate_zones against it.
+    """
     table = MatchTable(ds.category_ids, len(cfg.iou_thresholds))
     for img in ds.images:
         capped = dets.for_image(img.id)[: cfg.max_dets_per_image]

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -172,6 +173,45 @@ class TestDensity:
         assert sum(z["count"] for z in payload["zones"]) == 400
 
 
+def read_csv(path):
+    with open(path, newline="") as f:
+        return list(csv.reader(f))
+
+
+def sela_total(path, zone_id):
+    """The positives of a zone's ``total`` row in ``zone-eval sela`` CSV output."""
+    (row,) = [r for r in read_csv(path) if r[:2] == ["total", zone_id]]
+    return int(row[2])
+
+
+class TestCsvQuoting:
+    """Annular zone ids hold a comma; every CSV row must keep the header's width."""
+
+    def test_density_default_partition(self, bench_files, tmp_path):
+        gt, _, _ = bench_files
+        out = tmp_path / "density.csv"
+        assert main(["density", "--gt", str(gt), "--out", str(out)]) == 0
+        rows = read_csv(out)
+        assert rows[0] == ["zone", "count", "area", "density"]
+        assert len(rows) == 51
+        assert all(len(r) == 4 for r in rows)
+        assert rows[1][0] == "z0,1"
+        assert sum(int(r[1]) for r in rows[1:]) == 400
+
+    def test_sela_annular(self, bench_files, tmp_path):
+        gt, _, _ = bench_files
+        out = tmp_path / "sela.csv"
+        assert main(["sela", "--gt", str(gt), "--anchor-grid", "8x8", "--anchor-size", "80",
+                     "--partition", "annular:5", "--out", str(out)]) == 0
+        rows = read_csv(out)
+        assert rows[0] == ["image_id", "zone", "positives", "density"]
+        assert all(len(r) == 4 for r in rows)
+        totals = {r[1]: int(r[2]) for r in rows if r[0] == "total"}
+        assert list(totals) == ["z0,1", "z1,2", "z2,3", "z3,4", "z4,5"]
+        per_image = [r for r in rows[1:] if r[0] != "total"]
+        assert sum(int(r[2]) for r in per_image) == sum(totals.values())
+
+
 class TestSela:
     def test_gamma_increases_border_positives(self, tmp_path):
         gt = tmp_path / "gt.json"
@@ -190,8 +230,7 @@ class TestSela:
                          "--anchor-size", "80", "--t", "0.4", "--gamma", str(gamma),
                          "--partition", "annular:5", "--out", str(out)])
             assert code == 0
-            total = [ln for ln in out.read_text().splitlines() if ln.startswith("total,z0,1")]
-            return int(total[0].split(",")[3])
+            return sela_total(out, "z0,1")
 
         assert border_total(0.2) > border_total(0.0)
 
@@ -210,8 +249,7 @@ class TestSela:
                      "--alpha-pos", "0.5", "--beta", "1.0", "--beta-zone", "z0,1",
                      "--partition", "annular:5", "--out", str(out)])
         assert code == 0
-        total = [ln for ln in out.read_text().splitlines() if ln.startswith("total,z0,1")]
-        assert int(total[0].split(",")[3]) == 0
+        assert sela_total(out, "z0,1") == 0
 
 
 class TestSynthCommands:

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from zoneval.coco import BBox, Category, Dataset, Detection, DetectionSet, GroundTruth, ImageInfo
-from zoneval.matching import EvalConfig, MatchTable, ap_from_matches, ap_per_threshold, match_image
+from zoneval.matching import (
+    EvalConfig,
+    MatchTable,
+    ap_from_matches,
+    ap_matrix,
+    match_image,
+    threshold_aps,
+)
 from zoneval.oracle import ap_oracle
 
 from datagen import full_image_ap, random_instance
@@ -14,6 +21,16 @@ def gt(gid, bbox, cat=1, img=1, ignore=False):
 
 def det(bbox, score, cat=1, img=1):
     return Detection(img, cat, bbox, score)
+
+
+def entries(frag):
+    """Per IoU threshold, (score, is_tp, is_ignored) of each detection of a fragment."""
+    n = len(frag.scores)
+    assert frag.tp.shape == frag.ignored.shape == (frag.tp.shape[0], n)
+    return [
+        list(zip(frag.scores.tolist(), tp.tolist(), ign.tolist()))
+        for tp, ign in zip(frag.tp, frag.ignored)
+    ]
 
 
 def single_image_instance(gts, dets):
@@ -52,7 +69,8 @@ class TestMatchImage:
         d = det(BBox(10, 10, 50, 50), 0.8)
         frag = match_image([g], [d], EvalConfig())
         assert frag.n_pos_gt == 1
-        for rows in frag.entries:
+        assert len(entries(frag)) == 10
+        for rows in entries(frag):
             assert rows == [(0.8, True, False)]
 
     def test_single_match_rule(self):
@@ -61,7 +79,7 @@ class TestMatchImage:
         d_hi = det(BBox(10, 10, 50, 50), 0.9)
         d_lo = det(BBox(12, 12, 50, 50), 0.4)
         frag = match_image([g], [d_hi, d_lo], EvalConfig(iou_thresholds=(0.5,)))
-        assert frag.entries[0] == [(0.9, True, False), (0.4, False, False)]
+        assert entries(frag)[0] == [(0.9, True, False), (0.4, False, False)]
 
     def test_greedy_takes_best_iou_not_best_packing(self):
         # det1 prefers A (0.6 > ~0.54), leaving det2 with nothing above 0.5,
@@ -71,7 +89,7 @@ class TestMatchImage:
         d1 = det(BBox(2.5, 0, 10, 10), 0.9)  # IoU 0.6 with A, ~0.538 with B
         d2 = det(BBox(1, 0, 10, 10), 0.8)  # IoU ~0.818 with A, ~0.379 with B
         frag = match_image([a, b], [d1, d2], EvalConfig(iou_thresholds=(0.5,)))
-        assert frag.entries[0] == [(0.9, True, False), (0.8, False, False)]
+        assert entries(frag)[0] == [(0.9, True, False), (0.8, False, False)]
         # brute-force confirmation on the full instance
         ds, dset = single_image_instance([a, b], [d1, d2])
         cfg = EvalConfig(iou_thresholds=(0.5,))
@@ -82,32 +100,111 @@ class TestMatchImage:
         d = det(BBox(10, 10, 50, 50), 0.9)
         frag = match_image([g], [d], EvalConfig(iou_thresholds=(0.5,)))
         assert frag.n_pos_gt == 0
-        assert frag.entries[0] == [(0.9, False, True)]
+        assert entries(frag)[0] == [(0.9, False, True)]
 
     def test_real_gt_preferred_over_better_ignored(self):
         real = gt(1, BBox(0, 0, 10, 10))
         crowd = gt(2, BBox(2, 0, 10, 10), ignore=True)
         d = det(BBox(2, 0, 10, 10), 0.9)  # IoU 1.0 with crowd, ~0.667 with real
         frag = match_image([real, crowd], [d], EvalConfig(iou_thresholds=(0.5,)))
-        assert frag.entries[0] == [(0.9, True, False)]
+        assert entries(frag)[0] == [(0.9, True, False)]
 
     def test_gt_outside_scale_range_is_ignored(self):
         g = gt(1, BBox(10, 10, 50, 50))  # area 2500
         d = det(BBox(10, 10, 50, 50), 0.9)
         frag = match_image([g], [d], EvalConfig(iou_thresholds=(0.5,), scale_range=(0.0, 100.0)))
         assert frag.n_pos_gt == 0
-        assert frag.entries[0] == [(0.9, False, True)]
+        assert entries(frag)[0] == [(0.9, False, True)]
 
     def test_unmatched_out_of_range_detection_is_ignored(self):
         g = gt(1, BBox(10, 10, 10, 10))  # area 100, in range
         d_far = det(BBox(150, 150, 40, 40), 0.9)  # area 1600, out of range, no match
         frag = match_image([g], [d_far], EvalConfig(iou_thresholds=(0.5,), scale_range=(0.0, 200.0)))
-        assert frag.entries[0] == [(0.9, False, True)]
+        assert entries(frag)[0] == [(0.9, False, True)]
+
+    def test_equal_iou_goes_to_the_later_ground_truth(self):
+        # d1 overlaps a and b by exactly 1/3 each; d2 reaches only a
+        a = gt(1, BBox(0, 0, 10, 10))
+        b = gt(2, BBox(10, 0, 10, 10))
+        d1 = det(BBox(5, 0, 10, 10), 0.9)
+        d2 = det(BBox(0, 0, 10, 10), 0.8)
+        cfg = EvalConfig(iou_thresholds=(0.3,))
+        # d1 takes b, the later one, which leaves a for d2
+        assert entries(match_image([a, b], [d1, d2], cfg)) == [[(0.9, True, False), (0.8, True, False)]]
+        # in the other order d1 takes a, and d2 finds nothing
+        assert entries(match_image([b, a], [d1, d2], cfg)) == [[(0.9, True, False), (0.8, False, False)]]
+
+    def test_real_match_beats_better_ignored_until_the_threshold_rises(self):
+        real = gt(1, BBox(0, 0, 10, 10))
+        crowd = gt(2, BBox(2, 0, 10, 10), ignore=True)
+        d = det(BBox(2, 0, 10, 10), 0.9)  # IoU 1.0 with crowd, ~0.667 with real
+        frag = match_image([real, crowd], [d], EvalConfig(iou_thresholds=(0.5, 0.7)))
+        assert entries(frag) == [[(0.9, True, False)], [(0.9, False, True)]]
+
+    def test_taken_ground_truth_is_skipped_only_where_taken(self):
+        g = gt(1, BBox(0, 0, 10, 10))
+        d1 = det(BBox(2.5, 0, 10, 10), 0.9)  # IoU 0.6
+        d2 = det(BBox(0.5, 0, 10, 10), 0.8)  # IoU ~0.905
+        frag = match_image([g], [d1, d2], EvalConfig(iou_thresholds=(0.5, 0.7)))
+        # at 0.5 d1 takes g first and d2 must skip it; at 0.7 d1 cannot reach g
+        assert entries(frag) == [
+            [(0.9, True, False), (0.8, False, False)],
+            [(0.9, False, False), (0.8, True, False)],
+        ]
 
     def test_empty_inputs_are_valid(self):
         frag = match_image([], [], EvalConfig(iou_thresholds=(0.5,)))
         assert frag.n_pos_gt == 0
-        assert frag.entries == [[]]
+        assert entries(frag) == [[]]
+
+
+class TestBatchedGroups:
+    def test_group_alone_equals_group_batched(self):
+        # evaluate_zones matches every group of every image in one greedy pass;
+        # each group's rows must equal match_image on that group alone
+        from zoneval import zone_eval
+        from zoneval.coco import bbox_center
+        from zoneval.zones import Annular, build_partition
+
+        from datagen import random_multiclass_benchmark
+
+        ds, dset = random_multiclass_benchmark(6, gts_per_image=10, dets_per_image=30, seed=5)
+        p = build_partition(Annular(3))
+        n_zones = len(p.zones)
+        for cfg in (EvalConfig(max_dets_per_image=20),
+                    EvalConfig(max_dets_per_image=20, cap_after_zone=True,
+                               scale_range=(0.0, 48.0**2))):
+            geo = zone_eval._geometry(ds, dset, p, cfg)
+            everything = np.ones((n_zones + 1) * len(ds.category_ids), dtype=bool)
+            _, tp, ignored = zone_eval._match(geo, cfg, everything)
+            n_dets = len(geo.row_seg) // 2
+            row = 0
+            compared = 0
+            for img in ds.images:
+                ranked = dset.for_image(img.id)
+                if not cfg.cap_after_zone:
+                    ranked = ranked[: cfg.max_dets_per_image]
+                zone_of = {id(b): p.zone_of_clamped(bbox_center(b.bbox), img)
+                           for b in [*ds.gts_by_image[img.id], *ranked]}
+                rows_of = {id(d): row + i for i, d in enumerate(ranked)}
+                row += len(ranked)
+                for zid in [*p.zone_ids, None]:
+                    for cat in ds.category_ids:
+                        gts = [g for g in ds.gts_by_image[img.id]
+                               if g.category_id == cat and zid in (None, zone_of[id(g)])]
+                        if zid is None:
+                            dets = ranked[: cfg.max_dets_per_image]
+                            offset = n_dets
+                        else:
+                            dets = [d for d in ranked if zone_of[id(d)] == zid][: cfg.max_dets_per_image]
+                            offset = 0
+                        dets = [d for d in dets if d.category_id == cat]
+                        alone = match_image(gts, dets, cfg)
+                        idx = [offset + rows_of[id(d)] for d in dets]
+                        assert (tp[idx].T == alone.tp).all()
+                        assert (ignored[idx].T == alone.ignored).all()
+                        compared += int(alone.tp.any())
+            assert compared > 20
 
 
 class TestApFromMatches:
@@ -158,7 +255,7 @@ class TestApFromMatches:
                 cg = [g for g in ds.gts_by_image[img.id] if g.category_id == cat]
                 cd = [d for d in dset.for_image(img.id) if d.category_id == cat]
                 table.add(cat, img.id, match_image(cg, cd, cfg))
-        per_t = ap_per_threshold(table, cfg)
+        per_t = threshold_aps(ap_matrix(table, cfg))
         assert np.mean(per_t) == pytest.approx(ap_from_matches(table, cfg), abs=1e-12)
 
     def test_categories_follow_table_order(self):
@@ -167,7 +264,9 @@ class TestApFromMatches:
         table.add(2, 1, frag)
         table.add(3, 5, frag)
         assert table.categories() == [3, 2]
-        assert table.merged(1) == (0, [[]])
+        merged = table.merged(1)
+        assert merged.n_pos_gt == 0
+        assert entries(merged) == [[]]
         with pytest.raises(KeyError):
             table.add(9, 1, frag)
 

@@ -1,11 +1,13 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from zoneval.coco import BBox, Category, Dataset, Detection, DetectionSet, GroundTruth, ImageInfo
 from zoneval.matching import EvalConfig
+from zoneval.oracle import ap_oracle, zone_instance
 from zoneval.synth import QualityProfile, ZoneQuality, synthetic_benchmark
 from zoneval.zone_eval import (
     evaluate_zones,
@@ -14,7 +16,17 @@ from zoneval.zone_eval import (
     scale_study,
     zp_variance,
 )
-from zoneval.zones import Annular, Grid, StripX, build_partition
+from zoneval.zones import Annular, Custom, Grid, StripX, build_partition
+
+from datagen import random_instance
+
+THREE_ZONES = Custom(
+    (
+        ("top", ((0.0, 0.0, 1.0, 0.3),)),
+        ("bottom-left", ((0.0, 0.3, 0.45, 1.0),)),
+        ("bottom-right", ((0.45, 0.3, 1.0, 1.0),)),
+    )
+)
 
 
 class TestZpVariance:
@@ -199,6 +211,37 @@ class TestEvaluateZones:
         assert defined >= 2  # the scale range leaves something to score
 
 
+class TestZoneOracle:
+    """Every zone's ZP against ap_oracle on that zone's members, cut out by oracle.zone_instance."""
+
+    @pytest.mark.parametrize("cap_after_zone", [False, True], ids=["cap_first", "cap_after_zone"])
+    @pytest.mark.parametrize(
+        "spec", [Annular(3), Grid(2, 2), StripX(4), THREE_ZONES],
+        ids=["annular3", "grid2x2", "strip_x4", "custom3"],
+    )
+    def test_every_zone_matches_oracle(self, spec, cap_after_zone):
+        p = build_partition(spec)
+        rng = np.random.default_rng(23)
+        defined = 0
+        for _ in range(20):
+            ds, dets = random_instance(rng)
+            cap = int(rng.integers(1, 11))
+            for scale_range in (None, (0.0, 32.0**2), (32.0**2, 96.0**2), (64.0, 225.0)):
+                cfg = EvalConfig(max_dets_per_image=cap, scale_range=scale_range,
+                                 cap_after_zone=cap_after_zone)
+                report = evaluate_zones(ds, dets, p, cfg)
+                for zone, got in zip(p.zones, report.zones):
+                    sub_ds, sub_dets = zone_instance(ds, dets, zone, cfg)
+                    assert (got.gt_count, got.det_count) == (len(sub_ds.ground_truths), sub_dets.total)
+                    want = ap_oracle(sub_ds, sub_dets, cfg)
+                    if want is None:
+                        assert got.zp is None
+                    else:
+                        assert got.zp / 100.0 == pytest.approx(want, abs=1e-12)
+                        defined += 1
+        assert defined >= 50
+
+
 class TestCountThenMatch:
     """Only (zone, category) pairs with a countable ground truth are matched."""
 
@@ -228,29 +271,42 @@ class TestCountThenMatch:
 
         ds, dets = self.instance()
         p = build_partition(StripX(2))
-        calls = []
-        real = zone_eval.match_image
+        cfg = EvalConfig()
+        geo = zone_eval._geometry(ds, dets, p, cfg)
+        n_cat, n_gt = len(ds.category_ids), len(geo.gt_cat)
+        countable = zone_eval._positives(geo, cfg) > 0
+        # row d is detection d in its zone, row n_dets + d the same detection in the whole image
+        det_image = np.repeat(np.arange(len(ds.images)),
+                              [len(dets.for_image(img.id)) for img in ds.images])
 
-        def counting(gts, zdets, cfg):
-            calls.append((gts, zdets))
-            return real(gts, zdets, cfg)
+        def groups(live):
+            """(zone index, n_zones for the whole image; category id; image index) of matched rows."""
+            rows = geo.pair_row[live]
+            return {
+                (seg // n_cat, ds.category_ids[seg % n_cat], img)
+                for seg, img in zip(geo.row_seg[rows].tolist(),
+                                    det_image[rows % len(det_image)].tolist())
+            }
 
-        monkeypatch.setattr(zone_eval, "match_image", counting)
-        pruned = evaluate_zones(ds, dets, p)
-        # per image: (x0, category 1) and (full image, category 1); the right
+        live, tp, ignored = zone_eval._match(geo, cfg, countable)
+        # per image: (x0, category 1) and (whole image, category 1); the right
         # strip holds category-1 detections but no category-1 ground truth
-        assert len(calls) == 2 * len(ds.images)
-        for gts, zdets in calls:
-            assert {d.category_id for d in zdets} <= {1}
-            assert [g.category_id for g in gts] == [1]
+        assert groups(live) == {(z, 1, i) for z in (0, len(p.zones)) for i in range(len(ds.images))}
+        gts = geo.pair_slot[live] % n_gt
+        assert {ds.category_ids[c] for c in geo.gt_cat[gts].tolist()} == {1}
+        assert len(set(gts.tolist())) == len(ds.images)  # one category-1 ground truth per image
 
-        calls.clear()
-        every_pair = frozenset(
-            (zid, c) for zid in [*p.zone_ids, zone_eval.FULL_ZONE] for c in ds.category_ids
-        )
-        monkeypatch.setattr(zone_eval, "_countable", lambda *args: every_pair)
+        every = np.ones_like(countable)
+        live_all, tp_all, ignored_all = zone_eval._match(geo, cfg, every)
+        assert len(groups(live_all)) > 2 * len(ds.images)
+        rows = countable[geo.row_seg]
+        assert (tp_all[rows] == tp[rows]).all()
+        assert (ignored_all[rows] == ignored[rows]).all()
+
+        pruned = evaluate_zones(ds, dets, p)
+        real = zone_eval._match
+        monkeypatch.setattr(zone_eval, "_match", lambda g, c, countable: real(g, c, every))
         unpruned = evaluate_zones(ds, dets, p)
-        assert len(calls) > 2 * len(ds.images)
         assert pruned.to_json() == unpruned.to_json()
 
     def test_pool_workers_match_the_same_pairs(self):
