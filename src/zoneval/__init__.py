@@ -34,7 +34,7 @@ from .equilibrium import (
     supervision_density,
 )
 from .errors import IngestError, OutsideImageError, PartitionError, UndefinedStatisticError
-from .matching import DEFAULT_IOU_THRESHOLDS, EvalConfig, MatchTable, ap_from_matches, match_image
+from .matching import DEFAULT_IOU_THRESHOLDS, EvalConfig
 from .synth import QualityProfile, SudokuConfig, ZoneQuality, graded_profile, sudoku_layout, synthetic_benchmark
 from .zone_eval import (
     ScaleStudyReport,

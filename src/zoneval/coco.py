@@ -28,9 +28,11 @@ class BBox:
     h: float
 
     def __post_init__(self) -> None:
-        for v in (self.x, self.y, self.w, self.h):
+        # x + w is finite only if x and w are; finite sides can still overflow
+        # at the far corner or in the area
+        for v in (self.x + self.w, self.y + self.h, self.w * self.h):
             if not math.isfinite(v):
-                raise IngestError(f"non-finite bbox coordinate in {self!r}")
+                raise IngestError(f"non-finite bbox corner or area in {self!r}")
         if self.w <= 0 or self.h <= 0:
             raise IngestError(f"bbox dimensions must be positive, got w={self.w}, h={self.h}")
 
@@ -116,9 +118,23 @@ class Detection:
     score: float
 
 
+def _id(v) -> int:
+    """An id field as an int; ``int()`` alone would truncate 1.7 to 1."""
+    if isinstance(v, float) and not v.is_integer():
+        raise ValueError(f"id {v!r} is not an integer")
+    return int(v)
+
+
+def _flag(v) -> bool:
+    """A 0/1 flag field; ``bool()`` alone would read the string "0" as true."""
+    if not (isinstance(v, int) and v in (0, 1)):  # bool is an int
+        raise ValueError(f"flag {v!r} is not 0, 1, true or false")
+    return bool(v)
+
+
 def _image_record(rec: dict) -> ImageInfo:
     return ImageInfo(
-        id=int(rec["id"]),
+        id=_id(rec["id"]),
         width=float(rec["width"]),
         height=float(rec["height"]),
         file_name=str(rec.get("file_name", "")),
@@ -126,19 +142,29 @@ def _image_record(rec: dict) -> ImageInfo:
 
 
 def _category_record(rec: dict) -> Category:
-    return Category(id=int(rec["id"]), name=str(rec["name"]))
+    return Category(id=_id(rec["id"]), name=str(rec["name"]))
 
 
 def _annotation_record(rec: dict) -> GroundTruth:
     x, y, w, h = rec["bbox"]
     bbox = BBox(float(x), float(y), float(w), float(h))
     return GroundTruth(
-        id=int(rec["id"]),
-        image_id=int(rec["image_id"]),
-        category_id=int(rec["category_id"]),
+        id=_id(rec["id"]),
+        image_id=_id(rec["image_id"]),
+        category_id=_id(rec["category_id"]),
         bbox=bbox,
         area=bbox.area if rec.get("area") is None else float(rec["area"]),
-        ignore=bool(rec.get("iscrowd", 0)),
+        ignore=_flag(rec.get("iscrowd", 0)),
+    )
+
+
+def _detection_record(rec: dict) -> Detection:
+    x, y, w, h = rec["bbox"]
+    return Detection(
+        image_id=_id(rec["image_id"]),
+        category_id=_id(rec["category_id"]),
+        bbox=BBox(float(x), float(y), float(w), float(h)),
+        score=float(rec["score"]),
     )
 
 
@@ -275,26 +301,7 @@ class DetectionSet:
 
     @classmethod
     def from_coco_list(cls, data: list, dataset: Dataset) -> "DetectionSet":
-        if not isinstance(data, list):
-            raise IngestError("results file must be a JSON list")
-        dets = []
-        for i, rec in enumerate(data):
-            try:
-                x, y, w, h = rec["bbox"]
-                bbox = BBox(float(x), float(y), float(w), float(h))
-                dets.append(
-                    Detection(
-                        image_id=int(rec["image_id"]),
-                        category_id=int(rec["category_id"]),
-                        bbox=bbox,
-                        score=float(rec["score"]),
-                    )
-                )
-            except IngestError as e:
-                raise IngestError(f"detection #{i}: {e}") from e
-            except (KeyError, TypeError, ValueError, OverflowError) as e:
-                raise IngestError(f"detection #{i}: malformed record ({e})") from e
-        return cls(dets, dataset)
+        return cls(_parse_records(data, "detection", _detection_record), dataset)
 
     def to_coco_list(self) -> list[dict]:
         out = []
@@ -311,15 +318,20 @@ class DetectionSet:
         return out
 
 
-def load_ground_truth(path: str | Path) -> Dataset:
-    """Load and validate a COCO annotation file."""
+def _read_json(path: str | Path):
+    """Parse a JSON file; an unreadable or malformed file raises IngestError."""
     try:
         with open(path) as f:
-            data = json.load(f)
+            return json.load(f)
     except OSError as e:
         raise IngestError(f"cannot read {path}: {e}") from e
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:  # the decoder recurses per nesting level
         raise IngestError(f"{path} is not valid JSON: {e}") from e
+
+
+def load_ground_truth(path: str | Path) -> Dataset:
+    """Load and validate a COCO annotation file."""
+    data = _read_json(path)
     if not isinstance(data, dict):
         raise IngestError(f"{path}: annotation file must be a JSON object")
     return Dataset.from_coco_dict(data)
@@ -327,11 +339,4 @@ def load_ground_truth(path: str | Path) -> Dataset:
 
 def load_detections(path: str | Path, dataset: Dataset) -> DetectionSet:
     """Load a COCO results file and resolve it against a dataset."""
-    try:
-        with open(path) as f:
-            data = json.load(f)
-    except OSError as e:
-        raise IngestError(f"cannot read {path}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise IngestError(f"{path} is not valid JSON: {e}") from e
-    return DetectionSet.from_coco_list(data, dataset)
+    return DetectionSet.from_coco_list(_read_json(path), dataset)

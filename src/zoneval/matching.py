@@ -24,8 +24,10 @@ truth) and IoU thresholds.  ``average_precision`` computes it for many
 (category, threshold) curves in one pass over flat arrays, with the same
 floating-point operations per curve as a curve-by-curve loop.
 
-``match_image``, ``MatchTable`` and ``ap_from_matches`` drive the same kernel
-one group at a time, for callers that hold plain lists of boxes.
+``mean_ap`` and ``threshold_aps`` reduce an (S, T) AP array to one figure
+and to one figure per threshold.  The protocol rules that pick the groups,
+the ignored ground truths and the candidate pairs live in ``zone_eval``,
+the one driver of this kernel.
 """
 
 from __future__ import annotations
@@ -33,8 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .coco import Detection, GroundTruth, iou_matrix, xywh
 
 DEFAULT_IOU_THRESHOLDS = tuple(round(0.5 + 0.05 * i, 2) for i in range(10))
 
@@ -222,106 +222,6 @@ def average_precision(
     return np.ascontiguousarray(out.reshape(t_count, s_count).T)
 
 
-@dataclass
-class MatchFragment:
-    """Matching outcome for one (image, category) group.
-
-    ``scores`` (N) holds the detections' scores in descending order; ``tp``
-    and ``ignored`` (T x N) say per IoU threshold whether each detection is a
-    true positive and whether it is left out of AP.  ``n_pos_gt`` counts the
-    non-ignored ground truths.
-    """
-
-    n_pos_gt: int
-    scores: np.ndarray
-    tp: np.ndarray
-    ignored: np.ndarray
-
-
-def match_image(
-    gts: list[GroundTruth], dets: list[Detection], cfg: EvalConfig
-) -> MatchFragment:
-    """Match one image's detections of one category against its ground truths.
-
-    ``dets`` must already be sorted by descending score and truncated to the
-    per-image cap.  This runs ``greedy_match`` on a single group.
-    """
-    gt_ignored = np.array([g.ignore for g in gts], dtype=bool) | ~in_scale_range(
-        np.array([g.area for g in gts], dtype=float), cfg.scale_range
-    )
-    det_box = xywh([d.bbox for d in dets])
-    ious = iou_matrix(det_box, xywh([g.bbox for g in gts]))
-    row, slot = np.nonzero(ious >= cfg.iou_thresholds[0])
-    iou = ious[row, slot]
-    order, step = pair_order(row, slot, iou, np.zeros(len(dets), dtype=np.int64))
-    tp, ign = greedy_match(row[order], slot[order], iou[order], step,
-                           gt_ignored, len(dets), cfg.iou_thresholds)
-    out_of_range = ~in_scale_range(det_box[:, 2] * det_box[:, 3], cfg.scale_range)
-    ign |= ~tp & out_of_range[:, None]
-    scores = np.array([d.score for d in dets], dtype=float)
-    return MatchFragment(int((~gt_ignored).sum()), scores, tp.T, ign.T)
-
-
-class MatchTable:
-    """Accumulates per-image fragments keyed by category.
-
-    Fragments may arrive in any order; the merged view concatenates them by
-    ascending image id before the global score sort, so the result is
-    independent of insertion order.
-    """
-
-    def __init__(self, category_ids: list[int], n_thresholds: int) -> None:
-        self.category_ids = list(category_ids)
-        self.n_thresholds = n_thresholds
-        self._rank = {c: i for i, c in enumerate(self.category_ids)}
-        self._fragments: dict[int, dict[int, MatchFragment]] = {}
-
-    def add(self, category_id: int, image_id: int, fragment: MatchFragment) -> None:
-        if category_id not in self._rank:
-            raise KeyError(f"category {category_id} is not in the table")
-        per_cat = self._fragments.setdefault(category_id, {})
-        if image_id in per_cat:
-            raise ValueError(f"duplicate fragment for image {image_id}, category {category_id}")
-        per_cat[image_id] = fragment
-
-    def categories(self) -> list[int]:
-        """Categories holding at least one fragment, in ``category_ids`` order."""
-        return sorted(self._fragments, key=self._rank.__getitem__)
-
-    def merged(self, category_id: int) -> MatchFragment:
-        """One category's fragments concatenated by ascending image id.
-
-        ``n_pos_gt`` is their total; the scores are in image order, not yet
-        sorted across images.
-        """
-        frags = [f for _, f in sorted(self._fragments.get(category_id, {}).items())]
-        empty = np.zeros((self.n_thresholds, 0), dtype=bool)
-        return MatchFragment(
-            sum(f.n_pos_gt for f in frags),
-            np.concatenate([np.zeros(0)] + [f.scores for f in frags]),
-            np.concatenate([empty] + [f.tp for f in frags], axis=1),
-            np.concatenate([empty] + [f.ignored for f in frags], axis=1),
-        )
-
-
-def ap_matrix(table: MatchTable, cfg: EvalConfig) -> np.ndarray:
-    """Per-category, per-threshold AP as a (categories, T) array.
-
-    One row per category that holds fragments and a countable ground truth,
-    in ``category_ids`` order; categories without one are omitted.
-    """
-    merged = [m for m in map(table.merged, table.categories()) if m.n_pos_gt > 0]
-    orders = [np.argsort(-m.scores, kind="stable") for m in merged]
-    empty = np.zeros((table.n_thresholds, 0), dtype=bool)
-    return average_precision(
-        np.concatenate([empty] + [m.tp[:, o] for m, o in zip(merged, orders)], axis=1),
-        np.concatenate([empty] + [m.ignored[:, o] for m, o in zip(merged, orders)], axis=1),
-        np.cumsum([0] + [len(o) for o in orders])[:-1],
-        np.array([m.n_pos_gt for m in merged], dtype=np.int64),
-        cfg.recall_grid(),
-    )
-
-
 def mean_ap(aps: np.ndarray) -> float | None:
     """Mean of a (categories, T) AP array over all its entries; None if it has no rows.
 
@@ -336,11 +236,3 @@ def threshold_aps(aps: np.ndarray) -> list[float | None]:
         return [None] * aps.shape[1]
     return np.ascontiguousarray(aps.T).mean(axis=1).tolist()
 
-
-def ap_from_matches(table: MatchTable, cfg: EvalConfig) -> float | None:
-    """Overall AP in [0, 1]: mean over included categories and thresholds.
-
-    Returns None (undefined) when no category has any countable ground truth,
-    which is distinct from a measured 0.0.
-    """
-    return mean_ap(ap_matrix(table, cfg))

@@ -270,9 +270,6 @@ def _build_custom(spec: Custom) -> list[Zone]:
     return zones
 
 
-_VALIDATION_RES = 1000
-
-
 def build_partition(spec: ZoneSpec) -> Partition:
     """Build a partition from a spec and, for custom specs, validate coverage."""
     if isinstance(spec, Annular):
@@ -299,15 +296,19 @@ def build_partition(spec: ZoneSpec) -> Partition:
 
 
 def _validate_cover(p: Partition) -> None:
-    ticks = (np.arange(_VALIDATION_RES) + 0.5) / _VALIDATION_RES
-    us, vs = np.meshgrid(ticks, ticks)
+    """Check that the zones tile [0, 1)^2 exactly, cell by cell of the edge table.
+
+    With 0 and 1 added to the edges, every rectangle covers whole cells, so a
+    cell lies in exactly the zones that contain its lower-left corner.
+    """
+    xs, ys = np.union1d(p._xs, [0.0, 1.0]), np.union1d(p._ys, [0.0, 1.0])
+    us, vs = np.meshgrid(xs[:-1], ys[:-1], indexing="ij")
     counts = p.membership_counts(us, vs)
-    if (counts > 1).any():
-        i, j = np.argwhere(counts > 1)[0]
-        raise PartitionError(f"custom zones overlap near ({us[i, j]:.4f}, {vs[i, j]:.4f})")
-    if (counts == 0).any():
-        i, j = np.argwhere(counts == 0)[0]
-        raise PartitionError(f"custom zones leave a gap near ({us[i, j]:.4f}, {vs[i, j]:.4f})")
+    for bad, what in ((counts > 1, "overlap"), (counts == 0, "leave a gap")):
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            u, v = (xs[i] + xs[i + 1]) / 2, (ys[j] + ys[j + 1]) / 2
+            raise PartitionError(f"custom zones {what} near ({u:.4f}, {v:.4f})")
 
 
 # (kind, CLI syntax, label template) of every spec but Custom

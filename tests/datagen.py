@@ -1,29 +1,105 @@
-"""Vectorized random-data generators for the heavier tests.
+"""Vectorized random-data generators for the heavier tests, and a per-group AP reference.
 
-These make no closed-form promises; they exist so the large determinism and
-runtime checks can build realistic inputs in a couple of seconds.
+The generators make no closed-form promises; they exist so the large
+determinism and runtime checks can build realistic inputs in a couple of
+seconds.  ``match_image`` and ``full_image_ap`` run the matching kernel one
+(image, category) group at a time, so tests can hold the batched pass of
+``evaluate_zones`` against them.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
-from zoneval.coco import BBox, Category, Dataset, Detection, DetectionSet, GroundTruth, ImageInfo
-from zoneval.matching import EvalConfig, MatchTable, ap_from_matches, match_image
+from zoneval.coco import (
+    BBox,
+    Category,
+    Dataset,
+    Detection,
+    DetectionSet,
+    GroundTruth,
+    ImageInfo,
+    iou_matrix,
+    xywh,
+)
+from zoneval.matching import (
+    EvalConfig,
+    average_precision,
+    greedy_match,
+    in_scale_range,
+    mean_ap,
+    pair_order,
+)
+
+
+@dataclass
+class MatchFragment:
+    """Matching outcome for one (image, category) group.
+
+    ``scores`` (N) holds the detections' scores in descending order; ``tp``
+    and ``ignored`` (T x N) say per IoU threshold whether each detection is a
+    true positive and whether it is left out of AP.  ``n_pos_gt`` counts the
+    non-ignored ground truths.
+    """
+
+    n_pos_gt: int
+    scores: np.ndarray
+    tp: np.ndarray
+    ignored: np.ndarray
+
+
+def match_image(gts: list[GroundTruth], dets: list[Detection], cfg: EvalConfig) -> MatchFragment:
+    """Match one image's detections of one category against its ground truths.
+
+    ``dets`` must already be sorted by descending score and truncated to the
+    per-image cap.  This runs ``greedy_match`` on a single group, with the
+    ignore rules (crowd, ground truth or unmatched detection out of the scale
+    range) restated here rather than taken from ``zone_eval``.
+    """
+    gt_ignored = np.array([g.ignore for g in gts], dtype=bool) | ~in_scale_range(
+        np.array([g.area for g in gts], dtype=float), cfg.scale_range
+    )
+    det_box = xywh([d.bbox for d in dets])
+    ious = iou_matrix(det_box, xywh([g.bbox for g in gts]))
+    row, slot = np.nonzero(ious >= cfg.iou_thresholds[0])
+    iou = ious[row, slot]
+    order, step = pair_order(row, slot, iou, np.zeros(len(dets), dtype=np.int64))
+    tp, ign = greedy_match(row[order], slot[order], iou[order], step,
+                           gt_ignored, len(dets), cfg.iou_thresholds)
+    out_of_range = ~in_scale_range(det_box[:, 2] * det_box[:, 3], cfg.scale_range)
+    ign |= ~tp & out_of_range[:, None]
+    scores = np.array([d.score for d in dets], dtype=float)
+    return MatchFragment(int((~gt_ignored).sum()), scores, tp.T, ign.T)
 
 
 def full_image_ap(ds: Dataset, dets: DetectionSet, cfg: EvalConfig) -> float | None:
-    """Whole-image AP from match_image fragments: the array kernel, one group at a time.
+    """Whole-image AP from match_image groups: the array kernel, one group at a time.
 
     Every (image, category) group is matched on its own, with nothing pruned,
-    so tests can hold the batched pass of evaluate_zones against it.
+    so tests can hold the batched pass of evaluate_zones against it.  Each
+    category with a countable ground truth joins its groups in image order
+    and sorts them stably by score before ``average_precision``.
     """
-    table = MatchTable(ds.category_ids, len(cfg.iou_thresholds))
-    for img in ds.images:
-        capped = dets.for_image(img.id)[: cfg.max_dets_per_image]
-        for cat in ds.category_ids:
-            cgts = [g for g in ds.gts_by_image[img.id] if g.category_id == cat]
-            cdets = [d for d in capped if d.category_id == cat]
-            table.add(cat, img.id, match_image(cgts, cdets, cfg))
-    return ap_from_matches(table, cfg)
+    tp, ignored, n_pos = [], [], []
+    for cat in ds.category_ids:
+        frags = [
+            match_image([g for g in ds.gts_by_image[img.id] if g.category_id == cat],
+                        [d for d in dets.for_image(img.id)[: cfg.max_dets_per_image]
+                         if d.category_id == cat], cfg)
+            for img in ds.images
+        ]
+        pos = sum(f.n_pos_gt for f in frags)
+        if pos == 0:
+            continue
+        order = np.argsort(-np.concatenate([f.scores for f in frags]), kind="stable")
+        tp.append(np.concatenate([f.tp for f in frags], axis=1)[:, order])
+        ignored.append(np.concatenate([f.ignored for f in frags], axis=1)[:, order])
+        n_pos.append(pos)
+    if not n_pos:
+        return None
+    starts = np.cumsum([0] + [t.shape[1] for t in tp])[:-1]
+    return mean_ap(average_precision(np.concatenate(tp, axis=1), np.concatenate(ignored, axis=1),
+                                     starts, np.array(n_pos), cfg.recall_grid()))
 
 
 def random_instance(rng: np.random.Generator) -> tuple[Dataset, DetectionSet]:

@@ -1,8 +1,17 @@
+import copy
 import csv
+import functools
+import io
 import json
 import math
+import operator
+import tempfile
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zoneval.cli import main
 from zoneval.synth import QualityProfile, ZoneQuality, synthetic_benchmark
@@ -450,6 +459,13 @@ class TestIngestErrors:
             (_gt_doc(annotations=[{"id": 1, "image_id": 1, "category_id": 1, "bbox": [1, 1, 2, 2],
                                    "area": math.nan}]), ["annotation 1", "area must be positive"]),
             (_gt_doc(annotations={}), ["annotation records"]),
+            (_gt_doc(annotations=[{"id": 1, "image_id": 1.7, "category_id": 1, "bbox": [1, 1, 2, 2]}]),
+             ["annotation 1", "1.7 is not an integer"]),
+            (_gt_doc(annotations=[{"id": 1, "image_id": 1, "category_id": 1, "bbox": [1, 1, 2, 2],
+                                   "iscrowd": "0"}]), ["annotation 1", "'0'"]),
+            (_gt_doc(annotations=[{"id": 1, "image_id": 1, "category_id": 1,
+                                   "bbox": [1e308, 1e308, 1e308, 1e308]}]),
+             ["annotation 1", "non-finite bbox corner or area"]),
         ],
     )
     def test_bad_ground_truth_record(self, tmp_path, capsys, doc, names):
@@ -459,6 +475,36 @@ class TestIngestErrors:
         assert code == 1
         for name in names:
             assert name in err
+
+    @pytest.mark.parametrize(
+        "records,names",
+        [
+            ([5], ["detection #0 is not a JSON object"]),
+            ([{"image_id": 1.7, "category_id": 1, "bbox": [1, 1, 2, 2], "score": 0.5}],
+             ["detection #0", "1.7 is not an integer"]),
+            ([{"image_id": 1, "category_id": 1, "bbox": [1e308, 1e308, 1e308, 1e308], "score": 0.5}],
+             ["detection #0", "non-finite bbox corner or area"]),
+            ([{"image_id": 1, "category_id": 1, "bbox": [0, 0, 1e200, 1e200], "score": 0.5}],
+             ["detection #0", "non-finite bbox corner or area"]),
+        ],
+    )
+    def test_bad_results_record(self, tmp_path, capsys, records, names):
+        gt, dt = tmp_path / "gt.json", tmp_path / "dt.json"
+        gt.write_text(json.dumps(_gt_doc(annotations=[
+            {"id": 1, "image_id": 1, "category_id": 1, "bbox": [1, 1, 2, 2]}])))
+        dt.write_text(json.dumps(records))
+        code, err = self._run(["eval", "--gt", str(gt), "--dt", str(dt)], capsys)
+        assert code == 1
+        for name in names:
+            assert name in err
+
+    def test_results_nested_past_the_recursion_limit(self, tmp_path, capsys):
+        gt, dt = tmp_path / "gt.json", tmp_path / "dt.json"
+        gt.write_text(json.dumps(_gt_doc()))
+        dt.write_text("[" * 100_000 + "]" * 100_000)
+        code, err = self._run(["eval", "--gt", str(gt), "--dt", str(dt)], capsys)
+        assert code == 1
+        assert "dt.json is not valid JSON" in err
 
     @pytest.mark.parametrize("text,problem", [("", "empty heatmap"), ("\r\n", "empty heatmap"),
                                               ("1,2\r\n3\r\n", "rows differ"),
@@ -482,3 +528,78 @@ class TestIngestErrors:
                               capsys)
         assert code == 1
         assert str(zones) in err and "zone 'a'" in err
+
+
+_FUZZ_GT = {
+    "images": [{"id": 1, "width": 100, "height": 80, "file_name": "a.jpg"},
+               {"id": 2, "width": 64, "height": 64}],
+    "annotations": [
+        {"id": 1, "image_id": 1, "category_id": 1, "bbox": [10, 10, 20, 20], "area": 400, "iscrowd": 0},
+        {"id": 2, "image_id": 1, "category_id": 2, "bbox": [50, 30, 30, 40], "iscrowd": 0},
+        {"id": 3, "image_id": 2, "category_id": 1, "bbox": [5, 5, 40, 40], "area": 1600, "iscrowd": 1},
+        {"id": 4, "image_id": 2, "category_id": 1, "bbox": [20, 20, 30, 30]},
+    ],
+    "categories": [{"id": 1, "name": "a"}, {"id": 2, "name": "b"}],
+}
+_FUZZ_DT = [
+    {"image_id": 1, "category_id": 1, "bbox": [11, 10, 20, 20], "score": 0.9},
+    {"image_id": 1, "category_id": 2, "bbox": [50, 32, 30, 38], "score": 0.8},
+    {"image_id": 2, "category_id": 1, "bbox": [21, 19, 30, 30], "score": 0.7},
+    {"image_id": 2, "category_id": 1, "bbox": [0, 0, 10, 10], "score": 0.2},
+]
+_DROP = object()  # drop the key or list item; at the root, an empty file
+# wrong types and containers, NaN and +-inf, 1e308, fractional and huge ids, a string flag
+_FUZZ_VALUES = [None, True, "x", "0", [], {}, [1, 2], 1.5, 0, -1, math.nan, math.inf, -math.inf,
+                1e308, -1e308, 10**30]
+
+
+def _paths(node, prefix=()):
+    """The path of every node of a JSON document, the root included."""
+    yield prefix
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _paths(child, prefix + (key,))
+
+
+def _mutated(doc, path, value):
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    parent = functools.reduce(operator.getitem, path[:-1], doc)
+    if value is _DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+class TestErrorContractFuzz:
+    """Mutated input files end in exit 0, 1 or 2 with at most one `error:` line.
+
+    Derandomized, so that every run of the suite tries the same examples.
+    """
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_mutated_inputs_keep_the_exit_contract(self, data):
+        docs = {"gt": _FUZZ_GT, "dt": _FUZZ_DT}
+        for _ in range(data.draw(st.integers(1, 3))):
+            name = data.draw(st.sampled_from(sorted(docs)))
+            path = data.draw(st.sampled_from(list(_paths(docs[name]))))
+            docs[name] = _mutated(docs[name], path, data.draw(st.sampled_from([_DROP, *_FUZZ_VALUES])))
+        with tempfile.TemporaryDirectory() as tmp:
+            files = {name: Path(tmp) / f"{name}.json" for name in docs}
+            for name, doc in docs.items():
+                files[name].write_text("" if doc is _DROP else json.dumps(doc))
+            err = io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, \
+                    redirect_stdout(io.StringIO()), redirect_stderr(err):
+                warnings.simplefilter("always")
+                code = main(["eval", "--gt", str(files["gt"]), "--dt", str(files["dt"]),
+                             "--out", str(Path(tmp) / "report.json")])
+        lines = err.getvalue().splitlines()
+        assert code in (0, 1, 2)
+        assert not caught, [str(w.message) for w in caught]
+        assert all(line.startswith(("error: ", "warning: zone ")) for line in lines), lines
+        errors = sum(line.startswith("error: ") for line in lines)
+        assert errors == (code == 1), lines

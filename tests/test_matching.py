@@ -2,17 +2,12 @@ import numpy as np
 import pytest
 
 from zoneval.coco import BBox, Category, Dataset, Detection, DetectionSet, GroundTruth, ImageInfo
-from zoneval.matching import (
-    EvalConfig,
-    MatchTable,
-    ap_from_matches,
-    ap_matrix,
-    match_image,
-    threshold_aps,
-)
+from zoneval.matching import EvalConfig
 from zoneval.oracle import ap_oracle
+from zoneval.zone_eval import evaluate_zones
+from zoneval.zones import Annular, build_partition
 
-from datagen import full_image_ap, random_instance
+from datagen import full_image_ap, match_image, random_instance
 
 
 def gt(gid, bbox, cat=1, img=1, ignore=False):
@@ -247,35 +242,11 @@ class TestApFromMatches:
     def test_per_threshold_view_matches_overall(self):
         gts = [gt(i + 1, BBox(60 * i, 10, 20, 20)) for i in range(3)]
         dets = [det(gts[0].bbox, 0.9), det(gts[1].bbox, 0.7)]
-        cfg = EvalConfig()
-        ds, dset = single_image_instance(gts, dets)
-        table = MatchTable(ds.category_ids, len(cfg.iou_thresholds))
-        for img in ds.images:
-            for cat in ds.category_ids:
-                cg = [g for g in ds.gts_by_image[img.id] if g.category_id == cat]
-                cd = [d for d in dset.for_image(img.id) if d.category_id == cat]
-                table.add(cat, img.id, match_image(cg, cd, cfg))
-        per_t = threshold_aps(ap_matrix(table, cfg))
-        assert np.mean(per_t) == pytest.approx(ap_from_matches(table, cfg), abs=1e-12)
-
-    def test_categories_follow_table_order(self):
-        table = MatchTable([3, 1, 2], 1)
-        frag = match_image([], [], EvalConfig(iou_thresholds=(0.5,)))
-        table.add(2, 1, frag)
-        table.add(3, 5, frag)
-        assert table.categories() == [3, 2]
-        merged = table.merged(1)
-        assert merged.n_pos_gt == 0
-        assert entries(merged) == [[]]
-        with pytest.raises(KeyError):
-            table.add(9, 1, frag)
-
-    def test_duplicate_fragment_rejected(self):
-        table = MatchTable([1], 1)
-        frag = match_image([], [], EvalConfig(iou_thresholds=(0.5,)))
-        table.add(1, 1, frag)
-        with pytest.raises(ValueError):
-            table.add(1, 1, frag)
+        report = evaluate_zones(*single_image_instance(gts, dets), build_partition(Annular(1)),
+                                EvalConfig())
+        (zone,) = report.zones
+        assert np.mean(zone.zp_by_threshold) == pytest.approx(zone.zp, abs=1e-10)
+        assert zone.zp == report.full_ap
 
 
 class TestOracle:
@@ -407,22 +378,3 @@ class TestApInvariants:
         d_tp = det(g2.bbox, 0.6)
         after = full_image_ap(*single_image_instance([g1, g2], [d_hit, d_tp]), cfg)
         assert after >= before
-
-    def test_insertion_order_independence(self):
-        ds, dset = self._instance(seed=5)
-        cfg = EvalConfig()
-        n_thr = len(cfg.iou_thresholds)
-
-        def table_for(image_order):
-            table = MatchTable(ds.category_ids, n_thr)
-            for img in image_order:
-                capped = dset.for_image(img.id)[: cfg.max_dets_per_image]
-                for cat in ds.category_ids:
-                    cg = [g for g in ds.gts_by_image[img.id] if g.category_id == cat]
-                    cd = [d for d in capped if d.category_id == cat]
-                    table.add(cat, img.id, match_image(cg, cd, cfg))
-            return ap_from_matches(table, cfg)
-
-        forward = table_for(ds.images)
-        backward = table_for(list(reversed(ds.images)))
-        assert forward == backward

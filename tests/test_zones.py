@@ -102,6 +102,17 @@ class TestBuildPartition:
         with pytest.raises(PartitionError, match="gap"):
             build_partition(spec)
 
+    @pytest.mark.parametrize("left_x1,right_x0,what", [(0.5, 0.5004, "leave a gap"),
+                                                       (0.5004, 0.5, "overlap")])
+    def test_custom_thin_seam_detected(self, left_x1, right_x0, what):
+        # a seam 0.0004 wide, which a 1000 x 1000 sampling grid steps over
+        spec = Custom((
+            ("a", ((0.0, 0.0, left_x1, 1.0),)),
+            ("b", ((right_x0, 0.0, 1.0, 1.0),)),
+        ))
+        with pytest.raises(PartitionError, match=rf"{what} near \(0\.5002, 0\.5000\)"):
+            build_partition(spec)
+
     def test_custom_valid(self):
         spec = Custom(
             (
