@@ -3,19 +3,21 @@
 Feature vectors for the pattern distance are external input (JSON lines, one
 record per line); this module only aggregates them.  The extractor that
 produced them is out of scope: any per-object embedding of fixed dimension
-works, tagged with its train/test split and in/out zone.
+works, tagged with its train/test split and in/out zone.  Each line goes
+through the COCO decoder and record parser, so a malformed one raises
+``IngestError`` naming the file and the line.
 """
 
 from __future__ import annotations
 
-import json
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .coco import Dataset
+from .coco import Dataset, _decode_json, _id, _parse_records, _read_text
 from .errors import IngestError, UndefinedStatisticError
 from .zone_eval import scale_bins
 from .zones import Grid, build_partition, gt_zone_counts
@@ -127,35 +129,31 @@ class FeatureRecord:
             raise IngestError(f"bad split {self.split!r}")
         if self.zone_tag not in ("in", "out"):
             raise IngestError(f"bad zone_tag {self.zone_tag!r}")
-        if self.scale <= 0:
-            raise IngestError("scale must be positive")
+        if not 0 < self.scale < math.inf:
+            raise IngestError(f"scale (object area) must be finite and positive, got {self.scale}")
+        if not (self.vector and all(map(math.isfinite, self.vector))):
+            raise IngestError("vector must be a non-empty list of finite numbers")
+
+
+def _feature_record(rec: dict) -> FeatureRecord:
+    return FeatureRecord(
+        split=rec["split"],
+        zone_tag=rec["zone_tag"],
+        category_id=_id(rec["category_id"]),
+        scale=float(rec["area"]),
+        vector=tuple(float(v) for v in rec["vector"]),
+    )
 
 
 def load_feature_records(path: str | Path) -> list[FeatureRecord]:
     """Read JSON-lines feature records: {split, zone_tag, category_id, area, vector}."""
     records = []
-    with open(path) as f:
-        for ln, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                records.append(
-                    FeatureRecord(
-                        split=rec["split"],
-                        zone_tag=rec["zone_tag"],
-                        category_id=int(rec["category_id"]),
-                        scale=float(rec["area"]),
-                        vector=tuple(float(v) for v in rec["vector"]),
-                    )
-                )
-            except IngestError:
-                raise
-            except (KeyError, TypeError, ValueError, json.JSONDecodeError) as e:
-                raise IngestError(f"{path}:{ln}: malformed feature record ({e})") from e
+    for ln, line in enumerate(_read_text(path).split("\n"), start=1):
+        if line.strip():
+            rec = _decode_json(line, f"{path}:{ln}")
+            records += _parse_records([rec], f"{path}:{ln}: feature record", _feature_record)
     if records and len({len(r.vector) for r in records}) != 1:
-        raise IngestError("feature vectors must share one dimension")
+        raise IngestError(f"{path}: feature vectors must share one dimension")
     return records
 
 
@@ -174,8 +172,8 @@ def pattern_distance(
     which reduces to the full bin*category*dimension product when every group
     is populated.
     """
-    if bin_count < 1 or bin_width <= 0:
-        raise ValueError("bin_count must be >= 1 and bin_width positive")
+    if bin_count < 1 or not 0 < bin_width < math.inf:  # an infinite width never ends the bin list
+        raise ValueError("bin_count must be >= 1 and bin_width finite and positive")
     # K-1 finite bins of width r, then a catch-all
     lows = [lo for lo, _ in scale_bins(bin_width, cap=(bin_count - 1) * bin_width)]
 
@@ -198,9 +196,12 @@ def pattern_distance(
 
     total = 0.0
     terms = 0
-    for key in shared:
-        mean_a = np.mean([r.vector for r in ga[key]], axis=0)
-        mean_b = np.mean([r.vector for r in gb[key]], axis=0)
-        total += float(np.abs(mean_a - mean_b).sum())
-        terms += mean_a.shape[0]
+    with np.errstate(over="ignore"):  # an overflow leaves inf, rejected below
+        for key in shared:
+            mean_a = np.mean([r.vector for r in ga[key]], axis=0)
+            mean_b = np.mean([r.vector for r in gb[key]], axis=0)
+            total += float(np.abs(mean_a - mean_b).sum())
+            terms += mean_a.shape[0]
+    if not math.isfinite(total):
+        raise ValueError("pattern distance overflows: feature values too large")
     return total / terms

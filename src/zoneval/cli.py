@@ -16,9 +16,9 @@ import sys
 from pathlib import Path
 
 from . import analysis, synth
-from .coco import load_detections, load_ground_truth
+from .coco import _id, _parse_records, _read_json, load_detections, load_ground_truth
 from .equilibrium import AssignConfig, anchor_grid, beta_assign, object_density, sela_assign, supervision_density
-from .errors import IngestError, OutsideImageError, PartitionError, UndefinedStatisticError
+from .errors import IngestError, PartitionError, UndefinedStatisticError
 from .matching import DEFAULT_IOU_THRESHOLDS, EvalConfig
 from .zone_eval import evaluate_zones, read_heatmap_csv, write_heatmap_csv
 from .zones import Grid, build_partition, parse_zone_spec
@@ -251,11 +251,9 @@ def cmd_correlate(args: argparse.Namespace) -> int:
     counts = analysis.center_counts(ds, rows, cols)
     curve = analysis.correlate_zp_distribution(heatmaps, counts)
 
-    if args.out:
-        with open(args.out, "w", newline="") as f:
-            curve.write_csv(f)
-    else:
-        curve.write_csv(sys.stdout)
+    buf = io.StringIO()
+    curve.write_csv(buf)
+    _write_text(args.out, buf.getvalue())
     return EXIT_OK
 
 
@@ -279,11 +277,19 @@ def cmd_pattern_distance(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _zone_quality(rec: dict) -> synth.ZoneQuality:
+    return synth.ZoneQuality(
+        recall=float(rec["recall"]),
+        fp_per_tp=float(rec.get("fp_per_tp", 0.0)),
+        loc_jitter=float(rec.get("loc_jitter", 0.0)),
+    )
+
+
 def cmd_synth_sudoku(args: argparse.Namespace) -> int:
-    with open(args.objects) as f:
-        meta = json.load(f)
-    records = meta["objects"] if isinstance(meta, dict) else meta
-    objects = tuple((int(r["source_id"]), int(r["category_id"])) for r in records)
+    meta = _read_json(args.objects)
+    records = meta.get("objects") if isinstance(meta, dict) else meta
+    objects = tuple(_parse_records(records, f"{args.objects}: object",
+                                   lambda rec: (_id(rec["source_id"]), _id(rec["category_id"]))))
     cfg = synth.SudokuConfig(objects=objects, canvas=args.canvas, object_size=args.size)
     ds, manifest = synth.sudoku_layout(cfg)
     Path(args.out_gt).write_text(json.dumps(ds.to_coco_dict(), indent=2, sort_keys=True) + "\n")
@@ -296,14 +302,11 @@ def cmd_synth_sudoku(args: argparse.Namespace) -> int:
 def cmd_synth_bench(args: argparse.Namespace) -> int:
     partition = build_partition(parse_zone_spec(args.partition))
     if args.profile:
-        with open(args.profile) as f:
-            raw = json.load(f)
+        raw = _read_json(args.profile)
+        if not isinstance(raw, dict):
+            raise IngestError(f"{args.profile}: quality profile must be a JSON object")
         zones = {
-            zid: synth.ZoneQuality(
-                recall=float(q["recall"]),
-                fp_per_tp=float(q.get("fp_per_tp", 0.0)),
-                loc_jitter=float(q.get("loc_jitter", 0.0)),
-            )
+            zid: _parse_records([q], f"{args.profile}: zone {zid!r}", _zone_quality)[0]
             for zid, q in raw.items()
         }
         profile = synth.QualityProfile(zones, rng_seed=args.seed)
@@ -420,7 +423,7 @@ def main(argv: list[str] | None = None) -> int:
     except UndefinedStatisticError as e:
         print(f"undefined: {e}", file=sys.stderr)
         return EXIT_UNDEFINED
-    except (IngestError, PartitionError, OutsideImageError, FileNotFoundError, ValueError) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -185,7 +185,7 @@ def _parse_records(records, kind: str, parse) -> list:
     the wrong type or an invalid value.
     """
     if not isinstance(records, list):
-        raise IngestError(f"the {kind} records must be a JSON list")
+        raise IngestError(f"{kind} records must be a JSON list")
     out = []
     for i, rec in enumerate(records):
         if not isinstance(rec, dict):
@@ -318,15 +318,25 @@ class DetectionSet:
         return out
 
 
+def _read_text(path: str | Path) -> str:
+    """A file's text; a missing, unreadable or undecodable file raises IngestError."""
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as e:
+        raise IngestError(f"cannot read {path}: {e}") from e
+
+
+def _decode_json(text: str, where: str | Path):
+    """One JSON document, from a whole file or one line of it; ``where`` names it in errors."""
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as e:  # the decoder recurses per nesting level
+        raise IngestError(f"{where} is not valid JSON: {e}") from e
+
+
 def _read_json(path: str | Path):
     """Parse a JSON file; an unreadable or malformed file raises IngestError."""
-    try:
-        with open(path) as f:
-            return json.load(f)
-    except OSError as e:
-        raise IngestError(f"cannot read {path}: {e}") from e
-    except (json.JSONDecodeError, RecursionError) as e:  # the decoder recurses per nesting level
-        raise IngestError(f"{path} is not valid JSON: {e}") from e
+    return _decode_json(_read_text(path), path)
 
 
 def load_ground_truth(path: str | Path) -> Dataset:

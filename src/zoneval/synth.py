@@ -98,8 +98,10 @@ class ZoneQuality:
     def __post_init__(self) -> None:
         if not 0.0 <= self.recall <= 1.0:
             raise ValueError(f"infeasible profile: recall {self.recall} outside [0, 1]")
-        if self.fp_per_tp < 0 or self.loc_jitter < 0:
-            raise ValueError("fp_per_tp and loc_jitter must be >= 0")
+        # capping fp_per_tp at COCO's 100 detections per image bounds the planting loop;
+        # the jitter is drawn from [-loc_jitter, loc_jitter], a range that must be finite
+        if not (0 <= self.fp_per_tp <= 100 and 0 <= 2 * self.loc_jitter < math.inf):
+            raise ValueError("fp_per_tp must lie in [0, 100] and loc_jitter be finite and >= 0")
 
 
 def _linear_score(quality: float) -> float:

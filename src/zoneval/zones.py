@@ -15,11 +15,14 @@ unique x and y edges of all rectangles cut the plane into cells, each holding
 the first zone (in partition order) that contains its lower-left corner.  A
 point lies in exactly the rectangles that contain its cell's corner, so two
 binary searches reproduce the half-open ``Rect.contains`` test for any spec.
+
+A custom-zones file goes through the COCO reader and record parser
+(``IngestError`` names the file and the zone record); an empty zone, a
+rectangle outside the unit square, an overlap or a gap is a ``PartitionError``.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,8 +30,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .coco import Dataset, ImageInfo, box_centers, xywh
-from .errors import OutsideImageError, PartitionError
+from .coco import Dataset, ImageInfo, _parse_records, _read_json, box_centers, xywh
+from .errors import IngestError, OutsideImageError, PartitionError
 
 _FRAC = Fraction
 
@@ -259,6 +262,8 @@ def _build_grid(rows: int, cols: int) -> list[Zone]:
 def _build_custom(spec: Custom) -> list[Zone]:
     zones = []
     for name, rects in spec.zones:
+        if not rects:
+            raise PartitionError(f"zone {name!r} has no rectangles")
         rect_objs = []
         area = _FRAC(0)
         for x0, y0, x1, y1 in rects:
@@ -346,28 +351,16 @@ def parse_zone_spec(text: str) -> ZoneSpec:
     raise PartitionError(f"cannot parse partition spec {text!r}")
 
 
+def _zone_record(rec: dict) -> tuple[str, tuple]:
+    name, rects = str(rec["name"]), tuple(tuple(map(float, r)) for r in rec["rects"])
+    for r in rects:
+        if len(r) != 4:
+            raise IngestError(
+                f"zone {name!r} has a rectangle of {len(r)} numbers, expected 4 (x0, y0, x1, y1)"
+            )
+    return name, rects
+
+
 def load_custom_spec(path: str | Path) -> Custom:
     """Read a custom-zones JSON file: list of {name, rects: [[x0,y0,x1,y1], ...]}."""
-    try:
-        with open(path) as f:
-            data = json.load(f)
-    except OSError as e:
-        raise PartitionError(f"cannot read zones file {path}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise PartitionError(f"{path} is not valid JSON: {e}") from e
-    if not isinstance(data, list):
-        raise PartitionError(f"{path}: custom zones file must be a JSON list")
-    zones = []
-    for rec in data:
-        try:
-            name, rects = str(rec["name"]), tuple(tuple(map(float, r)) for r in rec["rects"])
-        except (KeyError, TypeError, ValueError) as e:
-            raise PartitionError(f"{path}: malformed zone record {rec!r}") from e
-        for r in rects:
-            if len(r) != 4:
-                raise PartitionError(
-                    f"{path}: zone {name!r} has a rectangle of {len(r)} numbers, "
-                    "expected 4 (x0, y0, x1, y1)"
-                )
-        zones.append((name, rects))
-    return Custom(tuple(zones))
+    return Custom(tuple(_parse_records(_read_json(path), f"{path}: zone", _zone_record)))

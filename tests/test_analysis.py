@@ -269,3 +269,18 @@ class TestFeatureIO:
         path.write_text(json.dumps({"split": "train", "zone_tag": "corner", "category_id": 1, "area": 1.0, "vector": [1]}))
         with pytest.raises(IngestError):
             load_feature_records(path)
+
+    def test_integral_float_category_id_is_accepted(self, tmp_path):
+        path = tmp_path / "features.jsonl"
+        path.write_text(json.dumps({"split": "test", "zone_tag": "out", "category_id": 2.0,
+                                    "area": 9.0, "vector": [3]}))
+        (record,) = load_feature_records(path)
+        assert record.category_id == 2 and isinstance(record.category_id, int)
+
+    def test_overflowing_distance_is_rejected(self):
+        records = [
+            FeatureRecord("train", "in", 1, 100.0, (1e308, 1e308)),
+            FeatureRecord("test", "in", 1, 100.0, (-1e308, -1e308)),
+        ]
+        with np.errstate(all="raise"), pytest.raises(ValueError, match="overflows"):
+            pattern_distance(records, ("train", "in"), ("test", "in"))

@@ -530,6 +530,176 @@ class TestIngestErrors:
         assert str(zones) in err and "zone 'a'" in err
 
 
+    def test_undecodable_ground_truth(self, tmp_path, capsys):
+        gt = tmp_path / "gt.json"
+        gt.write_bytes(b"\xff\xfe\x00{}")
+        code, err = self._run(["density", "--gt", str(gt)], capsys)
+        assert code == 1
+        assert f"cannot read {gt}" in err
+
+    @pytest.mark.parametrize(
+        "text,names",
+        [
+            pytest.param("[" * 100_000 + "]" * 100_000, ["is not valid JSON"], id="nested-too-deep"),
+            (json.dumps({"name": "a", "rects": [[0, 0, 1, 1]]}), ["zone records must be a JSON list"]),
+            (json.dumps([5]), ["zone #0 is not a JSON object"]),
+            (json.dumps([{"rects": [[0, 0, 1, 1]]}]), ["zone #0", "missing field 'name'"]),
+            (json.dumps([{"name": "a", "rects": [[0, 0, 1, "x"]]}]), ["zone #0", "'x'"]),
+            (json.dumps([{"name": "a", "rects": 5}]), ["zone #0", "malformed record"]),
+        ],
+    )
+    def test_bad_custom_zones_file(self, tmp_path, capsys, text, names):
+        gt, zones = tmp_path / "gt.json", tmp_path / "z.json"
+        gt.write_text(json.dumps(_gt_doc()))
+        zones.write_text(text)
+        code, err = self._run(["density", "--gt", str(gt), "--partition", f"custom:@{zones}"],
+                              capsys)
+        assert code == 1
+        assert str(zones) in err
+        for name in names:
+            assert name in err
+
+    def test_custom_zone_without_rectangles(self, bench_files, tmp_path, capsys):
+        gt, dt, _ = bench_files
+        zones = tmp_path / "z.json"
+        zones.write_text(json.dumps([{"name": "a", "rects": [[0, 0, 1, 1]]}, {"name": "b", "rects": []}]))
+        code, err = self._run(["eval", "--gt", str(gt), "--dt", str(dt),
+                               "--partition", f"custom:@{zones}"], capsys)
+        assert code == 1
+        assert "zone 'b' has no rectangles" in err
+
+    @pytest.mark.parametrize(
+        "fields,problem",
+        [
+            ({"vector": []}, "vector must be a non-empty list of finite numbers"),
+            ({"vector": [math.nan, 1.0]}, "vector must be a non-empty list of finite numbers"),
+            ({"vector": [math.inf]}, "vector must be a non-empty list of finite numbers"),
+            ({"area": 0}, "scale (object area) must be finite and positive, got 0"),
+            ({"category_id": 1.7}, "1.7 is not an integer"),
+            ({"area": math.nan}, "scale (object area) must be finite and positive, got nan"),
+            ({"area": math.inf}, "scale (object area) must be finite and positive, got inf"),
+            ({"split": "val"}, "bad split 'val'"),
+            ({"vector": None}, "malformed record"),
+            ({"area": None, "vector": None}, "malformed record"),
+        ],
+    )
+    def test_bad_feature_record(self, tmp_path, capsys, fields, problem):
+        good = {"split": "train", "zone_tag": "in", "category_id": 1, "area": 100.0, "vector": [1.0, 2.0]}
+        feats = tmp_path / "f.jsonl"
+        feats.write_text("\n".join([json.dumps(good), "", json.dumps({**good, "split": "test", **fields})]))
+        code, err = self._run(["pattern-distance", "--features", str(feats),
+                               "--side-a", "train:in", "--side-b", "test:in"], capsys)
+        assert code == 1
+        assert f"{feats}:3: feature record" in err and problem in err
+
+    @pytest.mark.parametrize(
+        "line,names",
+        [
+            pytest.param("[" * 100_000 + "]" * 100_000, ["f.jsonl:1 is not valid JSON"], id="nested-too-deep"),
+            ("{", ["f.jsonl:1 is not valid JSON"]),
+            ("5", ["f.jsonl:1: feature record #0 is not a JSON object"]),
+        ],
+    )
+    def test_bad_feature_line(self, tmp_path, capsys, line, names):
+        feats = tmp_path / "f.jsonl"
+        feats.write_text(line + "\n")
+        code, err = self._run(["pattern-distance", "--features", str(feats)], capsys)
+        assert code == 1
+        for name in names:
+            assert name in err
+
+    def test_feature_path_is_a_directory(self, tmp_path, capsys):
+        code, err = self._run(["pattern-distance", "--features", str(tmp_path)], capsys)
+        assert code == 1
+        assert f"cannot read {tmp_path}" in err
+
+    def test_overflowing_pattern_distance(self, tmp_path, capsys):
+        feats = tmp_path / "f.jsonl"
+        feats.write_text("\n".join(json.dumps({"split": split, "zone_tag": "in", "category_id": 1,
+                                                "area": 100.0, "vector": [v, v]})
+                                    for split, v in (("train", 1e308), ("test", -1e308))))
+        out = tmp_path / "d.json"
+        code, err = self._run(["pattern-distance", "--features", str(feats), "--side-a", "train:in",
+                               "--side-b", "test:in", "--out", str(out)], capsys)
+        assert code == 1
+        assert "pattern distance overflows" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("width", ["inf", "nan", "0"])
+    def test_bad_bin_width(self, tmp_path, capsys, width):
+        feats = tmp_path / "f.jsonl"
+        feats.write_text(json.dumps({"split": "test", "zone_tag": "in", "category_id": 1,
+                                     "area": 100.0, "vector": [1.0]}) + "\n")
+        code, err = self._run(["pattern-distance", "--features", str(feats), "--bin-width", width], capsys)
+        assert code == 1
+        assert "bin_width finite and positive" in err
+
+    @pytest.mark.parametrize(
+        "doc,names",
+        [
+            ([{"source_id": 1}], ["object #0", "missing field 'category_id'"]),
+            ([5], ["object #0 is not a JSON object: 5"]),
+            ({"objects": {"source_id": 1, "category_id": 1}}, ["object records must be a JSON list"]),
+            ({"items": []}, ["object records must be a JSON list"]),
+            ([{"source_id": 1, "category_id": 2}, {"source_id": 1.5, "category_id": 2}],
+             ["object #1", "1.5 is not an integer"]),
+        ],
+    )
+    def test_bad_sudoku_objects(self, tmp_path, capsys, doc, names):
+        meta = tmp_path / "meta.json"
+        meta.write_text(json.dumps(doc))
+        code, err = self._run(["synth", "sudoku", "--objects", str(meta),
+                               "--out-gt", str(tmp_path / "g.json")], capsys)
+        assert code == 1
+        assert str(meta) in err
+        for name in names:
+            assert name in err
+
+    @pytest.mark.parametrize(
+        "doc,names",
+        [
+            ({"z0,1": {}}, ["zone 'z0,1'", "missing field 'recall'"]),
+            ({"a": 1}, ["zone 'a' #0 is not a JSON object: 1"]),
+            ([{"recall": 1.0}], ["quality profile must be a JSON object"]),
+            ({"z0,1": {"recall": math.nan}}, ["zone 'z0,1'", "recall nan outside [0, 1]"]),
+            ({"z0,1": {"recall": 1.0, "fp_per_tp": 1e308}}, ["zone 'z0,1'", "fp_per_tp must lie in [0, 100]"]),
+            ({"z0,1": {"recall": 1.0, "loc_jitter": math.inf}}, ["zone 'z0,1'", "loc_jitter be finite"]),
+            ({"z0,1": {"recall": 1.0, "loc_jitter": 1e308}}, ["zone 'z0,1'", "loc_jitter be finite"]),
+        ],
+    )
+    def test_bad_quality_profile(self, tmp_path, capsys, doc, names):
+        profile = tmp_path / "profile.json"
+        profile.write_text(json.dumps(doc))
+        code, err = self._run(["synth", "bench", "--partition", "annular:1", "--images", "2",
+                               "--objects", "5", "--profile", str(profile),
+                               "--out-gt", str(tmp_path / "g.json"), "--out-dt", str(tmp_path / "d.json")],
+                              capsys)
+        assert code == 1
+        assert str(profile) in err
+        for name in names:
+            assert name in err
+
+
+class TestOutputPaths:
+    """An output path that cannot be written exits 1 with one `error:` line that names it."""
+
+    def test_eval_report_path_is_a_directory(self, bench_files, tmp_path, capsys):
+        gt, dt, _ = bench_files
+        code, err = TestIngestErrors._run(["eval", "--gt", str(gt), "--dt", str(dt),
+                                           "--out", str(tmp_path)], capsys)
+        assert code == 1
+        assert str(tmp_path) in err
+
+    def test_correlate_heatmap_path_is_a_directory(self, tmp_path, capsys):
+        gt = tmp_path / "gt.json"
+        gt.write_text(json.dumps(_gt_doc()))
+        (tmp_path / "heat_t0.50.csv").mkdir()
+        code, err = TestIngestErrors._run(["correlate", "--gt", str(gt), "--heatmap",
+                                           str(tmp_path / "heat.csv"), "--iou", "0.5"], capsys)
+        assert code == 1
+        assert "heat_t0.50.csv" in err
+
+
 _FUZZ_GT = {
     "images": [{"id": 1, "width": 100, "height": 80, "file_name": "a.jpg"},
                {"id": 2, "width": 64, "height": 64}],
@@ -573,33 +743,92 @@ def _mutated(doc, path, value):
     return doc
 
 
+_FUZZ_ZONES = [
+    {"name": "west", "rects": [[0.0, 0.0, 0.5, 1.0]]},
+    {"name": "east", "rects": [[0.5, 0.0, 1.0, 0.5], [0.5, 0.5, 1.0, 1.0]]},
+]
+_FUZZ_FEATURES = [
+    {"split": "train", "zone_tag": "in", "category_id": 1, "area": 100.0, "vector": [1.0, 2.0]},
+    {"split": "test", "zone_tag": "in", "category_id": 1, "area": 120.0, "vector": [1.5, 2.5]},
+    {"split": "train", "zone_tag": "out", "category_id": 2, "area": 5000.0, "vector": [0.0, -1.0]},
+    {"split": "test", "zone_tag": "in", "category_id": 2, "area": 4000.0, "vector": [0.5, 0.0]},
+]
+_FUZZ_OBJECTS = {"objects": [{"source_id": 7, "category_id": 1}, {"source_id": 8, "category_id": 2},
+                             {"source_id": 9, "category_id": 1}]}
+_FUZZ_PROFILE = {"z0,1": {"recall": 0.5, "fp_per_tp": 0.5, "loc_jitter": 2.0}, "z1,2": {"recall": 1.0}}
+
+
+def _file_text(name, doc):
+    """A document as file text: JSON, or for a ``.jsonl`` list one JSON value per line."""
+    if doc is _DROP:
+        return ""
+    if name.endswith(".jsonl") and isinstance(doc, list):
+        return "\n".join(json.dumps(rec) for rec in doc) + "\n"
+    return json.dumps(doc)
+
+
 class TestErrorContractFuzz:
     """Mutated input files end in exit 0, 1 or 2 with at most one `error:` line.
 
     Derandomized, so that every run of the suite tries the same examples.
     """
 
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(st.data())
-    def test_mutated_inputs_keep_the_exit_contract(self, data):
-        docs = {"gt": _FUZZ_GT, "dt": _FUZZ_DT}
+    @staticmethod
+    def _check(data, docs, mutable, argv):
+        """Mutate 1 to 3 nodes of the ``mutable`` documents, write all of them, run ``argv(files, tmp)``."""
+        docs = dict(docs)
         for _ in range(data.draw(st.integers(1, 3))):
-            name = data.draw(st.sampled_from(sorted(docs)))
+            name = data.draw(st.sampled_from(mutable))
             path = data.draw(st.sampled_from(list(_paths(docs[name]))))
             docs[name] = _mutated(docs[name], path, data.draw(st.sampled_from([_DROP, *_FUZZ_VALUES])))
         with tempfile.TemporaryDirectory() as tmp:
-            files = {name: Path(tmp) / f"{name}.json" for name in docs}
+            files = {name: str(Path(tmp) / name) for name in docs}
             for name, doc in docs.items():
-                files[name].write_text("" if doc is _DROP else json.dumps(doc))
+                Path(files[name]).write_text(_file_text(name, doc))
             err = io.StringIO()
             with warnings.catch_warnings(record=True) as caught, \
                     redirect_stdout(io.StringIO()), redirect_stderr(err):
                 warnings.simplefilter("always")
-                code = main(["eval", "--gt", str(files["gt"]), "--dt", str(files["dt"]),
-                             "--out", str(Path(tmp) / "report.json")])
+                code = main(argv(files, Path(tmp)))
         lines = err.getvalue().splitlines()
         assert code in (0, 1, 2)
         assert not caught, [str(w.message) for w in caught]
         assert all(line.startswith(("error: ", "warning: zone ")) for line in lines), lines
         errors = sum(line.startswith("error: ") for line in lines)
         assert errors == (code == 1), lines
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_mutated_inputs_keep_the_exit_contract(self, data):
+        docs = {"gt.json": _FUZZ_GT, "dt.json": _FUZZ_DT}
+        self._check(data, docs, sorted(docs), lambda f, tmp: [
+            "eval", "--gt", f["gt.json"], "--dt", f["dt.json"], "--out", str(tmp / "report.json")])
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_mutated_custom_zones(self, data):
+        docs = {"gt.json": _FUZZ_GT, "dt.json": _FUZZ_DT, "zones.json": _FUZZ_ZONES}
+        self._check(data, docs, ["zones.json"], lambda f, tmp: [
+            "eval", "--gt", f["gt.json"], "--dt", f["dt.json"], "--partition", f"custom:@{f['zones.json']}",
+            "--out", str(tmp / "report.json")])
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_mutated_feature_records(self, data):
+        self._check(data, {"features.jsonl": _FUZZ_FEATURES}, ["features.jsonl"], lambda f, tmp: [
+            "pattern-distance", "--features", f["features.jsonl"], "--side-a", "train:in",
+            "--side-b", "test:in", "--out", str(tmp / "distance.json")])
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_mutated_sudoku_objects(self, data):
+        self._check(data, {"objects.json": _FUZZ_OBJECTS}, ["objects.json"], lambda f, tmp: [
+            "synth", "sudoku", "--objects", f["objects.json"], "--out-gt", str(tmp / "gt.json"),
+            "--out-manifest", str(tmp / "manifest.json")])
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_mutated_quality_profile(self, data):
+        self._check(data, {"profile.json": _FUZZ_PROFILE}, ["profile.json"], lambda f, tmp: [
+            "synth", "bench", "--partition", "annular:2", "--images", "4", "--objects", "20",
+            "--profile", f["profile.json"], "--out-gt", str(tmp / "gt.json"), "--out-dt", str(tmp / "dt.json")])

@@ -113,6 +113,11 @@ class TestBuildPartition:
         with pytest.raises(PartitionError, match=rf"{what} near \(0\.5002, 0\.5000\)"):
             build_partition(spec)
 
+    def test_custom_zone_without_rectangles(self):
+        spec = Custom((("a", ((0.0, 0.0, 1.0, 1.0),)), ("b", ())))
+        with pytest.raises(PartitionError, match="zone 'b' has no rectangles"):
+            build_partition(spec)
+
     def test_custom_valid(self):
         spec = Custom(
             (
