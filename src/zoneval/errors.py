@@ -2,7 +2,7 @@
 
 
 class IngestError(ValueError):
-    """Malformed or inconsistent input file (COCO JSON, profiles, feature records)."""
+    """Malformed or inconsistent input file: COCO JSON, custom zones, feature records, synth inputs."""
 
 
 class PartitionError(ValueError):

@@ -101,7 +101,9 @@ class ZoneQuality:
         # capping fp_per_tp at COCO's 100 detections per image bounds the planting loop;
         # the jitter is drawn from [-loc_jitter, loc_jitter], a range that must be finite
         if not (0 <= self.fp_per_tp <= 100 and 0 <= 2 * self.loc_jitter < math.inf):
-            raise ValueError("fp_per_tp must lie in [0, 100] and loc_jitter be finite and >= 0")
+            raise ValueError(
+                "fp_per_tp must lie in [0, 100] and loc_jitter be >= 0 with 2 * loc_jitter finite"
+            )
 
 
 def _linear_score(quality: float) -> float:

@@ -663,8 +663,8 @@ class TestIngestErrors:
             ([{"recall": 1.0}], ["quality profile must be a JSON object"]),
             ({"z0,1": {"recall": math.nan}}, ["zone 'z0,1'", "recall nan outside [0, 1]"]),
             ({"z0,1": {"recall": 1.0, "fp_per_tp": 1e308}}, ["zone 'z0,1'", "fp_per_tp must lie in [0, 100]"]),
-            ({"z0,1": {"recall": 1.0, "loc_jitter": math.inf}}, ["zone 'z0,1'", "loc_jitter be finite"]),
-            ({"z0,1": {"recall": 1.0, "loc_jitter": 1e308}}, ["zone 'z0,1'", "loc_jitter be finite"]),
+            ({"z0,1": {"recall": 1.0, "loc_jitter": math.inf}}, ["zone 'z0,1'", "2 * loc_jitter finite"]),
+            ({"z0,1": {"recall": 1.0, "loc_jitter": 1e308}}, ["zone 'z0,1'", "2 * loc_jitter finite"]),
         ],
     )
     def test_bad_quality_profile(self, tmp_path, capsys, doc, names):
