@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .coco import Dataset, _decode_json, _id, _parse_records, _read_text
+from .coco import Dataset, _decode_json, _id, _parse_record, _read_text
 from .errors import IngestError, UndefinedStatisticError
 from .zone_eval import scale_bins
 from .zones import Grid, build_partition, gt_zone_counts
@@ -151,7 +151,7 @@ def load_feature_records(path: str | Path) -> list[FeatureRecord]:
     for ln, line in enumerate(_read_text(path).split("\n"), start=1):
         if line.strip():
             rec = _decode_json(line, f"{path}:{ln}")
-            records += _parse_records([rec], f"{path}:{ln}: feature record", _feature_record)
+            records.append(_parse_record(rec, f"{path}:{ln}: feature record", _feature_record))
     if records and len({len(r.vector) for r in records}) != 1:
         raise IngestError(f"{path}: feature vectors must share one dimension")
     return records

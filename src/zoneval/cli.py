@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import analysis, synth
-from .coco import _id, _parse_records, _read_json, load_detections, load_ground_truth
+from .coco import _id, _parse_record, _parse_records, _read_json, load_detections, load_ground_truth
 from .equilibrium import AssignConfig, anchor_grid, beta_assign, object_density, sela_assign, supervision_density
 from .errors import IngestError, PartitionError, UndefinedStatisticError
 from .matching import DEFAULT_IOU_THRESHOLDS, EvalConfig
@@ -42,6 +42,15 @@ def _parse_thresholds(text: str) -> tuple[float, ...]:
         n = int(round((stop - start) / step)) + 1
         return tuple(round(start + i * step, 10) for i in range(n))
     return tuple(float(p) for p in text.split(","))
+
+
+def _parse_anchor_grid(text: str) -> tuple[int, int]:
+    """Parse 'COLSxROWS', the anchor lattice of ``sela``."""
+    try:
+        cols, rows = map(int, text.split("x"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected COLSxROWS, got {text!r}") from None
+    return cols, rows
 
 
 def _parse_scale_range(text: str) -> tuple[float, float] | None:
@@ -179,7 +188,7 @@ def cmd_density(args: argparse.Namespace) -> int:
 def cmd_sela(args: argparse.Namespace) -> int:
     ds = load_ground_truth(args.gt)
     partition = build_partition(parse_zone_spec(args.partition))
-    cols, rows = (int(v) for v in args.anchor_grid.split("x"))
+    cols, rows = args.anchor_grid
 
     rows_out = []
     for img in ds.images:
@@ -306,7 +315,7 @@ def cmd_synth_bench(args: argparse.Namespace) -> int:
         if not isinstance(raw, dict):
             raise IngestError(f"{args.profile}: quality profile must be a JSON object")
         zones = {
-            zid: _parse_records([q], f"{args.profile}: zone {zid!r}", _zone_quality)[0]
+            zid: _parse_record(q, f"{args.profile}: zone {zid!r}", _zone_quality)
             for zid, q in raw.items()
         }
         profile = synth.QualityProfile(zones, rng_seed=args.seed)
@@ -360,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sela", help="simulate label assignment over an anchor grid")
     p.add_argument("--gt", required=True)
     p.add_argument("--partition", default="annular:5")
-    p.add_argument("--anchor-grid", default="8x8", metavar="COLSxROWS")
+    p.add_argument("--anchor-grid", type=_parse_anchor_grid, default="8x8", metavar="COLSxROWS")
     p.add_argument("--anchor-size", type=float, default=None, help="anchor box side, pixels")
     p.add_argument("--t", type=float, default=0.5, help="positive IoU threshold")
     p.add_argument("--gamma", type=float, default=0.0, help="spatial relaxation strength")

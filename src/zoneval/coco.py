@@ -168,9 +168,8 @@ def _detection_record(rec: dict) -> Detection:
     )
 
 
-def _record_error(kind: str, i: int, rec: dict, e: Exception) -> str:
-    """Message for a record that failed to parse, naming it by id, else by position."""
-    name = f"{kind} {rec['id']}" if "id" in rec else f"{kind} #{i}"
+def _record_error(name: str, e: Exception) -> str:
+    """Message for the record ``name`` that failed to parse."""
     if isinstance(e, IngestError):  # ImageInfo names its image already
         return str(e) if str(e).startswith(f"{name}:") else f"{name}: {e}"
     if isinstance(e, KeyError):
@@ -178,23 +177,29 @@ def _record_error(kind: str, i: int, rec: dict, e: Exception) -> str:
     return f"{name}: malformed record ({e})"
 
 
-def _parse_records(records, kind: str, parse) -> list:
-    """Parse every record of one top-level list; a malformed record raises IngestError.
+def _parse_record(rec, name: str, parse):
+    """Parse one record, named ``name`` in errors; a malformed record raises IngestError.
 
     Malformed: not an object, missing a required field, or holding a field of
     the wrong type or an invalid value.
     """
+    if not isinstance(rec, dict):
+        raise IngestError(f"{name} is not a JSON object: {rec!r}")
+    try:
+        return parse(rec)
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
+        raise IngestError(_record_error(name, e)) from e
+
+
+def _parse_records(records, kind: str, parse) -> list:
+    """Parse every record of one top-level list, naming each by its id, else by position."""
     if not isinstance(records, list):
         raise IngestError(f"{kind} records must be a JSON list")
-    out = []
-    for i, rec in enumerate(records):
-        if not isinstance(rec, dict):
-            raise IngestError(f"{kind} #{i} is not a JSON object: {rec!r}")
-        try:
-            out.append(parse(rec))
-        except (KeyError, TypeError, ValueError, OverflowError) as e:
-            raise IngestError(_record_error(kind, i, rec, e)) from e
-    return out
+    return [
+        _parse_record(rec, f"{kind} {rec['id']}" if isinstance(rec, dict) and "id" in rec
+                      else f"{kind} #{i}", parse)
+        for i, rec in enumerate(records)
+    ]
 
 
 class Dataset:

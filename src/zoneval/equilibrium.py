@@ -9,6 +9,7 @@ simulations over caller-supplied anchors: no feature-map or stride logic.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -42,9 +43,9 @@ class AssignConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.t <= 1.0:
             raise ValueError("positive IoU threshold t must lie in (0, 1]")
-        if self.gamma < 0.0:
+        if not self.gamma >= 0.0:  # written so that NaN fails
             raise ValueError("gamma must be >= 0")
-        if self.t - self.gamma < 0.0:
+        if not self.t - self.gamma >= 0.0:
             raise ValueError("t - gamma must stay non-negative")
 
 
@@ -57,8 +58,8 @@ def spatial_weight(x: float, y: float, width: float, height: float) -> float:
 
 def se_loss_weight(x: float, y: float, width: float, height: float, gamma: float) -> float:
     """Loss weight factor 1 + gamma * spatial_weight; >= 1 everywhere."""
-    if gamma < 0.0:
-        raise ValueError("gamma must be >= 0")
+    if not 0.0 <= gamma < math.inf:
+        raise ValueError("gamma must be finite and >= 0")
     return 1.0 + gamma * spatial_weight(x, y, width, height)
 
 
@@ -103,6 +104,8 @@ def beta_assign(
     beta = 0 reduces to the plain alpha_pos threshold.  alpha_pos + beta > 1
     makes in-zone positives impossible; that is allowed but warned about.
     """
+    if not (math.isfinite(alpha_pos) and math.isfinite(beta)):
+        raise ValueError(f"alpha_pos and beta must be finite, got {alpha_pos} and {beta}")
     if alpha_pos + beta > 1.0:
         warnings.warn(
             f"alpha_pos + beta = {alpha_pos + beta:g} > 1: no anchor inside zone "
@@ -111,8 +114,7 @@ def beta_assign(
         )
     centers = np.array([a.center for a in anchors], dtype=float).reshape(-1, 2)
     us, vs = normalize_points(centers[:, 0], centers[:, 1], img.width, img.height)
-    cut = np.array([alpha_pos + (beta if zone.contains(u, v) else 0.0)
-                    for u, v in zip(us.tolist(), vs.tolist())])
+    cut = np.where(zone.contains(us, vs), alpha_pos + beta, alpha_pos)
     return _threshold_positives(anchors, gts, cut)
 
 

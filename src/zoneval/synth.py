@@ -14,17 +14,23 @@ manifest.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
 from .coco import BBox, Category, Dataset, Detection, DetectionSet, GroundTruth, ImageInfo, iou, iou_matrix, xywh
 from .matching import DEFAULT_IOU_THRESHOLDS
-from .zone_eval import ZoneReport, ZoneResult, zp_variance
+from .zone_eval import ZoneReport, ZoneResult
 from .zones import Partition, Zone, spec_label
 
 GRID_SIDE = 3  # layout and evaluation grid are both 3x3
+
+# the per-zone-quality benchmark: one category of boxes on equal-size images,
+# scored as by an EvalConfig with its default recall points
+_IMAGE_SIZE = (640.0, 640.0)
+_BOX_SIDE_RANGE = (24.0, 96.0)
+_CATEGORY_ID = 1
+_RECALL_POINTS = 101
 
 
 @dataclass(frozen=True)
@@ -114,7 +120,6 @@ def _linear_score(quality: float) -> float:
 class QualityProfile:
     zones: dict[str, ZoneQuality]
     rng_seed: int = 0
-    score_law: Callable[[float], float] = field(default=_linear_score)
 
 
 def zone_mean_weight(zone: Zone) -> float:
@@ -138,25 +143,22 @@ def graded_profile(
     partition: Partition,
     best_recall: float = 0.95,
     worst_recall: float = 0.4,
-    fp_per_tp: float = 0.0,
     rng_seed: int = 0,
 ) -> QualityProfile:
     """Quality declining from image center to border across the partition."""
     zones = {}
     for z in partition.zones:
         w = zone_mean_weight(z)
-        zones[z.id] = ZoneQuality(
-            recall=best_recall + (worst_recall - best_recall) * w, fp_per_tp=fp_per_tp
-        )
+        zones[z.id] = ZoneQuality(recall=best_recall + (worst_recall - best_recall) * w)
     return QualityProfile(zones, rng_seed=rng_seed)
 
 
-def _closed_form_zp(n_tp: int, n_gt: int, recall_points: int) -> float:
+def _closed_form_zp(n_tp: int, n_gt: int) -> float:
     """Percent ZP of a step PR curve: all TPs ranked above all FPs."""
     if n_tp == 0:
         return 0.0
-    covered = ((recall_points - 1) * n_tp) // n_gt + 1
-    return 100.0 * covered / recall_points
+    covered = ((_RECALL_POINTS - 1) * n_tp) // n_gt + 1
+    return 100.0 * covered / _RECALL_POINTS
 
 
 _FP_IOU_CEILING = 0.45  # planted false positives stay below the lowest threshold
@@ -168,10 +170,6 @@ def synthetic_benchmark(
     center_bias: float,
     profile: QualityProfile,
     partition: Partition,
-    image_size: tuple[float, float] = (640.0, 640.0),
-    box_side_range: tuple[float, float] = (24.0, 96.0),
-    category_id: int = 1,
-    recall_points: int = 101,
 ) -> tuple[Dataset, DetectionSet, ZoneReport]:
     """Generate (ground truth, detections, expected report) for one profile.
 
@@ -193,12 +191,12 @@ def synthetic_benchmark(
             raise ValueError(f"profile missing zone {zid!r}")
 
     rng = np.random.default_rng(profile.rng_seed)
-    width, height = image_size
+    width, height = _IMAGE_SIZE
     images = [
         ImageInfo(id=i + 1, width=width, height=height, file_name=f"synth_{i + 1:06d}")
         for i in range(n_images)
     ]
-    categories = [Category(id=category_id, name="object")]
+    categories = [Category(id=_CATEGORY_ID, name="object")]
 
     gts = []
     centers = []
@@ -209,13 +207,13 @@ def synthetic_benchmark(
             w_spatial = 2.0 * max(abs(u - 0.5), abs(v - 0.5))
             if center_bias == 0.0 or rng.random() < math.exp(-center_bias * w_spatial):
                 break
-        bw = rng.uniform(*box_side_range)
-        bh = rng.uniform(*box_side_range)
+        bw = rng.uniform(*_BOX_SIDE_RANGE)
+        bh = rng.uniform(*_BOX_SIDE_RANGE)
         cx, cy = u * width, v * height
         gt = GroundTruth(
             id=i + 1,
             image_id=img.id,
-            category_id=category_id,
+            category_id=_CATEGORY_ID,
             bbox=BBox(cx - bw / 2.0, cy - bh / 2.0, bw, bh),
             area=bw * bh,
         )
@@ -231,8 +229,6 @@ def synthetic_benchmark(
 
     detections = []
     expected_zones = []
-    undefined = []
-    defined = []
     total_tp = 0
     for zi, zone in enumerate(partition.zones):
         q = profile.zones[zone.id]
@@ -248,22 +244,14 @@ def synthetic_benchmark(
                 dy = rng.uniform(-q.loc_jitter, q.loc_jitter)
                 box = BBox(box.x + dx, box.y + dy, box.w, box.h)
             detections.append(
-                Detection(gt.image_id, category_id, box, profile.score_law(iou(box, gt.bbox)))
+                Detection(gt.image_id, _CATEGORY_ID, box, _linear_score(iou(box, gt.bbox)))
             )
         n_fp = int(round(q.fp_per_tp * n_tp))
         for _ in range(n_fp):
-            detections.append(
-                _plant_false_positive(
-                    rng, zone, images, gts_by_image, box_side_range, category_id, profile
-                )
-            )
+            detections.append(_plant_false_positive(rng, zone, images, gts_by_image))
         total_tp += n_tp
 
-        zp = _closed_form_zp(n_tp, n_gt, recall_points) if n_gt else None
-        if zp is None:
-            undefined.append(zone.id)
-        else:
-            defined.append(zp)
+        zp = _closed_form_zp(n_tp, n_gt) if n_gt else None
         expected_zones.append(
             ZoneResult(
                 zone_id=zone.id,
@@ -279,9 +267,7 @@ def synthetic_benchmark(
         partition=spec_label(partition.spec),
         iou_thresholds=DEFAULT_IOU_THRESHOLDS,
         zones=expected_zones,
-        zp_variance=zp_variance(defined) if defined else None,
-        full_ap=_closed_form_zp(total_tp, n_objects, recall_points),
-        undefined_zones=undefined,
+        full_ap=_closed_form_zp(total_tp, n_objects),
     )
     return ds, DetectionSet(detections, ds), expected
 
@@ -291,9 +277,6 @@ def _plant_false_positive(
     zone: Zone,
     images: list[ImageInfo],
     gts_by_image: dict[int, list[GroundTruth]],
-    box_side_range: tuple[float, float],
-    category_id: int,
-    profile: QualityProfile,
 ) -> Detection:
     """A detection centered in the zone that overlaps no ground truth enough to match."""
     img = images[int(rng.integers(0, len(images)))]
@@ -304,10 +287,10 @@ def _plant_false_positive(
             r = zone.rects[int(rng.choice(len(zone.rects), p=areas / areas.sum()))]
             u = r.x0 + rng.random() * (r.x1 - r.x0)
             v = r.y0 + rng.random() * (r.y1 - r.y0)
-            bw = rng.uniform(*box_side_range) * shrink
-            bh = rng.uniform(*box_side_range) * shrink
+            bw = rng.uniform(*_BOX_SIDE_RANGE) * shrink
+            bh = rng.uniform(*_BOX_SIDE_RANGE) * shrink
             box = BBox(u * img.width - bw / 2.0, v * img.height - bh / 2.0, bw, bh)
             overlaps = iou_matrix(xywh([box]), xywh([g.bbox for g in gts_by_image[img.id]]))
             if (overlaps < _FP_IOU_CEILING).all():
-                return Detection(img.id, category_id, box, profile.score_law(0.0))
+                return Detection(img.id, _CATEGORY_ID, box, _linear_score(0.0))
         shrink /= 2.0

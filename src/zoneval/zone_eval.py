@@ -62,12 +62,18 @@ class ZoneReport:
     partition: str
     iou_thresholds: tuple[float, ...]
     zones: list[ZoneResult]
-    zp_variance: float | None  # percent^2, over zones with defined ZP
     full_ap: float | None  # percent
-    undefined_zones: list[str]
 
-    def zp_series(self) -> list[float | None]:
-        return [z.zp for z in self.zones]
+    @property
+    def undefined_zones(self) -> list[str]:
+        """Zones with no ground truth in any category, whose ZP is undefined."""
+        return [z.zone_id for z in self.zones if z.zp is None]
+
+    @property
+    def zp_variance(self) -> float | None:
+        """Variance (percent^2) of the defined ZPs; None when no zone has one."""
+        defined = [z.zp for z in self.zones if z.zp is not None]
+        return zp_variance(defined) if defined else None
 
     def to_json_dict(self) -> dict:
         return {
@@ -288,20 +294,13 @@ def _evaluate(geo: _Geometry, partition: Partition, cfg: EvalConfig) -> ZoneRepo
     zone_aps = [aps[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
     zone_results = []
-    undefined = []
-    defined_zps = []
     for zid, zaps, n_gt, n_det in zip(partition.zone_ids, zone_aps, geo.gt_counts, geo.det_counts):
         ap = mean_ap(zaps)
         per_thr = threshold_aps(zaps)
-        zp = None if ap is None else 100.0 * ap
-        if zp is None:
-            undefined.append(zid)
-        else:
-            defined_zps.append(zp)
         zone_results.append(
             ZoneResult(
                 zone_id=zid,
-                zp=zp,
+                zp=None if ap is None else 100.0 * ap,
                 zp_by_threshold=[None if v is None else 100.0 * v for v in per_thr],
                 gt_count=n_gt,
                 det_count=n_det,
@@ -314,9 +313,7 @@ def _evaluate(geo: _Geometry, partition: Partition, cfg: EvalConfig) -> ZoneRepo
         partition=spec_label(partition.spec),
         iou_thresholds=cfg.iou_thresholds,
         zones=zone_results,
-        zp_variance=zp_variance(defined_zps) if defined_zps else None,
         full_ap=None if full is None else 100.0 * full,
-        undefined_zones=undefined,
     )
 
 

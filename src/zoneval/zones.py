@@ -10,15 +10,18 @@ Zone areas are computed with rational arithmetic at build time, so e.g. the
 innermost ring of a 5-ring partition has area fraction exactly 0.04 and the
 border union exactly 0.96.
 
-Points are looked up in an edge table built once per partition: the sorted
-unique x and y edges of all rectangles cut the plane into cells, each holding
-the first zone (in partition order) that contains its lower-left corner.  A
-point lies in exactly the rectangles that contain its cell's corner, so two
-binary searches reproduce the half-open ``Rect.contains`` test for any spec.
+Every partition has one edge table, built once: the sorted unique x and y
+edges of all rectangles, with 0 and 1 added, cut the unit square into cells,
+and each half-open rectangle covers whole cells.  Building it counts the
+rectangles over every cell, so an overlap or a gap is a ``PartitionError``
+for every spec, built-in or custom.  ``Partition.assign`` then finds a point's
+zone with two binary searches.  ``Zone.contains`` is the same half-open test
+written out, elementwise over scalars or numpy arrays, for callers that ask
+about one zone and for checks independent of the table.
 
 A custom-zones file goes through the COCO reader and record parser
-(``IngestError`` names the file and the zone record); an empty zone, a
-rectangle outside the unit square, an overlap or a gap is a ``PartitionError``.
+(``IngestError`` names the file and the zone record); an empty zone or a
+rectangle outside the unit square is a ``PartitionError``.
 """
 
 from __future__ import annotations
@@ -75,9 +78,6 @@ class Rect:
     x1: float
     y1: float
 
-    def contains(self, u: float, v: float) -> bool:
-        return self.x0 <= u < self.x1 and self.y0 <= v < self.y1
-
     @property
     def is_empty(self) -> bool:
         return self.x1 <= self.x0 or self.y1 <= self.y0
@@ -90,16 +90,17 @@ class Zone:
         self.id = zone_id
         self.rects = [r for r in rects if not r.is_empty]
         self.area_exact = area_exact
+        self.area_fraction = float(area_exact)
 
-    @property
-    def area_fraction(self) -> float:
-        return float(self.area_exact)
-
-    def contains(self, u: float, v: float) -> bool:
-        return any(r.contains(u, v) for r in self.rects)
+    def contains(self, u, v):
+        """Whether the zone holds each normalized point; elementwise over scalars or arrays."""
+        inside = False
+        for r in self.rects:
+            inside = inside | ((r.x0 <= u) & (u < r.x1) & (r.y0 <= v) & (v < r.y1))
+        return inside
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"Zone({self.id!r}, area={float(self.area_exact):.6f})"
+        return f"Zone({self.id!r}, area={self.area_fraction:.6f})"
 
 
 def annular_rect(i: int, n: int) -> Rect:
@@ -141,7 +142,7 @@ def normalize_points(xs, ys, width, height) -> tuple[np.ndarray, np.ndarray]:
 
 
 class Partition:
-    """Ordered disjoint cover of [0, 1)^2. Immutable after build."""
+    """Ordered disjoint cover of [0, 1)^2, checked when built. Immutable after build."""
 
     def __init__(self, spec: ZoneSpec, zones: list[Zone]) -> None:
         self.spec = spec
@@ -149,16 +150,26 @@ class Partition:
         self.zones_by_id = {z.id: z for z in zones}
         if len(self.zones_by_id) != len(zones):
             raise PartitionError("duplicate zone id in partition")
-        rects = [(k, r) for k, z in enumerate(zones) for r in z.rects]
-        self._xs = np.array(sorted({e for _, r in rects for e in (r.x0, r.x1)}))
-        self._ys = np.array(sorted({e for _, r in rects for e in (r.y0, r.y1)}))
-        # no half-open rectangle contains the largest edge, so the last row and
-        # column stay -1; they also catch points below the first edge (index -1)
+        owner = [k for k, z in enumerate(zones) for _ in z.rects]
+        bounds = np.array([(r.x0, r.x1, r.y0, r.y1) for z in zones for r in z.rects]).reshape(-1, 4)
+        # sorted sets, not np.union1d, which imports numpy.ma on first use
+        self._xs = np.array(sorted({0.0, 1.0, *bounds[:, :2].ravel().tolist()}))
+        self._ys = np.array(sorted({0.0, 1.0, *bounds[:, 2:].ravel().tolist()}))
+        # the last row and column start at edge 1, outside every zone, and stay -1;
+        # they also catch points below the first edge (index -1)
         self._cells = np.full((len(self._xs), len(self._ys)), -1, dtype=np.int32)
-        for k, r in reversed(rects):  # earlier zones overwrite later ones
-            i0, i1 = np.searchsorted(self._xs, (r.x0, r.x1))
-            j0, j1 = np.searchsorted(self._ys, (r.y0, r.y1))
+        cover = np.zeros(self._cells.shape, dtype=np.int32)
+        xi = np.searchsorted(self._xs, bounds[:, :2]).tolist()
+        yj = np.searchsorted(self._ys, bounds[:, 2:]).tolist()
+        for k, (i0, i1), (j0, j1) in zip(owner, xi, yj):
             self._cells[i0:i1, j0:j1] = k
+            cover[i0:i1, j0:j1] += 1
+        # the zones tile [0, 1)^2 iff every cell inside it is covered exactly once
+        for bad, what in ((cover[:-1, :-1] > 1, "overlap"), (cover[:-1, :-1] == 0, "leave a gap")):
+            if bad.any():
+                i, j = np.argwhere(bad)[0]
+                u, v = (self._xs[i] + self._xs[i + 1]) / 2, (self._ys[j] + self._ys[j + 1]) / 2
+                raise PartitionError(f"zones {what} near ({u:.4f}, {v:.4f})")
 
     @property
     def zone_ids(self) -> list[str]:
@@ -199,21 +210,6 @@ class Partition:
         if zone_id not in self.zones_by_id:
             raise PartitionError(f"unknown zone id {zone_id!r}")
         return self.zones_by_id[zone_id].area_fraction
-
-    def membership_counts(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        """Number of zones containing each normalized point (vectorized).
-
-        Equals 1 everywhere for a valid partition; used by validation and
-        property tests.
-        """
-        count = np.zeros(np.broadcast(us, vs).shape, dtype=np.int32)
-        for z in self.zones:
-            for r in z.rects:
-                count += (
-                    (us >= r.x0) & (us < r.x1) & (vs >= r.y0) & (vs < r.y1)
-                ).astype(np.int32)
-        return count
-
 
 def gt_zone_counts(ds: Dataset, partition: Partition) -> np.ndarray:
     """Number of ground-truth box centers per zone, clamped into their images."""
@@ -276,7 +272,7 @@ def _build_custom(spec: Custom) -> list[Zone]:
 
 
 def build_partition(spec: ZoneSpec) -> Partition:
-    """Build a partition from a spec and, for custom specs, validate coverage."""
+    """Build a partition from a spec; ``Partition`` checks that its zones tile the image."""
     if isinstance(spec, Annular):
         if spec.n < 1:
             raise PartitionError("annular partition needs n >= 1")
@@ -292,28 +288,10 @@ def build_partition(spec: ZoneSpec) -> Partition:
     elif isinstance(spec, Custom):
         if not spec.zones:
             raise PartitionError("custom partition has no zones")
-        p = Partition(spec, _build_custom(spec))
-        _validate_cover(p)
-        return p
+        zones = _build_custom(spec)
     else:
         raise PartitionError(f"unknown zone spec {spec!r}")
     return Partition(spec, zones)
-
-
-def _validate_cover(p: Partition) -> None:
-    """Check that the zones tile [0, 1)^2 exactly, cell by cell of the edge table.
-
-    With 0 and 1 added to the edges, every rectangle covers whole cells, so a
-    cell lies in exactly the zones that contain its lower-left corner.
-    """
-    xs, ys = np.union1d(p._xs, [0.0, 1.0]), np.union1d(p._ys, [0.0, 1.0])
-    us, vs = np.meshgrid(xs[:-1], ys[:-1], indexing="ij")
-    counts = p.membership_counts(us, vs)
-    for bad, what in ((counts > 1, "overlap"), (counts == 0, "leave a gap")):
-        if bad.any():
-            i, j = np.argwhere(bad)[0]
-            u, v = (xs[i] + xs[i + 1]) / 2, (ys[j] + ys[j + 1]) / 2
-            raise PartitionError(f"custom zones {what} near ({u:.4f}, {v:.4f})")
 
 
 # (kind, CLI syntax, label template) of every spec but Custom

@@ -411,6 +411,31 @@ class TestUsageErrors:
         assert code == 1
         assert err.startswith("error: argument --scale-range: ")
 
+    @pytest.mark.parametrize("value", ["8", "8x", "axb"])
+    def test_bad_anchor_grid(self, bench_files, capsys, value):
+        gt, _, _ = bench_files
+        code, err = self._exit_code(["sela", "--gt", str(gt), "--anchor-grid", value], capsys)
+        assert code == 1
+        assert err == f"error: argument --anchor-grid: expected COLSxROWS, got '{value}'\n"
+
+    @pytest.mark.parametrize(
+        "flags,problem",
+        [
+            (["--gamma", "nan"], "gamma must be >= 0"),
+            (["--t", "nan"], "positive IoU threshold t must lie in (0, 1]"),
+            (["--alpha-pos", "nan", "--beta", "0.1", "--beta-zone", "z0,1"], "must be finite"),
+            (["--beta", "nan", "--beta-zone", "z0,1"], "must be finite"),
+            (["--beta", "inf", "--beta-zone", "z0,1"], "must be finite"),
+        ],
+    )
+    def test_non_finite_sela_thresholds(self, bench_files, capsys, flags, problem):
+        gt, _, _ = bench_files
+        code = main(["sela", "--gt", str(gt), "--anchor-size", "20", *flags])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert problem in err
+
     def test_nan_image_width(self, tmp_path, capsys):
         gt = tmp_path / "gt.json"
         gt.write_text(json.dumps({"images": [{"id": 1, "width": float("nan"), "height": 100}],
@@ -597,7 +622,7 @@ class TestIngestErrors:
         [
             pytest.param("[" * 100_000 + "]" * 100_000, ["f.jsonl:1 is not valid JSON"], id="nested-too-deep"),
             ("{", ["f.jsonl:1 is not valid JSON"]),
-            ("5", ["f.jsonl:1: feature record #0 is not a JSON object"]),
+            ("5", ["f.jsonl:1: feature record is not a JSON object: 5"]),
         ],
     )
     def test_bad_feature_line(self, tmp_path, capsys, line, names):
@@ -659,7 +684,7 @@ class TestIngestErrors:
         "doc,names",
         [
             ({"z0,1": {}}, ["zone 'z0,1'", "missing field 'recall'"]),
-            ({"a": 1}, ["zone 'a' #0 is not a JSON object: 1"]),
+            ({"a": 1}, ["zone 'a' is not a JSON object: 1"]),
             ([{"recall": 1.0}], ["quality profile must be a JSON object"]),
             ({"z0,1": {"recall": math.nan}}, ["zone 'z0,1'", "recall nan outside [0, 1]"]),
             ({"z0,1": {"recall": 1.0, "fp_per_tp": 1e308}}, ["zone 'z0,1'", "fp_per_tp must lie in [0, 100]"]),

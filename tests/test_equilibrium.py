@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -74,6 +76,11 @@ class TestSeLossWeight:
     def test_corner_with_gamma(self):
         assert se_loss_weight(0, 0, 600, 600, 0.2) == pytest.approx(1.2)
 
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -0.1])
+    def test_bad_gamma_rejected(self, gamma):
+        with pytest.raises(ValueError, match="gamma must be finite and >= 0"):
+            se_loss_weight(0, 0, 600, 600, gamma)
+
     def test_gamma_zero_anywhere(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
@@ -126,6 +133,11 @@ class TestSelaAssign:
     def test_negative_cut_rejected(self):
         with pytest.raises(ValueError):
             AssignConfig(t=0.3, gamma=0.4)
+
+    @pytest.mark.parametrize("t,gamma", [(0.5, math.nan), (math.nan, 0.0), (0.5, math.inf)])
+    def test_nan_thresholds_rejected(self, t, gamma):
+        with pytest.raises(ValueError):
+            AssignConfig(t=t, gamma=gamma)
 
     def test_superset_monotonicity_randomized(self):
         rng = np.random.default_rng(9)
@@ -188,6 +200,12 @@ class TestBetaAssign:
         with pytest.warns(UserWarning):
             res = beta_assign([perfect], [g], 0.5, 1.0, self.zone("out"), IMG)
         assert res.positives[0] == ()
+
+    @pytest.mark.parametrize("alpha_pos,beta", [(math.nan, 0.1), (0.5, math.nan), (0.5, -math.inf)])
+    def test_non_finite_thresholds_rejected(self, alpha_pos, beta):
+        g = make_gt(1, BBox(280, 280, 40, 40))
+        with pytest.raises(ValueError, match="alpha_pos and beta must be finite"):
+            beta_assign(anchor_grid(IMG, 2, 2), [g], alpha_pos, beta, self.zone("in"), IMG)
 
     def test_beta_raises_bar_inside_zone(self):
         g = make_gt(1, BBox(280, 280, 40, 40))  # central

@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,9 +13,13 @@ from zoneval.zones import (
     Grid,
     StripX,
     StripY,
+    Partition,
+    Rect,
+    Zone,
     annular_rect,
     build_partition,
     load_custom_spec,
+    normalize_points,
     parse_zone_spec,
     spec_label,
 )
@@ -112,6 +117,14 @@ class TestBuildPartition:
         ))
         with pytest.raises(PartitionError, match=rf"{what} near \(0\.5002, 0\.5000\)"):
             build_partition(spec)
+
+    @pytest.mark.parametrize("right_x0,what", [(0.5, "overlap"), (0.7, "leave a gap")])
+    def test_builtin_spec_is_checked_too(self, right_x0, what):
+        # two strips that do not tile the image, labelled with a built-in spec
+        zones = [Zone("x0", [Rect(0.0, 0.0, 0.6, 1.0)], Fraction(3, 5)),
+                 Zone("x1", [Rect(right_x0, 0.0, 1.0, 1.0)], Fraction(2, 5))]
+        with pytest.raises(PartitionError, match=f"zones {what} near"):
+            Partition(StripX(2), zones)
 
     def test_custom_zone_without_rectangles(self):
         spec = Custom((("a", ((0.0, 0.0, 1.0, 1.0),)), ("b", ())))
@@ -216,7 +229,7 @@ class TestCoverage:
         us = (np.arange(997) + 0.5) / 997
         vs = (np.arange(991) + 0.5) / 991
         uu, vv = np.meshgrid(us, vs)
-        counts = p.membership_counts(uu, vv)
+        counts = sum(z.contains(uu, vv) for z in p.zones)
         assert (counts == 1).all()
 
     def test_scalar_lookup_agrees_with_vectorized(self):
@@ -240,6 +253,11 @@ class TestCoverage:
                 xs, ys = us * width, vs * height
                 got = p.assign(xs, ys, width, height)
                 assert got.dtype == np.int32
+                # one array call of Zone.contains per zone, on the normalized probes
+                inside = np.array([z.contains(*normalize_points(xs, ys, width, height))
+                                   for z in p.zones])
+                assert (inside.sum(axis=0) == 1).all()
+                assert (inside.argmax(axis=0) == got).all()
                 for x, y, k in zip(xs.tolist(), ys.tolist(), got.tolist()):
                     assert p.zone_of_clamped((x, y), img) == p.zones[k].id
                     u = min(min(max(x, 0.0), width) / width, math.nextafter(1.0, 0.0))
