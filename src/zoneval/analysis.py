@@ -20,7 +20,7 @@ import numpy as np
 from .coco import Dataset, _decode_json, _id, _parse_record, _read_text
 from .errors import IngestError, UndefinedStatisticError
 from .zone_eval import scale_bins
-from .zones import Grid, build_partition, gt_zone_counts
+from .zones import Grid, build_partition, grid_rows, gt_zone_counts
 
 
 def pearson(x: list[float], y: list[float]) -> float:
@@ -40,18 +40,10 @@ def pearson(x: list[float], y: list[float]) -> float:
 
 def _average_ranks(values: list[float]) -> list[float]:
     """Fractional ranks starting at 1; tied values share the average rank."""
-    order = sorted(range(len(values)), key=lambda i: values[i])
-    ranks = [0.0] * len(values)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        avg = (i + j) / 2.0 + 1.0
-        for k in range(i, j + 1):
-            ranks[order[k]] = avg
-        i = j + 1
-    return ranks
+    a = np.asarray(values, dtype=float)
+    s = np.sort(a)
+    # a tie run holds sorted positions lo .. hi - 1, whose 1-based ranks average (lo + hi + 1) / 2
+    return ((np.searchsorted(s, a, "left") + np.searchsorted(s, a, "right") + 1) / 2).tolist()
 
 
 def spearman(x: list[float], y: list[float]) -> float:
@@ -67,8 +59,8 @@ def center_counts(ds: Dataset, rows: int, cols: int) -> np.ndarray:
     Uses the same half-open grid cells as the zone partitions, so the counts
     line up with grid_heatmap output.
     """
-    # grid zones are numbered row-major
-    return gt_zone_counts(ds, build_partition(Grid(rows, cols))).reshape(rows, cols)
+    partition = build_partition(Grid(rows, cols))
+    return np.array(grid_rows(partition, gt_zone_counts(ds, partition)))
 
 
 @dataclass

@@ -17,11 +17,12 @@ from pathlib import Path
 
 from . import analysis, synth
 from .coco import _id, _parse_record, _parse_records, _read_json, load_detections, load_ground_truth
-from .equilibrium import AssignConfig, anchor_grid, beta_assign, object_density, sela_assign, supervision_density
+from .equilibrium import (AssignConfig, anchor_grid, beta_assign, check_beta, object_density, sela_assign,
+                          supervision_density)
 from .errors import IngestError, PartitionError, UndefinedStatisticError
 from .matching import DEFAULT_IOU_THRESHOLDS, EvalConfig
 from .zone_eval import evaluate_zones, read_heatmap_csv, write_heatmap_csv
-from .zones import Grid, build_partition, parse_zone_spec
+from .zones import Grid, build_partition, grid_rows, parse_zone_spec
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -120,6 +121,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
     dets = load_detections(args.dt, ds)
     partition = build_partition(parse_zone_spec(args.partition))
     cfg = _eval_config(args)
+    base = Path(args.heatmap) if args.heatmap else None
+    if base:
+        if not isinstance(partition.spec, Grid):
+            raise PartitionError("--heatmap requires a grid partition")
+        ts = cfg.iou_thresholds
+        for a, b in zip(ts, ts[1:]):
+            if (path := _threshold_path(base, a)) == _threshold_path(base, b):
+                raise ValueError(f"--iou thresholds {a:g} and {b:g} would share the heatmap file {path}")
 
     report = evaluate_zones(ds, dets, partition, cfg)
     for zid in report.undefined_zones:
@@ -142,20 +151,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
         report.write_csv(buf)
         _write_text(args.out, buf.getvalue())
 
-    if args.heatmap:
-        spec = partition.spec
-        if not isinstance(spec, Grid):
-            raise PartitionError("--heatmap requires a grid partition")
-        # the mean ZP, then one file per threshold; grid zones are numbered row-major
-        base = Path(args.heatmap)
+    if base:
+        # the mean ZP, then one file per threshold
         series = [(base, [z.zp for z in report.zones])] + [
             (_threshold_path(base, t), [z.zp_by_threshold[ti] for z in report.zones])
             for ti, t in enumerate(cfg.iou_thresholds)
         ]
         for path, values in series:
-            rows = [values[r * spec.cols : (r + 1) * spec.cols] for r in range(spec.rows)]
             with open(path, "w", newline="") as f:
-                write_heatmap_csv(rows, f)
+                write_heatmap_csv(grid_rows(partition, values), f)
 
     return EXIT_UNDEFINED if report.full_ap is None else EXIT_OK
 
@@ -189,20 +193,25 @@ def cmd_sela(args: argparse.Namespace) -> int:
     ds = load_ground_truth(args.gt)
     partition = build_partition(parse_zone_spec(args.partition))
     cols, rows = args.anchor_grid
+    # the assignment rule is checked once, so an image-less file fails like any other
+    if args.beta is not None:
+        if args.beta_zone is None:
+            raise PartitionError("--beta requires --beta-zone")
+        zone = partition.zones_by_id.get(args.beta_zone)
+        if zone is None:
+            raise PartitionError(f"--beta-zone {args.beta_zone!r} not in partition")
+        check_beta(args.alpha_pos, args.beta)
+    else:
+        rule = AssignConfig(t=args.t, gamma=args.gamma)
 
     rows_out = []
     for img in ds.images:
         anchors = anchor_grid(img, cols, rows, box_size=args.anchor_size)
         gts = ds.gts_by_image[img.id]
         if args.beta is not None:
-            if args.beta_zone is None:
-                raise PartitionError("--beta requires --beta-zone")
-            zone = partition.zones_by_id.get(args.beta_zone)
-            if zone is None:
-                raise PartitionError(f"--beta-zone {args.beta_zone!r} not in partition")
             result = beta_assign(anchors, gts, args.alpha_pos, args.beta, zone, img)
         else:
-            result = sela_assign(anchors, gts, AssignConfig(t=args.t, gamma=args.gamma), img)
+            result = sela_assign(anchors, gts, rule, img)
         density = supervision_density(result, partition, img)
         for z in density.zones:
             rows_out.append((img.id, z.zone_id, z.count, z.density))

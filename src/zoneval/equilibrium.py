@@ -91,6 +91,12 @@ def sela_assign(
     return _threshold_positives(anchors, gts, cut)
 
 
+def check_beta(alpha_pos: float, beta: float) -> None:
+    """Reject a non-finite threshold of the beta rule."""
+    if not (math.isfinite(alpha_pos) and math.isfinite(beta)):
+        raise ValueError(f"alpha_pos and beta must be finite, got {alpha_pos} and {beta}")
+
+
 def beta_assign(
     anchors: list[Anchor],
     gts: list[GroundTruth],
@@ -104,8 +110,7 @@ def beta_assign(
     beta = 0 reduces to the plain alpha_pos threshold.  alpha_pos + beta > 1
     makes in-zone positives impossible; that is allowed but warned about.
     """
-    if not (math.isfinite(alpha_pos) and math.isfinite(beta)):
-        raise ValueError(f"alpha_pos and beta must be finite, got {alpha_pos} and {beta}")
+    check_beta(alpha_pos, beta)
     if alpha_pos + beta > 1.0:
         warnings.warn(
             f"alpha_pos + beta = {alpha_pos + beta:g} > 1: no anchor inside zone "

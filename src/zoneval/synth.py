@@ -21,7 +21,7 @@ import numpy as np
 from .coco import BBox, Category, Dataset, Detection, DetectionSet, GroundTruth, ImageInfo, iou, iou_matrix, xywh
 from .matching import DEFAULT_IOU_THRESHOLDS
 from .zone_eval import ZoneReport, ZoneResult
-from .zones import Partition, Zone, spec_label
+from .zones import Grid, Partition, Zone, build_partition, spec_label
 
 GRID_SIDE = 3  # layout and evaluation grid are both 3x3
 
@@ -64,6 +64,7 @@ def sudoku_layout(cfg: SudokuConfig) -> tuple[Dataset, list[dict]]:
     cat_ids = sorted({cat for _, cat in cfg.objects})
     categories = [Category(id=c, name=f"category-{c}") for c in cat_ids]
 
+    zone_ids = build_partition(Grid(GRID_SIDE, GRID_SIDE)).zone_ids
     gts = []
     manifest = []
     half = cfg.object_size / 2.0
@@ -88,7 +89,7 @@ def sudoku_layout(cfg: SudokuConfig) -> tuple[Dataset, list[dict]]:
                 "gt_id": gt_id,
                 "image_id": image_id,
                 "cell": [row, col],
-                "zone": f"g{row}_{col}",
+                "zone": zone_ids[cell],
                 "source_id": source_id,
             }
         )

@@ -45,7 +45,7 @@ from .matching import (
     rank_within,
     threshold_aps,
 )
-from .zones import Grid, Partition, build_partition, spec_label
+from .zones import Grid, Partition, build_partition, grid_rows, spec_label
 
 @dataclass
 class ZoneResult:
@@ -418,20 +418,11 @@ def scale_study(
 
 
 def grid_heatmap(
-    ds: Dataset,
-    dets: DetectionSet,
-    rows: int,
-    cols: int,
-    thresholds: tuple[float, ...] | None = None,
-    cfg: EvalConfig | None = None,
+    ds: Dataset, dets: DetectionSet, rows: int, cols: int, cfg: EvalConfig | None = None
 ) -> list[list[float | None]]:
     """ZP matrix over a rows x cols grid; None marks cells without ground truth."""
-    base = cfg or EvalConfig()
-    eff = base if thresholds is None else replace(base, iou_thresholds=tuple(thresholds))
     partition = build_partition(Grid(rows, cols))
-    report = evaluate_zones(ds, dets, partition, eff)
-    by_id = {z.zone_id: z.zp for z in report.zones}
-    return [[by_id[f"g{r}_{c}"] for c in range(cols)] for r in range(rows)]
+    return grid_rows(partition, [z.zp for z in evaluate_zones(ds, dets, partition, cfg).zones])
 
 
 def write_heatmap_csv(matrix: list[list[float | None]], f) -> None:

@@ -19,6 +19,10 @@ zone with two binary searches.  ``Zone.contains`` is the same half-open test
 written out, elementwise over scalars or numpy arrays, for callers that ask
 about one zone and for checks independent of the table.
 
+One builder numbers grid cells row-major (``g{r}_{c}``); ``strip-x:N`` is the
+1 x N grid (``x{k}``), ``strip-y:N`` the N x 1 grid (``y{k}``).  ``grid_rows``
+turns a grid's per-zone values into rows, so no other module knows the layout.
+
 A custom-zones file goes through the COCO reader and record parser
 (``IngestError`` names the file and the zone record); an empty zone or a
 rectangle outside the unit square is a ``PartitionError``.
@@ -231,28 +235,21 @@ def _build_annular(n: int) -> list[Zone]:
     return zones
 
 
-def _build_strips(n: int, axis: str) -> list[Zone]:
-    zones = []
-    for k in range(n):
-        lo, hi = float(_FRAC(k, n)), float(_FRAC(k + 1, n))
-        if axis == "x":
-            rect = Rect(lo, 0.0, hi, 1.0)
-            zid = f"x{k}"
-        else:
-            rect = Rect(0.0, lo, 1.0, hi)
-            zid = f"y{k}"
-        zones.append(Zone(zid, [rect], _FRAC(1, n)))
-    return zones
-
-
-def _build_grid(rows: int, cols: int) -> list[Zone]:
+def _build_grid(rows: int, cols: int, cell_id: str) -> list[Zone]:
+    """Row-major rows x cols cells; the strips are the 1 x N and N x 1 grids."""
     zones = []
     for r in range(rows):
         y0, y1 = float(_FRAC(r, rows)), float(_FRAC(r + 1, rows))
         for c in range(cols):
             x0, x1 = float(_FRAC(c, cols)), float(_FRAC(c + 1, cols))
-            zones.append(Zone(f"g{r}_{c}", [Rect(x0, y0, x1, y1)], _FRAC(1, rows * cols)))
+            zones.append(Zone(cell_id.format(r=r, c=c), [Rect(x0, y0, x1, y1)], _FRAC(1, rows * cols)))
     return zones
+
+
+def grid_rows(partition: Partition, values) -> list:
+    """Per-zone values of a ``grid:RxC`` partition as its R rows of C cells."""
+    rows, cols = partition.spec.rows, partition.spec.cols
+    return [values[r * cols : (r + 1) * cols] for r in range(rows)]
 
 
 def _build_custom(spec: Custom) -> list[Zone]:
@@ -280,11 +277,12 @@ def build_partition(spec: ZoneSpec) -> Partition:
     elif isinstance(spec, (StripX, StripY)):
         if spec.n < 1:
             raise PartitionError("strip partition needs n >= 1")
-        zones = _build_strips(spec.n, "x" if isinstance(spec, StripX) else "y")
+        rows, cols, cell_id = (1, spec.n, "x{c}") if isinstance(spec, StripX) else (spec.n, 1, "y{r}")
+        zones = _build_grid(rows, cols, cell_id)
     elif isinstance(spec, Grid):
         if spec.rows < 1 or spec.cols < 1:
             raise PartitionError("grid partition needs rows, cols >= 1")
-        zones = _build_grid(spec.rows, spec.cols)
+        zones = _build_grid(spec.rows, spec.cols, "g{r}_{c}")
     elif isinstance(spec, Custom):
         if not spec.zones:
             raise PartitionError("custom partition has no zones")

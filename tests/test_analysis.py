@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from zoneval.analysis import (
     FeatureRecord,
+    _average_ranks,
     center_counts,
     correlate_zp_distribution,
     load_feature_records,
@@ -83,6 +84,18 @@ class TestSpearman:
         base = spearman([float(v) for v in xs], ys)
         cubed = spearman([float(v) ** 3 for v in xs], ys)
         assert cubed == pytest.approx(base, abs=1e-9)
+
+
+def _tie_averaged_ranks(values):
+    """Brute force: the 1-based sorted positions of each value's ties, averaged."""
+    order = sorted(values)
+    return [sum(k + 1 for k, w in enumerate(order) if w == v) / order.count(v) for v in values]
+
+
+class TestAverageRanks:
+    @given(st.lists(st.integers(-5, 5), max_size=30))
+    def test_matches_brute_force_tie_averaging(self, values):
+        assert _average_ranks(values) == _tie_averaged_ranks(values)
 
 
 def toy_dataset(centers, size=(600.0, 600.0)):

@@ -426,15 +426,39 @@ class TestUsageErrors:
             (["--alpha-pos", "nan", "--beta", "0.1", "--beta-zone", "z0,1"], "must be finite"),
             (["--beta", "nan", "--beta-zone", "z0,1"], "must be finite"),
             (["--beta", "inf", "--beta-zone", "z0,1"], "must be finite"),
+            (["--beta", "0.1"], "--beta requires --beta-zone"),
+            (["--beta", "0.1", "--beta-zone", "nope"], "--beta-zone 'nope' not in partition"),
         ],
     )
-    def test_non_finite_sela_thresholds(self, bench_files, capsys, flags, problem):
+    def test_non_finite_sela_thresholds(self, bench_files, tmp_path, capsys, flags, problem):
+        # the rule is checked before the per-image loop, so a file without images fails too
         gt, _, _ = bench_files
-        code = main(["sela", "--gt", str(gt), "--anchor-size", "20", *flags])
-        err = capsys.readouterr().err
+        imageless = tmp_path / "imageless.json"
+        imageless.write_text(json.dumps({"images": [], "annotations": [], "categories": []}))
+        for path in (gt, imageless):
+            code = main(["sela", "--gt", str(path), "--anchor-size", "20", *flags])
+            err = capsys.readouterr().err
+            assert code == 1, path
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert problem in err
+
+    @pytest.mark.parametrize(
+        "flags,problem",
+        [
+            (["--partition", "annular:5"], "--heatmap requires a grid partition"),
+            (["--partition", "grid:3x3", "--iou", "0.5,0.501"],
+             "--iou thresholds 0.5 and 0.501 would share the heatmap file {dir}/heat_t0.50.csv"),
+        ],
+    )
+    def test_bad_heatmap_run_writes_nothing(self, bench_files, tmp_path, capsys, flags, problem):
+        gt, dt, _ = bench_files
+        before = set(tmp_path.iterdir())
+        code = main(["eval", "--gt", str(gt), "--dt", str(dt), *flags,
+                     "--out", str(tmp_path / "r.json"), "--heatmap", str(tmp_path / "heat.csv")])
+        out, err = capsys.readouterr()
         assert code == 1
-        assert err.startswith("error: ") and err.count("\n") == 1, err
-        assert problem in err
+        assert err == f"error: {problem.format(dir=tmp_path)}\n"
+        assert out == "" and set(tmp_path.iterdir()) == before
 
     def test_nan_image_width(self, tmp_path, capsys):
         gt = tmp_path / "gt.json"

@@ -428,7 +428,7 @@ class TestGridHeatmap:
 
     def test_2x2_clustered_sentinels(self, clustered):
         ds, dets = clustered
-        matrix = grid_heatmap(ds, dets, 2, 2, thresholds=(0.5,))
+        matrix = grid_heatmap(ds, dets, 2, 2, EvalConfig(iou_thresholds=(0.5,)))
         assert matrix[0][0] == pytest.approx(100.0)
         assert matrix[0][1] is None
         assert matrix[1][0] is None
@@ -443,7 +443,7 @@ class TestGridHeatmap:
             zones[z.id] = ZoneQuality(recall=1.0 if central else 0.5)
         profile = QualityProfile(zones, rng_seed=2)
         ds, dets, _ = synthetic_benchmark(60, 3000, 0.0, profile, p)
-        matrix = grid_heatmap(ds, dets, 11, 11, thresholds=(0.5,))
+        matrix = grid_heatmap(ds, dets, 11, 11, EvalConfig(iou_thresholds=(0.5,)))
         center_vals = [matrix[r][c] for r in range(3, 8) for c in range(3, 8)]
         border_vals = [matrix[0][c] for c in range(11)] + [matrix[10][c] for c in range(11)]
         center_vals = [v for v in center_vals if v is not None]

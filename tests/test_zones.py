@@ -81,6 +81,18 @@ class TestBuildPartition:
         assert p.zone_ids == [f"x{k}" for k in range(5)]
         assert all(p.area_fraction(z) == 0.2 for z in p.zone_ids)
 
+    @pytest.mark.parametrize("n", range(1, 61))
+    def test_strips_are_one_row_or_column_grids(self, n):
+        # the same cells as the grid, cell for cell; only the ids differ
+        def cells(spec):
+            return [([(r.x0, r.y0, r.x1, r.y1) for r in z.rects], z.area_exact, z.area_fraction)
+                    for z in build_partition(spec).zones]
+
+        assert cells(StripX(n)) == cells(Grid(1, n))
+        assert cells(StripY(n)) == cells(Grid(n, 1))
+        assert build_partition(StripX(n)).zone_ids == [f"x{k}" for k in range(n)]
+        assert build_partition(StripY(n)).zone_ids == [f"y{k}" for k in range(n)]
+
     def test_invalid_counts(self):
         with pytest.raises(PartitionError):
             build_partition(Annular(0))
