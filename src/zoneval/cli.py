@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -122,13 +123,23 @@ def cmd_eval(args: argparse.Namespace) -> int:
     partition = build_partition(parse_zone_spec(args.partition))
     cfg = _eval_config(args)
     base = Path(args.heatmap) if args.heatmap else None
+    # every output is checked before any is written, so a failed run leaves none behind
+    outputs = [("--out", Path(args.out))] if args.out else []
     if base:
         if not isinstance(partition.spec, Grid):
             raise PartitionError("--heatmap requires a grid partition")
         ts = cfg.iou_thresholds
-        for a, b in zip(ts, ts[1:]):
-            if (path := _threshold_path(base, a)) == _threshold_path(base, b):
+        heatmaps = [_threshold_path(base, t) for t in ts]
+        for a, b, path, other in zip(ts, ts[1:], heatmaps, heatmaps[1:]):
+            if path == other:
                 raise ValueError(f"--iou thresholds {a:g} and {b:g} would share the heatmap file {path}")
+        outputs += [("--heatmap", path) for path in [base, *heatmaps]]
+    for flag, path in outputs:
+        folder = path.parent
+        why = ("is a directory" if path.is_dir() else f"directory {folder} does not exist" if not folder.is_dir()
+               else None if os.access(path if path.exists() else folder, os.W_OK) else "permission denied")
+        if why:
+            raise OSError(f"{flag} {path}: {why}")
 
     report = evaluate_zones(ds, dets, partition, cfg)
     for zid in report.undefined_zones:
@@ -153,11 +164,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     if base:
         # the mean ZP, then one file per threshold
-        series = [(base, [z.zp for z in report.zones])] + [
-            (_threshold_path(base, t), [z.zp_by_threshold[ti] for z in report.zones])
-            for ti, t in enumerate(cfg.iou_thresholds)
-        ]
-        for path, values in series:
+        series = [[z.zp for z in report.zones], *zip(*(z.zp_by_threshold for z in report.zones))]
+        for path, values in zip([base, *heatmaps], series):
             with open(path, "w", newline="") as f:
                 write_heatmap_csv(grid_rows(partition, values), f)
 

@@ -4,6 +4,13 @@ The accepted files are bit-compatible with the public COCO format, so
 third-party detector outputs evaluate unmodified.  Annotation files carry
 top-level ``images``, ``annotations`` and ``categories`` keys; result files
 are a flat list of ``{image_id, category_id, bbox, score}`` records.
+
+The evaluator reads columns.  ``Dataset`` keeps its objects and builds once the
+``gt_image``, ``gt_category``, ``gt_box``, ``gt_area`` and ``gt_crowd`` columns
+(image order) and ``image_size``.  ``DetectionSet`` holds only the ``image``,
+``category``, ``box`` and ``score`` columns, by image, then descending score
+(image ``i`` at rows ``starts[i]:starts[i + 1]``); ids become indices through
+the dataset's ``{id: index}`` dicts.  ``for_image`` builds ``Detection`` views.
 """
 
 from __future__ import annotations
@@ -28,17 +35,22 @@ class BBox:
     h: float
 
     def __post_init__(self) -> None:
-        # x + w is finite only if x and w are; finite sides can still overflow
-        # at the far corner or in the area
-        for v in (self.x + self.w, self.y + self.h, self.w * self.h):
-            if not math.isfinite(v):
-                raise IngestError(f"non-finite bbox corner or area in {self!r}")
-        if self.w <= 0 or self.h <= 0:
-            raise IngestError(f"bbox dimensions must be positive, got w={self.w}, h={self.h}")
+        _check_box(self.x, self.y, self.w, self.h)
 
     @property
     def area(self) -> float:
         return self.w * self.h
+
+
+def _check_box(x, y, w, h) -> tuple:
+    # x + w is finite only if x and w are; finite sides can still overflow
+    # at the far corner or in the area
+    for v in (x + w, y + h, w * h):
+        if not math.isfinite(v):
+            raise IngestError(f"non-finite bbox corner or area in BBox(x={x!r}, y={y!r}, w={w!r}, h={h!r})")
+    if w <= 0 or h <= 0:
+        raise IngestError(f"bbox dimensions must be positive, got w={w}, h={h}")
+    return x, y, w, h
 
 
 def bbox_center(b: BBox) -> tuple[float, float]:
@@ -158,14 +170,11 @@ def _annotation_record(rec: dict) -> GroundTruth:
     )
 
 
-def _detection_record(rec: dict) -> Detection:
+def _detection_record(rec: dict) -> tuple:
+    """A validated ``(image_id, category_id, x, y, w, h, score)``."""
     x, y, w, h = rec["bbox"]
-    return Detection(
-        image_id=_id(rec["image_id"]),
-        category_id=_id(rec["category_id"]),
-        bbox=BBox(float(x), float(y), float(w), float(h)),
-        score=float(rec["score"]),
-    )
+    ids = _id(rec["image_id"]), _id(rec["category_id"])
+    return (*ids, *_check_box(float(x), float(y), float(w), float(h)), float(rec["score"]))
 
 
 def _record_error(name: str, e: Exception) -> str:
@@ -209,12 +218,8 @@ class Dataset:
     downstream report are deterministic.
     """
 
-    def __init__(
-        self,
-        images: list[ImageInfo],
-        categories: list[Category],
-        ground_truths: list[GroundTruth],
-    ) -> None:
+    def __init__(self, images: list[ImageInfo], categories: list[Category],
+                 ground_truths: list[GroundTruth]) -> None:
         self.images = sorted(images, key=lambda im: im.id)
         self.categories = sorted(categories, key=lambda c: c.id)
         self.ground_truths = sorted(ground_truths, key=lambda g: g.id)
@@ -222,9 +227,11 @@ class Dataset:
         self.images_by_id = {im.id: im for im in self.images}
         if len(self.images_by_id) != len(self.images):
             raise IngestError("duplicate image id")
-        self.categories_by_id = {c.id: c for c in self.categories}
-        if len(self.categories_by_id) != len(self.categories):
+        self.category_index = {c.id: k for k, c in enumerate(self.categories)}
+        if len(self.category_index) != len(self.categories):
             raise IngestError("duplicate category id")
+        self.image_index = {i: k for k, i in enumerate(self.images_by_id)}
+        self.image_ids, self.category_ids = list(self.image_index), list(self.category_index)
 
         seen_ann = set()
         self.gts_by_image: dict[int, list[GroundTruth]] = {im.id: [] for im in self.images}
@@ -234,17 +241,20 @@ class Dataset:
             seen_ann.add(gt.id)
             if gt.image_id not in self.images_by_id:
                 raise IngestError(f"annotation {gt.id} references missing image {gt.image_id}")
-            if gt.category_id not in self.categories_by_id:
-                raise IngestError(
-                    f"annotation {gt.id} references missing category {gt.category_id}"
-                )
+            if gt.category_id not in self.category_index:
+                raise IngestError(f"annotation {gt.id} references missing category {gt.category_id}")
             if not gt.area > 0:  # also rejects NaN
                 raise IngestError(f"annotation {gt.id}: area must be positive, got {gt.area}")
             self.gts_by_image[gt.image_id].append(gt)
 
-    @property
-    def category_ids(self) -> list[int]:
-        return [c.id for c in self.categories]
+        # the columns the evaluator reads: ground truths in image order, by id within an image
+        gts = [g for group in self.gts_by_image.values() for g in group]
+        self.gt_image = np.repeat(np.arange(len(self.images)), [len(v) for v in self.gts_by_image.values()])
+        self.gt_category = np.array([self.category_index[g.category_id] for g in gts], dtype=np.int64)
+        self.gt_box = xywh([g.bbox for g in gts])
+        self.gt_area = np.array([g.area for g in gts], dtype=float)
+        self.gt_crowd = np.array([g.ignore for g in gts], dtype=bool)
+        self.image_size = np.array([(im.width, im.height) for im in self.images], dtype=float).reshape(-1, 2)
 
     @classmethod
     def from_coco_dict(cls, data: dict) -> "Dataset":
@@ -279,48 +289,53 @@ class Dataset:
 
 
 class DetectionSet:
-    """Scored detections grouped by image, each group sorted by descending score.
+    """Scored detections as columns, by image and then by descending score.
 
     Score ties keep input order, so evaluation does not depend on the sort
     implementation.  Immutable after construction.
     """
 
     def __init__(self, detections: list[Detection], dataset: Dataset) -> None:
-        by_image: dict[int, list[Detection]] = {}
-        for i, det in enumerate(detections):
-            if det.image_id not in dataset.images_by_id:
-                raise IngestError(f"detection #{i} references unknown image {det.image_id}")
-            if det.category_id not in dataset.categories_by_id:
-                raise IngestError(f"detection #{i} references unknown category {det.category_id}")
-            if not math.isfinite(det.score):
-                raise IngestError(f"detection #{i} has non-finite score")
-            by_image.setdefault(det.image_id, []).append(det)
-        # sorted() is stable: equal scores preserve input order
-        self.by_image = {
-            img_id: sorted(dets, key=lambda d: -d.score) for img_id, dets in by_image.items()
-        }
-        self.total = len(detections)
+        self._fill([(d.image_id, d.category_id, d.bbox.x, d.bbox.y, d.bbox.w, d.bbox.h, d.score)
+                    for d in detections], dataset)
+
+    def _fill(self, records: list[tuple], dataset: Dataset) -> None:
+        """Resolve and sort ``(image_id, category_id, x, y, w, h, score)`` records into columns."""
+        n = self.total = len(records)
+        ids, cats, *box, score = list(zip(*records)) or [()] * 7
+        image = np.array([dataset.image_index.get(i, -1) for i in ids], dtype=np.int64)
+        category = np.array([dataset.category_index.get(c, -1) for c in cats], dtype=np.int64)
+        score = np.array(score, dtype=float)
+        bad = np.flatnonzero((image < 0) | (category < 0) | ~np.isfinite(score))
+        if bad.size:  # the first bad record, by the first check it fails
+            i = int(bad[0])
+            what = (f"references unknown image {ids[i]}" if image[i] < 0 else
+                    f"references unknown category {cats[i]}" if category[i] < 0 else "has non-finite score")
+            raise IngestError(f"detection #{i} {what}")
+        order = np.lexsort((-score, image))  # stable: equal scores keep input order
+        self.image, self.category, self.score = image[order], category[order], score[order]
+        self.box = np.array(box, dtype=float).reshape(4, n)[:, order].T
+        self.starts = np.searchsorted(self.image, np.arange(len(dataset.images) + 1))
+        self.image_ids, self.category_ids = dataset.image_ids, dataset.category_ids
+        self._image_index = dataset.image_index
 
     def for_image(self, image_id: int) -> list[Detection]:
-        return self.by_image.get(image_id, [])
+        """One image's detections as ``Detection`` objects, by descending score."""
+        i = self._image_index.get(image_id)
+        rows = slice(0, 0) if i is None else slice(self.starts[i], self.starts[i + 1])
+        columns = (self.category[rows].tolist(), self.box[rows].tolist(), self.score[rows].tolist())
+        return [Detection(self.image_ids[i], self.category_ids[c], BBox(*box), s) for c, box, s in zip(*columns)]
 
     @classmethod
     def from_coco_list(cls, data: list, dataset: Dataset) -> "DetectionSet":
-        return cls(_parse_records(data, "detection", _detection_record), dataset)
+        dets = cls.__new__(cls)
+        dets._fill(_parse_records(data, "detection", _detection_record), dataset)
+        return dets
 
     def to_coco_list(self) -> list[dict]:
-        out = []
-        for img_id in sorted(self.by_image):
-            for d in self.by_image[img_id]:
-                out.append(
-                    {
-                        "image_id": d.image_id,
-                        "category_id": d.category_id,
-                        "bbox": [d.bbox.x, d.bbox.y, d.bbox.w, d.bbox.h],
-                        "score": d.score,
-                    }
-                )
-        return out
+        columns = (self.image.tolist(), self.category.tolist(), self.box.tolist(), self.score.tolist())
+        return [{"image_id": self.image_ids[i], "category_id": self.category_ids[c], "bbox": box, "score": s}
+                for i, c, box, s in zip(*columns)]
 
 
 def _read_text(path: str | Path) -> str:

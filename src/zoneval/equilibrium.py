@@ -49,15 +49,17 @@ class AssignConfig:
             raise ValueError("t - gamma must stay non-negative")
 
 
-def spatial_weight(x: float, y: float, width: float, height: float) -> float:
-    """Distance-from-center score: 2 * max(|x - W/2| / W, |y - H/2| / H)."""
-    if not (0.0 <= x <= width and 0.0 <= y <= height):
-        raise OutsideImageError(f"point ({x}, {y}) outside {width}x{height} image")
-    return 2.0 * max(abs(x - width / 2.0) / width, abs(y - height / 2.0) / height)
+def spatial_weight(x, y, width: float, height: float):
+    """Distance-from-center score 2 * max(|x - W/2| / W, |y - H/2| / H), elementwise."""
+    outside = np.flatnonzero(np.logical_not((0.0 <= x) & (x <= width) & (0.0 <= y) & (y <= height)))
+    if outside.size:
+        x0, y0 = np.ravel(x)[outside[0]], np.ravel(y)[outside[0]]
+        raise OutsideImageError(f"point ({x0}, {y0}) outside {width}x{height} image")
+    return 2.0 * np.maximum(np.abs(x - width / 2.0) / width, np.abs(y - height / 2.0) / height)
 
 
-def se_loss_weight(x: float, y: float, width: float, height: float, gamma: float) -> float:
-    """Loss weight factor 1 + gamma * spatial_weight; >= 1 everywhere."""
+def se_loss_weight(x, y, width: float, height: float, gamma: float):
+    """Loss weight factor 1 + gamma * spatial_weight; >= 1 everywhere, elementwise."""
     if not 0.0 <= gamma < math.inf:
         raise ValueError("gamma must be finite and >= 0")
     return 1.0 + gamma * spatial_weight(x, y, width, height)
@@ -86,9 +88,8 @@ def sela_assign(
 
     gamma = 0 reproduces the plain max-IoU threshold rule.
     """
-    weights = [spatial_weight(a.center[0], a.center[1], img.width, img.height) for a in anchors]
-    cut = np.array([cfg.t - cfg.gamma * w for w in weights])
-    return _threshold_positives(anchors, gts, cut)
+    xs, ys = np.array([a.center for a in anchors], dtype=float).reshape(-1, 2).T
+    return _threshold_positives(anchors, gts, cfg.t - cfg.gamma * spatial_weight(xs, ys, img.width, img.height))
 
 
 def check_beta(alpha_pos: float, beta: float) -> None:

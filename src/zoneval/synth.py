@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coco import BBox, Category, Dataset, Detection, DetectionSet, GroundTruth, ImageInfo, iou, iou_matrix, xywh
+from .equilibrium import spatial_weight
 from .matching import DEFAULT_IOU_THRESHOLDS
 from .zone_eval import ZoneReport, ZoneResult
 from .zones import Grid, Partition, Zone, build_partition, spec_label
@@ -129,15 +130,11 @@ def zone_mean_weight(zone: Zone) -> float:
     Cheap monotone proxy for how close to the border a zone sits; used to
     build graded quality profiles.
     """
-    num = 0.0
-    den = 0.0
-    for r in zone.rects:
-        cu = (r.x0 + r.x1) / 2.0
-        cv = (r.y0 + r.y1) / 2.0
-        area = (r.x1 - r.x0) * (r.y1 - r.y0)
-        num += area * 2.0 * max(abs(cu - 0.5), abs(cv - 0.5))
-        den += area
-    return num / den if den else 0.0
+    x0, y0, x1, y1 = np.array([(r.x0, r.y0, r.x1, r.y1) for r in zone.rects]).reshape(-1, 4).T
+    area = (x1 - x0) * (y1 - y0)
+    weight = spatial_weight((x0 + x1) / 2.0, (y0 + y1) / 2.0, 1.0, 1.0)
+    den = sum(area.tolist())  # summed in rectangle order
+    return sum((area * weight).tolist()) / den if den else 0.0
 
 
 def graded_profile(
@@ -205,8 +202,7 @@ def synthetic_benchmark(
         img = images[i % n_images]
         while True:
             u, v = rng.random(), rng.random()
-            w_spatial = 2.0 * max(abs(u - 0.5), abs(v - 0.5))
-            if center_bias == 0.0 or rng.random() < math.exp(-center_bias * w_spatial):
+            if center_bias == 0.0 or rng.random() < math.exp(-center_bias * spatial_weight(u, v, 1.0, 1.0)):
                 break
         bw = rng.uniform(*_BOX_SIDE_RANGE)
         bh = rng.uniform(*_BOX_SIDE_RANGE)
@@ -224,9 +220,6 @@ def synthetic_benchmark(
     gt_zone = partition.assign(xs, ys, width, height)
 
     ds = Dataset(images, categories, gts)
-    gts_by_image: dict[int, list[GroundTruth]] = {im.id: [] for im in images}
-    for gt in gts:
-        gts_by_image[gt.image_id].append(gt)
 
     detections = []
     expected_zones = []
@@ -249,7 +242,7 @@ def synthetic_benchmark(
             )
         n_fp = int(round(q.fp_per_tp * n_tp))
         for _ in range(n_fp):
-            detections.append(_plant_false_positive(rng, zone, images, gts_by_image))
+            detections.append(_plant_false_positive(rng, zone, images, ds.gts_by_image))
         total_tp += n_tp
 
         zp = _closed_form_zp(n_tp, n_gt) if n_gt else None

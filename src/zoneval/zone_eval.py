@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .coco import Dataset, DetectionSet, box_centers, iou_matrix, xywh
+from .coco import Dataset, DetectionSet, box_centers, iou_matrix
 from .matching import (
     EvalConfig,
     average_precision,
@@ -158,26 +158,20 @@ class _Geometry:
 
 
 def _candidate_pairs(
-    dt_box: np.ndarray,
-    gt_box: np.ndarray,
-    dt_cat: np.ndarray,
-    gt_cat: np.ndarray,
-    dt_per_image: np.ndarray,
-    gt_per_image: np.ndarray,
-    min_iou: float,
+    dt_img: np.ndarray, dt_box: np.ndarray, dt_cat: np.ndarray,
+    gt_img: np.ndarray, gt_box: np.ndarray, gt_cat: np.ndarray, n_img: int, min_iou: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(detection, ground truth, IoU) of same-image, same-category pairs with IoU >= min_iou.
 
-    Boxes are laid out image by image; one IoU matrix per image.
+    Both sides are sorted by image index; one IoU matrix per image.
     """
     found = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))]
-    dt_start = np.cumsum(dt_per_image) - dt_per_image
-    gt_start = np.cumsum(gt_per_image) - gt_per_image
-    for a, n, c, m in zip(dt_start.tolist(), dt_per_image.tolist(),
-                          gt_start.tolist(), gt_per_image.tolist()):
-        if n and m:
-            ious = iou_matrix(dt_box[a : a + n], gt_box[c : c + m])
-            hit = (ious >= min_iou) & (dt_cat[a : a + n, None] == gt_cat[None, c : c + m])
+    images = np.arange(n_img + 1)
+    dt_starts, gt_starts = np.searchsorted(dt_img, images).tolist(), np.searchsorted(gt_img, images).tolist()
+    for a, b, c, e in zip(dt_starts, dt_starts[1:], gt_starts, gt_starts[1:]):
+        if a < b and c < e:
+            ious = iou_matrix(dt_box[a:b], gt_box[c:e])
+            hit = (ious >= min_iou) & (dt_cat[a:b, None] == gt_cat[None, c:e])
             d, g = np.nonzero(hit)
             found.append((d + a, g + c, ious[d, g]))
     det, gt, iou = zip(*found)
@@ -186,34 +180,24 @@ def _candidate_pairs(
 
 def _geometry(ds: Dataset, dets: DetectionSet, partition: Partition, cfg: EvalConfig) -> _Geometry:
     """Cap, zone lookup and candidate pairs of every image; independent of ``cfg.scale_range``."""
+    if dets.image_ids != ds.image_ids or dets.category_ids != ds.category_ids:
+        raise ValueError("the detections were resolved against a dataset with other image or category ids")
     cap = cfg.max_dets_per_image
-    n_zones, n_cat = len(partition.zones), len(ds.category_ids)
-    cat_index = {c: i for i, c in enumerate(ds.category_ids)}
-    gts = [g for img in ds.images for g in ds.gts_by_image[img.id]]
-    ranked = [dets.for_image(img.id) for img in ds.images]
-    if not cfg.cap_after_zone:
-        ranked = [r[:cap] for r in ranked]
-    dts = [d for r in ranked for d in r]
-    n_gt, n_dt = len(gts), len(dts)
+    n_zones, n_cat, n_img = len(partition.zones), len(ds.category_ids), len(ds.images)
+    rank = np.arange(dets.total) - dets.starts[dets.image]  # rank by score within the image
+    kept = slice(None) if cfg.cap_after_zone else rank < cap
+    dt_img, dt_cat, dt_box, score = dets.image[kept], dets.category[kept], dets.box[kept], dets.score[kept]
+    gt_box, gt_cat, n_gt, n_dt = ds.gt_box, ds.gt_category, len(ds.gt_box), len(dt_box)
 
-    gt_per_image = np.array([len(ds.gts_by_image[img.id]) for img in ds.images], dtype=np.int64)
-    dt_per_image = np.array([len(r) for r in ranked], dtype=np.int64)
-    image_index = np.arange(len(ds.images))
-    gt_img, dt_img = np.repeat(image_index, gt_per_image), np.repeat(image_index, dt_per_image)
-    gt_box, dt_box = xywh([g.bbox for g in gts]), xywh([d.bbox for d in dts])
-    size = np.array([(img.width, img.height) for img in ds.images], dtype=float).reshape(-1, 2)
-    owner = np.concatenate([gt_img, dt_img])
-    zone = partition.assign(*box_centers(np.concatenate([gt_box, dt_box])),
-                            size[owner, 0], size[owner, 1])
+    owner = np.concatenate([ds.gt_image, dt_img])
+    zone = partition.assign(*box_centers(np.concatenate([gt_box, dt_box])), *ds.image_size[owner].T)
     gt_zone, dt_zone = zone[:n_gt], zone[n_gt:]
-    gt_cat = np.array([cat_index[g.category_id] for g in gts], dtype=np.int64)
-    dt_cat = np.array([cat_index[d.category_id] for d in dts], dtype=np.int64)
 
     # which detections survive the cap, as whole-image rows and as zone rows
-    in_whole = rank_within(dt_img) < cap
+    in_whole = rank[kept] < cap
     in_zone = rank_within(dt_img * n_zones + dt_zone) < cap if cfg.cap_after_zone else in_whole
 
-    det, gt, iou = _candidate_pairs(dt_box, gt_box, dt_cat, gt_cat, dt_per_image, gt_per_image,
+    det, gt, iou = _candidate_pairs(dt_img, dt_box, dt_cat, ds.gt_image, gt_box, gt_cat, n_img,
                                     cfg.iou_thresholds[0])
     same_zone = in_zone[det] & (dt_zone[det] == gt_zone[gt])
     whole = in_whole[det]
@@ -222,10 +206,9 @@ def _geometry(ds: Dataset, dets: DetectionSet, partition: Partition, cfg: EvalCo
     pair_iou = np.concatenate([iou[same_zone], iou[whole]])
 
     row_seg = np.concatenate([dt_zone * n_cat + dt_cat, n_zones * n_cat + dt_cat])
-    row_group = row_seg * len(ds.images) + np.concatenate([dt_img, dt_img])
+    row_group = row_seg * n_img + np.concatenate([dt_img, dt_img])
     order, pair_step = pair_order(pair_row, pair_slot, pair_iou, row_group)
 
-    score = np.array([d.score for d in dts], dtype=float)
     rows = np.flatnonzero(np.concatenate([in_zone, in_whole]))
     ap_rows = rows[np.lexsort((-np.concatenate([score, score])[rows], row_seg[rows]))]
     area = dt_box[:, 2] * dt_box[:, 3]
@@ -234,8 +217,8 @@ def _geometry(ds: Dataset, dets: DetectionSet, partition: Partition, cfg: EvalCo
         category_ids=list(ds.category_ids),
         gt_cat=gt_cat,
         gt_seg=gt_zone * n_cat + gt_cat,
-        gt_area=np.array([g.area for g in gts], dtype=float),
-        gt_crowd=np.array([g.ignore for g in gts], dtype=bool),
+        gt_area=ds.gt_area,
+        gt_crowd=ds.gt_crowd,
         row_seg=row_seg.astype(np.int32),
         row_area=np.concatenate([area, area]),
         pair_row=pair_row[order].astype(np.int32),

@@ -37,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .coco import Dataset, ImageInfo, _parse_records, _read_json, box_centers, xywh
+from .coco import Dataset, ImageInfo, _parse_records, _read_json, box_centers
 from .errors import IngestError, OutsideImageError, PartitionError
 
 _FRAC = Fraction
@@ -217,9 +217,7 @@ class Partition:
 
 def gt_zone_counts(ds: Dataset, partition: Partition) -> np.ndarray:
     """Number of ground-truth box centers per zone, clamped into their images."""
-    images = [ds.images_by_id[g.image_id] for g in ds.ground_truths]
-    width, height = np.array([(im.width, im.height) for im in images], float).reshape(-1, 2).T
-    zone = partition.assign(*box_centers(xywh([g.bbox for g in ds.ground_truths])), width, height)
+    zone = partition.assign(*box_centers(ds.gt_box), *ds.image_size[ds.gt_image].T)
     return np.bincount(zone, minlength=len(partition.zones))
 
 

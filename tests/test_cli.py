@@ -739,6 +739,21 @@ class TestOutputPaths:
         assert code == 1
         assert str(tmp_path) in err
 
+    @pytest.mark.parametrize("flags,flag", [
+        (["--out", "nodir/x.json"], "--out"),
+        (["--out", "x.json", "--heatmap", "nodir/h.csv"], "--heatmap"),
+    ])
+    def test_eval_missing_directory_writes_nothing(self, bench_files, tmp_path, capsys, monkeypatch,
+                                                   flags, flag):
+        gt, dt, _ = bench_files
+        monkeypatch.chdir(tmp_path)
+        code = main(["eval", "--gt", str(gt), "--dt", str(dt), "--partition", "grid:3x3", *flags])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert err.startswith(f"error: {flag} nodir/") and err.count("\n") == 1, err
+        assert out == ""  # not even the table: the paths are checked before the evaluation
+        assert not (tmp_path / "x.json").exists()
+
     def test_correlate_heatmap_path_is_a_directory(self, tmp_path, capsys):
         gt = tmp_path / "gt.json"
         gt.write_text(json.dumps(_gt_doc()))

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from zoneval.coco import (
     BBox,
+    Dataset,
     DetectionSet,
     ImageInfo,
     bbox_center,
@@ -18,6 +19,8 @@ from zoneval.coco import (
 )
 from zoneval.errors import IngestError
 from zoneval.oracle import _overlap
+from zoneval.zone_eval import evaluate_zones
+from zoneval.zones import Annular, build_partition
 
 from conftest import write_coco_gt
 
@@ -171,8 +174,67 @@ class TestLoadDetections:
     def test_round_trip_preserves_groups(self, mini_dataset, mini_detections):
         reloaded = DetectionSet.from_coco_list(mini_detections.to_coco_list(), mini_dataset)
         assert reloaded.total == mini_detections.total
-        for img_id, dets in mini_detections.by_image.items():
-            assert [d.score for d in reloaded.for_image(img_id)] == [d.score for d in dets]
+        for img in mini_dataset.images:
+            dets = mini_detections.for_image(img.id)
+            assert [d.score for d in reloaded.for_image(img.id)] == [d.score for d in dets]
+
+
+class TestDetectionOrder:
+    """Rows are grouped by image in id order, then by descending score; ties keep input order."""
+
+    @staticmethod
+    def _rec(image_id, category_id, score, x=0):
+        return {"image_id": image_id, "category_id": category_id, "bbox": [x, 0, 5, 5], "score": score}
+
+    def test_interleaved_images(self, mini_dataset):
+        records = [self._rec(2, 1, 0.2), self._rec(1, 1, 0.4), self._rec(3, 2, 0.1),
+                   self._rec(1, 2, 0.8), self._rec(2, 3, 0.9), self._rec(1, 3, 0.6)]
+        dets = DetectionSet.from_coco_list(records, mini_dataset)
+        assert [(d.category_id, d.score) for d in dets.for_image(1)] == [(2, 0.8), (3, 0.6), (1, 0.4)]
+        assert [(d.category_id, d.score) for d in dets.for_image(2)] == [(3, 0.9), (1, 0.2)]
+        assert [(d.category_id, d.score) for d in dets.for_image(3)] == [(2, 0.1)]
+        assert [(r["image_id"], r["score"]) for r in dets.to_coco_list()] == [
+            (1, 0.8), (1, 0.6), (1, 0.4), (2, 0.9), (2, 0.2), (3, 0.1)]
+
+    def test_equal_scores_keep_input_order(self, mini_dataset):
+        for scores in ([0.0, -0.0, 0.0, 0.5], [-0.0, 0.0, -0.0, 0.5]):
+            records = [self._rec(1, c, s) for c, s in zip((1, 2, 3, 4), scores)]
+            dets = DetectionSet.from_coco_list(records, mini_dataset)
+            ranked = dets.for_image(1)
+            assert [d.category_id for d in ranked] == [4, 1, 2, 3]
+            assert [math.copysign(1.0, d.score) for d in ranked[1:]] == [math.copysign(1.0, s)
+                                                                         for s in scores[:3]]
+            assert [r["score"] for r in dets.to_coco_list()] == [d.score for d in ranked]
+
+    def test_image_without_detections(self, mini_dataset):
+        dets = DetectionSet.from_coco_list([self._rec(1, 1, 0.5), self._rec(3, 1, 0.5)], mini_dataset)
+        assert dets.for_image(2) == []
+        assert len(dets.for_image(1)) == len(dets.for_image(3)) == 1
+
+    def test_huge_ids_round_trip_and_evaluate(self):
+        big, cat = 2**70, 2**65
+        doc = coco_doc(
+            images=[{"id": big, "width": 100, "height": 80}, {"id": 1, "width": 100, "height": 80}],
+            annotations=[{"id": 1, "image_id": big, "category_id": cat, "bbox": [5, 5, 20, 10]}],
+            categories=[{"id": cat, "name": "huge"}],
+        )
+        ds = Dataset.from_coco_dict(doc)
+        records = [{"image_id": big, "category_id": cat, "bbox": [5.0, 5.0, 20.0, 10.0], "score": 0.9},
+                   {"image_id": big, "category_id": cat, "bbox": [60.0, 50.0, 20.0, 10.0], "score": 0.3}]
+        dets = DetectionSet.from_coco_list(records, ds)
+        assert dets.to_coco_list() == records
+        assert [d.image_id for d in dets.for_image(big)] == [big, big]
+        report = evaluate_zones(ds, dets, build_partition(Annular(1)))
+        assert report.full_ap == 100.0
+
+    def test_other_dataset_is_rejected(self, mini_dataset, mini_detections):
+        other = Dataset([ImageInfo(id=i, width=400.0, height=300.0) for i in (1, 2, 4)],
+                        mini_dataset.categories, [])
+        with pytest.raises(ValueError, match="other image or category ids"):
+            evaluate_zones(other, mini_detections, build_partition(Annular(2)))
+        fewer = Dataset(mini_dataset.images, mini_dataset.categories[:3], [])
+        with pytest.raises(ValueError, match="other image or category ids"):
+            evaluate_zones(fewer, mini_detections, build_partition(Annular(2)))
 
 
 class TestDuplicateIds:

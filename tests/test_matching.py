@@ -343,8 +343,8 @@ class TestApInvariants:
             scaled = DetectionSet(
                 [
                     Detection(d.image_id, d.category_id, d.bbox, d.score * c)
-                    for img_id in sorted(dset.by_image)
-                    for d in dset.by_image[img_id]
+                    for img in ds.images
+                    for d in dset.for_image(img.id)
                 ],
                 ds,
             )
@@ -360,10 +360,10 @@ class TestApInvariants:
                 continue
             img_id = ds.images[0].id
             low = min(
-                (d.score for dets in dset.by_image.values() for d in dets), default=1.0
+                (d.score for img in ds.images for d in dset.for_image(img.id)), default=1.0
             )
             extra = Detection(img_id, ds.category_ids[0], BBox(1e6, 1e6, 5, 5), low - 1.0)
-            dets = [d for i in sorted(dset.by_image) for d in dset.by_image[i]] + [extra]
+            dets = [d for img in ds.images for d in dset.for_image(img.id)] + [extra]
             worse = full_image_ap(ds, DetectionSet(dets, ds), cfg)
             assert worse <= base + 1e-12
 

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from zoneval.coco import BBox, Category, Dataset, Detection, DetectionSet, GroundTruth, ImageInfo
+from zoneval.coco import (BBox, Category, Dataset, Detection, DetectionSet, GroundTruth, ImageInfo,
+                          load_detections, load_ground_truth)
 from zoneval.matching import EvalConfig
 from zoneval.oracle import ap_oracle, zone_instance
 from zoneval.synth import QualityProfile, ZoneQuality, synthetic_benchmark
@@ -18,7 +19,8 @@ from zoneval.zone_eval import (
 )
 from zoneval.zones import Annular, Custom, Grid, StripX, build_partition
 
-from datagen import random_instance
+from conftest import write_coco_dt, write_coco_gt
+from datagen import random_benchmark, random_instance
 
 THREE_ZONES = Custom(
     (
@@ -418,6 +420,31 @@ class TestScaleStudy:
         assert set(doc["per_scale_step"]) == {"128", "inf"}
         assert len(doc["grand_mean"]) == 2
         assert doc["zone_ids"] == ["x0", "x1"]
+
+
+class TestColumnarPath:
+    def test_no_detection_object_is_built(self, tmp_path, monkeypatch):
+        """Loading results and evaluating them reads columns; no Detection or BBox is built."""
+        ds0, dets0 = random_benchmark(12, 6, 15, seed=5)
+        write_coco_gt(tmp_path / "gt.json", ds0)
+        write_coco_dt(tmp_path / "dt.json", dets0)
+        ds = load_ground_truth(tmp_path / "gt.json")
+        p = build_partition(Annular(3))
+        cfgs = [EvalConfig(max_dets_per_image=8, cap_after_zone=after) for after in (False, True)]
+
+        def run():
+            dets = load_detections(tmp_path / "dt.json", ds)
+            reports = [evaluate_zones(ds, dets, p, cfg).to_json() for cfg in cfgs]
+            return reports + [scale_study(ds, dets, p, cfgs[0], steps=(64, None)).to_json_dict()]
+
+        want = run()
+
+        def no_objects(*args, **kwargs):
+            raise AssertionError("a detection object was built on the evaluation path")
+
+        monkeypatch.setattr(BBox, "__post_init__", no_objects)
+        monkeypatch.setattr(Detection, "__init__", no_objects)
+        assert run() == want
 
 
 class TestGridHeatmap:
