@@ -321,7 +321,7 @@ def cmd_synth_sudoku(args: argparse.Namespace) -> int:
     Path(args.out_gt).write_text(json.dumps(ds.to_coco_dict(), indent=2, sort_keys=True) + "\n")
     if args.out_manifest:
         Path(args.out_manifest).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    print(f"{len(ds.ground_truths)} objects on {len(ds.images)} canvases -> {args.out_gt}")
+    print(f"{len(ds.gt_id)} objects on {len(ds.images)} canvases -> {args.out_gt}")
     return EXIT_OK
 
 
@@ -350,7 +350,7 @@ def cmd_synth_bench(args: argparse.Namespace) -> int:
     if args.out_expected:
         Path(args.out_expected).write_text(expected.to_json())
     print(
-        f"{len(ds.ground_truths)} objects, {dets.total} detections on "
+        f"{len(ds.gt_id)} objects, {dets.total} detections on "
         f"{len(ds.images)} images -> {args.out_gt}, {args.out_dt}"
     )
     return EXIT_OK

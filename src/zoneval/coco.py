@@ -5,12 +5,17 @@ third-party detector outputs evaluate unmodified.  Annotation files carry
 top-level ``images``, ``annotations`` and ``categories`` keys; result files
 are a flat list of ``{image_id, category_id, bbox, score}`` records.
 
-The evaluator reads columns.  ``Dataset`` keeps its objects and builds once the
-``gt_image``, ``gt_category``, ``gt_box``, ``gt_area`` and ``gt_crowd`` columns
-(image order) and ``image_size``.  ``DetectionSet`` holds only the ``image``,
-``category``, ``box`` and ``score`` columns, by image, then descending score
-(image ``i`` at rows ``starts[i]:starts[i + 1]``); ids become indices through
-the dataset's ``{id: index}`` dicts.  ``for_image`` builds ``Detection`` views.
+The evaluator reads columns, and ``Dataset`` and ``DetectionSet`` hold only
+columns.  ``Dataset`` keeps its images and categories, ``image_size``, and the
+ground-truth columns ``gt_id`` (Python ints), ``gt_image``, ``gt_category``,
+``gt_box``, ``gt_area`` and ``gt_crowd``, by image and then by id;
+``ground_truths`` (by id) and ``gts_by_image`` are ``GroundTruth`` views, built
+on first read and cached.  ``DetectionSet`` holds the ``image``, ``category``,
+``box`` and ``score`` columns, by image, then descending score (image ``i`` at
+rows ``starts[i]:starts[i + 1]``); ``for_image`` builds ``Detection`` views.
+Ids become indices through the dataset's ``{id: index}`` dicts.  Both check
+their records in bulk: a bad annotation is reported by the lowest id, a bad
+detection by its input position.
 """
 
 from __future__ import annotations
@@ -18,6 +23,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from operator import eq, itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -157,17 +164,13 @@ def _category_record(rec: dict) -> Category:
     return Category(id=_id(rec["id"]), name=str(rec["name"]))
 
 
-def _annotation_record(rec: dict) -> GroundTruth:
+def _annotation_record(rec: dict) -> tuple:
+    """A validated ``(id, image_id, category_id, x, y, w, h, area, crowd)``."""
     x, y, w, h = rec["bbox"]
-    bbox = BBox(float(x), float(y), float(w), float(h))
-    return GroundTruth(
-        id=_id(rec["id"]),
-        image_id=_id(rec["image_id"]),
-        category_id=_id(rec["category_id"]),
-        bbox=bbox,
-        area=bbox.area if rec.get("area") is None else float(rec["area"]),
-        ignore=_flag(rec.get("iscrowd", 0)),
-    )
+    box = _check_box(float(x), float(y), float(w), float(h))
+    ids = _id(rec["id"]), _id(rec["image_id"]), _id(rec["category_id"])
+    area = box[2] * box[3] if rec.get("area") is None else float(rec["area"])
+    return (*ids, *box, area, _flag(rec.get("iscrowd", 0)))
 
 
 def _detection_record(rec: dict) -> tuple:
@@ -201,29 +204,33 @@ def _parse_record(rec, name: str, parse):
 
 
 def _parse_records(records, kind: str, parse) -> list:
-    """Parse every record of one top-level list, naming each by its id, else by position."""
+    """Parse every record of one top-level list; the first bad one is named by its id, else by position."""
     if not isinstance(records, list):
         raise IngestError(f"{kind} records must be a JSON list")
-    return [
-        _parse_record(rec, f"{kind} {rec['id']}" if isinstance(rec, dict) and "id" in rec
-                      else f"{kind} #{i}", parse)
-        for i, rec in enumerate(records)
-    ]
+    try:
+        if all(isinstance(rec, dict) for rec in records):
+            return [parse(rec) for rec in records]
+    except (KeyError, TypeError, ValueError, OverflowError):  # IngestError is a ValueError
+        pass  # parse again one by one, naming each record, so the first that fails is reported
+    return [_parse_record(rec, f"{kind} {rec['id']}" if isinstance(rec, dict) and "id" in rec
+                          else f"{kind} #{i}", parse) for i, rec in enumerate(records)]
 
 
 class Dataset:
-    """Validated, indexed ground truth. Immutable after construction.
+    """Validated, indexed ground truth: images and categories by id, ground-truth columns by (image, id).
 
-    Lists are kept in stable order (sorted by id), so iteration and every
-    downstream report are deterministic.
+    Immutable after construction; every downstream report is deterministic.
     """
 
     def __init__(self, images: list[ImageInfo], categories: list[Category],
                  ground_truths: list[GroundTruth]) -> None:
+        self._fill(images, categories, [(g.id, g.image_id, g.category_id, g.bbox.x, g.bbox.y, g.bbox.w,
+                                         g.bbox.h, g.area, g.ignore) for g in ground_truths])
+
+    def _fill(self, images: list[ImageInfo], categories: list[Category], records: list[tuple]) -> None:
+        """Index the images and categories; check and sort ``_annotation_record`` tuples into columns."""
         self.images = sorted(images, key=lambda im: im.id)
         self.categories = sorted(categories, key=lambda c: c.id)
-        self.ground_truths = sorted(ground_truths, key=lambda g: g.id)
-
         self.images_by_id = {im.id: im for im in self.images}
         if len(self.images_by_id) != len(self.images):
             raise IngestError("duplicate image id")
@@ -232,29 +239,43 @@ class Dataset:
             raise IngestError("duplicate category id")
         self.image_index = {i: k for k, i in enumerate(self.images_by_id)}
         self.image_ids, self.category_ids = list(self.image_index), list(self.category_index)
-
-        seen_ann = set()
-        self.gts_by_image: dict[int, list[GroundTruth]] = {im.id: [] for im in self.images}
-        for gt in self.ground_truths:
-            if gt.id in seen_ann:
-                raise IngestError(f"duplicate annotation id {gt.id}")
-            seen_ann.add(gt.id)
-            if gt.image_id not in self.images_by_id:
-                raise IngestError(f"annotation {gt.id} references missing image {gt.image_id}")
-            if gt.category_id not in self.category_index:
-                raise IngestError(f"annotation {gt.id} references missing category {gt.category_id}")
-            if not gt.area > 0:  # also rejects NaN
-                raise IngestError(f"annotation {gt.id}: area must be positive, got {gt.area}")
-            self.gts_by_image[gt.image_id].append(gt)
-
-        # the columns the evaluator reads: ground truths in image order, by id within an image
-        gts = [g for group in self.gts_by_image.values() for g in group]
-        self.gt_image = np.repeat(np.arange(len(self.images)), [len(v) for v in self.gts_by_image.values()])
-        self.gt_category = np.array([self.category_index[g.category_id] for g in gts], dtype=np.int64)
-        self.gt_box = xywh([g.bbox for g in gts])
-        self.gt_area = np.array([g.area for g in gts], dtype=float)
-        self.gt_crowd = np.array([g.ignore for g in gts], dtype=bool)
         self.image_size = np.array([(im.width, im.height) for im in self.images], dtype=float).reshape(-1, 2)
+        n = len(records)
+        records.sort(key=itemgetter(0))  # ids stay Python ints, of any size; equal ids keep input order
+        ids, image_ids, category_ids, *box, areas, crowd = list(zip(*records)) or [()] * 9
+        del records[:]  # free the record tuples now: each caller passes a list built for this call
+        image = np.array([self.image_index.get(i, -1) for i in image_ids], dtype=np.int64)
+        category = np.array([self.category_index.get(c, -1) for c in category_ids], dtype=np.int64)
+        area = np.array(areas, dtype=float)
+        dup = np.array(list(map(eq, ids, (None, *ids))), dtype=bool)  # an id equal to the one before it
+        bad = np.flatnonzero(dup | (image < 0) | (category < 0) | ~(area > 0))  # NaN is not > 0
+        if bad.size:  # the lowest bad id, by the first check it fails
+            k = int(bad[0])
+            raise IngestError(
+                f"duplicate annotation id {ids[k]}" if dup[k] else
+                f"annotation {ids[k]} references missing image {image_ids[k]}" if image[k] < 0 else
+                f"annotation {ids[k]} references missing category {category_ids[k]}" if category[k] < 0
+                else f"annotation {ids[k]}: area must be positive, got {areas[k]}")
+        order = np.argsort(image, kind="stable")  # by image, then by id
+        self.gt_id = [ids[k] for k in order.tolist()]
+        self.gt_image, self.gt_category, self.gt_area = image[order], category[order], area[order]
+        self.gt_box = np.array(box, dtype=float).reshape(4, n)[:, order].T
+        self.gt_crowd = np.array(crowd, dtype=bool)[order]
+
+    @cached_property
+    def gts_by_image(self) -> dict[int, list[GroundTruth]]:
+        """Each image's ground truths as ``GroundTruth`` objects, by id; built on first read."""
+        columns = (self.gt_id, self.gt_image.tolist(), self.gt_category.tolist(), self.gt_box.tolist(),
+                   self.gt_area.tolist(), self.gt_crowd.tolist())
+        gts = [GroundTruth(g, self.image_ids[i], self.category_ids[c], BBox(*box), a, crowd)
+               for g, i, c, box, a, crowd in zip(*columns)]
+        starts = np.searchsorted(self.gt_image, np.arange(len(self.images) + 1)).tolist()
+        return {i: gts[s:e] for i, s, e in zip(self.image_ids, starts, starts[1:])}
+
+    @cached_property
+    def ground_truths(self) -> list[GroundTruth]:
+        """Every ground truth as a ``GroundTruth`` object, by id; built on first read."""
+        return sorted((g for gts in self.gts_by_image.values() for g in gts), key=lambda g: g.id)
 
     @classmethod
     def from_coco_dict(cls, data: dict) -> "Dataset":
@@ -263,27 +284,18 @@ class Dataset:
                 raise IngestError(f"annotation file missing top-level key '{key}'")
         images = _parse_records(data["images"], "image", _image_record)
         categories = _parse_records(data["categories"], "category", _category_record)
-        gts = _parse_records(data["annotations"], "annotation", _annotation_record)
-        return cls(images, categories, gts)
+        ds = cls.__new__(cls)
+        ds._fill(images, categories, _parse_records(data["annotations"], "annotation", _annotation_record))
+        return ds
 
     def to_coco_dict(self) -> dict:
         """Serialize back to the COCO annotation schema."""
         return {
-            "images": [
-                {"id": im.id, "width": im.width, "height": im.height, "file_name": im.file_name}
-                for im in self.images
-            ],
-            "annotations": [
-                {
-                    "id": g.id,
-                    "image_id": g.image_id,
-                    "category_id": g.category_id,
-                    "bbox": [g.bbox.x, g.bbox.y, g.bbox.w, g.bbox.h],
-                    "area": g.area,
-                    "iscrowd": 1 if g.ignore else 0,
-                }
-                for g in self.ground_truths
-            ],
+            "images": [{"id": im.id, "width": im.width, "height": im.height, "file_name": im.file_name}
+                       for im in self.images],
+            "annotations": [{"id": g.id, "image_id": g.image_id, "category_id": g.category_id,
+                             "bbox": [g.bbox.x, g.bbox.y, g.bbox.w, g.bbox.h], "area": g.area,
+                             "iscrowd": 1 if g.ignore else 0} for g in self.ground_truths],
             "categories": [{"id": c.id, "name": c.name} for c in self.categories],
         }
 

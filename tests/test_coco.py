@@ -9,6 +9,7 @@ from zoneval.coco import (
     BBox,
     Dataset,
     DetectionSet,
+    GroundTruth,
     ImageInfo,
     bbox_center,
     iou,
@@ -213,12 +214,18 @@ class TestDetectionOrder:
 
     def test_huge_ids_round_trip_and_evaluate(self):
         big, cat = 2**70, 2**65
+        crowd = {"image_id": 1, "category_id": cat, "iscrowd": 1}
         doc = coco_doc(
             images=[{"id": big, "width": 100, "height": 80}, {"id": 1, "width": 100, "height": 80}],
-            annotations=[{"id": 1, "image_id": big, "category_id": cat, "bbox": [5, 5, 20, 10]}],
+            annotations=[{"id": 1, "image_id": big, "category_id": cat, "bbox": [5, 5, 20, 10]},
+                         {"id": 2**64 + 7, "bbox": [5, 5, 9, 9], **crowd},
+                         {"id": 2**64 + 3, "bbox": [9, 9, 5, 5], **crowd}],
             categories=[{"id": cat, "name": "huge"}],
         )
         ds = Dataset.from_coco_dict(doc)
+        assert [g.id for g in ds.ground_truths] == [1, 2**64 + 3, 2**64 + 7]
+        written = ds.to_coco_dict()
+        assert Dataset.from_coco_dict(json.loads(json.dumps(written))).to_coco_dict() == written
         records = [{"image_id": big, "category_id": cat, "bbox": [5.0, 5.0, 20.0, 10.0], "score": 0.9},
                    {"image_id": big, "category_id": cat, "bbox": [60.0, 50.0, 20.0, 10.0], "score": 0.3}]
         dets = DetectionSet.from_coco_list(records, ds)
@@ -237,6 +244,44 @@ class TestDetectionOrder:
             evaluate_zones(fewer, mini_detections, build_partition(Annular(2)))
 
 
+# annotations out of id order across two images and two categories, one crowd
+TWO_IMAGES = coco_doc(
+    images=[{"id": 1, "width": 100.0, "height": 80.0, "file_name": "a.jpg"},
+            {"id": 2, "width": 50.0, "height": 40.0, "file_name": "b.jpg"}],
+    annotations=[
+        {"id": 12, "image_id": 2, "category_id": 7, "bbox": [1.0, 2.0, 3.0, 4.0], "area": 12.0, "iscrowd": 0},
+        {"id": 3, "image_id": 1, "category_id": 1, "bbox": [5.0, 5.0, 20.0, 10.0], "area": 150.0, "iscrowd": 1},
+        {"id": 8, "image_id": 2, "category_id": 1, "bbox": [0.5, 0.5, 9.0, 9.0], "area": 81.0, "iscrowd": 0},
+        {"id": 5, "image_id": 1, "category_id": 7, "bbox": [30.0, 40.0, 6.0, 8.0], "area": 48.0, "iscrowd": 0},
+    ],
+    categories=[{"id": 1, "name": "cat"}, {"id": 7, "name": "dog"}],
+)
+
+
+class TestColumnsAndViews:
+    def test_object_and_record_construction_agree(self):
+        doc = TWO_IMAGES
+        from_dict = Dataset.from_coco_dict(doc)
+        objects = [GroundTruth(a["id"], a["image_id"], a["category_id"], BBox(*a["bbox"]), a["area"],
+                               bool(a["iscrowd"])) for a in doc["annotations"]]
+        from_objects = Dataset(from_dict.images, from_dict.categories, objects)
+        for column in ("gt_id", "gt_image", "gt_category", "gt_box", "gt_area", "gt_crowd"):
+            assert np.array_equal(getattr(from_objects, column), getattr(from_dict, column)), column
+        assert from_dict.gt_id == [3, 5, 8, 12]  # by image, then by id
+        assert json.dumps(from_objects.to_coco_dict()) == json.dumps(from_dict.to_coco_dict())
+        assert [g.id for g in from_dict.ground_truths] == [3, 5, 8, 12]
+
+    def test_objects_are_cached_views_built_on_first_read(self, tmp_path):
+        path = tmp_path / "gt.json"
+        path.write_text(json.dumps(TWO_IMAGES))
+        ds = load_ground_truth(path)
+        assert "ground_truths" not in vars(ds) and "gts_by_image" not in vars(ds)
+        assert ds.gts_by_image is ds.gts_by_image
+        assert [[g.id for g in gts] for gts in ds.gts_by_image.values()] == [[3, 5], [8, 12]]
+        assert ds.ground_truths is ds.ground_truths
+        assert ds.gts_by_image[1][0] is ds.ground_truths[0]
+
+
 class TestDuplicateIds:
     def test_duplicate_image_id(self, tmp_path):
         doc = json.loads(json.dumps(MINIMAL))
@@ -252,6 +297,21 @@ class TestDuplicateIds:
         path = tmp_path / "gt.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(IngestError, match="duplicate annotation id"):
+            load_ground_truth(path)
+
+    def test_several_bad_annotations_report_the_lowest_id(self, tmp_path):
+        doc = json.loads(json.dumps(MINIMAL))
+        path = tmp_path / "gt.json"
+        doc["annotations"] = [{"id": 9, "image_id": 99, "category_id": 1, "bbox": [5, 5, 20, 10]},
+                              {"id": 4, "image_id": 1, "category_id": 1, "bbox": [5, 5, 20, 10], "area": 0}]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(IngestError, match="^annotation 4: area must be positive, got 0.0$"):
+            load_ground_truth(path)
+        # the later of two equal ids is the duplicate, before its missing image is looked at
+        doc["annotations"] = [{"id": 3, "image_id": 1, "category_id": 1, "bbox": [5, 5, 20, 10]},
+                              {"id": 3, "image_id": 99, "category_id": 1, "bbox": [5, 5, 20, 10]}]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(IngestError, match="^duplicate annotation id 3$"):
             load_ground_truth(path)
 
 
