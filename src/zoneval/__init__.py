@@ -54,7 +54,6 @@ from .zones import (
     StripX,
     StripY,
     Zone,
-    annular_rect,
     build_partition,
     parse_zone_spec,
 )

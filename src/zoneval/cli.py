@@ -18,8 +18,8 @@ from pathlib import Path
 
 from . import analysis, synth
 from .coco import _id, _parse_record, _parse_records, _read_json, load_detections, load_ground_truth
-from .equilibrium import (AssignConfig, anchor_grid, beta_assign, check_beta, object_density, sela_assign,
-                          supervision_density)
+from .equilibrium import (AssignConfig, anchor_grid, beta_assign, check_anchor_grid, check_beta, object_density,
+                          sela_assign, supervision_density)
 from .errors import IngestError, PartitionError, UndefinedStatisticError
 from .matching import DEFAULT_IOU_THRESHOLDS, EvalConfig
 from .zone_eval import evaluate_zones, read_heatmap_csv, write_heatmap_csv
@@ -133,6 +133,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         for a, b, path, other in zip(ts, ts[1:], heatmaps, heatmaps[1:]):
             if path == other:
                 raise ValueError(f"--iou thresholds {a:g} and {b:g} would share the heatmap file {path}")
+        if args.out and Path(args.out).resolve() in {p.resolve() for p in [base, *heatmaps]}:
+            raise ValueError(f"--out {args.out} is also a --heatmap file")
         outputs += [("--heatmap", path) for path in [base, *heatmaps]]
     for flag, path in outputs:
         folder = path.parent
@@ -201,7 +203,8 @@ def cmd_sela(args: argparse.Namespace) -> int:
     ds = load_ground_truth(args.gt)
     partition = build_partition(parse_zone_spec(args.partition))
     cols, rows = args.anchor_grid
-    # the assignment rule is checked once, so an image-less file fails like any other
+    # the anchors and the assignment rule are checked once, so an image-less file fails like any other
+    check_anchor_grid(cols, rows, args.anchor_size)
     if args.beta is not None:
         if args.beta_zone is None:
             raise PartitionError("--beta requires --beta-zone")

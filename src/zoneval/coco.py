@@ -8,11 +8,13 @@ are a flat list of ``{image_id, category_id, bbox, score}`` records.
 The evaluator reads columns, and ``Dataset`` and ``DetectionSet`` hold only
 columns.  ``Dataset`` keeps its images and categories, ``image_size``, and the
 ground-truth columns ``gt_id`` (Python ints), ``gt_image``, ``gt_category``,
-``gt_box``, ``gt_area`` and ``gt_crowd``, by image and then by id;
+``gt_box``, ``gt_area`` and ``gt_crowd``, by image and then by id (image ``i``
+at rows ``gt_starts[i]:gt_starts[i + 1]``); ``to_coco_dict`` writes them by id.
 ``ground_truths`` (by id) and ``gts_by_image`` are ``GroundTruth`` views, built
-on first read and cached.  ``DetectionSet`` holds the ``image``, ``category``,
-``box`` and ``score`` columns, by image, then descending score (image ``i`` at
-rows ``starts[i]:starts[i + 1]``); ``for_image`` builds ``Detection`` views.
+on first read and cached, for callers outside the evaluator.  ``DetectionSet``
+holds the ``image``, ``category``, ``box`` and ``score`` columns, by image,
+then descending score (image ``i`` at rows ``starts[i]:starts[i + 1]``);
+``for_image`` builds ``Detection`` views.
 Ids become indices through the dataset's ``{id: index}`` dicts.  Both check
 their records in bulk: a bad annotation is reported by the lowest id, a bad
 detection by its input position.
@@ -261,15 +263,20 @@ class Dataset:
         self.gt_image, self.gt_category, self.gt_area = image[order], category[order], area[order]
         self.gt_box = np.array(box, dtype=float).reshape(4, n)[:, order].T
         self.gt_crowd = np.array(crowd, dtype=bool)[order]
+        self.gt_starts = np.searchsorted(self.gt_image, np.arange(len(self.images) + 1))
+
+    def _gt_rows(self) -> list[tuple]:
+        """``(id, image_id, category_id, [x, y, w, h], area, crowd)`` per ground truth, by (image, id)."""
+        columns = (self.gt_image.tolist(), self.gt_category.tolist(), self.gt_box.tolist(),
+                   self.gt_area.tolist(), self.gt_crowd.tolist())
+        return [(g, self.image_ids[i], self.category_ids[c], box, a, crowd)
+                for g, i, c, box, a, crowd in zip(self.gt_id, *columns)]
 
     @cached_property
     def gts_by_image(self) -> dict[int, list[GroundTruth]]:
         """Each image's ground truths as ``GroundTruth`` objects, by id; built on first read."""
-        columns = (self.gt_id, self.gt_image.tolist(), self.gt_category.tolist(), self.gt_box.tolist(),
-                   self.gt_area.tolist(), self.gt_crowd.tolist())
-        gts = [GroundTruth(g, self.image_ids[i], self.category_ids[c], BBox(*box), a, crowd)
-               for g, i, c, box, a, crowd in zip(*columns)]
-        starts = np.searchsorted(self.gt_image, np.arange(len(self.images) + 1)).tolist()
+        gts = [GroundTruth(g, i, c, BBox(*box), a, crowd) for g, i, c, box, a, crowd in self._gt_rows()]
+        starts = self.gt_starts.tolist()
         return {i: gts[s:e] for i, s, e in zip(self.image_ids, starts, starts[1:])}
 
     @cached_property
@@ -289,13 +296,13 @@ class Dataset:
         return ds
 
     def to_coco_dict(self) -> dict:
-        """Serialize back to the COCO annotation schema."""
+        """Serialize back to the COCO annotation schema, annotations by id, from the columns."""
+        rows = sorted(self._gt_rows(), key=itemgetter(0))
         return {
             "images": [{"id": im.id, "width": im.width, "height": im.height, "file_name": im.file_name}
                        for im in self.images],
-            "annotations": [{"id": g.id, "image_id": g.image_id, "category_id": g.category_id,
-                             "bbox": [g.bbox.x, g.bbox.y, g.bbox.w, g.bbox.h], "area": g.area,
-                             "iscrowd": 1 if g.ignore else 0} for g in self.ground_truths],
+            "annotations": [{"id": g, "image_id": i, "category_id": c, "bbox": box, "area": a,
+                             "iscrowd": int(crowd)} for g, i, c, box, a, crowd in rows],
             "categories": [{"id": c.id, "name": c.name} for c in self.categories],
         }
 

@@ -70,7 +70,6 @@ class AssignmentResult:
     """Positive anchors per ground truth (indices into the input lists)."""
 
     anchors: list[Anchor]
-    gts: list[GroundTruth]
     positives: dict[int, tuple[int, ...]]  # gt index -> anchor indices
 
     def positive_anchor_indices(self) -> list[int]:
@@ -96,6 +95,14 @@ def check_beta(alpha_pos: float, beta: float) -> None:
     """Reject a non-finite threshold of the beta rule."""
     if not (math.isfinite(alpha_pos) and math.isfinite(beta)):
         raise ValueError(f"alpha_pos and beta must be finite, got {alpha_pos} and {beta}")
+
+
+def check_anchor_grid(cols: int, rows: int, box_size: float | None) -> None:
+    """Reject an empty anchor lattice or an anchor box side that is not finite and > 0."""
+    if cols < 1 or rows < 1:
+        raise ValueError("anchor grid needs cols, rows >= 1")
+    if box_size is not None and not 0.0 < box_size < math.inf:
+        raise ValueError(f"anchor box side must be finite and > 0, got {box_size}")
 
 
 def beta_assign(
@@ -130,7 +137,7 @@ def _threshold_positives(
     """Anchor ai is positive for ground truth gi iff their IoU >= cut[ai]."""
     hits = iou_matrix(xywh([a.box for a in anchors]), xywh([g.bbox for g in gts])) >= cut[:, None]
     positives = {gi: tuple(np.flatnonzero(hits[:, gi]).tolist()) for gi in range(len(gts))}
-    return AssignmentResult(anchors, gts, positives)
+    return AssignmentResult(anchors, positives)
 
 
 @dataclass
@@ -195,8 +202,7 @@ def anchor_grid(img: ImageInfo, cols: int, rows: int, box_size: float | None = N
 
     Test/simulation helper; defaults the box side to the cell pitch.
     """
-    if cols < 1 or rows < 1:
-        raise ValueError("anchor grid needs cols, rows >= 1")
+    check_anchor_grid(cols, rows, box_size)
     pitch_x = img.width / cols
     pitch_y = img.height / rows
     size = box_size if box_size is not None else min(pitch_x, pitch_y)

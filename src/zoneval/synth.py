@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coco import BBox, Category, Dataset, Detection, DetectionSet, GroundTruth, ImageInfo, iou, iou_matrix, xywh
+from .coco import (BBox, Category, Dataset, Detection, DetectionSet, GroundTruth, ImageInfo, box_centers, iou,
+                   iou_matrix, xywh)
 from .equilibrium import spatial_weight
 from .matching import DEFAULT_IOU_THRESHOLDS
 from .zone_eval import ZoneReport, ZoneResult
@@ -197,7 +198,6 @@ def synthetic_benchmark(
     categories = [Category(id=_CATEGORY_ID, name="object")]
 
     gts = []
-    centers = []
     for i in range(n_objects):
         img = images[i % n_images]
         while True:
@@ -207,17 +207,9 @@ def synthetic_benchmark(
         bw = rng.uniform(*_BOX_SIDE_RANGE)
         bh = rng.uniform(*_BOX_SIDE_RANGE)
         cx, cy = u * width, v * height
-        gt = GroundTruth(
-            id=i + 1,
-            image_id=img.id,
-            category_id=_CATEGORY_ID,
-            bbox=BBox(cx - bw / 2.0, cy - bh / 2.0, bw, bh),
-            area=bw * bh,
-        )
-        gts.append(gt)
-        centers.append((cx, cy))
-    xs, ys = np.array(centers).T  # every image shares one size
-    gt_zone = partition.assign(xs, ys, width, height)
+        gts.append(GroundTruth(i + 1, img.id, _CATEGORY_ID, BBox(cx - bw / 2.0, cy - bh / 2.0, bw, bh), bw * bh))
+    # zoned by box centers, the evaluator's arithmetic; every image shares one size
+    gt_zone = partition.assign(*box_centers(xywh([g.bbox for g in gts])), width, height)
 
     ds = Dataset(images, categories, gts)
 
@@ -242,7 +234,7 @@ def synthetic_benchmark(
             )
         n_fp = int(round(q.fp_per_tp * n_tp))
         for _ in range(n_fp):
-            detections.append(_plant_false_positive(rng, zone, images, ds.gts_by_image))
+            detections.append(_plant_false_positive(rng, zone, ds))
         total_tp += n_tp
 
         zp = _closed_form_zp(n_tp, n_gt) if n_gt else None
@@ -266,14 +258,10 @@ def synthetic_benchmark(
     return ds, DetectionSet(detections, ds), expected
 
 
-def _plant_false_positive(
-    rng: np.random.Generator,
-    zone: Zone,
-    images: list[ImageInfo],
-    gts_by_image: dict[int, list[GroundTruth]],
-) -> Detection:
+def _plant_false_positive(rng: np.random.Generator, zone: Zone, ds: Dataset) -> Detection:
     """A detection centered in the zone that overlaps no ground truth enough to match."""
-    img = images[int(rng.integers(0, len(images)))]
+    k = int(rng.integers(0, len(ds.images)))
+    img, gt_boxes = ds.images[k], ds.gt_box[ds.gt_starts[k]:ds.gt_starts[k + 1]]
     areas = np.array([(r.x1 - r.x0) * (r.y1 - r.y0) for r in zone.rects])
     shrink = 1.0
     while True:
@@ -284,7 +272,6 @@ def _plant_false_positive(
             bw = rng.uniform(*_BOX_SIDE_RANGE) * shrink
             bh = rng.uniform(*_BOX_SIDE_RANGE) * shrink
             box = BBox(u * img.width - bw / 2.0, v * img.height - bh / 2.0, bw, bh)
-            overlaps = iou_matrix(xywh([box]), xywh([g.bbox for g in gts_by_image[img.id]]))
-            if (overlaps < _FP_IOU_CEILING).all():
+            if (iou_matrix(xywh([box]), gt_boxes) < _FP_IOU_CEILING).all():
                 return Detection(img.id, _CATEGORY_ID, box, _linear_score(0.0))
         shrink /= 2.0

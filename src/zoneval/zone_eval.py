@@ -159,15 +159,15 @@ class _Geometry:
 
 def _candidate_pairs(
     dt_img: np.ndarray, dt_box: np.ndarray, dt_cat: np.ndarray,
-    gt_img: np.ndarray, gt_box: np.ndarray, gt_cat: np.ndarray, n_img: int, min_iou: float,
+    gt_starts: np.ndarray, gt_box: np.ndarray, gt_cat: np.ndarray, min_iou: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(detection, ground truth, IoU) of same-image, same-category pairs with IoU >= min_iou.
 
-    Both sides are sorted by image index; one IoU matrix per image.
+    Detections are sorted by image index, and image i's ground truths are rows
+    ``gt_starts[i]:gt_starts[i + 1]``; one IoU matrix per image.
     """
     found = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))]
-    images = np.arange(n_img + 1)
-    dt_starts, gt_starts = np.searchsorted(dt_img, images).tolist(), np.searchsorted(gt_img, images).tolist()
+    dt_starts, gt_starts = np.searchsorted(dt_img, np.arange(len(gt_starts))).tolist(), gt_starts.tolist()
     for a, b, c, e in zip(dt_starts, dt_starts[1:], gt_starts, gt_starts[1:]):
         if a < b and c < e:
             ious = iou_matrix(dt_box[a:b], gt_box[c:e])
@@ -197,8 +197,7 @@ def _geometry(ds: Dataset, dets: DetectionSet, partition: Partition, cfg: EvalCo
     in_whole = rank[kept] < cap
     in_zone = rank_within(dt_img * n_zones + dt_zone) < cap if cfg.cap_after_zone else in_whole
 
-    det, gt, iou = _candidate_pairs(dt_img, dt_box, dt_cat, ds.gt_image, gt_box, gt_cat, n_img,
-                                    cfg.iou_thresholds[0])
+    det, gt, iou = _candidate_pairs(dt_img, dt_box, dt_cat, ds.gt_starts, gt_box, gt_cat, cfg.iou_thresholds[0])
     same_zone = in_zone[det] & (dt_zone[det] == gt_zone[gt])
     whole = in_whole[det]
     pair_row = np.concatenate([det[same_zone], n_dt + det[whole]])

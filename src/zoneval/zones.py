@@ -14,10 +14,12 @@ Every partition has one edge table, built once: the sorted unique x and y
 edges of all rectangles, with 0 and 1 added, cut the unit square into cells,
 and each half-open rectangle covers whole cells.  Building it counts the
 rectangles over every cell, so an overlap or a gap is a ``PartitionError``
-for every spec, built-in or custom.  ``Partition.assign`` then finds a point's
-zone with two binary searches.  ``Zone.contains`` is the same half-open test
-written out, elementwise over scalars or numpy arrays, for callers that ask
-about one zone and for checks independent of the table.
+for every spec, built-in or custom.  ``Partition.assign`` then finds the zone
+of every point, clamped into its image, with two binary searches; it is the
+one center-to-zone function, and ``zone_of_clamped`` is its one-point form.
+``Zone.contains`` is the same half-open test written out, elementwise over
+scalars or numpy arrays, for callers that ask about one zone and for checks
+independent of the table.
 
 One builder numbers grid cells row-major (``g{r}_{c}``); ``strip-x:N`` is the
 1 x N grid (``x{k}``), ``strip-y:N`` the N x 1 grid (``y{k}``).  ``grid_rows``
@@ -38,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from .coco import Dataset, ImageInfo, _parse_records, _read_json, box_centers
-from .errors import IngestError, OutsideImageError, PartitionError
+from .errors import IngestError, PartitionError
 
 _FRAC = Fraction
 
@@ -105,19 +107,6 @@ class Zone:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Zone({self.id!r}, area={self.area_fraction:.6f})"
-
-
-def annular_rect(i: int, n: int) -> Rect:
-    """Centered square region number i of an n-ring layout.
-
-    The region spans [i/(2n), 1 - i/(2n)) on both axes; i = n gives the empty
-    degenerate rectangle at the image center.
-    """
-    if not 0 <= i <= n:
-        raise PartitionError(f"annular region index {i} out of range for n={n}")
-    lo = _FRAC(i, 2 * n)
-    hi = 1 - lo
-    return Rect(float(lo), float(lo), float(hi), float(hi))
 
 
 def _frame_rects(a: Fraction, b: Fraction) -> list[Rect]:
@@ -190,25 +179,14 @@ class Partition:
         i = np.searchsorted(self._xs, u, side="right") - 1
         j = np.searchsorted(self._ys, v, side="right") - 1
         idx = self._cells[i, j]
-        if (idx < 0).any():  # unreachable for a valid partition
+        if (idx < 0).any():  # unreachable for finite points of a valid partition; NaN lands here
             bad = np.argmax(idx < 0)
             raise PartitionError(f"no zone contains normalized point ({u[bad]}, {v[bad]})")
         return idx
 
-    def zone_of(self, point: tuple[float, float], img: ImageInfo) -> str:
-        """Zone id of a pixel-coordinate point inside the closed image domain."""
-        x, y = point
-        if not (0.0 <= x <= img.width and 0.0 <= y <= img.height):
-            raise OutsideImageError(
-                f"point ({x}, {y}) outside image {img.id} ({img.width}x{img.height})"
-            )
-        return self.zones[self.assign([x], [y], img.width, img.height)[0]].id
-
     def zone_of_clamped(self, point: tuple[float, float], img: ImageInfo) -> str:
-        """Like zone_of, but clamps out-of-image points onto the border first, as assign does."""
-        x = min(max(point[0], 0.0), img.width)
-        y = min(max(point[1], 0.0), img.height)
-        return self.zone_of((x, y), img)
+        """Zone id of one pixel point, clamped into its image: the one-point form of ``assign``."""
+        return self.zones[self.assign([point[0]], [point[1]], img.width, img.height)[0]].id
 
     def area_fraction(self, zone_id: str) -> float:
         if zone_id not in self.zones_by_id:

@@ -428,6 +428,9 @@ class TestUsageErrors:
             (["--beta", "inf", "--beta-zone", "z0,1"], "must be finite"),
             (["--beta", "0.1"], "--beta requires --beta-zone"),
             (["--beta", "0.1", "--beta-zone", "nope"], "--beta-zone 'nope' not in partition"),
+            (["--anchor-grid", "0x5"], "anchor grid needs cols, rows >= 1"),
+            (["--anchor-size", "-5"], "anchor box side must be finite and > 0, got -5.0"),
+            (["--anchor-size", "nan"], "anchor box side must be finite and > 0, got nan"),
         ],
     )
     def test_non_finite_sela_thresholds(self, bench_files, tmp_path, capsys, flags, problem):
@@ -459,6 +462,18 @@ class TestUsageErrors:
         assert code == 1
         assert err == f"error: {problem.format(dir=tmp_path)}\n"
         assert out == "" and set(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("out", ["heat.csv", "heat_t0.75.csv", "sub/../heat_t0.50.csv"])
+    def test_report_onto_a_heatmap_file_writes_nothing(self, bench_files, tmp_path, capsys, out):
+        gt, dt, _ = bench_files
+        (tmp_path / "sub").mkdir()
+        before = set(tmp_path.iterdir())
+        code = main(["eval", "--gt", str(gt), "--dt", str(dt), "--partition", "grid:2x2",
+                     "--out", str(tmp_path / out), "--heatmap", str(tmp_path / "heat.csv")])
+        stdout, err = capsys.readouterr()
+        assert code == 1
+        assert err == f"error: --out {tmp_path / out} is also a --heatmap file\n"
+        assert stdout == "" and set(tmp_path.iterdir()) == before
 
     def test_nan_image_width(self, tmp_path, capsys):
         gt = tmp_path / "gt.json"

@@ -281,6 +281,26 @@ class TestColumnsAndViews:
         assert ds.ground_truths is ds.ground_truths
         assert ds.gts_by_image[1][0] is ds.ground_truths[0]
 
+    def test_serialization_reads_the_columns(self, tmp_path):
+        path = tmp_path / "gt.json"
+        path.write_text(json.dumps(TWO_IMAGES))
+        ds = load_ground_truth(path)
+        text = json.dumps(ds.to_coco_dict())
+        assert "ground_truths" not in vars(ds) and "gts_by_image" not in vars(ds)
+        views = [{"id": g.id, "image_id": g.image_id, "category_id": g.category_id,
+                  "bbox": [g.bbox.x, g.bbox.y, g.bbox.w, g.bbox.h], "area": g.area,
+                  "iscrowd": 1 if g.ignore else 0} for g in ds.ground_truths]
+        assert text == json.dumps({**ds.to_coco_dict(), "annotations": views})
+
+    def test_gt_starts_index_each_image(self):
+        # image 0 has no ground truth and sorts first
+        ds = Dataset.from_coco_dict({**TWO_IMAGES, "images": [*TWO_IMAGES["images"],
+                                                               {"id": 0, "width": 10.0, "height": 10.0}]})
+        s = ds.gt_starts
+        assert s.tolist() == [0, 0, 2, 4]
+        assert [ds.gt_id[s[i]:s[i + 1]] for i in range(len(ds.images))] == \
+            [[g.id for g in gts] for gts in ds.gts_by_image.values()]
+
 
 class TestDuplicateIds:
     def test_duplicate_image_id(self, tmp_path):

@@ -55,7 +55,7 @@ class TestSudokuLayout:
         for entry in manifest:
             g = gt_by_id[entry["gt_id"]]
             img = ds.images_by_id[g.image_id]
-            assert partition.zone_of(bbox_center(g.bbox), img) == entry["zone"]
+            assert partition.zone_of_clamped(bbox_center(g.bbox), img) == entry["zone"]
 
     def test_zero_objects_rejected(self):
         with pytest.raises(ValueError):
@@ -106,6 +106,13 @@ class TestSyntheticBenchmark:
         assert json.dumps(ds1.to_coco_dict()) == json.dumps(ds2.to_coco_dict())
         assert json.dumps(dets1.to_coco_list()) == json.dumps(dets2.to_coco_list())
         assert exp1.to_json() == exp2.to_json()
+
+    def test_false_positives_leave_the_object_views_unbuilt(self):
+        p = build_partition(StripX(2))
+        profile = QualityProfile({z: ZoneQuality(recall=0.5, fp_per_tp=1.5) for z in p.zone_ids}, rng_seed=3)
+        ds, dets, expected = synthetic_benchmark(10, 100, 0.0, profile, p)
+        assert dets.total > len(ds.gt_id) * 0.5  # false positives were planted
+        assert "gts_by_image" not in vars(ds) and "ground_truths" not in vars(ds)
 
     def test_zero_jitter_detections_have_unit_iou(self):
         (ds, dets, _), _ = self.bench()

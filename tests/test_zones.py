@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from zoneval.coco import ImageInfo
-from zoneval.errors import OutsideImageError, PartitionError
+from zoneval.errors import PartitionError
 from zoneval.zones import (
     Annular,
     Custom,
@@ -16,7 +16,6 @@ from zoneval.zones import (
     Partition,
     Rect,
     Zone,
-    annular_rect,
     build_partition,
     load_custom_spec,
     normalize_points,
@@ -43,21 +42,27 @@ def _probes(edges: set[float]) -> np.ndarray:
 
 
 class TestAnnularRect:
+    """The rectangles of the built ``annular:5`` rings."""
+
+    @staticmethod
+    def rects(zone_id):
+        return build_partition(Annular(5)).zones_by_id[zone_id].rects
+
+    def bounds(self, zone_id):
+        rects = self.rects(zone_id)
+        return (min(r.x0 for r in rects), min(r.y0 for r in rects),
+                max(r.x1 for r in rects), max(r.y1 for r in rects))
+
     def test_outermost_is_whole_image(self):
-        r = annular_rect(0, 5)
-        assert (r.x0, r.y0, r.x1, r.y1) == (0.0, 0.0, 1.0, 1.0)
+        assert self.bounds("z0,1") == (0.0, 0.0, 1.0, 1.0)
 
     def test_innermost_bound_is_empty(self):
-        assert annular_rect(5, 5).is_empty
+        # the innermost ring has no hole: its rectangles tile its whole square
+        rects = self.rects("z4,5")
+        assert sum((r.x1 - r.x0) * (r.y1 - r.y0) for r in rects) == pytest.approx(0.2 * 0.2)
 
     def test_interior_rect(self):
-        r = annular_rect(4, 5)
-        assert (r.x0, r.x1) == (0.4, 0.6)
-        assert (r.y0, r.y1) == (0.4, 0.6)
-
-    def test_index_out_of_range(self):
-        with pytest.raises(PartitionError):
-            annular_rect(6, 5)
+        assert self.bounds("z4,5") == (0.4, 0.4, 0.6, 0.6)
 
 
 class TestBuildPartition:
@@ -158,25 +163,25 @@ class TestBuildPartition:
 class TestZoneOf:
     def test_image_center_is_innermost_ring(self, square_image):
         p = build_partition(Annular(5))
-        assert p.zone_of((300, 300), square_image) == "z4,5"
+        assert p.zone_of_clamped((300, 300), square_image) == "z4,5"
 
     def test_origin_is_outermost_ring(self, square_image):
         p = build_partition(Annular(5))
-        assert p.zone_of((0, 0), square_image) == "z0,1"
+        assert p.zone_of_clamped((0, 0), square_image) == "z0,1"
 
     def test_second_ring(self, square_image):
         # x/W = 0.15 sits in [0.1, 0.2); y central
         p = build_partition(Annular(5))
-        assert p.zone_of((0.15 * 600, 0.5 * 600), square_image) == "z1,2"
+        assert p.zone_of_clamped((0.15 * 600, 0.5 * 600), square_image) == "z1,2"
 
     def test_right_bottom_edge_gets_a_zone(self, square_image):
         p = build_partition(Grid(11, 11))
-        assert p.zone_of((600, 600), square_image) == "g10_10"
+        assert p.zone_of_clamped((600, 600), square_image) == "g10_10"
 
-    def test_outside_image_raises(self, square_image):
+    def test_nan_point_raises(self, square_image):
         p = build_partition(Annular(5))
-        with pytest.raises(OutsideImageError):
-            p.zone_of((601, 10), square_image)
+        with pytest.raises(PartitionError, match="no zone contains"):
+            p.zone_of_clamped((math.nan, 10), square_image)
 
     def test_clamped_variant_accepts_overflow(self, square_image):
         p = build_partition(Annular(5))
@@ -188,13 +193,13 @@ class TestZoneOf:
         wide = ImageInfo(id=1, width=1000, height=10)
         tall = ImageInfo(id=2, width=10, height=1000)
         for u, v in [(0.05, 0.5), (0.15, 0.15), (0.45, 0.55), (0.31, 0.87)]:
-            assert p.zone_of((u * 1000, v * 10), wide) == p.zone_of((u * 10, v * 1000), tall)
+            assert p.zone_of_clamped((u * 1000, v * 10), wide) == p.zone_of_clamped((u * 10, v * 1000), tall)
 
     def test_boundary_determinism(self, square_image):
         # a point exactly on the shared 0.2 boundary belongs to the zone whose
         # half-open interval claims it, run after run
         p = build_partition(StripX(5))
-        hits = {p.zone_of((0.2 * 600, 300), square_image) for _ in range(5)}
+        hits = {p.zone_of_clamped((0.2 * 600, 300), square_image) for _ in range(5)}
         assert hits == {"x1"}
 
     def test_internal_float_boundary_is_half_open(self):
@@ -202,9 +207,9 @@ class TestZoneOf:
         # right-hand cell of a 3-wide grid
         p = build_partition(Grid(1, 3))
         img = ImageInfo(id=1, width=3.0, height=3.0)
-        assert p.zone_of((1.0, 1.5), img) == "g0_1"
-        assert p.zone_of((2.0, 1.5), img) == "g0_2"
-        assert p.zone_of((0.999, 1.5), img) == "g0_0"
+        assert p.zone_of_clamped((1.0, 1.5), img) == "g0_1"
+        assert p.zone_of_clamped((2.0, 1.5), img) == "g0_2"
+        assert p.zone_of_clamped((0.999, 1.5), img) == "g0_0"
 
 
 class TestAreas:
