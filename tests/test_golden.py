@@ -4,6 +4,9 @@ The files under ``tests/data/golden/`` are the ``evaluate_zones`` reports
 (``ZoneReport.to_json()``) and one ``scale_study`` report (the JSON that
 ``zone-eval`` and the benchmark write) of ``datagen.random_multiclass_benchmark``
 inputs, as produced by the tuple-list matcher that preceded the array kernel.
+The ``sela_*`` files are the CSV and JSON outputs of ``zone-eval sela`` on the
+frozen ground truth ``sela_gt.json``, for a gamma run and a ``--beta`` run, as
+produced by the per-anchor-object assignment that preceded the array-backed one.
 They were generated by running this file as a script from the repository root:
 
     PYTHONPATH=src:tests python tests/test_golden.py
@@ -15,8 +18,10 @@ report fails here.
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from zoneval.cli import main
 from zoneval.matching import EvalConfig
 from zoneval.zone_eval import evaluate_zones, scale_study
 from zoneval.zones import build_partition, parse_zone_spec
@@ -62,8 +67,48 @@ def test_scale_study_is_byte_identical():
     assert scale_report() == (GOLDEN / "scale_study_annular_3.json").read_text()
 
 
+SELA_GT = GOLDEN / "sela_gt.json"
+SELA_RUNS = {
+    "gamma": ["--partition", "annular:3", "--anchor-grid", "16x12", "--anchor-size", "48",
+              "--t", "0.3", "--gamma", "0.25"],
+    "beta": ["--partition", "grid:3x2", "--anchor-grid", "9x7",
+             "--alpha-pos", "0.15", "--beta", "0.15", "--beta-zone", "g1_1"],
+}
+SELA_CASES = [(run, fmt) for run in SELA_RUNS for fmt in ("csv", "json")]
+
+
+def sela_gt_doc() -> dict:
+    """Three images of unlike sizes (one empty), boxes of 10 to 150 px, some over the border."""
+    rng = np.random.default_rng(17)
+    images = [{"id": 3, "width": 640, "height": 480}, {"id": 1, "width": 333, "height": 250},
+              {"id": 2, "width": 100, "height": 100}]
+    annotations = []
+    for img, n in zip(images[:2], (9, 6)):
+        for _ in range(n):
+            w, h = rng.uniform(10, 150, 2).round(1).tolist()
+            x = round(float(rng.uniform(-0.1 * w, img["width"] - 0.9 * w)), 1)
+            y = round(float(rng.uniform(-0.1 * h, img["height"] - 0.9 * h)), 1)
+            annotations.append({"id": 100 - len(annotations), "image_id": img["id"], "category_id": 1,
+                                "bbox": [x, y, w, h], "area": round(w * h, 2)})
+    return {"images": images, "annotations": annotations, "categories": [{"id": 1, "name": "c"}]}
+
+
+def sela_output(run: str, fmt: str, out: Path) -> bytes:
+    assert main(["sela", "--gt", str(SELA_GT), *SELA_RUNS[run], "--format", fmt, "--out", str(out)]) == 0
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize("run,fmt", SELA_CASES, ids=[f"sela_{r}.{f}" for r, f in SELA_CASES])
+def test_sela_output_is_byte_identical(run, fmt, tmp_path):
+    want = (GOLDEN / f"sela_{run}.{fmt}").read_bytes()
+    assert sela_output(run, fmt, tmp_path / f"out.{fmt}") == want
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(parents=True, exist_ok=True)
     for spec, cap in CASES:
         (GOLDEN / _name(spec, cap)).write_text(zone_report(spec, cap))
     (GOLDEN / "scale_study_annular_3.json").write_text(scale_report())
+    SELA_GT.write_text(json.dumps(sela_gt_doc(), indent=1) + "\n")
+    for run, fmt in SELA_CASES:
+        sela_output(run, fmt, GOLDEN / f"sela_{run}.{fmt}")
