@@ -23,6 +23,7 @@ from .coco import (
 )
 from .equilibrium import (
     Anchor,
+    AnchorSet,
     AssignConfig,
     AssignmentResult,
     anchor_grid,

@@ -216,9 +216,9 @@ def cmd_sela(args: argparse.Namespace) -> int:
         rule = AssignConfig(t=args.t, gamma=args.gamma)
 
     rows_out = []
-    for img in ds.images:
+    for k, img in enumerate(ds.images):
         anchors = anchor_grid(img, cols, rows, box_size=args.anchor_size)
-        gts = ds.gts_by_image[img.id]
+        gts = ds.gt_box[ds.gt_starts[k]:ds.gt_starts[k + 1]]
         if args.beta is not None:
             result = beta_assign(anchors, gts, args.alpha_pos, args.beta, zone, img)
         else:
@@ -264,12 +264,15 @@ def _read_heatmap(path: Path) -> list[list[float | None]]:
 
 
 def cmd_correlate(args: argparse.Namespace) -> int:
-    ds = load_ground_truth(args.gt)
     base = Path(args.heatmap)
     thresholds = tuple(args.iou)
+    paths = [_threshold_path(base, t) for t in thresholds]
+    # the curve must not overwrite a heatmap it reads
+    if args.out and Path(args.out).resolve() in {p.resolve() for p in paths}:
+        raise ValueError(f"--out {args.out} is also a per-threshold --heatmap file")
+    ds = load_ground_truth(args.gt)
     heatmaps = {}
-    for t in thresholds:
-        path = _threshold_path(base, t)
+    for t, path in zip(thresholds, paths):
         if not path.exists():
             raise IngestError(f"missing per-threshold heatmap {path}")
         heatmaps[t] = _read_heatmap(path)

@@ -5,12 +5,20 @@ on the boundary.  The SELA rule relaxes a positive-IoU threshold t by
 gamma * weight, so border anchors qualify at lower IoU; the beta variant
 instead raises the threshold inside one chosen zone.  Both are pure
 simulations over caller-supplied anchors: no feature-map or stride logic.
+
+It is array code throughout.  ``anchor_grid`` returns an ``AnchorSet`` (read-only
+(N, 4) xywh boxes and (N, 2) centers; ``Anchor`` objects are built only on
+indexing).  The rules convert a list of ``Anchor`` or ``GroundTruth`` once on
+entry, or take ground truths as an (M, 4) xywh array, and return the boolean
+(anchors x ground truths) hit matrix; ``positives`` is a view derived from it.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +41,30 @@ class Anchor:
     @classmethod
     def from_box(cls, box: BBox) -> "Anchor":
         return cls(bbox_center(box), box)
+
+
+@dataclass(frozen=True, eq=False)
+class AnchorSet(Sequence):
+    """Anchors as read-only arrays, row for row: (N, 4) xywh ``boxes`` and (N, 2) ``centers``."""
+
+    boxes: np.ndarray
+    centers: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name, cols in (("boxes", 4), ("centers", 2)):
+            a = np.array(getattr(self, name), dtype=float).reshape(-1, cols)
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+        if len(self.boxes) != len(self.centers):
+            raise ValueError(f"{len(self.boxes)} anchor boxes but {len(self.centers)} centers")
+
+    def __len__(self) -> int:
+        return len(self.boxes)
+
+    def __getitem__(self, i) -> Anchor:
+        """The ``Anchor`` of row ``i`` (negative counts from the end), built on each call."""
+        i = operator.index(i)
+        return Anchor(tuple(self.centers[i].tolist()), BBox(*self.boxes[i].tolist()))
 
 
 @dataclass(frozen=True)
@@ -65,30 +97,43 @@ def se_loss_weight(x, y, width: float, height: float, gamma: float):
     return 1.0 + gamma * spatial_weight(x, y, width, height)
 
 
-@dataclass
+@dataclass(eq=False)
 class AssignmentResult:
-    """Positive anchors per ground truth (indices into the input lists)."""
+    """Which anchor is positive for which ground truth (indices into the inputs)."""
 
-    anchors: list[Anchor]
-    positives: dict[int, tuple[int, ...]]  # gt index -> anchor indices
+    anchors: AnchorSet
+    hits: np.ndarray  # (anchors, ground truths) bool
+
+    @property
+    def positives(self) -> dict[int, tuple[int, ...]]:
+        """Ground-truth index -> its positive anchors' indices, ascending."""
+        return {gi: tuple(np.flatnonzero(column).tolist()) for gi, column in enumerate(self.hits.T)}
 
     def positive_anchor_indices(self) -> list[int]:
-        """Distinct anchors that are positive for at least one ground truth."""
-        return sorted({ai for idxs in self.positives.values() for ai in idxs})
+        """Distinct anchors that are positive for at least one ground truth, ascending."""
+        return np.flatnonzero(self.hits.any(axis=1)).tolist()
+
+
+def _as_arrays(anchors, gts) -> tuple[AnchorSet, np.ndarray]:
+    """Anchors as an ``AnchorSet`` (an ``Anchor`` keeps its own center), ground truths as (M, 4) xywh."""
+    if not isinstance(anchors, AnchorSet):
+        anchors = AnchorSet(xywh([a.box for a in anchors]), [a.center for a in anchors])
+    boxes = np.asarray(gts, dtype=float) if isinstance(gts, np.ndarray) else xywh([g.bbox for g in gts])
+    if boxes.shape[1:] != (4,):
+        raise ValueError(f"ground-truth boxes must be an (M, 4) xywh array, got shape {boxes.shape}")
+    return anchors, boxes
 
 
 def sela_assign(
-    anchors: list[Anchor],
-    gts: list[GroundTruth],
-    cfg: AssignConfig,
-    img: ImageInfo,
+    anchors: AnchorSet | list[Anchor], gts: list[GroundTruth] | np.ndarray, cfg: AssignConfig, img: ImageInfo
 ) -> AssignmentResult:
     """Threshold-relaxing assignment: positive iff IoU >= t - gamma * weight.
 
     gamma = 0 reproduces the plain max-IoU threshold rule.
     """
-    xs, ys = np.array([a.center for a in anchors], dtype=float).reshape(-1, 2).T
-    return _threshold_positives(anchors, gts, cfg.t - cfg.gamma * spatial_weight(xs, ys, img.width, img.height))
+    anchors, boxes = _as_arrays(anchors, gts)
+    weight = spatial_weight(*anchors.centers.T, img.width, img.height)
+    return _threshold_positives(anchors, boxes, cfg.t - cfg.gamma * weight)
 
 
 def check_beta(alpha_pos: float, beta: float) -> None:
@@ -106,8 +151,8 @@ def check_anchor_grid(cols: int, rows: int, box_size: float | None) -> None:
 
 
 def beta_assign(
-    anchors: list[Anchor],
-    gts: list[GroundTruth],
+    anchors: AnchorSet | list[Anchor],
+    gts: list[GroundTruth] | np.ndarray,
     alpha_pos: float,
     beta: float,
     zone: Zone,
@@ -120,24 +165,17 @@ def beta_assign(
     """
     check_beta(alpha_pos, beta)
     if alpha_pos + beta > 1.0:
-        warnings.warn(
-            f"alpha_pos + beta = {alpha_pos + beta:g} > 1: no anchor inside zone "
-            f"{zone.id!r} can be positive",
-            stacklevel=2,
-        )
-    centers = np.array([a.center for a in anchors], dtype=float).reshape(-1, 2)
-    us, vs = normalize_points(centers[:, 0], centers[:, 1], img.width, img.height)
+        warnings.warn(f"alpha_pos + beta = {alpha_pos + beta:g} > 1: no anchor inside zone "
+                      f"{zone.id!r} can be positive", stacklevel=2)
+    anchors, boxes = _as_arrays(anchors, gts)
+    us, vs = normalize_points(*anchors.centers.T, img.width, img.height)
     cut = np.where(zone.contains(us, vs), alpha_pos + beta, alpha_pos)
-    return _threshold_positives(anchors, gts, cut)
+    return _threshold_positives(anchors, boxes, cut)
 
 
-def _threshold_positives(
-    anchors: list[Anchor], gts: list[GroundTruth], cut: np.ndarray
-) -> AssignmentResult:
+def _threshold_positives(anchors: AnchorSet, gt_boxes: np.ndarray, cut: np.ndarray) -> AssignmentResult:
     """Anchor ai is positive for ground truth gi iff their IoU >= cut[ai]."""
-    hits = iou_matrix(xywh([a.box for a in anchors]), xywh([g.bbox for g in gts])) >= cut[:, None]
-    positives = {gi: tuple(np.flatnonzero(hits[:, gi]).tolist()) for gi in range(len(gts))}
-    return AssignmentResult(anchors, positives)
+    return AssignmentResult(anchors, iou_matrix(anchors.boxes, gt_boxes) >= cut[:, None])
 
 
 @dataclass
@@ -177,12 +215,9 @@ def object_density(ds: Dataset, partition: Partition, absolute: bool = False) ->
     return _density_report(partition, gt_zone_counts(ds, partition), pixel_area, absolute)
 
 
-def supervision_density(
-    result: AssignmentResult, partition: Partition, img: ImageInfo
-) -> DensityReport:
+def supervision_density(result: AssignmentResult, partition: Partition, img: ImageInfo) -> DensityReport:
     """Positive-anchor count and density per zone (distinct anchors)."""
-    centers = [result.anchors[ai].center for ai in result.positive_anchor_indices()]
-    xs, ys = np.array(centers, dtype=float).reshape(-1, 2).T
+    xs, ys = result.anchors.centers[result.hits.any(axis=1)].T
     idx = partition.assign(xs, ys, img.width, img.height)
     return _density_report(partition, np.bincount(idx, minlength=len(partition.zones)), 1.0, False)
 
@@ -190,26 +225,21 @@ def supervision_density(
 def _density_report(
     partition: Partition, counts: np.ndarray, pixel_area: float, absolute: bool
 ) -> DensityReport:
-    zones = []
-    for zone, count in zip(partition.zones, counts.tolist()):
-        area = zone.area_fraction * pixel_area
-        zones.append(ZoneDensity(zone.id, count, area, count / area if area > 0 else 0.0))
-    return DensityReport(zones, absolute)
+    areas = partition.area_fractions * pixel_area
+    density = np.divide(counts, areas, out=np.zeros(len(areas)), where=areas > 0)
+    rows = zip(partition.zone_ids, counts.tolist(), areas.tolist(), density.tolist())
+    return DensityReport([ZoneDensity(*row) for row in rows], absolute)
 
 
-def anchor_grid(img: ImageInfo, cols: int, rows: int, box_size: float | None = None) -> list[Anchor]:
-    """Regular anchor lattice: one anchor per cell center, square boxes.
+def anchor_grid(img: ImageInfo, cols: int, rows: int, box_size: float | None = None) -> AnchorSet:
+    """Regular anchor lattice: one anchor per cell center, square boxes, rows top to bottom.
 
-    Test/simulation helper; defaults the box side to the cell pitch.
+    Test/simulation helper; defaults the box side to the cell pitch.  A center
+    is (c + 0.5) * pitch exactly, not x + w / 2, which may differ in the last bit.
     """
     check_anchor_grid(cols, rows, box_size)
-    pitch_x = img.width / cols
-    pitch_y = img.height / rows
+    pitch_x, pitch_y = img.width / cols, img.height / rows
     size = box_size if box_size is not None else min(pitch_x, pitch_y)
-    anchors = []
-    for r in range(rows):
-        cy = (r + 0.5) * pitch_y
-        for c in range(cols):
-            cx = (c + 0.5) * pitch_x
-            anchors.append(Anchor((cx, cy), BBox(cx - size / 2, cy - size / 2, size, size)))
-    return anchors
+    centers = np.column_stack([np.tile((np.arange(cols) + 0.5) * pitch_x, rows),
+                               np.repeat((np.arange(rows) + 0.5) * pitch_y, cols)])
+    return AnchorSet(np.column_stack([centers - size / 2, np.full((len(centers), 2), size)]), centers)

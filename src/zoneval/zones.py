@@ -143,6 +143,8 @@ class Partition:
         self.zones_by_id = {z.id: z for z in zones}
         if len(self.zones_by_id) != len(zones):
             raise PartitionError("duplicate zone id in partition")
+        self.area_fractions = np.array([z.area_fraction for z in zones], dtype=float)
+        self.area_fractions.setflags(write=False)
         owner = [k for k, z in enumerate(zones) for _ in z.rects]
         bounds = np.array([(r.x0, r.x1, r.y0, r.y1) for z in zones for r in z.rects]).reshape(-1, 4)
         # sorted sets, not np.union1d, which imports numpy.ma on first use

@@ -475,6 +475,21 @@ class TestUsageErrors:
         assert err == f"error: --out {tmp_path / out} is also a --heatmap file\n"
         assert stdout == "" and set(tmp_path.iterdir()) == before
 
+    @pytest.mark.parametrize("out", ["heat_t0.50.csv", "heat_t0.75.csv", "sub/../heat_t0.75.csv"])
+    def test_curve_onto_its_own_heatmap_writes_nothing(self, bench_files, tmp_path, capsys, out):
+        gt, _, _ = bench_files
+        (tmp_path / "sub").mkdir()
+        for t in ("0.50", "0.75"):
+            (tmp_path / f"heat_t{t}.csv").write_text("1.0,2.0\r\n3.0,4.0\r\n")
+        before = {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+        code = main(["correlate", "--gt", str(gt), "--heatmap", str(tmp_path / "heat.csv"),
+                     "--iou", "0.5,0.75", "--out", str(tmp_path / out)])
+        stdout, err = capsys.readouterr()
+        assert code == 1
+        assert err == f"error: --out {tmp_path / out} is also a per-threshold --heatmap file\n"
+        assert stdout == ""
+        assert {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
+
     def test_nan_image_width(self, tmp_path, capsys):
         gt = tmp_path / "gt.json"
         gt.write_text(json.dumps({"images": [{"id": 1, "width": float("nan"), "height": 100}],

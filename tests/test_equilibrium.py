@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from zoneval.coco import BBox, Category, Dataset, GroundTruth, ImageInfo
+from zoneval.coco import BBox, Category, Dataset, GroundTruth, ImageInfo, iou
 from zoneval.equilibrium import (
     Anchor,
+    AnchorSet,
     AssignConfig,
     anchor_grid,
     beta_assign,
@@ -17,7 +18,7 @@ from zoneval.equilibrium import (
     supervision_density,
 )
 from zoneval.errors import OutsideImageError
-from zoneval.zones import Annular, Custom, Grid, build_partition
+from zoneval.zones import Annular, Custom, Grid, build_partition, parse_zone_spec
 
 
 class TestSpatialWeight:
@@ -327,3 +328,190 @@ class TestAnchorGrid:
 
         for a in anchor_grid(IMG, 5, 3, box_size=40.0):
             assert bbox_center(a.box) == pytest.approx(a.center)
+
+
+def old_lattice(img, cols, rows, box_size=None):
+    """The per-cell loop ``anchor_grid`` ran before it built arrays: ``(center, xywh)`` per anchor."""
+    pitch_x = img.width / cols
+    pitch_y = img.height / rows
+    size = box_size if box_size is not None else min(pitch_x, pitch_y)
+    lattice = []
+    for r in range(rows):
+        cy = (r + 0.5) * pitch_y
+        for c in range(cols):
+            cx = (c + 0.5) * pitch_x
+            lattice.append(((cx, cy), (cx - size / 2, cy - size / 2, size, size)))
+    return lattice
+
+
+def scalar_reference(anchors, boxes, cut_of, partition, img):
+    """Positives, positive anchors and per-zone counts, one anchor and one box at a time."""
+    positives = {
+        gi: tuple(ai for ai, a in enumerate(anchors) if iou(a.box, BBox(*box)) >= cut_of(a))
+        for gi, box in enumerate(boxes)
+    }
+    indices = sorted({ai for idxs in positives.values() for ai in idxs})
+    counts = [0] * len(partition.zones)
+    for ai in indices:
+        u, v = unit_point(anchors[ai].center, img)
+        (k,) = [k for k, z in enumerate(partition.zones) if z.contains(u, v)]
+        counts[k] += 1
+    return positives, indices, counts
+
+
+def unit_point(center, img):
+    """A pixel point clamped into the image and scaled to [0, 1), as zones see it."""
+    below_one = np.nextafter(1.0, 0.0)
+    return tuple(min(min(max(p, 0.0), side) / side, below_one)
+                 for p, side in zip(center, (img.width, img.height)))
+
+
+def random_anchors(rng, img, n):
+    """Hand-built anchors whose given center may differ from x + w / 2 in the last bit."""
+    anchors = []
+    for _ in range(n):
+        cx, cy = rng.uniform(0, img.width), rng.uniform(0, img.height)
+        w, h = rng.uniform(5, 120, 2)
+        anchors.append(Anchor((cx, cy), BBox(cx - w / 2, cy - h / 2, w, h)))
+    return anchors
+
+
+class TestArrayPathEquivalence:
+    """The array path against a per-anchor scalar reference on random instances."""
+
+    SPECS = ("annular:3", "grid:3x4", "strip-x:2", "annular:5")
+
+    def instances(self):
+        rng = np.random.default_rng(2024)
+        for trial in range(80):
+            img = ImageInfo(1, float(rng.uniform(40, 700)), float(rng.uniform(40, 700)))
+            if trial % 2:
+                cols, rows = (int(v) for v in rng.integers(1, 10, 2))
+                size = None if trial % 4 == 1 else float(rng.uniform(4, 150))
+                anchors = anchor_grid(img, cols, rows, size)
+            else:
+                anchors = random_anchors(rng, img, int(rng.integers(0, 30)))
+            m = int(rng.integers(0, 6))
+            wh = rng.uniform(5, 200, (m, 2))
+            xy = rng.uniform(-0.2, 1.0, (m, 2)) * [img.width, img.height]
+            # half of them are jittered anchor boxes, so that positives occur
+            near = [anchors[int(i)].box for i in rng.integers(0, len(anchors), m // 2)] if len(anchors) else []
+            boxes = np.array([[b.x + rng.normal(0, 0.1 * b.w), b.y + rng.normal(0, 0.1 * b.h),
+                               b.w * rng.uniform(0.7, 1.4), b.h * rng.uniform(0.7, 1.4)] for b in near]
+                             + np.column_stack([xy, wh]).tolist()).reshape(-1, 4)
+            partition = build_partition(parse_zone_spec(self.SPECS[trial % len(self.SPECS)]))
+            yield rng, img, anchors, boxes, partition
+
+    @staticmethod
+    def gts(boxes):
+        return [GroundTruth(i + 1, 1, 1, BBox(*b), float(b[2] * b[3])) for i, b in enumerate(boxes.tolist())]
+
+    def check(self, result, anchors, boxes, cut_of, partition, img):
+        positives, indices, counts = scalar_reference(anchors, boxes, cut_of, partition, img)
+        assert result.positives == positives
+        assert result.positive_anchor_indices() == indices
+        assert supervision_density(result, partition, img).counts() == counts
+        assert [a.center for a in result.anchors] == [a.center for a in anchors]
+
+    def test_sela_matches_scalar_reference(self):
+        for rng, img, anchors, boxes, partition in self.instances():
+            cfg = AssignConfig(t=float(rng.uniform(0.2, 0.7)), gamma=float(rng.uniform(0, 0.2)))
+
+            def cut_of(a):
+                return cfg.t - cfg.gamma * spatial_weight(a.center[0], a.center[1], img.width, img.height)
+
+            for gts in (boxes, self.gts(boxes)):
+                self.check(sela_assign(anchors, gts, cfg, img), anchors, boxes, cut_of, partition, img)
+
+    def test_beta_matches_scalar_reference(self):
+        for rng, img, anchors, boxes, partition in self.instances():
+            zone = partition.zones[int(rng.integers(0, len(partition.zones)))]
+            alpha_pos, beta = float(rng.uniform(0.2, 0.6)), float(rng.uniform(-0.1, 0.3))
+
+            def cut_of(a):
+                return alpha_pos + beta if zone.contains(*unit_point(a.center, img)) else alpha_pos
+
+            for gts in (boxes, self.gts(boxes)):
+                result = beta_assign(anchors, gts, alpha_pos, beta, zone, img)
+                self.check(result, anchors, boxes, cut_of, partition, img)
+
+    def test_empty_inputs(self):
+        p = build_partition(Annular(3))
+        for anchors, gts in [([], []), ([], np.zeros((0, 4))), (anchor_grid(IMG, 3, 2), np.zeros((0, 4))),
+                             ([Anchor.from_box(BBox(10, 10, 20, 20))], [])]:
+            result = sela_assign(anchors, gts, AssignConfig(t=0.5, gamma=0.1), IMG)
+            assert result.hits.shape == (len(anchors), len(gts))
+            assert result.positives == {} and result.positive_anchor_indices() == []
+            assert supervision_density(result, p, IMG).counts() == [0, 0, 0]
+
+    def test_lattice_floats_match_old_loop(self):
+        rng = np.random.default_rng(7)
+        for _ in range(40):
+            img = ImageInfo(1, float(rng.uniform(1, 2000)), float(rng.uniform(1, 2000)))
+            cols, rows = (int(v) for v in rng.integers(1, 17, 2))
+            size = None if rng.random() < 0.5 else float(rng.uniform(1, 300))
+            anchors = anchor_grid(img, cols, rows, size)
+            want = old_lattice(img, cols, rows, size)
+            got = [(a.center, (a.box.x, a.box.y, a.box.w, a.box.h)) for a in anchors]
+            assert got == want  # exact floats, not approx
+            n = len(want)
+            assert len(anchors) == n
+            for i in (0, n - 1, -1, -n):
+                assert (anchors[i].center, anchors[i].box) == (want[i][0], BBox(*want[i][1]))
+            with pytest.raises(IndexError):
+                anchors[n]
+            with pytest.raises(IndexError):
+                anchors[-n - 1]
+
+
+class TestAnchorSet:
+    def test_arrays_are_read_only(self):
+        anchors = anchor_grid(IMG, 4, 3)
+        with pytest.raises(ValueError):
+            anchors.boxes[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            anchors.centers[0, 0] = 1.0
+        with pytest.raises(AttributeError):
+            anchors.boxes = np.zeros((12, 4))
+
+    def test_constructor_copies_and_checks_rows(self):
+        boxes = np.array([[0.0, 0.0, 10.0, 10.0]])
+        anchors = AnchorSet(boxes, [(5.0, 5.0)])
+        boxes[0, 0] = 99.0
+        assert anchors[0].box == BBox(0.0, 0.0, 10.0, 10.0)
+        with pytest.raises(ValueError, match="1 anchor boxes but 2 centers"):
+            AnchorSet(boxes, [(5.0, 5.0), (6.0, 6.0)])
+
+    def test_slices_are_not_indices(self):
+        with pytest.raises(TypeError):
+            anchor_grid(IMG, 4, 3)[1:3]
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 5), (3, 4, 1)])
+    def test_ground_truth_array_must_be_m_by_4(self, shape):
+        with pytest.raises(ValueError, match=r"\(M, 4\) xywh array"):
+            sela_assign(anchor_grid(IMG, 2, 2), np.ones(shape), AssignConfig(t=0.5), IMG)
+
+
+def test_array_path_builds_no_anchor_or_bbox(monkeypatch):
+    """anchor_grid -> sela_assign / beta_assign -> supervision_density on an (M, 4) array: no objects."""
+    built = []
+    for cls in (Anchor, BBox):
+        def counting(self, _check=cls.__post_init__):
+            built.append(type(self).__name__)
+            _check(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    img = ImageInfo(1, 640.0, 480.0)
+    partition = build_partition(Annular(5))
+    gts = np.array([[10.0, 10.0, 80.0, 60.0], [300.0, 200.0, 120.0, 90.0], [560.0, 400.0, 90.0, 90.0]])
+    anchors = anchor_grid(img, 16, 12, box_size=64.0)
+    results = [sela_assign(anchors, gts, AssignConfig(t=0.4, gamma=0.2), img),
+               beta_assign(anchors, gts, 0.3, 0.2, partition.zones[-1], img)]
+    counts = []
+    for result in results:
+        assert result.positives and result.positive_anchor_indices()
+        counts += supervision_density(result, partition, img).counts()
+    assert built == []
+    assert sum(counts) > 0
+    anchors[-1]  # the counter does see a view built on demand
+    assert built == ["BBox", "Anchor"]
