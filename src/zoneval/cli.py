@@ -99,18 +99,64 @@ def _eval_config(args: argparse.Namespace) -> EvalConfig:
     )
 
 
-def _write_text(path: str | None, text: str) -> None:
-    if path:
-        Path(path).write_text(text)
-    else:
-        sys.stdout.write(text)
+def _zones_file(spec: str) -> list[tuple[str, str]]:
+    """The zones file a ``custom:@FILE`` partition spec reads, as a (flag, path) input."""
+    return [("--partition", spec[len("custom:@"):])] if spec.startswith("custom:@") else []
+
+
+def _check_outputs(outputs, inputs) -> None:
+    """Before any work, reject an output that is also an input or another output, or cannot be written.
+
+    Both are (flag, path) pairs; a path of None (stdout, or an optional file not asked for) is skipped."""
+    outputs = [(flag, path) for flag, path in outputs if path]
+    named = outputs + [(flag, path) for flag, path in inputs if path]
+    real = [os.path.realpath(path) for _, path in named]  # Path.resolve raises on a symlink loop before 3.13
+    for i, (flag, path) in enumerate(outputs):
+        other = next((f for j, (f, _) in enumerate(named) if j != i and real[j] == real[i]), None)
+        if other:
+            raise ValueError(f"{flag} {path} is also a {other} file")
+        path = Path(path)
+        folder = path.parent
+        why = ("is a directory" if path.is_dir() else f"directory {folder} does not exist" if not folder.is_dir()
+               else None if os.access(path if path.exists() else folder, os.W_OK) else "permission denied")
+        if why:
+            raise OSError(f"{flag} {path}: {why}")
+
+
+def _write_outputs(texts) -> None:
+    """Write each (destination, text): stdout, a path passed by _check_outputs, or None for a file not asked for."""
+    for dest, text in texts:
+        if dest is sys.stdout:
+            dest.write(text)
+        elif dest:
+            Path(dest).write_text(text, newline="")
+
+
+def _text(write) -> str:
+    """What ``write(f)`` writes to a text file."""
+    buf = io.StringIO()
+    write(buf)
+    return buf.getvalue()
+
+
+def _json_text(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _csv_text(rows) -> str:
     """Rows as CSV text, quoted where a field holds a comma (annular zone ids do)."""
-    buf = io.StringIO()
-    csv.writer(buf).writerows(rows)
-    return buf.getvalue()
+    return _text(lambda f: csv.writer(f).writerows(rows))
+
+
+def _threshold_paths(base: Path, thresholds) -> list[Path]:
+    """The per-threshold heatmap files of a ``--heatmap`` base, one per threshold."""
+    paths: dict[Path, float] = {}
+    for t in thresholds:
+        path = base.with_name(f"{base.stem}_t{t:.2f}{base.suffix or '.csv'}")
+        if path in paths:
+            raise ValueError(f"--iou thresholds {paths[path]:g} and {t:g} would share the heatmap file {path}")
+        paths[path] = t
+    return list(paths)
 
 
 def _fmt(v: float | None) -> str:
@@ -118,30 +164,16 @@ def _fmt(v: float | None) -> str:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    cfg = _eval_config(args)
+    # the mean-ZP heatmap, then one file per threshold
+    heatmaps = [Path(args.heatmap), *_threshold_paths(Path(args.heatmap), cfg.iou_thresholds)] if args.heatmap else []
+    _check_outputs([("--out", args.out), *(("--heatmap", path) for path in heatmaps)],
+                   [("--gt", args.gt), ("--dt", args.dt), *_zones_file(args.partition)])
+    partition = build_partition(parse_zone_spec(args.partition))
+    if heatmaps and not isinstance(partition.spec, Grid):
+        raise PartitionError("--heatmap requires a grid partition")
     ds = load_ground_truth(args.gt)
     dets = load_detections(args.dt, ds)
-    partition = build_partition(parse_zone_spec(args.partition))
-    cfg = _eval_config(args)
-    base = Path(args.heatmap) if args.heatmap else None
-    # every output is checked before any is written, so a failed run leaves none behind
-    outputs = [("--out", Path(args.out))] if args.out else []
-    if base:
-        if not isinstance(partition.spec, Grid):
-            raise PartitionError("--heatmap requires a grid partition")
-        ts = cfg.iou_thresholds
-        heatmaps = [_threshold_path(base, t) for t in ts]
-        for a, b, path, other in zip(ts, ts[1:], heatmaps, heatmaps[1:]):
-            if path == other:
-                raise ValueError(f"--iou thresholds {a:g} and {b:g} would share the heatmap file {path}")
-        if args.out and Path(args.out).resolve() in {p.resolve() for p in [base, *heatmaps]}:
-            raise ValueError(f"--out {args.out} is also a --heatmap file")
-        outputs += [("--heatmap", path) for path in [base, *heatmaps]]
-    for flag, path in outputs:
-        folder = path.parent
-        why = ("is a directory" if path.is_dir() else f"directory {folder} does not exist" if not folder.is_dir()
-               else None if os.access(path if path.exists() else folder, os.W_OK) else "permission denied")
-        if why:
-            raise OSError(f"{flag} {path}: {why}")
 
     report = evaluate_zones(ds, dets, partition, cfg)
     for zid in report.undefined_zones:
@@ -157,49 +189,31 @@ def cmd_eval(args: argparse.Namespace) -> int:
     print(header)
     print(values)
 
-    if args.format == "json":
-        _write_text(args.out, report.to_json())
-    else:
-        buf = io.StringIO()
-        report.write_csv(buf)
-        _write_text(args.out, buf.getvalue())
-
-    if base:
-        # the mean ZP, then one file per threshold
-        series = [[z.zp for z in report.zones], *zip(*(z.zp_by_threshold for z in report.zones))]
-        for path, values in zip([base, *heatmaps], series):
-            with open(path, "w", newline="") as f:
-                write_heatmap_csv(grid_rows(partition, values), f)
-
+    series = [[z.zp for z in report.zones], *zip(*(z.zp_by_threshold for z in report.zones))]
+    _write_outputs([(args.out or sys.stdout, report.to_json() if args.format == "json" else _text(report.write_csv)),
+                    *((path, _text(lambda f: write_heatmap_csv(grid_rows(partition, values), f)))
+                      for path, values in zip(heatmaps, series))])
     return EXIT_UNDEFINED if report.full_ap is None else EXIT_OK
 
 
-def _threshold_path(base: Path, t: float) -> Path:
-    return base.with_name(f"{base.stem}_t{t:.2f}{base.suffix or '.csv'}")
-
-
 def cmd_density(args: argparse.Namespace) -> int:
+    _check_outputs([("--out", args.out)], [("--gt", args.gt), *_zones_file(args.partition)])
     ds = load_ground_truth(args.gt)
     partition = build_partition(parse_zone_spec(args.partition))
     report = object_density(ds, partition, absolute=args.absolute_area)
     if args.format == "json":
-        payload = {
-            "partition": args.partition,
-            "absolute_area": args.absolute_area,
-            "zones": [
-                {"id": z.zone_id, "count": z.count, "area": z.area, "density": z.density}
-                for z in report.zones
-            ],
-        }
-        _write_text(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        zones = [{"id": z.zone_id, "count": z.count, "area": z.area, "density": z.density} for z in report.zones]
+        text = _json_text({"partition": args.partition, "absolute_area": args.absolute_area, "zones": zones})
     else:
         rows = [("zone", "count", "area", "density")]
         rows += [(z.zone_id, z.count, repr(z.area), repr(z.density)) for z in report.zones]
-        _write_text(args.out, _csv_text(rows))
+        text = _csv_text(rows)
+    _write_outputs([(args.out or sys.stdout, text)])
     return EXIT_OK
 
 
 def cmd_sela(args: argparse.Namespace) -> int:
+    _check_outputs([("--out", args.out)], [("--gt", args.gt), *_zones_file(args.partition)])
     ds = load_ground_truth(args.gt)
     partition = build_partition(parse_zone_spec(args.partition))
     cols, rows = args.anchor_grid
@@ -231,24 +245,21 @@ def cmd_sela(args: argparse.Namespace) -> int:
     for _, zid, count, _ in rows_out:
         totals[zid] += count
     if args.format == "json":
-        payload = {
-            "per_image": [
-                {"image_id": i, "zone": z, "positives": c, "density": d}
-                for i, z, c, d in rows_out
-            ],
-            "totals": totals,
-        }
-        _write_text(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        per_image = [{"image_id": i, "zone": z, "positives": c, "density": d} for i, z, c, d in rows_out]
+        text = _json_text({"per_image": per_image, "totals": totals})
     else:
         rows = [("image_id", "zone", "positives", "density")]
         rows += [(i, z, c, repr(d)) for i, z, c, d in rows_out]
         rows += [("total", zid, totals[zid], "") for zid in partition.zone_ids]
-        _write_text(args.out, _csv_text(rows))
+        text = _csv_text(rows)
+    _write_outputs([(args.out or sys.stdout, text)])
     return EXIT_OK
 
 
 def _read_heatmap(path: Path) -> list[list[float | None]]:
-    """One per-threshold heatmap CSV; an empty, ragged or non-finite one raises IngestError."""
+    """One per-threshold heatmap CSV; a missing, empty, ragged or non-finite one raises IngestError."""
+    if not path.exists():
+        raise IngestError(f"missing per-threshold heatmap {path}")
     try:
         with open(path, newline="") as f:
             matrix = read_heatmap_csv(f)
@@ -264,32 +275,22 @@ def _read_heatmap(path: Path) -> list[list[float | None]]:
 
 
 def cmd_correlate(args: argparse.Namespace) -> int:
-    base = Path(args.heatmap)
-    thresholds = tuple(args.iou)
-    paths = [_threshold_path(base, t) for t in thresholds]
-    # the curve must not overwrite a heatmap it reads
-    if args.out and Path(args.out).resolve() in {p.resolve() for p in paths}:
-        raise ValueError(f"--out {args.out} is also a per-threshold --heatmap file")
+    paths = _threshold_paths(Path(args.heatmap), args.iou)
+    _check_outputs([("--out", args.out)], [("--gt", args.gt), *(("per-threshold --heatmap", p) for p in paths)])
     ds = load_ground_truth(args.gt)
-    heatmaps = {}
-    for t, path in zip(thresholds, paths):
-        if not path.exists():
-            raise IngestError(f"missing per-threshold heatmap {path}")
-        heatmaps[t] = _read_heatmap(path)
+    heatmaps = {t: _read_heatmap(path) for t, path in zip(args.iou, paths)}
     shape = {(len(m), len(m[0])) for m in heatmaps.values()}
     if len(shape) != 1:
         raise IngestError("per-threshold heatmaps disagree on shape")
     rows, cols = next(iter(shape))
     counts = analysis.center_counts(ds, rows, cols)
     curve = analysis.correlate_zp_distribution(heatmaps, counts)
-
-    buf = io.StringIO()
-    curve.write_csv(buf)
-    _write_text(args.out, buf.getvalue())
+    _write_outputs([(args.out or sys.stdout, _text(curve.write_csv))])
     return EXIT_OK
 
 
 def cmd_pattern_distance(args: argparse.Namespace) -> int:
+    _check_outputs([("--out", args.out)], [("--features", args.features)])
     records = analysis.load_feature_records(args.features)
     side_a = tuple(args.side_a.split(":"))
     side_b = tuple(args.side_b.split(":"))
@@ -305,7 +306,7 @@ def cmd_pattern_distance(args: argparse.Namespace) -> int:
         "bin_width": args.bin_width,
         "distance": value,
     }
-    _write_text(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_outputs([(args.out or sys.stdout, _json_text(payload))])
     return EXIT_OK
 
 
@@ -318,20 +319,21 @@ def _zone_quality(rec: dict) -> synth.ZoneQuality:
 
 
 def cmd_synth_sudoku(args: argparse.Namespace) -> int:
+    _check_outputs([("--out-gt", args.out_gt), ("--out-manifest", args.out_manifest)], [("--objects", args.objects)])
     meta = _read_json(args.objects)
     records = meta.get("objects") if isinstance(meta, dict) else meta
     objects = tuple(_parse_records(records, f"{args.objects}: object",
                                    lambda rec: (_id(rec["source_id"]), _id(rec["category_id"]))))
     cfg = synth.SudokuConfig(objects=objects, canvas=args.canvas, object_size=args.size)
     ds, manifest = synth.sudoku_layout(cfg)
-    Path(args.out_gt).write_text(json.dumps(ds.to_coco_dict(), indent=2, sort_keys=True) + "\n")
-    if args.out_manifest:
-        Path(args.out_manifest).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_outputs([(args.out_gt, _json_text(ds.to_coco_dict())), (args.out_manifest, _json_text(manifest))])
     print(f"{len(ds.gt_id)} objects on {len(ds.images)} canvases -> {args.out_gt}")
     return EXIT_OK
 
 
 def cmd_synth_bench(args: argparse.Namespace) -> int:
+    _check_outputs([("--out-gt", args.out_gt), ("--out-dt", args.out_dt), ("--out-expected", args.out_expected)],
+                   [("--profile", args.profile), *_zones_file(args.partition)])
     partition = build_partition(parse_zone_spec(args.partition))
     if args.profile:
         raw = _read_json(args.profile)
@@ -351,10 +353,8 @@ def cmd_synth_bench(args: argparse.Namespace) -> int:
         profile=profile,
         partition=partition,
     )
-    Path(args.out_gt).write_text(json.dumps(ds.to_coco_dict(), indent=2, sort_keys=True) + "\n")
-    Path(args.out_dt).write_text(json.dumps(dets.to_coco_list(), indent=2, sort_keys=True) + "\n")
-    if args.out_expected:
-        Path(args.out_expected).write_text(expected.to_json())
+    _write_outputs([(args.out_gt, _json_text(ds.to_coco_dict())), (args.out_dt, _json_text(dets.to_coco_list())),
+                    (args.out_expected, expected.to_json())])
     print(
         f"{len(ds.gt_id)} objects, {dets.total} detections on "
         f"{len(ds.images)} images -> {args.out_gt}, {args.out_dt}"

@@ -161,6 +161,9 @@ def _closed_form_zp(n_tp: int, n_gt: int) -> float:
 
 
 _FP_IOU_CEILING = 0.45  # planted false positives stay below the lowest threshold
+# a center is kept with probability exp(-bias * weight), about 2 / bias**2 on average for a
+# large bias: 50 keeps one draw in about 1,250, and a bias much larger never finishes
+_MAX_CENTER_BIAS = 50.0
 
 
 def synthetic_benchmark(
@@ -183,8 +186,8 @@ def synthetic_benchmark(
     """
     if n_images < 1 or n_objects < 1:
         raise ValueError("need at least one image and one object")
-    if center_bias < 0:
-        raise ValueError("center_bias must be >= 0")
+    if not 0.0 <= center_bias <= _MAX_CENTER_BIAS:
+        raise ValueError(f"center_bias must lie in [0, {_MAX_CENTER_BIAS:g}], got {center_bias!r}")
     for zid in partition.zone_ids:
         if zid not in profile.zones:
             raise ValueError(f"profile missing zone {zid!r}")

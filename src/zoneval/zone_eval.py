@@ -47,6 +47,7 @@ from .matching import (
 )
 from .zones import Grid, Partition, build_partition, grid_rows, spec_label
 
+
 @dataclass
 class ZoneResult:
     zone_id: str

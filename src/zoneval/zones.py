@@ -195,6 +195,7 @@ class Partition:
             raise PartitionError(f"unknown zone id {zone_id!r}")
         return self.zones_by_id[zone_id].area_fraction
 
+
 def gt_zone_counts(ds: Dataset, partition: Partition) -> np.ndarray:
     """Number of ground-truth box centers per zone, clamped into their images."""
     zone = partition.assign(*box_centers(ds.gt_box), *ds.image_size[ds.gt_image].T)

@@ -298,6 +298,16 @@ class TestSynthCommands:
                 assert g["zp"] == pytest.approx(w["zp"], abs=0.1)
 
 
+    @pytest.mark.parametrize("bias", ["nan", "inf", "1e308", "50.001", "-1"])
+    def test_bench_rejects_a_center_bias_it_cannot_sample(self, tmp_path, capsys, bias):
+        code = main(["synth", "bench", "--center-bias", bias,
+                     "--out-gt", str(tmp_path / "g.json"), "--out-dt", str(tmp_path / "d.json")])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert err.startswith("error: center_bias must lie in [0, 50]") and err.count("\n") == 1, err
+        assert out == "" and not any(tmp_path.iterdir())
+
+
 class TestCorrelate:
     def test_proportional_heatmap_gives_unit_pcc(self, tmp_path):
         # counts grid equals the heatmap up to scale -> pcc 1 on each threshold
@@ -341,6 +351,19 @@ class TestCorrelate:
         assert main(["correlate", "--gt", str(gt), "--heatmap", str(hm),
                      "--iou", "0.5,0.75", "--out", str(out)]) == 0
         assert out.read_text().startswith("iou,pcc,scc")
+
+
+    def test_thresholds_sharing_a_heatmap_file(self, tmp_path, capsys):
+        # 0.5 and 0.501 both name heat_t0.50.csv, so the curve would repeat one heatmap
+        gt = tmp_path / "gt.json"
+        gt.write_text(json.dumps(_gt_doc()))
+        (tmp_path / "heat_t0.50.csv").write_text("1.0,2.0\r\n3.0,4.0\r\n")
+        code = main(["correlate", "--gt", str(gt), "--heatmap", str(tmp_path / "heat.csv"),
+                     "--iou", "0.5,0.501"])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert err == f"error: --iou thresholds 0.5 and 0.501 would share the heatmap file {tmp_path}/heat_t0.50.csv\n"
+        assert out == ""
 
 
 class TestPatternDistance:
@@ -759,6 +782,24 @@ class TestIngestErrors:
             assert name in err
 
 
+# each writing subcommand: its arguments but the outputs, its output flags, and one input it reads
+_WRITERS = {
+    "eval": (["eval", "--gt", "gt.json", "--dt", "dt.json", "--partition", "grid:2x2"],
+             ["--out", "--heatmap"], ("--dt", "dt.json")),
+    "density": (["density", "--gt", "gt.json"], ["--out"], ("--gt", "gt.json")),
+    "sela": (["sela", "--gt", "gt.json", "--partition", "custom:@zones.json"], ["--out"],
+             ("--partition", "zones.json")),
+    "correlate": (["correlate", "--gt", "gt.json", "--heatmap", "heat.csv", "--iou", "0.5"], ["--out"],
+                  ("per-threshold --heatmap", "heat_t0.50.csv")),
+    "pattern-distance": (["pattern-distance", "--features", "f.jsonl"], ["--out"], ("--features", "f.jsonl")),
+    "synth sudoku": (["synth", "sudoku", "--objects", "objects.json"], ["--out-gt", "--out-manifest"],
+                     ("--objects", "objects.json")),
+    "synth bench": (["synth", "bench", "--images", "2", "--objects", "10", "--partition", "custom:@zones.json"],
+                    ["--out-gt", "--out-dt", "--out-expected"], ("--partition", "zones.json")),
+}
+_OUTPUT_FAULTS = ("missing directory", "directory", "onto an input", "two outputs onto one file")
+
+
 class TestOutputPaths:
     """An output path that cannot be written exits 1 with one `error:` line that names it."""
 
@@ -792,6 +833,37 @@ class TestOutputPaths:
                                            str(tmp_path / "heat.csv"), "--iou", "0.5"], capsys)
         assert code == 1
         assert "heat_t0.50.csv" in err
+
+    @pytest.mark.parametrize("command,fault", [
+        (command, fault) for command, (_, outputs, _) in _WRITERS.items() for fault in _OUTPUT_FAULTS
+        if fault != "two outputs onto one file" or len(outputs) > 1
+    ])
+    def test_bad_output_writes_nothing(self, bench_files, tmp_path, capsys, monkeypatch, command, fault):
+        # every writing subcommand checks its outputs before it reads, computes or writes anything
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "adir").mkdir()
+        (tmp_path / "heat_t0.50.csv").write_text("1.0,2.0\r\n3.0,4.0\r\n")
+        (tmp_path / "f.jsonl").write_text(json.dumps(
+            {"split": "test", "zone_tag": "in", "category_id": 1, "area": 100.0, "vector": [1.0]}) + "\n")
+        (tmp_path / "objects.json").write_text(json.dumps([{"source_id": 1, "category_id": 1}]))
+        (tmp_path / "zones.json").write_text(json.dumps([{"name": "all", "rects": [[0, 0, 1, 1]]}]))
+        before = {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")}
+        argv, outputs, (input_flag, input_path) = _WRITERS[command]
+        paths = [f"o{k}.out" for k in range(len(outputs))]
+        faults = {
+            "missing directory": ("nodir/o.out", "nodir/o.out: directory nodir does not exist"),
+            "directory": ("adir", "adir: is a directory"),
+            "onto an input": (input_path, f"{input_path} is also a {input_flag} file"),
+        }
+        if len(outputs) > 1:
+            faults["two outputs onto one file"] = (paths[1], f"{paths[1]} is also a {outputs[1]} file")
+        paths[0], problem = faults[fault]
+        code = main([*argv, *(arg for flag, path in zip(outputs, paths) for arg in (flag, path))])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert err == f"error: {outputs[0]} {problem}\n"
+        assert out == ""
+        assert {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")} == before
 
 
 _FUZZ_GT = {

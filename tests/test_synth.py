@@ -1,5 +1,7 @@
 import json
+import math
 
+import numpy as np
 import pytest
 
 from zoneval.coco import bbox_center, iou
@@ -161,3 +163,17 @@ class TestSyntheticBenchmark:
             return inner / len(ds.ground_truths)
 
         assert central_fraction(ds_biased) > central_fraction(ds_flat) + 0.1
+
+    @pytest.mark.parametrize("bias", [math.nan, math.inf, 1e308, 50.001, -1.0])
+    def test_center_bias_it_cannot_sample_raises_before_sampling(self, monkeypatch, bias):
+        # a large bias keeps about 2 / bias**2 of the drawn centers, so past 50 the sampler all but stalls
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled")
+
+        monkeypatch.setattr(np.random, "default_rng", no_sampling)
+        with pytest.raises(ValueError, match=r"center_bias must lie in \[0, 50\]"):
+            self.bench(center_bias=bias)
+
+    def test_largest_center_bias_still_samples(self):
+        (ds, _, _), _ = self.bench(n_images=1, n_objects=5, center_bias=50.0)
+        assert len(ds.gt_id) == 5
