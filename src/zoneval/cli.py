@@ -13,6 +13,7 @@ import io
 import json
 import math
 import os
+import stat
 import sys
 from pathlib import Path
 
@@ -115,12 +116,26 @@ def _check_outputs(outputs, inputs) -> None:
         other = next((f for j, (f, _) in enumerate(named) if j != i and real[j] == real[i]), None)
         if other:
             raise ValueError(f"{flag} {path} is also a {other} file")
-        path = Path(path)
-        folder = path.parent
-        why = ("is a directory" if path.is_dir() else f"directory {folder} does not exist" if not folder.is_dir()
-               else None if os.access(path if path.exists() else folder, os.W_OK) else "permission denied")
+        why = _unwritable(Path(path))
         if why:
             raise OSError(f"{flag} {path}: {why}")
+
+
+def _unwritable(path: Path) -> str | None:
+    """Why no file can be written at ``path``, or None if one can."""
+    try:
+        mode = path.stat().st_mode
+    except FileNotFoundError:
+        mode = None
+    except OSError as e:  # a symlink loop, or a folder that cannot be searched
+        return e.strerror or str(e)
+    if mode is not None and stat.S_ISDIR(mode):
+        return "is a directory"
+    # a dangling link is written at its target
+    folder = Path(os.path.realpath(path)).parent if path.is_symlink() else path.parent
+    if not folder.is_dir():
+        return f"directory {folder} does not exist"
+    return None if os.access(path if mode is not None else folder, os.W_OK) else "permission denied"
 
 
 def _write_outputs(texts) -> None:

@@ -9,13 +9,15 @@ that only reaches an ignored ground truth is itself ignored, as is an
 unmatched detection whose own box area falls outside the configured scale
 range.  Every ground truth is matched at most once per threshold.
 
-``greedy_match`` runs this rule for any number of groups and every IoU
-threshold at once.  Its input is the flat list of candidate pairs (detection
-row, ground-truth slot, IoU) with IoU at or above the lowest threshold.  It
-steps over detection rank, at most the per-image cap, and each step decides
-the pairs of that rank in every group and at every threshold with a few
-array operations.  Rows without a candidate pair never match, so they never
-enter the loop.
+``greedy_match`` runs this rule for any number of groups, for B sets of
+ignore flags (say, one per scale bin) and for every IoU threshold at once: a
+column axis of (B x thresholds).  Its input is the flat list of candidate
+pairs (detection row, ground-truth slot, IoU) with IoU at or above the lowest
+threshold.  It steps over detection rank, at most the per-image cap, and each
+step decides the pairs of that rank in every group and every column with a
+few array operations: a row's winner in a column is its free, reaching pair
+of least ``pair index + n_pairs * ignored``, one ``minimum.reduceat``.  Rows
+without a candidate pair never match, so they never enter the loop.
 
 AP follows the conventional COCO recipe: cumulative TP/FP in global score
 order, precision monotonized from the right, sampled at evenly spaced recall
@@ -113,48 +115,50 @@ def greedy_match(
     n_rows: int,
     thresholds: tuple[float, ...],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Greedy matching of many groups at every IoU threshold.
+    """Greedy matching of many groups under B ignore columns, at every IoU threshold.
 
     Pairs come in ``pair_order``.  A slot is one ground truth of one group, so
-    matching in one group never touches another; ``slot_ignored`` flags the
-    ignored slots.  Returns (tp, ignored), both (n_rows, T): whether each row
-    matched a non-ignored and an ignored ground truth at each threshold.
+    matching in one group never touches another.  ``slot_ignored`` is
+    (slots, B): column b flags the slots ignored in the b-th matching (a scale
+    bin, say), and the thresholds tile across the B columns.  Returns (tp,
+    ignored), both (n_rows, B, T): whether each row matched a non-ignored and
+    an ignored ground truth in each column at each threshold.
 
-    Per row and threshold the winner is the first pair in (non-ignored first,
-    -IoU, -slot) order whose IoU reaches the threshold and whose slot is still
-    free, which is COCO's greedy rule.  Rows of one step belong to different
-    groups, so a step resolves all of them at once.
+    Per row, column and threshold the winner is the free pair, among those
+    whose IoU reaches the threshold, of least key ``pair index + n_pairs *
+    ignored``: non-ignored pairs first, then in pair order (-IoU, -slot),
+    which is COCO's greedy rule.  Rows of one step belong to different
+    groups, so a step resolves all of them, in every column, at once.
     """
-    t_count = len(thresholds)
-    tp = np.zeros((n_rows, t_count), dtype=bool)
-    ign = np.zeros((n_rows, t_count), dtype=bool)
-    if len(row) == 0:
+    b_count, t_count = slot_ignored.shape[1], len(thresholds)
+    tp = np.zeros((n_rows, b_count, t_count), dtype=bool)
+    ign = np.zeros((n_rows, b_count, t_count), dtype=bool)
+    n = len(row)
+    if n == 0:
         return tp, ign
-    # within a row, non-ignored pairs first; the (-IoU, -slot) order is kept
-    new_row = np.ones(len(row), dtype=bool)
-    new_row[1:] = row[1:] != row[:-1]
-    run = np.cumsum(new_row) - 1
-    order = np.argsort(2 * run + slot_ignored[slot], kind="stable")
-    row, slot, iou, step = row[order], slot[order], iou[order], step[order]
-    pair_ign = slot_ignored[slot]
+    key = np.arange(n)[:, None] + n * slot_ignored[slot]  # (pairs, B)
     reaches = iou[:, None] >= np.asarray(thresholds)[None, :]
-    matched = np.zeros((len(slot_ignored), t_count), dtype=bool)
+    matched = np.zeros((len(slot_ignored), b_count, t_count), dtype=bool)
 
-    row_start = np.flatnonzero(new_row)  # rows stay contiguous after the reorder
+    new_row = np.ones(n, dtype=bool)
+    new_row[1:] = row[1:] != row[:-1]
+    row_start = np.flatnonzero(new_row)
     step_start = np.searchsorted(step[row_start], np.arange(step[-1] + 2))
-    bounds = np.append(row_start, len(row))
-    none = len(row)
+    bounds = np.append(row_start, n)
+    none = 2 * n
     for s in range(len(step_start) - 1):
         r0, r1 = step_start[s], step_start[s + 1]
         a, b = bounds[r0], bounds[r1]
-        free = reaches[a:b] & ~matched[slot[a:b]]
-        cand = np.where(free, np.arange(a, b)[:, None], none)
+        free = reaches[a:b, None, :] & ~matched[slot[a:b]]
+        cand = np.where(free, key[a:b, :, None], none)
         first = np.minimum.reduceat(cand, row_start[r0:r1] - a, axis=0)
-        hit_row, hit_t = np.nonzero(first < none)
-        p = first[hit_row, hit_t]
-        matched[slot[p], hit_t] = True
-        tp[row[p], hit_t] = ~pair_ign[p]
-        ign[row[p], hit_t] = pair_ign[p]
+        hit_row, hit_b, hit_t = np.nonzero(first < none)
+        k = first[hit_row, hit_b, hit_t]
+        hit_ign = k >= n
+        p = k - n * hit_ign
+        matched[slot[p], hit_b, hit_t] = True
+        tp[row[p], hit_b, hit_t] = ~hit_ign
+        ign[row[p], hit_b, hit_t] = hit_ign
     return tp, ign
 
 

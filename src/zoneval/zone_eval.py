@@ -14,15 +14,20 @@ its zone and once in the whole image; a zone pair is a whole-image pair whose
 detection and ground truth share a zone.
 
 Count, then match: a ground truth is countable when it is not crowd and its
-area lies in the configured scale range.  Only the pairs of (zone, category)
-segments holding a countable ground truth go through the greedy pass
+area lies in the scale range.  Only the pairs of (zone, category) segments
+holding a countable ground truth go through the greedy pass
 (``matching.greedy_match``), which handles every group of every image and
 every IoU threshold at once.  This is exact: AP accumulation leaves every
 other segment out of the zone's mean (as COCO's accumulate does).  AP then
 takes the rows of each segment in one precomputed stable score order.
 
-The scale study builds the geometry once and, per scale bin, reruns only the
-countable set, the greedy pass and AP.
+One evaluation pass (``_evaluate``) does this for a list of scale ranges at
+once: it counts positives per (range, segment), runs one greedy pass with one
+ignore column per range over the segments countable in any range (groups are
+independent, so the extra ones change nothing), and makes one
+``average_precision`` call over every (range, countable segment) curve.
+``evaluate_zones`` is its one-range case; the scale study builds the geometry
+once and runs all its bins through it, a bounded block of bins per pass.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -232,50 +237,87 @@ def _geometry(ds: Dataset, dets: DetectionSet, partition: Partition, cfg: EvalCo
     )
 
 
-def _gt_ignored(geo: _Geometry, cfg: EvalConfig) -> np.ndarray:
-    return geo.gt_crowd | ~in_scale_range(geo.gt_area, cfg.scale_range)
+_Range = tuple[float, float] | None  # a scale range [lo, hi) in pixels^2; None for all scales
 
 
-def _positives(geo: _Geometry, cfg: EvalConfig) -> np.ndarray:
-    """Countable ground truths per segment (crowd and out-of-range ones do not count)."""
-    pos = ~_gt_ignored(geo, cfg)
-    n_cat = len(geo.category_ids)
-    in_segments = np.concatenate([geo.gt_seg[pos], geo.n_zones * n_cat + geo.gt_cat[pos]])
-    return np.bincount(in_segments, minlength=(geo.n_zones + 1) * n_cat)
+def _in_ranges(area: np.ndarray, ranges: list[_Range]) -> np.ndarray:
+    """(N, B): whether each area lies in the b-th scale range."""
+    return np.stack([in_scale_range(area, r) for r in ranges], axis=1)
+
+
+def _gt_ignored(geo: _Geometry, ranges: list[_Range]) -> np.ndarray:
+    """(ground truths, B): crowd, or out of the b-th scale range."""
+    return geo.gt_crowd[:, None] | ~_in_ranges(geo.gt_area, ranges)
+
+
+def _positives(geo: _Geometry, ranges: list[_Range]) -> np.ndarray:
+    """Countable ground truths per (scale range, segment): crowd and out-of-range ones do not count."""
+    n_seg = (geo.n_zones + 1) * len(geo.category_ids)
+    b, g = np.nonzero(~_gt_ignored(geo, ranges).T)
+    in_segments = np.concatenate([geo.gt_seg[g], geo.n_zones * len(geo.category_ids) + geo.gt_cat[g]])
+    return np.bincount(np.concatenate([b, b]) * n_seg + in_segments,
+                       minlength=len(ranges) * n_seg).reshape(len(ranges), n_seg)
 
 
 def _match(
-    geo: _Geometry, cfg: EvalConfig, countable: np.ndarray
+    geo: _Geometry, cfg: EvalConfig, ranges: list[_Range], countable: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Greedy pass over the pairs of the countable segments: (live pairs, tp, ignored).
+    """One greedy pass over the pairs of the countable segments, for every scale range.
 
-    ``tp`` and ``ignored`` are (rows, T); rows of other segments are left unmatched.
+    Returns (live pairs, tp, ignored); ``tp`` and ``ignored`` are (rows, B, T),
+    and rows of other segments are left unmatched.
     """
-    gt_ignored = _gt_ignored(geo, cfg)
+    gt_ignored = _gt_ignored(geo, ranges)
     live = countable[geo.row_seg[geo.pair_row]]
     tp, ignored = greedy_match(
         geo.pair_row[live], geo.pair_slot[live], geo.pair_iou[live], geo.pair_step[live],
         np.concatenate([gt_ignored, gt_ignored]), len(geo.row_seg), cfg.iou_thresholds,
     )
-    ignored |= ~tp & ~in_scale_range(geo.row_area, cfg.scale_range)[:, None]
+    ignored |= ~tp & ~_in_ranges(geo.row_area, ranges)[:, :, None]
     return live, tp, ignored
 
 
-def _evaluate(geo: _Geometry, partition: Partition, cfg: EvalConfig) -> ZoneReport:
-    """Count, match and accumulate AP per zone into a report."""
-    n_pos = _positives(geo, cfg)
+def _evaluate(geo: _Geometry, cfg: EvalConfig, ranges: list[_Range]) -> list[list[np.ndarray]]:
+    """Count, match and accumulate AP under each scale range.
+
+    Returns, per range and per zone, with the whole image last, the
+    (countable categories, T) AP array.  One greedy pass serves every range,
+    and one ``average_precision`` call every (range, countable segment)
+    curve, keyed ``range * n_segments + segment``.
+    """
+    n_seg = (geo.n_zones + 1) * len(geo.category_ids)
+    n_pos = _positives(geo, ranges)
     countable = n_pos > 0
-    _, tp, ignored = _match(geo, cfg, countable)
-    keep = countable[geo.ap_seg]
-    rows, row_seg = geo.ap_rows[keep], geo.ap_seg[keep]
-    segs = np.flatnonzero(countable)
-    aps = average_precision(tp[rows].T, ignored[rows].T, np.searchsorted(row_seg, segs),
-                            n_pos[segs], cfg.recall_grid())
+    _, tp, ignored = _match(geo, cfg, ranges, countable.any(axis=0))
+    # keep only the AP rows, in (range, segment, -score) order
+    b, j = np.nonzero(countable[:, geo.ap_seg])
+    tp, ignored = tp[geo.ap_rows[j], b].T, ignored[geo.ap_rows[j], b].T
+    keys = np.flatnonzero(countable)
+    aps = average_precision(tp, ignored, np.searchsorted(b * n_seg + geo.ap_seg[j], keys),
+                            n_pos.ravel()[keys], cfg.recall_grid())
 
     # a zone's segments are one run of rows of aps, in category order
-    bounds = np.searchsorted(segs, np.arange(geo.n_zones + 2) * len(geo.category_ids)).tolist()
-    zone_aps = [aps[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    firsts = np.arange(len(ranges))[:, None] * n_seg + np.arange(geo.n_zones + 2) * len(geo.category_ids)
+    return [[aps[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+            for bounds in np.searchsorted(keys, firsts).tolist()]
 
+
+def evaluate_zones(
+    ds: Dataset,
+    dets: DetectionSet,
+    partition: Partition,
+    cfg: EvalConfig | None = None,
+    workers: int = 1,
+) -> ZoneReport:
+    """Evaluate every zone of a partition plus the whole image.
+
+    Zones with no ground truth in any category get an undefined ZP; they are
+    reported in ``undefined_zones`` and excluded from the variance.
+    ``workers`` is accepted for compatibility and ignored.
+    """
+    cfg = cfg or EvalConfig()
+    geo = _geometry(ds, dets, partition, cfg)
+    zone_aps = _evaluate(geo, cfg, [cfg.scale_range])[0]
     zone_results = []
     for zid, zaps, n_gt, n_det in zip(partition.zone_ids, zone_aps, geo.gt_counts, geo.det_counts):
         ap = mean_ap(zaps)
@@ -300,23 +342,6 @@ def _evaluate(geo: _Geometry, partition: Partition, cfg: EvalConfig) -> ZoneRepo
     )
 
 
-def evaluate_zones(
-    ds: Dataset,
-    dets: DetectionSet,
-    partition: Partition,
-    cfg: EvalConfig | None = None,
-    workers: int = 1,
-) -> ZoneReport:
-    """Evaluate every zone of a partition plus the whole image.
-
-    Zones with no ground truth in any category get an undefined ZP; they are
-    reported in ``undefined_zones`` and excluded from the variance.
-    ``workers`` is accepted for compatibility and ignored.
-    """
-    cfg = cfg or EvalConfig()
-    return _evaluate(_geometry(ds, dets, partition, cfg), partition, cfg)
-
-
 SCALE_STEPS = (4, 8, 16, 32, 64, 128)
 SCALE_CAP = 256
 
@@ -337,6 +362,11 @@ def scale_bins(r: int | None, cap: int = SCALE_CAP) -> list[tuple[float, float]]
         k += 1
     bins.append((bins[-1][1] if bins else 0.0, math.inf))
     return bins
+
+
+# bound on the (rows, scale bins, thresholds) entries of one scale_study pass:
+# more bins per pass means fewer passes but larger temporaries
+_BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass
@@ -371,27 +401,30 @@ def scale_study(
     is evaluated separately and a zone's mean is taken over the bins where it
     has a defined ZP.  The grand mean averages the per-step means.
 
-    Each bin's report equals ``evaluate_zones`` with that bin as
-    ``scale_range``.  The geometry (cap, zones, candidate pairs and their IoU)
-    does not depend on the bin, so it is computed once; each bin only
-    rebuilds its countable set, reruns the greedy pass and accumulates AP.
+    Each bin's ZPs equal those of ``evaluate_zones`` with that bin as
+    ``scale_range``, bit for bit.  The geometry (cap, zones, candidate pairs
+    and their IoU) does not depend on the bin, so it is computed once.  The
+    bins then go through ``_evaluate`` in blocks of at most
+    ``_BLOCK_ENTRIES`` (rows x bins x thresholds) entries: one greedy pass
+    with a column per bin and one AP call per block.
     ``workers`` is accepted for compatibility and ignored.
     """
     cfg = cfg or EvalConfig()
     zone_ids = partition.zone_ids
     geo = _geometry(ds, dets, partition, cfg)
-    mean_zp: dict[int | None, list[float | None]] = {}
-    for r in steps:
-        sums = [0.0] * len(zone_ids)
-        counts = [0] * len(zone_ids)
-        for lo, hi in scale_bins(r):
-            bin_cfg = replace(cfg, scale_range=(lo, hi))
-            report = _evaluate(geo, partition, bin_cfg)
-            for zi, z in enumerate(report.zones):
-                if z.zp is not None:
-                    sums[zi] += z.zp
-                    counts[zi] += 1
-        mean_zp[r] = [s / c if c else None for s, c in zip(sums, counts)]
+    bins = [(i, rng) for i, r in enumerate(steps) for rng in scale_bins(r)]
+    per_block = max(1, _BLOCK_ENTRIES // max(1, len(geo.row_seg) * len(cfg.iou_thresholds)))
+    sums = [[0.0] * len(zone_ids) for _ in steps]
+    counts = [[0] * len(zone_ids) for _ in steps]
+    for lo in range(0, len(bins), per_block):
+        block = bins[lo : lo + per_block]
+        for (i, _), zone_aps in zip(block, _evaluate(geo, cfg, [rng for _, rng in block])):
+            for zi, zaps in enumerate(zone_aps[:-1]):
+                ap = mean_ap(zaps)
+                if ap is not None:
+                    sums[i][zi] += 100.0 * ap
+                    counts[i][zi] += 1
+    mean_zp = {r: [s / c if c else None for s, c in zip(sums[i], counts[i])] for i, r in enumerate(steps)}
 
     grand: list[float | None] = []
     for zi in range(len(zone_ids)):

@@ -65,7 +65,8 @@ def match_image(gts: list[GroundTruth], dets: list[Detection], cfg: EvalConfig) 
     iou = ious[row, slot]
     order, step = pair_order(row, slot, iou, np.zeros(len(dets), dtype=np.int64))
     tp, ign = greedy_match(row[order], slot[order], iou[order], step,
-                           gt_ignored, len(dets), cfg.iou_thresholds)
+                           gt_ignored[:, None], len(dets), cfg.iou_thresholds)
+    tp, ign = tp[:, 0], ign[:, 0]
     out_of_range = ~in_scale_range(det_box[:, 2] * det_box[:, 3], cfg.scale_range)
     ign |= ~tp & out_of_range[:, None]
     scores = np.array([d.score for d in dets], dtype=float)

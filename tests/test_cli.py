@@ -1,10 +1,12 @@
 import copy
 import csv
+import errno
 import functools
 import io
 import json
 import math
 import operator
+import os
 import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
@@ -797,7 +799,8 @@ _WRITERS = {
     "synth bench": (["synth", "bench", "--images", "2", "--objects", "10", "--partition", "custom:@zones.json"],
                     ["--out-gt", "--out-dt", "--out-expected"], ("--partition", "zones.json")),
 }
-_OUTPUT_FAULTS = ("missing directory", "directory", "onto an input", "two outputs onto one file")
+_OUTPUT_FAULTS = ("missing directory", "directory", "symlink loop", "dangling link", "onto an input",
+                  "two outputs onto one file")
 
 
 class TestOutputPaths:
@@ -834,6 +837,19 @@ class TestOutputPaths:
         assert code == 1
         assert "heat_t0.50.csv" in err
 
+    @pytest.mark.parametrize("target", ["link", "nodir/dt.json"])
+    def test_bad_link_as_a_later_output_writes_nothing(self, tmp_path, capsys, monkeypatch, target):
+        # a link to itself (a loop) or into a missing folder is named by its flag before --out-gt is written
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "link").symlink_to(target)
+        code = main(["synth", "bench", "--images", "2", "--objects", "10", "--out-gt", "gt2.json",
+                     "--out-dt", "link"])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert err.startswith("error: --out-dt link: ") and err.count("\n") == 1, err
+        assert out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link"]
+
     @pytest.mark.parametrize("command,fault", [
         (command, fault) for command, (_, outputs, _) in _WRITERS.items() for fault in _OUTPUT_FAULTS
         if fault != "two outputs onto one file" or len(outputs) > 1
@@ -847,12 +863,16 @@ class TestOutputPaths:
             {"split": "test", "zone_tag": "in", "category_id": 1, "area": 100.0, "vector": [1.0]}) + "\n")
         (tmp_path / "objects.json").write_text(json.dumps([{"source_id": 1, "category_id": 1}]))
         (tmp_path / "zones.json").write_text(json.dumps([{"name": "all", "rects": [[0, 0, 1, 1]]}]))
+        (tmp_path / "loop").symlink_to("loop")
+        (tmp_path / "dangling").symlink_to("nodir/t.out")
         before = {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")}
         argv, outputs, (input_flag, input_path) = _WRITERS[command]
         paths = [f"o{k}.out" for k in range(len(outputs))]
         faults = {
             "missing directory": ("nodir/o.out", "nodir/o.out: directory nodir does not exist"),
             "directory": ("adir", "adir: is a directory"),
+            "symlink loop": ("loop", f"loop: {os.strerror(errno.ELOOP)}"),
+            "dangling link": ("dangling", f"dangling: directory {tmp_path.resolve() / 'nodir'} does not exist"),
             "onto an input": (input_path, f"{input_path} is also a {input_flag} file"),
         }
         if len(outputs) > 1:

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from zoneval.coco import BBox, Category, Dataset, Detection, DetectionSet, GroundTruth, ImageInfo
-from zoneval.matching import EvalConfig
+from zoneval.coco import BBox, Category, Dataset, Detection, DetectionSet, GroundTruth, ImageInfo, iou_matrix
+from zoneval.matching import EvalConfig, greedy_match, pair_order
 from zoneval.oracle import ap_oracle
 from zoneval.zone_eval import evaluate_zones
 from zoneval.zones import Annular, build_partition
@@ -171,7 +171,7 @@ class TestBatchedGroups:
                                scale_range=(0.0, 48.0**2))):
             geo = zone_eval._geometry(ds, dset, p, cfg)
             everything = np.ones((n_zones + 1) * len(ds.category_ids), dtype=bool)
-            _, tp, ignored = zone_eval._match(geo, cfg, everything)
+            _, tp, ignored = zone_eval._match(geo, cfg, [cfg.scale_range], everything)
             n_dets = len(geo.row_seg) // 2
             row = 0
             compared = 0
@@ -196,10 +196,56 @@ class TestBatchedGroups:
                         dets = [d for d in dets if d.category_id == cat]
                         alone = match_image(gts, dets, cfg)
                         idx = [offset + rows_of[id(d)] for d in dets]
-                        assert (tp[idx].T == alone.tp).all()
-                        assert (ignored[idx].T == alone.ignored).all()
+                        assert (tp[idx, 0].T == alone.tp).all()
+                        assert (ignored[idx, 0].T == alone.ignored).all()
                         compared += int(alone.tp.any())
             assert compared > 20
+
+
+class TestIgnoreColumns:
+    """greedy_match with B ignore columns equals B one-column calls, column for column."""
+
+    @staticmethod
+    def instance(rng, n_groups=10):
+        """Candidate pairs of random groups, in pair_order, on a coarse lattice (IoU and score ties)."""
+        found, groups, n_rows, n_slots = [], [], 0, 0
+        for g in range(n_groups):
+            n_det, n_gt = rng.integers(1, 14), rng.integers(2, 8)
+            gt_box = (rng.integers(0, 5, (n_gt, 4)) * [8, 8, 4, 4] + [0, 0, 12, 12]).astype(float)
+            gt_box[-1] = gt_box[0]  # a duplicate: equal IoU with every detection
+            det_box = (rng.integers(0, 5, (n_det, 4)) * [8, 8, 4, 4] + [0, 0, 12, 12]).astype(float)
+            score = rng.integers(0, 3, n_det)  # tied scores keep their detection order
+            ious = iou_matrix(det_box[np.argsort(-score, kind="stable")], gt_box)
+            d, k = np.nonzero(ious >= 0.3)
+            found.append((d + n_rows, k + n_slots, ious[d, k]))
+            groups.append(np.full(n_det, g))
+            n_rows, n_slots = n_rows + n_det, n_slots + n_gt
+        row, slot, iou = (np.concatenate(a) for a in zip(*found))
+        order, step = pair_order(row, slot, iou, np.concatenate(groups))
+        return row[order], slot[order], iou[order], step, n_rows, n_slots
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_columns_equal_one_column_calls(self, seed):
+        rng = np.random.default_rng(seed)
+        row, slot, iou, step, n_rows, n_slots = self.instance(rng)
+        thresholds = (0.3, 0.5, 0.75)
+        ignored = rng.random((n_slots, 6)) < 0.3
+        # column 0 ignores the ground truth of highest IoU with each detection
+        # (each row's first pair), columns 4 and 5 ignore none and all
+        best = np.flatnonzero(np.append(True, row[1:] != row[:-1]))
+        ignored[slot[best], 0] = True
+        ignored[:, 4], ignored[:, 5] = False, True
+        assert ((row[1:] == row[:-1]) & (iou[1:] == iou[:-1])).any()  # a row's IoU tie, broken by -slot
+
+        tp, ign = greedy_match(row, slot, iou, step, ignored, n_rows, thresholds)
+        assert tp.shape == ign.shape == (n_rows, 6, len(thresholds))
+        for b in range(6):
+            tp1, ign1 = greedy_match(row, slot, iou, step, ignored[:, b : b + 1], n_rows, thresholds)
+            assert (tp[:, b] == tp1[:, 0]).all()
+            assert (ign[:, b] == ign1[:, 0]).all()
+        assert not (tp & ign).any()
+        assert tp[:, 0].any() and ign[:, 0].any()  # a lower-IoU real match, and an ignored one
+        assert not ign[:, 4].any() and not tp[:, 5].any()
 
 
 class TestApFromMatches:

@@ -11,6 +11,7 @@ from zoneval.matching import EvalConfig
 from zoneval.oracle import ap_oracle, zone_instance
 from zoneval.synth import QualityProfile, ZoneQuality, synthetic_benchmark
 from zoneval.zone_eval import (
+    SCALE_STEPS,
     evaluate_zones,
     grid_heatmap,
     scale_bins,
@@ -276,7 +277,8 @@ class TestCountThenMatch:
         cfg = EvalConfig()
         geo = zone_eval._geometry(ds, dets, p, cfg)
         n_cat, n_gt = len(ds.category_ids), len(geo.gt_cat)
-        countable = zone_eval._positives(geo, cfg) > 0
+        ranges = [cfg.scale_range]
+        countable = zone_eval._positives(geo, ranges)[0] > 0
         # row d is detection d in its zone, row n_dets + d the same detection in the whole image
         det_image = np.repeat(np.arange(len(ds.images)),
                               [len(dets.for_image(img.id)) for img in ds.images])
@@ -290,7 +292,7 @@ class TestCountThenMatch:
                                     det_image[rows % len(det_image)].tolist())
             }
 
-        live, tp, ignored = zone_eval._match(geo, cfg, countable)
+        live, tp, ignored = zone_eval._match(geo, cfg, ranges, countable)
         # per image: (x0, category 1) and (whole image, category 1); the right
         # strip holds category-1 detections but no category-1 ground truth
         assert groups(live) == {(z, 1, i) for z in (0, len(p.zones)) for i in range(len(ds.images))}
@@ -299,7 +301,7 @@ class TestCountThenMatch:
         assert len(set(gts.tolist())) == len(ds.images)  # one category-1 ground truth per image
 
         every = np.ones_like(countable)
-        live_all, tp_all, ignored_all = zone_eval._match(geo, cfg, every)
+        live_all, tp_all, ignored_all = zone_eval._match(geo, cfg, ranges, every)
         assert len(groups(live_all)) > 2 * len(ds.images)
         rows = countable[geo.row_seg]
         assert (tp_all[rows] == tp[rows]).all()
@@ -307,7 +309,7 @@ class TestCountThenMatch:
 
         pruned = evaluate_zones(ds, dets, p)
         real = zone_eval._match
-        monkeypatch.setattr(zone_eval, "_match", lambda g, c, countable: real(g, c, every))
+        monkeypatch.setattr(zone_eval, "_match", lambda g, c, r, countable: real(g, c, r, every))
         unpruned = evaluate_zones(ds, dets, p)
         assert pruned.to_json() == unpruned.to_json()
 
@@ -396,6 +398,40 @@ class TestScaleStudy:
                         counts[zi] += 1
             assert study.mean_zp[r] == [s / c if c else None for s, c in zip(sums, counts)]
             assert any(counts)
+
+    @pytest.mark.parametrize("cfg,steps", [
+        (EvalConfig(max_dets_per_image=15, cap_after_zone=True), SCALE_STEPS + (None,)),
+        (EvalConfig(iou_thresholds=(0.3, 0.6, 0.9), max_dets_per_image=15), (100, None)),
+    ])
+    def test_bins_equal_evaluate_zones_bit_for_bit(self, monkeypatch, cfg, steps):
+        # every bin of a scale_study pass is scored as evaluate_zones scores it,
+        # however the bins are cut into passes
+        import json
+
+        from zoneval import zone_eval
+
+        from datagen import random_multiclass_benchmark
+
+        ds, dets = random_multiclass_benchmark(6, gts_per_image=8, dets_per_image=20, seed=4)
+        p = build_partition(Annular(3))
+        study = scale_study(ds, dets, p, cfg, steps)
+        for r in study.steps:
+            sums = [0.0] * len(p.zones)
+            counts = [0] * len(p.zones)
+            for lo, hi in scale_bins(r):
+                report = evaluate_zones(ds, dets, p, replace(cfg, scale_range=(lo, hi)))
+                for zi, z in enumerate(report.zones):
+                    if z.zp is not None:
+                        sums[zi] += z.zp
+                        counts[zi] += 1
+            assert study.mean_zp[r] == [s / c if c else None for s, c in zip(sums, counts)]
+
+        doc = json.dumps(study.to_json_dict(), sort_keys=True)
+        rows = len(zone_eval._geometry(ds, dets, p, cfg).row_seg) * len(cfg.iou_thresholds)
+        for entries in (1, 2 * rows, 3 * rows + 1):  # one bin per pass, then passes that straddle steps
+            monkeypatch.setattr(zone_eval, "_BLOCK_ENTRIES", entries)
+            again = scale_study(ds, dets, p, cfg, steps)
+            assert json.dumps(again.to_json_dict(), sort_keys=True) == doc
 
     def test_workers_run_in_process(self, mini_dataset, mini_detections, monkeypatch):
         import multiprocessing.pool
