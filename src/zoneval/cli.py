@@ -33,18 +33,23 @@ EXIT_UNDEFINED = 2
 
 def _parse_thresholds(text: str) -> tuple[float, ...]:
     """Parse '0.5:0.95:0.05' (start:stop:step) or a comma list '0.5,0.75'."""
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise argparse.ArgumentTypeError(f"bad threshold range {text!r}")
-        start, stop, step = (float(p) for p in parts)
-        if step <= 0:
-            raise argparse.ArgumentTypeError("threshold step must be positive")
-        if stop < start:
-            raise argparse.ArgumentTypeError(f"threshold range {text!r} ends below its start")
-        n = int(round((stop - start) / step)) + 1
-        return tuple(round(start + i * step, 10) for i in range(n))
-    return tuple(float(p) for p in text.split(","))
+    is_range = ":" in text
+    values = [float(p) for p in text.split(":" if is_range else ",")]
+    if not all(map(math.isfinite, values)):
+        raise argparse.ArgumentTypeError(f"thresholds {text!r} must be finite")
+    if not is_range:
+        return tuple(values)
+    if len(values) != 3:
+        raise argparse.ArgumentTypeError(f"bad threshold range {text!r}")
+    start, stop, step = values
+    if step <= 0:
+        raise argparse.ArgumentTypeError("threshold step must be positive")
+    if stop < start:
+        raise argparse.ArgumentTypeError(f"threshold range {text!r} ends below its start")
+    span = (stop - start) / step
+    if not math.isfinite(span):
+        raise argparse.ArgumentTypeError(f"threshold range {text!r} has too many steps")
+    return tuple(round(start + i * step, 10) for i in range(int(round(span)) + 1))
 
 
 def _parse_anchor_grid(text: str) -> tuple[int, int]:

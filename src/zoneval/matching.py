@@ -24,7 +24,8 @@ order, precision monotonized from the right, sampled at evenly spaced recall
 points, averaged over categories (those with at least one countable ground
 truth) and IoU thresholds.  ``average_precision`` computes it for many
 (category, threshold) curves in one pass over flat arrays, with the same
-floating-point operations per curve as a curve-by-curve loop.
+floating-point operations per curve as a curve-by-curve loop, by scattering
+each entry into the (curve, recall point) cell its recall reaches.
 
 ``mean_ap`` and ``threshold_aps`` reduce an (S, T) AP array to one figure
 and to one figure per threshold.  The protocol rules that pick the groups,
@@ -162,10 +163,9 @@ def greedy_match(
     return tp, ign
 
 
-# bounds on the temporaries of average_precision: kept entries per pass and
-# curves sampled per block (each sample row holds len(recall_grid) values)
-_AP_ENTRIES = 1 << 16
-_AP_CURVES = 512
+# bound on the entries of every blocked pass: the AP kernel's kept entries and
+# (curve, recall point) cells, and scale_study's (rows, bins, thresholds)
+BLOCK_ENTRIES = 1 << 16
 
 
 def average_precision(
@@ -185,13 +185,16 @@ def average_precision(
     Each (threshold, segment) curve gets the arithmetic of a standalone
     computation: cumulative counts, recall and precision, precision
     monotonized from the right, sampled at the first recall >= each grid
-    point (0 past the end), and averaged.
+    point (0 past the end), and averaged.  An entry's cell is (curve, last
+    grid point <= its recall); a cell's best precision (0 if it has none),
+    maximized from the right along its curve, is that grid point's sample.
     """
     t_count, n = tp.shape
     s_count, r_count = len(starts), len(recall_grid)
     seg_of = np.repeat(np.arange(s_count), np.diff(np.append(starts, n)))
     out = np.empty(t_count * s_count)
-    per_pass = max(1, _AP_ENTRIES // max(n, 1))
+    per_pass = max(1, BLOCK_ENTRIES // max(n, 1))
+    per_block = max(1, BLOCK_ENTRIES // r_count)
     for t0 in range(0, t_count, per_pass):
         t1 = min(t0 + per_pass, t_count)
         # kept entries in (threshold, segment, score) order: one run per curve
@@ -206,23 +209,18 @@ def average_precision(
         tp_cum -= tp_cum[first] - hit[first]
         recall = tp_cum / n_pos[seg_of[col]]
         precision = tp_cum / (np.arange(k) - first + 1)
-        # the first entry with recall >= grid[j] is the first whose key exceeds
-        # run * (R + 1) + j, where key = run * (R + 1) + #(grid points <= recall)
-        key = run * (r_count + 1) + np.searchsorted(recall_grid, recall, side="right")
-        for lo in range(t0 * s_count, t1 * s_count, _AP_CURVES):
-            runs = np.arange(lo, min(lo + _AP_CURVES, t1 * s_count))
-            at = np.searchsorted(key, (runs[:, None] * (r_count + 1) + np.arange(r_count)).ravel(),
-                                 side="right")
-            # grid[j] samples the largest precision from at[j] to the end of its
-            # run: the maximum, from the right, of the blocks between samples.
-            # A run's last block ends where the next run's first sample starts.
-            stop = np.searchsorted(key, (runs[-1] + 1) * (r_count + 1))
-            # precision >= 0, so an appended 0 closes the last block harmlessly
-            block = np.maximum.reduceat(np.append(precision[at[0] : stop], 0.0), at - at[0])
-            block[:-1][at[1:] == at[:-1]] = 0.0  # empty blocks
-            sampled = np.maximum.accumulate(block.reshape(len(runs), r_count)[:, ::-1], axis=1)
+        # cells rise along the entries; recall >= grid[0] == 0 keeps each in its run
+        cell = run * r_count + np.searchsorted(recall_grid, recall, side="right") - 1
+        new[1:] = cell[1:] != cell[:-1]
+        best, cell = np.maximum.reduceat(precision, np.flatnonzero(new)), cell[new]
+        for lo in range(t0 * s_count, t1 * s_count, per_block):
+            hi = min(lo + per_block, t1 * s_count)
+            a, b = np.searchsorted(cell, (lo * r_count, hi * r_count))
+            sampled = np.zeros((hi - lo, r_count))
+            sampled.flat[cell[a:b] - lo * r_count] = best[a:b]
+            sampled = np.maximum.accumulate(sampled[:, ::-1], axis=1)
             # summed left to right, in the order a single curve's samples are
-            out[lo : lo + len(runs)] = np.ascontiguousarray(sampled[:, ::-1]).mean(axis=1)
+            out[lo:hi] = np.ascontiguousarray(sampled[:, ::-1]).mean(axis=1)
     return np.ascontiguousarray(out.reshape(t_count, s_count).T)
 
 

@@ -39,6 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import matching
 from .coco import Dataset, DetectionSet, box_centers, iou_matrix
 from .matching import (
     EvalConfig,
@@ -364,11 +365,6 @@ def scale_bins(r: int | None, cap: int = SCALE_CAP) -> list[tuple[float, float]]
     return bins
 
 
-# bound on the (rows, scale bins, thresholds) entries of one scale_study pass:
-# more bins per pass means fewer passes but larger temporaries
-_BLOCK_ENTRIES = 1 << 16
-
-
 @dataclass
 class ScaleStudyReport:
     steps: tuple[int | None, ...]
@@ -405,15 +401,15 @@ def scale_study(
     ``scale_range``, bit for bit.  The geometry (cap, zones, candidate pairs
     and their IoU) does not depend on the bin, so it is computed once.  The
     bins then go through ``_evaluate`` in blocks of at most
-    ``_BLOCK_ENTRIES`` (rows x bins x thresholds) entries: one greedy pass
-    with a column per bin and one AP call per block.
+    ``matching.BLOCK_ENTRIES`` (rows x bins x thresholds) entries: one greedy
+    pass with a column per bin and one AP call per block.
     ``workers`` is accepted for compatibility and ignored.
     """
     cfg = cfg or EvalConfig()
     zone_ids = partition.zone_ids
     geo = _geometry(ds, dets, partition, cfg)
     bins = [(i, rng) for i, r in enumerate(steps) for rng in scale_bins(r)]
-    per_block = max(1, _BLOCK_ENTRIES // max(1, len(geo.row_seg) * len(cfg.iou_thresholds)))
+    per_block = max(1, matching.BLOCK_ENTRIES // max(1, len(geo.row_seg) * len(cfg.iou_thresholds)))
     sums = [[0.0] * len(zone_ids) for _ in steps]
     counts = [[0] * len(zone_ids) for _ in steps]
     for lo in range(0, len(bins), per_block):

@@ -423,6 +423,18 @@ class TestUsageErrors:
         assert code == 1
         assert "ends below its start" in err
 
+    @pytest.mark.parametrize("cmd", ["eval", "correlate"])
+    @pytest.mark.parametrize("value", ["0.5:inf:0.05", "0.5:0.6:inf", "nan:0.95:0.05",
+                                       "-1.7e308:1.7e308:1", "0.5,inf", "nan"])
+    def test_iou_that_is_not_finite(self, bench_files, tmp_path, capsys, cmd, value):
+        # an infinite stop overflowed the step count, an infinite step gave the threshold nan
+        gt, dt, _ = bench_files
+        inputs = ["--dt", str(dt)] if cmd == "eval" else ["--heatmap", str(tmp_path / "heat.csv")]
+        code, err = self._exit_code([cmd, "--gt", str(gt), *inputs, f"--iou={value}"], capsys)
+        assert code == 1
+        assert err.startswith("error: argument --iou: ")
+        assert "Traceback" not in err
+
     def test_workers_env_is_ignored(self, bench_files, monkeypatch):
         gt, _, _ = bench_files
         monkeypatch.setenv("ZONE_EVAL_WORKERS", "abc")

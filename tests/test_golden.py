@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from zoneval import matching
 from zoneval.cli import main
 from zoneval.matching import EvalConfig
 from zoneval.zone_eval import evaluate_zones, scale_study
@@ -65,6 +66,17 @@ def test_zone_report_is_byte_identical(spec, cap_after_zone):
 
 def test_scale_study_is_byte_identical():
     assert scale_report() == (GOLDEN / "scale_study_annular_3.json").read_text()
+
+
+REPORTS = {_name(s, c): (lambda s=s, c=c: zone_report(s, c)) for s, c in CASES}
+REPORTS["scale_study_annular_3.json"] = scale_report
+
+
+@pytest.mark.parametrize("name", REPORTS)
+def test_report_is_byte_identical_one_entry_per_block(name, monkeypatch):
+    # every blocked pass of the AP kernel and of the scale study cut to one entry
+    monkeypatch.setattr(matching, "BLOCK_ENTRIES", 1)
+    assert REPORTS[name]() == (GOLDEN / name).read_text()
 
 
 SELA_GT = GOLDEN / "sela_gt.json"

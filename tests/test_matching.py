@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from zoneval import matching
 from zoneval.coco import BBox, Category, Dataset, Detection, DetectionSet, GroundTruth, ImageInfo, iou_matrix
-from zoneval.matching import EvalConfig, greedy_match, pair_order
+from zoneval.matching import EvalConfig, average_precision, greedy_match, pair_order
 from zoneval.oracle import ap_oracle
 from zoneval.zone_eval import evaluate_zones
 from zoneval.zones import Annular, build_partition
@@ -293,6 +294,52 @@ class TestApFromMatches:
         (zone,) = report.zones
         assert np.mean(zone.zp_by_threshold) == pytest.approx(zone.zp, abs=1e-10)
         assert zone.zp == report.full_ap
+
+
+class TestAveragePrecisionKernel:
+    @staticmethod
+    def reference(tp, ignored, starts, n_pos, grid):
+        # one curve at a time, from the definition
+        t_count, n = tp.shape
+        out = np.empty((len(starts), t_count))
+        for s, (a, b) in enumerate(zip(starts, np.append(starts[1:], n))):
+            for t in range(t_count):
+                hit = tp[t, a:b][~ignored[t, a:b]]
+                tp_cum = np.cumsum(hit)
+                recall = tp_cum / n_pos[s]
+                precision = np.maximum.accumulate((tp_cum / np.arange(1, len(hit) + 1))[::-1])[::-1]
+                at = np.searchsorted(recall, grid, side="left")
+                samples = np.zeros(len(grid))
+                samples[at < len(hit)] = precision[at[at < len(hit)]]
+                out[s, t] = samples.mean()
+        return out
+
+    @staticmethod
+    def curves(rng):
+        # empty, one-entry and longer segments, some curves all ignored;
+        # false positives repeat a recall
+        t_count = int(rng.integers(1, 11))
+        sizes = rng.choice([0, 1, 2, 5, 12], size=int(rng.integers(1, 25)))
+        n = int(sizes.sum())
+        tp = rng.random((t_count, n)) < rng.random()
+        ignored = rng.random((t_count, n)) < rng.choice([0.0, 0.3, 1.0])
+        n_pos = rng.integers(1, 8, size=len(sizes))
+        starts = np.append(0, np.cumsum(sizes)[:-1])
+        return tp & ~ignored, ignored, starts, n_pos
+
+    @pytest.mark.parametrize("bound", [None, 1, 7, 250, 1000])
+    def test_equals_one_curve_at_a_time_bit_for_bit(self, monkeypatch, bound):
+        # small bounds cut the thresholds into passes and the curves into blocks
+        if bound is not None:
+            monkeypatch.setattr(matching, "BLOCK_ENTRIES", bound)
+        rng = np.random.default_rng(23)
+        for _ in range(40):
+            tp, ignored, starts, n_pos = self.curves(rng)
+            grid = EvalConfig(recall_points=int(rng.choice([2, 11, 101]))).recall_grid()
+            got = average_precision(tp, ignored, starts, n_pos, grid)
+            want = self.reference(tp, ignored, starts, n_pos, grid)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 class TestOracle:

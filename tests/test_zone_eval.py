@@ -408,7 +408,7 @@ class TestScaleStudy:
         # however the bins are cut into passes
         import json
 
-        from zoneval import zone_eval
+        from zoneval import matching, zone_eval
 
         from datagen import random_multiclass_benchmark
 
@@ -429,7 +429,7 @@ class TestScaleStudy:
         doc = json.dumps(study.to_json_dict(), sort_keys=True)
         rows = len(zone_eval._geometry(ds, dets, p, cfg).row_seg) * len(cfg.iou_thresholds)
         for entries in (1, 2 * rows, 3 * rows + 1):  # one bin per pass, then passes that straddle steps
-            monkeypatch.setattr(zone_eval, "_BLOCK_ENTRIES", entries)
+            monkeypatch.setattr(matching, "BLOCK_ENTRIES", entries)
             again = scale_study(ds, dets, p, cfg, steps)
             assert json.dumps(again.to_json_dict(), sort_keys=True) == doc
 
