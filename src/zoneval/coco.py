@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from operator import eq, itemgetter
 from pathlib import Path
@@ -141,7 +141,7 @@ class Detection:
 
 def _id(v) -> int:
     """An id field as an int; ``int()`` alone would truncate 1.7 to 1."""
-    if isinstance(v, float) and not v.is_integer():
+    if isinstance(v, (float, np.floating)) and not float(v).is_integer():
         raise ValueError(f"id {v!r} is not an integer")
     return int(v)
 
@@ -226,8 +226,10 @@ class Dataset:
 
     def __init__(self, images: list[ImageInfo], categories: list[Category],
                  ground_truths: list[GroundTruth]) -> None:
-        self._fill(images, categories, [(g.id, g.image_id, g.category_id, g.bbox.x, g.bbox.y, g.bbox.w,
-                                         g.bbox.h, g.area, g.ignore) for g in ground_truths])
+        # every id goes through _id, as on the file path: np.int64 becomes int, 1.5 raises
+        self._fill([replace(im, id=_id(im.id)) for im in images], [replace(c, id=_id(c.id)) for c in categories],
+                   [(_id(g.id), _id(g.image_id), _id(g.category_id), g.bbox.x, g.bbox.y, g.bbox.w, g.bbox.h,
+                     g.area, g.ignore) for g in ground_truths])
 
     def _fill(self, images: list[ImageInfo], categories: list[Category], records: list[tuple]) -> None:
         """Index the images and categories; check and sort ``_annotation_record`` tuples into columns."""

@@ -25,7 +25,11 @@ points, averaged over categories (those with at least one countable ground
 truth) and IoU thresholds.  ``average_precision`` computes it for many
 (category, threshold) curves in one pass over flat arrays, with the same
 floating-point operations per curve as a curve-by-curve loop, by scattering
-each entry into the (curve, recall point) cell its recall reaches.
+each entry into the (curve, recall point) cell its recall reaches.  One
+departure: the per-image cap keeps an image's top detections over all its
+categories, where the COCO API's ``evaluateImg`` and ``accumulate`` apply
+``maxDets`` per (image, category); the two agree whenever no image holds more
+detections than the cap.
 
 ``mean_ap`` and ``threshold_aps`` reduce an (S, T) AP array to one figure
 and to one figure per threshold.  The protocol rules that pick the groups,

@@ -5,13 +5,18 @@ ground truths and detections whose box centers fall in it, so the union of
 all zones reproduces the full-image evaluation and the whole-image zone
 reproduces AP bit-for-bit.
 
+The whole image is one more zone, index ``n_zones``: every ground truth and
+detection appears once in its zone and once in the whole image (``_Geometry``
+gives the slots and rows).  The cap ranks a detection within its image, or
+with ``cap_after_zone`` within its (image, zone), and a candidate pair is kept
+when its detection and ground truth share a zone and the detection is under
+the cap.  The same rule builds every zone.
+
 One geometry pass per evaluation does everything that does not depend on the
 scale range: the per-image cap, one ``Partition.assign`` call for all box
 centers, and per image one IoU matrix of detections x ground truths.  It
 keeps the candidate pairs (same category, IoU at or above the lowest
-threshold) as flat dataset-wide arrays.  A detection is a row twice, once in
-its zone and once in the whole image; a zone pair is a whole-image pair whose
-detection and ground truth share a zone.
+threshold) as flat dataset-wide arrays.
 
 Count, then match: a ground truth is countable when it is not crowd and its
 area lies in the scale range.  Only the pairs of (zone, category) segments
@@ -122,6 +127,10 @@ def _cell(v: float | None) -> str:
     return "" if v is None else repr(v)
 
 
+def _percent(ap: float | None) -> float | None:
+    return None if ap is None else 100.0 * ap
+
+
 def zp_variance(zps: list[float]) -> float:
     """Population variance of a zone-metric series (percent^2).
 
@@ -140,28 +149,27 @@ def zp_variance(zps: list[float]) -> float:
 class _Geometry:
     """The scale-independent part of one evaluation, as flat arrays.
 
-    Ground truths are indexed in image order.  Row ``d`` is detection ``d`` in
-    its zone and row ``n_dets + d`` the same detection in the whole image.  A
-    segment is a (zone, category) pair, ``zone * n_categories + category``,
-    with zone index ``n_zones`` standing for the whole image.
+    The whole image is zone ``n_zones``.  Ground truths are indexed in image
+    order; ground truth ``g`` fills slot ``g`` in its zone and slot
+    ``n_gt + g`` in the whole image, and detection ``d`` fills row ``d`` in
+    its zone and row ``n_dt + d`` in the whole image.  A segment is a (zone,
+    category) pair, ``zone * n_categories + category``.  A candidate pair is
+    kept when its row and slot share a zone and the row is under the cap.
     """
 
     n_zones: int
-    category_ids: list[int]
-    gt_cat: np.ndarray  # category index per ground truth
-    gt_seg: np.ndarray  # zone segment per ground truth
-    gt_area: np.ndarray
+    n_categories: int
+    gt_area: np.ndarray  # per ground truth
     gt_crowd: np.ndarray
+    slot_seg: np.ndarray
     row_seg: np.ndarray
     row_area: np.ndarray  # box area of the row's detection
     pair_row: np.ndarray  # candidate pairs, in matching.pair_order
-    pair_slot: np.ndarray  # ground truth g in its zone, n_gts + g in the whole image
+    pair_slot: np.ndarray
     pair_iou: np.ndarray
     pair_step: np.ndarray
-    ap_rows: np.ndarray  # rows that exist, by (segment, -score), ties in detection order
+    ap_rows: np.ndarray  # rows under the cap, by (segment, -score), ties in detection order
     ap_seg: np.ndarray
-    gt_counts: list[int]
-    det_counts: list[int]
 
 
 def _candidate_pairs(
@@ -200,41 +208,36 @@ def _geometry(ds: Dataset, dets: DetectionSet, partition: Partition, cfg: EvalCo
     zone = partition.assign(*box_centers(np.concatenate([gt_box, dt_box])), *ds.image_size[owner].T)
     gt_zone, dt_zone = zone[:n_gt], zone[n_gt:]
 
-    # which detections survive the cap, as whole-image rows and as zone rows
-    in_whole = rank[kept] < cap
-    in_zone = rank_within(dt_img * n_zones + dt_zone) < cap if cfg.cap_after_zone else in_whole
+    slot_zone = np.concatenate([gt_zone, np.full(n_gt, n_zones)])
+    row_zone = np.concatenate([dt_zone, np.full(n_dt, n_zones)])
+    row_img = np.tile(dt_img, 2)
+    # the cap ranks a row within its image, or within its (image, zone) after zoning
+    row_rank = rank_within(row_img * (n_zones + 1) + row_zone) if cfg.cap_after_zone else np.tile(rank[kept], 2)
+    under_cap = row_rank < cap
 
     det, gt, iou = _candidate_pairs(dt_img, dt_box, dt_cat, ds.gt_starts, gt_box, gt_cat, cfg.iou_thresholds[0])
-    same_zone = in_zone[det] & (dt_zone[det] == gt_zone[gt])
-    whole = in_whole[det]
-    pair_row = np.concatenate([det[same_zone], n_dt + det[whole]])
-    pair_slot = np.concatenate([gt[same_zone], n_gt + gt[whole]])
-    pair_iou = np.concatenate([iou[same_zone], iou[whole]])
+    pair_row, pair_slot, pair_iou = np.concatenate([det, n_dt + det]), np.concatenate([gt, n_gt + gt]), np.tile(iou, 2)
+    keep = under_cap[pair_row] & (row_zone[pair_row] == slot_zone[pair_slot])
+    pair_row, pair_slot, pair_iou = pair_row[keep], pair_slot[keep], pair_iou[keep]
 
-    row_seg = np.concatenate([dt_zone * n_cat + dt_cat, n_zones * n_cat + dt_cat])
-    row_group = row_seg * n_img + np.concatenate([dt_img, dt_img])
-    order, pair_step = pair_order(pair_row, pair_slot, pair_iou, row_group)
-
-    rows = np.flatnonzero(np.concatenate([in_zone, in_whole]))
-    ap_rows = rows[np.lexsort((-np.concatenate([score, score])[rows], row_seg[rows]))]
-    area = dt_box[:, 2] * dt_box[:, 3]
+    row_seg = row_zone * n_cat + np.tile(dt_cat, 2)
+    order, pair_step = pair_order(pair_row, pair_slot, pair_iou, row_seg * n_img + row_img)
+    rows = np.flatnonzero(under_cap)
+    ap_rows = rows[np.lexsort((-np.tile(score, 2)[rows], row_seg[rows]))]
     return _Geometry(
         n_zones=n_zones,
-        category_ids=list(ds.category_ids),
-        gt_cat=gt_cat,
-        gt_seg=gt_zone * n_cat + gt_cat,
+        n_categories=n_cat,
         gt_area=ds.gt_area,
         gt_crowd=ds.gt_crowd,
+        slot_seg=(slot_zone * n_cat + np.tile(gt_cat, 2)).astype(np.int32),
         row_seg=row_seg.astype(np.int32),
-        row_area=np.concatenate([area, area]),
+        row_area=np.tile(dt_box[:, 2] * dt_box[:, 3], 2),
         pair_row=pair_row[order].astype(np.int32),
         pair_slot=pair_slot[order].astype(np.int32),
         pair_iou=pair_iou[order],
         pair_step=pair_step.astype(np.int32),
         ap_rows=ap_rows.astype(np.int32),
         ap_seg=row_seg[ap_rows].astype(np.int32),
-        gt_counts=np.bincount(gt_zone, minlength=n_zones).tolist(),
-        det_counts=np.bincount(dt_zone[in_zone], minlength=n_zones).tolist(),
     )
 
 
@@ -246,18 +249,16 @@ def _in_ranges(area: np.ndarray, ranges: list[_Range]) -> np.ndarray:
     return np.stack([in_scale_range(area, r) for r in ranges], axis=1)
 
 
-def _gt_ignored(geo: _Geometry, ranges: list[_Range]) -> np.ndarray:
-    """(ground truths, B): crowd, or out of the b-th scale range."""
-    return geo.gt_crowd[:, None] | ~_in_ranges(geo.gt_area, ranges)
+def _slot_ignored(geo: _Geometry, ranges: list[_Range]) -> np.ndarray:
+    """(slots, B): the ground truth is crowd, or out of the b-th scale range."""
+    return np.tile(geo.gt_crowd[:, None] | ~_in_ranges(geo.gt_area, ranges), (2, 1))
 
 
 def _positives(geo: _Geometry, ranges: list[_Range]) -> np.ndarray:
     """Countable ground truths per (scale range, segment): crowd and out-of-range ones do not count."""
-    n_seg = (geo.n_zones + 1) * len(geo.category_ids)
-    b, g = np.nonzero(~_gt_ignored(geo, ranges).T)
-    in_segments = np.concatenate([geo.gt_seg[g], geo.n_zones * len(geo.category_ids) + geo.gt_cat[g]])
-    return np.bincount(np.concatenate([b, b]) * n_seg + in_segments,
-                       minlength=len(ranges) * n_seg).reshape(len(ranges), n_seg)
+    n_seg = (geo.n_zones + 1) * geo.n_categories
+    b, s = np.nonzero(~_slot_ignored(geo, ranges).T)
+    return np.bincount(b * n_seg + geo.slot_seg[s], minlength=len(ranges) * n_seg).reshape(len(ranges), n_seg)
 
 
 def _match(
@@ -268,11 +269,10 @@ def _match(
     Returns (live pairs, tp, ignored); ``tp`` and ``ignored`` are (rows, B, T),
     and rows of other segments are left unmatched.
     """
-    gt_ignored = _gt_ignored(geo, ranges)
     live = countable[geo.row_seg[geo.pair_row]]
     tp, ignored = greedy_match(
         geo.pair_row[live], geo.pair_slot[live], geo.pair_iou[live], geo.pair_step[live],
-        np.concatenate([gt_ignored, gt_ignored]), len(geo.row_seg), cfg.iou_thresholds,
+        _slot_ignored(geo, ranges), len(geo.row_seg), cfg.iou_thresholds,
     )
     ignored |= ~tp & ~_in_ranges(geo.row_area, ranges)[:, :, None]
     return live, tp, ignored
@@ -286,7 +286,7 @@ def _evaluate(geo: _Geometry, cfg: EvalConfig, ranges: list[_Range]) -> list[lis
     and one ``average_precision`` call every (range, countable segment)
     curve, keyed ``range * n_segments + segment``.
     """
-    n_seg = (geo.n_zones + 1) * len(geo.category_ids)
+    n_seg = (geo.n_zones + 1) * geo.n_categories
     n_pos = _positives(geo, ranges)
     countable = n_pos > 0
     _, tp, ignored = _match(geo, cfg, ranges, countable.any(axis=0))
@@ -298,7 +298,7 @@ def _evaluate(geo: _Geometry, cfg: EvalConfig, ranges: list[_Range]) -> list[lis
                             n_pos.ravel()[keys], cfg.recall_grid())
 
     # a zone's segments are one run of rows of aps, in category order
-    firsts = np.arange(len(ranges))[:, None] * n_seg + np.arange(geo.n_zones + 2) * len(geo.category_ids)
+    firsts = np.arange(len(ranges))[:, None] * n_seg + np.arange(geo.n_zones + 2) * geo.n_categories
     return [[aps[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
             for bounds in np.searchsorted(keys, firsts).tolist()]
 
@@ -319,28 +319,12 @@ def evaluate_zones(
     cfg = cfg or EvalConfig()
     geo = _geometry(ds, dets, partition, cfg)
     zone_aps = _evaluate(geo, cfg, [cfg.scale_range])[0]
-    zone_results = []
-    for zid, zaps, n_gt, n_det in zip(partition.zone_ids, zone_aps, geo.gt_counts, geo.det_counts):
-        ap = mean_ap(zaps)
-        per_thr = threshold_aps(zaps)
-        zone_results.append(
-            ZoneResult(
-                zone_id=zid,
-                zp=None if ap is None else 100.0 * ap,
-                zp_by_threshold=[None if v is None else 100.0 * v for v in per_thr],
-                gt_count=n_gt,
-                det_count=n_det,
-                area_fraction=partition.area_fraction(zid),
-            )
-        )
-
-    full = mean_ap(zone_aps[-1])
-    return ZoneReport(
-        partition=spec_label(partition.spec),
-        iou_thresholds=cfg.iou_thresholds,
-        zones=zone_results,
-        full_ap=None if full is None else 100.0 * full,
-    )
+    gt_counts, det_counts = (np.bincount(seg // geo.n_categories, minlength=geo.n_zones + 1)[:-1].tolist()
+                             for seg in (geo.slot_seg, geo.ap_seg))
+    zones = [ZoneResult(zid, _percent(mean_ap(zaps)), [_percent(v) for v in threshold_aps(zaps)], n_gt, n_det,
+                        partition.area_fraction(zid))
+             for zid, zaps, n_gt, n_det in zip(partition.zone_ids, zone_aps, gt_counts, det_counts)]
+    return ZoneReport(spec_label(partition.spec), cfg.iou_thresholds, zones, _percent(mean_ap(zone_aps[-1])))
 
 
 SCALE_STEPS = (4, 8, 16, 32, 64, 128)
@@ -402,10 +386,13 @@ def scale_study(
     and their IoU) does not depend on the bin, so it is computed once.  The
     bins then go through ``_evaluate`` in blocks of at most
     ``matching.BLOCK_ENTRIES`` (rows x bins x thresholds) entries: one greedy
-    pass with a column per bin and one AP call per block.
+    pass with a column per bin and one AP call per block.  The bins replace
+    the scale range, so a ``cfg`` with ``scale_range`` set raises ValueError.
     ``workers`` is accepted for compatibility and ignored.
     """
     cfg = cfg or EvalConfig()
+    if cfg.scale_range is not None:
+        raise ValueError("scale_study sets the scale range per bin; cfg.scale_range must be None")
     zone_ids = partition.zone_ids
     geo = _geometry(ds, dets, partition, cfg)
     bins = [(i, rng) for i, r in enumerate(steps) for rng in scale_bins(r)]

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from zoneval.coco import (
     BBox,
+    Category,
     Dataset,
     DetectionSet,
     GroundTruth,
@@ -291,6 +292,33 @@ class TestColumnsAndViews:
                   "bbox": [g.bbox.x, g.bbox.y, g.bbox.w, g.bbox.h], "area": g.area,
                   "iscrowd": 1 if g.ignore else 0} for g in ds.ground_truths]
         assert text == json.dumps({**ds.to_coco_dict(), "annotations": views})
+
+    def test_numpy_ids_round_trip_as_ints(self):
+        doc = TWO_IMAGES
+        images = [ImageInfo(np.int64(im["id"]), im["width"], im["height"]) for im in doc["images"]]
+        categories = [Category(np.int64(c["id"]), c["name"]) for c in doc["categories"]]
+        objects = [GroundTruth(np.int64(a["id"]), np.int64(a["image_id"]), np.int64(a["category_id"]),
+                               BBox(*a["bbox"]), a["area"], np.bool_(a["iscrowd"])) for a in doc["annotations"]]
+        ds = Dataset(images, categories, objects)
+        again = Dataset.from_coco_dict(json.loads(json.dumps(ds.to_coco_dict())))
+        for column in ("gt_id", "gt_image", "gt_category", "gt_box", "gt_area", "gt_crowd"):
+            assert np.array_equal(getattr(again, column), getattr(ds, column)), column
+        assert again.to_coco_dict() == ds.to_coco_dict()
+        assert [type(i) for i in (*ds.gt_id, *ds.image_ids, *ds.category_ids)] == [int] * 8
+
+    @pytest.mark.parametrize("bad", [1.5, np.float32(1.5)], ids=["float", "float32"])
+    @pytest.mark.parametrize("field", ["id", "image_id", "category_id", "image", "category"])
+    def test_fractional_id_raises_at_construction(self, field, bad):
+        images, categories = [ImageInfo(1, 10.0, 10.0)], [Category(1, "c")]
+        gt = GroundTruth(1, 1, 1, BBox(0, 0, 2, 2), 4.0)
+        if field == "image":
+            images = [ImageInfo(bad, 10.0, 10.0)]
+        elif field == "category":
+            categories = [Category(bad, "c")]
+        else:
+            gt = GroundTruth(**{**vars(gt), field: bad})
+        with pytest.raises(ValueError, match="is not an integer"):
+            Dataset(images, categories, [gt])
 
     def test_gt_starts_index_each_image(self):
         # image 0 has no ground truth and sorts first

@@ -21,7 +21,7 @@ from zoneval.zone_eval import (
 from zoneval.zones import Annular, Custom, Grid, StripX, build_partition
 
 from conftest import write_coco_dt, write_coco_gt
-from datagen import random_benchmark, random_instance
+from datagen import random_benchmark, random_instance, random_multiclass_benchmark
 
 THREE_ZONES = Custom(
     (
@@ -95,6 +95,20 @@ class TestEvaluateZones:
         report = evaluate_zones(ds, dets, build_partition(Annular(1)))
         assert report.zones[0].zp == report.full_ap
         assert report.zp_variance == 0.0
+
+    @pytest.mark.parametrize("cfg", [
+        EvalConfig(),
+        EvalConfig(max_dets_per_image=20, cap_after_zone=True),
+        EvalConfig(scale_range=(32.0**2, 96.0**2)),
+        EvalConfig(iou_thresholds=(0.3, 0.55, 0.8), recall_points=11, max_dets_per_image=7),
+    ], ids=["default", "cap_after_zone", "scale_range", "thresholds"])
+    def test_single_zone_equals_ap_under_every_config(self, cfg):
+        ds, dets = random_multiclass_benchmark(8, 10, 25, seed=43)
+        report = evaluate_zones(ds, dets, build_partition(Annular(1)), cfg)
+        (zone,) = report.zones
+        assert report.full_ap is not None and zone.zp == report.full_ap
+        assert zone.gt_count == len(ds.gt_id)
+        assert zone.det_count == np.minimum(np.diff(dets.starts), cfg.max_dets_per_image).sum()
 
     def test_filtering_identity_one_cell(self, clustered):
         ds, dets = clustered
@@ -276,7 +290,7 @@ class TestCountThenMatch:
         p = build_partition(StripX(2))
         cfg = EvalConfig()
         geo = zone_eval._geometry(ds, dets, p, cfg)
-        n_cat, n_gt = len(ds.category_ids), len(geo.gt_cat)
+        n_cat, n_gt = len(ds.category_ids), len(geo.gt_area)
         ranges = [cfg.scale_range]
         countable = zone_eval._positives(geo, ranges)[0] > 0
         # row d is detection d in its zone, row n_dets + d the same detection in the whole image
@@ -297,7 +311,7 @@ class TestCountThenMatch:
         # strip holds category-1 detections but no category-1 ground truth
         assert groups(live) == {(z, 1, i) for z in (0, len(p.zones)) for i in range(len(ds.images))}
         gts = geo.pair_slot[live] % n_gt
-        assert {ds.category_ids[c] for c in geo.gt_cat[gts].tolist()} == {1}
+        assert {ds.category_ids[c] for c in (geo.slot_seg[gts] % n_cat).tolist()} == {1}
         assert len(set(gts.tolist())) == len(ds.images)  # one category-1 ground truth per image
 
         every = np.ones_like(countable)
@@ -351,6 +365,11 @@ class TestCapPlacement:
 
 
 class TestScaleStudy:
+    def test_scale_range_is_refused(self):
+        ds, dets = random_multiclass_benchmark(8, 10, 25, seed=43)
+        with pytest.raises(ValueError, match="scale_range"):
+            scale_study(ds, dets, build_partition(Annular(3)), EvalConfig(scale_range=(0.0, 100.0)), steps=(64, None))
+
     def test_bins_for_r128(self):
         assert scale_bins(128) == [(0.0, 128.0**2), (128.0**2, 256.0**2), (256.0**2, math.inf)]
 
