@@ -7,6 +7,10 @@ inputs, as produced by the tuple-list matcher that preceded the array kernel.
 The ``sela_*`` files are the CSV and JSON outputs of ``zone-eval sela`` on the
 frozen ground truth ``sela_gt.json``, for a gamma run and a ``--beta`` run, as
 produced by the per-anchor-object assignment that preceded the array-backed one.
+``zones.json`` is the geometry of built partitions: for each zone its id, its
+float rectangle corners as ``float.hex``, ``area_exact`` as ``p/q`` and
+``area_fraction``, as built by the per-kind zone builders that preceded the
+one zone-from-corners helper.
 They were generated by running this file as a script from the repository root:
 
     PYTHONPATH=src:tests python tests/test_golden.py
@@ -25,7 +29,7 @@ from zoneval import matching
 from zoneval.cli import main
 from zoneval.matching import EvalConfig
 from zoneval.zone_eval import evaluate_zones, scale_study
-from zoneval.zones import build_partition, parse_zone_spec
+from zoneval.zones import Custom, build_partition, parse_zone_spec, spec_label
 
 from datagen import random_multiclass_benchmark
 
@@ -79,6 +83,30 @@ def test_report_is_byte_identical_one_entry_per_block(name, monkeypatch):
     assert REPORTS[name]() == (GOLDEN / name).read_text()
 
 
+ZONE_SPECS = ("annular:1", "annular:2", "annular:3", "annular:5", "annular:10", "annular:50",
+              "grid:1x1", "grid:3x3", "grid:11x11", "grid:7x13", "strip-x:7", "strip-y:9")
+# edges that are not dyadic, and one zone of two rectangles
+CUSTOM_ZONES = Custom((("left", ((0.0, 0.0, 0.3, 1.0),)),
+                       ("right", ((0.3, 0.0, 1.0, 0.6), (0.3, 0.6, 1.0, 1.0)))))
+
+
+def zones_doc() -> str:
+    """Every zone of ``ZONE_SPECS`` and ``CUSTOM_ZONES``: id, rectangles, exact and float area."""
+    specs = []
+    for spec in (*map(parse_zone_spec, ZONE_SPECS), CUSTOM_ZONES):
+        zones = [json.dumps({"id": z.id,
+                             "rects": [[float.hex(v) for v in (r.x0, r.y0, r.x1, r.y1)] for r in z.rects],
+                             "area_exact": f"{z.area_exact.numerator}/{z.area_exact.denominator}",
+                             "area_fraction": z.area_fraction})
+                 for z in build_partition(spec).zones]
+        specs.append(f" {json.dumps(spec_label(spec))}: [\n  " + ",\n  ".join(zones) + "\n ]")
+    return "{\n" + ",\n".join(specs) + "\n}\n"  # one zone a line
+
+
+def test_zone_geometry_is_exact():
+    assert zones_doc() == (GOLDEN / "zones.json").read_text()
+
+
 SELA_GT = GOLDEN / "sela_gt.json"
 SELA_RUNS = {
     "gamma": ["--partition", "annular:3", "--anchor-grid", "16x12", "--anchor-size", "48",
@@ -121,6 +149,7 @@ if __name__ == "__main__":
     for spec, cap in CASES:
         (GOLDEN / _name(spec, cap)).write_text(zone_report(spec, cap))
     (GOLDEN / "scale_study_annular_3.json").write_text(scale_report())
+    (GOLDEN / "zones.json").write_text(zones_doc())
     SELA_GT.write_text(json.dumps(sela_gt_doc(), indent=1) + "\n")
     for run, fmt in SELA_CASES:
         sela_output(run, fmt, GOLDEN / f"sela_{run}.{fmt}")
