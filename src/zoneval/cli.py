@@ -24,11 +24,12 @@ from .equilibrium import (AssignConfig, anchor_grid, beta_assign, check_anchor_g
 from .errors import IngestError, PartitionError, UndefinedStatisticError
 from .matching import DEFAULT_IOU_THRESHOLDS, EvalConfig
 from .zone_eval import evaluate_zones, read_heatmap_csv, write_heatmap_csv
-from .zones import Grid, build_partition, grid_rows, parse_zone_spec
+from .zones import Grid, _spec_file, build_partition, grid_rows, parse_zone_spec
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_UNDEFINED = 2
+_MAX_THRESHOLDS = 1000  # the most thresholds an --iou range may expand to
 
 
 def _parse_thresholds(text: str) -> tuple[float, ...]:
@@ -47,9 +48,10 @@ def _parse_thresholds(text: str) -> tuple[float, ...]:
     if stop < start:
         raise argparse.ArgumentTypeError(f"threshold range {text!r} ends below its start")
     span = (stop - start) / step
-    if not math.isfinite(span):
-        raise argparse.ArgumentTypeError(f"threshold range {text!r} has too many steps")
-    return tuple(round(start + i * step, 10) for i in range(int(round(span)) + 1))
+    # counted before anything is expanded: a tiny step gives a finite but huge count
+    if not math.isfinite(span) or round(span) + 1 > _MAX_THRESHOLDS:
+        raise argparse.ArgumentTypeError(f"threshold range {text!r} holds more than {_MAX_THRESHOLDS} thresholds")
+    return tuple(round(start + i * step, 10) for i in range(round(span) + 1))
 
 
 def _parse_anchor_grid(text: str) -> tuple[int, int]:
@@ -105,9 +107,9 @@ def _eval_config(args: argparse.Namespace) -> EvalConfig:
     )
 
 
-def _zones_file(spec: str) -> list[tuple[str, str]]:
-    """The zones file a ``custom:@FILE`` partition spec reads, as a (flag, path) input."""
-    return [("--partition", spec[len("custom:@"):])] if spec.startswith("custom:@") else []
+def _zones_file(spec: str) -> list[tuple[str, str | None]]:
+    """The zones file a ``custom:@FILE`` partition spec reads, as a (flag, path) input; None for other specs."""
+    return [("--partition", _spec_file(spec))]
 
 
 def _check_outputs(outputs, inputs) -> None:
@@ -237,17 +239,16 @@ def cmd_sela(args: argparse.Namespace) -> int:
     ds = load_ground_truth(args.gt)
     partition = build_partition(parse_zone_spec(args.partition))
     cols, rows = args.anchor_grid
-    # the anchors and the assignment rule are checked once, so an image-less file fails like any other
+    # the anchors and the flags of both rules are checked once, whichever rule runs,
+    # so an image-less file fails like any other
     check_anchor_grid(cols, rows, args.anchor_size)
-    if args.beta is not None:
-        if args.beta_zone is None:
-            raise PartitionError("--beta requires --beta-zone")
-        zone = partition.zones_by_id.get(args.beta_zone)
-        if zone is None:
-            raise PartitionError(f"--beta-zone {args.beta_zone!r} not in partition")
-        check_beta(args.alpha_pos, args.beta)
-    else:
-        rule = AssignConfig(t=args.t, gamma=args.gamma)
+    if (args.beta is None) != (args.beta_zone is None):
+        raise PartitionError("--beta-zone requires --beta" if args.beta is None else "--beta requires --beta-zone")
+    zone = partition.zones_by_id.get(args.beta_zone)
+    if args.beta_zone is not None and zone is None:
+        raise PartitionError(f"--beta-zone {args.beta_zone!r} not in partition")
+    check_beta(args.alpha_pos, 0.0 if args.beta is None else args.beta)
+    rule = AssignConfig(t=args.t, gamma=args.gamma)
 
     rows_out = []
     for k, img in enumerate(ds.images):
@@ -477,6 +478,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_UNDEFINED
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    except MemoryError as e:  # e.g. the edge table of a partition with too many zones
+        print(f"error: out of memory: {e}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
 

@@ -2,13 +2,15 @@
 
 A partition is an ordered list of named zones, each a union of half-open
 rectangles in [0, 1)^2.  Half-open bounds resolve boundary ties: a point on a
-shared edge belongs to exactly one zone.  Annular zones are stored as a frame
-decomposition (at most 4 disjoint rectangles), which keeps areas exactly
-computable.
+shared edge belongs to exactly one zone.  An annular zone is a frame of four
+strips (top, bottom, left, right); the strips of the innermost ring may be
+empty.
 
-Zone areas are computed with rational arithmetic at build time, so e.g. the
-innermost ring of a 5-ring partition has area fraction exactly 0.04 and the
-border union exactly 0.96.
+Every zone is made by one rule from the exact ``Fraction`` corners of its
+rectangles: its rectangles are the floats of those corners, and its exact
+area is the sum of the rectangles' exact areas (an empty strip adds exactly
+0).  So the innermost ring of a 5-ring partition has area fraction exactly
+0.04 and the border union exactly 0.96.
 
 Every partition has one edge table, built once: the sorted unique x and y
 edges of all rectangles, with 0 and 1 added, cut the unit square into cells,
@@ -41,8 +43,6 @@ import numpy as np
 
 from .coco import Dataset, ImageInfo, _parse_records, _read_json, box_centers
 from .errors import IngestError, PartitionError
-
-_FRAC = Fraction
 
 
 @dataclass(frozen=True)
@@ -107,23 +107,6 @@ class Zone:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Zone({self.id!r}, area={self.area_fraction:.6f})"
-
-
-def _frame_rects(a: Fraction, b: Fraction) -> list[Rect]:
-    """Decompose the frame [a,1-a)^2 \\ [b,1-b)^2 into disjoint rectangles.
-
-    a < b <= 1/2. When b >= 1/2 the inner square is empty and the top/bottom
-    strips alone tile the whole outer square.
-    """
-    a_, b_ = float(a), float(b)
-    ca, cb = float(1 - a), float(1 - b)
-    rects = [
-        Rect(a_, a_, ca, b_),   # top strip
-        Rect(a_, cb, ca, ca),   # bottom strip
-        Rect(a_, b_, b_, cb),   # left strip
-        Rect(cb, b_, ca, cb),   # right strip
-    ]
-    return [r for r in rects if not r.is_empty]
 
 
 def normalize_points(xs, ys, width, height) -> tuple[np.ndarray, np.ndarray]:
@@ -202,27 +185,36 @@ def gt_zone_counts(ds: Dataset, partition: Partition) -> np.ndarray:
     return np.bincount(zone, minlength=len(partition.zones))
 
 
-def _build_annular(n: int) -> list[Zone]:
+def _zone(zone_id: str, corners) -> Zone:
+    """The zone whose rectangles have the exact ``Fraction`` corners (x0, y0, x1, y1)."""
+    rects = [Rect(float(x0), float(y0), float(x1), float(y1)) for x0, y0, x1, y1 in corners]
+    return Zone(zone_id, rects, sum((x1 - x0) * (y1 - y0) for x0, y0, x1, y1 in corners))
+
+
+def _rings(spec: Annular) -> list[Zone]:
+    """Ring i is the frame [a, 1-a)^2 minus [b, 1-b)^2, with a = i/2n and b = (i+1)/2n.
+
+    The innermost ring has b = 1/2, so its left and right strips are empty.
+    """
+    if spec.n < 1:
+        raise PartitionError("annular partition needs n >= 1")
+    edges = [Fraction(i, 2 * spec.n) for i in range(spec.n + 1)]
     zones = []
-    for i in range(n):
-        a = _FRAC(i, 2 * n)
-        b = _FRAC(i + 1, 2 * n)
-        rects = _frame_rects(a, b)
-        outer = (1 - 2 * a) ** 2
-        inner = (1 - 2 * b) ** 2 if b < _FRAC(1, 2) else _FRAC(0)
-        zones.append(Zone(f"z{i},{i + 1}", rects, outer - inner))
+    for i, (a, b) in enumerate(zip(edges, edges[1:])):
+        ca, cb = 1 - a, 1 - b
+        # strips: top, bottom, left, right
+        zones.append(_zone(f"z{i},{i + 1}", [(a, a, ca, b), (a, cb, ca, ca), (a, b, b, cb), (cb, b, ca, cb)]))
     return zones
 
 
-def _build_grid(rows: int, cols: int, cell_id: str) -> list[Zone]:
+def _grid(rows: int, cols: int, cell_id: str, need: str) -> list[Zone]:
     """Row-major rows x cols cells; the strips are the 1 x N and N x 1 grids."""
-    zones = []
-    for r in range(rows):
-        y0, y1 = float(_FRAC(r, rows)), float(_FRAC(r + 1, rows))
-        for c in range(cols):
-            x0, x1 = float(_FRAC(c, cols)), float(_FRAC(c + 1, cols))
-            zones.append(Zone(cell_id.format(r=r, c=c), [Rect(x0, y0, x1, y1)], _FRAC(1, rows * cols)))
-    return zones
+    if rows < 1 or cols < 1:
+        raise PartitionError(need)
+    ys = [Fraction(r, rows) for r in range(rows + 1)]
+    xs = [Fraction(c, cols) for c in range(cols + 1)]
+    return [_zone(cell_id.format(r=r, c=c), [(xs[c], ys[r], xs[c + 1], ys[r + 1])])
+            for r in range(rows) for c in range(cols)]
 
 
 def grid_rows(partition: Partition, values) -> list:
@@ -231,63 +223,51 @@ def grid_rows(partition: Partition, values) -> list:
     return [values[r * cols : (r + 1) * cols] for r in range(rows)]
 
 
-def _build_custom(spec: Custom) -> list[Zone]:
+def _custom(spec: Custom) -> list[Zone]:
+    if not spec.zones:
+        raise PartitionError("custom partition has no zones")
     zones = []
     for name, rects in spec.zones:
         if not rects:
             raise PartitionError(f"zone {name!r} has no rectangles")
-        rect_objs = []
-        area = _FRAC(0)
         for x0, y0, x1, y1 in rects:
             if not (0.0 <= x0 < x1 <= 1.0 and 0.0 <= y0 < y1 <= 1.0):
                 raise PartitionError(f"zone {name!r}: rectangle {(x0, y0, x1, y1)} not normalized")
-            rect_objs.append(Rect(float(x0), float(y0), float(x1), float(y1)))
-            area += (_FRAC(float(x1)) - _FRAC(float(x0))) * (_FRAC(float(y1)) - _FRAC(float(y0)))
-        zones.append(Zone(str(name), rect_objs, area))
+        zones.append(_zone(str(name), [tuple(Fraction(float(v)) for v in r) for r in rects]))
     return zones
+
+
+# the one list of spec kinds: kind -> (CLI pattern, reader of each pattern group, label, builder)
+_KINDS = {
+    Annular: (r"annular:(\d+)", int, lambda s: f"annular:{s.n}", _rings),
+    StripX: (r"strip-x:(\d+)", int, lambda s: f"strip-x:{s.n}",
+             lambda s: _grid(1, s.n, "x{c}", "strip partition needs n >= 1")),
+    StripY: (r"strip-y:(\d+)", int, lambda s: f"strip-y:{s.n}",
+             lambda s: _grid(s.n, 1, "y{r}", "strip partition needs n >= 1")),
+    Grid: (r"grid:(\d+)x(\d+)", int, lambda s: f"grid:{s.rows}x{s.cols}",
+           lambda s: _grid(s.rows, s.cols, "g{r}_{c}", "grid partition needs rows, cols >= 1")),
+    Custom: (r"custom:@(.+)", lambda path: load_custom_spec(path).zones,
+             lambda s: f"custom:{len(s.zones)} zones", _custom),
+}
+
+
+def _kind(spec: ZoneSpec) -> tuple:
+    """The ``_KINDS`` row of a spec."""
+    if type(spec) not in _KINDS:
+        raise PartitionError(f"unknown zone spec {spec!r}")
+    return _KINDS[type(spec)]
 
 
 def build_partition(spec: ZoneSpec) -> Partition:
     """Build a partition from a spec; ``Partition`` checks that its zones tile the image."""
-    if isinstance(spec, Annular):
-        if spec.n < 1:
-            raise PartitionError("annular partition needs n >= 1")
-        zones = _build_annular(spec.n)
-    elif isinstance(spec, (StripX, StripY)):
-        if spec.n < 1:
-            raise PartitionError("strip partition needs n >= 1")
-        rows, cols, cell_id = (1, spec.n, "x{c}") if isinstance(spec, StripX) else (spec.n, 1, "y{r}")
-        zones = _build_grid(rows, cols, cell_id)
-    elif isinstance(spec, Grid):
-        if spec.rows < 1 or spec.cols < 1:
-            raise PartitionError("grid partition needs rows, cols >= 1")
-        zones = _build_grid(spec.rows, spec.cols, "g{r}_{c}")
-    elif isinstance(spec, Custom):
-        if not spec.zones:
-            raise PartitionError("custom partition has no zones")
-        zones = _build_custom(spec)
-    else:
-        raise PartitionError(f"unknown zone spec {spec!r}")
-    return Partition(spec, zones)
-
-
-# (kind, CLI syntax, label template) of every spec but Custom
-_SPEC_FORMS = (
-    (Annular, r"annular:(\d+)", "annular:{0.n}"),
-    (StripX, r"strip-x:(\d+)", "strip-x:{0.n}"),
-    (StripY, r"strip-y:(\d+)", "strip-y:{0.n}"),
-    (Grid, r"grid:(\d+)x(\d+)", "grid:{0.rows}x{0.cols}"),
-)
+    *_, build = _kind(spec)
+    return Partition(spec, build(spec))
 
 
 def spec_label(spec: ZoneSpec) -> str:
     """Stable CLI-style label for a spec, used in report metadata."""
-    if isinstance(spec, Custom):
-        return f"custom:{len(spec.zones)} zones"
-    for kind, _, label in _SPEC_FORMS:
-        if isinstance(spec, kind):
-            return label.format(spec)
-    raise PartitionError(f"unknown zone spec {spec!r}")
+    _, _, label, _ = _kind(spec)
+    return label(spec)
 
 
 def parse_zone_spec(text: str) -> ZoneSpec:
@@ -296,14 +276,17 @@ def parse_zone_spec(text: str) -> ZoneSpec:
     Accepted forms: ``annular:5``, ``strip-x:5``, ``strip-y:5``,
     ``grid:11x11``, ``custom:@zones.json``.
     """
-    for kind, pattern, _ in _SPEC_FORMS:
+    for kind, (pattern, read, _, _) in _KINDS.items():
         m = re.fullmatch(pattern, text)
         if m:
-            return kind(*map(int, m.groups()))
-    m = re.fullmatch(r"custom:@(.+)", text)
-    if m:
-        return load_custom_spec(m.group(1))
+            return kind(*map(read, m.groups()))
     raise PartitionError(f"cannot parse partition spec {text!r}")
+
+
+def _spec_file(text: str) -> str | None:
+    """The zones file that the partition spec ``text`` reads (``custom:@FILE``), or None."""
+    m = re.fullmatch(_KINDS[Custom][0], text)
+    return m[1] if m else None
 
 
 def _zone_record(rec: dict) -> tuple[str, tuple]:

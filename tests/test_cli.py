@@ -1,3 +1,4 @@
+import argparse
 import copy
 import csv
 import errno
@@ -15,7 +16,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zoneval.cli import main
+from zoneval import cli
+from zoneval.cli import _parse_thresholds, main
+from zoneval.matching import DEFAULT_IOU_THRESHOLDS
 from zoneval.synth import QualityProfile, ZoneQuality, synthetic_benchmark
 from zoneval.zones import Annular, build_partition
 
@@ -435,6 +438,38 @@ class TestUsageErrors:
         assert err.startswith("error: argument --iou: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("cmd", ["eval", "correlate"])
+    @pytest.mark.parametrize("value", ["0.5:0.95:1e-300", "0.5:0.95:1e-7"])
+    def test_iou_range_with_too_many_thresholds(self, bench_files, tmp_path, capsys, cmd, value):
+        # counted before the range is expanded: a step of 1e-300 is finite but gives 4.5e299 thresholds
+        gt, dt, _ = bench_files
+        inputs = ["--dt", str(dt)] if cmd == "eval" else ["--heatmap", str(tmp_path / "heat.csv")]
+        code, err = self._exit_code([cmd, "--gt", str(gt), *inputs, f"--iou={value}"], capsys)
+        assert code == 1
+        assert err == f"error: argument --iou: threshold range '{value}' holds more than 1000 thresholds\n"
+
+    @pytest.mark.parametrize("text,want", [("0.5:0.95:0.05", DEFAULT_IOU_THRESHOLDS), ("0.5:0.5:1e-300", (0.5,))])
+    def test_iou_range_is_expanded(self, text, want):
+        assert _parse_thresholds(text) == want
+
+    def test_iou_range_holds_at_most_1000_thresholds(self):
+        assert len(_parse_thresholds("0:0.999:0.001")) == 1000
+        with pytest.raises(argparse.ArgumentTypeError, match="'0:1:0.001' holds more than 1000 thresholds"):
+            _parse_thresholds("0:1:0.001")
+
+    def test_out_of_memory_is_one_error_line(self, bench_files, capsys, monkeypatch):
+        # what numpy raises for the edge table of annular:100000, without allocating it
+        message = "Unable to allocate 149. GiB for an array with shape (200000, 200001) and data type int32"
+
+        def out_of_memory(spec):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "build_partition", out_of_memory)
+        gt, dt, _ = bench_files
+        assert main(["eval", "--gt", str(gt), "--dt", str(dt), "--partition", "annular:100000"]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: out of memory: {message}\n")
+
     def test_workers_env_is_ignored(self, bench_files, monkeypatch):
         gt, _, _ = bench_files
         monkeypatch.setenv("ZONE_EVAL_WORKERS", "abc")
@@ -468,6 +503,11 @@ class TestUsageErrors:
             (["--anchor-grid", "0x5"], "anchor grid needs cols, rows >= 1"),
             (["--anchor-size", "-5"], "anchor box side must be finite and > 0, got -5.0"),
             (["--anchor-size", "nan"], "anchor box side must be finite and > 0, got nan"),
+            # the flags of the rule that does not run are checked too
+            (["--beta", "0.1", "--beta-zone", "z0,1", "--gamma", "nan"], "gamma must be >= 0"),
+            (["--beta", "0.1", "--beta-zone", "z0,1", "--t", "7"], "positive IoU threshold t must lie in (0, 1]"),
+            (["--alpha-pos", "nan"], "alpha_pos and beta must be finite"),
+            (["--beta-zone", "nope"], "--beta-zone requires --beta"),
         ],
     )
     def test_non_finite_sela_thresholds(self, bench_files, tmp_path, capsys, flags, problem):

@@ -1,9 +1,10 @@
 """Byte-identity of reports against frozen golden files.
 
 The files under ``tests/data/golden/`` are the ``evaluate_zones`` reports
-(``ZoneReport.to_json()``) and one ``scale_study`` report (the JSON that
-``zone-eval`` and the benchmark write) of ``datagen.random_multiclass_benchmark``
-inputs, as produced by the tuple-list matcher that preceded the array kernel.
+(``ZoneReport.to_json()``) and one ``scale_study`` report (``ScaleStudyReport.to_json_dict()``
+as indented JSON, the form the benchmark writes; no ``zone-eval`` command runs a
+scale study) of ``datagen.random_multiclass_benchmark`` inputs, as produced by the
+tuple-list matcher that preceded the array kernel.
 The ``sela_*`` files are the CSV and JSON outputs of ``zone-eval sela`` on the
 frozen ground truth ``sela_gt.json``, for a gamma run and a ``--beta`` run, as
 produced by the per-anchor-object assignment that preceded the array-backed one.
@@ -16,7 +17,7 @@ They were generated by running this file as a script from the repository root:
     PYTHONPATH=src:tests python tests/test_golden.py
 
 Any change to the matching or AP arithmetic that moves a single bit of a
-report fails here.
+report, or to the zone builders that moves a single bit of a zone, fails here.
 """
 
 import json

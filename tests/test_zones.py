@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import typing
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +18,9 @@ from zoneval.zones import (
     Partition,
     Rect,
     Zone,
+    ZoneSpec,
+    _KINDS,
+    _spec_file,
     build_partition,
     load_custom_spec,
     normalize_points,
@@ -326,6 +331,23 @@ class TestSpecParsing:
         assert [name for name, _ in spec.zones] == ["left", "right"]
         parsed = parse_zone_spec(f"custom:@{path}")
         assert parsed == spec
+
+    def test_every_spec_kind_has_one_row(self):
+        assert set(typing.get_args(ZoneSpec)) == set(_KINDS)
+
+    @pytest.mark.parametrize("kind", [k for k in typing.get_args(ZoneSpec) if k is not Custom])
+    def test_builtin_label_parses_back(self, kind):
+        spec = kind(*range(3, 3 + len(dataclasses.fields(kind))))
+        assert parse_zone_spec(spec_label(spec)) == spec
+
+    def test_custom_label_counts_zones(self):
+        spec = Custom((("a", ((0.0, 0.0, 0.5, 1.0),)), ("b", ((0.5, 0.0, 1.0, 1.0),))))
+        assert spec_label(spec) == "custom:2 zones"
+
+    @pytest.mark.parametrize("text,path", [("custom:@z.json", "z.json"), ("custom:@", None),
+                                           ("annular:5", None), ("grid:3x3", None)])
+    def test_zones_file_of_spec(self, text, path):
+        assert _spec_file(text) == path
 
     def test_degenerate_innermost_ring_matches_solid_square(self):
         # z^{n-1,n} equals the full centered square when the inner bound is empty
