@@ -15,8 +15,16 @@ on first read and cached, for callers outside the evaluator.  ``DetectionSet``
 holds the ``image``, ``category``, ``box`` and ``score`` columns, by image,
 then descending score (image ``i`` at rows ``starts[i]:starts[i + 1]``);
 ``for_image`` builds ``Detection`` views.
-Ids become indices through the dataset's ``{id: index}`` dicts.  Both check
-their records in bulk: a bad annotation is reported by the lowest id, a bad
+Ids become indices through the dataset's ``{id: index}`` dicts.
+
+A file's annotations and detections become columns straight from the decoded
+lists: each field is gathered once and checked as a whole column (its types,
+then ``_check_box``'s rule and the ``iscrowd`` rule as array masks), and no
+record is looked at on its own.  Only when a check fails do the per-record
+checkers run, to name the first bad record by the first rule it breaks.  Ids,
+sizes, boxes, areas and scores are JSON numbers only, never strings or
+``true``/``false``.  References, duplicate ids, areas and scores are then
+checked on the columns: a bad annotation is reported by the lowest id, a bad
 detection by its input position.
 """
 
@@ -26,6 +34,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import chain, repeat
 from operator import eq, itemgetter
 from pathlib import Path
 
@@ -139,9 +148,32 @@ class Detection:
     score: float
 
 
+_NUMBER = (int, float, np.integer, np.floating)  # less bool: true and false are not numbers
+
+
+def _numeric(values) -> bool:
+    """Whether every value is a number: a JSON number, or a numpy one from the API; not a string, not true or false.
+
+    The one number rule of every reader, asked once per type of value.
+    """
+    return all(issubclass(t, _NUMBER) and t is not bool for t in set(map(type, values)))
+
+
+def _checked_number(v, what: str):
+    """``v`` if it is a number by ``_numeric``'s rule."""
+    if not _numeric((v,)):
+        raise ValueError(f"{what} {v!r} is not a number")
+    return v
+
+
+def _number(v, what: str) -> float:
+    """A size, box, area or score field as a float; ``float()`` alone would read "1_0" as 10.0."""
+    return float(_checked_number(v, what))
+
+
 def _id(v) -> int:
-    """An id field as an int; ``int()`` alone would truncate 1.7 to 1."""
-    if isinstance(v, (float, np.floating)) and not float(v).is_integer():
+    """An id field as an int; ``int()`` alone would truncate 1.7 to 1 and read "1" as 1."""
+    if isinstance(_checked_number(v, "id"), (float, np.floating)) and not float(v).is_integer():
         raise ValueError(f"id {v!r} is not an integer")
     return int(v)
 
@@ -156,8 +188,8 @@ def _flag(v) -> bool:
 def _image_record(rec: dict) -> ImageInfo:
     return ImageInfo(
         id=_id(rec["id"]),
-        width=float(rec["width"]),
-        height=float(rec["height"]),
+        width=_number(rec["width"], "width"),
+        height=_number(rec["height"], "height"),
         file_name=str(rec.get("file_name", "")),
     )
 
@@ -166,20 +198,90 @@ def _category_record(rec: dict) -> Category:
     return Category(id=_id(rec["id"]), name=str(rec["name"]))
 
 
-def _annotation_record(rec: dict) -> tuple:
-    """A validated ``(id, image_id, category_id, x, y, w, h, area, crowd)``."""
+def _annotation_record(rec: dict) -> None:
+    """Check one annotation by the rule ``_annotation_columns`` applies in bulk; raise at the first break."""
     x, y, w, h = rec["bbox"]
-    box = _check_box(float(x), float(y), float(w), float(h))
-    ids = _id(rec["id"]), _id(rec["image_id"]), _id(rec["category_id"])
-    area = box[2] * box[3] if rec.get("area") is None else float(rec["area"])
-    return (*ids, *box, area, _flag(rec.get("iscrowd", 0)))
+    _check_box(*(_number(v, "bbox value") for v in (x, y, w, h)))
+    _id(rec["id"]), _id(rec["image_id"]), _id(rec["category_id"])
+    if rec.get("area") is not None:
+        _number(rec["area"], "area")
+    _flag(rec.get("iscrowd", 0))
 
 
-def _detection_record(rec: dict) -> tuple:
-    """A validated ``(image_id, category_id, x, y, w, h, score)``."""
+def _detection_record(rec: dict) -> None:
+    """Check one detection by the rule ``_detection_columns`` applies in bulk; raise at the first break."""
     x, y, w, h = rec["bbox"]
-    ids = _id(rec["image_id"]), _id(rec["category_id"])
-    return (*ids, *_check_box(float(x), float(y), float(w), float(h)), float(rec["score"]))
+    _id(rec["image_id"]), _id(rec["category_id"])
+    _check_box(*(_number(v, "bbox value") for v in (x, y, w, h)))
+    _number(rec["score"], "score")
+
+
+def _floats(values: list) -> np.ndarray:
+    """A float column of numbers; a value that is not one raises.
+
+    The types are checked first, because ``dtype=float`` alone would parse
+    strings and read true as 1.0.  ``dtype=float`` converts each int as
+    ``float()`` does; numpy's own dtype discovery rounds some ints above 2**63
+    otherwise.
+    """
+    if not _numeric(values):
+        raise ValueError("a value is not a number")
+    return np.array(values, dtype=float)  # an int too large for a float raises OverflowError
+
+
+def _ids(values: list) -> list:
+    """Ids as ints by ``_id``'s rule; a list of ints passes as it is, ints of any size."""
+    return values if set(map(type, values)) <= {int} else [_id(v) for v in values]
+
+
+def _boxes(records: list) -> np.ndarray:
+    """The (N, 4) ``bbox`` column, checked by ``_check_box``'s rule as array masks."""
+    boxes = [r["bbox"] for r in records]
+    if boxes and set(map(len, boxes)) != {4}:
+        raise ValueError("a bbox does not hold 4 values")
+    box = _floats(list(chain.from_iterable(boxes))).reshape(-1, 4)
+    x, y, w, h = box.T
+    with np.errstate(over="ignore", invalid="ignore"):  # the overflows are what is checked
+        ok = np.isfinite(x + w) & np.isfinite(y + h) & np.isfinite(w * h) & (w > 0) & (h > 0)
+    if not ok.all():
+        raise ValueError("a bbox is not finite and positive")
+    return box
+
+
+def _detection_columns(records: list) -> tuple:
+    """``(image_ids, category_ids, box, score)`` of results records, each field checked as a column."""
+    return (_ids([r["image_id"] for r in records]), _ids([r["category_id"] for r in records]),
+            _boxes(records), _floats([r["score"] for r in records]))
+
+
+def _annotation_columns(records: list) -> tuple:
+    """``(ids, image_ids, category_ids, box, area, crowd)`` of annotations, each field checked as a column."""
+    box = _boxes(records)
+    ids, image_ids, category_ids = (_ids([r[key] for r in records]) for key in ("id", "image_id", "category_id"))
+    areas = [r.get("area") for r in records]
+    missing = [k for k, a in enumerate(areas) if a is None] if None in areas else []
+    area = _floats([0.0 if a is None else a for a in areas] if missing else areas)
+    area[missing] = box[missing, 2] * box[missing, 3]  # a missing or null area is w * h
+    crowd = [r.get("iscrowd", 0) for r in records]
+    if not (all(issubclass(t, int) for t in set(map(type, crowd))) and set(crowd) <= {0, 1}):
+        raise ValueError("a flag is not 0, 1, true or false")
+    return ids, image_ids, category_ids, box, area, np.array(crowd, dtype=bool)
+
+
+def _columns(records, kind: str, build, check) -> tuple:
+    """The columns ``build`` makes of one top-level list, every field checked in bulk.
+
+    Only when a bulk check fails does ``check`` run record by record, to name
+    the first bad record by the first rule it breaks; it supplies no column.
+    """
+    if not isinstance(records, list):
+        raise IngestError(f"{kind} records must be a JSON list")
+    try:
+        return build(records)
+    except (KeyError, TypeError, ValueError, OverflowError):
+        pass
+    _parse_records(records, kind, check)  # raises, naming the record
+    raise IngestError(f"{kind} records do not form columns")  # a record from the API that no JSON file holds
 
 
 def _record_error(name: str, e: Exception) -> str:
@@ -218,6 +320,11 @@ def _parse_records(records, kind: str, parse) -> list:
                           else f"{kind} #{i}", parse) for i, rec in enumerate(records)]
 
 
+def _index(index: dict, ids: list) -> np.ndarray:
+    """The index of each id in an ``{id: index}`` dict, -1 for an id it lacks."""
+    return np.fromiter(map(index.get, ids, repeat(-1)), dtype=np.int64, count=len(ids))
+
+
 class Dataset:
     """Validated, indexed ground truth: images and categories by id, ground-truth columns by (image, id).
 
@@ -226,13 +333,15 @@ class Dataset:
 
     def __init__(self, images: list[ImageInfo], categories: list[Category],
                  ground_truths: list[GroundTruth]) -> None:
-        # every id goes through _id, as on the file path: np.int64 becomes int, 1.5 raises
+        # every id follows the file path's rule (_id, _ids): np.int64 becomes int, 1.5 raises
         self._fill([replace(im, id=_id(im.id)) for im in images], [replace(c, id=_id(c.id)) for c in categories],
-                   [(_id(g.id), _id(g.image_id), _id(g.category_id), g.bbox.x, g.bbox.y, g.bbox.w, g.bbox.h,
-                     g.area, g.ignore) for g in ground_truths])
+                   *(_ids([getattr(g, key) for g in ground_truths]) for key in ("id", "image_id", "category_id")),
+                   xywh([g.bbox for g in ground_truths]), np.array([g.area for g in ground_truths], dtype=float),
+                   np.array([g.ignore for g in ground_truths], dtype=bool))
 
-    def _fill(self, images: list[ImageInfo], categories: list[Category], records: list[tuple]) -> None:
-        """Index the images and categories; check and sort ``_annotation_record`` tuples into columns."""
+    def _fill(self, images: list[ImageInfo], categories: list[Category], ids: list, image_ids: list,
+              category_ids: list, box: np.ndarray, area: np.ndarray, crowd: np.ndarray) -> None:
+        """Index the images and categories; check the ground-truth columns and sort them by (image, id)."""
         self.images = sorted(images, key=lambda im: im.id)
         self.categories = sorted(categories, key=lambda c: c.id)
         self.images_by_id = {im.id: im for im in self.images}
@@ -244,27 +353,27 @@ class Dataset:
         self.image_index = {i: k for k, i in enumerate(self.images_by_id)}
         self.image_ids, self.category_ids = list(self.image_index), list(self.category_index)
         self.image_size = np.array([(im.width, im.height) for im in self.images], dtype=float).reshape(-1, 2)
-        n = len(records)
-        records.sort(key=itemgetter(0))  # ids stay Python ints, of any size; equal ids keep input order
-        ids, image_ids, category_ids, *box, areas, crowd = list(zip(*records)) or [()] * 9
-        del records[:]  # free the record tuples now: each caller passes a list built for this call
-        image = np.array([self.image_index.get(i, -1) for i in image_ids], dtype=np.int64)
-        category = np.array([self.category_index.get(c, -1) for c in category_ids], dtype=np.int64)
-        area = np.array(areas, dtype=float)
+        # ids stay Python ints, of any size; equal ids keep input order
+        by_id = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.int64)
+        ids = [ids[k] for k in by_id.tolist()]
+        image = _index(self.image_index, image_ids)[by_id]
+        category = _index(self.category_index, category_ids)[by_id]
+        area = area[by_id]
         dup = np.array(list(map(eq, ids, (None, *ids))), dtype=bool)  # an id equal to the one before it
         bad = np.flatnonzero(dup | (image < 0) | (category < 0) | ~(area > 0))  # NaN is not > 0
         if bad.size:  # the lowest bad id, by the first check it fails
             k = int(bad[0])
+            j = int(by_id[k])
             raise IngestError(
                 f"duplicate annotation id {ids[k]}" if dup[k] else
-                f"annotation {ids[k]} references missing image {image_ids[k]}" if image[k] < 0 else
-                f"annotation {ids[k]} references missing category {category_ids[k]}" if category[k] < 0
-                else f"annotation {ids[k]}: area must be positive, got {areas[k]}")
+                f"annotation {ids[k]} references missing image {image_ids[j]}" if image[k] < 0 else
+                f"annotation {ids[k]} references missing category {category_ids[j]}" if category[k] < 0
+                else f"annotation {ids[k]}: area must be positive, got {float(area[k])}")
         order = np.argsort(image, kind="stable")  # by image, then by id
+        rows = by_id[order]
         self.gt_id = [ids[k] for k in order.tolist()]
         self.gt_image, self.gt_category, self.gt_area = image[order], category[order], area[order]
-        self.gt_box = np.array(box, dtype=float).reshape(4, n)[:, order].T
-        self.gt_crowd = np.array(crowd, dtype=bool)[order]
+        self.gt_box, self.gt_crowd = np.asfortranarray(box[rows]), crowd[rows]
         self.gt_starts = np.searchsorted(self.gt_image, np.arange(len(self.images) + 1))
 
     def _gt_rows(self) -> list[tuple]:
@@ -294,7 +403,8 @@ class Dataset:
         images = _parse_records(data["images"], "image", _image_record)
         categories = _parse_records(data["categories"], "category", _category_record)
         ds = cls.__new__(cls)
-        ds._fill(images, categories, _parse_records(data["annotations"], "annotation", _annotation_record))
+        ds._fill(images, categories,
+                 *_columns(data["annotations"], "annotation", _annotation_columns, _annotation_record))
         return ds
 
     def to_coco_dict(self) -> dict:
@@ -317,16 +427,15 @@ class DetectionSet:
     """
 
     def __init__(self, detections: list[Detection], dataset: Dataset) -> None:
-        self._fill([(d.image_id, d.category_id, d.bbox.x, d.bbox.y, d.bbox.w, d.bbox.h, d.score)
-                    for d in detections], dataset)
+        self._fill([d.image_id for d in detections], [d.category_id for d in detections],
+                   xywh([d.bbox for d in detections]), np.array([d.score for d in detections], dtype=float),
+                   dataset)
 
-    def _fill(self, records: list[tuple], dataset: Dataset) -> None:
-        """Resolve and sort ``(image_id, category_id, x, y, w, h, score)`` records into columns."""
-        n = self.total = len(records)
-        ids, cats, *box, score = list(zip(*records)) or [()] * 7
-        image = np.array([dataset.image_index.get(i, -1) for i in ids], dtype=np.int64)
-        category = np.array([dataset.category_index.get(c, -1) for c in cats], dtype=np.int64)
-        score = np.array(score, dtype=float)
+    def _fill(self, ids: list, cats: list, box: np.ndarray, score: np.ndarray, dataset: Dataset) -> None:
+        """Resolve the image and category ids; check the columns and sort them by image, then descending score."""
+        self.total = len(ids)
+        image = _index(dataset.image_index, ids)
+        category = _index(dataset.category_index, cats)
         bad = np.flatnonzero((image < 0) | (category < 0) | ~np.isfinite(score))
         if bad.size:  # the first bad record, by the first check it fails
             i = int(bad[0])
@@ -335,7 +444,7 @@ class DetectionSet:
             raise IngestError(f"detection #{i} {what}")
         order = np.lexsort((-score, image))  # stable: equal scores keep input order
         self.image, self.category, self.score = image[order], category[order], score[order]
-        self.box = np.array(box, dtype=float).reshape(4, n)[:, order].T
+        self.box = np.asfortranarray(box[order])  # each coordinate contiguous: the evaluator reads by column
         self.starts = np.searchsorted(self.image, np.arange(len(dataset.images) + 1))
         self.image_ids, self.category_ids = dataset.image_ids, dataset.category_ids
         self._image_index = dataset.image_index
@@ -350,7 +459,7 @@ class DetectionSet:
     @classmethod
     def from_coco_list(cls, data: list, dataset: Dataset) -> "DetectionSet":
         dets = cls.__new__(cls)
-        dets._fill(_parse_records(data, "detection", _detection_record), dataset)
+        dets._fill(*_columns(data, "detection", _detection_columns, _detection_record), dataset)
         return dets
 
     def to_coco_list(self) -> list[dict]:

@@ -4,9 +4,14 @@ The generators make no closed-form promises; they exist so the large
 determinism and runtime checks can build realistic inputs in a couple of
 seconds.  ``match_image`` and ``full_image_ap`` run the matching kernel one
 (image, category) group at a time, so tests can hold the batched pass of
-``evaluate_zones`` against them.
+``evaluate_zones`` against them.  ``reference_ground_truth`` and
+``reference_detections`` read a COCO document one validated tuple per record,
+the route ``coco`` replaced with bulk column checks, so tests can hold the
+columns and the error messages of the loaders against them;
+``random_coco_document`` makes valid documents in the forms a file may hold.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +27,7 @@ from zoneval.coco import (
     iou_matrix,
     xywh,
 )
+from zoneval.errors import IngestError
 from zoneval.matching import (
     EvalConfig,
     average_precision,
@@ -274,3 +280,182 @@ def random_benchmark(
                 )
             )
     return ds, DetectionSet(dets, ds)
+
+
+_NUMBER_TYPES = (int, float, np.integer, np.floating)
+
+
+def _ref_number(v, what: str) -> float:
+    if isinstance(v, bool) or not isinstance(v, _NUMBER_TYPES):
+        raise ValueError(f"{what} {v!r} is not a number")
+    return float(v)
+
+
+def _ref_id(v) -> int:
+    if isinstance(v, bool) or not isinstance(v, _NUMBER_TYPES):
+        raise ValueError(f"id {v!r} is not a number")
+    if isinstance(v, (float, np.floating)) and not float(v).is_integer():
+        raise ValueError(f"id {v!r} is not an integer")
+    return int(v)
+
+
+def _ref_box(x: float, y: float, w: float, h: float) -> tuple:
+    if not all(map(math.isfinite, (x + w, y + h, w * h))):
+        raise IngestError(f"non-finite bbox corner or area in BBox(x={x!r}, y={y!r}, w={w!r}, h={h!r})")
+    if w <= 0 or h <= 0:
+        raise IngestError(f"bbox dimensions must be positive, got w={w}, h={h}")
+    return x, y, w, h
+
+
+def _ref_annotation(rec: dict) -> tuple:
+    """``(id, image_id, category_id, x, y, w, h, area, crowd)``, checked field by field."""
+    x, y, w, h = rec["bbox"]
+    box = _ref_box(*(_ref_number(v, "bbox value") for v in (x, y, w, h)))
+    ids = _ref_id(rec["id"]), _ref_id(rec["image_id"]), _ref_id(rec["category_id"])
+    area = box[2] * box[3] if rec.get("area") is None else _ref_number(rec["area"], "area")
+    crowd = rec.get("iscrowd", 0)
+    if not (isinstance(crowd, int) and crowd in (0, 1)):
+        raise ValueError(f"flag {crowd!r} is not 0, 1, true or false")
+    return (*ids, *box, area, bool(crowd))
+
+
+def _ref_detection(rec: dict) -> tuple:
+    """``(image_id, category_id, x, y, w, h, score)``, checked field by field."""
+    x, y, w, h = rec["bbox"]
+    ids = _ref_id(rec["image_id"]), _ref_id(rec["category_id"])
+    box = _ref_box(*(_ref_number(v, "bbox value") for v in (x, y, w, h)))
+    return (*ids, *box, _ref_number(rec["score"], "score"))
+
+
+def _ref_records(records, kind: str, parse) -> list[tuple]:
+    """One tuple per record; the first bad record is named by its id, else by its position."""
+    if not isinstance(records, list):
+        raise IngestError(f"{kind} records must be a JSON list")
+    rows = []
+    for i, rec in enumerate(records):
+        name = f"{kind} {rec['id']}" if isinstance(rec, dict) and "id" in rec else f"{kind} #{i}"
+        if not isinstance(rec, dict):
+            raise IngestError(f"{name} is not a JSON object: {rec!r}")
+        try:
+            rows.append(parse(rec))
+        except IngestError as e:
+            raise IngestError(f"{name}: {e}") from e
+        except KeyError as e:
+            raise IngestError(f"{name}: missing field {e}") from e
+        except (TypeError, ValueError, OverflowError) as e:
+            raise IngestError(f"{name}: malformed record ({e})") from e
+    return rows
+
+
+def _ref_index(records: list) -> dict:
+    return {i: k for k, i in enumerate(sorted(_ref_id(rec["id"]) for rec in records))}
+
+
+def reference_ground_truth(doc: dict) -> dict:
+    """The ground-truth columns of a COCO document, built one record tuple at a time.
+
+    The images and categories must be valid; the columns are by (image, id),
+    as ``Dataset`` holds them.
+    """
+    image_index, category_index = _ref_index(doc["images"]), _ref_index(doc["categories"])
+    rows = sorted(_ref_records(doc["annotations"], "annotation", _ref_annotation), key=lambda r: r[0])
+    ids, image_ids, category_ids, *box, areas, crowd = list(zip(*rows)) or [()] * 9
+    image = np.array([image_index.get(i, -1) for i in image_ids], dtype=np.int64)
+    category = np.array([category_index.get(c, -1) for c in category_ids], dtype=np.int64)
+    for k, g in enumerate(ids):
+        if k and g == ids[k - 1]:
+            raise IngestError(f"duplicate annotation id {g}")
+        if image[k] < 0:
+            raise IngestError(f"annotation {g} references missing image {image_ids[k]}")
+        if category[k] < 0:
+            raise IngestError(f"annotation {g} references missing category {category_ids[k]}")
+        if not areas[k] > 0:
+            raise IngestError(f"annotation {g}: area must be positive, got {areas[k]}")
+    order = np.argsort(image, kind="stable")
+    return {"gt_id": [ids[k] for k in order], "gt_image": image[order], "gt_category": category[order],
+            "gt_box": np.array(box, dtype=float).reshape(4, len(rows))[:, order].T,
+            "gt_area": np.array(areas, dtype=float)[order], "gt_crowd": np.array(crowd, dtype=bool)[order],
+            "gt_starts": np.searchsorted(image[order], np.arange(len(image_index) + 1))}
+
+
+def reference_detections(records, doc: dict) -> dict:
+    """The detection columns of a results list against a valid COCO document, one record tuple at a time.
+
+    The columns are by image, then descending score, as ``DetectionSet`` holds them.
+    """
+    image_index, category_index = _ref_index(doc["images"]), _ref_index(doc["categories"])
+    rows = _ref_records(records, "detection", _ref_detection)
+    ids, cats, *box, score = list(zip(*rows)) or [()] * 7
+    image = np.array([image_index.get(i, -1) for i in ids], dtype=np.int64)
+    category = np.array([category_index.get(c, -1) for c in cats], dtype=np.int64)
+    for k, s in enumerate(score):
+        if image[k] < 0:
+            raise IngestError(f"detection #{k} references unknown image {ids[k]}")
+        if category[k] < 0:
+            raise IngestError(f"detection #{k} references unknown category {cats[k]}")
+        if not math.isfinite(s):
+            raise IngestError(f"detection #{k} has non-finite score")
+    score = np.array(score, dtype=float)
+    order = np.lexsort((-score, image))
+    return {"total": len(rows), "image": image[order], "category": category[order],
+            "box": np.array(box, dtype=float).reshape(4, len(rows))[:, order].T, "score": score[order],
+            "starts": np.searchsorted(image[order], np.arange(len(image_index) + 1))}
+
+
+def random_coco_document(rng: np.random.Generator) -> tuple[dict, list]:
+    """A valid annotation document and results list, in the forms a COCO file may hold.
+
+    Coordinates are ints or floats, some ints above 2**53; ids are small or
+    above 2**63, and references to small ids are sometimes integral floats
+    (``3.0``).  ``area`` is missing, null, an int or a float; ``iscrowd`` is
+    missing, 0, 1, true or false; records carry extra keys; scores tie often;
+    either list may be empty.  Decode ``json.dumps`` of it to get JSON types.
+    """
+    def pick(pool, n):
+        return [pool[k] for k in rng.permutation(len(pool))[:n]]
+
+    def ref(i):  # a reference to an id, sometimes written as an integral float
+        return float(i) if i < 2**53 and rng.random() < 0.2 else i
+
+    def coord():
+        kind = rng.integers(3)
+        return int(rng.integers(0, 500)) if kind == 0 else float(rng.uniform(0, 500)) if kind == 1 \
+            else 2**53 + int(rng.integers(1, 2**20))
+
+    def side():
+        kind = rng.integers(3)
+        return int(rng.integers(1, 200)) if kind == 0 else float(rng.uniform(0.5, 200)) if kind == 1 \
+            else 2**53 + int(rng.integers(1, 2**20))
+
+    image_ids = pick([1, 2, 5, 9, 2**63 + 5, 2**64 + 1, 10**30], int(rng.integers(1, 5)))
+    category_ids = pick([1, 3, 4, 2**63, 2**70 + 3], int(rng.integers(1, 4)))
+    images = [{"id": i, "width": float(rng.uniform(50, 900)), "height": int(rng.integers(50, 900)),
+               "file_name": f"{i}.jpg"} for i in image_ids]
+    categories = [{"id": c, "name": f"c{c}"} for c in category_ids]
+    n_ann = int(rng.integers(0, 12)) if rng.random() > 0.1 else 0
+    annotations = []
+    for g in pick([*range(1, 30), 2**63 + 1, 2**64, 2**64 + 9, 10**25], n_ann):
+        rec = {"id": g, "image_id": ref(image_ids[rng.integers(len(image_ids))]),
+               "category_id": ref(category_ids[rng.integers(len(category_ids))]),
+               "bbox": [coord(), coord(), side(), side()]}
+        area = rng.integers(4)
+        if area:
+            rec["area"] = (None, int(rng.integers(1, 10**6)), float(rng.uniform(1, 1e4)))[area - 1]
+        crowd = rng.integers(5)
+        if crowd:
+            rec["iscrowd"] = (0, 1, True, False)[crowd - 1]
+        if rng.random() < 0.3:
+            rec["segmentation"] = [[1.0, 2.0, 3.0]]
+        annotations.append(rec)
+    n_det = int(rng.integers(0, 25)) if rng.random() > 0.1 else 0
+    results = []
+    for _ in range(n_det):
+        rec = {"image_id": ref(image_ids[rng.integers(len(image_ids))]),
+               "category_id": ref(category_ids[rng.integers(len(category_ids))]),
+               "bbox": [coord(), coord(), side(), side()],
+               "score": int(rng.integers(2)) if rng.random() < 0.1 else round(float(rng.random()), 1)}
+        if rng.random() < 0.2:
+            rec["note"] = "extra"
+        results.append(rec)
+    doc = {"images": images, "annotations": annotations, "categories": categories}
+    return doc, results

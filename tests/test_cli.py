@@ -583,6 +583,10 @@ def _gt_doc(images=None, annotations=None, categories=None):
     }
 
 
+_DT = {"image_id": 1, "category_id": 1, "bbox": [1, 1, 2, 2], "score": 0.5}
+_ANN = {"id": 1, "image_id": 1, "category_id": 1, "bbox": [1, 1, 2, 2]}
+
+
 class TestIngestErrors:
     """A malformed input record exits 1 with one `error:` line that names it."""
 
@@ -622,6 +626,20 @@ class TestIngestErrors:
             (_gt_doc(annotations=[{"id": 1, "image_id": 1, "category_id": 1,
                                    "bbox": [1e308, 1e308, 1e308, 1e308]}]),
              ["annotation 1", "non-finite bbox corner or area"]),
+            # id, size, box and area fields take JSON numbers only: no strings, no true or false
+            (_gt_doc(images=[{"id": 1, "width": "10", "height": 10}]), ["image 1", "width '10' is not a number"]),
+            (_gt_doc(images=[{"id": 1, "width": 10, "height": True}]), ["image 1", "height True is not a number"]),
+            (_gt_doc(images=[{"id": "1", "width": 10, "height": 10}]), ["image 1", "id '1' is not a number"]),
+            (_gt_doc(categories=[{"id": True, "name": "a"}]), ["category True", "id True is not a number"]),
+            (_gt_doc(annotations=[{**_ANN, "image_id": "1"}]), ["annotation 1", "id '1' is not a number"]),
+            (_gt_doc(annotations=[{**_ANN, "id": False}]), ["annotation False", "id False is not a number"]),
+            (_gt_doc(annotations=[{**_ANN, "bbox": [1, "1", 2, 2]}]),
+             ["annotation 1", "bbox value '1' is not a number"]),
+            (_gt_doc(annotations=[{**_ANN, "bbox": [1, 1, True, 2]}]),
+             ["annotation 1", "bbox value True is not a number"]),
+            (_gt_doc(annotations=[{**_ANN, "area": "4"}]), ["annotation 1", "area '4' is not a number"]),
+            (_gt_doc(annotations=[_ANN, {**_ANN, "id": 2, "area": True}]),
+             ["annotation 2", "area True is not a number"]),
         ],
     )
     def test_bad_ground_truth_record(self, tmp_path, capsys, doc, names):
@@ -642,6 +660,14 @@ class TestIngestErrors:
              ["detection #0", "non-finite bbox corner or area"]),
             ([{"image_id": 1, "category_id": 1, "bbox": [0, 0, 1e200, 1e200], "score": 0.5}],
              ["detection #0", "non-finite bbox corner or area"]),
+            # id, box and score fields take JSON numbers only: no strings, no true or false
+            ([_DT, {**_DT, "score": "1_0"}], ["detection #1", "score '1_0' is not a number"]),
+            ([{**_DT, "score": True}], ["detection #0", "score True is not a number"]),
+            ([{**_DT, "image_id": "1"}], ["detection #0", "id '1' is not a number"]),
+            ([_DT, {**_DT, "category_id": True}], ["detection #1", "id True is not a number"]),
+            ([{**_DT, "bbox": ["1", 1, 2, 2]}], ["detection #0", "bbox value '1' is not a number"]),
+            ([{**_DT, "bbox": [1, 1, 2, False]}], ["detection #0", "bbox value False is not a number"]),
+            ([{**_DT, "bbox": "1234"}], ["detection #0", "bbox value '1' is not a number"]),
         ],
     )
     def test_bad_results_record(self, tmp_path, capsys, records, names):
@@ -653,6 +679,44 @@ class TestIngestErrors:
         assert code == 1
         for name in names:
             assert name in err
+
+    @pytest.mark.parametrize("records,line", [
+        pytest.param([_DT, {"image_id": 1, "category_id": 1, "bbox": [1, 1, 2, 2]}],
+                     "detection #1: missing field 'score'", id="missing-score"),
+        pytest.param([_DT, {"image_id": 1, "category_id": 1, "score": 0.5}],
+                     "detection #1: missing field 'bbox'", id="missing-bbox"),
+        pytest.param([_DT, {**_DT, "bbox": [1, 1, 2]}],
+                     "detection #1: malformed record (not enough values to unpack (expected 4, got 3))",
+                     id="bbox-of-3"),
+        pytest.param([_DT, {**_DT, "bbox": None}],
+                     "detection #1: malformed record (cannot unpack non-iterable NoneType object)",
+                     id="bbox-null"),
+        pytest.param([_DT, {**_DT, "bbox": [1, 1, 0, 2]}],
+                     "detection #1: bbox dimensions must be positive, got w=0.0, h=2.0", id="zero-width"),
+        pytest.param([_DT, {**_DT, "score": math.nan}], "detection #1 has non-finite score", id="nan-score"),
+        pytest.param([_DT, {**_DT, "image_id": 7}], "detection #1 references unknown image 7",
+                     id="unknown-image"),
+        pytest.param([_DT, {**_DT, "category_id": 9}], "detection #1 references unknown category 9",
+                     id="unknown-category"),
+        pytest.param(_DT, "detection records must be a JSON list", id="object-not-list"),
+        pytest.param([_DT, {**_DT, "bbox": [1, 10**400, 2, 2]}],
+                     "detection #1: malformed record (int too large to convert to float)", id="huge-int"),
+    ])
+    def test_results_error_line(self, tmp_path, capsys, records, line):
+        gt, dt = tmp_path / "gt.json", tmp_path / "dt.json"
+        gt.write_text(json.dumps(_gt_doc(annotations=[_ANN])))
+        dt.write_text(json.dumps(records))
+        assert self._run(["eval", "--gt", str(gt), "--dt", str(dt)], capsys) == (1, f"error: {line}\n")
+
+    @pytest.mark.parametrize("annotations,line", [
+        pytest.param([_ANN, {**_ANN, "id": 2}, {**_ANN, "id": 1}], "duplicate annotation id 1", id="duplicate-id"),
+        pytest.param([_ANN, {**_ANN, "id": 2, "area": math.nan}], "annotation 2: area must be positive, got nan",
+                     id="nan-area"),
+    ])
+    def test_ground_truth_error_line(self, tmp_path, capsys, annotations, line):
+        gt = tmp_path / "gt.json"
+        gt.write_text(json.dumps(_gt_doc(annotations=annotations)))
+        assert self._run(["density", "--gt", str(gt)], capsys) == (1, f"error: {line}\n")
 
     def test_results_nested_past_the_recursion_limit(self, tmp_path, capsys):
         gt, dt = tmp_path / "gt.json", tmp_path / "dt.json"

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from zoneval import coco
 from zoneval.coco import (
     BBox,
     Category,
@@ -25,6 +26,7 @@ from zoneval.zone_eval import evaluate_zones
 from zoneval.zones import Annular, build_partition
 
 from conftest import write_coco_gt
+from datagen import random_coco_document, reference_detections, reference_ground_truth
 
 
 def coco_doc(images, annotations, categories):
@@ -328,6 +330,103 @@ class TestColumnsAndViews:
         assert s.tolist() == [0, 0, 2, 4]
         assert [ds.gt_id[s[i]:s[i + 1]] for i in range(len(ds.images))] == \
             [[g.id for g in gts] for gts in ds.gts_by_image.values()]
+
+
+_DROP = object()  # delete the key
+# wrong types and containers, strings of numbers, booleans, NaN and +-inf, integral and fractional
+# floats, ints too large for a float and past 2**63
+_MUTANTS = [_DROP, None, True, False, "1", "x", "1_0", [], {}, [1, 2, 3], [1, 2, 3, 4], 1.5, 3.0, 0, -1,
+            math.nan, math.inf, -math.inf, 1e308, 10**400, 2**64]
+_FIELDS = ["id", "image_id", "category_id", "bbox", "area", "iscrowd", "score"]
+
+
+def _mutate(rng, doc: dict, results: list) -> tuple[dict, list]:
+    """The document and results with one to three fields, boxes, records or lists replaced."""
+    for _ in range(int(rng.integers(1, 4))):
+        records = doc["annotations"] if rng.random() < 0.5 else results
+        if not isinstance(records, list) or not records:
+            continue
+        k = int(rng.integers(len(records)))
+        value = _MUTANTS[rng.integers(len(_MUTANTS))]
+        rec, key = records[k], _FIELDS[rng.integers(len(_FIELDS))]
+        if rng.random() < 0.05:
+            records[k] = [5] if rng.random() < 0.5 else "x"
+        elif not isinstance(rec, dict):
+            continue
+        elif key == "bbox" and value is not _DROP and isinstance(rec.get("bbox"), list) \
+                and len(rec["bbox"]) == 4 and rng.random() < 0.6:
+            rec["bbox"][rng.integers(4)] = value
+        elif value is _DROP:
+            rec.pop(key, None)
+        else:
+            rec[key] = value
+    if rng.random() < 0.02:
+        doc["annotations"] = {}
+    if rng.random() < 0.02:
+        results = {"image_id": 1}
+    return doc, results
+
+
+def _loaded(build):
+    """What ``build()`` returns, or the message of the IngestError it raises."""
+    try:
+        return build()
+    except IngestError as e:
+        return str(e)
+
+
+def _assert_same(got, want, what: str) -> None:
+    """The loaded columns equal the reference's in dtype and bytes; the ids in value and type."""
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want, what
+        return
+    for name, column in want.items():
+        mine = getattr(got, name)
+        if isinstance(column, np.ndarray):
+            assert (mine.dtype, mine.shape, mine.tobytes()) == (column.dtype, column.shape, column.tobytes()), \
+                f"{what}: {name}"
+        else:  # gt_id, Python ints of any size, or total
+            assert repr(mine) == repr(column), f"{what}: {name}"
+
+
+class TestColumnarIngest:
+    """The bulk-checked columns and messages equal those of the one-tuple-per-record reference."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_columns_equal_the_reference(self, seed):
+        doc, results = json.loads(json.dumps(random_coco_document(np.random.default_rng(seed))))
+        ds = Dataset.from_coco_dict(doc)
+        _assert_same(ds, reference_ground_truth(doc), f"seed {seed}")
+        _assert_same(DetectionSet.from_coco_list(results, ds), reference_detections(results, doc), f"seed {seed}")
+
+    @pytest.mark.parametrize("block", range(8))
+    def test_mutated_documents_give_the_reference_message(self, block):
+        for seed in range(block * 50, block * 50 + 50):
+            rng = np.random.default_rng(seed)
+            doc, results = _mutate(rng, *json.loads(json.dumps(random_coco_document(rng))))
+            doc, results = json.loads(json.dumps([doc, results]))
+            ds = _loaded(lambda: Dataset.from_coco_dict(doc))
+            _assert_same(ds, _loaded(lambda: reference_ground_truth(doc)), f"seed {seed}")
+            if not isinstance(ds, str):
+                _assert_same(_loaded(lambda: DetectionSet.from_coco_list(results, ds)),
+                             _loaded(lambda: reference_detections(results, doc)), f"seed {seed}")
+
+    def test_valid_files_never_reach_the_record_checkers(self, tmp_path, monkeypatch):
+        # a bulk check that fell back to the per-record checkers on valid input would undo the speed-up
+        def fail(rec):
+            raise AssertionError(f"per-record checker ran on {rec!r}")
+
+        monkeypatch.setattr(coco, "_annotation_record", fail)
+        monkeypatch.setattr(coco, "_detection_record", fail)
+        gt, dt = tmp_path / "gt.json", tmp_path / "dt.json"
+        for seed in range(10):
+            doc, results = random_coco_document(np.random.default_rng(seed))
+            gt.write_text(json.dumps(doc))
+            dt.write_text(json.dumps(results))
+            assert len(load_detections(dt, load_ground_truth(gt)).score) == len(results)
+        dt.write_text(json.dumps([{"image_id": 1, "category_id": 1, "bbox": [0, 0, 0, 1], "score": 1.0}]))
+        with pytest.raises(AssertionError, match="per-record checker ran"):  # the checker names a bad record
+            load_detections(dt, load_ground_truth(gt))
 
 
 class TestDuplicateIds:
