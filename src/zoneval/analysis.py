@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .coco import Dataset, _decode_json, _id, _parse_record, _read_text
+from .coco import Dataset, _decode_json, _id, _number, _parse_record, _read_text
 from .errors import IngestError, UndefinedStatisticError
 from .zone_eval import scale_bins
 from .zones import Grid, build_partition, grid_rows, gt_zone_counts
@@ -132,8 +132,8 @@ def _feature_record(rec: dict) -> FeatureRecord:
         split=rec["split"],
         zone_tag=rec["zone_tag"],
         category_id=_id(rec["category_id"]),
-        scale=float(rec["area"]),
-        vector=tuple(float(v) for v in rec["vector"]),
+        scale=_number(rec["area"], "area"),
+        vector=tuple(_number(v, "vector entry") for v in rec["vector"]),
     )
 
 

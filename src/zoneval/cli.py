@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import analysis, synth
-from .coco import _id, _parse_record, _parse_records, _read_json, load_detections, load_ground_truth
+from .coco import _id, _number, _parse_record, _parse_records, _read_json, load_detections, load_ground_truth
 from .equilibrium import (AssignConfig, anchor_grid, beta_assign, check_anchor_grid, check_beta, object_density,
                           sela_assign, supervision_density)
 from .errors import IngestError, PartitionError, UndefinedStatisticError
@@ -333,9 +333,9 @@ def cmd_pattern_distance(args: argparse.Namespace) -> int:
 
 def _zone_quality(rec: dict) -> synth.ZoneQuality:
     return synth.ZoneQuality(
-        recall=float(rec["recall"]),
-        fp_per_tp=float(rec.get("fp_per_tp", 0.0)),
-        loc_jitter=float(rec.get("loc_jitter", 0.0)),
+        recall=_number(rec["recall"], "recall"),
+        fp_per_tp=_number(rec.get("fp_per_tp", 0.0), "fp_per_tp"),
+        loc_jitter=_number(rec.get("loc_jitter", 0.0), "loc_jitter"),
     )
 
 

@@ -268,11 +268,12 @@ def _annotation_columns(records: list) -> tuple:
     return ids, image_ids, category_ids, box, area, np.array(crowd, dtype=bool)
 
 
-def _columns(records, kind: str, build, check) -> tuple:
+def _columns(records, kind: str, build, check, by_id: bool = True) -> tuple:
     """The columns ``build`` makes of one top-level list, every field checked in bulk.
 
     Only when a bulk check fails does ``check`` run record by record, to name
-    the first bad record by the first rule it breaks; it supplies no column.
+    the first bad record by the first rule it breaks (as ``_parse_records``
+    names it); it supplies no column.
     """
     if not isinstance(records, list):
         raise IngestError(f"{kind} records must be a JSON list")
@@ -280,7 +281,7 @@ def _columns(records, kind: str, build, check) -> tuple:
         return build(records)
     except (KeyError, TypeError, ValueError, OverflowError):
         pass
-    _parse_records(records, kind, check)  # raises, naming the record
+    _parse_records(records, kind, check, by_id)  # raises, naming the record
     raise IngestError(f"{kind} records do not form columns")  # a record from the API that no JSON file holds
 
 
@@ -307,8 +308,12 @@ def _parse_record(rec, name: str, parse):
         raise IngestError(_record_error(name, e)) from e
 
 
-def _parse_records(records, kind: str, parse) -> list:
-    """Parse every record of one top-level list; the first bad one is named by its id, else by position."""
+def _parse_records(records, kind: str, parse, by_id: bool = True) -> list:
+    """Parse every record of one top-level list; the first bad one is named by its id, else by position.
+
+    With ``by_id`` false every record is named by position (``kind #i``), as
+    results records are: a result's ``id`` is not a field the reader checks.
+    """
     if not isinstance(records, list):
         raise IngestError(f"{kind} records must be a JSON list")
     try:
@@ -316,7 +321,7 @@ def _parse_records(records, kind: str, parse) -> list:
             return [parse(rec) for rec in records]
     except (KeyError, TypeError, ValueError, OverflowError):  # IngestError is a ValueError
         pass  # parse again one by one, naming each record, so the first that fails is reported
-    return [_parse_record(rec, f"{kind} {rec['id']}" if isinstance(rec, dict) and "id" in rec
+    return [_parse_record(rec, f"{kind} {rec['id']}" if by_id and isinstance(rec, dict) and "id" in rec
                           else f"{kind} #{i}", parse) for i, rec in enumerate(records)]
 
 
@@ -459,7 +464,7 @@ class DetectionSet:
     @classmethod
     def from_coco_list(cls, data: list, dataset: Dataset) -> "DetectionSet":
         dets = cls.__new__(cls)
-        dets._fill(*_columns(data, "detection", _detection_columns, _detection_record), dataset)
+        dets._fill(*_columns(data, "detection", _detection_columns, _detection_record, by_id=False), dataset)
         return dets
 
     def to_coco_list(self) -> list[dict]:

@@ -25,11 +25,14 @@ points, averaged over categories (those with at least one countable ground
 truth) and IoU thresholds.  ``average_precision`` computes it for many
 (category, threshold) curves in one pass over flat arrays, with the same
 floating-point operations per curve as a curve-by-curve loop, by scattering
-each entry into the (curve, recall point) cell its recall reaches.  One
-departure: the per-image cap keeps an image's top detections over all its
-categories, where the COCO API's ``evaluateImg`` and ``accumulate`` apply
-``maxDets`` per (image, category); the two agree whenever no image holds more
-detections than the cap.
+each true positive into the (curve, recall point) cell its recall reaches.
+Only true positives need a cell: a false positive has the recall of the last
+true positive before it, so it lands in that one's cell with a lower
+precision, and before a curve's first true positive precision is 0, which an
+empty cell holds already.  One departure: the per-image cap keeps an image's
+top detections over all its categories, where the COCO API's ``evaluateImg``
+and ``accumulate`` apply ``maxDets`` per (image, category); the two agree
+whenever no image holds more detections than the cap.
 
 ``mean_ap`` and ``threshold_aps`` reduce an (S, T) AP array to one figure
 and to one figure per threshold.  The protocol rules that pick the groups,
@@ -167,8 +170,9 @@ def greedy_match(
     return tp, ign
 
 
-# bound on the entries of every blocked pass: the AP kernel's kept entries and
-# (curve, recall point) cells, and scale_study's (rows, bins, thresholds)
+# bound on the entries of every blocked pass: the AP kernel's (threshold, row)
+# entries and (curve, recall point) cells, and scale_study's (rows, bins,
+# thresholds)
 BLOCK_ENTRIES = 1 << 16
 
 
@@ -192,6 +196,15 @@ def average_precision(
     point (0 past the end), and averaged.  An entry's cell is (curve, last
     grid point <= its recall); a cell's best precision (0 if it has none),
     maximized from the right along its curve, is that grid point's sample.
+
+    Each cell's best precision is that of a true positive, so only true
+    positives are placed.  A false positive shares the recall, and so the
+    cell, of the last true positive before it in its curve, with the same
+    true-positive count over a larger rank: a precision no higher.  Before the
+    first true positive, recall and precision are 0, an empty cell's value.
+    A true positive's rank among its curve's kept entries comes from one
+    running count of the kept entries per pass, so the result is the same
+    bits as placing every entry.
     """
     t_count, n = tp.shape
     s_count, r_count = len(starts), len(recall_grid)
@@ -201,18 +214,21 @@ def average_precision(
     per_block = max(1, BLOCK_ENTRIES // r_count)
     for t0 in range(0, t_count, per_pass):
         t1 = min(t0 + per_pass, t_count)
-        # kept entries in (threshold, segment, score) order: one run per curve
-        t_idx, col = np.nonzero(~ignored[t0:t1])
-        run = (t0 + t_idx) * s_count + seg_of[col]
-        hit = tp[t0 + t_idx, col]
+        kept = ~ignored[t0:t1]
+        # before[i]: kept entries ahead of flat index i == t * n + col in the pass
+        before = np.zeros(kept.size + 1, dtype=np.int64)
+        np.cumsum(kept, out=before[1:])
+        # true positives in (threshold, segment, score) order: one run per curve
+        t_idx, col = np.nonzero(tp[t0:t1] & kept)
+        seg = seg_of[col]
+        run = (t0 + t_idx) * s_count + seg
         k = len(run)
         new = np.ones(k, dtype=bool)
         new[1:] = run[1:] != run[:-1]
-        first = np.maximum.accumulate(np.where(new, np.arange(k), 0))
-        tp_cum = np.cumsum(hit)
-        tp_cum -= tp_cum[first] - hit[first]
-        recall = tp_cum / n_pos[seg_of[col]]
-        precision = tp_cum / (np.arange(k) - first + 1)
+        tp_cum = np.arange(1, k + 1) - np.maximum.accumulate(np.where(new, np.arange(k), 0))
+        recall = tp_cum / n_pos[seg]
+        flat = t_idx * n
+        precision = tp_cum / (before[flat + col + 1] - before[flat + starts[seg]])
         # cells rise along the entries; recall >= grid[0] == 0 keeps each in its run
         cell = run * r_count + np.searchsorted(recall_grid, recall, side="right") - 1
         new[1:] = cell[1:] != cell[:-1]

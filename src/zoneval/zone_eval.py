@@ -290,9 +290,9 @@ def _evaluate(geo: _Geometry, cfg: EvalConfig, ranges: list[_Range]) -> list[lis
     n_pos = _positives(geo, ranges)
     countable = n_pos > 0
     _, tp, ignored = _match(geo, cfg, ranges, countable.any(axis=0))
-    # keep only the AP rows, in (range, segment, -score) order
+    # keep only the AP rows, in (range, segment, -score) order, as C-contiguous (T, rows)
     b, j = np.nonzero(countable[:, geo.ap_seg])
-    tp, ignored = tp[geo.ap_rows[j], b].T, ignored[geo.ap_rows[j], b].T
+    tp, ignored = (np.ascontiguousarray(a[geo.ap_rows[j], b].T) for a in (tp, ignored))
     keys = np.flatnonzero(countable)
     aps = average_precision(tp, ignored, np.searchsorted(b * n_seg + geo.ap_seg[j], keys),
                             n_pos.ravel()[keys], cfg.recall_grid())

@@ -41,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .coco import Dataset, ImageInfo, _parse_records, _read_json, box_centers
+from .coco import Dataset, ImageInfo, _number, _parse_records, _read_json, box_centers
 from .errors import IngestError, PartitionError
 
 
@@ -290,7 +290,7 @@ def _spec_file(text: str) -> str | None:
 
 
 def _zone_record(rec: dict) -> tuple[str, tuple]:
-    name, rects = str(rec["name"]), tuple(tuple(map(float, r)) for r in rec["rects"])
+    name, rects = str(rec["name"]), tuple(tuple(_number(v, "corner") for v in r) for r in rec["rects"])
     for r in rects:
         if len(r) != 4:
             raise IngestError(

@@ -327,13 +327,13 @@ def _ref_detection(rec: dict) -> tuple:
     return (*ids, *box, _ref_number(rec["score"], "score"))
 
 
-def _ref_records(records, kind: str, parse) -> list[tuple]:
-    """One tuple per record; the first bad record is named by its id, else by its position."""
+def _ref_records(records, kind: str, parse, by_id: bool = True) -> list[tuple]:
+    """One tuple per record; the first bad record is named by its id (if ``by_id``), else by its position."""
     if not isinstance(records, list):
         raise IngestError(f"{kind} records must be a JSON list")
     rows = []
     for i, rec in enumerate(records):
-        name = f"{kind} {rec['id']}" if isinstance(rec, dict) and "id" in rec else f"{kind} #{i}"
+        name = f"{kind} {rec['id']}" if by_id and isinstance(rec, dict) and "id" in rec else f"{kind} #{i}"
         if not isinstance(rec, dict):
             raise IngestError(f"{name} is not a JSON object: {rec!r}")
         try:
@@ -384,7 +384,7 @@ def reference_detections(records, doc: dict) -> dict:
     The columns are by image, then descending score, as ``DetectionSet`` holds them.
     """
     image_index, category_index = _ref_index(doc["images"]), _ref_index(doc["categories"])
-    rows = _ref_records(records, "detection", _ref_detection)
+    rows = _ref_records(records, "detection", _ref_detection, by_id=False)  # a result's id is not checked
     ids, cats, *box, score = list(zip(*rows)) or [()] * 7
     image = np.array([image_index.get(i, -1) for i in ids], dtype=np.int64)
     category = np.array([category_index.get(c, -1) for c in cats], dtype=np.int64)

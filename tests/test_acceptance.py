@@ -4,6 +4,7 @@ Each test finishes by printing one PASS line (run with ``pytest -v -s`` to see
 them; a failed criterion fails its test instead).
 """
 
+import hashlib
 import json
 import time
 
@@ -267,6 +268,9 @@ def test_criterion_8_correlation_sanity():
     ok(8, "correlation sanity")
 
 
+CRITERION_9_SHA256 = "a1fcd4bbca6a3a6db66e35265c6dddb96c55e22f932b22d6fac1c8cad15f0fc4"
+
+
 def test_criterion_9_determinism_and_runtime(tmp_path):
     """5,000-image / 100-dets-per-image dataset: worker-count invariance and < 60 s."""
     ds, dets = random_benchmark(5000, gts_per_image=30, dets_per_image=100, seed=99)
@@ -290,6 +294,8 @@ def test_criterion_9_determinism_and_runtime(tmp_path):
         assert code == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+    # the report's bytes at scale: a rewrite of matching or AP must leave them as they are
+    assert hashlib.sha256(outs[0]).hexdigest() == CRITERION_9_SHA256
     cli_report = json.loads(outs[0])
     assert cli_report["full_ap"] == report.full_ap
     ok(9, f"determinism and runtime ({elapsed:.1f}s single core)")

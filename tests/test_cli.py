@@ -701,6 +701,11 @@ class TestIngestErrors:
         pytest.param(_DT, "detection records must be a JSON list", id="object-not-list"),
         pytest.param([_DT, {**_DT, "bbox": [1, 10**400, 2, 2]}],
                      "detection #1: malformed record (int too large to convert to float)", id="huge-int"),
+        # a result's id is not a checked field: results records are named by position in every message
+        pytest.param([{**_DT, "id": 1}, {"id": 5, "image_id": 1, "category_id": 1, "bbox": [1, 1, 2, 2]}],
+                     "detection #1: missing field 'score'", id="record-with-id"),
+        pytest.param([{**_DT, "id": 1}, {**_DT, "id": 5, "image_id": 7}],
+                     "detection #1 references unknown image 7", id="reference-with-id"),
     ])
     def test_results_error_line(self, tmp_path, capsys, records, line):
         gt, dt = tmp_path / "gt.json", tmp_path / "dt.json"
@@ -766,6 +771,9 @@ class TestIngestErrors:
             (json.dumps([{"rects": [[0, 0, 1, 1]]}]), ["zone #0", "missing field 'name'"]),
             (json.dumps([{"name": "a", "rects": [[0, 0, 1, "x"]]}]), ["zone #0", "'x'"]),
             (json.dumps([{"name": "a", "rects": 5}]), ["zone #0", "malformed record"]),
+            # corners take JSON numbers only: no strings, no true or false
+            (json.dumps([{"name": "a", "rects": [["0", "0", "1", "1"]]}]), ["zone #0", "corner '0' is not a number"]),
+            (json.dumps([{"name": "a", "rects": [[0, 0, True, 1]]}]), ["zone #0", "corner True is not a number"]),
         ],
     )
     def test_bad_custom_zones_file(self, tmp_path, capsys, text, names):
@@ -801,6 +809,11 @@ class TestIngestErrors:
             ({"split": "val"}, "bad split 'val'"),
             ({"vector": None}, "malformed record"),
             ({"area": None, "vector": None}, "malformed record"),
+            # area and vector take JSON numbers only: no strings, no true or false
+            ({"area": "1_0"}, "area '1_0' is not a number"),
+            ({"area": True}, "area True is not a number"),
+            ({"vector": ["1", 2.0]}, "vector entry '1' is not a number"),
+            ({"vector": [1.0, False]}, "vector entry False is not a number"),
         ],
     )
     def test_bad_feature_record(self, tmp_path, capsys, fields, problem):
@@ -885,6 +898,11 @@ class TestIngestErrors:
             ({"z0,1": {"recall": 1.0, "fp_per_tp": 1e308}}, ["zone 'z0,1'", "fp_per_tp must lie in [0, 100]"]),
             ({"z0,1": {"recall": 1.0, "loc_jitter": math.inf}}, ["zone 'z0,1'", "2 * loc_jitter finite"]),
             ({"z0,1": {"recall": 1.0, "loc_jitter": 1e308}}, ["zone 'z0,1'", "2 * loc_jitter finite"]),
+            # the rates take JSON numbers only: no strings, no true or false
+            ({"z0,1": {"recall": "1"}}, ["zone 'z0,1'", "recall '1' is not a number"]),
+            ({"z0,1": {"recall": True}}, ["zone 'z0,1'", "recall True is not a number"]),
+            ({"z0,1": {"recall": 1.0, "fp_per_tp": "0"}}, ["zone 'z0,1'", "fp_per_tp '0' is not a number"]),
+            ({"z0,1": {"recall": 1.0, "loc_jitter": False}}, ["zone 'z0,1'", "loc_jitter False is not a number"]),
         ],
     )
     def test_bad_quality_profile(self, tmp_path, capsys, doc, names):

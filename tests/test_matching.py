@@ -327,6 +327,21 @@ class TestAveragePrecisionKernel:
         starts = np.append(0, np.cumsum(sizes)[:-1])
         return tp & ~ignored, ignored, starts, n_pos
 
+    @staticmethod
+    def sparse_curves(rng):
+        # curves of several hundred entries, at most 5% of them true positives,
+        # each led by a run of false positives; some segments have none at all.
+        # A true positive may also be ignored, and then it does not count
+        t_count = int(rng.integers(1, 11))
+        sizes = rng.integers(200, 600, size=int(rng.integers(1, 6)))
+        starts = np.append(0, np.cumsum(sizes)[:-1])
+        tp = rng.random((t_count, int(sizes.sum()))) < rng.uniform(0.0, 0.05)
+        ignored = rng.random(tp.shape) < rng.choice([0.0, 0.3])
+        for a, size, none in zip(starts, sizes, rng.random(len(sizes)) < 0.25):
+            tp[:, a : a + (size if none else int(rng.integers(1, size // 2)))] = False
+        n_pos = np.array([(tp & ~ignored)[:, a : a + size].sum(axis=1).max() for a, size in zip(starts, sizes)])
+        return tp, ignored, starts, n_pos + rng.integers(1, 10, size=len(sizes))
+
     @pytest.mark.parametrize("bound", [None, 1, 7, 250, 1000])
     def test_equals_one_curve_at_a_time_bit_for_bit(self, monkeypatch, bound):
         # small bounds cut the thresholds into passes and the curves into blocks
@@ -340,6 +355,56 @@ class TestAveragePrecisionKernel:
             want = self.reference(tp, ignored, starts, n_pos, grid)
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bound", [None, 1, 7, 250, 1000])
+    def test_sparse_true_positives_bit_for_bit(self, monkeypatch, bound):
+        # the kernel visits only true positives; the false positives between them
+        # and before the first one must still count in every precision
+        if bound is not None:
+            monkeypatch.setattr(matching, "BLOCK_ENTRIES", bound)
+        rng = np.random.default_rng(29)
+        for _ in range(12):
+            tp, ignored, starts, n_pos = self.sparse_curves(rng)
+            assert tp.mean() <= 0.05
+            grid = EvalConfig(recall_points=int(rng.choice([2, 11, 101]))).recall_grid()
+            got = average_precision(tp, ignored, starts, n_pos, grid)
+            assert got.tobytes() == self.reference(tp, ignored, starts, n_pos, grid).tobytes()
+
+    @pytest.mark.parametrize("bound", [None, 1, 7, 250, 1000])
+    def test_trailing_false_positives_and_ignored_entries_change_nothing(self, monkeypatch, bound):
+        # deleting a detection that is, at every threshold, ignored or a false
+        # positive after its curve's last true positive leaves every byte as it was
+        if bound is not None:
+            monkeypatch.setattr(matching, "BLOCK_ENTRIES", bound)
+        rng = np.random.default_rng(31)
+        grid = EvalConfig().recall_grid()
+        deleted = 0
+        for _ in range(12):
+            tp, ignored, starts, n_pos = self.sparse_curves(rng)
+            want = average_precision(tp, ignored, starts, n_pos, grid).tobytes()
+            # per threshold and column, whether a true positive of its curve comes at or after it
+            later_tp = np.zeros_like(tp)
+            for a, b in zip(starts, np.append(starts[1:], tp.shape[1])):
+                later_tp[:, a:b] = np.cumsum(tp[:, a:b][:, ::-1], axis=1)[:, ::-1] > 0
+            spare = np.flatnonzero((ignored | ~later_tp).all(axis=0))
+            for col in rng.choice(spare, size=min(4, len(spare)), replace=False):
+                keep = np.arange(tp.shape[1]) != col
+                got = average_precision(tp[:, keep], ignored[:, keep], starts - (starts > col), n_pos, grid)
+                assert got.tobytes() == want, col
+                deleted += 1
+        assert deleted > 20
+
+    def test_memory_layout_changes_nothing(self):
+        rng = np.random.default_rng(37)
+        grid = EvalConfig().recall_grid()
+        for make in [self.curves] * 20 + [self.sparse_curves] * 5:
+            tp, ignored, starts, n_pos = make(rng)
+            c = average_precision(np.ascontiguousarray(tp), np.ascontiguousarray(ignored), starts, n_pos, grid)
+            f = average_precision(np.asfortranarray(tp), np.asfortranarray(ignored), starts, n_pos, grid)
+            # the transposed (N, T) view that a row-major gather yields
+            v = average_precision(np.ascontiguousarray(tp.T).T, np.ascontiguousarray(ignored.T).T,
+                                  starts, n_pos, grid)
+            assert c.tobytes() == f.tobytes() == v.tobytes()
 
 
 class TestOracle:
