@@ -88,21 +88,38 @@ def box_centers(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a[:, 0] + a[:, 2] / 2.0, a[:, 1] + a[:, 3] / 2.0
 
 
-def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """IoU of every row of ``a`` with every row of ``b``, both (N, 4) xywh arrays.
+def box_corners(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(x0, y0, x1, y1) columns of an (N, 4) xywh array: the corners every IoU is computed from."""
+    x0, y0 = a[:, 0], a[:, 1]
+    return x0, y0, x0 + a[:, 2], y0 + a[:, 3]
 
-    Disjoint pairs score 0.0.  Areas come from the same corner differences as
-    the intersection, so identical boxes score exactly 1.0.
+
+def corner_iou(a: tuple, b: tuple) -> np.ndarray:
+    """Elementwise IoU of boxes given as (x0, y0, x1, y1) corner arrays that broadcast together.
+
+    Disjoint pairs score 0.0, as do pairs whose intersection area underflows
+    to 0.  Areas come from the same corner differences as the intersection,
+    so identical boxes score exactly 1.0.  This is the one IoU kernel:
+    ``iou_matrix`` broadcasts it and the evaluator calls it on flat pairs, so
+    both give the same bits for the same two boxes.
     """
-    ax0, ay0, bx0, by0 = a[:, 0], a[:, 1], b[:, 0], b[:, 1]
-    ax1, ay1, bx1, by1 = ax0 + a[:, 2], ay0 + a[:, 3], bx0 + b[:, 2], by0 + b[:, 3]
-    iw = np.minimum(ax1[:, None], bx1[None, :]) - np.maximum(ax0[:, None], bx0[None, :])
-    ih = np.minimum(ay1[:, None], by1[None, :]) - np.maximum(ay0[:, None], by0[None, :])
+    ax0, ay0, ax1, ay1 = a
+    bx0, by0, bx1, by1 = b
+    iw = np.minimum(ax1, bx1) - np.maximum(ax0, bx0)
+    ih = np.minimum(ay1, by1) - np.maximum(ay0, by0)
     inter = np.clip(iw, 0.0, None) * np.clip(ih, 0.0, None)
     area_a = (ax1 - ax0) * (ay1 - ay0)
     area_b = (bx1 - bx0) * (by1 - by0)
-    union = np.maximum(area_a[:, None] + area_b[None, :] - inter, inter)
+    union = np.maximum(area_a + area_b - inter, inter)
     return np.divide(inter, union, out=np.zeros_like(inter), where=inter > 0)
+
+
+def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of every row of ``a`` with every row of ``b``, both (N, 4) xywh arrays.
+
+    This is ``corner_iou`` broadcast over (N, 1) x (1, M).
+    """
+    return corner_iou([c[:, None] for c in box_corners(a)], [c[None, :] for c in box_corners(b)])
 
 
 def iou(a: BBox, b: BBox) -> float:

@@ -171,8 +171,10 @@ def greedy_match(
 
 
 # bound on the entries of every blocked pass: the AP kernel's (threshold, row)
-# entries and (curve, recall point) cells, and scale_study's (rows, bins,
-# thresholds)
+# entries and (curve, recall point) cells, scale_study's (rows, bins,
+# thresholds), and zone_eval's candidate pairs, four corner entries a pair.
+# An AP pass holds at least one whole threshold row, so with more rows than
+# this it goes over the bound
 BLOCK_ENTRIES = 1 << 16
 
 

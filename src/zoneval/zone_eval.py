@@ -14,9 +14,9 @@ the cap.  The same rule builds every zone.
 
 One geometry pass per evaluation does everything that does not depend on the
 scale range: the per-image cap, one ``Partition.assign`` call for all box
-centers, and per image one IoU matrix of detections x ground truths.  It
-keeps the candidate pairs (same category, IoU at or above the lowest
-threshold) as flat dataset-wide arrays.
+centers, and one blocked IoU pass over the same-image, same-category pairs
+of the whole dataset (``_candidate_pairs``).  It keeps the candidate pairs
+(IoU at or above the lowest threshold) as flat dataset-wide arrays.
 
 Count, then match: a ground truth is countable when it is not crowd and its
 area lies in the scale range.  Only the pairs of (zone, category) segments
@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matching
-from .coco import Dataset, DetectionSet, box_centers, iou_matrix
+from .coco import Dataset, DetectionSet, box_centers, box_corners, corner_iou
 from .matching import (
     EvalConfig,
     average_precision,
@@ -173,22 +173,42 @@ class _Geometry:
 
 
 def _candidate_pairs(
-    dt_img: np.ndarray, dt_box: np.ndarray, dt_cat: np.ndarray,
-    gt_starts: np.ndarray, gt_box: np.ndarray, gt_cat: np.ndarray, min_iou: float,
+    dt_group: np.ndarray, dt_box: np.ndarray, gt_group: np.ndarray, gt_box: np.ndarray, min_iou: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(detection, ground truth, IoU) of same-image, same-category pairs with IoU >= min_iou.
+    """(detection, ground truth, IoU) of the same-group pairs with IoU >= min_iou, by (detection, ground truth).
 
-    Detections are sorted by image index, and image i's ground truths are rows
-    ``gt_starts[i]:gt_starts[i + 1]``; one IoU matrix per image.
+    A group is one (image, category), keyed ``image * n_categories +
+    category``.  The ground truths are sorted by group once (stably), so each
+    detection's group is one run of them, and the pairs are listed run by run
+    in blocks of at most ``matching.BLOCK_ENTRIES // 4`` pairs (four corner
+    entries each in the first test).  A block keeps the pairs that overlap in
+    x, then those that overlap in y, and computes ``corner_iou`` on those
+    alone.  Every other pair has IoU 0, and ``EvalConfig`` keeps every
+    threshold above 0.
     """
+    by_group = np.argsort(gt_group, kind="stable")
+    sorted_group = gt_group[by_group]
+    lo = np.searchsorted(sorted_group, dt_group, side="left")
+    count = np.searchsorted(sorted_group, dt_group, side="right") - lo
+    ends = np.cumsum(count)  # detection d owns pairs starts[d]:ends[d]
+    starts = ends - count
+    shift = lo - starts  # pair p of detection d is with sorted ground truth p + shift[d]
+    dx0, dy0, dx1, dy1 = box_corners(dt_box)
+    gx0, gy0, gx1, gy1 = (c[by_group] for c in box_corners(gt_box))
     found = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))]
-    dt_starts, gt_starts = np.searchsorted(dt_img, np.arange(len(gt_starts))).tolist(), gt_starts.tolist()
-    for a, b, c, e in zip(dt_starts, dt_starts[1:], gt_starts, gt_starts[1:]):
-        if a < b and c < e:
-            ious = iou_matrix(dt_box[a:b], gt_box[c:e])
-            hit = (ious >= min_iou) & (dt_cat[a:b, None] == gt_cat[None, c:e])
-            d, g = np.nonzero(hit)
-            found.append((d + a, g + c, ious[d, g]))
+    total, per_block = int(count.sum()), max(1, matching.BLOCK_ENTRIES // 4)
+    for p0 in range(0, total, per_block):
+        p1 = min(p0 + per_block, total)
+        d0, d1 = int(np.searchsorted(ends, p0, side="right")), int(np.searchsorted(starts, p1))
+        det = np.repeat(np.arange(d0, d1), np.minimum(ends[d0:d1], p1) - np.maximum(starts[d0:d1], p0))
+        g = np.arange(p0, p1) + shift[det]
+        k = np.flatnonzero(np.minimum(dx1[det], gx1[g]) - np.maximum(dx0[det], gx0[g]) > 0)
+        det, g = det[k], g[k]
+        k = np.flatnonzero(np.minimum(dy1[det], gy1[g]) - np.maximum(dy0[det], gy0[g]) > 0)
+        det, g = det[k], g[k]
+        iou = corner_iou((dx0[det], dy0[det], dx1[det], dy1[det]), (gx0[g], gy0[g], gx1[g], gy1[g]))
+        k = np.flatnonzero(iou >= min_iou)
+        found.append((det[k], by_group[g[k]], iou[k]))
     det, gt, iou = zip(*found)
     return np.concatenate(det), np.concatenate(gt), np.concatenate(iou)
 
@@ -215,7 +235,8 @@ def _geometry(ds: Dataset, dets: DetectionSet, partition: Partition, cfg: EvalCo
     row_rank = rank_within(row_img * (n_zones + 1) + row_zone) if cfg.cap_after_zone else np.tile(rank[kept], 2)
     under_cap = row_rank < cap
 
-    det, gt, iou = _candidate_pairs(dt_img, dt_box, dt_cat, ds.gt_starts, gt_box, gt_cat, cfg.iou_thresholds[0])
+    det, gt, iou = _candidate_pairs(dt_img * n_cat + dt_cat, dt_box, ds.gt_image * n_cat + gt_cat, gt_box,
+                                    cfg.iou_thresholds[0])
     pair_row, pair_slot, pair_iou = np.concatenate([det, n_dt + det]), np.concatenate([gt, n_gt + gt]), np.tile(iou, 2)
     keep = under_cap[pair_row] & (row_zone[pair_row] == slot_zone[pair_slot])
     pair_row, pair_slot, pair_iou = pair_row[keep], pair_slot[keep], pair_iou[keep]

@@ -4,7 +4,9 @@ The generators make no closed-form promises; they exist so the large
 determinism and runtime checks can build realistic inputs in a couple of
 seconds.  ``match_image`` and ``full_image_ap`` run the matching kernel one
 (image, category) group at a time, so tests can hold the batched pass of
-``evaluate_zones`` against them.  ``reference_ground_truth`` and
+``evaluate_zones`` against them, and ``candidate_pairs_by_image`` finds the
+candidate pairs with one ``iou_matrix`` call per image, the loop that
+``zone_eval._candidate_pairs`` replaced.  ``reference_ground_truth`` and
 ``reference_detections`` read a COCO document one validated tuple per record,
 the route ``coco`` replaced with bulk column checks, so tests can hold the
 columns and the error messages of the loaders against them;
@@ -107,6 +109,28 @@ def full_image_ap(ds: Dataset, dets: DetectionSet, cfg: EvalConfig) -> float | N
     starts = np.cumsum([0] + [t.shape[1] for t in tp])[:-1]
     return mean_ap(average_precision(np.concatenate(tp, axis=1), np.concatenate(ignored, axis=1),
                                      starts, np.array(n_pos), cfg.recall_grid()))
+
+
+def candidate_pairs_by_image(
+    dt_img: np.ndarray, dt_box: np.ndarray, dt_cat: np.ndarray,
+    gt_starts: np.ndarray, gt_box: np.ndarray, gt_cat: np.ndarray, min_iou: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(detection, ground truth, IoU) of same-image, same-category pairs with IoU >= min_iou.
+
+    Detections are sorted by image index, and image i's ground truths are rows
+    ``gt_starts[i]:gt_starts[i + 1]``; one IoU matrix per image, over all
+    categories, from which the same-category pairs are picked.
+    """
+    found = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))]
+    dt_starts, gt_starts = np.searchsorted(dt_img, np.arange(len(gt_starts))).tolist(), gt_starts.tolist()
+    for a, b, c, e in zip(dt_starts, dt_starts[1:], gt_starts, gt_starts[1:]):
+        if a < b and c < e:
+            ious = iou_matrix(dt_box[a:b], gt_box[c:e])
+            hit = (ious >= min_iou) & (dt_cat[a:b, None] == gt_cat[None, c:e])
+            d, g = np.nonzero(hit)
+            found.append((d + a, g + c, ious[d, g]))
+    det, gt, iou = zip(*found)
+    return np.concatenate(det), np.concatenate(gt), np.concatenate(iou)
 
 
 def random_instance(rng: np.random.Generator) -> tuple[Dataset, DetectionSet]:

@@ -7,6 +7,8 @@ from hypothesis import given, strategies as st
 
 from zoneval.coco import (BBox, Category, Dataset, Detection, DetectionSet, GroundTruth, ImageInfo,
                           load_detections, load_ground_truth)
+from zoneval import matching, zone_eval
+from zoneval.coco import box_corners
 from zoneval.matching import EvalConfig
 from zoneval.oracle import ap_oracle, zone_instance
 from zoneval.synth import QualityProfile, ZoneQuality, synthetic_benchmark
@@ -21,7 +23,7 @@ from zoneval.zone_eval import (
 from zoneval.zones import Annular, Custom, Grid, StripX, build_partition
 
 from conftest import write_coco_dt, write_coco_gt
-from datagen import random_benchmark, random_instance, random_multiclass_benchmark
+from datagen import candidate_pairs_by_image, random_benchmark, random_instance, random_multiclass_benchmark
 
 THREE_ZONES = Custom(
     (
@@ -475,6 +477,82 @@ class TestScaleStudy:
         assert set(doc["per_scale_step"]) == {"128", "inf"}
         assert len(doc["grand_mean"]) == 2
         assert doc["zone_ids"] == ["x0", "x1"]
+
+
+class TestCandidatePairs:
+    """The blocked pair pass against the per-image loop it replaced: same pairs, same bits, same order."""
+
+    @staticmethod
+    def instance(rng):
+        # integer corners on a small canvas, so boxes often touch exactly; some
+        # boxes shrunk by 1e-170, so two of them overlap with an area that
+        # underflows to 0. Ground truths and detections each skip some images
+        n_img, n_cat = int(rng.integers(1, 6)), int(rng.integers(2, 5))
+
+        def boxes(n):
+            shown = rng.random(n_img) < 0.8
+            img = np.sort(rng.choice(np.flatnonzero(shown), size=n)) if shown.any() else np.zeros(0, np.int64)
+            box = np.concatenate([rng.integers(0, 8, (len(img), 2)), rng.integers(1, 5, (len(img), 2))], axis=1)
+            box = box * np.where(rng.random(len(img)) < 0.15, 1e-170, 1.0)[:, None]
+            return img, rng.integers(0, n_cat, len(img)), box
+
+        gt_img, gt_cat, gt_box = boxes(int(rng.integers(0, 20)))
+        dt_img, dt_cat, dt_box = boxes(int(rng.integers(0, 50)))
+        copies = rng.random(len(dt_img)) < 0.2  # a detection may copy a ground truth of its image
+        for d in np.flatnonzero(copies & np.isin(dt_img, gt_img)):
+            g = rng.choice(np.flatnonzero(gt_img == dt_img[d]))
+            dt_cat[d], dt_box[d] = gt_cat[g], gt_box[g]
+        return n_img, n_cat, (dt_img, dt_box, dt_cat), (gt_img, gt_box, gt_cat)
+
+    @staticmethod
+    def coverage(n_img, dt, gt, min_iou, found):
+        (dt_img, dt_box, dt_cat), (gt_img, gt_box, gt_cat) = dt, gt
+        same = (dt_img[:, None] == gt_img[None, :]) & (dt_cat[:, None] == gt_cat[None, :])
+        (dx0, dy0, dx1, dy1), (gx0, gy0, gx1, gy1) = box_corners(dt_box), box_corners(gt_box)
+        iw = np.minimum(dx1[:, None], gx1[None, :]) - np.maximum(dx0[:, None], gx0[None, :])
+        ih = np.minimum(dy1[:, None], gy1[None, :]) - np.maximum(dy0[:, None], gy0[None, :])
+        images = np.arange(n_img)
+        has_dt, has_gt = np.isin(images, dt_img), np.isin(images, gt_img)
+        lone_cat = [d for d in range(len(dt_img)) if has_gt[dt_img[d]] and not same[d].any()]
+        return {
+            "detections, no ground truth": bool((has_dt & ~has_gt).any()),
+            "ground truths, no detection": bool((has_gt & ~has_dt).any()),
+            "category without ground truth in an image": bool(lone_cat),
+            "touching boxes": bool((same & (iw == 0) & (ih > 0)).any()),
+            "iou equal to min_iou": bool((found[2] == min_iou).any()),
+            "intersection underflows": bool((same & (iw > 0) & (ih > 0) & (iw * ih == 0)).any()),
+        }
+
+    @pytest.mark.parametrize("per_block", [None, 1, 7, 250, 10**9])
+    def test_equals_the_per_image_loop(self, monkeypatch, per_block):
+        # the pass lists BLOCK_ENTRIES // 4 pairs per block
+        if per_block is not None:
+            monkeypatch.setattr(matching, "BLOCK_ENTRIES", 4 * per_block)
+        rng = np.random.default_rng(41)
+        seen = {}
+        for _ in range(150):
+            n_img, n_cat, dt, gt = self.instance(rng)
+            (dt_img, dt_box, dt_cat), (gt_img, gt_box, gt_cat) = dt, gt
+            gt_starts = np.searchsorted(gt_img, np.arange(n_img + 1))
+            # a threshold equal to an IoU that occurs, when one does
+            ious = candidate_pairs_by_image(dt_img, dt_box, dt_cat, gt_starts, gt_box, gt_cat, 1e-300)[2]
+            min_iou = float(rng.choice(ious)) if len(ious) and rng.random() < 0.8 else float(rng.uniform(0.05, 1))
+            want = candidate_pairs_by_image(dt_img, dt_box, dt_cat, gt_starts, gt_box, gt_cat, min_iou)
+            got = zone_eval._candidate_pairs(dt_img * n_cat + dt_cat, dt_box, gt_img * n_cat + gt_cat, gt_box,
+                                             min_iou)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+            for case, hit in self.coverage(n_img, dt, gt, min_iou, want).items():
+                seen[case] = seen.get(case, 0) + hit
+        assert min(seen.values()) >= 5, seen
+
+    def test_no_pairs(self):
+        box = np.array([[0.0, 0.0, 1.0, 1.0]])
+        for dt_group, gt_group in [([], [0]), ([0], []), ([0], [1]), ([], [])]:
+            got = zone_eval._candidate_pairs(np.array(dt_group, dtype=np.int64), box[: len(dt_group)],
+                                             np.array(gt_group, dtype=np.int64), box[: len(gt_group)], 0.5)
+            assert [len(a) for a in got] == [0, 0, 0]
+            assert [a.dtype for a in got] == [np.int64, np.int64, np.float64]
 
 
 class TestColumnarPath:
