@@ -30,6 +30,7 @@ EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_UNDEFINED = 2
 _MAX_THRESHOLDS = 1000  # the most thresholds an --iou range may expand to
+_MAX_BINS = 1000  # the most scale bins pattern-distance may build, one by one
 
 
 def _parse_thresholds(text: str) -> tuple[float, ...]:
@@ -52,6 +53,17 @@ def _parse_thresholds(text: str) -> tuple[float, ...]:
     if not math.isfinite(span) or round(span) + 1 > _MAX_THRESHOLDS:
         raise argparse.ArgumentTypeError(f"threshold range {text!r} holds more than {_MAX_THRESHOLDS} thresholds")
     return tuple(round(start + i * step, 10) for i in range(round(span) + 1))
+
+
+def _parse_bins(text: str) -> int:
+    """Parse --bins, bounded before any bin is built."""
+    try:
+        bins = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if bins > _MAX_BINS:
+        raise argparse.ArgumentTypeError(f"{bins} scale bins are more than {_MAX_BINS}")
+    return bins
 
 
 def _parse_anchor_grid(text: str) -> tuple[int, int]:
@@ -437,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", required=True, help="JSON-lines feature records")
     p.add_argument("--side-a", default="test:in", metavar="SPLIT:ZONE")
     p.add_argument("--side-b", default="test:out", metavar="SPLIT:ZONE")
-    p.add_argument("--bins", type=int, default=9, help="scale bin count")
+    p.add_argument("--bins", type=_parse_bins, default=9, help=f"scale bin count, at most {_MAX_BINS}")
     p.add_argument("--bin-width", type=float, default=32.0, help="scale bin width, pixels")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_pattern_distance)

@@ -173,8 +173,7 @@ def greedy_match(
 # bound on the entries of every blocked pass: the AP kernel's (threshold, row)
 # entries and (curve, recall point) cells, scale_study's (rows, bins,
 # thresholds), and zone_eval's candidate pairs, four corner entries a pair.
-# An AP pass holds at least one whole threshold row, so with more rows than
-# this it goes over the bound
+# An AP block goes over it only when one curve alone holds more entries
 BLOCK_ENTRIES = 1 << 16
 
 
@@ -188,16 +187,20 @@ def average_precision(
     """Interpolated AP of S segments at T thresholds, as an (S, T) array.
 
     ``tp`` and ``ignored`` are (T, N): N detections laid out as S segments
-    beginning at ``starts``, each in descending score order (stable), so one
-    sort serves every threshold.  ``n_pos`` is each segment's positive
-    ground-truth count, all > 0, and ``recall_grid`` rises from 0, as
-    ``EvalConfig.recall_grid`` does.  Ignored rows are dropped after the sort.
-    Each (threshold, segment) curve gets the arithmetic of a standalone
-    computation: cumulative counts, recall and precision, precision
-    monotonized from the right, sampled at the first recall >= each grid
-    point (0 past the end), and averaged.  An entry's cell is (curve, last
-    grid point <= its recall); a cell's best precision (0 if it has none),
-    maximized from the right along its curve, is that grid point's sample.
+    beginning at ``starts`` (the first at 0), each in descending score order
+    (stable), so one sort serves every threshold.  ``n_pos`` is each
+    segment's positive ground-truth count, all > 0, and ``recall_grid`` rises
+    from 0, as ``EvalConfig.recall_grid`` does.  Ignored rows are dropped
+    after the sort.  Each (threshold, segment) curve gets the arithmetic of a
+    standalone computation: cumulative counts, recall and precision,
+    precision monotonized from the right, sampled at the first recall >= each
+    grid point (0 past the end), and averaged.  An entry's cell is (curve,
+    last grid point <= its recall); a cell's best precision (0 if it has
+    none), maximized from the right along its curve, is that grid point's
+    sample.  In C order, curve ``t * S + s`` is the flat range from ``t * N +
+    starts[s]`` to the next curve's start, and one loop takes blocks of whole
+    curves: at most ``BLOCK_ENTRIES // R`` curves and ``BLOCK_ENTRIES``
+    entries, unless one curve alone holds more.
 
     Each cell's best precision is that of a true positive, so only true
     positives are placed.  A false positive shares the recall, and so the
@@ -205,44 +208,41 @@ def average_precision(
     true-positive count over a larger rank: a precision no higher.  Before the
     first true positive, recall and precision are 0, an empty cell's value.
     A true positive's rank among its curve's kept entries comes from one
-    running count of the kept entries per pass, so the result is the same
+    running count of the kept entries per block, so the result is the same
     bits as placing every entry.
     """
     t_count, n = tp.shape
     s_count, r_count = len(starts), len(recall_grid)
-    seg_of = np.repeat(np.arange(s_count), np.diff(np.append(starts, n)))
-    out = np.empty(t_count * s_count)
-    per_pass = max(1, BLOCK_ENTRIES // max(n, 1))
-    per_block = max(1, BLOCK_ENTRIES // r_count)
-    for t0 in range(0, t_count, per_pass):
-        t1 = min(t0 + per_pass, t_count)
-        kept = ~ignored[t0:t1]
-        # before[i]: kept entries ahead of flat index i == t * n + col in the pass
-        before = np.zeros(kept.size + 1, dtype=np.int64)
+    tp, ignored = tp.ravel(), ignored.ravel()
+    # bounds[c]:bounds[c + 1] are curve c's entries
+    bounds = np.append((np.arange(t_count)[:, None] * n + starts).ravel(), t_count * n)
+    out, c0, per_block = np.empty(t_count * s_count), 0, max(1, BLOCK_ENTRIES // r_count)
+    while c0 < len(out):
+        fits = int(np.searchsorted(bounds, bounds[c0] + BLOCK_ENTRIES, side="right")) - 1
+        c1 = max(c0 + 1, min(c0 + per_block, fits))  # whole curves, at least one
+        a, b = bounds[c0], bounds[c1]
+        kept = ~ignored[a:b]
+        # before[i]: kept entries ahead of entry a + i
+        before = np.zeros(b - a + 1, dtype=np.int64)
         np.cumsum(kept, out=before[1:])
-        # true positives in (threshold, segment, score) order: one run per curve
-        t_idx, col = np.nonzero(tp[t0:t1] & kept)
-        seg = seg_of[col]
-        run = (t0 + t_idx) * s_count + seg
+        # true positives in (curve, score) order: one run per curve
+        idx = np.flatnonzero(tp[a:b] & kept)
+        run = np.searchsorted(bounds[c0 : c1 + 1], a + idx, side="right") - 1
         k = len(run)
         new = np.ones(k, dtype=bool)
         new[1:] = run[1:] != run[:-1]
         tp_cum = np.arange(1, k + 1) - np.maximum.accumulate(np.where(new, np.arange(k), 0))
-        recall = tp_cum / n_pos[seg]
-        flat = t_idx * n
-        precision = tp_cum / (before[flat + col + 1] - before[flat + starts[seg]])
+        recall = tp_cum / n_pos[(c0 + run) % s_count]
+        precision = tp_cum / (before[idx + 1] - before[bounds[c0 + run] - a])
         # cells rise along the entries; recall >= grid[0] == 0 keeps each in its run
         cell = run * r_count + np.searchsorted(recall_grid, recall, side="right") - 1
         new[1:] = cell[1:] != cell[:-1]
-        best, cell = np.maximum.reduceat(precision, np.flatnonzero(new)), cell[new]
-        for lo in range(t0 * s_count, t1 * s_count, per_block):
-            hi = min(lo + per_block, t1 * s_count)
-            a, b = np.searchsorted(cell, (lo * r_count, hi * r_count))
-            sampled = np.zeros((hi - lo, r_count))
-            sampled.flat[cell[a:b] - lo * r_count] = best[a:b]
-            sampled = np.maximum.accumulate(sampled[:, ::-1], axis=1)
-            # summed left to right, in the order a single curve's samples are
-            out[lo:hi] = np.ascontiguousarray(sampled[:, ::-1]).mean(axis=1)
+        sampled = np.zeros((c1 - c0, r_count))
+        sampled.flat[cell[new]] = np.maximum.reduceat(precision, np.flatnonzero(new))
+        sampled = np.maximum.accumulate(sampled[:, ::-1], axis=1)
+        # summed left to right, in the order a single curve's samples are
+        out[c0:c1] = np.ascontiguousarray(sampled[:, ::-1]).mean(axis=1)
+        c0 = c1
     return np.ascontiguousarray(out.reshape(t_count, s_count).T)
 
 

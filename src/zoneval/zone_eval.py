@@ -19,7 +19,9 @@ of the whole dataset (``_candidate_pairs``).  It keeps the candidate pairs
 (IoU at or above the lowest threshold) as flat dataset-wide arrays.
 
 Count, then match: a ground truth is countable when it is not crowd and its
-area lies in the scale range.  Only the pairs of (zone, category) segments
+area lies in the scale range.  ``_evaluate`` flags the other slots once, as a
+(slots, ranges) array that gives both the positives per segment and the
+greedy pass's ignore columns.  Only the pairs of (zone, category) segments
 holding a countable ground truth go through the greedy pass
 (``matching.greedy_match``), which handles every group of every image and
 every IoU threshold at once.  This is exact: AP accumulation leaves every
@@ -270,35 +272,6 @@ def _in_ranges(area: np.ndarray, ranges: list[_Range]) -> np.ndarray:
     return np.stack([in_scale_range(area, r) for r in ranges], axis=1)
 
 
-def _slot_ignored(geo: _Geometry, ranges: list[_Range]) -> np.ndarray:
-    """(slots, B): the ground truth is crowd, or out of the b-th scale range."""
-    return np.tile(geo.gt_crowd[:, None] | ~_in_ranges(geo.gt_area, ranges), (2, 1))
-
-
-def _positives(geo: _Geometry, ranges: list[_Range]) -> np.ndarray:
-    """Countable ground truths per (scale range, segment): crowd and out-of-range ones do not count."""
-    n_seg = (geo.n_zones + 1) * geo.n_categories
-    b, s = np.nonzero(~_slot_ignored(geo, ranges).T)
-    return np.bincount(b * n_seg + geo.slot_seg[s], minlength=len(ranges) * n_seg).reshape(len(ranges), n_seg)
-
-
-def _match(
-    geo: _Geometry, cfg: EvalConfig, ranges: list[_Range], countable: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One greedy pass over the pairs of the countable segments, for every scale range.
-
-    Returns (live pairs, tp, ignored); ``tp`` and ``ignored`` are (rows, B, T),
-    and rows of other segments are left unmatched.
-    """
-    live = countable[geo.row_seg[geo.pair_row]]
-    tp, ignored = greedy_match(
-        geo.pair_row[live], geo.pair_slot[live], geo.pair_iou[live], geo.pair_step[live],
-        _slot_ignored(geo, ranges), len(geo.row_seg), cfg.iou_thresholds,
-    )
-    ignored |= ~tp & ~_in_ranges(geo.row_area, ranges)[:, :, None]
-    return live, tp, ignored
-
-
 def _evaluate(geo: _Geometry, cfg: EvalConfig, ranges: list[_Range]) -> list[list[np.ndarray]]:
     """Count, match and accumulate AP under each scale range.
 
@@ -308,9 +281,16 @@ def _evaluate(geo: _Geometry, cfg: EvalConfig, ranges: list[_Range]) -> list[lis
     curve, keyed ``range * n_segments + segment``.
     """
     n_seg = (geo.n_zones + 1) * geo.n_categories
-    n_pos = _positives(geo, ranges)
+    # (slots, B): the ground truth is crowd, or out of the b-th scale range
+    slot_ignored = np.tile(geo.gt_crowd[:, None] | ~_in_ranges(geo.gt_area, ranges), (2, 1))
+    b, s = np.nonzero(~slot_ignored.T)
+    n_pos = np.bincount(b * n_seg + geo.slot_seg[s], minlength=len(ranges) * n_seg).reshape(len(ranges), n_seg)
     countable = n_pos > 0
-    _, tp, ignored = _match(geo, cfg, ranges, countable.any(axis=0))
+    # match only the pairs of segments countable in some range; rows of the others stay unmatched
+    live = countable.any(axis=0)[geo.row_seg[geo.pair_row]]
+    tp, ignored = greedy_match(geo.pair_row[live], geo.pair_slot[live], geo.pair_iou[live], geo.pair_step[live],
+                               slot_ignored, len(geo.row_seg), cfg.iou_thresholds)
+    ignored |= ~tp & ~_in_ranges(geo.row_area, ranges)[:, :, None]
     # keep only the AP rows, in (range, segment, -score) order, as C-contiguous (T, rows)
     b, j = np.nonzero(countable[:, geo.ap_seg])
     tp, ignored = (np.ascontiguousarray(a[geo.ap_rows[j], b].T) for a in (tp, ignored))
@@ -357,17 +337,21 @@ def scale_bins(r: int | None, cap: int = SCALE_CAP) -> list[tuple[float, float]]
 
     r=None stands for the all-scales setting: a single [0, inf) bin.  The
     catch-all starts where the last finite bin ends, so the bins always cover
-    [0, inf) even when r does not divide the cap.
+    [0, inf) even when r does not divide the cap.  An r that is not finite
+    and > 0, or whose squared bin edges overflow, raises ValueError before
+    any bin is built.
     """
     if r is None:
         return [(0.0, math.inf)]
-    bins = []
-    k = 0
-    while (k + 1) * r <= cap:
-        bins.append((float((k * r) ** 2), float(((k + 1) * r) ** 2)))
-        k += 1
-    bins.append((bins[-1][1] if bins else 0.0, math.inf))
-    return bins
+    if not 0 < r < math.inf:  # nan fails this too
+        raise ValueError(f"scale bin width must be finite and positive, got {r}")
+    edges = [0.0]
+    while len(edges) * r <= cap:
+        try:
+            edges.append(float((len(edges) * r) ** 2))
+        except OverflowError:
+            raise ValueError(f"scale bin width {r} up to {cap}: a squared bin edge overflows") from None
+    return [*zip(edges, edges[1:]), (edges[-1], math.inf)]
 
 
 @dataclass
@@ -414,27 +398,28 @@ def scale_study(
     cfg = cfg or EvalConfig()
     if cfg.scale_range is not None:
         raise ValueError("scale_study sets the scale range per bin; cfg.scale_range must be None")
-    zone_ids = partition.zone_ids
-    geo = _geometry(ds, dets, partition, cfg)
     bins = [(i, rng) for i, r in enumerate(steps) for rng in scale_bins(r)]
+    geo = _geometry(ds, dets, partition, cfg)
     per_block = max(1, matching.BLOCK_ENTRIES // max(1, len(geo.row_seg) * len(cfg.iou_thresholds)))
-    sums = [[0.0] * len(zone_ids) for _ in steps]
-    counts = [[0] * len(zone_ids) for _ in steps]
+    zps: list[list[list[float | None]]] = [[] for _ in steps]  # per step, per bin, per zone
     for lo in range(0, len(bins), per_block):
         block = bins[lo : lo + per_block]
         for (i, _), zone_aps in zip(block, _evaluate(geo, cfg, [rng for _, rng in block])):
-            for zi, zaps in enumerate(zone_aps[:-1]):
-                ap = mean_ap(zaps)
-                if ap is not None:
-                    sums[i][zi] += 100.0 * ap
-                    counts[i][zi] += 1
-    mean_zp = {r: [s / c if c else None for s, c in zip(sums[i], counts[i])] for i, r in enumerate(steps)}
+            zps[i].append([_percent(mean_ap(zaps)) for zaps in zone_aps[:-1]])
+    mean_zp = {r: [_mean(zone) for zone in zip(*zps[i])] for i, r in enumerate(steps)}
+    grand = [_mean([mean_zp[r][zi] for r in steps]) for zi in range(len(partition.zones))]
+    return ScaleStudyReport(tuple(steps), partition.zone_ids, mean_zp, grand)
 
-    grand: list[float | None] = []
-    for zi in range(len(zone_ids)):
-        vals = [mean_zp[r][zi] for r in steps if mean_zp[r][zi] is not None]
-        grand.append(sum(vals) / len(vals) if vals else None)
-    return ScaleStudyReport(tuple(steps), zone_ids, mean_zp, grand)
+
+def _mean(values) -> float | None:
+    """Mean of the values that are not None, summed left to right; None if every value is.
+
+    Not ``sum``, which compensates its rounding from Python 3.12 on.
+    """
+    defined, total = [v for v in values if v is not None], 0.0
+    for v in defined:
+        total += v
+    return total / len(defined) if defined else None
 
 
 def grid_heatmap(

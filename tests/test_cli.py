@@ -457,6 +457,20 @@ class TestUsageErrors:
         with pytest.raises(argparse.ArgumentTypeError, match="'0:1:0.001' holds more than 1000 thresholds"):
             _parse_thresholds("0:1:0.001")
 
+    @pytest.mark.parametrize("bins", ["1001", "1000000000000"])
+    def test_too_many_scale_bins_are_refused_before_any_is_built(self, tmp_path, capsys, monkeypatch, bins):
+        # scale_bins builds bins - 1 tuples one by one, so a huge count would grow until memory ran out
+        def no_bins(*args, **kwargs):
+            raise AssertionError("built scale bins")
+
+        monkeypatch.setattr(cli.analysis, "scale_bins", no_bins)
+        feats = tmp_path / "f.jsonl"
+        feats.write_text(json.dumps({"split": "test", "zone_tag": "in", "category_id": 1,
+                                     "area": 100.0, "vector": [1.0]}) + "\n")
+        code, err = self._exit_code(["pattern-distance", "--features", str(feats), "--bins", bins], capsys)
+        assert code == 1
+        assert err == f"error: argument --bins: {bins} scale bins are more than 1000\n"
+
     def test_out_of_memory_is_one_error_line(self, bench_files, capsys, monkeypatch):
         # what numpy raises for the edge table of annular:100000, without allocating it
         message = "Unable to allocate 149. GiB for an array with shape (200000, 200001) and data type int32"
@@ -857,6 +871,16 @@ class TestIngestErrors:
         assert code == 1
         assert "pattern distance overflows" in err
         assert not out.exists()
+
+    def test_bin_width_whose_squared_edges_overflow(self, tmp_path, capsys):
+        # ((k + 1) * 1e160) ** 2 raised OverflowError, which ended in a traceback
+        feats = tmp_path / "f.jsonl"
+        feats.write_text(json.dumps({"split": "test", "zone_tag": "in", "category_id": 1,
+                                     "area": 100.0, "vector": [1.0]}) + "\n")
+        code, err = self._run(["pattern-distance", "--features", str(feats), "--bin-width", "1e160"], capsys)
+        assert code == 1
+        assert "a squared bin edge overflows" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("width", ["inf", "nan", "0"])
     def test_bad_bin_width(self, tmp_path, capsys, width):

@@ -3,7 +3,7 @@ import pytest
 
 from zoneval import matching
 from zoneval.coco import BBox, Category, Dataset, Detection, DetectionSet, GroundTruth, ImageInfo, iou_matrix
-from zoneval.matching import EvalConfig, average_precision, greedy_match, pair_order
+from zoneval.matching import EvalConfig, average_precision, greedy_match, in_scale_range, pair_order
 from zoneval.oracle import ap_oracle
 from zoneval.zone_eval import evaluate_zones
 from zoneval.zones import Annular, build_partition
@@ -166,13 +166,15 @@ class TestBatchedGroups:
 
         ds, dset = random_multiclass_benchmark(6, gts_per_image=10, dets_per_image=30, seed=5)
         p = build_partition(Annular(3))
-        n_zones = len(p.zones)
         for cfg in (EvalConfig(max_dets_per_image=20),
                     EvalConfig(max_dets_per_image=20, cap_after_zone=True,
                                scale_range=(0.0, 48.0**2))):
             geo = zone_eval._geometry(ds, dset, p, cfg)
-            everything = np.ones((n_zones + 1) * len(ds.category_ids), dtype=bool)
-            _, tp, ignored = zone_eval._match(geo, cfg, [cfg.scale_range], everything)
+            # every pair, also of the groups that evaluate_zones leaves out for want of a countable ground truth
+            slot_ignored = np.tile(geo.gt_crowd | ~in_scale_range(geo.gt_area, cfg.scale_range), 2)[:, None]
+            tp, ignored = greedy_match(geo.pair_row, geo.pair_slot, geo.pair_iou, geo.pair_step,
+                                       slot_ignored, len(geo.row_seg), cfg.iou_thresholds)
+            ignored |= ~tp & ~in_scale_range(geo.row_area, cfg.scale_range)[:, None, None]
             n_dets = len(geo.row_seg) // 2
             row = 0
             compared = 0
@@ -344,7 +346,7 @@ class TestAveragePrecisionKernel:
 
     @pytest.mark.parametrize("bound", [None, 1, 7, 250, 1000])
     def test_equals_one_curve_at_a_time_bit_for_bit(self, monkeypatch, bound):
-        # small bounds cut the thresholds into passes and the curves into blocks
+        # small bounds cut the curves into blocks, and a curve longer than the bound is a block of its own
         if bound is not None:
             monkeypatch.setattr(matching, "BLOCK_ENTRIES", bound)
         rng = np.random.default_rng(23)
@@ -405,6 +407,26 @@ class TestAveragePrecisionKernel:
             v = average_precision(np.ascontiguousarray(tp.T).T, np.ascontiguousarray(ignored.T).T,
                                   starts, n_pos, grid)
             assert c.tobytes() == f.tobytes() == v.tobytes()
+
+    def test_memory_stays_within_the_block_bound(self, monkeypatch):
+        # a threshold row of 200,000 entries is 49 times the bound; the kernel's
+        # temporaries must grow with the bound, not with the row
+        import tracemalloc
+
+        monkeypatch.setattr(matching, "BLOCK_ENTRIES", 1 << 12)
+        rng = np.random.default_rng(41)
+        starts = np.append(0, np.sort(rng.choice(np.arange(1, 200_000), 999, replace=False)))
+        tp = rng.random((10, 200_000)) < 0.3
+        ignored = rng.random(tp.shape) < 0.1
+        n_pos = np.diff(np.append(starts, 200_000))
+        grid = EvalConfig().recall_grid()
+        tracemalloc.start()
+        try:
+            average_precision(tp, ignored, starts, n_pos, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20, peak
 
 
 class TestOracle:

@@ -293,39 +293,48 @@ class TestCountThenMatch:
         cfg = EvalConfig()
         geo = zone_eval._geometry(ds, dets, p, cfg)
         n_cat, n_gt = len(ds.category_ids), len(geo.gt_area)
-        ranges = [cfg.scale_range]
-        countable = zone_eval._positives(geo, ranges)[0] > 0
         # row d is detection d in its zone, row n_dets + d the same detection in the whole image
         det_image = np.repeat(np.arange(len(ds.images)),
                               [len(dets.for_image(img.id)) for img in ds.images])
 
-        def groups(live):
-            """(zone index, n_zones for the whole image; category id; image index) of matched rows."""
-            rows = geo.pair_row[live]
+        def groups(rows):
+            """(zone index, n_zones for the whole image; category id; image index) of the pairs' rows."""
             return {
                 (seg // n_cat, ds.category_ids[seg % n_cat], img)
                 for seg, img in zip(geo.row_seg[rows].tolist(),
                                     det_image[rows % len(det_image)].tolist())
             }
 
-        live, tp, ignored = zone_eval._match(geo, cfg, ranges, countable)
+        # capture the pruned greedy pass of one evaluation; copies, since _evaluate then edits ignored
+        real, calls = zone_eval.greedy_match, []
+
+        def spy(*args):
+            tp, ignored = real(*args)
+            calls.append((args, tp.copy(), ignored.copy()))
+            return tp, ignored
+
+        monkeypatch.setattr(zone_eval, "greedy_match", spy)
+        pruned = evaluate_zones(ds, dets, p)
+        [((row, slot, *_, slot_ignored, n_rows, thresholds), tp, ignored)] = calls
         # per image: (x0, category 1) and (whole image, category 1); the right
         # strip holds category-1 detections but no category-1 ground truth
-        assert groups(live) == {(z, 1, i) for z in (0, len(p.zones)) for i in range(len(ds.images))}
-        gts = geo.pair_slot[live] % n_gt
+        assert groups(row) == {(z, 1, i) for z in (0, len(p.zones)) for i in range(len(ds.images))}
+        gts = slot % n_gt
         assert {ds.category_ids[c] for c in (geo.slot_seg[gts] % n_cat).tolist()} == {1}
         assert len(set(gts.tolist())) == len(ds.images)  # one category-1 ground truth per image
 
-        every = np.ones_like(countable)
-        live_all, tp_all, ignored_all = zone_eval._match(geo, cfg, ranges, every)
-        assert len(groups(live_all)) > 2 * len(ds.images)
+        # the unpruned pass over every pair agrees on every row of a countable segment
+        countable = np.bincount(geo.slot_seg[~slot_ignored[:, 0]], minlength=(len(p.zones) + 1) * n_cat) > 0
+        tp_all, ignored_all = real(geo.pair_row, geo.pair_slot, geo.pair_iou, geo.pair_step,
+                                   slot_ignored, n_rows, thresholds)
+        assert len(groups(geo.pair_row)) > 2 * len(ds.images)
+        assert groups(row) == groups(geo.pair_row[countable[geo.row_seg[geo.pair_row]]])
         rows = countable[geo.row_seg]
         assert (tp_all[rows] == tp[rows]).all()
         assert (ignored_all[rows] == ignored[rows]).all()
 
-        pruned = evaluate_zones(ds, dets, p)
-        real = zone_eval._match
-        monkeypatch.setattr(zone_eval, "_match", lambda g, c, r, countable: real(g, c, r, every))
+        monkeypatch.setattr(zone_eval, "greedy_match", lambda row, slot, iou, step, *rest:
+                            real(geo.pair_row, geo.pair_slot, geo.pair_iou, geo.pair_step, *rest))
         unpruned = evaluate_zones(ds, dets, p)
         assert pruned.to_json() == unpruned.to_json()
 
@@ -381,6 +390,38 @@ class TestScaleStudy:
     def test_bin_counts_follow_cap(self):
         for r, expected in [(4, 65), (8, 33), (16, 17), (32, 9), (64, 5), (128, 3)]:
             assert len(scale_bins(r)) == expected
+
+    @pytest.mark.parametrize("r", [0, -4, math.nan, math.inf])
+    def test_bin_width_must_be_finite_and_positive(self, r):
+        # 0 and -4 never reached the cap and built bins until memory ran out;
+        # nan and inf gave the single all-scales bin
+        with pytest.raises(ValueError, match="finite and positive"):
+            scale_bins(r)
+
+    @pytest.mark.parametrize("r,cap", [(1e160, 8e160), (10**200, 10**201), (1e306, math.inf)])
+    def test_squared_bin_edges_must_not_overflow(self, r, cap):
+        with pytest.raises(ValueError, match="a squared bin edge overflows"):
+            scale_bins(r, cap=cap)
+
+    def test_study_refuses_a_zero_step(self, mini_dataset, mini_detections):
+        with pytest.raises(ValueError, match="finite and positive"):
+            scale_study(mini_dataset, mini_detections, build_partition(Annular(2)), steps=(64, 0))
+
+    def test_repeated_and_missing_steps(self, mini_dataset, mini_detections):
+        # a repeated step counts once per repeat in the grand mean; no step gives no mean
+        p = build_partition(Annular(2))
+        once = scale_study(mini_dataset, mini_detections, p, steps=(64, None))
+        twice = scale_study(mini_dataset, mini_detections, p, steps=(64, 64, None))
+        assert twice.mean_zp == once.mean_zp
+        for zi, grand in enumerate(twice.grand_mean):
+            vals = [v for v in (once.mean_zp[64][zi], once.mean_zp[64][zi], once.mean_zp[None][zi]) if v is not None]
+            total = 0.0
+            for v in vals:  # left to right
+                total += v
+            assert grand == (total / len(vals) if vals else None)
+        assert any(v is not None for v in twice.grand_mean)
+        none = scale_study(mini_dataset, mini_detections, p, steps=())
+        assert (none.mean_zp, none.grand_mean) == ({}, [None] * len(p.zones))
 
     def test_r_inf_reduces_to_plain_evaluation(self, mini_dataset, mini_detections):
         p = build_partition(Annular(2))
