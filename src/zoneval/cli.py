@@ -23,14 +23,13 @@ from .equilibrium import (AssignConfig, anchor_grid, beta_assign, check_anchor_g
                           sela_assign, supervision_density)
 from .errors import IngestError, PartitionError, UndefinedStatisticError
 from .matching import DEFAULT_IOU_THRESHOLDS, EvalConfig
-from .zone_eval import evaluate_zones, read_heatmap_csv, write_heatmap_csv
+from .zone_eval import _MAX_SCALE_BINS, evaluate_zones, read_heatmap_csv, write_heatmap_csv
 from .zones import Grid, _spec_file, build_partition, grid_rows, parse_zone_spec
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_UNDEFINED = 2
 _MAX_THRESHOLDS = 1000  # the most thresholds an --iou range may expand to
-_MAX_BINS = 1000  # the most scale bins pattern-distance may build, one by one
 
 
 def _parse_thresholds(text: str) -> tuple[float, ...]:
@@ -61,8 +60,8 @@ def _parse_bins(text: str) -> int:
         bins = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if bins > _MAX_BINS:
-        raise argparse.ArgumentTypeError(f"{bins} scale bins are more than {_MAX_BINS}")
+    if bins > _MAX_SCALE_BINS:
+        raise argparse.ArgumentTypeError(f"{bins} scale bins are more than {_MAX_SCALE_BINS}")
     return bins
 
 
@@ -449,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", required=True, help="JSON-lines feature records")
     p.add_argument("--side-a", default="test:in", metavar="SPLIT:ZONE")
     p.add_argument("--side-b", default="test:out", metavar="SPLIT:ZONE")
-    p.add_argument("--bins", type=_parse_bins, default=9, help=f"scale bin count, at most {_MAX_BINS}")
+    p.add_argument("--bins", type=_parse_bins, default=9, help=f"scale bin count, at most {_MAX_SCALE_BINS}")
     p.add_argument("--bin-width", type=float, default=32.0, help="scale bin width, pixels")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_pattern_distance)

@@ -20,9 +20,10 @@ Ids become indices through the dataset's ``{id: index}`` dicts.
 A file's annotations and detections become columns straight from the decoded
 lists: each field is gathered once and checked as a whole column (its types,
 then ``_check_box``'s rule and the ``iscrowd`` rule as array masks), and no
-record is looked at on its own.  Only when a check fails do the per-record
-checkers run, to name the first bad record by the first rule it breaks.  Ids,
-sizes, boxes, areas and scores are JSON numbers only, never strings or
+record is looked at on its own.  There is one rule per field: when a check
+fails, the column builder itself finds the first bad record, by bisecting the
+list, and names it by the first rule it breaks when run on that record alone.
+Ids, sizes, boxes, areas and scores are JSON numbers only, never strings or
 ``true``/``false``.  References, duplicate ids, areas and scores are then
 checked on the columns: a bad annotation is reported by the lowest id, a bad
 detection by its input position.
@@ -195,13 +196,6 @@ def _id(v) -> int:
     return int(v)
 
 
-def _flag(v) -> bool:
-    """A 0/1 flag field; ``bool()`` alone would read the string "0" as true."""
-    if not (isinstance(v, int) and v in (0, 1)):  # bool is an int
-        raise ValueError(f"flag {v!r} is not 0, 1, true or false")
-    return bool(v)
-
-
 def _image_record(rec: dict) -> ImageInfo:
     return ImageInfo(
         id=_id(rec["id"]),
@@ -215,26 +209,8 @@ def _category_record(rec: dict) -> Category:
     return Category(id=_id(rec["id"]), name=str(rec["name"]))
 
 
-def _annotation_record(rec: dict) -> None:
-    """Check one annotation by the rule ``_annotation_columns`` applies in bulk; raise at the first break."""
-    x, y, w, h = rec["bbox"]
-    _check_box(*(_number(v, "bbox value") for v in (x, y, w, h)))
-    _id(rec["id"]), _id(rec["image_id"]), _id(rec["category_id"])
-    if rec.get("area") is not None:
-        _number(rec["area"], "area")
-    _flag(rec.get("iscrowd", 0))
-
-
-def _detection_record(rec: dict) -> None:
-    """Check one detection by the rule ``_detection_columns`` applies in bulk; raise at the first break."""
-    x, y, w, h = rec["bbox"]
-    _id(rec["image_id"]), _id(rec["category_id"])
-    _check_box(*(_number(v, "bbox value") for v in (x, y, w, h)))
-    _number(rec["score"], "score")
-
-
-def _floats(values: list) -> np.ndarray:
-    """A float column of numbers; a value that is not one raises.
+def _floats(values: list, what: str) -> np.ndarray:
+    """A float column of numbers; the first value that is not one raises, named as ``what``.
 
     The types are checked first, because ``dtype=float`` alone would parse
     strings and read true as 1.0.  ``dtype=float`` converts each int as
@@ -242,7 +218,8 @@ def _floats(values: list) -> np.ndarray:
     otherwise.
     """
     if not _numeric(values):
-        raise ValueError("a value is not a number")
+        for v in values:  # in order, as one record is read: an int too large for a float may raise first
+            _number(v, what)
     return np.array(values, dtype=float)  # an int too large for a float raises OverflowError
 
 
@@ -251,64 +228,72 @@ def _ids(values: list) -> list:
     return values if set(map(type, values)) <= {int} else [_id(v) for v in values]
 
 
-def _boxes(records: list) -> np.ndarray:
-    """The (N, 4) ``bbox`` column, checked by ``_check_box``'s rule as array masks."""
+def _bboxes(records: list) -> list:
+    """The ``bbox`` field of each record, as it is, after checking that it unpacks into 4 values."""
     boxes = [r["bbox"] for r in records]
-    if boxes and set(map(len, boxes)) != {4}:
-        raise ValueError("a bbox does not hold 4 values")
-    box = _floats(list(chain.from_iterable(boxes))).reshape(-1, 4)
+    for _x, _y, _w, _h in boxes:  # Python's own unpacking and its messages, with no container per box
+        pass
+    return boxes
+
+
+def _box(boxes: list) -> np.ndarray:
+    """The (N, 4) column of ``bbox`` fields, checked by ``_check_box``'s rule as array masks."""
+    box = _floats(list(chain.from_iterable(boxes)), "bbox value").reshape(-1, 4)
     x, y, w, h = box.T
     with np.errstate(over="ignore", invalid="ignore"):  # the overflows are what is checked
         ok = np.isfinite(x + w) & np.isfinite(y + h) & np.isfinite(w * h) & (w > 0) & (h > 0)
     if not ok.all():
+        _check_box(*box[np.argmin(ok)].tolist())  # raises, naming the first bad box
         raise ValueError("a bbox is not finite and positive")
     return box
 
 
 def _detection_columns(records: list) -> tuple:
     """``(image_ids, category_ids, box, score)`` of results records, each field checked as a column."""
-    return (_ids([r["image_id"] for r in records]), _ids([r["category_id"] for r in records]),
-            _boxes(records), _floats([r["score"] for r in records]))
+    boxes = _bboxes(records)
+    image_ids, category_ids = (_ids([r[key] for r in records]) for key in ("image_id", "category_id"))
+    return image_ids, category_ids, _box(boxes), _floats([r["score"] for r in records], "score")
 
 
 def _annotation_columns(records: list) -> tuple:
     """``(ids, image_ids, category_ids, box, area, crowd)`` of annotations, each field checked as a column."""
-    box = _boxes(records)
+    box = _box(_bboxes(records))
     ids, image_ids, category_ids = (_ids([r[key] for r in records]) for key in ("id", "image_id", "category_id"))
     areas = [r.get("area") for r in records]
     missing = [k for k, a in enumerate(areas) if a is None] if None in areas else []
-    area = _floats([0.0 if a is None else a for a in areas] if missing else areas)
+    area = _floats([0.0 if a is None else a for a in areas] if missing else areas, "area")
     area[missing] = box[missing, 2] * box[missing, 3]  # a missing or null area is w * h
     crowd = [r.get("iscrowd", 0) for r in records]
     if not (all(issubclass(t, int) for t in set(map(type, crowd))) and set(crowd) <= {0, 1}):
-        raise ValueError("a flag is not 0, 1, true or false")
+        flag = next(v for v in crowd if not (isinstance(v, int) and v in (0, 1)))  # bool is an int
+        raise ValueError(f"flag {flag!r} is not 0, 1, true or false")
     return ids, image_ids, category_ids, box, area, np.array(crowd, dtype=bool)
 
 
-def _columns(records, kind: str, build, check, by_id: bool = True) -> tuple:
+def _columns(records, kind: str, build, by_id: bool = True) -> tuple:
     """The columns ``build`` makes of one top-level list, every field checked in bulk.
 
-    Only when a bulk check fails does ``check`` run record by record, to name
-    the first bad record by the first rule it breaks (as ``_parse_records``
-    names it); it supplies no column.
+    ``build`` fails on a part of the list if and only if the part holds a bad
+    record, so when it fails, halves of the list are built until the first bad
+    record is found; ``build`` run on that record alone names it by the first
+    rule it breaks, so each rule is written once.
     """
     if not isinstance(records, list):
         raise IngestError(f"{kind} records must be a JSON list")
     try:
         return build(records)
-    except (KeyError, TypeError, ValueError, OverflowError):
+    except (KeyError, TypeError, ValueError, OverflowError):  # IngestError is a ValueError
         pass
-    _parse_records(records, kind, check, by_id)  # raises, naming the record
+    lo, hi = 0, len(records)  # records[:lo] holds no bad record, records[lo:hi] the first one
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            build(records[lo:mid])
+            lo = mid
+        except (KeyError, TypeError, ValueError, OverflowError):
+            hi = mid
+    _parse_records(records[lo:hi], kind, lambda rec: build([rec]), by_id, start=lo)  # raises, naming the record
     raise IngestError(f"{kind} records do not form columns")  # a record from the API that no JSON file holds
-
-
-def _record_error(name: str, e: Exception) -> str:
-    """Message for the record ``name`` that failed to parse."""
-    if isinstance(e, IngestError):  # ImageInfo names its image already
-        return str(e) if str(e).startswith(f"{name}:") else f"{name}: {e}"
-    if isinstance(e, KeyError):
-        return f"{name}: missing field {e}"
-    return f"{name}: malformed record ({e})"
 
 
 def _parse_record(rec, name: str, parse):
@@ -321,25 +306,25 @@ def _parse_record(rec, name: str, parse):
         raise IngestError(f"{name} is not a JSON object: {rec!r}")
     try:
         return parse(rec)
-    except (KeyError, TypeError, ValueError, OverflowError) as e:
-        raise IngestError(_record_error(name, e)) from e
+    except IngestError as e:  # ImageInfo names its image already
+        raise IngestError(str(e) if str(e).startswith(f"{name}:") else f"{name}: {e}") from e
+    except KeyError as e:
+        raise IngestError(f"{name}: missing field {e}") from e
+    except (TypeError, ValueError, OverflowError) as e:
+        raise IngestError(f"{name}: malformed record ({e})") from e
 
 
-def _parse_records(records, kind: str, parse, by_id: bool = True) -> list:
+def _parse_records(records, kind: str, parse, by_id: bool = True, start: int = 0) -> list:
     """Parse every record of one top-level list; the first bad one is named by its id, else by position.
 
-    With ``by_id`` false every record is named by position (``kind #i``), as
-    results records are: a result's ``id`` is not a field the reader checks.
+    With ``by_id`` false every record is named by position (``kind #i``, from
+    ``start``), as results records are: a result's ``id`` is not a field the
+    reader checks.
     """
     if not isinstance(records, list):
         raise IngestError(f"{kind} records must be a JSON list")
-    try:
-        if all(isinstance(rec, dict) for rec in records):
-            return [parse(rec) for rec in records]
-    except (KeyError, TypeError, ValueError, OverflowError):  # IngestError is a ValueError
-        pass  # parse again one by one, naming each record, so the first that fails is reported
     return [_parse_record(rec, f"{kind} {rec['id']}" if by_id and isinstance(rec, dict) and "id" in rec
-                          else f"{kind} #{i}", parse) for i, rec in enumerate(records)]
+                          else f"{kind} #{i}", parse) for i, rec in enumerate(records, start)]
 
 
 def _index(index: dict, ids: list) -> np.ndarray:
@@ -426,7 +411,7 @@ class Dataset:
         categories = _parse_records(data["categories"], "category", _category_record)
         ds = cls.__new__(cls)
         ds._fill(images, categories,
-                 *_columns(data["annotations"], "annotation", _annotation_columns, _annotation_record))
+                 *_columns(data["annotations"], "annotation", _annotation_columns))
         return ds
 
     def to_coco_dict(self) -> dict:
@@ -481,7 +466,7 @@ class DetectionSet:
     @classmethod
     def from_coco_list(cls, data: list, dataset: Dataset) -> "DetectionSet":
         dets = cls.__new__(cls)
-        dets._fill(*_columns(data, "detection", _detection_columns, _detection_record, by_id=False), dataset)
+        dets._fill(*_columns(data, "detection", _detection_columns, by_id=False), dataset)
         return dets
 
     def to_coco_list(self) -> list[dict]:

@@ -330,6 +330,15 @@ def evaluate_zones(
 
 SCALE_STEPS = (4, 8, 16, 32, 64, 128)
 SCALE_CAP = 256
+_MAX_SCALE_BINS = 1000  # the most bins one width may give, counted before any is built
+
+
+def _squared_edge(edge, r, cap) -> float:
+    """A bin edge squared, as a float; an overflow raises ValueError naming the width and the cap."""
+    try:
+        return float(edge ** 2)
+    except OverflowError:
+        raise ValueError(f"scale bin width {r} up to {cap}: a squared bin edge overflows") from None
 
 
 def scale_bins(r: int | None, cap: int = SCALE_CAP) -> list[tuple[float, float]]:
@@ -338,19 +347,21 @@ def scale_bins(r: int | None, cap: int = SCALE_CAP) -> list[tuple[float, float]]
     r=None stands for the all-scales setting: a single [0, inf) bin.  The
     catch-all starts where the last finite bin ends, so the bins always cover
     [0, inf) even when r does not divide the cap.  An r that is not finite
-    and > 0, or whose squared bin edges overflow, raises ValueError before
-    any bin is built.
+    and > 0, whose squared bin edges overflow, or that gives more than
+    ``_MAX_SCALE_BINS`` bins raises ValueError before any bin is built.
     """
     if r is None:
         return [(0.0, math.inf)]
     if not 0 < r < math.inf:  # nan fails this too
         raise ValueError(f"scale bin width must be finite and positive, got {r}")
     edges = [0.0]
+    if r <= cap:  # the first edge, so that an overflow is named before the count
+        edges.append(_squared_edge(r, r, cap))
+    # the loop's own test for one edge too many: k * r never falls as k grows, so this is the count
+    if _MAX_SCALE_BINS * r <= cap:
+        raise ValueError(f"scale bin width {r} up to {cap} gives more than {_MAX_SCALE_BINS} bins")
     while len(edges) * r <= cap:
-        try:
-            edges.append(float((len(edges) * r) ** 2))
-        except OverflowError:
-            raise ValueError(f"scale bin width {r} up to {cap}: a squared bin edge overflows") from None
+        edges.append(_squared_edge(len(edges) * r, r, cap))
     return [*zip(edges, edges[1:]), (edges[-1], math.inf)]
 
 

@@ -411,22 +411,55 @@ class TestColumnarIngest:
                 _assert_same(_loaded(lambda: DetectionSet.from_coco_list(results, ds)),
                              _loaded(lambda: reference_detections(results, doc)), f"seed {seed}")
 
-    def test_valid_files_never_reach_the_record_checkers(self, tmp_path, monkeypatch):
-        # a bulk check that fell back to the per-record checkers on valid input would undo the speed-up
-        def fail(rec):
-            raise AssertionError(f"per-record checker ran on {rec!r}")
+    def test_valid_files_build_each_column_set_once(self, tmp_path, monkeypatch):
+        # a valid file whose bulk check failed would be bisected, building columns many times over
+        calls = {"annotation": 0, "detection": 0}
 
-        monkeypatch.setattr(coco, "_annotation_record", fail)
-        monkeypatch.setattr(coco, "_detection_record", fail)
+        def counted(kind, build):
+            def wrapper(records):
+                calls[kind] += 1
+                return build(records)
+            return wrapper
+
+        monkeypatch.setattr(coco, "_annotation_columns", counted("annotation", coco._annotation_columns))
+        monkeypatch.setattr(coco, "_detection_columns", counted("detection", coco._detection_columns))
         gt, dt = tmp_path / "gt.json", tmp_path / "dt.json"
         for seed in range(10):
             doc, results = random_coco_document(np.random.default_rng(seed))
             gt.write_text(json.dumps(doc))
             dt.write_text(json.dumps(results))
             assert len(load_detections(dt, load_ground_truth(gt)).score) == len(results)
+            assert calls == {"annotation": seed + 1, "detection": seed + 1}
         dt.write_text(json.dumps([{"image_id": 1, "category_id": 1, "bbox": [0, 0, 0, 1], "score": 1.0}]))
-        with pytest.raises(AssertionError, match="per-record checker ran"):  # the checker names a bad record
-            load_detections(dt, load_ground_truth(gt))
+        ds = load_ground_truth(gt)
+        with pytest.raises(IngestError, match="^detection #0: bbox dimensions must be positive"):
+            load_detections(dt, ds)
+        assert calls["detection"] > 11  # more than once for this file: the builder ran again to name the bad record
+
+    @pytest.mark.parametrize("kind,records,message", [
+        ("detection", [{"image_id": "1", "category_id": 1, "score": 1.0}],
+         "detection #0: missing field 'bbox'"),
+        ("detection", [{"image_id": "1", "category_id": 1, "bbox": ["x", 0, 1, 1], "score": 1.0}],
+         "detection #0: malformed record (id '1' is not a number)"),
+        ("annotation", [{"id": 1.5, "image_id": 1, "category_id": 1, "bbox": [0, "x", 1, 1]}],
+         "annotation 1.5: malformed record (bbox value 'x' is not a number)"),
+        ("annotation", [{"id": 7, "image_id": 1, "category_id": 1, "bbox": [0, 0, 1, 1], "area": "x", "iscrowd": 2}],
+         "annotation 7: malformed record (area 'x' is not a number)"),
+        ("detection", [{"image_id": 1, "category_id": 1, "bbox": [0, 0, 1, 1], "score": 1.0},
+                       {"image_id": 1, "category_id": 1, "bbox": [0, 0, 0, 1], "score": 1.0},
+                       {"image_id": 1, "category_id": 1, "bbox": [0, 0, 1, 1], "score": "x"}],
+         "detection #1: bbox dimensions must be positive, got w=0.0, h=1.0"),
+    ])
+    def test_a_record_that_breaks_two_rules_is_named_by_the_first(self, kind, records, message):
+        doc = json.loads(json.dumps(MINIMAL))
+        if kind == "annotation":
+            doc["annotations"] = records
+            got, want = (_loaded(lambda: build(doc)) for build in (Dataset.from_coco_dict, reference_ground_truth))
+        else:
+            ds = Dataset.from_coco_dict(doc)
+            got = _loaded(lambda: DetectionSet.from_coco_list(records, ds))
+            want = _loaded(lambda: reference_detections(records, doc))
+        assert got == want == message
 
 
 class TestDuplicateIds:

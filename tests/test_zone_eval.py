@@ -403,6 +403,23 @@ class TestScaleStudy:
         with pytest.raises(ValueError, match="a squared bin edge overflows"):
             scale_bins(r, cap=cap)
 
+    @pytest.mark.parametrize("r,cap", [(1e-9, 256), (1e-3, 256), (0.25, 256), (1, 1000), (10**-300, 10**6)])
+    def test_more_than_1000_bins_are_refused_before_any_is_built(self, r, cap):
+        # 1e-9 would give 2.56e11 bins, built one by one
+        with pytest.raises(ValueError, match=f"^scale bin width {r} up to {cap} gives more than 1000 bins$"):
+            scale_bins(r, cap=cap)
+
+    def test_1000_bins_are_built(self):
+        assert len(scale_bins(1, cap=999)) == 1000
+
+    def test_study_refuses_a_tiny_step_before_any_work(self, mini_dataset, mini_detections, monkeypatch):
+        def no_geometry(*args):
+            raise AssertionError("built the geometry")
+
+        monkeypatch.setattr(zone_eval, "_geometry", no_geometry)
+        with pytest.raises(ValueError, match="gives more than 1000 bins"):
+            scale_study(mini_dataset, mini_detections, build_partition(Annular(2)), steps=(64, 1e-9))
+
     def test_study_refuses_a_zero_step(self, mini_dataset, mini_detections):
         with pytest.raises(ValueError, match="finite and positive"):
             scale_study(mini_dataset, mini_detections, build_partition(Annular(2)), steps=(64, 0))
