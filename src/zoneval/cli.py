@@ -30,6 +30,7 @@ EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_UNDEFINED = 2
 _MAX_THRESHOLDS = 1000  # the most thresholds an --iou range may expand to
+_MAX_RECALL_POINTS = 10_001  # the most --recall-points: a recall step of 1e-4
 
 
 def _parse_thresholds(text: str) -> tuple[float, ...]:
@@ -54,15 +55,19 @@ def _parse_thresholds(text: str) -> tuple[float, ...]:
     return tuple(round(start + i * step, 10) for i in range(round(span) + 1))
 
 
-def _parse_bins(text: str) -> int:
-    """Parse --bins, bounded before any bin is built."""
-    try:
-        bins = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if bins > _MAX_SCALE_BINS:
-        raise argparse.ArgumentTypeError(f"{bins} scale bins are more than {_MAX_SCALE_BINS}")
-    return bins
+def _at_most(bound: int, what: str):
+    """An argparse type: an int no greater than ``bound``, checked before anything is built from it."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value > bound:
+            raise argparse.ArgumentTypeError(f"{value} {what} are more than {bound}")
+        return value
+
+    return parse
 
 
 def _parse_anchor_grid(text: str) -> tuple[int, int]:
@@ -99,7 +104,8 @@ def _add_eval_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--iou", type=_parse_thresholds, default=DEFAULT_IOU_THRESHOLDS,
                    metavar="LO:HI:STEP", help="IoU thresholds (default 0.5:0.95:0.05)")
     p.add_argument("--max-dets", type=int, default=100, help="per-image detection cap")
-    p.add_argument("--recall-points", type=int, default=101, help="recall sampling points")
+    p.add_argument("--recall-points", type=_at_most(_MAX_RECALL_POINTS, "recall points"), default=101,
+                   help=f"recall sampling points, at most {_MAX_RECALL_POINTS}")
     p.add_argument("--scale-range", type=_parse_scale_range, default=None, metavar="LO:HI",
                    help="only score objects with area in [LO, HI) pixels^2")
     p.add_argument("--cap-after-zone", action="store_true",
@@ -448,7 +454,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", required=True, help="JSON-lines feature records")
     p.add_argument("--side-a", default="test:in", metavar="SPLIT:ZONE")
     p.add_argument("--side-b", default="test:out", metavar="SPLIT:ZONE")
-    p.add_argument("--bins", type=_parse_bins, default=9, help=f"scale bin count, at most {_MAX_SCALE_BINS}")
+    p.add_argument("--bins", type=_at_most(_MAX_SCALE_BINS, "scale bins"), default=9,
+                   help=f"scale bin count, at most {_MAX_SCALE_BINS}")
     p.add_argument("--bin-width", type=float, default=32.0, help="scale bin width, pixels")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_pattern_distance)

@@ -10,8 +10,9 @@ unmatched detection whose own box area falls outside the configured scale
 range.  Every ground truth is matched at most once per threshold.
 
 ``greedy_match`` runs this rule for any number of groups, for B sets of
-ignore flags (say, one per scale bin) and for every IoU threshold at once: a
-column axis of (B x thresholds).  Its input is the flat list of candidate
+ignore flags and for every IoU threshold at once: a column axis of (B x
+thresholds).  ``zone_eval`` passes one set and makes the scale range part of
+the group instead.  Its input is the flat list of candidate
 pairs (detection row, ground-truth slot, IoU) with IoU at or above the lowest
 threshold.  It steps over detection rank, at most the per-image cap, and each
 step decides the pairs of that rank in every group and every column with a
@@ -171,9 +172,12 @@ def greedy_match(
 
 
 # bound on the entries of every blocked pass: the AP kernel's (threshold, row)
-# entries and (curve, recall point) cells, scale_study's (rows, bins,
-# thresholds), and zone_eval's candidate pairs, four corner entries a pair.
-# An AP block goes over it only when one curve alone holds more entries
+# entries and (curve, recall point) cells; scale_study's blocks of bins, each
+# bin counting its (bin, slot) flags plus its live (bin, pair) instances,
+# (bin, AP row) entries and curves times the thresholds; the (range, ground
+# truth) flags that count positives; and zone_eval's candidate pairs, four
+# corner entries a pair.  An AP block goes over it only when one curve alone
+# holds more entries, and a scale_study block when one bin does
 BLOCK_ENTRIES = 1 << 16
 
 

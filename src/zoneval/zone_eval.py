@@ -19,22 +19,25 @@ of the whole dataset (``_candidate_pairs``).  It keeps the candidate pairs
 (IoU at or above the lowest threshold) as flat dataset-wide arrays.
 
 Count, then match: a ground truth is countable when it is not crowd and its
-area lies in the scale range.  ``_evaluate`` flags the other slots once, as a
-(slots, ranges) array that gives both the positives per segment and the
-greedy pass's ignore columns.  Only the pairs of (zone, category) segments
-holding a countable ground truth go through the greedy pass
-(``matching.greedy_match``), which handles every group of every image and
-every IoU threshold at once.  This is exact: AP accumulation leaves every
-other segment out of the zone's mean (as COCO's accumulate does).  AP then
-takes the rows of each segment in one precomputed stable score order.
+area lies in the scale range, and ``_positives`` counts them per (range,
+segment).  Only the pairs of (zone, category) segments holding a countable
+ground truth go through the greedy pass (``matching.greedy_match``), which
+handles every group of every image and every IoU threshold at once.  This is
+exact: AP accumulation leaves every other segment out of the zone's mean (as
+COCO's accumulate does).  AP then takes the rows of each segment in one
+precomputed stable score order.
 
 One evaluation pass (``_evaluate``) does this for a list of scale ranges at
-once: it counts positives per (range, segment), runs one greedy pass with one
-ignore column per range over the segments countable in any range (groups are
-independent, so the extra ones change nothing), and makes one
-``average_precision`` call over every (range, countable segment) curve.
-``evaluate_zones`` is its one-range case; the scale study builds the geometry
-once and runs all its bins through it, a bounded block of bins per pass.
+once, with the range as one more part of the group key.  Each candidate pair
+is expanded only into the ranges in which its segment is countable; such a
+(range, pair) instance has its AP entry as its row, its place in the (range,
+segment, -score) order of every countable segment's AP rows, and a (range,
+slot) of its own.  One greedy pass with one ignore column then matches every
+range, its results are already in AP order, and one ``average_precision``
+call scores every (range, countable segment) curve.  ``evaluate_zones`` is
+its one-range case; the scale study builds the geometry once, counts every
+bin, and runs the bins that hold a countable ground truth through it, a
+bounded block of bins per pass.
 """
 
 from __future__ import annotations
@@ -52,7 +55,6 @@ from .matching import (
     EvalConfig,
     average_precision,
     greedy_match,
-    in_scale_range,
     mean_ap,
     pair_order,
     rank_within,
@@ -172,6 +174,7 @@ class _Geometry:
     pair_step: np.ndarray
     ap_rows: np.ndarray  # rows under the cap, by (segment, -score), ties in detection order
     ap_seg: np.ndarray
+    ap_rank: np.ndarray  # per row: its place in its segment's run of ap_rows; -1 over the cap
 
 
 def _candidate_pairs(
@@ -245,8 +248,17 @@ def _geometry(ds: Dataset, dets: DetectionSet, partition: Partition, cfg: EvalCo
 
     row_seg = row_zone * n_cat + np.tile(dt_cat, 2)
     order, pair_step = pair_order(pair_row, pair_slot, pair_iou, row_seg * n_img + row_img)
-    rows = np.flatnonzero(under_cap)
-    ap_rows = rows[np.lexsort((-np.tile(score, 2)[rows], row_seg[rows]))]
+    # (segment, -score) order: every zone segment precedes every whole-image one, so each copy
+    # of the detections is sorted by segment on its own, from one stable sort by -score.  The
+    # segments go in the smallest integer type, as numpy sorts 8- and 16-bit keys by radix
+    by_score = np.argsort(-score, kind="stable")
+    seg_key = row_seg.astype(np.min_scalar_type((n_zones + 1) * n_cat))
+    copies = [rows[under_cap[rows]] for rows in (by_score, n_dt + by_score)]
+    ap_rows = np.concatenate([rows[np.argsort(seg_key[rows], kind="stable")] for rows in copies])
+    ap_seg = row_seg[ap_rows]
+    ap_rank = np.full(len(row_seg), -1)
+    seg_rows = np.bincount(ap_seg, minlength=(n_zones + 1) * n_cat)
+    ap_rank[ap_rows] = np.arange(len(ap_rows)) - (np.cumsum(seg_rows) - seg_rows)[ap_seg]
     return _Geometry(
         n_zones=n_zones,
         n_categories=n_cat,
@@ -260,46 +272,91 @@ def _geometry(ds: Dataset, dets: DetectionSet, partition: Partition, cfg: EvalCo
         pair_iou=pair_iou[order],
         pair_step=pair_step.astype(np.int32),
         ap_rows=ap_rows.astype(np.int32),
-        ap_seg=row_seg[ap_rows].astype(np.int32),
+        ap_seg=ap_seg.astype(np.int32),
+        ap_rank=ap_rank.astype(np.int32),
     )
 
 
 _Range = tuple[float, float] | None  # a scale range [lo, hi) in pixels^2; None for all scales
 
 
-def _in_ranges(area: np.ndarray, ranges: list[_Range]) -> np.ndarray:
-    """(N, B): whether each area lies in the b-th scale range."""
-    return np.stack([in_scale_range(area, r) for r in ranges], axis=1)
+def _in_ranges(area: np.ndarray, ranges: list[_Range], b: np.ndarray) -> np.ndarray:
+    """Whether each area lies in the scale range ``ranges[b]``, elementwise, as ``in_scale_range`` tests it."""
+    whole = np.array([r is None for r in ranges], dtype=bool)
+    lo, hi = (np.array([0.0 if r is None else r[i] for r in ranges], dtype=float) for i in (0, 1))
+    return whole[b] | ((lo[b] <= area) & (area < hi[b]))
 
 
-def _evaluate(geo: _Geometry, cfg: EvalConfig, ranges: list[_Range]) -> list[list[np.ndarray]]:
-    """Count, match and accumulate AP under each scale range.
+def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(owner, place) of each item when owner i holds ``counts[i]`` items, listed owner by owner."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    return owner, np.arange(len(owner)) - (np.cumsum(counts) - counts)[owner]
+
+
+def _positives(geo: _Geometry, ranges: list[_Range]) -> tuple[np.ndarray, np.ndarray]:
+    """The (range, segment)s holding a countable ground truth, and how many each holds.
+
+    They are keyed ``range * n_segments + segment``, in increasing order.  A
+    ground truth counts in its zone and in the whole image.  The ranges go
+    in blocks of at most ``matching.BLOCK_ENTRIES`` (range, ground truth) flags.
+    """
+    n_seg, n_gt = (geo.n_zones + 1) * geo.n_categories, len(geo.gt_area)
+    keys = [np.zeros(0, dtype=np.int64)]
+    per_block = max(1, matching.BLOCK_ENTRIES // max(1, n_gt))
+    for lo in range(0, len(ranges), per_block):
+        block = ranges[lo : lo + per_block]
+        b, g = np.nonzero(~geo.gt_crowd & _in_ranges(geo.gt_area, block, np.arange(len(block))[:, None]))
+        first = (lo + b) * n_seg
+        keys += [first + geo.slot_seg[g], first + geo.slot_seg[n_gt + g]]
+    return np.unique(np.concatenate(keys), return_counts=True)
+
+
+def _evaluate(
+    geo: _Geometry, cfg: EvalConfig, ranges: list[_Range], keys: np.ndarray, n_pos: np.ndarray
+) -> list[list[np.ndarray]]:
+    """Match and accumulate AP under each scale range, given its ``_positives``.
 
     Returns, per range and per zone, with the whole image last, the
-    (countable categories, T) AP array.  One greedy pass serves every range,
-    and one ``average_precision`` call every (range, countable segment)
-    curve, keyed ``range * n_segments + segment``.
+    (countable categories, T) AP array.  Each key is a curve, whose entries
+    are its segment's AP rows, laid out in key order.  A greedy instance is
+    a pair of a curve's segment; its row is its entry, and its slot is its
+    (range, slot), numbered among those that some instance reaches.
     """
-    n_seg = (geo.n_zones + 1) * geo.n_categories
-    # (slots, B): the ground truth is crowd, or out of the b-th scale range
-    slot_ignored = np.tile(geo.gt_crowd[:, None] | ~_in_ranges(geo.gt_area, ranges), (2, 1))
-    b, s = np.nonzero(~slot_ignored.T)
-    n_pos = np.bincount(b * n_seg + geo.slot_seg[s], minlength=len(ranges) * n_seg).reshape(len(ranges), n_seg)
-    countable = n_pos > 0
-    # match only the pairs of segments countable in some range; rows of the others stay unmatched
-    live = countable.any(axis=0)[geo.row_seg[geo.pair_row]]
-    tp, ignored = greedy_match(geo.pair_row[live], geo.pair_slot[live], geo.pair_iou[live], geo.pair_step[live],
-                               slot_ignored, len(geo.row_seg), cfg.iou_thresholds)
-    ignored |= ~tp & ~_in_ranges(geo.row_area, ranges)[:, :, None]
-    # keep only the AP rows, in (range, segment, -score) order, as C-contiguous (T, rows)
-    b, j = np.nonzero(countable[:, geo.ap_seg])
-    tp, ignored = (np.ascontiguousarray(a[geo.ap_rows[j], b].T) for a in (tp, ignored))
-    keys = np.flatnonzero(countable)
-    aps = average_precision(tp, ignored, np.searchsorted(b * n_seg + geo.ap_seg[j], keys),
-                            n_pos.ravel()[keys], cfg.recall_grid())
+    n_seg, n_slots, n_ranges = (geo.n_zones + 1) * geo.n_categories, len(geo.slot_seg), len(ranges)
+    key_range, key_seg = np.divmod(keys, n_seg)
+    # entries, in (range, segment, -score) order
+    seg_rows = np.bincount(geo.ap_seg, minlength=n_seg)
+    size = seg_rows[key_seg]
+    starts = np.cumsum(size) - size
+    curve, place = _ragged(size)
+    entry_row = geo.ap_rows[(np.cumsum(seg_rows) - seg_rows)[key_seg[curve]] + place]
+
+    # instances, in (step, range, pair) order, which keeps each row's pairs in pair order
+    pair_seg = geo.row_seg[geo.pair_row]
+    by_seg = np.argsort(key_seg, kind="stable")
+    per_seg = np.bincount(key_seg, minlength=n_seg)
+    pair, place = _ragged(per_seg[pair_seg])
+    key = by_seg[(np.cumsum(per_seg) - per_seg)[pair_seg[pair]] + place]
+    order = np.argsort(geo.pair_step[pair].astype(np.int64) * n_ranges + key_range[key], kind="stable")
+    pair, key = pair[order], key[order]
+    # the (range, slot)s that some instance reaches, numbered in order
+    slot_key = key_range[key] * n_slots + geo.pair_slot[pair]
+    reached = np.zeros(n_ranges * n_slots, dtype=bool)
+    reached[slot_key] = True
+    slot_range, slot = np.divmod(np.flatnonzero(reached), n_slots)
+    gt = slot % len(geo.gt_area)  # slot n_gt + g is ground truth g in the whole image
+    slot_ignored = geo.gt_crowd[gt] | ~_in_ranges(geo.gt_area[gt], ranges, slot_range)
+    tp, ignored = greedy_match(starts[key] + geo.ap_rank[geo.pair_row[pair]], (np.cumsum(reached) - 1)[slot_key],
+                               geo.pair_iou[pair], geo.pair_step[pair], slot_ignored[:, None], len(entry_row),
+                               cfg.iou_thresholds)
+    tp, ignored = tp[:, 0], ignored[:, 0]
+    # an unmatched detection outside the range is ignored too
+    ignored |= ~tp & ~_in_ranges(geo.row_area[entry_row], ranges, key_range[curve])[:, None]
+    aps = average_precision(np.ascontiguousarray(tp.T), np.ascontiguousarray(ignored.T), starts, n_pos,
+                            cfg.recall_grid())
 
     # a zone's segments are one run of rows of aps, in category order
-    firsts = np.arange(len(ranges))[:, None] * n_seg + np.arange(geo.n_zones + 2) * geo.n_categories
+    firsts = np.arange(n_ranges)[:, None] * n_seg + np.arange(geo.n_zones + 2) * geo.n_categories
     return [[aps[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
             for bounds in np.searchsorted(keys, firsts).tolist()]
 
@@ -319,7 +376,7 @@ def evaluate_zones(
     """
     cfg = cfg or EvalConfig()
     geo = _geometry(ds, dets, partition, cfg)
-    zone_aps = _evaluate(geo, cfg, [cfg.scale_range])[0]
+    zone_aps = _evaluate(geo, cfg, [cfg.scale_range], *_positives(geo, [cfg.scale_range]))[0]
     gt_counts, det_counts = (np.bincount(seg // geo.n_categories, minlength=geo.n_zones + 1)[:-1].tolist()
                              for seg in (geo.slot_seg, geo.ap_seg))
     zones = [ZoneResult(zid, _percent(mean_ap(zaps)), [_percent(v) for v in threshold_aps(zaps)], n_gt, n_det,
@@ -399,11 +456,15 @@ def scale_study(
 
     Each bin's ZPs equal those of ``evaluate_zones`` with that bin as
     ``scale_range``, bit for bit.  The geometry (cap, zones, candidate pairs
-    and their IoU) does not depend on the bin, so it is computed once.  The
-    bins then go through ``_evaluate`` in blocks of at most
-    ``matching.BLOCK_ENTRIES`` (rows x bins x thresholds) entries: one greedy
-    pass with a column per bin and one AP call per block.  The bins replace
-    the scale range, so a ``cfg`` with ``scale_range`` set raises ValueError.
+    and their IoU) does not depend on the bin, so it is computed once, and
+    so are the positives of every (bin, segment).  A bin without a countable
+    ground truth has no defined ZP and reaches neither kernel.  The others go
+    through ``_evaluate`` in blocks bounded by ``matching.BLOCK_ENTRIES``,
+    counting what each bin builds: its (bin, slot) flags, plus its live
+    (bin, pair) instances, its (bin, AP row) entries and its curves, all
+    times the thresholds.  Each block is one greedy pass and one AP call.
+    The bins replace the scale range, so a ``cfg`` with ``scale_range`` set
+    raises ValueError.
     ``workers`` is accepted for compatibility and ignored.
     """
     cfg = cfg or EvalConfig()
@@ -411,12 +472,28 @@ def scale_study(
         raise ValueError("scale_study sets the scale range per bin; cfg.scale_range must be None")
     bins = [(i, rng) for i, r in enumerate(steps) for rng in scale_bins(r)]
     geo = _geometry(ds, dets, partition, cfg)
-    per_block = max(1, matching.BLOCK_ENTRIES // max(1, len(geo.row_seg) * len(cfg.iou_thresholds)))
-    zps: list[list[list[float | None]]] = [[] for _ in steps]  # per step, per bin, per zone
-    for lo in range(0, len(bins), per_block):
-        block = bins[lo : lo + per_block]
-        for (i, _), zone_aps in zip(block, _evaluate(geo, cfg, [rng for _, rng in block])):
-            zps[i].append([_percent(mean_ap(zaps)) for zaps in zone_aps[:-1]])
+    ranges = [rng for _, rng in bins]
+    keys, n_pos = _positives(geo, ranges)
+    n_seg = (geo.n_zones + 1) * geo.n_categories
+    key_bin, key_seg = np.divmod(keys, n_seg)
+    # what a bin builds: its slot flags, and its instances, AP entries and curves at every threshold
+    work = np.bincount(geo.row_seg[geo.pair_row], minlength=n_seg) + np.bincount(geo.ap_seg, minlength=n_seg) + 1
+    per_bin = np.bincount(key_bin, weights=work[key_seg], minlength=len(bins)).astype(np.int64)
+    live = np.flatnonzero(per_bin)  # the bins with a countable ground truth
+    size = len(geo.slot_seg) + len(cfg.iou_thresholds) * per_bin[live]
+    ends = np.cumsum(size)
+    bin_zps: list[list[float | None]] = [[None] * len(partition.zones)] * len(bins)  # per bin, per zone
+    lo = 0
+    while lo < len(live):
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - size[lo] + matching.BLOCK_ENTRIES, side="right")))
+        block = live[lo:hi]
+        k0, k1 = np.searchsorted(key_bin, [block[0], block[-1] + 1])
+        block_keys = np.searchsorted(block, key_bin[k0:k1]) * n_seg + key_seg[k0:k1]
+        zone_aps = _evaluate(geo, cfg, [ranges[b] for b in block], block_keys, n_pos[k0:k1])
+        for b, zaps in zip(block.tolist(), zone_aps):
+            bin_zps[b] = [_percent(mean_ap(z)) for z in zaps[:-1]]
+        lo = hi
+    zps = [[z for (j, _), z in zip(bins, bin_zps) if j == i] for i in range(len(steps))]  # per step, per bin
     mean_zp = {r: [_mean(zone) for zone in zip(*zps[i])] for i, r in enumerate(steps)}
     grand = [_mean([mean_zp[r][zi] for r in steps]) for zi in range(len(partition.zones))]
     return ScaleStudyReport(tuple(steps), partition.zone_ids, mean_zp, grand)

@@ -471,6 +471,18 @@ class TestUsageErrors:
         assert code == 1
         assert err == f"error: argument --bins: {bins} scale bins are more than 1000\n"
 
+    @pytest.mark.parametrize("value", ["10002", "1000000000000"])
+    def test_too_many_recall_points_are_refused_when_parsed(self, capsys, value):
+        # evaluation time grows linearly with the recall points; the parser refuses them before any file is read
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(["eval", "--gt", "gt.json", "--dt", "dt.json", "--recall-points", value])
+        assert exc.value.code == 1
+        assert capsys.readouterr().err == f"error: argument --recall-points: {value} recall points are more than 10001\n"
+
+    def test_10001_recall_points_are_parsed(self):
+        args = cli.build_parser().parse_args(["eval", "--gt", "gt.json", "--dt", "dt.json", "--recall-points", "10001"])
+        assert cli._eval_config(args).recall_points == 10001
+
     def test_out_of_memory_is_one_error_line(self, bench_files, capsys, monkeypatch):
         # what numpy raises for the edge table of annular:100000, without allocating it
         message = "Unable to allocate 149. GiB for an array with shape (200000, 200001) and data type int32"

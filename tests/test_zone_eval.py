@@ -315,26 +315,34 @@ class TestCountThenMatch:
 
         monkeypatch.setattr(zone_eval, "greedy_match", spy)
         pruned = evaluate_zones(ds, dets, p)
-        [((row, slot, *_, slot_ignored, n_rows, thresholds), tp, ignored)] = calls
+        [((row, slot, iou, step, slot_ignored, n_rows, thresholds), tp, ignored)] = calls
+        # under one scale range the pass gets the pairs of countable segments in pair order; a
+        # pair's row is its row's place among the AP rows of the countable segments, its slot
+        # its slot's place among the slots those pairs reach
+        crowd = np.tile(geo.gt_crowd, 2)
+        countable = np.bincount(geo.slot_seg[~crowd], minlength=(len(p.zones) + 1) * n_cat) > 0
+        entry_rows = geo.ap_rows[countable[geo.ap_seg]]
+        live = countable[geo.row_seg[geo.pair_row]]
+        slots = np.unique(geo.pair_slot[live])
+        assert n_rows == len(entry_rows) and (slot_ignored[:, 0] == crowd[slots]).all()
+        assert (entry_rows[row] == geo.pair_row[live]).all() and (slots[slot] == geo.pair_slot[live]).all()
+        assert (iou == geo.pair_iou[live]).all() and (step == geo.pair_step[live]).all()
         # per image: (x0, category 1) and (whole image, category 1); the right
         # strip holds category-1 detections but no category-1 ground truth
-        assert groups(row) == {(z, 1, i) for z in (0, len(p.zones)) for i in range(len(ds.images))}
-        gts = slot % n_gt
+        assert groups(entry_rows[row]) == {(z, 1, i) for z in (0, len(p.zones)) for i in range(len(ds.images))}
+        gts = slots[slot] % n_gt
         assert {ds.category_ids[c] for c in (geo.slot_seg[gts] % n_cat).tolist()} == {1}
         assert len(set(gts.tolist())) == len(ds.images)  # one category-1 ground truth per image
 
         # the unpruned pass over every pair agrees on every row of a countable segment
-        countable = np.bincount(geo.slot_seg[~slot_ignored[:, 0]], minlength=(len(p.zones) + 1) * n_cat) > 0
         tp_all, ignored_all = real(geo.pair_row, geo.pair_slot, geo.pair_iou, geo.pair_step,
-                                   slot_ignored, n_rows, thresholds)
+                                   crowd[:, None], len(geo.row_seg), thresholds)
         assert len(groups(geo.pair_row)) > 2 * len(ds.images)
-        assert groups(row) == groups(geo.pair_row[countable[geo.row_seg[geo.pair_row]]])
-        rows = countable[geo.row_seg]
-        assert (tp_all[rows] == tp[rows]).all()
-        assert (ignored_all[rows] == ignored[rows]).all()
+        assert groups(entry_rows[row]) == groups(geo.pair_row[live])
+        assert (tp_all[entry_rows] == tp).all()
+        assert (ignored_all[entry_rows] == ignored).all()
 
-        monkeypatch.setattr(zone_eval, "greedy_match", lambda row, slot, iou, step, *rest:
-                            real(geo.pair_row, geo.pair_slot, geo.pair_iou, geo.pair_step, *rest))
+        monkeypatch.setattr(zone_eval, "greedy_match", lambda *args: (tp_all[entry_rows], ignored_all[entry_rows]))
         unpruned = evaluate_zones(ds, dets, p)
         assert pruned.to_json() == unpruned.to_json()
 
@@ -342,6 +350,34 @@ class TestCountThenMatch:
         ds, dets = self.instance()
         p = build_partition(StripX(2))
         assert evaluate_zones(ds, dets, p, workers=2).to_json() == evaluate_zones(ds, dets, p).to_json()
+
+
+class TestApOrder:
+    @pytest.mark.parametrize("cap_after_zone", [False, True])
+    def test_equals_one_lexsort_over_both_copies(self, cap_after_zone):
+        # the AP rows are the rows under the cap by (segment, -score), ties in row order;
+        # scores are rounded to two decimals, so ties are frequent
+        rng = np.random.default_rng(29)
+        p = build_partition(Annular(3))
+        for _ in range(60):
+            ds, dets = random_instance(rng)
+            cap = int(rng.integers(1, 8))
+            geo = zone_eval._geometry(ds, dets, p, EvalConfig(max_dets_per_image=cap, cap_after_zone=cap_after_zone))
+            rank = np.arange(dets.total) - dets.starts[dets.image]
+            kept = np.ones(dets.total, dtype=bool) if cap_after_zone else rank < cap
+            score, image = np.tile(dets.score[kept], 2), np.tile(dets.image[kept], 2)
+            under_cap = np.ones(len(score), dtype=bool)
+            if cap_after_zone:
+                zone = geo.row_seg // geo.n_categories
+                under_cap = matching.rank_within(image * (len(p.zones) + 1) + zone) < cap
+            rows = np.flatnonzero(under_cap)
+            want = rows[np.lexsort((-score[rows], geo.row_seg[rows]))]
+            assert geo.ap_rows.tolist() == want.tolist()
+            assert geo.ap_seg.tolist() == geo.row_seg[want].tolist()
+            # ap_rank: a row's place in its segment's run of AP rows, -1 over the cap
+            place = [geo.ap_seg[:i].tolist().count(s) for i, s in enumerate(geo.ap_seg.tolist())]
+            assert geo.ap_rank[want].tolist() == place
+            assert (geo.ap_rank[~under_cap] == -1).all()
 
 
 class TestCapPlacement:
@@ -511,6 +547,54 @@ class TestScaleStudy:
             monkeypatch.setattr(matching, "BLOCK_ENTRIES", entries)
             again = scale_study(ds, dets, p, cfg, steps)
             assert json.dumps(again.to_json_dict(), sort_keys=True) == doc
+
+    def test_only_live_bin_pair_instances_are_matched_and_scored(self, monkeypatch):
+        # a (bin, pair) instance is live when the pair's segment holds a ground truth
+        # countable in the bin; bins with none reach neither kernel
+        from collections import Counter
+
+        ds, dets = random_multiclass_benchmark(6, gts_per_image=8, dets_per_image=20, seed=4)
+        p = build_partition(Annular(3))
+        cfg = EvalConfig(max_dets_per_image=15)
+        steps = SCALE_STEPS + (None,)
+        geo = zone_eval._geometry(ds, dets, p, cfg)
+        bins = [rng for r in steps for rng in scale_bins(r)]
+        countable = []  # per bin, per segment
+        for rng in bins:
+            inside = np.tile(~geo.gt_crowd & matching.in_scale_range(geo.gt_area, rng), 2)
+            seg = np.zeros((len(p.zones) + 1) * geo.n_categories, dtype=bool)
+            seg[geo.slot_seg[inside]] = True
+            countable.append(seg)
+        instances = sum(int(c[geo.row_seg[geo.pair_row]].sum()) for c in countable)
+        curves = sum(int(c.sum()) for c in countable)
+        entries = sum(int(c[geo.ap_seg].sum()) for c in countable)
+        live = Counter(rng for rng, c in zip(bins, countable) if c.any())
+        assert 0 < sum(live.values()) < len(bins)
+        assert 0 < instances < len(bins) * len(geo.pair_row)
+
+        seen = Counter()
+        real_evaluate, real_greedy, real_ap = zone_eval._evaluate, zone_eval.greedy_match, zone_eval.average_precision
+
+        def evaluate(geo, cfg, ranges, *positives):
+            seen.update(ranges)
+            return real_evaluate(geo, cfg, ranges, *positives)
+
+        def greedy(row, *rest):
+            seen["pairs"] += len(row)
+            return real_greedy(row, *rest)
+
+        def ap(tp, ignored, starts, *rest):
+            seen["curves"] += len(starts)
+            seen["entries"] += tp.shape[1]
+            return real_ap(tp, ignored, starts, *rest)
+
+        want = scale_study(ds, dets, p, cfg, steps).to_json_dict()
+        monkeypatch.setattr(zone_eval, "_evaluate", evaluate)
+        monkeypatch.setattr(zone_eval, "greedy_match", greedy)
+        monkeypatch.setattr(zone_eval, "average_precision", ap)
+        assert scale_study(ds, dets, p, cfg, steps).to_json_dict() == want
+        assert (seen.pop("pairs"), seen.pop("curves"), seen.pop("entries")) == (instances, curves, entries)
+        assert seen == live
 
     def test_workers_run_in_process(self, mini_dataset, mini_detections, monkeypatch):
         import multiprocessing.pool
