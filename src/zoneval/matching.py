@@ -9,15 +9,14 @@ that only reaches an ignored ground truth is itself ignored, as is an
 unmatched detection whose own box area falls outside the configured scale
 range.  Every ground truth is matched at most once per threshold.
 
-``greedy_match`` runs this rule for any number of groups, for B sets of
-ignore flags and for every IoU threshold at once: a column axis of (B x
-thresholds).  ``zone_eval`` passes one set and makes the scale range part of
-the group instead.  Its input is the flat list of candidate
-pairs (detection row, ground-truth slot, IoU) with IoU at or above the lowest
-threshold.  It steps over detection rank, at most the per-image cap, and each
-step decides the pairs of that rank in every group and every column with a
-few array operations: a row's winner in a column is its free, reaching pair
-of least ``pair index + n_pairs * ignored``, one ``minimum.reduceat``.  Rows
+``greedy_match`` runs this rule for any number of groups and every IoU
+threshold at once; ``zone_eval`` makes the scale range part of the group.
+Its input is the flat list of candidate pairs (detection row, ground-truth
+slot, IoU) with IoU at or above the lowest threshold.  It steps over
+detection rank, at most the per-image cap, and each step decides the pairs
+of that rank in every group and at every threshold with a few array
+operations: a row's winner at a threshold is its free, reaching pair of
+least ``pair index + n_pairs * ignored``, one ``minimum.reduceat``.  Rows
 without a candidate pair never match, so they never enter the loop.
 
 AP follows the conventional COCO recipe: cumulative TP/FP in global score
@@ -43,6 +42,7 @@ the one driver of this kernel.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,13 +74,6 @@ class EvalConfig:
     def recall_grid(self) -> np.ndarray:
         # k/(R-1) by IEEE division, bit-identical to a scalar re-derivation
         return np.arange(self.recall_points) / (self.recall_points - 1)
-
-
-def in_scale_range(area: np.ndarray, rng: tuple[float, float] | None) -> np.ndarray:
-    """Whether each area lies in the half-open scale range [lo, hi); all True for None."""
-    if rng is None:
-        return np.ones(np.shape(area), dtype=bool)
-    return (rng[0] <= area) & (area < rng[1])
 
 
 def rank_within(keys: np.ndarray) -> np.ndarray:
@@ -124,30 +117,27 @@ def greedy_match(
     n_rows: int,
     thresholds: tuple[float, ...],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Greedy matching of many groups under B ignore columns, at every IoU threshold.
+    """Greedy matching of many groups at every IoU threshold.
 
     Pairs come in ``pair_order``.  A slot is one ground truth of one group, so
-    matching in one group never touches another.  ``slot_ignored`` is
-    (slots, B): column b flags the slots ignored in the b-th matching (a scale
-    bin, say), and the thresholds tile across the B columns.  Returns (tp,
-    ignored), both (n_rows, B, T): whether each row matched a non-ignored and
-    an ignored ground truth in each column at each threshold.
+    matching in one group never touches another.  ``slot_ignored`` flags
+    each slot.  Returns (tp, ignored), both (n_rows, T): whether each row
+    matched a non-ignored and an ignored ground truth at each threshold.
 
-    Per row, column and threshold the winner is the free pair, among those
-    whose IoU reaches the threshold, of least key ``pair index + n_pairs *
-    ignored``: non-ignored pairs first, then in pair order (-IoU, -slot),
-    which is COCO's greedy rule.  Rows of one step belong to different
-    groups, so a step resolves all of them, in every column, at once.
+    Per row and threshold the winner is the free pair, among those whose IoU
+    reaches the threshold, of least key ``pair index + n_pairs * ignored``:
+    non-ignored pairs first, then in pair order (-IoU, -slot), which is
+    COCO's greedy rule.  Rows of one step belong to different groups, so a
+    step resolves all of them, at every threshold, at once.
     """
-    b_count, t_count = slot_ignored.shape[1], len(thresholds)
-    tp = np.zeros((n_rows, b_count, t_count), dtype=bool)
-    ign = np.zeros((n_rows, b_count, t_count), dtype=bool)
+    tp = np.zeros((n_rows, len(thresholds)), dtype=bool)
+    ign = np.zeros((n_rows, len(thresholds)), dtype=bool)
     n = len(row)
     if n == 0:
         return tp, ign
-    key = np.arange(n)[:, None] + n * slot_ignored[slot]  # (pairs, B)
+    key = np.arange(n) + n * slot_ignored[slot]
     reaches = iou[:, None] >= np.asarray(thresholds)[None, :]
-    matched = np.zeros((len(slot_ignored), b_count, t_count), dtype=bool)
+    matched = np.zeros((len(slot_ignored), len(thresholds)), dtype=bool)
 
     new_row = np.ones(n, dtype=bool)
     new_row[1:] = row[1:] != row[:-1]
@@ -158,27 +148,35 @@ def greedy_match(
     for s in range(len(step_start) - 1):
         r0, r1 = step_start[s], step_start[s + 1]
         a, b = bounds[r0], bounds[r1]
-        free = reaches[a:b, None, :] & ~matched[slot[a:b]]
-        cand = np.where(free, key[a:b, :, None], none)
+        free = reaches[a:b] & ~matched[slot[a:b]]
+        cand = np.where(free, key[a:b, None], none)
         first = np.minimum.reduceat(cand, row_start[r0:r1] - a, axis=0)
-        hit_row, hit_b, hit_t = np.nonzero(first < none)
-        k = first[hit_row, hit_b, hit_t]
+        hit_row, hit_t = np.nonzero(first < none)
+        k = first[hit_row, hit_t]
         hit_ign = k >= n
         p = k - n * hit_ign
-        matched[slot[p], hit_b, hit_t] = True
-        tp[row[p], hit_b, hit_t] = ~hit_ign
-        ign[row[p], hit_b, hit_t] = hit_ign
+        matched[slot[p], hit_t] = True
+        tp[row[p], hit_t] = ~hit_ign
+        ign[row[p], hit_t] = hit_ign
     return tp, ign
 
 
-# bound on the entries of every blocked pass: the AP kernel's (threshold, row)
-# entries and (curve, recall point) cells; scale_study's blocks of bins, each
-# bin counting its (bin, slot) flags plus its live (bin, pair) instances,
-# (bin, AP row) entries and curves times the thresholds; the (range, ground
-# truth) flags that count positives; and zone_eval's candidate pairs, four
-# corner entries a pair.  An AP block goes over it only when one curve alone
-# holds more entries, and a scale_study block when one bin does
+# bound on the entries that one block of a blocked pass builds (see ``blocks``)
 BLOCK_ENTRIES = 1 << 16
+
+
+def blocks(sizes: np.ndarray) -> Iterator[tuple[int, int]]:
+    """Cut items of the given sizes (>= 0) into consecutive runs ``lo:hi`` of whole items.
+
+    Each run is as long as it can be while its sizes sum to at most
+    ``BLOCK_ENTRIES``; an item larger than that is a run alone.
+    """
+    ends = np.cumsum(sizes, dtype=np.int64)
+    lo = 0
+    while lo < len(ends):
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - sizes[lo] + BLOCK_ENTRIES, side="right")))
+        yield lo, hi
+        lo = hi
 
 
 def average_precision(
@@ -202,9 +200,8 @@ def average_precision(
     last grid point <= its recall); a cell's best precision (0 if it has
     none), maximized from the right along its curve, is that grid point's
     sample.  In C order, curve ``t * S + s`` is the flat range from ``t * N +
-    starts[s]`` to the next curve's start, and one loop takes blocks of whole
-    curves: at most ``BLOCK_ENTRIES // R`` curves and ``BLOCK_ENTRIES``
-    entries, unless one curve alone holds more.
+    starts[s]`` to the next curve's start, and one loop takes ``blocks`` of
+    whole curves, each curve building its entries and its R cells.
 
     Each cell's best precision is that of a true positive, so only true
     positives are placed.  A false positive shares the recall, and so the
@@ -220,10 +217,8 @@ def average_precision(
     tp, ignored = tp.ravel(), ignored.ravel()
     # bounds[c]:bounds[c + 1] are curve c's entries
     bounds = np.append((np.arange(t_count)[:, None] * n + starts).ravel(), t_count * n)
-    out, c0, per_block = np.empty(t_count * s_count), 0, max(1, BLOCK_ENTRIES // r_count)
-    while c0 < len(out):
-        fits = int(np.searchsorted(bounds, bounds[c0] + BLOCK_ENTRIES, side="right")) - 1
-        c1 = max(c0 + 1, min(c0 + per_block, fits))  # whole curves, at least one
+    out = np.empty(t_count * s_count)
+    for c0, c1 in blocks(np.diff(bounds) + r_count):  # a curve builds its entries and its cells
         a, b = bounds[c0], bounds[c1]
         kept = ~ignored[a:b]
         # before[i]: kept entries ahead of entry a + i
@@ -246,7 +241,6 @@ def average_precision(
         sampled = np.maximum.accumulate(sampled[:, ::-1], axis=1)
         # summed left to right, in the order a single curve's samples are
         out[c0:c1] = np.ascontiguousarray(sampled[:, ::-1]).mean(axis=1)
-        c0 = c1
     return np.ascontiguousarray(out.reshape(t_count, s_count).T)
 
 

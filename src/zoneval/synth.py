@@ -22,7 +22,7 @@ from .coco import (BBox, Category, Dataset, Detection, DetectionSet, GroundTruth
                    iou_matrix, xywh)
 from .equilibrium import spatial_weight
 from .matching import DEFAULT_IOU_THRESHOLDS
-from .zone_eval import ZoneReport, ZoneResult
+from .zone_eval import ZoneReport, ZoneResult, _sum
 from .zones import Grid, Partition, Zone, build_partition, spec_label
 
 GRID_SIDE = 3  # layout and evaluation grid are both 3x3
@@ -134,8 +134,8 @@ def zone_mean_weight(zone: Zone) -> float:
     x0, y0, x1, y1 = np.array([(r.x0, r.y0, r.x1, r.y1) for r in zone.rects]).reshape(-1, 4).T
     area = (x1 - x0) * (y1 - y0)
     weight = spatial_weight((x0 + x1) / 2.0, (y0 + y1) / 2.0, 1.0, 1.0)
-    den = sum(area.tolist())  # summed in rectangle order
-    return sum((area * weight).tolist()) / den if den else 0.0
+    den = _sum(area.tolist())  # summed in rectangle order
+    return _sum((area * weight).tolist()) / den if den else 0.0
 
 
 def graded_profile(

@@ -32,12 +32,12 @@ once, with the range as one more part of the group key.  Each candidate pair
 is expanded only into the ranges in which its segment is countable; such a
 (range, pair) instance has its AP entry as its row, its place in the (range,
 segment, -score) order of every countable segment's AP rows, and a (range,
-slot) of its own.  One greedy pass with one ignore column then matches every
-range, its results are already in AP order, and one ``average_precision``
-call scores every (range, countable segment) curve.  ``evaluate_zones`` is
-its one-range case; the scale study builds the geometry once, counts every
-bin, and runs the bins that hold a countable ground truth through it, a
-bounded block of bins per pass.
+slot) of its own.  One greedy pass with one ignore flag per slot then
+matches every range, its results are already in AP order, and one
+``average_precision`` call scores every (range, countable segment) curve.
+``evaluate_zones`` is its one-range case; the scale study builds the
+geometry once, counts every bin, and runs the bins that hold a countable
+ground truth through it, one ``matching.blocks`` run of bins per pass.
 """
 
 from __future__ import annotations
@@ -145,8 +145,20 @@ def zp_variance(zps: list[float]) -> float:
         raise ValueError("variance of an empty ZP series is undefined")
     if all(z == zps[0] for z in zps):
         return 0.0
-    mean = sum(zps) / len(zps)
-    return sum((z - mean) ** 2 for z in zps) / len(zps)
+    mean = _sum(zps) / len(zps)
+    return _sum((z - mean) ** 2 for z in zps) / len(zps)
+
+
+def _sum(values) -> float:
+    """Sum of floats, added left to right.
+
+    Not builtin ``sum``, which compensates its rounding from Python 3.12 on,
+    so that a report's bytes do not depend on the interpreter.
+    """
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 @dataclass
@@ -184,10 +196,10 @@ def _candidate_pairs(
 
     A group is one (image, category), keyed ``image * n_categories +
     category``.  The ground truths are sorted by group once (stably), so each
-    detection's group is one run of them, and the pairs are listed run by run
-    in blocks of at most ``matching.BLOCK_ENTRIES // 4`` pairs (four corner
-    entries each in the first test).  A block keeps the pairs that overlap in
-    x, then those that overlap in y, and computes ``corner_iou`` on those
+    detection's group is one run of them, and the pairs are listed in
+    ``matching.blocks`` of whole detections, a detection building four corner
+    entries per pair in the first test.  A block keeps the pairs that overlap
+    in x, then those that overlap in y, and computes ``corner_iou`` on those
     alone.  Every other pair has IoU 0, and ``EvalConfig`` keeps every
     threshold above 0.
     """
@@ -195,18 +207,14 @@ def _candidate_pairs(
     sorted_group = gt_group[by_group]
     lo = np.searchsorted(sorted_group, dt_group, side="left")
     count = np.searchsorted(sorted_group, dt_group, side="right") - lo
-    ends = np.cumsum(count)  # detection d owns pairs starts[d]:ends[d]
-    starts = ends - count
+    starts = np.cumsum(count) - count  # detection d owns pairs starts[d]:starts[d] + count[d]
     shift = lo - starts  # pair p of detection d is with sorted ground truth p + shift[d]
     dx0, dy0, dx1, dy1 = box_corners(dt_box)
     gx0, gy0, gx1, gy1 = (c[by_group] for c in box_corners(gt_box))
     found = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))]
-    total, per_block = int(count.sum()), max(1, matching.BLOCK_ENTRIES // 4)
-    for p0 in range(0, total, per_block):
-        p1 = min(p0 + per_block, total)
-        d0, d1 = int(np.searchsorted(ends, p0, side="right")), int(np.searchsorted(starts, p1))
-        det = np.repeat(np.arange(d0, d1), np.minimum(ends[d0:d1], p1) - np.maximum(starts[d0:d1], p0))
-        g = np.arange(p0, p1) + shift[det]
+    for d0, d1 in matching.blocks(4 * count):
+        det = np.repeat(np.arange(d0, d1), count[d0:d1])
+        g = np.arange(starts[d0], starts[d0] + len(det)) + shift[det]
         k = np.flatnonzero(np.minimum(dx1[det], gx1[g]) - np.maximum(dx0[det], gx0[g]) > 0)
         det, g = det[k], g[k]
         k = np.flatnonzero(np.minimum(dy1[det], gy1[g]) - np.maximum(dy0[det], gy0[g]) > 0)
@@ -281,7 +289,7 @@ _Range = tuple[float, float] | None  # a scale range [lo, hi) in pixels^2; None 
 
 
 def _in_ranges(area: np.ndarray, ranges: list[_Range], b: np.ndarray) -> np.ndarray:
-    """Whether each area lies in the scale range ``ranges[b]``, elementwise, as ``in_scale_range`` tests it."""
+    """Whether each area lies in the scale range ``ranges[b]``, elementwise: in [lo, hi), or anywhere for None."""
     whole = np.array([r is None for r in ranges], dtype=bool)
     lo, hi = (np.array([0.0 if r is None else r[i] for r in ranges], dtype=float) for i in (0, 1))
     return whole[b] | ((lo[b] <= area) & (area < hi[b]))
@@ -298,14 +306,12 @@ def _positives(geo: _Geometry, ranges: list[_Range]) -> tuple[np.ndarray, np.nda
 
     They are keyed ``range * n_segments + segment``, in increasing order.  A
     ground truth counts in its zone and in the whole image.  The ranges go
-    in blocks of at most ``matching.BLOCK_ENTRIES`` (range, ground truth) flags.
+    in ``matching.blocks``, a range building one flag per ground truth.
     """
     n_seg, n_gt = (geo.n_zones + 1) * geo.n_categories, len(geo.gt_area)
     keys = [np.zeros(0, dtype=np.int64)]
-    per_block = max(1, matching.BLOCK_ENTRIES // max(1, n_gt))
-    for lo in range(0, len(ranges), per_block):
-        block = ranges[lo : lo + per_block]
-        b, g = np.nonzero(~geo.gt_crowd & _in_ranges(geo.gt_area, block, np.arange(len(block))[:, None]))
+    for lo, hi in matching.blocks(np.full(len(ranges), n_gt)):
+        b, g = np.nonzero(~geo.gt_crowd & _in_ranges(geo.gt_area, ranges[lo:hi], np.arange(hi - lo)[:, None]))
         first = (lo + b) * n_seg
         keys += [first + geo.slot_seg[g], first + geo.slot_seg[n_gt + g]]
     return np.unique(np.concatenate(keys), return_counts=True)
@@ -347,9 +353,8 @@ def _evaluate(
     gt = slot % len(geo.gt_area)  # slot n_gt + g is ground truth g in the whole image
     slot_ignored = geo.gt_crowd[gt] | ~_in_ranges(geo.gt_area[gt], ranges, slot_range)
     tp, ignored = greedy_match(starts[key] + geo.ap_rank[geo.pair_row[pair]], (np.cumsum(reached) - 1)[slot_key],
-                               geo.pair_iou[pair], geo.pair_step[pair], slot_ignored[:, None], len(entry_row),
+                               geo.pair_iou[pair], geo.pair_step[pair], slot_ignored, len(entry_row),
                                cfg.iou_thresholds)
-    tp, ignored = tp[:, 0], ignored[:, 0]
     # an unmatched detection outside the range is ignored too
     ignored |= ~tp & ~_in_ranges(geo.row_area[entry_row], ranges, key_range[curve])[:, None]
     aps = average_precision(np.ascontiguousarray(tp.T), np.ascontiguousarray(ignored.T), starts, n_pos,
@@ -459,10 +464,10 @@ def scale_study(
     and their IoU) does not depend on the bin, so it is computed once, and
     so are the positives of every (bin, segment).  A bin without a countable
     ground truth has no defined ZP and reaches neither kernel.  The others go
-    through ``_evaluate`` in blocks bounded by ``matching.BLOCK_ENTRIES``,
-    counting what each bin builds: its (bin, slot) flags, plus its live
-    (bin, pair) instances, its (bin, AP row) entries and its curves, all
-    times the thresholds.  Each block is one greedy pass and one AP call.
+    through ``_evaluate`` in ``matching.blocks``, a bin building its (bin,
+    slot) flags, plus its live (bin, pair) instances, its (bin, AP row)
+    entries and its curves, all times the thresholds.  Each block is one
+    greedy pass and one AP call.
     The bins replace the scale range, so a ``cfg`` with ``scale_range`` set
     raises ValueError.
     ``workers`` is accepted for compatibility and ignored.
@@ -480,19 +485,14 @@ def scale_study(
     work = np.bincount(geo.row_seg[geo.pair_row], minlength=n_seg) + np.bincount(geo.ap_seg, minlength=n_seg) + 1
     per_bin = np.bincount(key_bin, weights=work[key_seg], minlength=len(bins)).astype(np.int64)
     live = np.flatnonzero(per_bin)  # the bins with a countable ground truth
-    size = len(geo.slot_seg) + len(cfg.iou_thresholds) * per_bin[live]
-    ends = np.cumsum(size)
     bin_zps: list[list[float | None]] = [[None] * len(partition.zones)] * len(bins)  # per bin, per zone
-    lo = 0
-    while lo < len(live):
-        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - size[lo] + matching.BLOCK_ENTRIES, side="right")))
+    for lo, hi in matching.blocks(len(geo.slot_seg) + len(cfg.iou_thresholds) * per_bin[live]):
         block = live[lo:hi]
         k0, k1 = np.searchsorted(key_bin, [block[0], block[-1] + 1])
         block_keys = np.searchsorted(block, key_bin[k0:k1]) * n_seg + key_seg[k0:k1]
         zone_aps = _evaluate(geo, cfg, [ranges[b] for b in block], block_keys, n_pos[k0:k1])
         for b, zaps in zip(block.tolist(), zone_aps):
             bin_zps[b] = [_percent(mean_ap(z)) for z in zaps[:-1]]
-        lo = hi
     zps = [[z for (j, _), z in zip(bins, bin_zps) if j == i] for i in range(len(steps))]  # per step, per bin
     mean_zp = {r: [_mean(zone) for zone in zip(*zps[i])] for i, r in enumerate(steps)}
     grand = [_mean([mean_zp[r][zi] for r in steps]) for zi in range(len(partition.zones))]
@@ -500,14 +500,9 @@ def scale_study(
 
 
 def _mean(values) -> float | None:
-    """Mean of the values that are not None, summed left to right; None if every value is.
-
-    Not ``sum``, which compensates its rounding from Python 3.12 on.
-    """
-    defined, total = [v for v in values if v is not None], 0.0
-    for v in defined:
-        total += v
-    return total / len(defined) if defined else None
+    """Mean of the values that are not None, summed by ``_sum``; None if every value is."""
+    defined = [v for v in values if v is not None]
+    return _sum(defined) / len(defined) if defined else None
 
 
 def grid_heatmap(

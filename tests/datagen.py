@@ -34,10 +34,19 @@ from zoneval.matching import (
     EvalConfig,
     average_precision,
     greedy_match,
-    in_scale_range,
     mean_ap,
     pair_order,
 )
+
+
+def in_scale_range(area: np.ndarray, rng: tuple[float, float] | None) -> np.ndarray:
+    """Whether each area lies in the half-open scale range [lo, hi); all True for None.
+
+    The rule ``zone_eval._in_ranges`` applies, restated for the reference.
+    """
+    if rng is None:
+        return np.ones(np.shape(area), dtype=bool)
+    return (rng[0] <= area) & (area < rng[1])
 
 
 @dataclass
@@ -72,9 +81,7 @@ def match_image(gts: list[GroundTruth], dets: list[Detection], cfg: EvalConfig) 
     row, slot = np.nonzero(ious >= cfg.iou_thresholds[0])
     iou = ious[row, slot]
     order, step = pair_order(row, slot, iou, np.zeros(len(dets), dtype=np.int64))
-    tp, ign = greedy_match(row[order], slot[order], iou[order], step,
-                           gt_ignored[:, None], len(dets), cfg.iou_thresholds)
-    tp, ign = tp[:, 0], ign[:, 0]
+    tp, ign = greedy_match(row[order], slot[order], iou[order], step, gt_ignored, len(dets), cfg.iou_thresholds)
     out_of_range = ~in_scale_range(det_box[:, 2] * det_box[:, 3], cfg.scale_range)
     ign |= ~tp & out_of_range[:, None]
     scores = np.array([d.score for d in dets], dtype=float)

@@ -3,12 +3,12 @@ import pytest
 
 from zoneval import matching
 from zoneval.coco import BBox, Category, Dataset, Detection, DetectionSet, GroundTruth, ImageInfo, iou_matrix
-from zoneval.matching import EvalConfig, average_precision, greedy_match, in_scale_range, pair_order
+from zoneval.matching import EvalConfig, average_precision, greedy_match, pair_order
 from zoneval.oracle import ap_oracle
 from zoneval.zone_eval import evaluate_zones
 from zoneval.zones import Annular, build_partition
 
-from datagen import full_image_ap, match_image, random_instance
+from datagen import full_image_ap, in_scale_range, match_image, random_instance
 
 
 def gt(gid, bbox, cat=1, img=1, ignore=False):
@@ -171,10 +171,10 @@ class TestBatchedGroups:
                                scale_range=(0.0, 48.0**2))):
             geo = zone_eval._geometry(ds, dset, p, cfg)
             # every pair, also of the groups that evaluate_zones leaves out for want of a countable ground truth
-            slot_ignored = np.tile(geo.gt_crowd | ~in_scale_range(geo.gt_area, cfg.scale_range), 2)[:, None]
+            slot_ignored = np.tile(geo.gt_crowd | ~in_scale_range(geo.gt_area, cfg.scale_range), 2)
             tp, ignored = greedy_match(geo.pair_row, geo.pair_slot, geo.pair_iou, geo.pair_step,
                                        slot_ignored, len(geo.row_seg), cfg.iou_thresholds)
-            ignored |= ~tp & ~in_scale_range(geo.row_area, cfg.scale_range)[:, None, None]
+            ignored |= ~tp & ~in_scale_range(geo.row_area, cfg.scale_range)[:, None]
             n_dets = len(geo.row_seg) // 2
             row = 0
             compared = 0
@@ -199,14 +199,14 @@ class TestBatchedGroups:
                         dets = [d for d in dets if d.category_id == cat]
                         alone = match_image(gts, dets, cfg)
                         idx = [offset + rows_of[id(d)] for d in dets]
-                        assert (tp[idx, 0].T == alone.tp).all()
-                        assert (ignored[idx, 0].T == alone.ignored).all()
+                        assert (tp[idx].T == alone.tp).all()
+                        assert (ignored[idx].T == alone.ignored).all()
                         compared += int(alone.tp.any())
             assert compared > 20
 
 
 class TestIgnoreColumns:
-    """greedy_match with B ignore columns equals B one-column calls, column for column."""
+    """Each column of a table of ignore flags, as one greedy_match call, equals a scalar greedy loop."""
 
     @staticmethod
     def instance(rng, n_groups=10):
@@ -227,6 +227,22 @@ class TestIgnoreColumns:
         order, step = pair_order(row, slot, iou, np.concatenate(groups))
         return row[order], slot[order], iou[order], step, n_rows, n_slots
 
+    @staticmethod
+    def scalar_greedy(row, slot, iou, slot_ignored, n_rows, thresholds):
+        """COCO's greedy rule one row at a time, rows in id order and each row's pairs in pair order."""
+        tp = np.zeros((n_rows, len(thresholds)), dtype=bool)
+        ign = np.zeros_like(tp)
+        for t, threshold in enumerate(thresholds):
+            taken = set()
+            for r in np.unique(row).tolist():
+                free = [p for p in np.flatnonzero(row == r) if iou[p] >= threshold and slot[p] not in taken]
+                best = [p for p in free if not slot_ignored[slot[p]]] or free
+                if best:
+                    taken.add(slot[best[0]])
+                    ign[r, t] = slot_ignored[slot[best[0]]]
+                    tp[r, t] = not ign[r, t]
+        return tp, ign
+
     @pytest.mark.parametrize("seed", range(8))
     def test_columns_equal_one_column_calls(self, seed):
         rng = np.random.default_rng(seed)
@@ -240,15 +256,48 @@ class TestIgnoreColumns:
         ignored[:, 4], ignored[:, 5] = False, True
         assert ((row[1:] == row[:-1]) & (iou[1:] == iou[:-1])).any()  # a row's IoU tie, broken by -slot
 
-        tp, ign = greedy_match(row, slot, iou, step, ignored, n_rows, thresholds)
-        assert tp.shape == ign.shape == (n_rows, 6, len(thresholds))
+        # one call per column; groups share no slot and their rows rise with rank, so rows go in id order
+        tp, ign = zip(*(greedy_match(row, slot, iou, step, ignored[:, b], n_rows, thresholds) for b in range(6)))
         for b in range(6):
-            tp1, ign1 = greedy_match(row, slot, iou, step, ignored[:, b : b + 1], n_rows, thresholds)
-            assert (tp[:, b] == tp1[:, 0]).all()
-            assert (ign[:, b] == ign1[:, 0]).all()
-        assert not (tp & ign).any()
-        assert tp[:, 0].any() and ign[:, 0].any()  # a lower-IoU real match, and an ignored one
-        assert not ign[:, 4].any() and not tp[:, 5].any()
+            assert tp[b].shape == ign[b].shape == (n_rows, len(thresholds))
+            want_tp, want_ign = self.scalar_greedy(row, slot, iou, ignored[:, b], n_rows, thresholds)
+            assert (tp[b] == want_tp).all()
+            assert (ign[b] == want_ign).all()
+            assert not (tp[b] & ign[b]).any()
+        assert tp[0].any() and ign[0].any()  # a lower-IoU real match, and an ignored one
+        assert not ign[4].any() and not tp[5].any()
+
+
+class TestBlocks:
+    @staticmethod
+    def check(sizes, bound):
+        runs = list(matching.blocks(sizes))
+        assert all(isinstance(i, int) for run in runs for i in run)
+        # consecutive runs that cover 0..n in order
+        ends = [0] + [hi for _, hi in runs]
+        assert [lo for lo, _ in runs] == ends[:-1] and ends[-1] == len(sizes)
+        for lo, hi in runs:
+            total = int(sizes[lo:hi].sum())
+            assert hi > lo and (total <= bound or hi == lo + 1)
+            if hi < len(sizes):  # maximal: the next item would go over the bound
+                assert total + int(sizes[hi]) > bound
+        return runs
+
+    @pytest.mark.parametrize("bound", [1, 7, 250, 1 << 16])
+    def test_runs_are_consecutive_bounded_and_maximal(self, monkeypatch, bound):
+        monkeypatch.setattr(matching, "BLOCK_ENTRIES", bound)
+        rng = np.random.default_rng(47)
+        for _ in range(200):
+            top = int(rng.choice([1, 10, 2 * bound, 10 * bound]))
+            sizes = rng.integers(0, top, size=int(rng.integers(1, 60)))
+            sizes[rng.random(len(sizes)) < 0.3] = 0
+            self.check(sizes, bound)
+
+    def test_zero_sizes_and_empty_input(self, monkeypatch):
+        monkeypatch.setattr(matching, "BLOCK_ENTRIES", 4)
+        assert self.check(np.zeros(0, dtype=np.int64), 4) == []
+        assert self.check(np.zeros(5, dtype=np.int64), 4) == [(0, 5)]
+        assert self.check(np.array([0, 9, 0, 2, 2, 0, 1]), 4) == [(0, 1), (1, 2), (2, 6), (6, 7)]
 
 
 class TestApFromMatches:

@@ -23,7 +23,8 @@ from zoneval.zone_eval import (
 from zoneval.zones import Annular, Custom, Grid, StripX, build_partition
 
 from conftest import write_coco_dt, write_coco_gt
-from datagen import candidate_pairs_by_image, random_benchmark, random_instance, random_multiclass_benchmark
+from datagen import (candidate_pairs_by_image, in_scale_range, random_benchmark, random_instance,
+                     random_multiclass_benchmark)
 
 THREE_ZONES = Custom(
     (
@@ -324,7 +325,7 @@ class TestCountThenMatch:
         entry_rows = geo.ap_rows[countable[geo.ap_seg]]
         live = countable[geo.row_seg[geo.pair_row]]
         slots = np.unique(geo.pair_slot[live])
-        assert n_rows == len(entry_rows) and (slot_ignored[:, 0] == crowd[slots]).all()
+        assert n_rows == len(entry_rows) and (slot_ignored == crowd[slots]).all()
         assert (entry_rows[row] == geo.pair_row[live]).all() and (slots[slot] == geo.pair_slot[live]).all()
         assert (iou == geo.pair_iou[live]).all() and (step == geo.pair_step[live]).all()
         # per image: (x0, category 1) and (whole image, category 1); the right
@@ -336,7 +337,7 @@ class TestCountThenMatch:
 
         # the unpruned pass over every pair agrees on every row of a countable segment
         tp_all, ignored_all = real(geo.pair_row, geo.pair_slot, geo.pair_iou, geo.pair_step,
-                                   crowd[:, None], len(geo.row_seg), thresholds)
+                                   crowd, len(geo.row_seg), thresholds)
         assert len(groups(geo.pair_row)) > 2 * len(ds.images)
         assert groups(entry_rows[row]) == groups(geo.pair_row[live])
         assert (tp_all[entry_rows] == tp).all()
@@ -561,7 +562,7 @@ class TestScaleStudy:
         bins = [rng for r in steps for rng in scale_bins(r)]
         countable = []  # per bin, per segment
         for rng in bins:
-            inside = np.tile(~geo.gt_crowd & matching.in_scale_range(geo.gt_area, rng), 2)
+            inside = np.tile(~geo.gt_crowd & in_scale_range(geo.gt_area, rng), 2)
             seg = np.zeros((len(p.zones) + 1) * geo.n_categories, dtype=bool)
             seg[geo.slot_seg[inside]] = True
             countable.append(seg)
@@ -667,7 +668,8 @@ class TestCandidatePairs:
 
     @pytest.mark.parametrize("per_block", [None, 1, 7, 250, 10**9])
     def test_equals_the_per_image_loop(self, monkeypatch, per_block):
-        # the pass lists BLOCK_ENTRIES // 4 pairs per block
+        # a block holds whole detections of at most per_block pairs in all (four entries a pair),
+        # or one detection that has more
         if per_block is not None:
             monkeypatch.setattr(matching, "BLOCK_ENTRIES", 4 * per_block)
         rng = np.random.default_rng(41)
@@ -687,6 +689,30 @@ class TestCandidatePairs:
             for case, hit in self.coverage(n_img, dt, gt, min_iou, want).items():
                 seen[case] = seen.get(case, 0) + hit
         assert min(seen.values()) >= 5, seen
+
+    def test_memory_stays_within_the_block_bound(self, monkeypatch):
+        # 1,600,000 same-group pairs are 1,562 times the 1,024 pairs of a block (listed at once,
+        # they would take 77 MB); few reach the threshold, so the pass's temporaries, not its
+        # output, set the peak, which must grow with the bound
+        import tracemalloc
+
+        monkeypatch.setattr(matching, "BLOCK_ENTRIES", 1 << 12)
+        rng = np.random.default_rng(43)
+        n_img, per_image = 10, 400
+
+        def boxes():
+            corner = rng.integers(0, 1000, (n_img * per_image, 2))
+            return np.repeat(np.arange(n_img), per_image), np.hstack([corner, np.full_like(corner, 20)]).astype(float)
+
+        (dt_group, dt_box), (gt_group, gt_box) = boxes(), boxes()
+        tracemalloc.start()
+        try:
+            det, gt, iou = zone_eval._candidate_pairs(dt_group, dt_box, gt_group, gt_box, 0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 0 < len(det) < 1000
+        assert peak < 2 << 20, peak
 
     def test_no_pairs(self):
         box = np.array([[0.0, 0.0, 1.0, 1.0]])
