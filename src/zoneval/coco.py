@@ -367,15 +367,16 @@ class Dataset:
         category = _index(self.category_index, category_ids)[by_id]
         area = area[by_id]
         dup = np.array(list(map(eq, ids, (None, *ids))), dtype=bool)  # an id equal to the one before it
-        bad = np.flatnonzero(dup | (image < 0) | (category < 0) | ~(area > 0))  # NaN is not > 0
+        bad = np.flatnonzero(dup | (image < 0) | (category < 0) | ~((area > 0) & (area < np.inf)))  # NaN fails
         if bad.size:  # the lowest bad id, by the first check it fails
             k = int(bad[0])
             j = int(by_id[k])
             raise IngestError(
                 f"duplicate annotation id {ids[k]}" if dup[k] else
                 f"annotation {ids[k]} references missing image {image_ids[j]}" if image[k] < 0 else
-                f"annotation {ids[k]} references missing category {category_ids[j]}" if category[k] < 0
-                else f"annotation {ids[k]}: area must be positive, got {float(area[k])}")
+                f"annotation {ids[k]} references missing category {category_ids[j]}" if category[k] < 0 else
+                f"annotation {ids[k]}: area must be positive, got {float(area[k])}" if not area[k] > 0
+                else f"annotation {ids[k]}: area must be finite, got {float(area[k])}")
         order = np.argsort(image, kind="stable")  # by image, then by id
         rows = by_id[order]
         self.gt_id = [ids[k] for k in order.tolist()]

@@ -19,7 +19,7 @@ of the whole dataset (``_candidate_pairs``).  It keeps the candidate pairs
 (IoU at or above the lowest threshold) as flat dataset-wide arrays.
 
 Count, then match: a ground truth is countable when it is not crowd and its
-area lies in the scale range, and ``_positives`` counts them per (range,
+area lies in the scale range, and ``_zone_aps`` counts them per (range,
 segment).  Only the pairs of (zone, category) segments holding a countable
 ground truth go through the greedy pass (``matching.greedy_match``), which
 handles every group of every image and every IoU threshold at once.  This is
@@ -35,9 +35,10 @@ segment, -score) order of every countable segment's AP rows, and a (range,
 slot) of its own.  One greedy pass with one ignore flag per slot then
 matches every range, its results are already in AP order, and one
 ``average_precision`` call scores every (range, countable segment) curve.
-``evaluate_zones`` is its one-range case; the scale study builds the
-geometry once, counts every bin, and runs the bins that hold a countable
-ground truth through it, one ``matching.blocks`` run of bins per pass.
+``_zone_aps``, the one step after the geometry, counts the positives of
+every range and sends the ranges that hold one through ``_evaluate``, one
+``matching.blocks`` run of ranges per pass.  ``evaluate_zones`` is its
+one-range case, ``scale_study`` its one-range-per-bin case.
 """
 
 from __future__ import annotations
@@ -185,7 +186,7 @@ class _Geometry:
     pair_iou: np.ndarray
     pair_step: np.ndarray
     ap_rows: np.ndarray  # rows under the cap, by (segment, -score), ties in detection order
-    ap_seg: np.ndarray
+    seg_start: np.ndarray  # segment s holds ap_rows[seg_start[s]:seg_start[s + 1]]
     ap_rank: np.ndarray  # per row: its place in its segment's run of ap_rows; -1 over the cap
 
 
@@ -221,7 +222,8 @@ def _candidate_pairs(
         det, g = det[k], g[k]
         iou = corner_iou((dx0[det], dy0[det], dx1[det], dy1[det]), (gx0[g], gy0[g], gx1[g], gy1[g]))
         k = np.flatnonzero(iou >= min_iou)
-        found.append((det[k], by_group[g[k]], iou[k]))
+        if len(k):
+            found.append((det[k], by_group[g[k]], iou[k]))
     det, gt, iou = zip(*found)
     return np.concatenate(det), np.concatenate(gt), np.concatenate(iou)
 
@@ -264,9 +266,9 @@ def _geometry(ds: Dataset, dets: DetectionSet, partition: Partition, cfg: EvalCo
     copies = [rows[under_cap[rows]] for rows in (by_score, n_dt + by_score)]
     ap_rows = np.concatenate([rows[np.argsort(seg_key[rows], kind="stable")] for rows in copies])
     ap_seg = row_seg[ap_rows]
+    seg_start = np.searchsorted(ap_seg, np.arange((n_zones + 1) * n_cat + 1))
     ap_rank = np.full(len(row_seg), -1)
-    seg_rows = np.bincount(ap_seg, minlength=(n_zones + 1) * n_cat)
-    ap_rank[ap_rows] = np.arange(len(ap_rows)) - (np.cumsum(seg_rows) - seg_rows)[ap_seg]
+    ap_rank[ap_rows] = np.arange(len(ap_rows)) - seg_start[ap_seg]
     return _Geometry(
         n_zones=n_zones,
         n_categories=n_cat,
@@ -280,19 +282,15 @@ def _geometry(ds: Dataset, dets: DetectionSet, partition: Partition, cfg: EvalCo
         pair_iou=pair_iou[order],
         pair_step=pair_step.astype(np.int32),
         ap_rows=ap_rows.astype(np.int32),
-        ap_seg=ap_seg.astype(np.int32),
+        seg_start=seg_start,
         ap_rank=ap_rank.astype(np.int32),
     )
 
 
-_Range = tuple[float, float] | None  # a scale range [lo, hi) in pixels^2; None for all scales
-
-
-def _in_ranges(area: np.ndarray, ranges: list[_Range], b: np.ndarray) -> np.ndarray:
-    """Whether each area lies in the scale range ``ranges[b]``, elementwise: in [lo, hi), or anywhere for None."""
-    whole = np.array([r is None for r in ranges], dtype=bool)
-    lo, hi = (np.array([0.0 if r is None else r[i] for r in ranges], dtype=float) for i in (0, 1))
-    return whole[b] | ((lo[b] <= area) & (area < hi[b]))
+def _in_ranges(area: np.ndarray, ranges: list[tuple[float, float]], b: np.ndarray) -> np.ndarray:
+    """Whether each area lies in the scale range [lo, hi) ``ranges[b]``, elementwise."""
+    lo, hi = np.array(ranges, dtype=float).T
+    return (lo[b] <= area) & (area < hi[b])
 
 
 def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -301,26 +299,44 @@ def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return owner, np.arange(len(owner)) - (np.cumsum(counts) - counts)[owner]
 
 
-def _positives(geo: _Geometry, ranges: list[_Range]) -> tuple[np.ndarray, np.ndarray]:
-    """The (range, segment)s holding a countable ground truth, and how many each holds.
+def _zone_aps(geo: _Geometry, cfg: EvalConfig, ranges: list[tuple[float, float] | None]) -> list[list[np.ndarray]]:
+    """Per scale range and per zone, with the whole image last, the (countable categories, T) AP array.
 
-    They are keyed ``range * n_segments + segment``, in increasing order.  A
-    ground truth counts in its zone and in the whole image.  The ranges go
-    in ``matching.blocks``, a range building one flag per ground truth.
+    A range is [lo, hi) in pixels^2, None for [0, inf) (every area ``Dataset``
+    accepts).  Positives are counted per (range, segment), keyed ``range *
+    n_segments + segment``, a ground truth in its zone and in the whole image.
+    A range without one reaches neither kernel and gets empty arrays; the
+    others go through ``_evaluate`` in ``matching.blocks``, a range building
+    its (range, slot) flags plus, per threshold, its live (range, pair)
+    instances, (range, AP row) entries and curves.  Counting goes in blocks
+    too, a range building one flag per ground truth.
     """
+    ranges = [(0.0, math.inf) if r is None else r for r in ranges]
     n_seg, n_gt = (geo.n_zones + 1) * geo.n_categories, len(geo.gt_area)
     keys = [np.zeros(0, dtype=np.int64)]
     for lo, hi in matching.blocks(np.full(len(ranges), n_gt)):
         b, g = np.nonzero(~geo.gt_crowd & _in_ranges(geo.gt_area, ranges[lo:hi], np.arange(hi - lo)[:, None]))
         first = (lo + b) * n_seg
         keys += [first + geo.slot_seg[g], first + geo.slot_seg[n_gt + g]]
-    return np.unique(np.concatenate(keys), return_counts=True)
+    keys, n_pos = np.unique(np.concatenate(keys), return_counts=True)
+    key_range, key_seg = np.divmod(keys, n_seg)
+    work = np.bincount(geo.row_seg[geo.pair_row], minlength=n_seg) + np.diff(geo.seg_start) + 1
+    per_range = np.bincount(key_range, weights=work[key_seg], minlength=len(ranges)).astype(np.int64)
+    live = np.flatnonzero(per_range)
+    zone_aps = [[np.zeros((0, len(cfg.iou_thresholds)))] * (geo.n_zones + 1)] * len(ranges)
+    for lo, hi in matching.blocks(len(geo.slot_seg) + len(cfg.iou_thresholds) * per_range[live]):
+        block = live[lo:hi]
+        k0, k1 = np.searchsorted(key_range, [block[0], block[-1] + 1])
+        block_keys = np.searchsorted(block, key_range[k0:k1]) * n_seg + key_seg[k0:k1]
+        for b, aps in zip(block.tolist(), _evaluate(geo, cfg, [ranges[b] for b in block], block_keys, n_pos[k0:k1])):
+            zone_aps[b] = aps
+    return zone_aps
 
 
 def _evaluate(
-    geo: _Geometry, cfg: EvalConfig, ranges: list[_Range], keys: np.ndarray, n_pos: np.ndarray
+    geo: _Geometry, cfg: EvalConfig, ranges: list[tuple[float, float]], keys: np.ndarray, n_pos: np.ndarray
 ) -> list[list[np.ndarray]]:
-    """Match and accumulate AP under each scale range, given its ``_positives``.
+    """Match and accumulate AP under each scale range, given the keys and counts of its positives.
 
     Returns, per range and per zone, with the whole image last, the
     (countable categories, T) AP array.  Each key is a curve, whose entries
@@ -331,11 +347,10 @@ def _evaluate(
     n_seg, n_slots, n_ranges = (geo.n_zones + 1) * geo.n_categories, len(geo.slot_seg), len(ranges)
     key_range, key_seg = np.divmod(keys, n_seg)
     # entries, in (range, segment, -score) order
-    seg_rows = np.bincount(geo.ap_seg, minlength=n_seg)
-    size = seg_rows[key_seg]
+    size = np.diff(geo.seg_start)[key_seg]
     starts = np.cumsum(size) - size
     curve, place = _ragged(size)
-    entry_row = geo.ap_rows[(np.cumsum(seg_rows) - seg_rows)[key_seg[curve]] + place]
+    entry_row = geo.ap_rows[geo.seg_start[key_seg[curve]] + place]
 
     # instances, in (step, range, pair) order, which keeps each row's pairs in pair order
     pair_seg = geo.row_seg[geo.pair_row]
@@ -381,9 +396,9 @@ def evaluate_zones(
     """
     cfg = cfg or EvalConfig()
     geo = _geometry(ds, dets, partition, cfg)
-    zone_aps = _evaluate(geo, cfg, [cfg.scale_range], *_positives(geo, [cfg.scale_range]))[0]
-    gt_counts, det_counts = (np.bincount(seg // geo.n_categories, minlength=geo.n_zones + 1)[:-1].tolist()
-                             for seg in (geo.slot_seg, geo.ap_seg))
+    zone_aps = _zone_aps(geo, cfg, [cfg.scale_range])[0]
+    gt_counts = np.bincount(geo.slot_seg // geo.n_categories, minlength=geo.n_zones + 1)[:-1].tolist()
+    det_counts = np.diff(geo.seg_start[np.arange(geo.n_zones + 1) * geo.n_categories]).tolist()
     zones = [ZoneResult(zid, _percent(mean_ap(zaps)), [_percent(v) for v in threshold_aps(zaps)], n_gt, n_det,
                         partition.area_fraction(zid))
              for zid, zaps, n_gt, n_det in zip(partition.zone_ids, zone_aps, gt_counts, det_counts)]
@@ -462,12 +477,8 @@ def scale_study(
     Each bin's ZPs equal those of ``evaluate_zones`` with that bin as
     ``scale_range``, bit for bit.  The geometry (cap, zones, candidate pairs
     and their IoU) does not depend on the bin, so it is computed once, and
-    so are the positives of every (bin, segment).  A bin without a countable
-    ground truth has no defined ZP and reaches neither kernel.  The others go
-    through ``_evaluate`` in ``matching.blocks``, a bin building its (bin,
-    slot) flags, plus its live (bin, pair) instances, its (bin, AP row)
-    entries and its curves, all times the thresholds.  Each block is one
-    greedy pass and one AP call.
+    every bin is one range of one ``_zone_aps`` call.  A bin without a
+    countable ground truth has no defined ZP and reaches neither kernel.
     The bins replace the scale range, so a ``cfg`` with ``scale_range`` set
     raises ValueError.
     ``workers`` is accepted for compatibility and ignored.
@@ -476,23 +487,8 @@ def scale_study(
     if cfg.scale_range is not None:
         raise ValueError("scale_study sets the scale range per bin; cfg.scale_range must be None")
     bins = [(i, rng) for i, r in enumerate(steps) for rng in scale_bins(r)]
-    geo = _geometry(ds, dets, partition, cfg)
-    ranges = [rng for _, rng in bins]
-    keys, n_pos = _positives(geo, ranges)
-    n_seg = (geo.n_zones + 1) * geo.n_categories
-    key_bin, key_seg = np.divmod(keys, n_seg)
-    # what a bin builds: its slot flags, and its instances, AP entries and curves at every threshold
-    work = np.bincount(geo.row_seg[geo.pair_row], minlength=n_seg) + np.bincount(geo.ap_seg, minlength=n_seg) + 1
-    per_bin = np.bincount(key_bin, weights=work[key_seg], minlength=len(bins)).astype(np.int64)
-    live = np.flatnonzero(per_bin)  # the bins with a countable ground truth
-    bin_zps: list[list[float | None]] = [[None] * len(partition.zones)] * len(bins)  # per bin, per zone
-    for lo, hi in matching.blocks(len(geo.slot_seg) + len(cfg.iou_thresholds) * per_bin[live]):
-        block = live[lo:hi]
-        k0, k1 = np.searchsorted(key_bin, [block[0], block[-1] + 1])
-        block_keys = np.searchsorted(block, key_bin[k0:k1]) * n_seg + key_seg[k0:k1]
-        zone_aps = _evaluate(geo, cfg, [ranges[b] for b in block], block_keys, n_pos[k0:k1])
-        for b, zaps in zip(block.tolist(), zone_aps):
-            bin_zps[b] = [_percent(mean_ap(z)) for z in zaps[:-1]]
+    zone_aps = _zone_aps(_geometry(ds, dets, partition, cfg), cfg, [rng for _, rng in bins])
+    bin_zps = [[_percent(mean_ap(z)) for z in zaps[:-1]] for zaps in zone_aps]  # per bin, per zone
     zps = [[z for (j, _), z in zip(bins, bin_zps) if j == i] for i in range(len(steps))]  # per step, per bin
     mean_zp = {r: [_mean(zone) for zone in zip(*zps[i])] for i, r in enumerate(steps)}
     grand = [_mean([mean_zp[r][zi] for r in steps]) for zi in range(len(partition.zones))]

@@ -402,6 +402,8 @@ def reference_ground_truth(doc: dict) -> dict:
             raise IngestError(f"annotation {g} references missing category {category_ids[k]}")
         if not areas[k] > 0:
             raise IngestError(f"annotation {g}: area must be positive, got {areas[k]}")
+        if areas[k] == math.inf:
+            raise IngestError(f"annotation {g}: area must be finite, got {areas[k]}")
     order = np.argsort(image, kind="stable")
     return {"gt_id": [ids[k] for k in order], "gt_image": image[order], "gt_category": category[order],
             "gt_box": np.array(box, dtype=float).reshape(4, len(rows))[:, order].T,

@@ -743,6 +743,8 @@ class TestIngestErrors:
         pytest.param([_ANN, {**_ANN, "id": 2}, {**_ANN, "id": 1}], "duplicate annotation id 1", id="duplicate-id"),
         pytest.param([_ANN, {**_ANN, "id": 2, "area": math.nan}], "annotation 2: area must be positive, got nan",
                      id="nan-area"),
+        pytest.param([_ANN, {**_ANN, "id": 2, "area": math.inf}], "annotation 2: area must be finite, got inf",
+                     id="infinite-area"),
     ])
     def test_ground_truth_error_line(self, tmp_path, capsys, annotations, line):
         gt = tmp_path / "gt.json"

@@ -87,6 +87,18 @@ class TestLoadGroundTruth:
         ds = load_ground_truth(path)
         assert ds.ground_truths[0].area == 200.0
 
+    def test_infinite_area_rejected_on_both_paths(self, tmp_path):
+        # an area that overflows to inf is not positive-and-finite; -inf and NaN are not positive
+        path = tmp_path / "gt.json"
+        path.write_text(json.dumps(MINIMAL).replace('"area": 200', '"area": 1e400'))
+        with pytest.raises(IngestError, match="^annotation 1: area must be finite, got inf$"):
+            load_ground_truth(path)
+        for area, problem in [(math.inf, "finite, got inf"), (-math.inf, "positive, got -inf"),
+                              (math.nan, "positive, got nan")]:
+            gt = GroundTruth(1, 1, 1, BBox(5, 5, 20, 10), area)
+            with pytest.raises(IngestError, match=f"^annotation 1: area must be {problem}$"):
+                Dataset([ImageInfo(1, 100.0, 80.0)], [Category(1, "cat")], [gt])
+
     def test_iscrowd_maps_to_ignore(self, tmp_path):
         doc = json.loads(json.dumps(MINIMAL))
         doc["annotations"][0]["iscrowd"] = 1

@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -98,6 +99,15 @@ class TestEvaluateZones:
         report = evaluate_zones(ds, dets, build_partition(Annular(1)))
         assert report.zones[0].zp == report.full_ap
         assert report.zp_variance == 0.0
+
+    def test_no_categories_leave_every_zone_undefined(self):
+        ds = Dataset([ImageInfo(1, 10.0, 10.0)], [], [])
+        dets = DetectionSet([], ds)
+        p = build_partition(Annular(2))
+        report = evaluate_zones(ds, dets, p)
+        assert [(z.zp, z.gt_count, z.det_count) for z in report.zones] == [(None, 0, 0)] * 2
+        assert report.full_ap is None
+        assert scale_study(ds, dets, p, steps=(64, None)).grand_mean == [None, None]
 
     @pytest.mark.parametrize("cfg", [
         EvalConfig(),
@@ -322,7 +332,7 @@ class TestCountThenMatch:
         # its slot's place among the slots those pairs reach
         crowd = np.tile(geo.gt_crowd, 2)
         countable = np.bincount(geo.slot_seg[~crowd], minlength=(len(p.zones) + 1) * n_cat) > 0
-        entry_rows = geo.ap_rows[countable[geo.ap_seg]]
+        entry_rows = geo.ap_rows[countable[geo.row_seg[geo.ap_rows]]]
         live = countable[geo.row_seg[geo.pair_row]]
         slots = np.unique(geo.pair_slot[live])
         assert n_rows == len(entry_rows) and (slot_ignored == crowd[slots]).all()
@@ -346,6 +356,27 @@ class TestCountThenMatch:
         monkeypatch.setattr(zone_eval, "greedy_match", lambda *args: (tp_all[entry_rows], ignored_all[entry_rows]))
         unpruned = evaluate_zones(ds, dets, p)
         assert pruned.to_json() == unpruned.to_json()
+
+    def test_a_range_without_countable_ground_truth_reaches_neither_kernel(self, monkeypatch):
+        # every ground truth has area 900, so [1000, inf) counts none: every ZP is undefined,
+        # and the counts are those of the whole evaluation
+        import json
+
+        ds, dets = self.instance()
+        p = build_partition(StripX(2))
+        want = json.loads(evaluate_zones(ds, dets, p).to_json())
+        assert want["full_ap"] is not None and all(z["det_count"] for z in want["zones"])
+        for z in want["zones"]:
+            z["zp"], z["zp_by_threshold"] = None, [None] * len(z["zp_by_threshold"])
+        want.update(variance=None, full_ap=None, undefined_zones=p.zone_ids)
+
+        def kernel(*args):
+            raise AssertionError("a kernel ran for a scale range without countable ground truth")
+
+        monkeypatch.setattr(zone_eval, "greedy_match", kernel)
+        monkeypatch.setattr(zone_eval, "average_precision", kernel)
+        report = evaluate_zones(ds, dets, p, EvalConfig(scale_range=(1000.0, math.inf)))
+        assert report.to_json() == json.dumps(want, indent=2, sort_keys=True) + "\n"
 
     def test_pool_workers_match_the_same_pairs(self):
         ds, dets = self.instance()
@@ -374,9 +405,11 @@ class TestApOrder:
             rows = np.flatnonzero(under_cap)
             want = rows[np.lexsort((-score[rows], geo.row_seg[rows]))]
             assert geo.ap_rows.tolist() == want.tolist()
-            assert geo.ap_seg.tolist() == geo.row_seg[want].tolist()
+            # seg_start: each segment's first place, the count of AP rows in lower segments
+            seg, n_seg = geo.row_seg[want].tolist(), (len(p.zones) + 1) * geo.n_categories
+            assert geo.seg_start.tolist() == [sum(x < s for x in seg) for s in range(n_seg + 1)]
             # ap_rank: a row's place in its segment's run of AP rows, -1 over the cap
-            place = [geo.ap_seg[:i].tolist().count(s) for i, s in enumerate(geo.ap_seg.tolist())]
+            place = [seg[:i].count(s) for i, s in enumerate(seg)]
             assert geo.ap_rank[want].tolist() == place
             assert (geo.ap_rank[~under_cap] == -1).all()
 
@@ -568,7 +601,7 @@ class TestScaleStudy:
             countable.append(seg)
         instances = sum(int(c[geo.row_seg[geo.pair_row]].sum()) for c in countable)
         curves = sum(int(c.sum()) for c in countable)
-        entries = sum(int(c[geo.ap_seg].sum()) for c in countable)
+        entries = sum(int(c[geo.row_seg[geo.ap_rows]].sum()) for c in countable)
         live = Counter(rng for rng, c in zip(bins, countable) if c.any())
         assert 0 < sum(live.values()) < len(bins)
         assert 0 < instances < len(bins) * len(geo.pair_row)
@@ -596,6 +629,22 @@ class TestScaleStudy:
         assert scale_study(ds, dets, p, cfg, steps).to_json_dict() == want
         assert (seen.pop("pairs"), seen.pop("curves"), seen.pop("entries")) == (instances, curves, entries)
         assert seen == live
+
+    @pytest.mark.parametrize("cap_after_zone", [False, True])
+    def test_all_scales_step_equals_evaluate_zones(self, cap_after_zone):
+        # the None step is the one bin [0, inf), which holds every area a Dataset accepts,
+        # the largest finite one too
+        ds, dets = random_multiclass_benchmark(6, gts_per_image=8, dets_per_image=20, seed=4)
+        gts = ds.ground_truths
+        gts[3] = replace(gts[3], area=sys.float_info.max, ignore=False)
+        ds = Dataset(ds.images, ds.categories, gts)
+        dets = DetectionSet.from_coco_list(dets.to_coco_list(), ds)
+        p = build_partition(Annular(3))
+        cfg = EvalConfig(max_dets_per_image=15, cap_after_zone=cap_after_zone)
+        zps = [z.zp for z in evaluate_zones(ds, dets, p, cfg).zones]
+        assert scale_study(ds, dets, p, cfg, steps=(None,)).mean_zp[None] == zps
+        finite = evaluate_zones(ds, dets, p, replace(cfg, scale_range=(0.0, 1e300)))
+        assert [z.zp for z in finite.zones] != zps
 
     def test_workers_run_in_process(self, mini_dataset, mini_detections, monkeypatch):
         import multiprocessing.pool
@@ -693,10 +742,10 @@ class TestCandidatePairs:
     def test_memory_stays_within_the_block_bound(self, monkeypatch):
         # 1,600,000 same-group pairs are 1,562 times the 1,024 pairs of a block (listed at once,
         # they would take 77 MB); few reach the threshold, so the pass's temporaries, not its
-        # output, set the peak, which must grow with the bound
+        # output, set the peak, which must grow with the bound: a block that keeps no pair
+        # leaves nothing behind, so the many blocks of a small bound cost no more than a few
         import tracemalloc
 
-        monkeypatch.setattr(matching, "BLOCK_ENTRIES", 1 << 12)
         rng = np.random.default_rng(43)
         n_img, per_image = 10, 400
 
@@ -705,14 +754,21 @@ class TestCandidatePairs:
             return np.repeat(np.arange(n_img), per_image), np.hstack([corner, np.full_like(corner, 20)]).astype(float)
 
         (dt_group, dt_box), (gt_group, gt_box) = boxes(), boxes()
-        tracemalloc.start()
-        try:
-            det, gt, iou = zone_eval._candidate_pairs(dt_group, dt_box, gt_group, gt_box, 0.5)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert 0 < len(det) < 1000
-        assert peak < 2 << 20, peak
+
+        def peak(entries):
+            monkeypatch.setattr(matching, "BLOCK_ENTRIES", entries)
+            tracemalloc.start()
+            try:
+                det, gt, iou = zone_eval._candidate_pairs(dt_group, dt_box, gt_group, gt_box, 0.5)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert 0 < len(det) < 1000
+            return peak
+
+        peaks = {entries: peak(entries) for entries in (1 << 10, 1 << 12, 1 << 14)}
+        assert peaks[1 << 12] < 2 << 20, peaks
+        assert peaks[1 << 10] <= peaks[1 << 14], peaks
 
     def test_no_pairs(self):
         box = np.array([[0.0, 0.0, 1.0, 1.0]])
