@@ -42,6 +42,8 @@ the one driver of this kernel.
 
 from __future__ import annotations
 
+import numbers
+import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -60,20 +62,40 @@ class EvalConfig:
 
     def __post_init__(self) -> None:
         ts = self.iou_thresholds
+        if not _numbers(ts):
+            raise ValueError(f"iou thresholds must be a tuple of numbers, got {ts!r}")
         if not ts or any(not 0.0 < t <= 1.0 for t in ts):
             raise ValueError("iou thresholds must lie in (0, 1]")
         if any(b <= a for a, b in zip(ts, ts[1:])):
             raise ValueError("iou thresholds must be strictly increasing")
-        if self.recall_points < 2:
+        if _integer(self.recall_points, "recall_points") < 2:
             raise ValueError("recall_points must be >= 2")
-        if self.max_dets_per_image < 1:
+        if _integer(self.max_dets_per_image, "max_dets_per_image") < 1:
             raise ValueError("max_dets_per_image must be >= 1")
-        if self.scale_range is not None and not self.scale_range[0] < self.scale_range[1]:
+        rng = self.scale_range
+        if rng is not None and not (_numbers(rng) and len(rng) == 2):
+            raise ValueError(f"scale_range must be a (lo, hi) tuple of numbers, got {rng!r}")
+        if rng is not None and not rng[0] < rng[1]:
             raise ValueError("scale_range must satisfy lo < hi")
 
     def recall_grid(self) -> np.ndarray:
         # k/(R-1) by IEEE division, bit-identical to a scalar re-derivation
         return np.arange(self.recall_points) / (self.recall_points - 1)
+
+
+def _numbers(x) -> bool:
+    """Whether x is a tuple (or list) of real numbers; a bool is not one here."""
+    return isinstance(x, (tuple, list)) and all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in x)
+
+
+def _integer(x, name: str) -> int:
+    """x as an int, for an integer (numpy's too) that is not a bool; anything else raises ValueError."""
+    if not isinstance(x, bool):
+        try:
+            return operator.index(x)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {x!r}")
 
 
 def rank_within(keys: np.ndarray) -> np.ndarray:

@@ -18,27 +18,25 @@ centers, and one blocked IoU pass over the same-image, same-category pairs
 of the whole dataset (``_candidate_pairs``).  It keeps the candidate pairs
 (IoU at or above the lowest threshold) as flat dataset-wide arrays.
 
-Count, then match: a ground truth is countable when it is not crowd and its
-area lies in the scale range, and ``_zone_aps`` counts them per (range,
-segment).  Only the pairs of (zone, category) segments holding a countable
-ground truth go through the greedy pass (``matching.greedy_match``), which
-handles every group of every image and every IoU threshold at once.  This is
-exact: AP accumulation leaves every other segment out of the zone's mean (as
-COCO's accumulate does).  AP then takes the rows of each segment in one
-precomputed stable score order.
+Count, match, then score: a ground truth is countable when it is not crowd
+and its area lies in the scale range, and ``_zone_aps`` counts them per
+(range, segment).  Only the pairs of (zone, category) segments holding a
+countable ground truth are matched.  This is exact: AP accumulation leaves
+every other segment out of the zone's mean (as COCO's accumulate does).
 
-One evaluation pass (``_evaluate``) does this for a list of scale ranges at
-once, with the range as one more part of the group key.  Each candidate pair
-is expanded only into the ranges in which its segment is countable; such a
-(range, pair) instance has its AP entry as its row, its place in the (range,
-segment, -score) order of every countable segment's AP rows, and a (range,
-slot) of its own.  One greedy pass with one ignore flag per slot then
-matches every range, its results are already in AP order, and one
-``average_precision`` call scores every (range, countable segment) curve.
-``_zone_aps``, the one step after the geometry, counts the positives of
-every range and sends the ranges that hold one through ``_evaluate``, one
-``matching.blocks`` run of ranges per pass.  ``evaluate_zones`` is its
-one-range case, ``scale_study`` its one-range-per-bin case.
+``_zone_aps``, the one step after the geometry, does this for a list of
+scale ranges at once, the range being one more part of the group key, and
+sends the ranges that hold a positive through ``_evaluate`` in
+``matching.blocks``.  Each candidate pair is expanded only into the ranges
+in which its segment is countable; such a (range, pair) instance has its AP
+entry as its row and a (range, slot) of its own, and one greedy pass
+(``matching.greedy_match``) with one ignore flag per slot matches every
+range, image and IoU threshold at once.  Its match outcome (tp, ignored) is
+already in the (range, segment, -score) order of the AP entries, taken from
+one precomputed stable score order, so one ``average_precision`` call scores
+a block's curves, and one split of the AP rows gives each (range, zone) its
+array.  ``evaluate_zones`` is the one-range case, ``scale_study`` the
+one-range-per-bin case.
 """
 
 from __future__ import annotations
@@ -305,11 +303,13 @@ def _zone_aps(geo: _Geometry, cfg: EvalConfig, ranges: list[tuple[float, float] 
     A range is [lo, hi) in pixels^2, None for [0, inf) (every area ``Dataset``
     accepts).  Positives are counted per (range, segment), keyed ``range *
     n_segments + segment``, a ground truth in its zone and in the whole image.
-    A range without one reaches neither kernel and gets empty arrays; the
-    others go through ``_evaluate`` in ``matching.blocks``, a range building
-    its (range, slot) flags plus, per threshold, its live (range, pair)
-    instances, (range, AP row) entries and curves.  Counting goes in blocks
-    too, a range building one flag per ground truth.
+    The ranges that hold one go through ``_evaluate`` in ``matching.blocks``,
+    a range building its (range, slot) flags plus, per threshold, its live
+    (range, pair) instances, (range, AP row) entries and curves, and each
+    block's outcome is scored at once.  One search over the keys splits the
+    table of AP rows per (range, zone), a range without a positive getting
+    empty arrays.  Counting goes in blocks too, a range building one flag per
+    ground truth.
     """
     ranges = [(0.0, math.inf) if r is None else r for r in ranges]
     n_seg, n_gt = (geo.n_zones + 1) * geo.n_categories, len(geo.gt_area)
@@ -323,26 +323,30 @@ def _zone_aps(geo: _Geometry, cfg: EvalConfig, ranges: list[tuple[float, float] 
     work = np.bincount(geo.row_seg[geo.pair_row], minlength=n_seg) + np.diff(geo.seg_start) + 1
     per_range = np.bincount(key_range, weights=work[key_seg], minlength=len(ranges)).astype(np.int64)
     live = np.flatnonzero(per_range)
-    zone_aps = [[np.zeros((0, len(cfg.iou_thresholds)))] * (geo.n_zones + 1)] * len(ranges)
+    aps = [np.zeros((0, len(cfg.iou_thresholds)))]
     for lo, hi in matching.blocks(len(geo.slot_seg) + len(cfg.iou_thresholds) * per_range[live]):
         block = live[lo:hi]
         k0, k1 = np.searchsorted(key_range, [block[0], block[-1] + 1])
         block_keys = np.searchsorted(block, key_range[k0:k1]) * n_seg + key_seg[k0:k1]
-        for b, aps in zip(block.tolist(), _evaluate(geo, cfg, [ranges[b] for b in block], block_keys, n_pos[k0:k1])):
-            zone_aps[b] = aps
-    return zone_aps
+        tp, ignored, starts = _evaluate(geo, cfg, [ranges[b] for b in block], block_keys)
+        aps.append(average_precision(tp, ignored, starts, n_pos[k0:k1], cfg.recall_grid()))
+    # one AP row per key; a zone's segments are one run of them, in category order
+    aps = np.concatenate(aps)
+    firsts = np.arange(len(ranges))[:, None] * n_seg + np.arange(geo.n_zones + 2) * geo.n_categories
+    return [[aps[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+            for bounds in np.searchsorted(keys, firsts).tolist()]
 
 
 def _evaluate(
-    geo: _Geometry, cfg: EvalConfig, ranges: list[tuple[float, float]], keys: np.ndarray, n_pos: np.ndarray
-) -> list[list[np.ndarray]]:
-    """Match and accumulate AP under each scale range, given the keys and counts of its positives.
+    geo: _Geometry, cfg: EvalConfig, ranges: list[tuple[float, float]], keys: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Match every curve under its scale range; returns the match outcome (tp, ignored, starts).
 
-    Returns, per range and per zone, with the whole image last, the
-    (countable categories, T) AP array.  Each key is a curve, whose entries
-    are its segment's AP rows, laid out in key order.  A greedy instance is
-    a pair of a curve's segment; its row is its entry, and its slot is its
-    (range, slot), numbered among those that some instance reaches.
+    Each key is a curve, whose entries are its segment's AP rows, laid out in
+    key order; ``starts`` holds each curve's first entry.  ``tp`` and
+    ``ignored`` are C-contiguous (T, entries).  A greedy instance is a pair
+    of a curve's segment; its row is its entry, and its slot is its (range,
+    slot), numbered among those that some instance reaches.
     """
     n_seg, n_slots, n_ranges = (geo.n_zones + 1) * geo.n_categories, len(geo.slot_seg), len(ranges)
     key_range, key_seg = np.divmod(keys, n_seg)
@@ -372,13 +376,7 @@ def _evaluate(
                                cfg.iou_thresholds)
     # an unmatched detection outside the range is ignored too
     ignored |= ~tp & ~_in_ranges(geo.row_area[entry_row], ranges, key_range[curve])[:, None]
-    aps = average_precision(np.ascontiguousarray(tp.T), np.ascontiguousarray(ignored.T), starts, n_pos,
-                            cfg.recall_grid())
-
-    # a zone's segments are one run of rows of aps, in category order
-    firsts = np.arange(n_ranges)[:, None] * n_seg + np.arange(geo.n_zones + 2) * geo.n_categories
-    return [[aps[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-            for bounds in np.searchsorted(keys, firsts).tolist()]
+    return np.ascontiguousarray(tp.T), np.ascontiguousarray(ignored.T), starts
 
 
 def evaluate_zones(
@@ -480,12 +478,14 @@ def scale_study(
     every bin is one range of one ``_zone_aps`` call.  A bin without a
     countable ground truth has no defined ZP and reaches neither kernel.
     The bins replace the scale range, so a ``cfg`` with ``scale_range`` set
-    raises ValueError.
+    raises ValueError, as does a step given twice.
     ``workers`` is accepted for compatibility and ignored.
     """
     cfg = cfg or EvalConfig()
     if cfg.scale_range is not None:
         raise ValueError("scale_study sets the scale range per bin; cfg.scale_range must be None")
+    if len(set(steps)) < len(steps):  # a step's mean would count twice in the grand mean
+        raise ValueError(f"scale_study steps must be distinct, got {tuple(steps)}")
     bins = [(i, rng) for i, r in enumerate(steps) for rng in scale_bins(r)]
     zone_aps = _zone_aps(_geometry(ds, dets, partition, cfg), cfg, [rng for _, rng in bins])
     bin_zps = [[_percent(mean_ap(z)) for z in zaps[:-1]] for zaps in zone_aps]  # per bin, per zone

@@ -2,11 +2,12 @@
 
 The generators make no closed-form promises; they exist so the large
 determinism and runtime checks can build realistic inputs in a couple of
-seconds.  ``match_image`` and ``full_image_ap`` run the matching kernel one
-(image, category) group at a time, so tests can hold the batched pass of
-``evaluate_zones`` against them, and ``candidate_pairs_by_image`` finds the
-candidate pairs with one ``iou_matrix`` call per image, the loop that
-``zone_eval._candidate_pairs`` replaced.  ``reference_ground_truth`` and
+seconds.  ``match_image``, ``whole_image_curves`` and ``full_image_ap`` run
+the matching kernel one (image, category) group at a time, so tests can hold
+the batched pass of ``evaluate_zones`` and its match outcome against them,
+and ``candidate_pairs_by_image`` finds the candidate pairs with one
+``iou_matrix`` call per image, the loop that ``zone_eval._candidate_pairs``
+replaced.  ``reference_ground_truth`` and
 ``reference_detections`` read a COCO document one validated tuple per record,
 the route ``coco`` replaced with bulk column checks, so tests can hold the
 columns and the error messages of the loaders against them;
@@ -88,15 +89,14 @@ def match_image(gts: list[GroundTruth], dets: list[Detection], cfg: EvalConfig) 
     return MatchFragment(int((~gt_ignored).sum()), scores, tp.T, ign.T)
 
 
-def full_image_ap(ds: Dataset, dets: DetectionSet, cfg: EvalConfig) -> float | None:
-    """Whole-image AP from match_image groups: the array kernel, one group at a time.
+def whole_image_curves(ds: Dataset, dets: DetectionSet, cfg: EvalConfig) -> dict[int, tuple]:
+    """Per category id with a countable ground truth, its whole-image (tp, ignored, n_pos) from match_image groups.
 
-    Every (image, category) group is matched on its own, with nothing pruned,
-    so tests can hold the batched pass of evaluate_zones against it.  Each
-    category with a countable ground truth joins its groups in image order
-    and sorts them stably by score before ``average_precision``.
+    Every (image, category) group is matched on its own, with nothing pruned.
+    A category's groups are joined in image order and sorted stably by score,
+    so ``tp`` and ``ignored`` (T x N) are that category's AP entries in order.
     """
-    tp, ignored, n_pos = [], [], []
+    curves = {}
     for cat in ds.category_ids:
         frags = [
             match_image([g for g in ds.gts_by_image[img.id] if g.category_id == cat],
@@ -105,14 +105,22 @@ def full_image_ap(ds: Dataset, dets: DetectionSet, cfg: EvalConfig) -> float | N
             for img in ds.images
         ]
         pos = sum(f.n_pos_gt for f in frags)
-        if pos == 0:
-            continue
-        order = np.argsort(-np.concatenate([f.scores for f in frags]), kind="stable")
-        tp.append(np.concatenate([f.tp for f in frags], axis=1)[:, order])
-        ignored.append(np.concatenate([f.ignored for f in frags], axis=1)[:, order])
-        n_pos.append(pos)
-    if not n_pos:
+        if pos:
+            order = np.argsort(-np.concatenate([f.scores for f in frags]), kind="stable")
+            curves[cat] = (np.concatenate([f.tp for f in frags], axis=1)[:, order],
+                           np.concatenate([f.ignored for f in frags], axis=1)[:, order], pos)
+    return curves
+
+
+def full_image_ap(ds: Dataset, dets: DetectionSet, cfg: EvalConfig) -> float | None:
+    """Whole-image AP of the ``whole_image_curves``: the array kernel, one group at a time.
+
+    Tests hold the batched pass of evaluate_zones against it.
+    """
+    curves = list(whole_image_curves(ds, dets, cfg).values())
+    if not curves:
         return None
+    tp, ignored, n_pos = zip(*curves)
     starts = np.cumsum([0] + [t.shape[1] for t in tp])[:-1]
     return mean_ap(average_precision(np.concatenate(tp, axis=1), np.concatenate(ignored, axis=1),
                                      starts, np.array(n_pos), cfg.recall_grid()))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -52,11 +54,29 @@ class TestEvalConfig:
             {"iou_thresholds": (0.5, 1.2)},
             {"recall_points": 1},
             {"scale_range": (100.0, 100.0)},
+            # values of the wrong type: some gave wrong numbers, the others failed late or with TypeError
+            {"recall_points": 2.5},  # gave the recall grid [0, 0.667, 1.333]
+            {"recall_points": True},
+            {"max_dets_per_image": 1.5},  # acted as a cap of 2
+            {"max_dets_per_image": True},  # acted as a cap of 1
+            {"scale_range": ("10", "5")},  # passed, as the strings compare as text
+            {"scale_range": ("5", "10")},
+            {"scale_range": (0, 5, 7)},  # failed inside evaluation
+            {"scale_range": (0,)},
+            {"scale_range": 5.0},
+            {"iou_thresholds": ("0.5",)},  # raised a bare TypeError
+            {"iou_thresholds": (0.5, True)},
+            {"iou_thresholds": 0.5},
         ],
     )
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             EvalConfig(**kwargs)
+
+    def test_numpy_numbers_accepted(self):
+        cfg = EvalConfig(iou_thresholds=(np.float32(0.5), np.float64(0.75)), recall_points=np.int64(11),
+                         max_dets_per_image=np.int32(3), scale_range=(np.int64(0), math.inf))
+        assert cfg.recall_grid().tolist() == EvalConfig(recall_points=11).recall_grid().tolist()
 
 
 class TestMatchImage:

@@ -384,6 +384,46 @@ class TestCountThenMatch:
         assert evaluate_zones(ds, dets, p, workers=2).to_json() == evaluate_zones(ds, dets, p).to_json()
 
 
+class TestMatchOutcome:
+    """The match outcome that ``_evaluate`` returns and every report reduces."""
+
+    @pytest.mark.parametrize("scale_range", [None, (32.0**2, 96.0**2)])
+    @pytest.mark.parametrize("cap_after_zone", [False, True])
+    def test_whole_image_curves_are_the_per_group_fragments(self, monkeypatch, cap_after_zone, scale_range):
+        # every whole-image curve holds, bit for bit, its category's match_image fragments
+        # joined in stable score order, as full_image_ap builds them
+        from datagen import whole_image_curves
+
+        ds, dets = random_multiclass_benchmark(6, gts_per_image=8, dets_per_image=20, seed=4)
+        p = build_partition(Annular(3))
+        cfg = EvalConfig(max_dets_per_image=15, scale_range=scale_range, cap_after_zone=cap_after_zone)
+        real, calls = zone_eval._evaluate, []
+
+        def spy(geo, cfg, ranges, keys):
+            outcome = real(geo, cfg, ranges, keys)
+            calls.append((keys, outcome))
+            return outcome
+
+        monkeypatch.setattr(zone_eval, "_evaluate", spy)
+        evaluate_zones(ds, dets, p, cfg)
+        [(keys, (tp, ignored, starts))] = calls
+        for a in (tp, ignored):
+            assert a.dtype == bool and a.flags.c_contiguous and a.shape == (len(cfg.iou_thresholds), tp.shape[1])
+        assert not (tp & ignored).any()
+        assert starts[0] == 0 and (np.diff(starts) >= 0).all() and len(starts) == len(keys)
+
+        n_cat = len(ds.category_ids)
+        ends = np.append(starts[1:], tp.shape[1])
+        whole = {ds.category_ids[key % n_cat]: (tp[:, a:b], ignored[:, a:b])  # one range: a key is a segment
+                 for key, a, b in zip(keys.tolist(), starts.tolist(), ends.tolist()) if key // n_cat == len(p.zones)}
+        want = whole_image_curves(ds, dets, cfg)
+        assert whole.keys() == want.keys() and len(want) > 1
+        for cat, (want_tp, want_ignored, _) in want.items():
+            assert np.array_equal(whole[cat][0], want_tp) and np.array_equal(whole[cat][1], want_ignored)
+        assert any(t.any() for t, _, _ in want.values())
+        assert scale_range is None or any(i.any() for _, i, _ in want.values())
+
+
 class TestApOrder:
     @pytest.mark.parametrize("cap_after_zone", [False, True])
     def test_equals_one_lexsort_over_both_copies(self, cap_after_zone):
@@ -494,21 +534,37 @@ class TestScaleStudy:
         with pytest.raises(ValueError, match="finite and positive"):
             scale_study(mini_dataset, mini_detections, build_partition(Annular(2)), steps=(64, 0))
 
-    def test_repeated_and_missing_steps(self, mini_dataset, mini_detections):
-        # a repeated step counts once per repeat in the grand mean; no step gives no mean
+    def test_repeated_and_missing_steps(self, mini_dataset, mini_detections, monkeypatch):
+        # a repeated step would count once per repeat in the grand mean but show once in the
+        # report, so it is refused before any work; no step gives no mean
         p = build_partition(Annular(2))
-        once = scale_study(mini_dataset, mini_detections, p, steps=(64, None))
-        twice = scale_study(mini_dataset, mini_detections, p, steps=(64, 64, None))
-        assert twice.mean_zp == once.mean_zp
-        for zi, grand in enumerate(twice.grand_mean):
-            vals = [v for v in (once.mean_zp[64][zi], once.mean_zp[64][zi], once.mean_zp[None][zi]) if v is not None]
-            total = 0.0
-            for v in vals:  # left to right
-                total += v
-            assert grand == (total / len(vals) if vals else None)
-        assert any(v is not None for v in twice.grand_mean)
         none = scale_study(mini_dataset, mini_detections, p, steps=())
         assert (none.mean_zp, none.grand_mean) == ({}, [None] * len(p.zones))
+
+        def no_geometry(*args):
+            raise AssertionError("built the geometry")
+
+        monkeypatch.setattr(zone_eval, "_geometry", no_geometry)
+        for steps in ((64, 64, None), (None, 8, None), (4, 4.0)):
+            with pytest.raises(ValueError, match="^scale_study steps must be distinct, got "):
+                scale_study(mini_dataset, mini_detections, p, steps=steps)
+
+    def test_grand_mean_is_the_mean_of_the_reported_steps(self):
+        # with steps (4, 4, None), z0,1 read 6.7594 = (2 * 8.2249 + 3.8284) / 3 against a
+        # report that shows the step 4 once
+        ds, dets = random_multiclass_benchmark(4, 6, 12, seed=1)
+        p = build_partition(Annular(3))
+        with pytest.raises(ValueError, match=r"^scale_study steps must be distinct, got \(4, 4, None\)$"):
+            scale_study(ds, dets, p, steps=(4, 4, None))
+        doc = scale_study(ds, dets, p, steps=(4, None)).to_json_dict()
+        assert list(doc["per_scale_step"]) == ["4", "inf"]
+        for zi, grand in enumerate(doc["grand_mean"]):
+            shown = [v[zi] for v in doc["per_scale_step"].values() if v[zi] is not None]
+            total = 0.0
+            for v in shown:  # left to right
+                total += v
+            assert grand == (total / len(shown) if shown else None)
+        assert doc["per_scale_step"]["4"][1] != doc["per_scale_step"]["inf"][1]
 
     def test_r_inf_reduces_to_plain_evaluation(self, mini_dataset, mini_detections):
         p = build_partition(Annular(2))
