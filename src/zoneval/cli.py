@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import analysis, synth
-from .coco import _id, _number, _parse_record, _parse_records, _read_json, load_detections, load_ground_truth
+from .coco import _columns, _id, _number, _parse_record, _read_json, load_detections, load_ground_truth
 from .equilibrium import (AssignConfig, anchor_grid, beta_assign, check_anchor_grid, check_beta, object_density,
                           sela_assign, supervision_density)
 from .errors import IngestError, PartitionError, UndefinedStatisticError
@@ -36,7 +36,10 @@ _MAX_RECALL_POINTS = 10_001  # the most --recall-points: a recall step of 1e-4
 def _parse_thresholds(text: str) -> tuple[float, ...]:
     """Parse '0.5:0.95:0.05' (start:stop:step) or a comma list '0.5,0.75'."""
     is_range = ":" in text
-    values = [float(p) for p in text.split(":" if is_range else ",")]
+    try:
+        values = [float(p) for p in text.split(":" if is_range else ",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected LO:HI:STEP or a comma list of numbers, got {text!r}") from None
     if not all(map(math.isfinite, values)):
         raise argparse.ArgumentTypeError(f"thresholds {text!r} must be finite")
     if not is_range:
@@ -360,8 +363,8 @@ def cmd_synth_sudoku(args: argparse.Namespace) -> int:
     _check_outputs([("--out-gt", args.out_gt), ("--out-manifest", args.out_manifest)], [("--objects", args.objects)])
     meta = _read_json(args.objects)
     records = meta.get("objects") if isinstance(meta, dict) else meta
-    objects = tuple(_parse_records(records, f"{args.objects}: object",
-                                   lambda rec: (_id(rec["source_id"]), _id(rec["category_id"]))))
+    objects = tuple(_columns(records, f"{args.objects}: object",
+                             lambda rows: [(_id(r["source_id"]), _id(r["category_id"])) for r in rows]))
     cfg = synth.SudokuConfig(objects=objects, canvas=args.canvas, object_size=args.size)
     ds, manifest = synth.sudoku_layout(cfg)
     _write_outputs([(args.out_gt, _json_text(ds.to_coco_dict())), (args.out_manifest, _json_text(manifest))])

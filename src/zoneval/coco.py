@@ -17,23 +17,26 @@ then descending score (image ``i`` at rows ``starts[i]:starts[i + 1]``);
 ``for_image`` builds ``Detection`` views.
 Ids become indices through the dataset's ``{id: index}`` dicts.
 
-A file's annotations and detections become columns straight from the decoded
-lists: each field is gathered once and checked as a whole column (its types,
-then ``_check_box``'s rule and the ``iscrowd`` rule as array masks), and no
-record is looked at on its own.  There is one rule per field: when a check
-fails, the column builder itself finds the first bad record, by bisecting the
-list, and names it by the first rule it breaks when run on that record alone.
-Ids, sizes, boxes, areas and scores are JSON numbers only, never strings or
+There is one ingest path: ``Dataset(...)`` and ``DetectionSet(...)`` read
+their objects as the COCO records they stand for, by the same step as
+``from_coco_dict`` and ``from_coco_list``, and ``_columns`` is the only reader
+of a top-level record list.  Annotations and detections become columns
+straight from the list: each field is gathered once and checked as a whole
+column (its types, then ``_check_box``'s rule and the ``iscrowd`` rule as
+array masks).  There is one rule per field: when a check fails, ``_columns``
+bisects the list to the first bad record and names it by the first rule it
+breaks when run on that record alone.  Ids, sizes, boxes, areas and scores
+are numbers (JSON's, or numpy's from Python), never strings or
 ``true``/``false``.  References, duplicate ids, areas and scores are then
-checked on the columns: a bad annotation is reported by the lowest id, a bad
-detection by its input position.
+checked on the columns: a duplicate id or a bad annotation is reported by the
+lowest id, a bad detection by its input position.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
 from operator import eq, itemgetter
@@ -167,6 +170,7 @@ class Detection:
 
 
 _NUMBER = (int, float, np.integer, np.floating)  # less bool: true and false are not numbers
+_FLAG = (int, np.integer, np.bool_)  # 0, 1, true or false, from JSON (bool is an int) or from numpy
 
 
 def _numeric(values) -> bool:
@@ -264,19 +268,21 @@ def _annotation_columns(records: list) -> tuple:
     area = _floats([0.0 if a is None else a for a in areas] if missing else areas, "area")
     area[missing] = box[missing, 2] * box[missing, 3]  # a missing or null area is w * h
     crowd = [r.get("iscrowd", 0) for r in records]
-    if not (all(issubclass(t, int) for t in set(map(type, crowd))) and set(crowd) <= {0, 1}):
-        flag = next(v for v in crowd if not (isinstance(v, int) and v in (0, 1)))  # bool is an int
+    if not (all(issubclass(t, _FLAG) for t in set(map(type, crowd))) and set(crowd) <= {0, 1}):
+        flag = next(v for v in crowd if not (isinstance(v, _FLAG) and v in (0, 1)))
         raise ValueError(f"flag {flag!r} is not 0, 1, true or false")
     return ids, image_ids, category_ids, box, area, np.array(crowd, dtype=bool)
 
 
-def _columns(records, kind: str, build, by_id: bool = True) -> tuple:
-    """The columns ``build`` makes of one top-level list, every field checked in bulk.
+def _columns(records, kind: str, build, by_id: bool = True):
+    """What ``build`` makes of one top-level list of records; the only reader of such a list.
 
     ``build`` fails on a part of the list if and only if the part holds a bad
     record, so when it fails, halves of the list are built until the first bad
     record is found; ``build`` run on that record alone names it by the first
-    rule it breaks, so each rule is written once.
+    rule it breaks, so each rule is written once.  The record is named by its
+    ``id``, else by position (``kind #i``), always by position with ``by_id``
+    false: a result's ``id`` is not a field the reader checks.
     """
     if not isinstance(records, list):
         raise IngestError(f"{kind} records must be a JSON list")
@@ -292,8 +298,10 @@ def _columns(records, kind: str, build, by_id: bool = True) -> tuple:
             lo = mid
         except (KeyError, TypeError, ValueError, OverflowError):
             hi = mid
-    _parse_records(records[lo:hi], kind, lambda rec: build([rec]), by_id, start=lo)  # raises, naming the record
-    raise IngestError(f"{kind} records do not form columns")  # a record from the API that no JSON file holds
+    for i, rec in enumerate(records[lo:hi], lo):  # raises, naming the record
+        _parse_record(rec, f"{kind} {rec['id']}" if by_id and isinstance(rec, dict) and "id" in rec
+                      else f"{kind} #{i}", lambda rec: build([rec]))
+    raise IngestError(f"{kind} records do not form columns")  # a list that fails only as a whole
 
 
 def _parse_record(rec, name: str, parse):
@@ -314,19 +322,6 @@ def _parse_record(rec, name: str, parse):
         raise IngestError(f"{name}: malformed record ({e})") from e
 
 
-def _parse_records(records, kind: str, parse, by_id: bool = True, start: int = 0) -> list:
-    """Parse every record of one top-level list; the first bad one is named by its id, else by position.
-
-    With ``by_id`` false every record is named by position (``kind #i``, from
-    ``start``), as results records are: a result's ``id`` is not a field the
-    reader checks.
-    """
-    if not isinstance(records, list):
-        raise IngestError(f"{kind} records must be a JSON list")
-    return [_parse_record(rec, f"{kind} {rec['id']}" if by_id and isinstance(rec, dict) and "id" in rec
-                          else f"{kind} #{i}", parse) for i, rec in enumerate(records, start)]
-
-
 def _index(index: dict, ids: list) -> np.ndarray:
     """The index of each id in an ``{id: index}`` dict, -1 for an id it lacks."""
     return np.fromiter(map(index.get, ids, repeat(-1)), dtype=np.int64, count=len(ids))
@@ -340,23 +335,25 @@ class Dataset:
 
     def __init__(self, images: list[ImageInfo], categories: list[Category],
                  ground_truths: list[GroundTruth]) -> None:
-        # every id follows the file path's rule (_id, _ids): np.int64 becomes int, 1.5 raises
-        self._fill([replace(im, id=_id(im.id)) for im in images], [replace(c, id=_id(c.id)) for c in categories],
-                   *(_ids([getattr(g, key) for g in ground_truths]) for key in ("id", "image_id", "category_id")),
-                   xywh([g.bbox for g in ground_truths]), np.array([g.area for g in ground_truths], dtype=float),
-                   np.array([g.ignore for g in ground_truths], dtype=bool))
+        # the COCO records the objects stand for (an image's and a category's fields are their
+        # COCO keys), read as an annotation file is: every field by the file's rule and message
+        self._fill(list(map(vars, images)), list(map(vars, categories)),
+                   [{"id": g.id, "image_id": g.image_id, "category_id": g.category_id, "bbox": [b.x, b.y, b.w, b.h],
+                     "area": g.area, "iscrowd": g.ignore} for g in ground_truths for b in (g.bbox,)])
 
-    def _fill(self, images: list[ImageInfo], categories: list[Category], ids: list, image_ids: list,
-              category_ids: list, box: np.ndarray, area: np.ndarray, crowd: np.ndarray) -> None:
-        """Index the images and categories; check the ground-truth columns and sort them by (image, id)."""
+    def _fill(self, images: list, categories: list, annotations: list) -> None:
+        """Read the image, category and annotation records; check the columns and sort them by (image, id)."""
+        images = _columns(images, "image", lambda records: list(map(_image_record, records)))
+        categories = _columns(categories, "category", lambda records: list(map(_category_record, records)))
+        ids, image_ids, category_ids, box, area, crowd = _columns(annotations, "annotation", _annotation_columns)
         self.images = sorted(images, key=lambda im: im.id)
         self.categories = sorted(categories, key=lambda c: c.id)
+        for kind, objects in (("image", self.images), ("category", self.categories)):
+            repeated = [b.id for a, b in zip(objects, objects[1:]) if a.id == b.id]  # by id: the lowest first
+            if repeated:
+                raise IngestError(f"duplicate {kind} id {repeated[0]}")
         self.images_by_id = {im.id: im for im in self.images}
-        if len(self.images_by_id) != len(self.images):
-            raise IngestError("duplicate image id")
         self.category_index = {c.id: k for k, c in enumerate(self.categories)}
-        if len(self.category_index) != len(self.categories):
-            raise IngestError("duplicate category id")
         self.image_index = {i: k for k, i in enumerate(self.images_by_id)}
         self.image_ids, self.category_ids = list(self.image_index), list(self.category_index)
         self.image_size = np.array([(im.width, im.height) for im in self.images], dtype=float).reshape(-1, 2)
@@ -408,11 +405,8 @@ class Dataset:
         for key in ("images", "annotations", "categories"):
             if key not in data:
                 raise IngestError(f"annotation file missing top-level key '{key}'")
-        images = _parse_records(data["images"], "image", _image_record)
-        categories = _parse_records(data["categories"], "category", _category_record)
         ds = cls.__new__(cls)
-        ds._fill(images, categories,
-                 *_columns(data["annotations"], "annotation", _annotation_columns))
+        ds._fill(data["images"], data["categories"], data["annotations"])
         return ds
 
     def to_coco_dict(self) -> dict:
@@ -435,12 +429,13 @@ class DetectionSet:
     """
 
     def __init__(self, detections: list[Detection], dataset: Dataset) -> None:
-        self._fill([d.image_id for d in detections], [d.category_id for d in detections],
-                   xywh([d.bbox for d in detections]), np.array([d.score for d in detections], dtype=float),
-                   dataset)
+        # the results records the objects stand for, read as a results file is
+        self._fill([{"image_id": d.image_id, "category_id": d.category_id, "bbox": [b.x, b.y, b.w, b.h],
+                     "score": d.score} for d in detections for b in (d.bbox,)], dataset)
 
-    def _fill(self, ids: list, cats: list, box: np.ndarray, score: np.ndarray, dataset: Dataset) -> None:
-        """Resolve the image and category ids; check the columns and sort them by image, then descending score."""
+    def _fill(self, records: list, dataset: Dataset) -> None:
+        """Read the results records, resolve their ids and check them; sort by image, then descending score."""
+        ids, cats, box, score = _columns(records, "detection", _detection_columns, by_id=False)
         self.total = len(ids)
         image = _index(dataset.image_index, ids)
         category = _index(dataset.category_index, cats)
@@ -467,7 +462,7 @@ class DetectionSet:
     @classmethod
     def from_coco_list(cls, data: list, dataset: Dataset) -> "DetectionSet":
         dets = cls.__new__(cls)
-        dets._fill(*_columns(data, "detection", _detection_columns, by_id=False), dataset)
+        dets._fill(data, dataset)
         return dets
 
     def to_coco_list(self) -> list[dict]:

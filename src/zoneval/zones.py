@@ -41,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .coco import Dataset, ImageInfo, _number, _parse_records, _read_json, box_centers
+from .coco import Dataset, ImageInfo, _columns, _number, _read_json, box_centers
 from .errors import IngestError, PartitionError
 
 
@@ -301,4 +301,4 @@ def _zone_record(rec: dict) -> tuple[str, tuple]:
 
 def load_custom_spec(path: str | Path) -> Custom:
     """Read a custom-zones JSON file: list of {name, rects: [[x0,y0,x1,y1], ...]}."""
-    return Custom(tuple(_parse_records(_read_json(path), f"{path}: zone", _zone_record)))
+    return Custom(tuple(_columns(_read_json(path), f"{path}: zone", lambda records: list(map(_zone_record, records)))))

@@ -457,6 +457,21 @@ class TestUsageErrors:
         with pytest.raises(argparse.ArgumentTypeError, match="'0:1:0.001' holds more than 1000 thresholds"):
             _parse_thresholds("0:1:0.001")
 
+    @pytest.mark.parametrize("text", ["0.5,abc", "", "0.5:abc:0.1", "0.5,,0.75", "0.5:0.95:"])
+    def test_iou_that_is_not_numbers_says_what_was_expected(self, text):
+        # argparse named the parser function itself: "invalid _parse_thresholds value"
+        with pytest.raises(argparse.ArgumentTypeError) as exc:
+            _parse_thresholds(text)
+        assert str(exc.value) == f"expected LO:HI:STEP or a comma list of numbers, got {text!r}"
+
+    @pytest.mark.parametrize("cmd", ["eval", "correlate"])
+    def test_iou_that_is_not_numbers_exits_1(self, bench_files, tmp_path, capsys, cmd):
+        gt, dt, _ = bench_files
+        inputs = ["--dt", str(dt)] if cmd == "eval" else ["--heatmap", str(tmp_path / "heat.csv")]
+        code, err = self._exit_code([cmd, "--gt", str(gt), *inputs, "--iou", "0.5,abc"], capsys)
+        assert code == 1
+        assert err == "error: argument --iou: expected LO:HI:STEP or a comma list of numbers, got '0.5,abc'\n"
+
     @pytest.mark.parametrize("bins", ["1001", "1000000000000"])
     def test_too_many_scale_bins_are_refused_before_any_is_built(self, tmp_path, capsys, monkeypatch, bins):
         # scale_bins builds bins - 1 tuples one by one, so a huge count would grow until memory ran out

@@ -10,6 +10,7 @@ from zoneval.coco import (
     BBox,
     Category,
     Dataset,
+    Detection,
     DetectionSet,
     GroundTruth,
     ImageInfo,
@@ -344,6 +345,73 @@ class TestColumnsAndViews:
             [[g.id for g in gts] for gts in ds.gts_by_image.values()]
 
 
+_GT_COLUMNS = ("gt_id", "gt_image", "gt_category", "gt_box", "gt_area", "gt_crowd", "gt_starts", "image_size",
+               "images", "image_ids", "category_ids")
+_DT_COLUMNS = ("total", "image", "category", "box", "score", "starts")
+
+
+class TestObjectsReadAsRecords:
+    """An object gives what the COCO record it stands for gives when read from a file: columns or message."""
+
+    @staticmethod
+    def _both(kind: str, field: str, value):
+        """``(from objects, from records)``: a Dataset or DetectionSet, or the IngestError message."""
+        image = {"id": 1, "width": 100.0, "height": 80.0, "file_name": "a.jpg"}
+        gt = {"id": 1, "image_id": 1, "category_id": 1, "bbox": [5.0, 5.0, 20.0, 10.0], "area": 200.0, "iscrowd": 0}
+        det = {"image_id": 1, "category_id": 1, "bbox": [5.0, 5.0, 20.0, 10.0], "score": 0.9}
+        key = "iscrowd" if field == "ignore" else field
+        {"image": image, "annotation": gt, "detection": det}[kind][key] = value
+        doc = {"images": [image], "annotations": [gt], "categories": [{"id": 1, "name": "cat"}]}
+        if kind == "detection":
+            ds = Dataset.from_coco_dict(doc)
+            obj = Detection(det["image_id"], det["category_id"], BBox(*det["bbox"]), det["score"])
+            return _loaded(lambda: DetectionSet([obj], ds)), _loaded(lambda: DetectionSet.from_coco_list([det], ds))
+        obj = GroundTruth(gt["id"], gt["image_id"], gt["category_id"], BBox(*gt["bbox"]), gt["area"], gt["iscrowd"])
+        return (_loaded(lambda: Dataset([ImageInfo(**image)], [Category(1, "cat")], [obj])),
+                _loaded(lambda: Dataset.from_coco_dict(doc)))
+
+    @staticmethod
+    def _columns(loaded):
+        if isinstance(loaded, str):
+            return loaded
+        names = _DT_COLUMNS if isinstance(loaded, DetectionSet) else _GT_COLUMNS
+        return {name: getattr(loaded, name) for name in names}
+
+    @pytest.mark.parametrize("kind,field,value,message", [
+        ("detection", "image_id", True, "detection #0: malformed record (id True is not a number)"),
+        ("detection", "category_id", "1", "detection #0: malformed record (id '1' is not a number)"),
+        ("detection", "score", "0.9", "detection #0: malformed record (score '0.9' is not a number)"),
+        ("detection", "score", True, "detection #0: malformed record (score True is not a number)"),
+        ("annotation", "image_id", True, "annotation 1: malformed record (id True is not a number)"),
+        ("annotation", "ignore", "no", "annotation 1: malformed record (flag 'no' is not 0, 1, true or false)"),
+        ("annotation", "ignore", 2, "annotation 1: malformed record (flag 2 is not 0, 1, true or false)"),
+        ("annotation", "area", "5", "annotation 1: malformed record (area '5' is not a number)"),
+        ("annotation", "area", True, "annotation 1: malformed record (area True is not a number)"),
+        ("image", "width", True, "image 1: malformed record (width True is not a number)"),
+    ])
+    def test_a_bad_value_gets_the_file_message(self, kind, field, value, message):
+        # each of these was accepted from objects: image_id True as 1, "0.9" as 0.9, "no" as a crowd box
+        assert self._both(kind, field, value) == (message, message)
+
+    @pytest.mark.parametrize("kind,field,value,plain", [
+        ("annotation", "area", None, 200.0),  # a missing area reads as w * h
+        ("annotation", "id", np.int64(1), 1),
+        ("annotation", "image_id", np.uint8(1), 1),
+        ("annotation", "area", np.float32(200.0), 200.0),
+        ("annotation", "ignore", np.bool_(True), True),
+        ("annotation", "ignore", np.bool_(False), 0),
+        ("annotation", "ignore", np.int64(1), 1),
+        ("image", "id", np.int32(1), 1),
+        ("image", "height", np.float64(80.0), 80.0),
+        ("detection", "image_id", np.int64(1), 1),
+        ("detection", "score", np.float32(0.5), 0.5),
+    ])
+    def test_an_accepted_value_gives_the_file_columns(self, kind, field, value, plain):
+        objects, records = self._both(kind, field, value)
+        _assert_same(objects, self._columns(records), f"{field}={value!r}")
+        _assert_same(objects, self._columns(self._both(kind, field, plain)[1]), f"{field}={value!r} as {plain!r}")
+
+
 _DROP = object()  # delete the key
 # wrong types and containers, strings of numbers, booleans, NaN and +-inf, integral and fractional
 # floats, ints too large for a float and past 2**63
@@ -482,6 +550,19 @@ class TestDuplicateIds:
         path.write_text(json.dumps(doc))
         with pytest.raises(IngestError, match="duplicate image id"):
             load_ground_truth(path)
+
+    @pytest.mark.parametrize("kind,key", [("image", "images"), ("category", "categories")])
+    def test_duplicate_image_or_category_names_the_lowest_id(self, tmp_path, kind, key):
+        doc = json.loads(json.dumps(TWO_IMAGES))
+        doc[key] = [dict(doc[key][0], id=i) for i in (9, 5, 9, 7, 5, 1)]
+        doc["annotations"] = []
+        path = tmp_path / "gt.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(IngestError, match=f"^duplicate {kind} id 5$"):
+            load_ground_truth(path)
+        images, categories = [ImageInfo(**im) for im in doc["images"]], [Category(**c) for c in doc["categories"]]
+        with pytest.raises(IngestError, match=f"^duplicate {kind} id 5$"):
+            Dataset(images, categories, [])
 
     def test_duplicate_annotation_id(self, tmp_path):
         doc = json.loads(json.dumps(MINIMAL))
