@@ -57,7 +57,11 @@ class BBox:
     h: float
 
     def __post_init__(self) -> None:
-        _check_box(self.x, self.y, self.w, self.h)
+        box = (self.x, self.y, self.w, self.h)
+        # the reader's number rule, named as a file's bbox value; four floats pass at once
+        if not (type(self.x) is type(self.y) is type(self.w) is type(self.h) is float or _numeric(box)):
+            raise IngestError(f"bbox value {next(v for v in box if not _numeric((v,)))!r} is not a number")
+        _check_box(*box)
 
     @property
     def area(self) -> float:
@@ -139,6 +143,11 @@ class ImageInfo:
     file_name: str = ""
 
     def __post_init__(self) -> None:
+        try:
+            _checked_number(self.width, "width")
+            _checked_number(self.height, "height")
+        except ValueError as e:
+            raise IngestError(f"image {self.id}: malformed record ({e})") from None  # a file's text
         if not (0 < self.width < math.inf and 0 < self.height < math.inf):
             raise IngestError(
                 f"image {self.id}: dimensions must be finite and positive, got {self.width}x{self.height}"

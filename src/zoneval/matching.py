@@ -24,15 +24,19 @@ order, precision monotonized from the right, sampled at evenly spaced recall
 points, averaged over categories (those with at least one countable ground
 truth) and IoU thresholds.  ``average_precision`` computes it for many
 (category, threshold) curves in one pass over flat arrays, with the same
-floating-point operations per curve as a curve-by-curve loop, by scattering
-each true positive into the (curve, recall point) cell its recall reaches.
-Only true positives need a cell: a false positive has the recall of the last
-true positive before it, so it lands in that one's cell with a lower
-precision, and before a curve's first true positive precision is 0, which an
-empty cell holds already.  One departure: the per-image cap keeps an image's
-top detections over all its categories, where the COCO API's ``evaluateImg``
-and ``accumulate`` apply ``maxDets`` per (image, category); the two agree
-whenever no image holds more detections than the cap.
+floating-point operations per curve as a curve-by-curve loop, from the recall
+points each curve reaches: the last grid point at or below a true positive's
+recall.  Only true positives reach a point: a false positive has the recall
+of the last true positive before it, so it would reach that one's point with
+a lower precision, and before a curve's first true positive precision is 0.
+A reached point's best precision, maximized over the later points of its
+curve, is the sample of every grid point back to the curve's point before it;
+the grid points past its last point sample 0.  So a curve costs what it
+reaches, not the grid, until its samples are averaged.  One departure: the
+per-image cap keeps an image's top detections over all its categories, where
+the COCO API's ``evaluateImg`` and ``accumulate`` apply ``maxDets`` per
+(image, category); the two agree whenever no image holds more detections
+than the cap.
 
 ``mean_ap`` and ``threshold_aps`` reduce an (S, T) AP array to one figure
 and to one figure per threshold.  The protocol rules that pick the groups,
@@ -218,21 +222,26 @@ def average_precision(
     after the sort.  Each (threshold, segment) curve gets the arithmetic of a
     standalone computation: cumulative counts, recall and precision,
     precision monotonized from the right, sampled at the first recall >= each
-    grid point (0 past the end), and averaged.  An entry's cell is (curve,
-    last grid point <= its recall); a cell's best precision (0 if it has
-    none), maximized from the right along its curve, is that grid point's
-    sample.  In C order, curve ``t * S + s`` is the flat range from ``t * N +
-    starts[s]`` to the next curve's start, and one loop takes ``blocks`` of
-    whole curves, each curve building its entries and its R cells.
+    grid point (0 past the end), and averaged.  In C order, curve ``t * S +
+    s`` is the flat range from ``t * N + starts[s]`` to the next curve's
+    start, and one loop takes ``blocks`` of whole curves, each curve building
+    its entries and its R samples.
 
-    Each cell's best precision is that of a true positive, so only true
-    positives are placed.  A false positive shares the recall, and so the
-    cell, of the last true positive before it in its curve, with the same
-    true-positive count over a larger rank: a precision no higher.  Before the
-    first true positive, recall and precision are 0, an empty cell's value.
-    A true positive's rank among its curve's kept entries comes from one
-    running count of the kept entries per block, so the result is the same
-    bits as placing every entry.
+    An entry reaches the point (curve, last grid point <= its recall).  Each
+    reached point keeps its best precision, that of a true positive, so only
+    true positives are placed.  A false positive shares the recall, and so
+    the point, of the last true positive before it in its curve, with the
+    same true-positive count over a larger rank: a precision no higher.
+    Before the first true positive, recall and precision are 0.  A true
+    positive's rank among its curve's kept entries comes from one running
+    count of the kept entries per block.  The maximum over each point and the
+    later points of its curve is a doubling scan over the reached points
+    alone, at most ceil(log2 R) steps, each masked at the curve boundaries.
+    That value is the sample of the point's grid point and of those back to
+    the curve's previous point; the grid points after a curve's last point
+    sample 0.  One ``np.repeat`` lays the samples out as a (curves, R) block
+    in grid order, and its rows are averaged as a single curve's samples are,
+    so the result is the same bits as sampling every entry's curve in full.
     """
     t_count, n = tp.shape
     s_count, r_count = len(starts), len(recall_grid)
@@ -240,7 +249,7 @@ def average_precision(
     # bounds[c]:bounds[c + 1] are curve c's entries
     bounds = np.append((np.arange(t_count)[:, None] * n + starts).ravel(), t_count * n)
     out = np.empty(t_count * s_count)
-    for c0, c1 in blocks(np.diff(bounds) + r_count):  # a curve builds its entries and its cells
+    for c0, c1 in blocks(np.diff(bounds) + r_count):  # a curve builds its entries and its R samples
         a, b = bounds[c0], bounds[c1]
         kept = ~ignored[a:b]
         # before[i]: kept entries ahead of entry a + i
@@ -258,11 +267,30 @@ def average_precision(
         # cells rise along the entries; recall >= grid[0] == 0 keeps each in its run
         cell = run * r_count + np.searchsorted(recall_grid, recall, side="right") - 1
         new[1:] = cell[1:] != cell[:-1]
-        sampled = np.zeros((c1 - c0, r_count))
-        sampled.flat[cell[new]] = np.maximum.reduceat(precision, np.flatnonzero(new))
-        sampled = np.maximum.accumulate(sampled[:, ::-1], axis=1)
-        # summed left to right, in the order a single curve's samples are
-        out[c0:c1] = np.ascontiguousarray(sampled[:, ::-1]).mean(axis=1)
+        # reached points, rising: (curve, grid point) as a cell, the curve, the best precision
+        point, owner = cell[new], run[new]
+        value = np.maximum.reduceat(precision, np.flatnonzero(new))
+        # maximum over each point and the later points of its curve: a doubling scan,
+        # masked where it would cross into the next curve (every precision is > 0)
+        step = 1
+        while step < len(value):
+            same = owner[step:] == owner[:-step]
+            if not same.any():
+                break
+            np.maximum(value[:-step], np.where(same, value[step:], 0.0), out=value[:-step])
+            step *= 2
+        # the samples as runs in cell order: each point's value, back to its curve's
+        # point before it, and after each curve's points a run of 0 to its last cell;
+        # edge is the last cell of each run
+        last = np.arange(1, c1 - c0 + 1) * r_count - 1
+        edge = np.empty(len(point) + c1 - c0, dtype=np.int64)
+        fill = np.zeros(len(edge))
+        at = np.arange(len(point)) + owner
+        edge[at], fill[at] = point, value
+        edge[np.searchsorted(point, last, side="right") + np.arange(c1 - c0)] = last
+        # the (curves, R) samples, summed left to right as a single curve's are; a
+        # temporary, freed before the next block allocates its own
+        out[c0:c1] = np.repeat(fill, np.diff(edge, prepend=-1)).reshape(c1 - c0, r_count).mean(axis=1)
     return np.ascontiguousarray(out.reshape(t_count, s_count).T)
 
 

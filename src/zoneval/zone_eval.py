@@ -422,12 +422,13 @@ def scale_bins(r: int | None, cap: int = SCALE_CAP) -> list[tuple[float, float]]
     r=None stands for the all-scales setting: a single [0, inf) bin.  The
     catch-all starts where the last finite bin ends, so the bins always cover
     [0, inf) even when r does not divide the cap.  An r that is not finite
-    and > 0, whose squared bin edges overflow, or that gives more than
-    ``_MAX_SCALE_BINS`` bins raises ValueError before any bin is built.
+    and > 0 (or is a bool, numpy's included), whose squared bin edges
+    overflow, or that gives more than ``_MAX_SCALE_BINS`` bins raises
+    ValueError before any bin is built.
     """
     if r is None:
         return [(0.0, math.inf)]
-    if not 0 < r < math.inf:  # nan fails this too
+    if isinstance(r, (bool, np.bool_)) or not 0 < r < math.inf:  # nan fails this too; a bool is not a number
         raise ValueError(f"scale bin width must be finite and positive, got {r}")
     edges = [0.0]
     if r <= cap:  # the first edge, so that an overflow is named before the count
@@ -484,9 +485,10 @@ def scale_study(
     cfg = cfg or EvalConfig()
     if cfg.scale_range is not None:
         raise ValueError("scale_study sets the scale range per bin; cfg.scale_range must be None")
+    # each step's own check first: a bool step would pass as a number in the set
+    bins = [(i, rng) for i, r in enumerate(steps) for rng in scale_bins(r)]
     if len(set(steps)) < len(steps):  # a step's mean would count twice in the grand mean
         raise ValueError(f"scale_study steps must be distinct, got {tuple(steps)}")
-    bins = [(i, rng) for i, r in enumerate(steps) for rng in scale_bins(r)]
     zone_aps = _zone_aps(_geometry(ds, dets, partition, cfg), cfg, [rng for _, rng in bins])
     bin_zps = [[_percent(mean_ap(z)) for z in zaps[:-1]] for zaps in zone_aps]  # per bin, per zone
     zps = [[z for (j, _), z in zip(bins, bin_zps) if j == i] for i in range(len(steps))]  # per step, per bin

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -662,6 +663,13 @@ class TestImageInfoValidation:
         with pytest.raises(IngestError, match="image 7"):
             ImageInfo(id=7, width=w, height=h)
 
+    @pytest.mark.parametrize("w,h", [("5", 10.0), (10.0, True), (np.bool_(True), 10.0)])
+    def test_size_that_is_not_a_number_raises_the_readers_error(self, w, h):
+        # the file's text for the same value; a bare TypeError or a bool read as 1 before
+        bad = f"width {w!r}" if isinstance(h, float) else f"height {h!r}"
+        with pytest.raises(IngestError, match=f"^image 1: malformed record \\({re.escape(bad)} is not a number\\)$"):
+            ImageInfo(1, w, h)
+
     def test_nan_width_rejected_at_ingest(self, tmp_path):
         doc = coco_doc([{"id": 1, "width": math.nan, "height": 100}], [], [])
         path = tmp_path / "gt.json"
@@ -679,3 +687,13 @@ class TestBBoxValidation:
     def test_rejects_non_finite(self):
         with pytest.raises(IngestError):
             BBox(math.inf, 0, 5, 5)
+
+    @pytest.mark.parametrize("box,bad", [(("1", 0, 1, 1), "1"), ((True, 0, 1, 1), True),
+                                         ((0.0, 0.0, 1.0, np.bool_(False)), np.bool_(False))])
+    def test_value_that_is_not_a_number_raises_the_readers_error(self, box, bad):
+        # "1" was a bare TypeError and True was built as 1
+        with pytest.raises(IngestError, match=f"^bbox value {re.escape(repr(bad))} is not a number$"):
+            BBox(*box)
+
+    def test_numpy_numbers_are_numbers(self):
+        assert BBox(np.int64(1), np.float32(2), 3, 4.0).area == 12.0

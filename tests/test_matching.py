@@ -465,6 +465,47 @@ class TestAveragePrecisionKernel:
                 deleted += 1
         assert deleted > 20
 
+    @staticmethod
+    def edge_curves(r_count, rng):
+        # one segment per case, at two thresholds (the second drops some true
+        # positives), so threshold 0's last curve runs straight into threshold 1's first:
+        # - every: r_count true positives among false positives, n_pos r_count, so
+        #   true positive k reaches grid point k - 1: every point, and recall ends at 1
+        # - low then one: precision 1/41, then precision 1 in the next curve
+        # - exact then none: recall ends at exactly 1 (no tail of zeros), then no
+        #   true positive at all (a curve of zeros only)
+        every = np.zeros(3 * r_count, dtype=bool)
+        every[rng.choice(3 * r_count, r_count, replace=False)] = True
+        low = np.append(np.zeros(40, dtype=bool), True)
+        segments = [(every, r_count), (low, 2), (np.ones(3, dtype=bool), 3),
+                    (np.array([True, False, True, False, True]), 3), (np.zeros(4, dtype=bool), 2), (low, 2)]
+        tp = np.concatenate([hit for hit, _ in segments])
+        tp = np.stack([tp, tp & (rng.random(len(tp)) < 0.7)])
+        starts = np.cumsum([0] + [len(hit) for hit, _ in segments[:-1]])
+        n_pos = np.array([pos for _, pos in segments])
+        return tp, np.zeros_like(tp), starts, n_pos
+
+    @pytest.mark.parametrize("bound", [None, 1, 7])
+    @pytest.mark.parametrize("r_count", [2, 101, 1001, 10001])
+    def test_reached_points_bit_for_bit(self, monkeypatch, bound, r_count):
+        # the suffix maximum runs over the points each curve reaches; it must reach as
+        # deep as a curve that reaches every grid point (10,001 is the CLI's largest
+        # grid) and never cross into the next curve, and a curve's run of zeros may be
+        # empty or the whole curve
+        if bound is not None:
+            monkeypatch.setattr(matching, "BLOCK_ENTRIES", bound)
+        rng = np.random.default_rng(43)
+        grid = EvalConfig(recall_points=r_count).recall_grid()
+        tp, ignored, starts, n_pos = self.edge_curves(r_count, rng)
+        recall = np.cumsum(tp[0, : starts[1]]) / r_count
+        assert (np.searchsorted(grid, recall[tp[0, : starts[1]]], side="right") - 1 == np.arange(r_count)).all()
+        got = average_precision(tp, ignored, starts, n_pos, grid)
+        want = self.reference(tp, ignored, starts, n_pos, grid)
+        assert got.tobytes() == want.tobytes()
+        # the cases are what they claim: low sits below one, exact is above none's 0
+        assert got[1, 0] < got[2, 0] == 1.0
+        assert got[3, 0] > got[4, 0] == 0.0
+
     def test_memory_layout_changes_nothing(self):
         rng = np.random.default_rng(37)
         grid = EvalConfig().recall_grid()

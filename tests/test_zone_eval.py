@@ -530,6 +530,17 @@ class TestScaleStudy:
         with pytest.raises(ValueError, match="gives more than 1000 bins"):
             scale_study(mini_dataset, mini_detections, build_partition(Annular(2)), steps=(64, 1e-9))
 
+    @pytest.mark.parametrize("r", [True, np.True_, False])
+    def test_bin_width_must_not_be_a_bool(self, r):
+        # True built width-1 bins
+        with pytest.raises(ValueError, match=f"^scale bin width must be finite and positive, got {r}$"):
+            scale_bins(r)
+
+    def test_study_refuses_a_bool_step(self, mini_dataset, mini_detections):
+        # (True, 1) was refused as "not distinct"
+        with pytest.raises(ValueError, match="^scale bin width must be finite and positive, got True$"):
+            scale_study(mini_dataset, mini_detections, build_partition(Annular(2)), steps=(True, 1))
+
     def test_study_refuses_a_zero_step(self, mini_dataset, mini_detections):
         with pytest.raises(ValueError, match="finite and positive"):
             scale_study(mini_dataset, mini_detections, build_partition(Annular(2)), steps=(64, 0))
