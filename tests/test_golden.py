@@ -8,6 +8,11 @@ tuple-list matcher that preceded the array kernel.
 The ``sela_*`` files are the CSV and JSON outputs of ``zone-eval sela`` on the
 frozen ground truth ``sela_gt.json``, for a gamma run and a ``--beta`` run, as
 produced by the per-anchor-object assignment that preceded the array-backed one.
+The ``synth_*`` files are the outputs of two ``zone-eval synth bench`` runs (the
+graded profile at bias 0, and the custom profile ``synth_profile.json`` with
+localization jitter and false positives at bias 5) and of one ``zone-eval synth
+sudoku`` run on ``synth_sudoku_objects.json``, as produced by the generators that
+built one object per box before they wrote COCO records.
 ``zones.json`` is the geometry of built partitions: for each zone its id, its
 float rectangle corners as ``float.hex``, ``area_exact`` as ``p/q`` and
 ``area_fraction``, as built by the per-kind zone builders that preceded the
@@ -145,6 +150,44 @@ def test_sela_output_is_byte_identical(run, fmt, tmp_path):
     assert sela_output(run, fmt, tmp_path / f"out.{fmt}") == want
 
 
+SYNTH_PROFILE = GOLDEN / "synth_profile.json"
+SUDOKU_OBJECTS = GOLDEN / "synth_sudoku_objects.json"
+# each run: its arguments but the outputs, and the files it writes
+SYNTH_RUNS = {
+    "bench_graded": (["bench", "--seed", "3", "--images", "4", "--objects", "40", "--partition", "annular:3"],
+                     ("gt", "dt", "expected")),
+    "bench_custom": (["bench", "--seed", "5", "--images", "3", "--objects", "36", "--center-bias", "5",
+                      "--partition", "annular:2", "--profile", str(SYNTH_PROFILE)], ("gt", "dt", "expected")),
+    "sudoku": (["sudoku", "--objects", str(SUDOKU_OBJECTS), "--canvas", "450", "--size", "100"],
+               ("gt", "manifest")),
+}
+
+
+def synth_profile_doc() -> dict:
+    return {"z0,1": {"recall": 0.6, "fp_per_tp": 1.5, "loc_jitter": 4.0},
+            "z1,2": {"recall": 0.9, "fp_per_tp": 0.5, "loc_jitter": 2.5}}
+
+
+def sudoku_objects_doc() -> list:
+    return [{"source_id": 100 + 7 * k, "category_id": 1 + k % 3} for k in range(14)]
+
+
+def synth_outputs(run: str, out_dir: Path) -> dict[str, bytes]:
+    """The files of one ``zone-eval synth`` run, written into ``out_dir`` as ``synth_<run>_<output>.json``."""
+    args, outputs = SYNTH_RUNS[run]
+    paths = {o: out_dir / f"synth_{run}_{o}.json" for o in outputs}
+    flags = [v for o, path in paths.items() for v in (f"--out-{o}", str(path))]
+    assert main(["synth", *args, *flags]) == 0
+    return {o: path.read_bytes() for o, path in paths.items()}
+
+
+@pytest.mark.parametrize("run", SYNTH_RUNS, ids=[f"synth_{r}" for r in SYNTH_RUNS])
+def test_synth_output_is_byte_identical(run, tmp_path):
+    got = synth_outputs(run, tmp_path)
+    for output, text in got.items():
+        assert text == (GOLDEN / f"synth_{run}_{output}.json").read_bytes(), output
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(parents=True, exist_ok=True)
     for spec, cap in CASES:
@@ -154,3 +197,7 @@ if __name__ == "__main__":
     SELA_GT.write_text(json.dumps(sela_gt_doc(), indent=1) + "\n")
     for run, fmt in SELA_CASES:
         sela_output(run, fmt, GOLDEN / f"sela_{run}.{fmt}")
+    SYNTH_PROFILE.write_text(json.dumps(synth_profile_doc(), indent=1) + "\n")
+    SUDOKU_OBJECTS.write_text(json.dumps(sudoku_objects_doc(), indent=1) + "\n")
+    for run in SYNTH_RUNS:
+        synth_outputs(run, GOLDEN)
