@@ -8,7 +8,9 @@ positives always outscore false positives.  The expected report returned
 alongside the data is exact under those conditions for IoU thresholds >= 0.5.
 
 No pixels are ever rendered; layouts exist as annotations plus a placement
-manifest.
+manifest.  Both generators write the COCO records themselves and read them
+through the one ingest path, ``Dataset.from_coco_dict`` and
+``DetectionSet.from_coco_list``; no per-box object is built.
 """
 
 from __future__ import annotations
@@ -18,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coco import (BBox, Category, Dataset, Detection, DetectionSet, GroundTruth, ImageInfo, box_centers, iou,
-                   iou_matrix, xywh)
+from .coco import Dataset, DetectionSet, box_centers, box_corners, corner_iou, iou_matrix
 from .equilibrium import spatial_weight
 from .matching import DEFAULT_IOU_THRESHOLDS
 from .zone_eval import ZoneReport, ZoneResult, _sum
@@ -42,12 +43,18 @@ class SudokuConfig:
     object_size: float = 128.0
 
     def __post_init__(self) -> None:
-        if self.canvas <= 0:
-            raise ValueError("canvas must be positive")
+        for name in ("canvas", "object_size"):
+            if not 0 < getattr(self, name) < math.inf:  # NaN fails
+                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)!r}")
         if not self.object_size < self.canvas / GRID_SIDE:
             raise ValueError("object_size must be smaller than one grid cell")
         if not self.objects:
             raise ValueError("layout needs at least one object")
+
+
+def _images(n: int, width: float, height: float, stem: str) -> list[dict]:
+    """Image records 1..n of one size, named ``<stem>_<id>``."""
+    return [{"id": i, "width": width, "height": height, "file_name": f"{stem}_{i:06d}"} for i in range(1, n + 1)]
 
 
 def sudoku_layout(cfg: SudokuConfig) -> tuple[Dataset, list[dict]]:
@@ -58,44 +65,24 @@ def sudoku_layout(cfg: SudokuConfig) -> tuple[Dataset, list[dict]]:
     mapping each placement back to its source object.
     """
     n_cells = GRID_SIDE * GRID_SIDE
-    n_images = math.ceil(len(cfg.objects) / n_cells)
-    images = [
-        ImageInfo(id=i + 1, width=cfg.canvas, height=cfg.canvas, file_name=f"sudoku_{i + 1:06d}")
-        for i in range(n_images)
-    ]
-    cat_ids = sorted({cat for _, cat in cfg.objects})
-    categories = [Category(id=c, name=f"category-{c}") for c in cat_ids]
-
     zone_ids = build_partition(Grid(GRID_SIDE, GRID_SIDE)).zone_ids
-    gts = []
+    size = cfg.object_size
+    half = size / 2.0
+    annotations = []
     manifest = []
-    half = cfg.object_size / 2.0
     for k, (source_id, cat_id) in enumerate(cfg.objects):
         cell = k % n_cells
         row, col = divmod(cell, GRID_SIDE)
         cx = (2 * col + 1) * cfg.canvas / 6.0
         cy = (2 * row + 1) * cfg.canvas / 6.0
-        gt_id = k + 1
         image_id = k // n_cells + 1
-        gts.append(
-            GroundTruth(
-                id=gt_id,
-                image_id=image_id,
-                category_id=cat_id,
-                bbox=BBox(cx - half, cy - half, cfg.object_size, cfg.object_size),
-                area=cfg.object_size * cfg.object_size,
-            )
-        )
-        manifest.append(
-            {
-                "gt_id": gt_id,
-                "image_id": image_id,
-                "cell": [row, col],
-                "zone": zone_ids[cell],
-                "source_id": source_id,
-            }
-        )
-    return Dataset(images, categories, gts), manifest
+        annotations.append({"id": k + 1, "image_id": image_id, "category_id": cat_id,
+                            "bbox": [cx - half, cy - half, size, size], "area": size * size})
+        manifest.append({"gt_id": k + 1, "image_id": image_id, "cell": [row, col], "zone": zone_ids[cell],
+                         "source_id": source_id})
+    categories = [{"id": c, "name": f"category-{c}"} for c in sorted({cat for _, cat in cfg.objects})]
+    images = _images(math.ceil(len(cfg.objects) / n_cells), cfg.canvas, cfg.canvas, "sudoku")
+    return Dataset.from_coco_dict({"images": images, "categories": categories, "annotations": annotations}), manifest
 
 
 @dataclass(frozen=True)
@@ -191,18 +178,14 @@ def synthetic_benchmark(
     for zid in partition.zone_ids:
         if zid not in profile.zones:
             raise ValueError(f"profile missing zone {zid!r}")
+    for zid in profile.zones:
+        if zid not in partition.zone_ids:
+            raise ValueError(f"profile zone {zid!r} is not a zone of {spec_label(partition.spec)}")
 
     rng = np.random.default_rng(profile.rng_seed)
     width, height = _IMAGE_SIZE
-    images = [
-        ImageInfo(id=i + 1, width=width, height=height, file_name=f"synth_{i + 1:06d}")
-        for i in range(n_images)
-    ]
-    categories = [Category(id=_CATEGORY_ID, name="object")]
-
-    gts = []
+    annotations = []
     for i in range(n_objects):
-        img = images[i % n_images]
         while True:
             u, v = rng.random(), rng.random()
             if center_bias == 0.0 or rng.random() < math.exp(-center_bias * spatial_weight(u, v, 1.0, 1.0)):
@@ -210,34 +193,31 @@ def synthetic_benchmark(
         bw = rng.uniform(*_BOX_SIDE_RANGE)
         bh = rng.uniform(*_BOX_SIDE_RANGE)
         cx, cy = u * width, v * height
-        gts.append(GroundTruth(i + 1, img.id, _CATEGORY_ID, BBox(cx - bw / 2.0, cy - bh / 2.0, bw, bh), bw * bh))
-    # zoned by box centers, the evaluator's arithmetic; every image shares one size
-    gt_zone = partition.assign(*box_centers(xywh([g.bbox for g in gts])), width, height)
-
-    ds = Dataset(images, categories, gts)
+        annotations.append({"id": i + 1, "image_id": i % n_images + 1, "category_id": _CATEGORY_ID,
+                            "bbox": [cx - bw / 2.0, cy - bh / 2.0, bw, bh], "area": bw * bh})
+    # ground truth i lies on image i mod n_images; zoned by box centers, the evaluator's
+    # arithmetic, as every image shares one size
+    gt_box = np.array([a["bbox"] for a in annotations])
+    gt_zone = partition.assign(*box_centers(gt_box), width, height)
 
     detections = []
     expected_zones = []
     total_tp = 0
     for zi, zone in enumerate(partition.zones):
         q = profile.zones[zone.id]
-        members = np.flatnonzero(gt_zone == zi).tolist()
+        members = np.flatnonzero(gt_zone == zi)
         n_gt = len(members)
         n_tp = int(round(q.recall * n_gt))
-        chosen = sorted(rng.choice(members, size=n_tp, replace=False)) if n_tp else []
-        for gi in chosen:
-            gt = gts[gi]
-            box = gt.bbox
-            if q.loc_jitter > 0:
-                dx = rng.uniform(-q.loc_jitter, q.loc_jitter)
-                dy = rng.uniform(-q.loc_jitter, q.loc_jitter)
-                box = BBox(box.x + dx, box.y + dy, box.w, box.h)
-            detections.append(
-                Detection(gt.image_id, _CATEGORY_ID, box, _linear_score(iou(box, gt.bbox)))
-            )
+        chosen = np.sort(rng.choice(members, size=n_tp, replace=False)) if n_tp else members[:0]
+        box = gt_box[chosen]
+        if q.loc_jitter > 0:
+            box[:, :2] += rng.uniform(-q.loc_jitter, q.loc_jitter, size=(n_tp, 2))  # dx, dy per box
+        score = _linear_score(corner_iou(box_corners(box), box_corners(gt_box[chosen])))
+        detections += [{"image_id": g % n_images + 1, "category_id": _CATEGORY_ID, "bbox": b, "score": s}
+                       for g, b, s in zip(chosen.tolist(), box.tolist(), score.tolist())]
         n_fp = int(round(q.fp_per_tp * n_tp))
-        for _ in range(n_fp):
-            detections.append(_plant_false_positive(rng, zone, ds))
+        areas = np.array([(r.x1 - r.x0) * (r.y1 - r.y0) for r in zone.rects])
+        detections += [_plant_false_positive(rng, zone, areas / areas.sum(), gt_box, n_images) for _ in range(n_fp)]
         total_tp += n_tp
 
         zp = _closed_form_zp(n_tp, n_gt) if n_gt else None
@@ -258,23 +238,29 @@ def synthetic_benchmark(
         zones=expected_zones,
         full_ap=_closed_form_zp(total_tp, n_objects),
     )
-    return ds, DetectionSet(detections, ds), expected
+    ds = Dataset.from_coco_dict({"images": _images(n_images, width, height, "synth"),
+                                 "categories": [{"id": _CATEGORY_ID, "name": "object"}], "annotations": annotations})
+    return ds, DetectionSet.from_coco_list(detections, ds), expected
 
 
-def _plant_false_positive(rng: np.random.Generator, zone: Zone, ds: Dataset) -> Detection:
-    """A detection centered in the zone that overlaps no ground truth enough to match."""
-    k = int(rng.integers(0, len(ds.images)))
-    img, gt_boxes = ds.images[k], ds.gt_box[ds.gt_starts[k]:ds.gt_starts[k + 1]]
-    areas = np.array([(r.x1 - r.x0) * (r.y1 - r.y0) for r in zone.rects])
+def _plant_false_positive(rng: np.random.Generator, zone: Zone, weights: np.ndarray, gt_box: np.ndarray,
+                          n_images: int) -> dict:
+    """A results record centered in the zone that overlaps no ground truth enough to match.
+
+    ``weights`` are the zone's rectangle areas as probabilities; ground truth
+    ``i`` of ``gt_box`` lies on image ``i mod n_images``.
+    """
+    k = int(rng.integers(0, n_images))
+    width, height = _IMAGE_SIZE
     shrink = 1.0
     while True:
         for _ in range(50):
-            r = zone.rects[int(rng.choice(len(zone.rects), p=areas / areas.sum()))]
+            r = zone.rects[int(rng.choice(len(zone.rects), p=weights))]
             u = r.x0 + rng.random() * (r.x1 - r.x0)
             v = r.y0 + rng.random() * (r.y1 - r.y0)
             bw = rng.uniform(*_BOX_SIDE_RANGE) * shrink
             bh = rng.uniform(*_BOX_SIDE_RANGE) * shrink
-            box = BBox(u * img.width - bw / 2.0, v * img.height - bh / 2.0, bw, bh)
-            if (iou_matrix(xywh([box]), gt_boxes) < _FP_IOU_CEILING).all():
-                return Detection(img.id, _CATEGORY_ID, box, _linear_score(0.0))
+            box = [u * width - bw / 2.0, v * height - bh / 2.0, bw, bh]
+            if (iou_matrix(np.array([box]), gt_box[k::n_images]) < _FP_IOU_CEILING).all():
+                return {"image_id": k + 1, "category_id": _CATEGORY_ID, "bbox": box, "score": _linear_score(0.0)}
         shrink /= 2.0

@@ -312,6 +312,29 @@ class TestSynthCommands:
         assert err.startswith("error: center_bias must lie in [0, 50]") and err.count("\n") == 1, err
         assert out == "" and not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("flag,value,field", [("--canvas", "nan", "canvas"), ("--size", "nan", "object_size"),
+                                                  ("--size", "-5", "object_size")])
+    def test_sudoku_rejects_a_canvas_or_size_that_is_not_finite_and_positive(self, tmp_path, capsys, flag, value,
+                                                                             field):
+        meta = tmp_path / "meta.json"
+        meta.write_text(json.dumps([{"source_id": 1, "category_id": 1}]))
+        code = main(["synth", "sudoku", "--objects", str(meta), flag, value, "--out-gt", str(tmp_path / "g.json")])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert err == f"error: {field} must be finite and positive, got {float(value)!r}\n", err
+        assert out == "" and not (tmp_path / "g.json").exists()
+
+    def test_bench_rejects_a_profile_zone_outside_the_partition(self, tmp_path, capsys):
+        profile = tmp_path / "profile.json"
+        profile.write_text(json.dumps({"z0,1": {"recall": 1.0}, "extra": {"recall": 0.5}, "z1,2": {"recall": 1.0}}))
+        code = main(["synth", "bench", "--partition", "annular:2", "--images", "2", "--objects", "6",
+                     "--profile", str(profile), "--out-gt", str(tmp_path / "g.json"),
+                     "--out-dt", str(tmp_path / "d.json")])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert err == "error: profile zone 'extra' is not a zone of annular:2\n", err
+        assert out == "" and not (tmp_path / "g.json").exists()
+
 
 class TestCorrelate:
     def test_proportional_heatmap_gives_unit_pcc(self, tmp_path):

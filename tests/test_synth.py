@@ -67,6 +67,16 @@ class TestSudokuLayout:
         with pytest.raises(ValueError):
             SudokuConfig(objects=((1, 1),), canvas=300.0, object_size=100.0)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("canvas", math.nan), ("canvas", math.inf), ("canvas", 0.0), ("canvas", -600.0),
+         ("object_size", math.nan), ("object_size", 0.0), ("object_size", -5.0), ("object_size", -math.inf)],
+    )
+    def test_canvas_and_object_size_must_be_finite_and_positive(self, field, value):
+        # NaN failed only the cell rule before, and a negative size reached the box rule
+        with pytest.raises(ValueError, match=f"^{field} must be finite and positive, got {value!r}$"):
+            SudokuConfig(objects=((1, 1),), **{field: value})
+
 
 class TestQualityProfile:
     def test_recall_above_one_infeasible(self):
@@ -144,6 +154,15 @@ class TestSyntheticBenchmark:
         profile = QualityProfile({"x0": ZoneQuality(recall=1.0)}, rng_seed=0)
         with pytest.raises(ValueError, match="missing zone"):
             synthetic_benchmark(5, 50, 0.0, profile, p)
+
+    @pytest.mark.parametrize("extra", [{"extra": ZoneQuality(recall=1.0)}, {"x2": ZoneQuality(recall=0.5)}])
+    def test_profile_zone_outside_partition_rejected(self, extra):
+        # such a zone was dropped silently: an annular:5 profile on annular:3 lost two rings
+        p = build_partition(StripX(2))
+        zones = {"x0": ZoneQuality(recall=1.0), **extra, "x1": ZoneQuality(recall=1.0)}
+        name = next(iter(extra))
+        with pytest.raises(ValueError, match=rf"^profile zone '{name}' is not a zone of strip-x:2$"):
+            synthetic_benchmark(5, 50, 0.0, QualityProfile(zones), p)
 
     def test_center_bias_concentrates_objects(self):
         p = build_partition(Annular(2))
