@@ -394,6 +394,14 @@ def cmd_synth_bench(args: argparse.Namespace) -> int:
         profile=profile,
         partition=partition,
     )
+    if args.out_expected:
+        # the expected report counts every detection, and eval keeps an image's top ones up to its cap
+        cap, starts = EvalConfig().max_dets_per_image, dets.starts.tolist()
+        over = next(((i, b - a) for i, (a, b) in enumerate(zip(starts, starts[1:])) if b - a > cap), None)
+        if over:
+            raise ValueError(f"image {ds.image_ids[over[0]]} holds {over[1]} detections, more than the {cap} "
+                             f"that eval keeps per image, so --out-expected would not match eval; "
+                             f"use fewer --objects per image")
     _write_outputs([(args.out_gt, _json_text(ds.to_coco_dict())), (args.out_dt, _json_text(dets.to_coco_list())),
                     (args.out_expected, expected.to_json())])
     print(

@@ -12,12 +12,16 @@ range.  Every ground truth is matched at most once per threshold.
 ``greedy_match`` runs this rule for any number of groups and every IoU
 threshold at once; ``zone_eval`` makes the scale range part of the group.
 Its input is the flat list of candidate pairs (detection row, ground-truth
-slot, IoU) with IoU at or above the lowest threshold.  It steps over
-detection rank, at most the per-image cap, and each step decides the pairs
-of that rank in every group and at every threshold with a few array
-operations: a row's winner at a threshold is its free, reaching pair of
-least ``pair index + n_pairs * ignored``, one ``minimum.reduceat``.  Rows
-without a candidate pair never match, so they never enter the loop.
+slot, IoU) with IoU at or above the lowest threshold.  The greedy order
+matters only between rows that reach a common slot, so ``pair_order``
+gives each row its conflict level (0 for a row that no earlier row
+contends with, else one more than the highest level of those that do), and
+the loop steps over levels, not ranks: as many steps as the deepest chain
+of contention, not the per-image cap.  Each step decides its rows in every
+group and at every threshold with a few array operations: a row's winner at
+a threshold is its free, reaching pair of least ``pair index + n_pairs *
+ignored``, one ``minimum.reduceat``.  Rows without a candidate pair never
+match, so they never enter the loop.
 
 AP follows the conventional COCO recipe: cumulative TP/FP in global score
 order, precision monotonized from the right, sampled at evenly spaced recall
@@ -32,16 +36,18 @@ a lower precision, and before a curve's first true positive precision is 0.
 A reached point's best precision, maximized over the later points of its
 curve, is the sample of every grid point back to the curve's point before it;
 the grid points past its last point sample 0.  So a curve costs what it
-reaches, not the grid, until its samples are averaged.  One departure: the
+reaches, not the grid, until its samples are averaged, and a curve that no
+true positive reaches scores 0.0 without any samples.  One departure: the
 per-image cap keeps an image's top detections over all its categories, where
 the COCO API's ``evaluateImg`` and ``accumulate`` apply ``maxDets`` per
 (image, category); the two agree whenever no image holds more detections
 than the cap.
 
-``mean_ap`` and ``threshold_aps`` reduce an (S, T) AP array to one figure
-and to one figure per threshold.  The protocol rules that pick the groups,
-the ignored ground truths and the candidate pairs live in ``zone_eval``,
-the one driver of this kernel.
+``mean_ap`` reduces an (S, T) AP array to one figure; ``table_means``
+reduces many such tables, stacked as the row ranges of one array, to one
+figure and one figure per threshold each, with the same bits.  The protocol
+rules that pick the groups, the ignored ground truths and the candidate
+pairs live in ``zone_eval``, the one driver of this kernel.
 """
 
 from __future__ import annotations
@@ -114,22 +120,43 @@ def rank_within(keys: np.ndarray) -> np.ndarray:
     return rank
 
 
-def pair_order(
-    row: np.ndarray, slot: np.ndarray, iou: np.ndarray, row_group: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def pair_order(row: np.ndarray, slot: np.ndarray, iou: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Order candidate pairs for ``greedy_match``: (permutation, step of each permuted pair).
 
-    ``row_group[r]`` is the group of detection row ``r``; within a group, row
-    ids must increase with detection rank.  A row's step is its rank among the
-    rows of its group that have a pair.  Pairs are ordered by (step, row,
-    -IoU, -slot), so each step and each row is one contiguous run.
+    Within a group, row ids must increase with detection rank, and a slot
+    belongs to one group, so the rows before a row that reach one of its
+    slots are the earlier rows of its group that contend with it.  A row's
+    step is its conflict level: 0 when no earlier row reaches any of its
+    slots, else one more than the highest level of such a row.  Pairs are
+    ordered by (step, row, -IoU, -slot), so each step and each row is one
+    contiguous run.
+
+    Levels rise along the rows of a slot, so only the edges that join two
+    consecutive rows on one slot count.  The levels come out in rounds: a
+    row gets the round's level once all its in-edges are relaxed, and an
+    edge is relaxed once, in the round that its earlier row gets its level.
     """
-    rows = np.zeros(len(row_group), dtype=bool)
-    rows[row] = True
-    bearing = np.flatnonzero(rows)
-    step_of = np.zeros(len(row_group), dtype=np.int64)
-    step_of[bearing] = rank_within(row_group[bearing])
-    step = step_of[row]
+    by_slot = np.lexsort((row, slot))
+    slot_sorted, row_sorted = slot[by_slot], row[by_slot]
+    edge = np.flatnonzero(slot_sorted[1:] == slot_sorted[:-1])
+    src, dst = row_sorted[edge], row_sorted[edge + 1]
+    n_rows = int(row.max()) + 1 if len(row) else 0
+    waiting = np.bincount(dst, minlength=n_rows)  # in-edges not yet relaxed, per row
+    out_count = np.bincount(src, minlength=n_rows)
+    out_start = np.cumsum(out_count) - out_count
+    dst = dst[np.argsort(src, kind="stable")]  # the edges leaving row i: out_start[i]:+out_count[i]
+    level = np.zeros(n_rows, dtype=np.int64)
+    done = np.flatnonzero(waiting == 0)  # with the rows without a pair, which leave no edge
+    depth = 0
+    while len(done):
+        level[done] = depth
+        count = out_count[done]
+        first = np.repeat(out_start[done] - (np.cumsum(count) - count), count)
+        reached, relaxed = np.unique(dst[first + np.arange(len(first))], return_counts=True)
+        waiting[reached] -= relaxed
+        done = reached[waiting[reached] == 0]
+        depth += 1
+    step = level[row]
     order = np.lexsort((-slot, -iou, row, step))
     return order, step[order]
 
@@ -153,37 +180,42 @@ def greedy_match(
     Per row and threshold the winner is the free pair, among those whose IoU
     reaches the threshold, of least key ``pair index + n_pairs * ignored``:
     non-ignored pairs first, then in pair order (-IoU, -slot), which is
-    COCO's greedy rule.  Rows of one step belong to different groups, so a
-    step resolves all of them, at every threshold, at once.
+    COCO's greedy rule.  The loop goes over conflict levels, each cut into
+    ``blocks`` of whole rows, a row building its pairs at every threshold.
+    This is exact: two rows of one level share no slot, and every earlier
+    row that shares a slot with a row sits on a lower level, so each slot
+    sees its rows in rank order, and a block resolves its rows at once.
     """
-    tp = np.zeros((n_rows, len(thresholds)), dtype=bool)
-    ign = np.zeros((n_rows, len(thresholds)), dtype=bool)
+    t_count = len(thresholds)
+    tp = np.zeros((n_rows, t_count), dtype=bool)
+    ign = np.zeros((n_rows, t_count), dtype=bool)
     n = len(row)
     if n == 0:
         return tp, ign
     key = np.arange(n) + n * slot_ignored[slot]
-    reaches = iou[:, None] >= np.asarray(thresholds)[None, :]
-    matched = np.zeros((len(slot_ignored), len(thresholds)), dtype=bool)
+    thresholds = np.asarray(thresholds)
+    matched = np.zeros((len(slot_ignored), t_count), dtype=bool)
 
     new_row = np.ones(n, dtype=bool)
     new_row[1:] = row[1:] != row[:-1]
     row_start = np.flatnonzero(new_row)
-    step_start = np.searchsorted(step[row_start], np.arange(step[-1] + 2))
     bounds = np.append(row_start, n)
+    level_start = np.searchsorted(step[row_start], np.arange(step[-1] + 2))
     none = 2 * n
-    for s in range(len(step_start) - 1):
-        r0, r1 = step_start[s], step_start[s + 1]
-        a, b = bounds[r0], bounds[r1]
-        free = reaches[a:b] & ~matched[slot[a:b]]
-        cand = np.where(free, key[a:b, None], none)
-        first = np.minimum.reduceat(cand, row_start[r0:r1] - a, axis=0)
-        hit_row, hit_t = np.nonzero(first < none)
-        k = first[hit_row, hit_t]
-        hit_ign = k >= n
-        p = k - n * hit_ign
-        matched[slot[p], hit_t] = True
-        tp[row[p], hit_t] = ~hit_ign
-        ign[row[p], hit_t] = hit_ign
+    for lv in range(len(level_start) - 1):
+        r0, r1 = level_start[lv], level_start[lv + 1]
+        for lo, hi in blocks(np.diff(bounds[r0 : r1 + 1]) * t_count):
+            a, b = bounds[r0 + lo], bounds[r0 + hi]
+            free = (iou[a:b, None] >= thresholds) & ~matched[slot[a:b]]
+            cand = np.where(free, key[a:b, None], none)
+            first = np.minimum.reduceat(cand, row_start[r0 + lo : r0 + hi] - a, axis=0)
+            hit_row, hit_t = np.nonzero(first < none)
+            k = first[hit_row, hit_t]
+            hit_ign = k >= n
+            p = k - n * hit_ign
+            matched[slot[p], hit_t] = True
+            tp[row[p], hit_t] = ~hit_ign
+            ign[row[p], hit_t] = hit_ign
     return tp, ign
 
 
@@ -224,74 +256,100 @@ def average_precision(
     precision monotonized from the right, sampled at the first recall >= each
     grid point (0 past the end), and averaged.  In C order, curve ``t * S +
     s`` is the flat range from ``t * N + starts[s]`` to the next curve's
-    start, and one loop takes ``blocks`` of whole curves, each curve building
-    its entries and its R samples.
+    start, and one loop takes ``blocks`` of whole curves by their entries.
 
     An entry reaches the point (curve, last grid point <= its recall).  Each
     reached point keeps its best precision, that of a true positive, so only
     true positives are placed.  A false positive shares the recall, and so
     the point, of the last true positive before it in its curve, with the
     same true-positive count over a larger rank: a precision no higher.
-    Before the first true positive, recall and precision are 0.  A true
-    positive's rank among its curve's kept entries comes from one running
-    count of the kept entries per block.  The maximum over each point and the
+    Before the first true positive, recall and precision are 0, so a curve
+    without a true positive samples 0 at every grid point and scores 0.0.
+    A true positive's rank among its curve's kept entries is its place in
+    the curve less the ignored entries before it there, counted in the
+    block's list of ignored entries.  The maximum over each point and the
     later points of its curve is a doubling scan over the reached points
     alone, at most ceil(log2 R) steps, each masked at the curve boundaries.
     That value is the sample of the point's grid point and of those back to
     the curve's previous point; the grid points after a curve's last point
-    sample 0.  One ``np.repeat`` lays the samples out as a (curves, R) block
-    in grid order, and its rows are averaged as a single curve's samples are,
-    so the result is the same bits as sampling every entry's curve in full.
+    sample 0.  Only the curves that a true positive reaches get samples: in
+    ``blocks`` of whole curves, one ``np.repeat`` lays them out as a
+    (curves, R) block in grid order, and its rows are averaged as a single
+    curve's samples are, so the result is the same bits as sampling every
+    curve in full.
     """
     t_count, n = tp.shape
     s_count, r_count = len(starts), len(recall_grid)
     tp, ignored = tp.ravel(), ignored.ravel()
     # bounds[c]:bounds[c + 1] are curve c's entries
     bounds = np.append((np.arange(t_count)[:, None] * n + starts).ravel(), t_count * n)
-    out = np.empty(t_count * s_count)
-    for c0, c1 in blocks(np.diff(bounds) + r_count):  # a curve builds its entries and its R samples
+    out = np.zeros(t_count * s_count)
+    for c0, c1 in blocks(np.diff(bounds)):
         a, b = bounds[c0], bounds[c1]
-        kept = ~ignored[a:b]
-        # before[i]: kept entries ahead of entry a + i
-        before = np.zeros(b - a + 1, dtype=np.int64)
-        np.cumsum(kept, out=before[1:])
-        # true positives in (curve, score) order: one run per curve
-        idx = np.flatnonzero(tp[a:b] & kept)
-        run = np.searchsorted(bounds[c0 : c1 + 1], a + idx, side="right") - 1
-        k = len(run)
-        new = np.ones(k, dtype=bool)
-        new[1:] = run[1:] != run[:-1]
-        tp_cum = np.arange(1, k + 1) - np.maximum.accumulate(np.where(new, np.arange(k), 0))
-        recall = tp_cum / n_pos[(c0 + run) % s_count]
-        precision = tp_cum / (before[idx + 1] - before[bounds[c0 + run] - a])
-        # cells rise along the entries; recall >= grid[0] == 0 keeps each in its run
-        cell = run * r_count + np.searchsorted(recall_grid, recall, side="right") - 1
-        new[1:] = cell[1:] != cell[:-1]
-        # reached points, rising: (curve, grid point) as a cell, the curve, the best precision
-        point, owner = cell[new], run[new]
-        value = np.maximum.reduceat(precision, np.flatnonzero(new))
-        # maximum over each point and the later points of its curve: a doubling scan,
-        # masked where it would cross into the next curve (every precision is > 0)
-        step = 1
-        while step < len(value):
-            same = owner[step:] == owner[:-step]
-            if not same.any():
-                break
-            np.maximum(value[:-step], np.where(same, value[step:], 0.0), out=value[:-step])
-            step *= 2
-        # the samples as runs in cell order: each point's value, back to its curve's
-        # point before it, and after each curve's points a run of 0 to its last cell;
-        # edge is the last cell of each run
-        last = np.arange(1, c1 - c0 + 1) * r_count - 1
-        edge = np.empty(len(point) + c1 - c0, dtype=np.int64)
-        fill = np.zeros(len(edge))
-        at = np.arange(len(point)) + owner
-        edge[at], fill[at] = point, value
-        edge[np.searchsorted(point, last, side="right") + np.arange(c1 - c0)] = last
-        # the (curves, R) samples, summed left to right as a single curve's are; a
-        # temporary, freed before the next block allocates its own
-        out[c0:c1] = np.repeat(fill, np.diff(edge, prepend=-1)).reshape(c1 - c0, r_count).mean(axis=1)
+        owner, grid_at, value = _reached_points(tp[a:b], ignored[a:b], bounds[c0 : c1 + 1] - a,
+                                                n_pos[np.arange(c0, c1) % s_count], recall_grid)
+        # the reached curves, each with its first point
+        lead = np.ones(len(owner), dtype=bool)
+        lead[1:] = owner[1:] != owner[:-1]
+        lead = np.append(np.flatnonzero(lead), len(owner))
+        for lo, hi in blocks(np.full(len(lead) - 1, r_count)):
+            p0, p1 = lead[lo], lead[hi]
+            # the samples as runs in cell order, a cell being (curve, grid point) of this
+            # block: each point's value, back to its curve's point before it, and after each
+            # curve's points a run of 0 to its last cell; edge is the last cell of each run
+            curve = np.repeat(np.arange(hi - lo), np.diff(lead[lo : hi + 1]))
+            cell = curve * r_count + grid_at[p0:p1]
+            last = np.arange(1, hi - lo + 1) * r_count - 1
+            edge = np.empty(p1 - p0 + hi - lo, dtype=np.int64)
+            fill = np.zeros(len(edge))
+            at = np.arange(p1 - p0) + curve
+            edge[at], fill[at] = cell, value[p0:p1]
+            edge[np.searchsorted(cell, last, side="right") + np.arange(hi - lo)] = last
+            # the (curves, R) samples, summed left to right as a single curve's are; a
+            # temporary, freed before the next block allocates its own
+            means = np.repeat(fill, np.diff(edge, prepend=-1)).reshape(hi - lo, r_count).mean(axis=1)
+            out[c0 + owner[lead[lo:hi]]] = means
     return np.ascontiguousarray(out.reshape(t_count, s_count).T)
+
+
+def _reached_points(
+    tp: np.ndarray, ignored: np.ndarray, bounds: np.ndarray, n_pos: np.ndarray, recall_grid: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The points that the true positives of some curves reach: (curve, grid point, sample), rising.
+
+    Curve ``c`` holds entries ``bounds[c]:bounds[c + 1]`` of the flat ``tp``
+    and ``ignored`` and has ``n_pos[c]`` positives.  A point's sample is the
+    best precision at it and at the later points of its curve.
+    """
+    # true positives in (curve, score) order: one run per curve
+    idx = np.flatnonzero(tp & ~ignored)
+    run = np.searchsorted(bounds, idx, side="right") - 1
+    k = len(run)
+    new = np.ones(k, dtype=bool)
+    new[1:] = run[1:] != run[:-1]
+    tp_cum = np.arange(1, k + 1) - np.maximum.accumulate(np.where(new, np.arange(k), 0))
+    # a true positive's rank among its curve's kept entries: its place in the curve,
+    # less the ignored entries of the curve before it
+    skipped = np.flatnonzero(ignored)
+    first = bounds[run]
+    kept = idx + 1 - first - (np.searchsorted(skipped, idx) - np.searchsorted(skipped, first))
+    recall = tp_cum / n_pos[run]
+    precision = tp_cum / kept
+    # grid points rise along a run; recall >= grid[0] == 0 gives each a point
+    grid_at = np.searchsorted(recall_grid, recall, side="right") - 1
+    new[1:] |= grid_at[1:] != grid_at[:-1]
+    owner, grid_at = run[new], grid_at[new]
+    value = np.maximum.reduceat(precision, np.flatnonzero(new))
+    # maximum over each point and the later points of its curve: a doubling scan,
+    # masked where it would cross into the next curve (every precision is > 0)
+    step = 1
+    while step < len(value):
+        same = owner[step:] == owner[:-step]
+        if not same.any():
+            break
+        np.maximum(value[:-step], np.where(same, value[step:], 0.0), out=value[:-step])
+        step *= 2
+    return owner, grid_at, value
 
 
 def mean_ap(aps: np.ndarray) -> float | None:
@@ -302,9 +360,30 @@ def mean_ap(aps: np.ndarray) -> float | None:
     return float(aps.mean()) if len(aps) else None
 
 
-def threshold_aps(aps: np.ndarray) -> list[float | None]:
-    """Mean of a (categories, T) AP array over categories, one value per IoU threshold."""
-    if not len(aps):
-        return [None] * aps.shape[1]
-    return np.ascontiguousarray(aps.T).mean(axis=1).tolist()
+def table_means(aps: np.ndarray, cuts: np.ndarray) -> tuple[list[float | None], list[list[float | None]]]:
+    """Per table ``aps[cuts[k]:cuts[k + 1]]`` of a (rows, T) AP array: its ``mean_ap`` and its per-threshold means.
 
+    An empty table gives None and T Nones.  The tables of one size c are
+    gathered into an (m, c, T) array, and each reduction is one ``.mean``
+    over its contiguous last axis: the c * T entries of a table in
+    (category, threshold) order, and per threshold its c entries.  numpy
+    sums a contiguous run of one length with the same pairwise tree, so each
+    figure has the bits of ``mean_ap`` and of the mean of one threshold
+    column alone.
+    """
+    size = np.diff(cuts)
+    t_count = aps.shape[1]
+    means: list[float | None] = [None] * len(size)
+    by_threshold: list[list[float | None]] = [[None] * t_count for _ in range(len(size))]
+    by_size = np.argsort(size, kind="stable")
+    sizes, first = np.unique(size[by_size], return_index=True)
+    for c, lo, hi in zip(sizes.tolist(), first.tolist(), [*first[1:].tolist(), len(size)]):
+        if c == 0:
+            continue
+        tables = by_size[lo:hi]
+        block = aps[cuts[tables][:, None] + np.arange(c)]
+        whole = block.reshape(hi - lo, c * t_count).mean(axis=1).tolist()
+        per_t = np.ascontiguousarray(block.transpose(0, 2, 1)).mean(axis=2).tolist()
+        for k, m, v in zip(tables.tolist(), whole, per_t):
+            means[k], by_threshold[k] = m, v
+    return means, by_threshold

@@ -169,7 +169,9 @@ def synthetic_benchmark(
 
     Identical seeds give byte-identical outputs.  The expected report assumes
     no detection is dropped by the evaluator's per-image cap, so keep
-    n_objects / n_images comfortably below max_dets_per_image.
+    n_objects / n_images comfortably below max_dets_per_image; nothing here
+    checks it, but ``zone-eval synth bench --out-expected`` refuses an image
+    over the cap.
     """
     if n_images < 1 or n_objects < 1:
         raise ValueError("need at least one image and one object")

@@ -31,11 +31,15 @@ sends the ranges that hold a positive through ``_evaluate`` in
 in which its segment is countable; such a (range, pair) instance has its AP
 entry as its row and a (range, slot) of its own, and one greedy pass
 (``matching.greedy_match``) with one ignore flag per slot matches every
-range, image and IoU threshold at once.  Its match outcome (tp, ignored) is
-already in the (range, segment, -score) order of the AP entries, taken from
-one precomputed stable score order, so one ``average_precision`` call scores
-a block's curves, and one split of the AP rows gives each (range, zone) its
-array.  ``evaluate_zones`` is the one-range case, ``scale_study`` the
+range, image and IoU threshold at once, in as many steps as the deepest
+contention for a ground truth (``matching.pair_order``).  Its match outcome
+(tp, ignored) is already in the (range, segment, -score) order of the AP
+entries, taken from one precomputed stable score order, so one
+``average_precision`` call scores a block's curves.  The AP rows form one
+table in (range, zone, category) order, each (range, zone) a row range of
+it, and ``matching.table_means`` reduces every range at once, one
+reduction per table size, so no step of a report runs numpy per zone.
+``evaluate_zones`` is the one-range case, ``scale_study`` the
 one-range-per-bin case.
 """
 
@@ -54,10 +58,9 @@ from .matching import (
     EvalConfig,
     average_precision,
     greedy_match,
-    mean_ap,
     pair_order,
     rank_within,
-    threshold_aps,
+    table_means,
 )
 from .zones import Grid, Partition, build_partition, grid_rows, spec_label
 
@@ -231,7 +234,7 @@ def _geometry(ds: Dataset, dets: DetectionSet, partition: Partition, cfg: EvalCo
     if dets.image_ids != ds.image_ids or dets.category_ids != ds.category_ids:
         raise ValueError("the detections were resolved against a dataset with other image or category ids")
     cap = cfg.max_dets_per_image
-    n_zones, n_cat, n_img = len(partition.zones), len(ds.category_ids), len(ds.images)
+    n_zones, n_cat = len(partition.zones), len(ds.category_ids)
     rank = np.arange(dets.total) - dets.starts[dets.image]  # rank by score within the image
     kept = slice(None) if cfg.cap_after_zone else rank < cap
     dt_img, dt_cat, dt_box, score = dets.image[kept], dets.category[kept], dets.box[kept], dets.score[kept]
@@ -255,7 +258,7 @@ def _geometry(ds: Dataset, dets: DetectionSet, partition: Partition, cfg: EvalCo
     pair_row, pair_slot, pair_iou = pair_row[keep], pair_slot[keep], pair_iou[keep]
 
     row_seg = row_zone * n_cat + np.tile(dt_cat, 2)
-    order, pair_step = pair_order(pair_row, pair_slot, pair_iou, row_seg * n_img + row_img)
+    order, pair_step = pair_order(pair_row, pair_slot, pair_iou)
     # (segment, -score) order: every zone segment precedes every whole-image one, so each copy
     # of the detections is sorted by segment on its own, from one stable sort by -score.  The
     # segments go in the smallest integer type, as numpy sorts 8- and 16-bit keys by radix
@@ -297,8 +300,13 @@ def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return owner, np.arange(len(owner)) - (np.cumsum(counts) - counts)[owner]
 
 
-def _zone_aps(geo: _Geometry, cfg: EvalConfig, ranges: list[tuple[float, float] | None]) -> list[list[np.ndarray]]:
-    """Per scale range and per zone, with the whole image last, the (countable categories, T) AP array.
+def _zone_aps(
+    geo: _Geometry, cfg: EvalConfig, ranges: list[tuple[float, float] | None]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The AP table of every scale range and zone, with the whole image last: (aps, cuts).
+
+    Table ``k = range * (n_zones + 1) + zone``, the (countable categories, T)
+    AP array of that (range, zone), is ``aps[cuts[k]:cuts[k + 1]]``.
 
     A range is [lo, hi) in pixels^2, None for [0, inf) (every area ``Dataset``
     accepts).  Positives are counted per (range, segment), keyed ``range *
@@ -306,9 +314,9 @@ def _zone_aps(geo: _Geometry, cfg: EvalConfig, ranges: list[tuple[float, float] 
     The ranges that hold one go through ``_evaluate`` in ``matching.blocks``,
     a range building its (range, slot) flags plus, per threshold, its live
     (range, pair) instances, (range, AP row) entries and curves, and each
-    block's outcome is scored at once.  One search over the keys splits the
-    table of AP rows per (range, zone), a range without a positive getting
-    empty arrays.  Counting goes in blocks too, a range building one flag per
+    block's outcome is scored at once.  One search over the keys gives each
+    (range, zone) its row range, a range without a positive getting empty
+    tables.  Counting goes in blocks too, a range building one flag per
     ground truth.
     """
     ranges = [(0.0, math.inf) if r is None else r for r in ranges]
@@ -330,11 +338,10 @@ def _zone_aps(geo: _Geometry, cfg: EvalConfig, ranges: list[tuple[float, float] 
         block_keys = np.searchsorted(block, key_range[k0:k1]) * n_seg + key_seg[k0:k1]
         tp, ignored, starts = _evaluate(geo, cfg, [ranges[b] for b in block], block_keys)
         aps.append(average_precision(tp, ignored, starts, n_pos[k0:k1], cfg.recall_grid()))
-    # one AP row per key; a zone's segments are one run of them, in category order
-    aps = np.concatenate(aps)
-    firsts = np.arange(len(ranges))[:, None] * n_seg + np.arange(geo.n_zones + 2) * geo.n_categories
-    return [[aps[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-            for bounds in np.searchsorted(keys, firsts).tolist()]
+    # one AP row per key; a (range, zone)'s segments are one run of them, in category order,
+    # whose first key is (range * (n_zones + 1) + zone) * n_categories
+    firsts = np.arange(len(ranges) * (geo.n_zones + 1) + 1) * geo.n_categories
+    return np.concatenate(aps), np.searchsorted(keys, firsts)
 
 
 def _evaluate(
@@ -394,13 +401,12 @@ def evaluate_zones(
     """
     cfg = cfg or EvalConfig()
     geo = _geometry(ds, dets, partition, cfg)
-    zone_aps = _zone_aps(geo, cfg, [cfg.scale_range])[0]
+    means, by_threshold = table_means(*_zone_aps(geo, cfg, [cfg.scale_range]))
     gt_counts = np.bincount(geo.slot_seg // geo.n_categories, minlength=geo.n_zones + 1)[:-1].tolist()
     det_counts = np.diff(geo.seg_start[np.arange(geo.n_zones + 1) * geo.n_categories]).tolist()
-    zones = [ZoneResult(zid, _percent(mean_ap(zaps)), [_percent(v) for v in threshold_aps(zaps)], n_gt, n_det,
-                        partition.area_fraction(zid))
-             for zid, zaps, n_gt, n_det in zip(partition.zone_ids, zone_aps, gt_counts, det_counts)]
-    return ZoneReport(spec_label(partition.spec), cfg.iou_thresholds, zones, _percent(mean_ap(zone_aps[-1])))
+    zones = [ZoneResult(zid, _percent(ap), [_percent(v) for v in aps], n_gt, n_det, partition.area_fraction(zid))
+             for zid, ap, aps, n_gt, n_det in zip(partition.zone_ids, means, by_threshold, gt_counts, det_counts)]
+    return ZoneReport(spec_label(partition.spec), cfg.iou_thresholds, zones, _percent(means[-1]))
 
 
 SCALE_STEPS = (4, 8, 16, 32, 64, 128)
@@ -489,8 +495,10 @@ def scale_study(
     bins = [(i, rng) for i, r in enumerate(steps) for rng in scale_bins(r)]
     if len(set(steps)) < len(steps):  # a step's mean would count twice in the grand mean
         raise ValueError(f"scale_study steps must be distinct, got {tuple(steps)}")
-    zone_aps = _zone_aps(_geometry(ds, dets, partition, cfg), cfg, [rng for _, rng in bins])
-    bin_zps = [[_percent(mean_ap(z)) for z in zaps[:-1]] for zaps in zone_aps]  # per bin, per zone
+    means, _ = table_means(*_zone_aps(_geometry(ds, dets, partition, cfg), cfg, [rng for _, rng in bins]))
+    n_zones = len(partition.zones)
+    bin_zps = [[_percent(ap) for ap in means[b : b + n_zones]]  # per bin, per zone
+               for b in range(0, len(means), n_zones + 1)]
     zps = [[z for (j, _), z in zip(bins, bin_zps) if j == i] for i in range(len(steps))]  # per step, per bin
     mean_zp = {r: [_mean(zone) for zone in zip(*zps[i])] for i, r in enumerate(steps)}
     grand = [_mean([mean_zp[r][zi] for r in steps]) for zi in range(len(partition.zones))]

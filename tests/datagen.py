@@ -81,7 +81,7 @@ def match_image(gts: list[GroundTruth], dets: list[Detection], cfg: EvalConfig) 
     ious = iou_matrix(det_box, xywh([g.bbox for g in gts]))
     row, slot = np.nonzero(ious >= cfg.iou_thresholds[0])
     iou = ious[row, slot]
-    order, step = pair_order(row, slot, iou, np.zeros(len(dets), dtype=np.int64))
+    order, step = pair_order(row, slot, iou)
     tp, ign = greedy_match(row[order], slot[order], iou[order], step, gt_ignored, len(dets), cfg.iou_thresholds)
     out_of_range = ~in_scale_range(det_box[:, 2] * det_box[:, 3], cfg.scale_range)
     ign |= ~tp & out_of_range[:, None]

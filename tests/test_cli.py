@@ -303,6 +303,28 @@ class TestSynthCommands:
                 assert g["zp"] == pytest.approx(w["zp"], abs=0.1)
 
 
+    def test_bench_refuses_an_expected_report_over_the_cap(self, tmp_path, capsys):
+        # 300 objects on one image give 178 detections, and eval keeps 100 of them, so the
+        # expected ZPs (49.5 / 67.3 / 86.1) would contradict eval's (49.5 / 17.8 / 0.0)
+        argv = ["synth", "bench", "--images", "1", "--objects", "300", "--partition", "annular:3",
+                "--out-gt", str(tmp_path / "g.json"), "--out-dt", str(tmp_path / "d.json")]
+        code = main([*argv, "--out-expected", str(tmp_path / "e.json")])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert err.startswith("error: image 1 holds 178 detections, more than the 100 that eval keeps per image")
+        assert err.count("\n") == 1, err
+        assert out == "" and not any(tmp_path.iterdir())
+
+    def test_bench_without_an_expected_report_writes_past_the_cap(self, tmp_path, capsys):
+        argv = ["synth", "bench", "--images", "1", "--objects", "300", "--partition", "annular:3",
+                "--out-gt", str(tmp_path / "g.json"), "--out-dt", str(tmp_path / "d.json")]
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 0 and err == ""
+        assert out.startswith("300 objects, 178 detections on 1 images")
+        assert len(json.loads((tmp_path / "d.json").read_text())) == 178
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.json", "g.json"]
+
     @pytest.mark.parametrize("bias", ["nan", "inf", "1e308", "50.001", "-1"])
     def test_bench_rejects_a_center_bias_it_cannot_sample(self, tmp_path, capsys, bias):
         code = main(["synth", "bench", "--center-bias", bias,

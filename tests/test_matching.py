@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from zoneval import matching
+from zoneval import matching, zone_eval
 from zoneval.coco import BBox, Category, Dataset, Detection, DetectionSet, GroundTruth, ImageInfo, iou_matrix
 from zoneval.matching import EvalConfig, average_precision, greedy_match, pair_order
 from zoneval.oracle import ap_oracle
 from zoneval.zone_eval import evaluate_zones
 from zoneval.zones import Annular, build_partition
 
-from datagen import full_image_ap, in_scale_range, match_image, random_instance
+from datagen import full_image_ap, in_scale_range, match_image, random_instance, random_multiclass_benchmark
 
 
 def gt(gid, bbox, cat=1, img=1, ignore=False):
@@ -231,8 +231,8 @@ class TestIgnoreColumns:
     @staticmethod
     def instance(rng, n_groups=10):
         """Candidate pairs of random groups, in pair_order, on a coarse lattice (IoU and score ties)."""
-        found, groups, n_rows, n_slots = [], [], 0, 0
-        for g in range(n_groups):
+        found, n_rows, n_slots = [], 0, 0
+        for _ in range(n_groups):
             n_det, n_gt = rng.integers(1, 14), rng.integers(2, 8)
             gt_box = (rng.integers(0, 5, (n_gt, 4)) * [8, 8, 4, 4] + [0, 0, 12, 12]).astype(float)
             gt_box[-1] = gt_box[0]  # a duplicate: equal IoU with every detection
@@ -241,10 +241,9 @@ class TestIgnoreColumns:
             ious = iou_matrix(det_box[np.argsort(-score, kind="stable")], gt_box)
             d, k = np.nonzero(ious >= 0.3)
             found.append((d + n_rows, k + n_slots, ious[d, k]))
-            groups.append(np.full(n_det, g))
             n_rows, n_slots = n_rows + n_det, n_slots + n_gt
         row, slot, iou = (np.concatenate(a) for a in zip(*found))
-        order, step = pair_order(row, slot, iou, np.concatenate(groups))
+        order, step = pair_order(row, slot, iou)
         return row[order], slot[order], iou[order], step, n_rows, n_slots
 
     @staticmethod
@@ -286,6 +285,141 @@ class TestIgnoreColumns:
             assert not (tp[b] & ign[b]).any()
         assert tp[0].any() and ign[0].any()  # a lower-IoU real match, and an ignored one
         assert not ign[4].any() and not tp[5].any()
+
+
+class TestConflictLevels:
+    """``pair_order`` steps are conflict levels, and ``greedy_match`` over them is COCO's greedy rule."""
+
+    THRESHOLDS = (0.3, 0.5, 0.75)
+
+    @classmethod
+    def assert_columns_agree(cls, rng, row, slot, iou, step, n_rows, n_slots, crowd=None):
+        """``greedy_match`` equals the scalar loop on six ignore columns: four random, then none and all.
+
+        Column 0 also ignores each row's best slot; ``crowd`` slots are ignored in every column.
+        """
+        ignored = rng.random((n_slots, 6)) < 0.3
+        best = np.flatnonzero(np.append(True, row[1:] != row[:-1]))
+        ignored[slot[best], 0] = True
+        ignored[:, 4], ignored[:, 5] = False, True
+        if crowd is not None:
+            ignored |= crowd[:, None]
+        for b in range(6):
+            tp, ign = greedy_match(row, slot, iou, step, ignored[:, b], n_rows, cls.THRESHOLDS)
+            want_tp, want_ign = TestIgnoreColumns.scalar_greedy(row, slot, iou, ignored[:, b], n_rows,
+                                                                cls.THRESHOLDS)
+            assert (tp == want_tp).all() and (ign == want_ign).all(), b
+
+    @staticmethod
+    def row_levels(row, step):
+        """Each row's step, checked to be one per row."""
+        level = {}
+        for r, s in zip(row.tolist(), step.tolist()):
+            assert level.setdefault(r, s) == s
+        return level
+
+    def test_one_ground_truth_past_the_cap_is_as_deep_as_the_cap(self):
+        # eight detections, all on one ground truth and its near copy: the cap keeps five, each
+        # contending with the one before it, so the depth is the cap in the zone and the whole image
+        cap = 5
+        gts = [gt(1, BBox(50, 50, 40, 40)), gt(2, BBox(56, 50, 40, 40))]
+        dets = [det(BBox(50 + 2 * i, 50 - i, 40, 40), 0.9 - 0.05 * i) for i in range(8)]
+        ds, dset = single_image_instance(gts, dets)
+        cfg = EvalConfig(iou_thresholds=self.THRESHOLDS, max_dets_per_image=cap)
+        geo = zone_eval._geometry(ds, dset, build_partition(Annular(1)), cfg)
+        assert len(set(geo.pair_row.tolist())) == 2 * cap
+        assert int(geo.pair_step.max()) + 1 == cap
+        rng = np.random.default_rng(61)
+        for _ in range(10):
+            self.assert_columns_agree(rng, geo.pair_row, geo.pair_slot, geo.pair_iou, geo.pair_step,
+                                      len(geo.row_seg), len(geo.slot_seg))
+
+    def test_rows_of_one_group_share_a_level(self):
+        # group 0: rows 0 and 1 reach slots 0 and 1 alone (level 0), row 2 reaches both
+        # (level 1), row 3 reaches slot 1 after row 2 (level 2); group 1: rows 4 and 5 on slot 2
+        row = np.array([0, 1, 2, 2, 3, 4, 5])
+        slot = np.array([0, 1, 0, 1, 1, 2, 2])
+        iou = np.array([0.9, 0.8, 0.7, 0.7, 0.95, 0.5, 0.9])
+        order, step = pair_order(row, slot, iou)
+        assert self.row_levels(row[order], step) == {0: 0, 1: 0, 2: 1, 3: 2, 4: 0, 5: 1}
+        assert (np.diff(step) >= 0).all()
+        rng = np.random.default_rng(67)
+        for _ in range(20):
+            self.assert_columns_agree(rng, row[order], slot[order], iou[order], step, 6, 3)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_crowd_slots(self, seed):
+        # crowd ground truths are ignored slots that rows still contend for
+        ds, dset = random_multiclass_benchmark(6, gts_per_image=10, dets_per_image=30, seed=seed)
+        cfg = EvalConfig(iou_thresholds=self.THRESHOLDS, max_dets_per_image=25)
+        geo = zone_eval._geometry(ds, dset, build_partition(Annular(3)), cfg)
+        crowd = np.tile(geo.gt_crowd, 2)
+        assert crowd[geo.pair_slot].any() and geo.pair_step.max() > 0
+        rng = np.random.default_rng(71 + seed)
+        for _ in range(3):
+            self.assert_columns_agree(rng, geo.pair_row, geo.pair_slot, geo.pair_iou, geo.pair_step,
+                                      len(geo.row_seg), len(geo.slot_seg), crowd)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_levels_of_random_benchmarks(self, seed):
+        ds, dset = random_multiclass_benchmark(8, gts_per_image=12, dets_per_image=40, seed=seed)
+        for cfg in (EvalConfig(max_dets_per_image=30), EvalConfig(max_dets_per_image=30, cap_after_zone=True)):
+            geo = zone_eval._geometry(ds, dset, build_partition(Annular(3)), cfg)
+            row, slot, step = geo.pair_row, geo.pair_slot, geo.pair_step
+            assert (np.diff(step) >= 0).all()
+            # no step holds two pairs of one slot
+            key = step.astype(np.int64) * len(geo.slot_seg) + slot
+            assert len(np.unique(key)) == len(key)
+            # every earlier row on a slot sits on a lower step, and a row's step is the least
+            # that allows it: 0, or one more than the highest step of an earlier row on its slots
+            level = self.row_levels(row, step)
+            rows_on = {}
+            for r, k in sorted(zip(row.tolist(), slot.tolist())):
+                rows_on.setdefault(k, []).append(r)
+            below = {}
+            for rows in rows_on.values():
+                for prev, r in zip(rows, rows[1:]):
+                    assert level[prev] < level[r]
+                    below[r] = max(below.get(r, -1), level[prev])
+            assert all(level[r] == below.get(r, -1) + 1 for r in level)
+            assert max(level.values()) > 1
+
+
+class TestTableMeans:
+    @pytest.mark.parametrize("t_count", [1, 3, 10])
+    def test_equals_mean_ap_and_the_threshold_columns_bit_for_bit(self, t_count):
+        # table sizes c * T on both sides of numpy's pairwise-sum limits of 8 and 128 values,
+        # each size several times, in random order, with values of many magnitudes
+        rng = np.random.default_rng(53)
+        sizes = [*range(0, 20), 42, 43, 60, 63, 64, 65, 127, 128, 129, 140] * 3
+        sizes = rng.permutation(sizes)
+        entries = sizes * t_count
+        assert (entries[entries > 0] < 8).any() or t_count == 10
+        assert ((entries > 8) & (entries < 128)).any() and (entries > 128).any()
+        cuts = np.append(0, np.cumsum(sizes))
+        aps = rng.random((cuts[-1], t_count)) * 10.0 ** rng.uniform(-3, 3, (cuts[-1], t_count))
+        means, by_threshold = matching.table_means(aps, cuts)
+        assert len(means) == len(by_threshold) == len(sizes)
+        order_matters = False
+        for k, (lo, hi) in enumerate(zip(cuts[:-1].tolist(), cuts[1:].tolist())):
+            table = aps[lo:hi]
+            if hi == lo:
+                assert means[k] is None and by_threshold[k] == [None] * t_count
+                continue
+            want = matching.mean_ap(table)
+            assert np.float64(means[k]).tobytes() == np.float64(want).tobytes()
+            assert np.array(by_threshold[k]).tobytes() == np.ascontiguousarray(table.T).mean(axis=1).tobytes()
+            left_to_right = 0.0
+            for v in table.ravel().tolist():
+                left_to_right += v
+            order_matters |= left_to_right / table.size != want
+        assert order_matters  # the bits test the order of the sums
+
+    def test_no_tables_and_empty_tables(self):
+        assert matching.table_means(np.zeros((0, 4)), np.array([0])) == ([], [])
+        assert matching.table_means(np.zeros((0, 2)), np.array([0, 0, 0])) == ([None, None], [[None] * 2] * 2)
+        means, by_threshold = matching.table_means(np.ones((2, 2)), np.array([0, 0, 2, 2]))
+        assert means == [None, 1.0, None] and by_threshold == [[None, None], [1.0, 1.0], [None, None]]
 
 
 class TestBlocks:
@@ -505,6 +639,37 @@ class TestAveragePrecisionKernel:
         # the cases are what they claim: low sits below one, exact is above none's 0
         assert got[1, 0] < got[2, 0] == 1.0
         assert got[3, 0] > got[4, 0] == 0.0
+
+    @pytest.mark.parametrize("bound", [1, 7])
+    @pytest.mark.parametrize("r_count", [101, 10001])
+    def test_blocks_without_a_true_positive(self, monkeypatch, bound, r_count):
+        # per threshold, curves of 5 (true positives), 3 (false positives), 2 (an ignored true
+        # positive and a false positive), 0, 4 (false positives) and 6 (true positives) entries:
+        # with a bound of 7 the curves of 3, 2 and 0 entries are one block, and the one of 4 is
+        # another, so whole blocks hold no true positive and build no samples
+        monkeypatch.setattr(matching, "BLOCK_ENTRIES", bound)
+        real, points = matching._reached_points, []
+
+        def spy(*args):
+            found = real(*args)
+            points.append(len(found[0]))
+            return found
+
+        monkeypatch.setattr(matching, "_reached_points", spy)
+        hits = [[True, False, True, True, False], [False] * 3, [True, False], [], [False] * 4,
+                [False, True, True, False, True, True]]
+        tp = np.array([h for hit in hits for h in hit])
+        ignored = np.zeros_like(tp)
+        ignored[5 + 3] = True  # the first entry of the curve of 2
+        tp = np.stack([tp, tp & (np.arange(len(tp)) % 3 != 0)])
+        ignored = np.stack([ignored, ignored])
+        starts = np.cumsum([0] + [len(hit) for hit in hits[:-1]])
+        n_pos = np.array([4, 2, 1, 3, 1, 5])
+        grid = EvalConfig(recall_points=r_count).recall_grid()
+        got = average_precision(tp, ignored, starts, n_pos, grid)
+        assert got.tobytes() == self.reference(tp, ignored, starts, n_pos, grid).tobytes()
+        assert (got[1:5] == 0.0).all() and (got[[0, 5]] > 0.0).all()
+        assert points.count(0) >= 2 * (2 if bound == 7 else 4)
 
     def test_memory_layout_changes_nothing(self):
         rng = np.random.default_rng(37)
