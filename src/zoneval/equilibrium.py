@@ -11,6 +11,24 @@ It is array code throughout.  ``anchor_grid`` returns an ``AnchorSet`` (read-onl
 indexing).  The rules convert a list of ``Anchor`` or ``GroundTruth`` once on
 entry, or take ground truths as an (M, 4) xywh array, and return the boolean
 (anchors x ground truths) hit matrix; ``positives`` is a view derived from it.
+
+What depends only on the lattice and the image size is computed once and
+reused, for the lattices ``anchor_grid`` builds and no other anchor set:
+
+- ``anchor_grid`` returns one shared ``AnchorSet`` per (width, height, cols,
+  rows, box_size), from an ``lru_cache`` keyed by those values and their types
+  (so 640 and 640.0 are two keys), at most 64 lattices.  ``check_anchor_grid``
+  runs on every call.
+- Per lattice (by identity) and image size, in two more ``lru_cache``s of at
+  most 64 entries each: the anchors' ``spatial_weight`` (``sela_assign``) and
+  the zone index of every anchor per partition (by identity,
+  ``supervision_density``).  Neither a lattice nor a partition changes after
+  it is built.  An anchor set built by the caller, or from a list of
+  ``Anchor``, is computed afresh on every call and kept by no cache.
+
+Every cached array is read-only, and the hit matrix is a new array on every
+call.  A call that raises raises again on every call: only built results
+are stored.
 """
 
 from __future__ import annotations
@@ -20,12 +38,23 @@ import operator
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import lru_cache
+from weakref import WeakSet
 
 import numpy as np
 
 from .coco import BBox, Dataset, GroundTruth, ImageInfo, bbox_center, iou_matrix, xywh
 from .errors import OutsideImageError
 from .zones import Partition, Zone, gt_zone_counts, normalize_points
+
+# the bound of each per-shape cache: lattices, and (lattice, image size, ...) entries
+_SHAPES = 64
+_LATTICES: WeakSet[AnchorSet] = WeakSet()  # the sets ``_lattice`` built: only these are cached
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
@@ -45,7 +74,11 @@ class Anchor:
 
 @dataclass(frozen=True, eq=False)
 class AnchorSet(Sequence):
-    """Anchors as read-only arrays, row for row: (N, 4) xywh ``boxes`` and (N, 2) ``centers``."""
+    """Anchors as read-only arrays, row for row: (N, 4) xywh ``boxes`` and (N, 2) ``centers``.
+
+    Every value must be finite and every box side positive, as ``BBox`` asks;
+    a ``ValueError`` names the first row that is not.
+    """
 
     boxes: np.ndarray
     centers: np.ndarray
@@ -53,10 +86,15 @@ class AnchorSet(Sequence):
     def __post_init__(self) -> None:
         for name, cols in (("boxes", 4), ("centers", 2)):
             a = np.array(getattr(self, name), dtype=float).reshape(-1, cols)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+            object.__setattr__(self, name, _read_only(a))
         if len(self.boxes) != len(self.centers):
             raise ValueError(f"{len(self.boxes)} anchor boxes but {len(self.centers)} centers")
+        box_ok, center_ok, side_ok = np.isfinite(self.boxes), np.isfinite(self.centers), self.boxes[:, 2:] > 0
+        if not (box_ok.all() and center_ok.all() and side_ok.all()):
+            # per-row reductions only on failure: numpy reduces a 2- or 4-wide axis slowly
+            i = int(np.argmin(box_ok.all(axis=1) & center_ok.all(axis=1) & side_ok.all(axis=1)))
+            raise ValueError(f"anchor {i}: box {self.boxes[i].tolist()} and center {self.centers[i].tolist()} "
+                             "must be finite, with positive sides")
 
     def __len__(self) -> int:
         return len(self.boxes)
@@ -132,7 +170,10 @@ def sela_assign(
     gamma = 0 reproduces the plain max-IoU threshold rule.
     """
     anchors, boxes = _as_arrays(anchors, gts)
-    weight = spatial_weight(*anchors.centers.T, img.width, img.height)
+    if anchors in _LATTICES:
+        weight = _lattice_weights(anchors, img.width, img.height)
+    else:
+        weight = spatial_weight(*anchors.centers.T, img.width, img.height)
     return _threshold_positives(anchors, boxes, cfg.t - cfg.gamma * weight)
 
 
@@ -178,6 +219,18 @@ def _threshold_positives(anchors: AnchorSet, gt_boxes: np.ndarray, cut: np.ndarr
     return AssignmentResult(anchors, iou_matrix(anchors.boxes, gt_boxes) >= cut[:, None])
 
 
+@lru_cache(maxsize=_SHAPES)
+def _lattice_weights(anchors: AnchorSet, width: float, height: float) -> np.ndarray:
+    """``spatial_weight`` of every center of a lattice."""
+    return _read_only(spatial_weight(*anchors.centers.T, width, height))
+
+
+@lru_cache(maxsize=_SHAPES)
+def _lattice_zones(anchors: AnchorSet, width: float, height: float, partition: Partition) -> np.ndarray:
+    """``Partition.assign`` of every center of a lattice."""
+    return _read_only(partition.assign(*anchors.centers.T, width, height))
+
+
 @dataclass
 class ZoneDensity:
     zone_id: str
@@ -217,9 +270,13 @@ def object_density(ds: Dataset, partition: Partition, absolute: bool = False) ->
 
 def supervision_density(result: AssignmentResult, partition: Partition, img: ImageInfo) -> DensityReport:
     """Positive-anchor count and density per zone (distinct anchors)."""
-    xs, ys = result.anchors.centers[result.hits.any(axis=1)].T
-    idx = partition.assign(xs, ys, img.width, img.height)
-    return _density_report(partition, np.bincount(idx, minlength=len(partition.zones)), 1.0, False)
+    positive = result.hits.any(axis=1)
+    if result.anchors in _LATTICES:
+        zone = _lattice_zones(result.anchors, img.width, img.height, partition)[positive]
+    else:
+        zone = partition.assign(*result.anchors.centers[positive].T, img.width, img.height)
+    counts = np.bincount(zone, minlength=len(partition.zones))
+    return _density_report(partition, counts, 1.0, False)
 
 
 def _density_report(
@@ -236,10 +293,18 @@ def anchor_grid(img: ImageInfo, cols: int, rows: int, box_size: float | None = N
 
     Test/simulation helper; defaults the box side to the cell pitch.  A center
     is (c + 0.5) * pitch exactly, not x + w / 2, which may differ in the last bit.
+    Calls with equal image sizes and arguments return one shared ``AnchorSet``.
     """
     check_anchor_grid(cols, rows, box_size)
-    pitch_x, pitch_y = img.width / cols, img.height / rows
+    return _lattice(img.width, img.height, cols, rows, box_size)
+
+
+@lru_cache(maxsize=_SHAPES, typed=True)
+def _lattice(width: float, height: float, cols: int, rows: int, box_size: float | None) -> AnchorSet:
+    pitch_x, pitch_y = width / cols, height / rows
     size = box_size if box_size is not None else min(pitch_x, pitch_y)
     centers = np.column_stack([np.tile((np.arange(cols) + 0.5) * pitch_x, rows),
                                np.repeat((np.arange(rows) + 0.5) * pitch_y, cols)])
-    return AnchorSet(np.column_stack([centers - size / 2, np.full((len(centers), 2), size)]), centers)
+    anchors = AnchorSet(np.column_stack([centers - size / 2, np.full((len(centers), 2), size)]), centers)
+    _LATTICES.add(anchors)
+    return anchors

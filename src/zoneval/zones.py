@@ -142,6 +142,8 @@ class Partition:
         for k, (i0, i1), (j0, j1) in zip(owner, xi, yj):
             self._cells[i0:i1, j0:j1] = k
             cover[i0:i1, j0:j1] += 1
+        for table in (self._xs, self._ys, self._cells):  # callers cache lookups per partition
+            table.setflags(write=False)
         # the zones tile [0, 1)^2 iff every cell inside it is covered exactly once
         for bad, what in ((cover[:-1, :-1] > 1, "overlap"), (cover[:-1, :-1] == 0, "leave a gap")):
             if bad.any():

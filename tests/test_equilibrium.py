@@ -1,10 +1,13 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from zoneval.coco import BBox, Category, Dataset, GroundTruth, ImageInfo, iou
+from zoneval import equilibrium
+from zoneval.coco import BBox, Category, Dataset, GroundTruth, ImageInfo, iou, iou_matrix
 from zoneval.equilibrium import (
     Anchor,
     AnchorSet,
@@ -18,7 +21,7 @@ from zoneval.equilibrium import (
     supervision_density,
 )
 from zoneval.errors import OutsideImageError
-from zoneval.zones import Annular, Custom, Grid, build_partition, parse_zone_spec
+from zoneval.zones import Annular, Custom, Grid, build_partition, normalize_points, parse_zone_spec
 
 
 class TestSpatialWeight:
@@ -515,3 +518,147 @@ def test_array_path_builds_no_anchor_or_bbox(monkeypatch):
     assert sum(counts) > 0
     anchors[-1]  # the counter does see a view built on demand
     assert built == ["BBox", "Anchor"]
+
+
+class TestAnchorSetRows:
+    @pytest.mark.parametrize("box,center", [
+        ([0.0, 0.0, -5.0, 10.0], [5.0, 5.0]),  # negative side
+        ([0.0, 0.0, 10.0, 0.0], [5.0, 5.0]),  # zero side
+        ([0.0, 0.0, 10.0, 10.0], [math.nan, 5.0]),
+        ([0.0, math.inf, 10.0, 10.0], [5.0, 5.0]),
+        ([0.0, 0.0, math.nan, 10.0], [5.0, 5.0]),
+        ([0.0, 0.0, 10.0, 10.0], [5.0, -math.inf]),
+    ])
+    def test_bad_row_rejected_by_index(self, box, center):
+        good = [0.0, 0.0, 10.0, 10.0]
+        with pytest.raises(ValueError, match=r"anchor 1: .* must be finite, with positive sides"):
+            AnchorSet([good, box, box], [[5.0, 5.0], center, center])
+
+    def test_anchor_with_nan_center_rejected_on_entry(self):
+        # Anchor's own center check lets a NaN through; the array path must not
+        nan_anchor = Anchor((math.nan, math.nan), BBox(500.0, 500.0, 10.0, 10.0))
+        g = make_gt(1, BBox(10, 10, 40, 40))
+        zone = build_partition(Annular(2)).zones[0]
+        with pytest.raises(ValueError, match="anchor 0"):
+            sela_assign([nan_anchor], [g], AssignConfig(t=0.5), IMG)
+        with pytest.raises(ValueError, match="anchor 0"):
+            beta_assign([nan_anchor], [g], 0.5, 0.1, zone, IMG)
+
+    def test_empty_set_is_fine(self):
+        assert len(AnchorSet(np.zeros((0, 4)), np.zeros((0, 2)))) == 0
+
+
+class TestPerShapeCaches:
+    """A lattice, its weights and its zone indices are shared; no other anchor set is kept."""
+
+    GTS = np.array([[10.0, 10.0, 80.0, 60.0], [300.0, 200.0, 120.0, 90.0], [560.0, 400.0, 70.0, 70.0]])
+
+    def test_equal_shapes_share_one_anchor_set(self):
+        a = anchor_grid(ImageInfo(1, 640.0, 480.0), 8, 6, 64.0)
+        assert anchor_grid(ImageInfo(2, 640.0, 480.0, "other.jpg"), 8, 6, 64.0) is a
+        assert anchor_grid(ImageInfo(1, 640.0, 480.0), 8, 6) is anchor_grid(ImageInfo(3, 640.0, 480.0), 8, 6)
+
+    @pytest.mark.parametrize("img,cols,rows,size", [
+        (ImageInfo(1, 480.0, 640.0), 8, 6, 64.0),  # transposed image
+        (ImageInfo(1, 640.0, 480.0), 6, 8, 64.0),
+        (ImageInfo(1, 640.0, 480.0), 8, 6, 32.0),
+        (ImageInfo(1, 640.0, 480.0), 8, 6, None),
+        (ImageInfo(1, 640, 480), 8, 6, 64.0),  # int sizes
+        (ImageInfo(1, 640.0, 480.0), 8, 6, 64),  # int box side
+    ])
+    def test_different_shapes_or_types_get_their_own_set(self, img, cols, rows, size):
+        base = anchor_grid(ImageInfo(1, 640.0, 480.0), 8, 6, 64.0)
+        other = anchor_grid(img, cols, rows, size)
+        assert other is not base
+        assert anchor_grid(img, cols, rows, size) is other
+
+    def test_lattice_arguments_checked_on_every_call(self):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="anchor grid needs"):
+                anchor_grid(IMG, 0, 3)
+            with pytest.raises(ValueError, match="anchor box side"):
+                anchor_grid(IMG, 3, 3, box_size=math.nan)
+
+    def test_cached_arrays_reject_writes(self):
+        img = ImageInfo(1, 640.0, 480.0)
+        anchors = anchor_grid(img, 8, 6, 64.0)
+        partition = build_partition(Annular(3))
+        result = sela_assign(anchors, self.GTS, AssignConfig(t=0.4, gamma=0.2), img)
+        supervision_density(result, partition, img)
+        cached = [equilibrium._lattice_weights(anchors, img.width, img.height),
+                  equilibrium._lattice_zones(anchors, img.width, img.height, partition),
+                  anchors.boxes, anchors.centers]
+        for a in cached:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1
+        result.hits[0, 0] = not result.hits[0, 0]  # the hit matrix stays the caller's own
+
+    def test_only_lattices_are_cached(self):
+        img = ImageInfo(1, 640.0, 480.0)
+        lattice = anchor_grid(img, 8, 6, 64.0)
+        partition = build_partition(Annular(3))
+        for _ in range(2):
+            supervision_density(sela_assign(lattice, self.GTS, AssignConfig(t=0.4, gamma=0.2), img), partition, img)
+        assert lattice in equilibrium._LATTICES
+        weights, zones = equilibrium._lattice_weights, equilibrium._lattice_zones
+        sizes = weights.cache_info().currsize, zones.cache_info().currsize
+        refs = []
+        for k in range(3):  # caller-built sets, equal to the lattice and not, listed or as arrays
+            own = AnchorSet(lattice.boxes + [k, k, 0, 0], lattice.centers + k)
+            for anchors in (own, list(own)):
+                result = sela_assign(anchors, self.GTS, AssignConfig(t=0.4, gamma=0.2), img)
+                supervision_density(result, partition, img)
+                assert result.anchors not in equilibrium._LATTICES
+                refs.append(weakref.ref(result.anchors))
+            del own, anchors, result
+        assert (weights.cache_info().currsize, zones.cache_info().currsize) == sizes
+        gc.collect()
+        assert [r() for r in refs] == [None] * len(refs)  # no cache keeps a caller's anchors alive
+
+    def test_hits_equal_a_direct_threshold_on_repeated_calls(self):
+        img = ImageInfo(1, 640.0, 480.0)
+        lattice = anchor_grid(img, 12, 9, 64.0)
+        zone = build_partition(Annular(3)).zones[-1]
+        near = self.GTS.copy()
+        near[1, 2] += 1e-9
+        as_list = [make_gt(i + 1, BBox(*b)) for i, b in enumerate(self.GTS.tolist())]
+        for anchors in (lattice, AnchorSet(lattice.boxes, lattice.centers), list(lattice)):
+            weight = spatial_weight(*lattice.centers.T, img.width, img.height)
+            in_zone = zone.contains(*normalize_points(*lattice.centers.T, img.width, img.height))
+            results = []
+            for gts, rule in [(self.GTS, AssignConfig(t=0.4, gamma=0.0)), (self.GTS, AssignConfig(t=0.4, gamma=0.3)),
+                              (near, AssignConfig(t=0.4, gamma=0.3)), (as_list, AssignConfig(t=0.4, gamma=0.3)),
+                              (np.asfortranarray(self.GTS), (0.3, 0.2)), (self.GTS[:2], (0.3, 0.2))]:
+                if isinstance(rule, AssignConfig):
+                    result = sela_assign(anchors, gts, rule, img)
+                    cut = rule.t - rule.gamma * weight
+                else:
+                    result = beta_assign(anchors, gts, *rule, zone, img)
+                    cut = np.where(in_zone, rule[0] + rule[1], rule[0])
+                boxes = self.GTS if gts is as_list else gts
+                assert np.array_equal(result.hits, iou_matrix(lattice.boxes, boxes) >= cut[:, None])
+                results.append(result)
+            assert results[1].hits.any() and not np.array_equal(results[0].hits, results[1].hits)
+            for i, r in enumerate(results):
+                for other in results[i + 1:]:
+                    assert not np.shares_memory(r.hits, other.hits)
+
+    def test_supervision_density_counts_equal_a_direct_lookup(self):
+        rng = np.random.default_rng(5)
+        partitions = [build_partition(parse_zone_spec(s)) for s in ("annular:5", "grid:3x4", "strip-y:3")]
+        for trial in range(30):
+            img = ImageInfo(1, float(rng.choice([320.0, 640.0])), float(rng.choice([240.0, 480.0])))
+            anchors = anchor_grid(img, int(rng.integers(2, 12)), int(rng.integers(2, 12)), 64.0)
+            wh = rng.uniform(20, 150, (5, 2))
+            gts = np.column_stack([rng.uniform(0, 1, (5, 2)) * [img.width, img.height] - wh / 2, wh])
+            result = sela_assign(anchors, gts, AssignConfig(t=0.3, gamma=float(rng.uniform(0, 0.3))), img)
+            for partition in partitions:
+                xs, ys = anchors.centers[result.hits.any(axis=1)].T
+                want = np.bincount(partition.assign(xs, ys, img.width, img.height), minlength=len(partition.zones))
+                assert supervision_density(result, partition, img).counts() == want.tolist()
+
+    def test_errors_repeat_on_every_call(self):
+        outside = AnchorSet([[-30.0, 10.0, 20.0, 20.0]], [[-20.0, 20.0]])
+        for _ in range(2):
+            with pytest.raises(OutsideImageError):
+                sela_assign(outside, self.GTS, AssignConfig(t=0.5, gamma=0.1), IMG)

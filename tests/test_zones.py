@@ -81,6 +81,15 @@ class TestBuildPartition:
         assert outer.contains(0.0, 0.0)
         assert float(outer.area_exact) == pytest.approx(1 - 0.8**2)
 
+    @pytest.mark.parametrize("spec", BUILTIN_SPECS, ids=spec_label)
+    def test_edge_table_is_read_only(self, spec):
+        # callers cache lookups per partition object, so its table cannot change under them
+        p = build_partition(spec)
+        for table in (p._xs, p._ys, p._cells):
+            with pytest.raises(ValueError, match="read-only"):
+                table.flat[0] = 0
+        assert p.area_fractions.flags.writeable is False
+
     def test_grid_1x1_is_whole_image(self):
         p = build_partition(Grid(1, 1))
         assert p.zone_ids == ["g0_0"]
