@@ -45,7 +45,8 @@ than the cap.
 
 ``mean_ap`` reduces an (S, T) AP array to one figure; ``table_means``
 reduces many such tables, stacked as the row ranges of one array, to one
-figure and one figure per threshold each, with the same bits.  The protocol
+figure and one figure per threshold each, with the same bits, and
+``table_mean_aps`` to the one figure alone.  The protocol
 rules that pick the groups, the ignored ground truths and the candidate
 pairs live in ``zone_eval``, the one driver of this kernel.
 """
@@ -132,21 +133,24 @@ def pair_order(row: np.ndarray, slot: np.ndarray, iou: np.ndarray) -> tuple[np.n
     contiguous run.
 
     Levels rise along the rows of a slot, so only the edges that join two
-    consecutive rows on one slot count.  The levels come out in rounds: a
-    row gets the round's level once all its in-edges are relaxed, and an
-    edge is relaxed once, in the round that its earlier row gets its level.
+    consecutive rows on one slot count.  The rows that hold a pair are
+    numbered in order first, so the level arrays have one entry per such
+    row, however sparse the row ids.  The levels come out in rounds: a row
+    gets the round's level once all its in-edges are relaxed, and an edge
+    is relaxed once, in the round that its earlier row gets its level.
     """
-    by_slot = np.lexsort((row, slot))
-    slot_sorted, row_sorted = slot[by_slot], row[by_slot]
+    rows, node = np.unique(row, return_inverse=True)
+    by_slot = np.lexsort((node, slot))
+    slot_sorted, node_sorted = slot[by_slot], node[by_slot]
     edge = np.flatnonzero(slot_sorted[1:] == slot_sorted[:-1])
-    src, dst = row_sorted[edge], row_sorted[edge + 1]
-    n_rows = int(row.max()) + 1 if len(row) else 0
-    waiting = np.bincount(dst, minlength=n_rows)  # in-edges not yet relaxed, per row
+    src, dst = node_sorted[edge], node_sorted[edge + 1]
+    n_rows = len(rows)
+    waiting = np.bincount(dst, minlength=n_rows)  # in-edges not yet relaxed, per node
     out_count = np.bincount(src, minlength=n_rows)
     out_start = np.cumsum(out_count) - out_count
-    dst = dst[np.argsort(src, kind="stable")]  # the edges leaving row i: out_start[i]:+out_count[i]
+    dst = dst[np.argsort(src, kind="stable")]  # the edges leaving node i: out_start[i]:+out_count[i]
     level = np.zeros(n_rows, dtype=np.int64)
-    done = np.flatnonzero(waiting == 0)  # with the rows without a pair, which leave no edge
+    done = np.flatnonzero(waiting == 0)
     depth = 0
     while len(done):
         level[done] = depth
@@ -156,7 +160,7 @@ def pair_order(row: np.ndarray, slot: np.ndarray, iou: np.ndarray) -> tuple[np.n
         waiting[reached] -= relaxed
         done = reached[waiting[reached] == 0]
         depth += 1
-    step = level[row]
+    step = level[node]
     order = np.lexsort((-slot, -iou, row, step))
     return order, step[order]
 
@@ -360,30 +364,49 @@ def mean_ap(aps: np.ndarray) -> float | None:
     return float(aps.mean()) if len(aps) else None
 
 
+def table_mean_aps(aps: np.ndarray, cuts: np.ndarray) -> list[float | None]:
+    """The ``mean_ap`` of each table ``aps[cuts[k]:cuts[k + 1]]`` of a (rows, T) AP array; None for an empty one."""
+    return _spread([None] * (len(cuts) - 1), _tables_by_size(aps, cuts), _whole_means)
+
+
 def table_means(aps: np.ndarray, cuts: np.ndarray) -> tuple[list[float | None], list[list[float | None]]]:
     """Per table ``aps[cuts[k]:cuts[k + 1]]`` of a (rows, T) AP array: its ``mean_ap`` and its per-threshold means.
 
-    An empty table gives None and T Nones.  The tables of one size c are
-    gathered into an (m, c, T) array, and each reduction is one ``.mean``
-    over its contiguous last axis: the c * T entries of a table in
-    (category, threshold) order, and per threshold its c entries.  numpy
-    sums a contiguous run of one length with the same pairwise tree, so each
-    figure has the bits of ``mean_ap`` and of the mean of one threshold
-    column alone.
+    An empty table gives None and T Nones.
+    """
+    stacks = _tables_by_size(aps, cuts)
+    n, t_count = len(cuts) - 1, aps.shape[1]
+    return (_spread([None] * n, stacks, _whole_means),
+            _spread([[None] * t_count for _ in range(n)], stacks, _threshold_means))
+
+
+def _tables_by_size(aps: np.ndarray, cuts: np.ndarray) -> list[tuple[list[int], np.ndarray]]:
+    """The non-empty tables of ``table_means`` gathered by size: per size c, (the tables, their (m, c, T) stack).
+
+    Each reduction of a stack is one ``.mean`` over its contiguous last
+    axis: the c * T entries of a table in (category, threshold) order, or
+    per threshold its c entries.  numpy sums a contiguous run of one length
+    with the same pairwise tree, so each figure has the bits of ``mean_ap``
+    and of the mean of one threshold column alone.
     """
     size = np.diff(cuts)
-    t_count = aps.shape[1]
-    means: list[float | None] = [None] * len(size)
-    by_threshold: list[list[float | None]] = [[None] * t_count for _ in range(len(size))]
     by_size = np.argsort(size, kind="stable")
     sizes, first = np.unique(size[by_size], return_index=True)
-    for c, lo, hi in zip(sizes.tolist(), first.tolist(), [*first[1:].tolist(), len(size)]):
-        if c == 0:
-            continue
-        tables = by_size[lo:hi]
-        block = aps[cuts[tables][:, None] + np.arange(c)]
-        whole = block.reshape(hi - lo, c * t_count).mean(axis=1).tolist()
-        per_t = np.ascontiguousarray(block.transpose(0, 2, 1)).mean(axis=2).tolist()
-        for k, m, v in zip(tables.tolist(), whole, per_t):
-            means[k], by_threshold[k] = m, v
-    return means, by_threshold
+    return [(by_size[lo:hi].tolist(), aps[cuts[by_size[lo:hi]][:, None] + np.arange(c)])
+            for c, lo, hi in zip(sizes.tolist(), first.tolist(), [*first[1:].tolist(), len(size)]) if c]
+
+
+def _whole_means(stack: np.ndarray) -> np.ndarray:
+    return stack.reshape(len(stack), -1).mean(axis=1)
+
+
+def _threshold_means(stack: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(stack.transpose(0, 2, 1)).mean(axis=2)
+
+
+def _spread(out: list, stacks: list[tuple[list[int], np.ndarray]], reduce) -> list:
+    """``out`` with each stacked table's entry set to its row of ``reduce(stack)``."""
+    for tables, stack in stacks:
+        for k, v in zip(tables, reduce(stack).tolist()):
+            out[k] = v
+    return out

@@ -38,7 +38,9 @@ entries, taken from one precomputed stable score order, so one
 ``average_precision`` call scores a block's curves.  The AP rows form one
 table in (range, zone, category) order, each (range, zone) a row range of
 it, and ``matching.table_means`` reduces every range at once, one
-reduction per table size, so no step of a report runs numpy per zone.
+reduction per table size, so no step of a report runs numpy per zone
+(``table_mean_aps`` for ``scale_study``, which reports no per-threshold
+figure).
 ``evaluate_zones`` is the one-range case, ``scale_study`` the
 one-range-per-bin case.
 """
@@ -60,6 +62,7 @@ from .matching import (
     greedy_match,
     pair_order,
     rank_within,
+    table_mean_aps,
     table_means,
 )
 from .zones import Grid, Partition, build_partition, grid_rows, spec_label
@@ -192,23 +195,38 @@ class _Geometry:
 
 
 def _candidate_pairs(
-    dt_group: np.ndarray, dt_box: np.ndarray, gt_group: np.ndarray, gt_box: np.ndarray, min_iou: float
+    dt_group: np.ndarray, dt_box: np.ndarray, gt_group: np.ndarray, gt_box: np.ndarray, n_categories: int,
+    min_iou: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(detection, ground truth, IoU) of the same-group pairs with IoU >= min_iou, by (detection, ground truth).
 
     A group is one (image, category), keyed ``image * n_categories +
-    category``.  The ground truths are sorted by group once (stably), so each
-    detection's group is one run of them, and the pairs are listed in
-    ``matching.blocks`` of whole detections, a detection building four corner
-    entries per pair in the first test.  A block keeps the pairs that overlap
-    in x, then those that overlap in y, and computes ``corner_iou`` on those
-    alone.  Every other pair has IoU 0, and ``EvalConfig`` keeps every
-    threshold above 0.
+    category``, and the detections come in image order.  The ground truths
+    are sorted by group once (stably), so each detection's group is one run
+    of them.  Each detection's run, its first sorted ground truth and its
+    length, comes from one ``np.bincount`` of the ground-truth groups per
+    run of whole images, cut by ``matching.blocks`` so that the run's image
+    x category table stays within ``BLOCK_ENTRIES``.  The pairs are then
+    listed in ``matching.blocks`` of whole detections, a detection building
+    four corner entries per pair in the first test.  A block keeps the pairs
+    that overlap in x, then those that overlap in y, and computes
+    ``corner_iou`` on those alone.  Every other pair has IoU 0, and
+    ``EvalConfig`` keeps every threshold above 0.
     """
     by_group = np.argsort(gt_group, kind="stable")
     sorted_group = gt_group[by_group]
-    lo = np.searchsorted(sorted_group, dt_group, side="left")
-    count = np.searchsorted(sorted_group, dt_group, side="right") - lo
+    lo = np.zeros(len(dt_group), dtype=np.int64)
+    count = np.zeros(len(dt_group), dtype=np.int64)
+    n_images = int(dt_group[-1]) // n_categories + 1 if len(dt_group) else 0
+    for i0, i1 in matching.blocks(np.full(n_images, n_categories)):
+        k0, k1 = i0 * n_categories, i1 * n_categories
+        # every key of an image lies below the first key of the next one, so the detections,
+        # in image order, are split by these keys as a sorted array would be
+        (d0, d1), (g0, g1) = np.searchsorted(dt_group, [k0, k1]), np.searchsorted(sorted_group, [k0, k1])
+        table = np.bincount(sorted_group[g0:g1] - k0, minlength=k1 - k0)
+        key = dt_group[d0:d1] - k0
+        count[d0:d1] = table[key]
+        lo[d0:d1] = (g0 + np.cumsum(table) - table)[key]
     starts = np.cumsum(count) - count  # detection d owns pairs starts[d]:starts[d] + count[d]
     shift = lo - starts  # pair p of detection d is with sorted ground truth p + shift[d]
     dx0, dy0, dx1, dy1 = box_corners(dt_box)
@@ -251,7 +269,7 @@ def _geometry(ds: Dataset, dets: DetectionSet, partition: Partition, cfg: EvalCo
     row_rank = rank_within(row_img * (n_zones + 1) + row_zone) if cfg.cap_after_zone else np.tile(rank[kept], 2)
     under_cap = row_rank < cap
 
-    det, gt, iou = _candidate_pairs(dt_img * n_cat + dt_cat, dt_box, ds.gt_image * n_cat + gt_cat, gt_box,
+    det, gt, iou = _candidate_pairs(dt_img * n_cat + dt_cat, dt_box, ds.gt_image * n_cat + gt_cat, gt_box, n_cat,
                                     cfg.iou_thresholds[0])
     pair_row, pair_slot, pair_iou = np.concatenate([det, n_dt + det]), np.concatenate([gt, n_gt + gt]), np.tile(iou, 2)
     keep = under_cap[pair_row] & (row_zone[pair_row] == slot_zone[pair_slot])
@@ -381,8 +399,10 @@ def _evaluate(
     tp, ignored = greedy_match(starts[key] + geo.ap_rank[geo.pair_row[pair]], (np.cumsum(reached) - 1)[slot_key],
                                geo.pair_iou[pair], geo.pair_step[pair], slot_ignored, len(entry_row),
                                cfg.iou_thresholds)
-    # an unmatched detection outside the range is ignored too
-    ignored |= ~tp & ~_in_ranges(geo.row_area[entry_row], ranges, key_range[curve])[:, None]
+    # an unmatched detection outside the range is ignored too; a range of every area leaves none out
+    inside = _in_ranges(geo.row_area[entry_row], ranges, key_range[curve])
+    if not inside.all():
+        ignored |= ~tp & ~inside[:, None]
     return np.ascontiguousarray(tp.T), np.ascontiguousarray(ignored.T), starts
 
 
@@ -495,7 +515,7 @@ def scale_study(
     bins = [(i, rng) for i, r in enumerate(steps) for rng in scale_bins(r)]
     if len(set(steps)) < len(steps):  # a step's mean would count twice in the grand mean
         raise ValueError(f"scale_study steps must be distinct, got {tuple(steps)}")
-    means, _ = table_means(*_zone_aps(_geometry(ds, dets, partition, cfg), cfg, [rng for _, rng in bins]))
+    means = table_mean_aps(*_zone_aps(_geometry(ds, dets, partition, cfg), cfg, [rng for _, rng in bins]))
     n_zones = len(partition.zones)
     bin_zps = [[_percent(ap) for ap in means[b : b + n_zones]]  # per bin, per zone
                for b in range(0, len(means), n_zones + 1)]

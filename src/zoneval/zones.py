@@ -17,8 +17,15 @@ edges of all rectangles, with 0 and 1 added, cut the unit square into cells,
 and each half-open rectangle covers whole cells.  Building it counts the
 rectangles over every cell, so an overlap or a gap is a ``PartitionError``
 for every spec, built-in or custom.  ``Partition.assign`` then finds the zone
-of every point, clamped into its image, with two binary searches; it is the
-one center-to-zone function, and ``zone_of_clamped`` is its one-point form.
+of every point, clamped into its image; it is the one center-to-zone
+function, and ``zone_of_clamped`` is its one-point form.  Next to each axis's
+edges a bucket table cuts [0, 1) into 2^12 equal buckets and holds, per
+bucket, the index of the last edge at or below its start: a point's bucket
+is ``floor(u * 2^12)``, exact since scaling by a power of two is, and one
+comparison with the edge after that one finds its cell.  Only the points
+of a bucket that holds more than one edge take a binary search.  A NaN
+coordinate or size has a bucket of its own, past edge 1, where no zone is,
+so it raises ``PartitionError``.
 ``Zone.contains`` is the same half-open test written out, elementwise over
 scalars or numpy arrays, for callers that ask about one zone and for checks
 independent of the table.
@@ -109,6 +116,40 @@ class Zone:
         return f"Zone({self.id!r}, area={self.area_fraction:.6f})"
 
 
+# a partition's bucket tables cut each axis of [0, 1) into this many equal buckets (a power of two)
+BUCKETS = 1 << 12
+
+
+def _bucket_table(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """(first, after, crowded): the lookup table of ``edges``, which rise from 0 to 1.
+
+    ``first`` holds, per bucket of [0, 1) and then one for NaN, the index of
+    the last edge at or below the bucket's start (edge 1 for NaN);
+    ``after`` is the edges followed by +inf.  ``crowded`` flags the buckets
+    that hold more than one edge inside them, None when no bucket does.
+    """
+    start = np.arange(BUCKETS + 1) / BUCKETS
+    first = (np.searchsorted(edges, start, side="right") - 1).astype(np.int32)
+    crowded = np.append(np.searchsorted(edges, start[1:], side="left") - first[:-1] > 2, False)
+    after = np.append(edges, np.inf)
+    for table in (first, after, crowded):
+        table.setflags(write=False)
+    return first, after, crowded if crowded.any() else None
+
+
+def _lookup(buckets: tuple, u: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(edges, u, side="right") - 1`` for u in [0, 1) or NaN, from the edges' bucket table."""
+    first, after, crowded = buckets
+    # fmin sends NaN to the NaN bucket; the cast truncates, which is floor for u >= 0
+    bucket = np.fmin(u * BUCKETS, BUCKETS).astype(np.intp)
+    i = first[bucket]
+    i = np.asarray(i + (u >= after[i + 1]))
+    if crowded is not None:
+        hit = crowded[bucket]
+        i[hit] = np.searchsorted(after, u[hit], side="right") - 1
+    return i
+
+
 def normalize_points(xs, ys, width, height) -> tuple[np.ndarray, np.ndarray]:
     """Clamp pixel points into the image, scale them to [0, 1] and nudge 1 inward to [0, 1)."""
     below_one = np.nextafter(1.0, 0.0)
@@ -144,6 +185,7 @@ class Partition:
             cover[i0:i1, j0:j1] += 1
         for table in (self._xs, self._ys, self._cells):  # callers cache lookups per partition
             table.setflags(write=False)
+        self._x_buckets, self._y_buckets = _bucket_table(self._xs), _bucket_table(self._ys)
         # the zones tile [0, 1)^2 iff every cell inside it is covered exactly once
         for bad, what in ((cover[:-1, :-1] > 1, "overlap"), (cover[:-1, :-1] == 0, "leave a gap")):
             if bad.any():
@@ -163,9 +205,7 @@ class Partition:
         scalars or per-point arrays.
         """
         u, v = normalize_points(np.asarray(xs, float), np.asarray(ys, float), width, height)
-        i = np.searchsorted(self._xs, u, side="right") - 1
-        j = np.searchsorted(self._ys, v, side="right") - 1
-        idx = self._cells[i, j]
+        idx = self._cells[_lookup(self._x_buckets, u), _lookup(self._y_buckets, v)]
         if (idx < 0).any():  # unreachable for finite points of a valid partition; NaN lands here
             bad = np.argmax(idx < 0)
             raise PartitionError(f"no zone contains normalized point ({u[bad]}, {v[bad]})")

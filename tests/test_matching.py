@@ -360,6 +360,20 @@ class TestConflictLevels:
             self.assert_columns_agree(rng, geo.pair_row, geo.pair_slot, geo.pair_iou, geo.pair_step,
                                       len(geo.row_seg), len(geo.slot_seg), crowd)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sparse_row_ids(self, seed):
+        # rows without a pair leave gaps between the row ids: spread apart seven times, the
+        # rows give the same permutation and steps as their dense numbering
+        rng = np.random.default_rng(73 + seed)
+        row, slot, iou, _, _, _ = TestIgnoreColumns.instance(rng, n_groups=30)
+        shuffle = rng.permutation(len(row))
+        dense = np.unique(row, return_inverse=True)[1][shuffle]
+        slot, iou = slot[shuffle], iou[shuffle]
+        order, step = pair_order(dense, slot, iou)
+        sparse_order, sparse_step = pair_order(dense * 7, slot, iou)
+        assert (sparse_order == order).all() and (sparse_step == step).all()
+        assert step.max() > 1
+
     @pytest.mark.parametrize("seed", range(4))
     def test_levels_of_random_benchmarks(self, seed):
         ds, dset = random_multiclass_benchmark(8, gts_per_image=12, dets_per_image=40, seed=seed)
@@ -414,6 +428,18 @@ class TestTableMeans:
                 left_to_right += v
             order_matters |= left_to_right / table.size != want
         assert order_matters  # the bits test the order of the sums
+
+    @pytest.mark.parametrize("t_count", [1, 10])
+    def test_mean_aps_alone_are_the_same_figures(self, t_count):
+        rng = np.random.default_rng(59)
+        sizes = rng.permutation([*range(0, 20), 63, 64, 65, 129] * 2)
+        cuts = np.append(0, np.cumsum(sizes))
+        aps = rng.random((cuts[-1], t_count)) * 10.0 ** rng.uniform(-3, 3, (cuts[-1], t_count))
+        got, want = matching.table_mean_aps(aps, cuts), matching.table_means(aps, cuts)[0]
+        assert [m is None for m in got] == [m is None for m in want] == list(sizes == 0)
+        defined = [np.array([m for m in ms if m is not None]) for ms in (got, want)]
+        assert defined[0].tobytes() == defined[1].tobytes()
+        assert matching.table_mean_aps(np.zeros((0, 4)), np.array([0])) == []
 
     def test_no_tables_and_empty_tables(self):
         assert matching.table_means(np.zeros((0, 4)), np.array([0])) == ([], [])

@@ -798,13 +798,42 @@ class TestCandidatePairs:
             ious = candidate_pairs_by_image(dt_img, dt_box, dt_cat, gt_starts, gt_box, gt_cat, 1e-300)[2]
             min_iou = float(rng.choice(ious)) if len(ious) and rng.random() < 0.8 else float(rng.uniform(0.05, 1))
             want = candidate_pairs_by_image(dt_img, dt_box, dt_cat, gt_starts, gt_box, gt_cat, min_iou)
-            got = zone_eval._candidate_pairs(dt_img * n_cat + dt_cat, dt_box, gt_img * n_cat + gt_cat, gt_box,
+            got = zone_eval._candidate_pairs(dt_img * n_cat + dt_cat, dt_box, gt_img * n_cat + gt_cat, gt_box, n_cat,
                                              min_iou)
             for g, w in zip(got, want):
                 assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
             for case, hit in self.coverage(n_img, dt, gt, min_iou, want).items():
                 seen[case] = seen.get(case, 0) + hit
         assert min(seen.values()) >= 5, seen
+
+    @pytest.mark.parametrize("entries", [3, 12, 40])
+    def test_group_offsets_over_many_image_runs(self, monkeypatch, entries):
+        # five categories: a run holds one image (its 5-entry table is over the bound alone), two
+        # images or eight, of 40; the pair blocks shrink with the bound too
+        monkeypatch.setattr(matching, "BLOCK_ENTRIES", entries)
+        n_img, n_cat = 40, 5
+        assert len(list(matching.blocks(np.full(n_img, n_cat)))) >= 5
+        rng = np.random.default_rng(47)
+        lone_cat = no_gt = 0
+        for _ in range(20):
+            def boxes(per_image, shown):
+                img = np.repeat(np.arange(n_img), rng.integers(0, per_image + 1, n_img) * shown)
+                box = np.concatenate([rng.integers(0, 8, (len(img), 2)), rng.integers(1, 5, (len(img), 2))], axis=1)
+                # each image draws its categories from a few of the five
+                return img, rng.integers(0, n_cat, len(img)) % rng.integers(1, n_cat + 1, n_img)[img], box.astype(float)
+
+            gt_img, gt_cat, gt_box = boxes(4, rng.random(n_img) < 0.6)
+            dt_img, dt_cat, dt_box = boxes(8, rng.random(n_img) < 0.9)
+            gt_starts = np.searchsorted(gt_img, np.arange(n_img + 1))
+            want = candidate_pairs_by_image(dt_img, dt_box, dt_cat, gt_starts, gt_box, gt_cat, 0.2)
+            got = zone_eval._candidate_pairs(dt_img * n_cat + dt_cat, dt_box, gt_img * n_cat + gt_cat, gt_box, n_cat,
+                                             0.2)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+            gt_groups = set((gt_img * n_cat + gt_cat).tolist())
+            lone_cat += sum(np.isin(dt_img, gt_img) & ~np.isin(dt_img * n_cat + dt_cat, list(gt_groups)))
+            no_gt += len(np.setdiff1d(dt_img, gt_img))
+        assert lone_cat > 20 and no_gt > 20, (lone_cat, no_gt)
 
     def test_memory_stays_within_the_block_bound(self, monkeypatch):
         # 1,600,000 same-group pairs are 1,562 times the 1,024 pairs of a block (listed at once,
@@ -826,7 +855,7 @@ class TestCandidatePairs:
             monkeypatch.setattr(matching, "BLOCK_ENTRIES", entries)
             tracemalloc.start()
             try:
-                det, gt, iou = zone_eval._candidate_pairs(dt_group, dt_box, gt_group, gt_box, 0.5)
+                det, gt, iou = zone_eval._candidate_pairs(dt_group, dt_box, gt_group, gt_box, 1, 0.5)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -841,7 +870,7 @@ class TestCandidatePairs:
         box = np.array([[0.0, 0.0, 1.0, 1.0]])
         for dt_group, gt_group in [([], [0]), ([0], []), ([0], [1]), ([], [])]:
             got = zone_eval._candidate_pairs(np.array(dt_group, dtype=np.int64), box[: len(dt_group)],
-                                             np.array(gt_group, dtype=np.int64), box[: len(gt_group)], 0.5)
+                                             np.array(gt_group, dtype=np.int64), box[: len(gt_group)], 1, 0.5)
             assert [len(a) for a in got] == [0, 0, 0]
             assert [a.dtype for a in got] == [np.int64, np.int64, np.float64]
 

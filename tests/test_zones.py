@@ -10,6 +10,7 @@ import pytest
 from zoneval.coco import ImageInfo
 from zoneval.errors import PartitionError
 from zoneval.zones import (
+    BUCKETS,
     Annular,
     Custom,
     Grid,
@@ -295,6 +296,39 @@ class TestCoverage:
                     v = min(min(max(y, 0.0), height) / height, math.nextafter(1.0, 0.0))
                     assert [z.contains(u, v) for z in p.zones].count(True) == 1
                     assert p.zones[k].contains(u, v)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_crowded_buckets(self, seed):
+        # the cells of strips whose x edges hold bucket starts (3/4096, 1/2), one edge just below
+        # one of them and two edges inside one bucket, and whose y edges hold 1/4 and four edges
+        # inside one bucket; every point is tested against Zone.contains
+        rng = np.random.default_rng(seed)
+        xe = [0.0, 2.5 / BUCKETS, 3 / BUCKETS, 0.5, *(0.5 + (rng.choice(999, 2, replace=False) + 1) / (1000 * BUCKETS)),
+              1.0]
+        b = int(rng.integers(1, BUCKETS // 4)) / BUCKETS
+        ye = [0.0, b, *(b + np.sort(rng.random(4)) / BUCKETS), 0.25, 0.7, 1.0]
+        xe, ye = sorted(set(map(float, xe))), sorted(set(map(float, ye)))
+        p = build_partition(Custom(tuple((f"c{i}_{j}", ((x0, y0, x1, y1),))
+                                         for i, (x0, x1) in enumerate(zip(xe, xe[1:]))
+                                         for j, (y0, y1) in enumerate(zip(ye, ye[1:])))))
+        assert p._x_buckets[2] is not None and p._y_buckets[2] is not None
+        pu, pv = _probes(set(xe)), _probes(set(ye))
+        us = np.concatenate([pu, rng.choice(pu, len(pv)), rng.random(200) * 2 - 0.5])
+        vs = np.concatenate([rng.choice(pv, len(pu)), pv, rng.random(200) * 2 - 0.5])
+        for width, height in [(1.0, 1.0), (640.0, 480.0),
+                              (rng.choice([1.0, 640.0, 427.0], len(us)), rng.choice([1.0, 480.0, 333.0], len(us)))]:
+            xs, ys = us * width, vs * height
+            got = p.assign(xs, ys, width, height)
+            inside = np.array([z.contains(*normalize_points(xs, ys, width, height)) for z in p.zones])
+            assert (inside.sum(axis=0) == 1).all()
+            assert (inside.argmax(axis=0) == got).all()
+            if np.ndim(width) == 0:  # points in any shape, one point alone too
+                assert (p.assign(xs[None, :], ys[None, :], width, height) == got[None, :]).all()
+                assert [p.assign(x, y, width, height) for x, y in zip(xs[:50], ys[:50])] == got[:50].tolist()
+        for args in [([math.nan], [0.5], 1.0, 1.0), ([0.5], [math.nan], 1.0, 1.0), ([0.5], [0.5], math.nan, 1.0),
+                     ([0.5, 0.5], [0.5, 0.5], 1.0, [1.0, math.nan])]:
+            with pytest.raises(PartitionError, match="no zone contains"):
+                p.assign(*args)
 
     def test_assign_takes_per_point_image_sizes(self):
         p = build_partition(Grid(2, 2))
