@@ -6,11 +6,15 @@ all zones reproduces the full-image evaluation and the whole-image zone
 reproduces AP bit-for-bit.
 
 The whole image is one more zone, index ``n_zones``: every ground truth and
-detection appears once in its zone and once in the whole image (``_Geometry``
-gives the slots and rows).  The cap ranks a detection within its image, or
-with ``cap_after_zone`` within its (image, zone), and a candidate pair is kept
-when its detection and ground truth share a zone and the detection is under
-the cap.  The same rule builds every zone.
+detection appears once in its zone and, when the whole image is reported,
+once more in it (``_Geometry`` gives the slots and rows).  ``scale_study``
+and ``grid_heatmap`` report zones only, so their geometry holds the zone
+copy alone and they match and score nothing of the whole image; the two
+copies share no row or slot, so the zone copy is the same either way.  The
+cap ranks a detection within its image, or with ``cap_after_zone`` within
+its (image, zone), and a candidate pair is kept when its detection and
+ground truth share a zone and the detection is under the cap.  The same
+rule builds every zone.
 
 One geometry pass per evaluation does everything that does not depend on the
 scale range: the per-image cap, one ``Partition.assign`` call for all box
@@ -39,8 +43,8 @@ entries, taken from one precomputed stable score order, so one
 table in (range, zone, category) order, each (range, zone) a row range of
 it, and ``matching.table_means`` reduces every range at once, one
 reduction per table size, so no step of a report runs numpy per zone
-(``table_mean_aps`` for ``scale_study``, which reports no per-threshold
-figure).
+(``table_mean_aps`` for ``scale_study`` and ``grid_heatmap``, which report
+no per-threshold figure).
 ``evaluate_zones`` is the one-range case, ``scale_study`` the
 one-range-per-bin case.
 """
@@ -171,9 +175,10 @@ class _Geometry:
     """The scale-independent part of one evaluation, as flat arrays.
 
     The whole image is zone ``n_zones``.  Ground truths are indexed in image
-    order; ground truth ``g`` fills slot ``g`` in its zone and slot
-    ``n_gt + g`` in the whole image, and detection ``d`` fills row ``d`` in
-    its zone and row ``n_dt + d`` in the whole image.  A segment is a (zone,
+    order; ground truth ``g`` fills slot ``g`` in its zone and detection
+    ``d`` row ``d``.  A geometry with the whole image also holds a second
+    copy, in zone ``n_zones``: slot ``n_gt + g`` and row ``n_dt + d``.
+    Without it, the whole-image segments are empty.  A segment is a (zone,
     category) pair, ``zone * n_categories + category``.  A candidate pair is
     kept when its row and slot share a zone and the row is under the cap.
     """
@@ -247,8 +252,15 @@ def _candidate_pairs(
     return np.concatenate(det), np.concatenate(gt), np.concatenate(iou)
 
 
-def _geometry(ds: Dataset, dets: DetectionSet, partition: Partition, cfg: EvalConfig) -> _Geometry:
-    """Cap, zone lookup and candidate pairs of every image; independent of ``cfg.scale_range``."""
+def _geometry(
+    ds: Dataset, dets: DetectionSet, partition: Partition, cfg: EvalConfig, whole_image: bool = True
+) -> _Geometry:
+    """Cap, zone lookup and candidate pairs of every image; independent of ``cfg.scale_range``.
+
+    Without ``whole_image`` the whole-image copy is left out: no slot, row,
+    candidate pair or AP row of zone ``n_zones``.  The zone copy is the same
+    either way, bit for bit, as the two copies share no row or slot.
+    """
     if dets.image_ids != ds.image_ids or dets.category_ids != ds.category_ids:
         raise ValueError("the detections were resolved against a dataset with other image or category ids")
     cap = cfg.max_dets_per_image
@@ -262,28 +274,32 @@ def _geometry(ds: Dataset, dets: DetectionSet, partition: Partition, cfg: EvalCo
     zone = partition.assign(*box_centers(np.concatenate([gt_box, dt_box])), *ds.image_size[owner].T)
     gt_zone, dt_zone = zone[:n_gt], zone[n_gt:]
 
-    slot_zone = np.concatenate([gt_zone, np.full(n_gt, n_zones)])
-    row_zone = np.concatenate([dt_zone, np.full(n_dt, n_zones)])
-    row_img = np.tile(dt_img, 2)
+    # copy c of ground truth g is slot c * n_gt + g, of detection d row c * n_dt + d
+    copies = 2 if whole_image else 1
+    slot_zone = np.concatenate([gt_zone, np.full((copies - 1) * n_gt, n_zones)])
+    row_zone = np.concatenate([dt_zone, np.full((copies - 1) * n_dt, n_zones)])
+    row_img = np.tile(dt_img, copies)
     # the cap ranks a row within its image, or within its (image, zone) after zoning
-    row_rank = rank_within(row_img * (n_zones + 1) + row_zone) if cfg.cap_after_zone else np.tile(rank[kept], 2)
+    row_rank = rank_within(row_img * (n_zones + 1) + row_zone) if cfg.cap_after_zone else np.tile(rank[kept], copies)
     under_cap = row_rank < cap
 
     det, gt, iou = _candidate_pairs(dt_img * n_cat + dt_cat, dt_box, ds.gt_image * n_cat + gt_cat, gt_box, n_cat,
                                     cfg.iou_thresholds[0])
-    pair_row, pair_slot, pair_iou = np.concatenate([det, n_dt + det]), np.concatenate([gt, n_gt + gt]), np.tile(iou, 2)
+    pair_row = np.concatenate([c * n_dt + det for c in range(copies)])
+    pair_slot = np.concatenate([c * n_gt + gt for c in range(copies)])
+    pair_iou = np.tile(iou, copies)
     keep = under_cap[pair_row] & (row_zone[pair_row] == slot_zone[pair_slot])
     pair_row, pair_slot, pair_iou = pair_row[keep], pair_slot[keep], pair_iou[keep]
 
-    row_seg = row_zone * n_cat + np.tile(dt_cat, 2)
+    row_seg = row_zone * n_cat + np.tile(dt_cat, copies)
     order, pair_step = pair_order(pair_row, pair_slot, pair_iou)
     # (segment, -score) order: every zone segment precedes every whole-image one, so each copy
     # of the detections is sorted by segment on its own, from one stable sort by -score.  The
     # segments go in the smallest integer type, as numpy sorts 8- and 16-bit keys by radix
     by_score = np.argsort(-score, kind="stable")
     seg_key = row_seg.astype(np.min_scalar_type((n_zones + 1) * n_cat))
-    copies = [rows[under_cap[rows]] for rows in (by_score, n_dt + by_score)]
-    ap_rows = np.concatenate([rows[np.argsort(seg_key[rows], kind="stable")] for rows in copies])
+    runs = [rows[under_cap[rows]] for rows in (c * n_dt + by_score for c in range(copies))]
+    ap_rows = np.concatenate([rows[np.argsort(seg_key[rows], kind="stable")] for rows in runs])
     ap_seg = row_seg[ap_rows]
     seg_start = np.searchsorted(ap_seg, np.arange((n_zones + 1) * n_cat + 1))
     ap_rank = np.full(len(row_seg), -1)
@@ -293,9 +309,9 @@ def _geometry(ds: Dataset, dets: DetectionSet, partition: Partition, cfg: EvalCo
         n_categories=n_cat,
         gt_area=ds.gt_area,
         gt_crowd=ds.gt_crowd,
-        slot_seg=(slot_zone * n_cat + np.tile(gt_cat, 2)).astype(np.int32),
+        slot_seg=(slot_zone * n_cat + np.tile(gt_cat, copies)).astype(np.int32),
         row_seg=row_seg.astype(np.int32),
-        row_area=np.tile(dt_box[:, 2] * dt_box[:, 3], 2),
+        row_area=np.tile(dt_box[:, 2] * dt_box[:, 3], copies),
         pair_row=pair_row[order].astype(np.int32),
         pair_slot=pair_slot[order].astype(np.int32),
         pair_iou=pair_iou[order],
@@ -328,22 +344,24 @@ def _zone_aps(
 
     A range is [lo, hi) in pixels^2, None for [0, inf) (every area ``Dataset``
     accepts).  Positives are counted per (range, segment), keyed ``range *
-    n_segments + segment``, a ground truth in its zone and in the whole image.
-    The ranges that hold one go through ``_evaluate`` in ``matching.blocks``,
-    a range building its (range, slot) flags plus, per threshold, its live
-    (range, pair) instances, (range, AP row) entries and curves, and each
-    block's outcome is scored at once.  One search over the keys gives each
+    n_segments + segment``, one per slot that ``geo`` holds (slot ``s`` is
+    ground truth ``s % n_gt``).  The ranges that hold one go through
+    ``_evaluate`` in ``matching.blocks``, a range building its (range, slot)
+    flags plus, per threshold, its live (range, pair) instances, (range, AP
+    row) entries and curves, and each block's outcome is scored at once.  One search over the keys gives each
     (range, zone) its row range, a range without a positive getting empty
     tables.  Counting goes in blocks too, a range building one flag per
-    ground truth.
+    slot.  A geometry without the whole image holds none of its slots, so
+    every whole-image table is empty.
     """
     ranges = [(0.0, math.inf) if r is None else r for r in ranges]
-    n_seg, n_gt = (geo.n_zones + 1) * geo.n_categories, len(geo.gt_area)
+    n_seg = (geo.n_zones + 1) * geo.n_categories
+    gt = np.arange(len(geo.slot_seg)) % len(geo.gt_area)
+    area, crowd = geo.gt_area[gt], geo.gt_crowd[gt]
     keys = [np.zeros(0, dtype=np.int64)]
-    for lo, hi in matching.blocks(np.full(len(ranges), n_gt)):
-        b, g = np.nonzero(~geo.gt_crowd & _in_ranges(geo.gt_area, ranges[lo:hi], np.arange(hi - lo)[:, None]))
-        first = (lo + b) * n_seg
-        keys += [first + geo.slot_seg[g], first + geo.slot_seg[n_gt + g]]
+    for lo, hi in matching.blocks(np.full(len(ranges), len(gt))):
+        b, slot = np.nonzero(~crowd & _in_ranges(area, ranges[lo:hi], np.arange(hi - lo)[:, None]))
+        keys.append((lo + b) * n_seg + geo.slot_seg[slot])
     keys, n_pos = np.unique(np.concatenate(keys), return_counts=True)
     key_range, key_seg = np.divmod(keys, n_seg)
     work = np.bincount(geo.row_seg[geo.pair_row], minlength=n_seg) + np.diff(geo.seg_start) + 1
@@ -502,8 +520,10 @@ def scale_study(
     Each bin's ZPs equal those of ``evaluate_zones`` with that bin as
     ``scale_range``, bit for bit.  The geometry (cap, zones, candidate pairs
     and their IoU) does not depend on the bin, so it is computed once, and
-    every bin is one range of one ``_zone_aps`` call.  A bin without a
-    countable ground truth has no defined ZP and reaches neither kernel.
+    every bin is one range of one ``_zone_aps`` call.  The study reports no
+    whole-image figure, so its geometry leaves the whole-image copy out and
+    only the zone copies are matched and scored.  A bin without a countable
+    ground truth has no defined ZP and reaches neither kernel.
     The bins replace the scale range, so a ``cfg`` with ``scale_range`` set
     raises ValueError, as does a step given twice.
     ``workers`` is accepted for compatibility and ignored.
@@ -515,14 +535,20 @@ def scale_study(
     bins = [(i, rng) for i, r in enumerate(steps) for rng in scale_bins(r)]
     if len(set(steps)) < len(steps):  # a step's mean would count twice in the grand mean
         raise ValueError(f"scale_study steps must be distinct, got {tuple(steps)}")
-    means = table_mean_aps(*_zone_aps(_geometry(ds, dets, partition, cfg), cfg, [rng for _, rng in bins]))
-    n_zones = len(partition.zones)
-    bin_zps = [[_percent(ap) for ap in means[b : b + n_zones]]  # per bin, per zone
-               for b in range(0, len(means), n_zones + 1)]
+    bin_zps = _zone_zps(ds, dets, partition, cfg, [rng for _, rng in bins])
     zps = [[z for (j, _), z in zip(bins, bin_zps) if j == i] for i in range(len(steps))]  # per step, per bin
     mean_zp = {r: [_mean(zone) for zone in zip(*zps[i])] for i, r in enumerate(steps)}
     grand = [_mean([mean_zp[r][zi] for r in steps]) for zi in range(len(partition.zones))]
     return ScaleStudyReport(tuple(steps), partition.zone_ids, mean_zp, grand)
+
+
+def _zone_zps(
+    ds: Dataset, dets: DetectionSet, partition: Partition, cfg: EvalConfig, ranges: list[tuple[float, float] | None]
+) -> list[list[float | None]]:
+    """Per scale range, the ZP of every zone, from a geometry without the whole image."""
+    geo = _geometry(ds, dets, partition, cfg, whole_image=False)
+    means = table_mean_aps(*_zone_aps(geo, cfg, ranges))
+    return [[_percent(ap) for ap in means[b : b + geo.n_zones]] for b in range(0, len(means), geo.n_zones + 1)]
 
 
 def _mean(values) -> float | None:
@@ -534,9 +560,15 @@ def _mean(values) -> float | None:
 def grid_heatmap(
     ds: Dataset, dets: DetectionSet, rows: int, cols: int, cfg: EvalConfig | None = None
 ) -> list[list[float | None]]:
-    """ZP matrix over a rows x cols grid; None marks cells without ground truth."""
+    """ZP matrix over a rows x cols grid; None marks cells without ground truth.
+
+    The cells' ZPs are those of ``evaluate_zones``, bit for bit; the whole
+    image, which the matrix does not show, is neither matched nor scored.
+    """
+    cfg = cfg or EvalConfig()
     partition = build_partition(Grid(rows, cols))
-    return grid_rows(partition, [z.zp for z in evaluate_zones(ds, dets, partition, cfg).zones])
+    [zps] = _zone_zps(ds, dets, partition, cfg, [cfg.scale_range])
+    return grid_rows(partition, zps)
 
 
 def write_heatmap_csv(matrix: list[list[float | None]], f) -> None:

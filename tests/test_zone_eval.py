@@ -454,6 +454,42 @@ class TestApOrder:
             assert (geo.ap_rank[~under_cap] == -1).all()
 
 
+class TestZonesOnlyGeometry:
+    @pytest.mark.parametrize("spec", [Annular(1), Grid(3, 3), THREE_ZONES])
+    @pytest.mark.parametrize("cap_after_zone", [False, True])
+    def test_equals_the_zone_half_of_the_full_geometry(self, spec, cap_after_zone):
+        # the zone copy shares no row or slot with the whole-image copy, so leaving the
+        # whole image out changes none of the zone copy's slots, rows, pairs or AP rows
+        p = build_partition(spec)
+        for seed in range(3):
+            ds, dets = random_multiclass_benchmark(6, gts_per_image=8, dets_per_image=20, seed=seed)
+            cfg = EvalConfig(max_dets_per_image=5, cap_after_zone=cap_after_zone)
+            full = zone_eval._geometry(ds, dets, p, cfg)
+            zones = zone_eval._geometry(ds, dets, p, cfg, whole_image=False)
+            n_gt, n_dt = len(full.gt_area), len(full.row_seg) // 2
+            in_zone = full.pair_row < n_dt  # the zone copy's pairs, in their order
+            zone_rows = full.ap_rows[full.ap_rows < n_dt]
+            n_zone_seg = len(p.zones) * full.n_categories
+            want = {
+                "n_zones": full.n_zones, "n_categories": full.n_categories,
+                "gt_area": full.gt_area, "gt_crowd": full.gt_crowd, "slot_seg": full.slot_seg[:n_gt],
+                "row_seg": full.row_seg[:n_dt], "row_area": full.row_area[:n_dt],
+                "pair_row": full.pair_row[in_zone], "pair_slot": full.pair_slot[in_zone],
+                "pair_iou": full.pair_iou[in_zone], "pair_step": full.pair_step[in_zone],
+                "ap_rows": zone_rows, "ap_rank": full.ap_rank[:n_dt],
+                # the whole-image segments are empty runs after the zone ones
+                "seg_start": np.append(full.seg_start[:n_zone_seg + 1],
+                                       np.full(full.n_categories, len(zone_rows))),
+            }
+            assert want.keys() == zones.__dict__.keys()
+            for name, value in want.items():
+                got = getattr(zones, name)
+                assert np.asarray(got).dtype == np.asarray(value).dtype, name
+                assert np.array_equal(got, value), name
+            assert in_zone.any() and not in_zone.all()
+            assert (full.pair_slot[in_zone] < n_gt).all() and (full.pair_slot[~in_zone] >= n_gt).all()
+
+
 class TestCapPlacement:
     def test_cap_after_zone_keeps_more_border_detections(self):
         # 6 gts in the left strip, 6 in the right; 12 detections but a cap of 6:
@@ -651,20 +687,22 @@ class TestScaleStudy:
 
     def test_only_live_bin_pair_instances_are_matched_and_scored(self, monkeypatch):
         # a (bin, pair) instance is live when the pair's segment holds a ground truth
-        # countable in the bin; bins with none reach neither kernel
+        # countable in the bin; bins with none reach neither kernel.  The study reports
+        # zones only, so only the zone copy is matched: slot g is ground truth g
         from collections import Counter
 
         ds, dets = random_multiclass_benchmark(6, gts_per_image=8, dets_per_image=20, seed=4)
         p = build_partition(Annular(3))
         cfg = EvalConfig(max_dets_per_image=15)
         steps = SCALE_STEPS + (None,)
-        geo = zone_eval._geometry(ds, dets, p, cfg)
+        geo = zone_eval._geometry(ds, dets, p, cfg, whole_image=False)
+        n_seg = (len(p.zones) + 1) * geo.n_categories
+        assert len(geo.slot_seg) == len(geo.gt_area) and geo.slot_seg.max() < len(p.zones) * geo.n_categories
         bins = [rng for r in steps for rng in scale_bins(r)]
         countable = []  # per bin, per segment
         for rng in bins:
-            inside = np.tile(~geo.gt_crowd & in_scale_range(geo.gt_area, rng), 2)
-            seg = np.zeros((len(p.zones) + 1) * geo.n_categories, dtype=bool)
-            seg[geo.slot_seg[inside]] = True
+            seg = np.zeros(n_seg, dtype=bool)
+            seg[geo.slot_seg[~geo.gt_crowd & in_scale_range(geo.gt_area, rng)]] = True
             countable.append(seg)
         instances = sum(int(c[geo.row_seg[geo.pair_row]].sum()) for c in countable)
         curves = sum(int(c.sum()) for c in countable)
@@ -676,9 +714,10 @@ class TestScaleStudy:
         seen = Counter()
         real_evaluate, real_greedy, real_ap = zone_eval._evaluate, zone_eval.greedy_match, zone_eval.average_precision
 
-        def evaluate(geo, cfg, ranges, *positives):
+        def evaluate(geo, cfg, ranges, keys):
             seen.update(ranges)
-            return real_evaluate(geo, cfg, ranges, *positives)
+            assert (keys % n_seg // geo.n_categories < len(p.zones)).all()  # no whole-image segment
+            return real_evaluate(geo, cfg, ranges, keys)
 
         def greedy(row, *rest):
             seen["pairs"] += len(row)
@@ -905,6 +944,29 @@ class TestGridHeatmap:
         matrix = grid_heatmap(mini_dataset, mini_detections, 1, 1)
         full = evaluate_zones(mini_dataset, mini_detections, build_partition(Annular(1)))
         assert matrix == [[full.full_ap]]
+
+    @pytest.mark.parametrize("rows,cols", [(1, 1), (3, 3), (2, 5)])
+    @pytest.mark.parametrize("cfg", [
+        EvalConfig(max_dets_per_image=12),
+        EvalConfig(max_dets_per_image=12, cap_after_zone=True, scale_range=(16.0**2, 96.0**2)),
+    ])
+    def test_cells_are_the_evaluate_zones_zps(self, monkeypatch, rows, cols, cfg):
+        # the heatmap matches and scores the zone copies alone, and reads the ZPs of
+        # evaluate_zones bit for bit
+        from zoneval.zones import grid_rows
+
+        ds, dets = random_multiclass_benchmark(6, gts_per_image=8, dets_per_image=20, seed=5)
+        p = build_partition(Grid(rows, cols))
+        want = grid_rows(p, [z.zp for z in evaluate_zones(ds, dets, p, cfg).zones])
+        assert any(v is not None for row in want for v in row)
+        real, n_seg = zone_eval._evaluate, (len(p.zones) + 1) * len(ds.category_ids)
+
+        def evaluate(geo, cfg, ranges, keys):
+            assert (keys % n_seg // geo.n_categories < len(p.zones)).all()  # no whole-image segment
+            return real(geo, cfg, ranges, keys)
+
+        monkeypatch.setattr(zone_eval, "_evaluate", evaluate)
+        assert grid_heatmap(ds, dets, rows, cols, cfg) == want
 
     def test_2x2_clustered_sentinels(self, clustered):
         ds, dets = clustered
