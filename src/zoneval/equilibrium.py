@@ -12,23 +12,18 @@ indexing).  The rules convert a list of ``Anchor`` or ``GroundTruth`` once on
 entry, or take ground truths as an (M, 4) xywh array, and return the boolean
 (anchors x ground truths) hit matrix; ``positives`` is a view derived from it.
 
-What depends only on the lattice and the image size is computed once and
-reused, for the lattices ``anchor_grid`` builds and no other anchor set:
-
-- ``anchor_grid`` returns one shared ``AnchorSet`` per (width, height, cols,
-  rows, box_size), from an ``lru_cache`` keyed by those values and their types
-  (so 640 and 640.0 are two keys), at most 64 lattices.  ``check_anchor_grid``
-  runs on every call.
-- Per lattice (by identity) and image size, in two more ``lru_cache``s of at
-  most 64 entries each: the anchors' ``spatial_weight`` (``sela_assign``) and
-  the zone index of every anchor per partition (by identity,
-  ``supervision_density``).  Neither a lattice nor a partition changes after
-  it is built.  An anchor set built by the caller, or from a list of
-  ``Anchor``, is computed afresh on every call and kept by no cache.
-
-Every cached array is read-only, and the hit matrix is a new array on every
-call.  A call that raises raises again on every call: only built results
-are stored.
+What depends only on the anchors and the image size is kept on the anchor
+set, which never changes: the ``spatial_weight`` of its centers for the last
+image size (``sela_assign``) and their zone index for the last (image size,
+partition), the partition by identity (``supervision_density``), each built
+on first use, read-only, and replaced when its key changes.  ``anchor_grid``
+returns one shared ``AnchorSet`` per (width, height, cols, rows, box_size),
+from an ``lru_cache`` of at most 64 lattices (the sizes' types count, so 640
+and 640.0 are two keys; the counts are plain ints) whose arguments are checked
+on every call.  So a lattice reused image after image computes its arrays
+once, and a set the caller builds keeps its arrays until it dies.  The hit
+matrix is a new array on every call.  A call that raises raises again on
+every call: only built results are stored.
 """
 
 from __future__ import annotations
@@ -37,19 +32,15 @@ import math
 import operator
 import warnings
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
-from weakref import WeakSet
 
 import numpy as np
 
 from .coco import BBox, Dataset, GroundTruth, ImageInfo, bbox_center, iou_matrix, xywh
 from .errors import OutsideImageError
+from .matching import _integer
 from .zones import Partition, Zone, gt_zone_counts, normalize_points
-
-# the bound of each per-shape cache: lattices, and (lattice, image size, ...) entries
-_SHAPES = 64
-_LATTICES: WeakSet[AnchorSet] = WeakSet()  # the sets ``_lattice`` built: only these are cached
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -77,11 +68,13 @@ class AnchorSet(Sequence):
     """Anchors as read-only arrays, row for row: (N, 4) xywh ``boxes`` and (N, 2) ``centers``.
 
     Every value must be finite and every box side positive, as ``BBox`` asks;
-    a ``ValueError`` names the first row that is not.
+    a ``ValueError`` names the first row that is not.  It holds the last array
+    of each kind derived from it (see the module docstring).
     """
 
     boxes: np.ndarray
     centers: np.ndarray
+    _held: dict = field(default_factory=dict, init=False, repr=False)  # kind -> (key, array)
 
     def __post_init__(self) -> None:
         for name, cols in (("boxes", 4), ("centers", 2)):
@@ -104,6 +97,17 @@ class AnchorSet(Sequence):
         i = operator.index(i)
         return Anchor(tuple(self.centers[i].tolist()), BBox(*self.boxes[i].tolist()))
 
+    def _derived(self, kind: str, key: tuple, build) -> np.ndarray:
+        """The held ``kind`` array if it was built for ``key``, else ``build()``, made read-only and held."""
+        # no lock: a call returns the array it read under a matching key or built itself,
+        # so threads racing on one set can cost a rebuild, never a wrong array
+        held = self._held.get(kind)
+        if held is not None and held[0] == key:
+            return held[1]
+        a = _read_only(build())
+        self._held[kind] = (key, a)
+        return a
+
 
 @dataclass(frozen=True)
 class AssignConfig:
@@ -121,6 +125,8 @@ class AssignConfig:
 
 def spatial_weight(x, y, width: float, height: float):
     """Distance-from-center score 2 * max(|x - W/2| / W, |y - H/2| / H), elementwise."""
+    if not (0.0 < width < math.inf and 0.0 < height < math.inf):
+        raise ValueError(f"image width and height must be finite and > 0, got {width} and {height}")
     outside = np.flatnonzero(np.logical_not((0.0 <= x) & (x <= width) & (0.0 <= y) & (y <= height)))
     if outside.size:
         x0, y0 = np.ravel(x)[outside[0]], np.ravel(y)[outside[0]]
@@ -170,10 +176,8 @@ def sela_assign(
     gamma = 0 reproduces the plain max-IoU threshold rule.
     """
     anchors, boxes = _as_arrays(anchors, gts)
-    if anchors in _LATTICES:
-        weight = _lattice_weights(anchors, img.width, img.height)
-    else:
-        weight = spatial_weight(*anchors.centers.T, img.width, img.height)
+    weight = anchors._derived("weight", (img.width, img.height),
+                              lambda: spatial_weight(*anchors.centers.T, img.width, img.height))
     return _threshold_positives(anchors, boxes, cfg.t - cfg.gamma * weight)
 
 
@@ -183,12 +187,14 @@ def check_beta(alpha_pos: float, beta: float) -> None:
         raise ValueError(f"alpha_pos and beta must be finite, got {alpha_pos} and {beta}")
 
 
-def check_anchor_grid(cols: int, rows: int, box_size: float | None) -> None:
-    """Reject an empty anchor lattice or an anchor box side that is not finite and > 0."""
+def check_anchor_grid(cols: int, rows: int, box_size: float | None) -> tuple[int, int]:
+    """``cols`` and ``rows`` as plain ints; reject non-integer (or bool) or < 1 counts, or a bad box side."""
+    cols, rows = _integer(cols, "cols"), _integer(rows, "rows")
     if cols < 1 or rows < 1:
         raise ValueError("anchor grid needs cols, rows >= 1")
     if box_size is not None and not 0.0 < box_size < math.inf:
         raise ValueError(f"anchor box side must be finite and > 0, got {box_size}")
+    return cols, rows
 
 
 def beta_assign(
@@ -217,18 +223,6 @@ def beta_assign(
 def _threshold_positives(anchors: AnchorSet, gt_boxes: np.ndarray, cut: np.ndarray) -> AssignmentResult:
     """Anchor ai is positive for ground truth gi iff their IoU >= cut[ai]."""
     return AssignmentResult(anchors, iou_matrix(anchors.boxes, gt_boxes) >= cut[:, None])
-
-
-@lru_cache(maxsize=_SHAPES)
-def _lattice_weights(anchors: AnchorSet, width: float, height: float) -> np.ndarray:
-    """``spatial_weight`` of every center of a lattice."""
-    return _read_only(spatial_weight(*anchors.centers.T, width, height))
-
-
-@lru_cache(maxsize=_SHAPES)
-def _lattice_zones(anchors: AnchorSet, width: float, height: float, partition: Partition) -> np.ndarray:
-    """``Partition.assign`` of every center of a lattice."""
-    return _read_only(partition.assign(*anchors.centers.T, width, height))
 
 
 @dataclass
@@ -270,12 +264,10 @@ def object_density(ds: Dataset, partition: Partition, absolute: bool = False) ->
 
 def supervision_density(result: AssignmentResult, partition: Partition, img: ImageInfo) -> DensityReport:
     """Positive-anchor count and density per zone (distinct anchors)."""
-    positive = result.hits.any(axis=1)
-    if result.anchors in _LATTICES:
-        zone = _lattice_zones(result.anchors, img.width, img.height, partition)[positive]
-    else:
-        zone = partition.assign(*result.anchors.centers[positive].T, img.width, img.height)
-    counts = np.bincount(zone, minlength=len(partition.zones))
+    anchors = result.anchors
+    zone = anchors._derived("zones", (img.width, img.height, partition),
+                            lambda: partition.assign(*anchors.centers.T, img.width, img.height))
+    counts = np.bincount(zone[result.hits.any(axis=1)], minlength=len(partition.zones))
     return _density_report(partition, counts, 1.0, False)
 
 
@@ -295,16 +287,13 @@ def anchor_grid(img: ImageInfo, cols: int, rows: int, box_size: float | None = N
     is (c + 0.5) * pitch exactly, not x + w / 2, which may differ in the last bit.
     Calls with equal image sizes and arguments return one shared ``AnchorSet``.
     """
-    check_anchor_grid(cols, rows, box_size)
-    return _lattice(img.width, img.height, cols, rows, box_size)
+    return _lattice(img.width, img.height, *check_anchor_grid(cols, rows, box_size), box_size)
 
 
-@lru_cache(maxsize=_SHAPES, typed=True)
+@lru_cache(maxsize=64, typed=True)
 def _lattice(width: float, height: float, cols: int, rows: int, box_size: float | None) -> AnchorSet:
     pitch_x, pitch_y = width / cols, height / rows
     size = box_size if box_size is not None else min(pitch_x, pitch_y)
     centers = np.column_stack([np.tile((np.arange(cols) + 0.5) * pitch_x, rows),
                                np.repeat((np.arange(rows) + 0.5) * pitch_y, cols)])
-    anchors = AnchorSet(np.column_stack([centers - size / 2, np.full((len(centers), 2), size)]), centers)
-    _LATTICES.add(anchors)
-    return anchors
+    return AnchorSet(np.column_stack([centers - size / 2, np.full((len(centers), 2), size)]), centers)

@@ -525,7 +525,7 @@ def scale_study(
     only the zone copies are matched and scored.  A bin without a countable
     ground truth has no defined ZP and reaches neither kernel.
     The bins replace the scale range, so a ``cfg`` with ``scale_range`` set
-    raises ValueError, as does a step given twice.
+    raises ValueError, as does a step given twice or no step.
     ``workers`` is accepted for compatibility and ignored.
     """
     cfg = cfg or EvalConfig()
@@ -535,6 +535,8 @@ def scale_study(
     bins = [(i, rng) for i, r in enumerate(steps) for rng in scale_bins(r)]
     if len(set(steps)) < len(steps):  # a step's mean would count twice in the grand mean
         raise ValueError(f"scale_study steps must be distinct, got {tuple(steps)}")
+    if not steps:  # every zone's grand mean would be None, as if no zone had ground truth
+        raise ValueError("scale_study needs at least one step")
     bin_zps = _zone_zps(ds, dets, partition, cfg, [rng for _, rng in bins])
     zps = [[z for (j, _), z in zip(bins, bin_zps) if j == i] for i in range(len(steps))]  # per step, per bin
     mean_zp = {r: [_mean(zone) for zone in zip(*zps[i])] for i, r in enumerate(steps)}

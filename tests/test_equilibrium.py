@@ -1,12 +1,14 @@
 import gc
 import math
+import sys
+import threading
+import warnings
 import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from zoneval import equilibrium
 from zoneval.coco import BBox, Category, Dataset, GroundTruth, ImageInfo, iou, iou_matrix
 from zoneval.equilibrium import (
     Anchor,
@@ -14,6 +16,7 @@ from zoneval.equilibrium import (
     AssignConfig,
     anchor_grid,
     beta_assign,
+    check_anchor_grid,
     object_density,
     se_loss_weight,
     sela_assign,
@@ -46,6 +49,19 @@ class TestSpatialWeight:
     def test_outside_image_rejected(self):
         with pytest.raises(OutsideImageError):
             spatial_weight(-1, 10, 600, 600)
+
+    @pytest.mark.parametrize("size", [0.0, -600.0, math.inf, -math.inf, math.nan])
+    def test_image_size_must_be_finite_and_positive(self, size):
+        # (0.0, 0.0, 0.0, 10.0) and an infinite width returned nan with a RuntimeWarning;
+        # the size is checked before the point, so an outside point gets the size's message
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x, y, w, h in [(0.0, 0.0, size, 10.0), (0.0, 0.0, 10.0, size), (-1.0, 5.0, size, 10.0),
+                               (np.zeros(3), np.zeros(3), size, size)]:
+                with pytest.raises(ValueError, match="^image width and height must be finite and > 0"):
+                    spatial_weight(x, y, w, h)
+                with pytest.raises(ValueError, match="^image width and height must be finite and > 0"):
+                    se_loss_weight(x, y, w, h, 0.2)
 
     @given(
         u=st.floats(0, 1), v=st.floats(0, 1),
@@ -332,6 +348,22 @@ class TestAnchorGrid:
         for a in anchor_grid(IMG, 5, 3, box_size=40.0):
             assert bbox_center(a.box) == pytest.approx(a.center)
 
+    @pytest.mark.parametrize("bad", [True, np.True_, False, 2.5, 3.0, "3", None])
+    def test_counts_must_be_integers(self, bad):
+        # True built a 1-column lattice, 2.5 failed inside np.column_stack, "3" raised TypeError
+        for cols, rows, name in ((bad, 3, "cols"), (3, bad, "rows")):
+            for check in (lambda: anchor_grid(IMG, cols, rows), lambda: check_anchor_grid(cols, rows, None)):
+                with pytest.raises(ValueError, match=f"^{name} must be an integer, got {bad!r}$"):
+                    check()
+
+    def test_numpy_counts_share_the_int_lattice(self):
+        assert check_anchor_grid(np.int64(8), np.int32(6), None) == (8, 6)
+        assert all(type(n) is int for n in check_anchor_grid(np.int64(8), np.uint8(6), None))
+        img = ImageInfo(1, 640.0, 480.0)
+        lattice = anchor_grid(img, 8, 6)
+        assert anchor_grid(img, np.int64(8), np.int16(6)) is lattice
+        assert anchor_grid(img, np.uint64(8), 6) is lattice
+
 
 def old_lattice(img, cols, rows, box_size=None):
     """The per-cell loop ``anchor_grid`` ran before it built arrays: ``(center, xywh)`` per anchor."""
@@ -549,7 +581,7 @@ class TestAnchorSetRows:
 
 
 class TestPerShapeCaches:
-    """A lattice, its weights and its zone indices are shared; no other anchor set is kept."""
+    """One lattice per shape; every anchor set holds only its last weights and zone index."""
 
     GTS = np.array([[10.0, 10.0, 80.0, 60.0], [300.0, 200.0, 120.0, 90.0], [560.0, 400.0, 70.0, 70.0]])
 
@@ -579,41 +611,105 @@ class TestPerShapeCaches:
             with pytest.raises(ValueError, match="anchor box side"):
                 anchor_grid(IMG, 3, 3, box_size=math.nan)
 
-    def test_cached_arrays_reject_writes(self):
-        img = ImageInfo(1, 640.0, 480.0)
-        anchors = anchor_grid(img, 8, 6, 64.0)
-        partition = build_partition(Annular(3))
-        result = sela_assign(anchors, self.GTS, AssignConfig(t=0.4, gamma=0.2), img)
-        supervision_density(result, partition, img)
-        cached = [equilibrium._lattice_weights(anchors, img.width, img.height),
-                  equilibrium._lattice_zones(anchors, img.width, img.height, partition),
-                  anchors.boxes, anchors.centers]
-        for a in cached:
-            with pytest.raises(ValueError, match="read-only"):
-                a[0] = 1
-        result.hits[0, 0] = not result.hits[0, 0]  # the hit matrix stays the caller's own
-
-    def test_only_lattices_are_cached(self):
+    def test_held_arrays_reject_writes(self):
         img = ImageInfo(1, 640.0, 480.0)
         lattice = anchor_grid(img, 8, 6, 64.0)
         partition = build_partition(Annular(3))
-        for _ in range(2):
-            supervision_density(sela_assign(lattice, self.GTS, AssignConfig(t=0.4, gamma=0.2), img), partition, img)
-        assert lattice in equilibrium._LATTICES
-        weights, zones = equilibrium._lattice_weights, equilibrium._lattice_zones
-        sizes = weights.cache_info().currsize, zones.cache_info().currsize
+        for anchors in (lattice, AnchorSet(lattice.boxes, lattice.centers)):
+            result = sela_assign(anchors, self.GTS, AssignConfig(t=0.4, gamma=0.2), img)
+            supervision_density(result, partition, img)
+            held = [a for _, a in anchors._held.values()]
+            assert len(held) == 2
+            for a in held + [anchors.boxes, anchors.centers]:
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = 1
+            result.hits[0, 0] = not result.hits[0, 0]  # the hit matrix stays the caller's own
+
+    def test_caller_built_sets_die_with_their_arrays(self):
+        img = ImageInfo(1, 640.0, 480.0)
+        lattice = anchor_grid(img, 8, 6, 64.0)
+        partition = build_partition(Annular(3))
         refs = []
         for k in range(3):  # caller-built sets, equal to the lattice and not, listed or as arrays
             own = AnchorSet(lattice.boxes + [k, k, 0, 0], lattice.centers + k)
             for anchors in (own, list(own)):
                 result = sela_assign(anchors, self.GTS, AssignConfig(t=0.4, gamma=0.2), img)
                 supervision_density(result, partition, img)
-                assert result.anchors not in equilibrium._LATTICES
-                refs.append(weakref.ref(result.anchors))
+                assert result.anchors is not lattice and len(result.anchors._held) == 2
+                refs += [weakref.ref(result.anchors)] + [weakref.ref(a) for _, a in result.anchors._held.values()]
             del own, anchors, result
-        assert (weights.cache_info().currsize, zones.cache_info().currsize) == sizes
         gc.collect()
-        assert [r() for r in refs] == [None] * len(refs)  # no cache keeps a caller's anchors alive
+        assert [r() for r in refs] == [None] * len(refs)  # nothing keeps a caller's anchors or arrays alive
+
+    def test_a_lattice_holds_one_array_per_kind(self):
+        img = ImageInfo(1, 640.0, 480.0)
+        lattice = anchor_grid(img, 8, 6, 64.0)
+        result = sela_assign(lattice, self.GTS, AssignConfig(t=0.4, gamma=0.2), img)
+        refs = []
+        for _ in range(50):
+            partition = build_partition(Annular(3))
+            supervision_density(result, partition, img)
+            refs.append(weakref.ref(partition))
+        del partition
+        gc.collect()
+        assert [r() is not None for r in refs] == [False] * 49 + [True]  # only the last partition's index
+        assert sorted(lattice._held) == ["weight", "zones"]
+
+        # two partitions and two image sizes alternate, so each step's key differs from the last step's
+        partitions = [build_partition(parse_zone_spec(s)) for s in ("annular:3", "grid:3x4")]
+        sizes = [img, ImageInfo(2, 800.0, 600.0)]
+        for i in range(8):
+            im, partition = sizes[i % 2], partitions[i // 2 % 2]
+            for _ in range(2):  # a repeated key reads the held arrays
+                result = sela_assign(lattice, self.GTS, AssignConfig(t=0.4, gamma=0.3), im)
+                weight = spatial_weight(*lattice.centers.T, im.width, im.height)
+                assert np.array_equal(result.hits, iou_matrix(lattice.boxes, self.GTS) >= (0.4 - 0.3 * weight)[:, None])
+                xs, ys = lattice.centers[result.hits.any(axis=1)].T
+                want = np.bincount(partition.assign(xs, ys, im.width, im.height), minlength=len(partition.zones))
+                assert supervision_density(result, partition, im).counts() == want.tolist()
+            assert lattice._held["weight"][0] == (im.width, im.height)
+            assert lattice._held["zones"][0][2] is partition and len(lattice._held) == 2
+
+    def test_threads_sharing_a_lattice_get_their_own_keys_arrays(self):
+        img = ImageInfo(1, 640.0, 480.0)
+        lattice = anchor_grid(img, 8, 6, 64.0)
+        partitions = [build_partition(parse_zone_spec(s)) for s in ("annular:3", "grid:3x4")]
+        sizes = [img, ImageInfo(2, 800.0, 600.0)]
+        want = {}
+        for im in sizes:
+            weight = spatial_weight(*lattice.centers.T, im.width, im.height)
+            hits = iou_matrix(lattice.boxes, self.GTS) >= (0.4 - 0.3 * weight)[:, None]
+            for k, partition in enumerate(partitions):
+                xs, ys = lattice.centers[hits.any(axis=1)].T
+                counts = np.bincount(partition.assign(xs, ys, im.width, im.height), minlength=len(partition.zones))
+                want[im.id, k] = hits, counts.tolist()
+        wrong = []
+
+        def work(seed):
+            rng = np.random.default_rng(seed)
+            try:
+                for _ in range(400):
+                    im, k = sizes[rng.integers(2)], int(rng.integers(2))
+                    result = sela_assign(lattice, self.GTS, AssignConfig(t=0.4, gamma=0.3), im)
+                    counts = supervision_density(result, partitions[k], im).counts()
+                    hits, expected = want[im.id, k]
+                    if not (np.array_equal(result.hits, hits) and counts == expected):
+                        wrong.append((im.id, k))
+            except Exception as e:  # a thread's exception is otherwise only printed
+                wrong.append(e)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(seed,)) for seed in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
 
     def test_hits_equal_a_direct_threshold_on_repeated_calls(self):
         img = ImageInfo(1, 640.0, 480.0)

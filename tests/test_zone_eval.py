@@ -583,10 +583,9 @@ class TestScaleStudy:
 
     def test_repeated_and_missing_steps(self, mini_dataset, mini_detections, monkeypatch):
         # a repeated step would count once per repeat in the grand mean but show once in the
-        # report, so it is refused before any work; no step gives no mean
+        # report; no step gave an empty report whose grand means all read None, as if no zone
+        # had ground truth.  Both are refused before any work
         p = build_partition(Annular(2))
-        none = scale_study(mini_dataset, mini_detections, p, steps=())
-        assert (none.mean_zp, none.grand_mean) == ({}, [None] * len(p.zones))
 
         def no_geometry(*args):
             raise AssertionError("built the geometry")
@@ -594,6 +593,9 @@ class TestScaleStudy:
         monkeypatch.setattr(zone_eval, "_geometry", no_geometry)
         for steps in ((64, 64, None), (None, 8, None), (4, 4.0)):
             with pytest.raises(ValueError, match="^scale_study steps must be distinct, got "):
+                scale_study(mini_dataset, mini_detections, p, steps=steps)
+        for steps in ((), []):
+            with pytest.raises(ValueError, match="^scale_study needs at least one step$"):
                 scale_study(mini_dataset, mini_detections, p, steps=steps)
 
     def test_grand_mean_is_the_mean_of_the_reported_steps(self):
