@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .coco import Dataset, _decode_json, _id, _number, _parse_record, _read_text
-from .errors import IngestError, UndefinedStatisticError
+from .errors import IngestError, UndefinedStatisticError, _integer, _real
 from .zone_eval import scale_bins
 from .zones import Grid, build_partition, grid_rows, gt_zone_counts
 
@@ -164,7 +164,8 @@ def pattern_distance(
     which reduces to the full bin*category*dimension product when every group
     is populated.
     """
-    if bin_count < 1 or not 0 < bin_width < math.inf:  # an infinite width never ends the bin list
+    # an infinite width never ends the bin list
+    if _integer(bin_count, "bin_count") < 1 or not 0 < _real(bin_width, "bin_width") < math.inf:
         raise ValueError("bin_count must be >= 1 and bin_width finite and positive")
     # K-1 finite bins of width r, then a catch-all
     lows = [lo for lo, _ in scale_bins(bin_width, cap=(bin_count - 1) * bin_width)]

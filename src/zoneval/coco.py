@@ -44,7 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import IngestError
+from .errors import IngestError, _numeric
 
 
 @dataclass(frozen=True)
@@ -178,16 +178,7 @@ class Detection:
     score: float
 
 
-_NUMBER = (int, float, np.integer, np.floating)  # less bool: true and false are not numbers
 _FLAG = (int, np.integer, np.bool_)  # 0, 1, true or false, from JSON (bool is an int) or from numpy
-
-
-def _numeric(values) -> bool:
-    """Whether every value is a number: a JSON number, or a numpy one from the API; not a string, not true or false.
-
-    The one number rule of every reader, asked once per type of value.
-    """
-    return all(issubclass(t, _NUMBER) and t is not bool for t in set(map(type, values)))
 
 
 def _checked_number(v, what: str):

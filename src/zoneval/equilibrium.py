@@ -38,8 +38,7 @@ from functools import lru_cache
 import numpy as np
 
 from .coco import BBox, Dataset, GroundTruth, ImageInfo, bbox_center, iou_matrix, xywh
-from .errors import OutsideImageError
-from .matching import _integer
+from .errors import OutsideImageError, _integer, _real
 from .zones import Partition, Zone, gt_zone_counts, normalize_points
 
 
@@ -115,6 +114,8 @@ class AssignConfig:
     gamma: float = 0.0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "t", _real(self.t, "t"))
+        object.__setattr__(self, "gamma", _real(self.gamma, "gamma"))
         if not 0.0 < self.t <= 1.0:
             raise ValueError("positive IoU threshold t must lie in (0, 1]")
         if not self.gamma >= 0.0:  # written so that NaN fails
@@ -125,6 +126,7 @@ class AssignConfig:
 
 def spatial_weight(x, y, width: float, height: float):
     """Distance-from-center score 2 * max(|x - W/2| / W, |y - H/2| / H), elementwise."""
+    width, height = _real(width, "width"), _real(height, "height")
     if not (0.0 < width < math.inf and 0.0 < height < math.inf):
         raise ValueError(f"image width and height must be finite and > 0, got {width} and {height}")
     outside = np.flatnonzero(np.logical_not((0.0 <= x) & (x <= width) & (0.0 <= y) & (y <= height)))
@@ -136,7 +138,7 @@ def spatial_weight(x, y, width: float, height: float):
 
 def se_loss_weight(x, y, width: float, height: float, gamma: float):
     """Loss weight factor 1 + gamma * spatial_weight; >= 1 everywhere, elementwise."""
-    if not 0.0 <= gamma < math.inf:
+    if not 0.0 <= _real(gamma, "gamma") < math.inf:
         raise ValueError("gamma must be finite and >= 0")
     return 1.0 + gamma * spatial_weight(x, y, width, height)
 
@@ -182,8 +184,8 @@ def sela_assign(
 
 
 def check_beta(alpha_pos: float, beta: float) -> None:
-    """Reject a non-finite threshold of the beta rule."""
-    if not (math.isfinite(alpha_pos) and math.isfinite(beta)):
+    """Reject a threshold of the beta rule that is not a finite number."""
+    if not (math.isfinite(_real(alpha_pos, "alpha_pos")) and math.isfinite(_real(beta, "beta"))):
         raise ValueError(f"alpha_pos and beta must be finite, got {alpha_pos} and {beta}")
 
 
@@ -192,7 +194,7 @@ def check_anchor_grid(cols: int, rows: int, box_size: float | None) -> tuple[int
     cols, rows = _integer(cols, "cols"), _integer(rows, "rows")
     if cols < 1 or rows < 1:
         raise ValueError("anchor grid needs cols, rows >= 1")
-    if box_size is not None and not 0.0 < box_size < math.inf:
+    if box_size is not None and not 0.0 < _real(box_size, "box_size") < math.inf:
         raise ValueError(f"anchor box side must be finite and > 0, got {box_size}")
     return cols, rows
 

@@ -43,22 +43,24 @@ the COCO API's ``evaluateImg`` and ``accumulate`` apply ``maxDets`` per
 (image, category); the two agree whenever no image holds more detections
 than the cap.
 
-``mean_ap`` reduces an (S, T) AP array to one figure; ``table_means``
-reduces many such tables, stacked as the row ranges of one array, to one
-figure and one figure per threshold each, with the same bits, and
-``table_mean_aps`` to the one figure alone.  The protocol
+``mean_ap`` reduces an (S, T) AP array to one figure.  ``table_mean_aps``
+is the one reducer of many such tables, stacked as the row ranges of one
+array: each table's ``mean_ap``, with the same bits, from one reduction per
+table size.  ``table_means`` adds one figure per threshold by calling it
+once more on the threshold-major copy of the array, where threshold t of a
+table is a contiguous run.  The protocol
 rules that pick the groups, the ignored ground truths and the candidate
 pairs live in ``zone_eval``, the one driver of this kernel.
 """
 
 from __future__ import annotations
 
-import numbers
-import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import _integer, _numeric, _real
 
 DEFAULT_IOU_THRESHOLDS = tuple(round(0.5 + 0.05 * i, 2) for i in range(10))
 
@@ -72,11 +74,14 @@ class EvalConfig:
     cap_after_zone: bool = False
 
     def __post_init__(self) -> None:
+        # numbers by the readers' rule; the thresholds and the scale range are kept as the
+        # Python floats they stand for, so that equal configs write equal reports
         ts = self.iou_thresholds
-        if not _numbers(ts):
+        if not (isinstance(ts, (tuple, list)) and _numeric(ts)):
             raise ValueError(f"iou thresholds must be a tuple of numbers, got {ts!r}")
         if not ts or any(not 0.0 < t <= 1.0 for t in ts):
             raise ValueError("iou thresholds must lie in (0, 1]")
+        ts = tuple(map(float, ts))
         if any(b <= a for a, b in zip(ts, ts[1:])):
             raise ValueError("iou thresholds must be strictly increasing")
         if _integer(self.recall_points, "recall_points") < 2:
@@ -84,29 +89,18 @@ class EvalConfig:
         if _integer(self.max_dets_per_image, "max_dets_per_image") < 1:
             raise ValueError("max_dets_per_image must be >= 1")
         rng = self.scale_range
-        if rng is not None and not (_numbers(rng) and len(rng) == 2):
-            raise ValueError(f"scale_range must be a (lo, hi) tuple of numbers, got {rng!r}")
-        if rng is not None and not rng[0] < rng[1]:
-            raise ValueError("scale_range must satisfy lo < hi")
+        if rng is not None:
+            if not (isinstance(rng, (tuple, list)) and len(rng) == 2 and _numeric(rng)):
+                raise ValueError(f"scale_range must be a (lo, hi) tuple of numbers, got {rng!r}")
+            rng = (_real(rng[0], "scale_range lo"), _real(rng[1], "scale_range hi"))
+            if not rng[0] < rng[1]:
+                raise ValueError("scale_range must satisfy lo < hi")
+        object.__setattr__(self, "iou_thresholds", ts)
+        object.__setattr__(self, "scale_range", rng)
 
     def recall_grid(self) -> np.ndarray:
         # k/(R-1) by IEEE division, bit-identical to a scalar re-derivation
         return np.arange(self.recall_points) / (self.recall_points - 1)
-
-
-def _numbers(x) -> bool:
-    """Whether x is a tuple (or list) of real numbers; a bool is not one here."""
-    return isinstance(x, (tuple, list)) and all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in x)
-
-
-def _integer(x, name: str) -> int:
-    """x as an int, for an integer (numpy's too) that is not a bool; anything else raises ValueError."""
-    if not isinstance(x, bool):
-        try:
-            return operator.index(x)
-        except TypeError:
-            pass
-    raise ValueError(f"{name} must be an integer, got {x!r}")
 
 
 def rank_within(keys: np.ndarray) -> np.ndarray:
@@ -365,48 +359,39 @@ def mean_ap(aps: np.ndarray) -> float | None:
 
 
 def table_mean_aps(aps: np.ndarray, cuts: np.ndarray) -> list[float | None]:
-    """The ``mean_ap`` of each table ``aps[cuts[k]:cuts[k + 1]]`` of a (rows, T) AP array; None for an empty one."""
-    return _spread([None] * (len(cuts) - 1), _tables_by_size(aps, cuts), _whole_means)
+    """The ``mean_ap`` of each table ``aps[cuts[k]:cuts[k + 1]]`` of a (rows, T) AP array; None for an empty one.
+
+    The m tables of one size c are gathered into one (m, c * T) stack, each
+    row a table's entries in (category, threshold) order, and reduced by one
+    ``.mean``.  numpy sums a contiguous run of one length with the same
+    pairwise tree, so each figure has the bits of ``mean_ap``.
+    """
+    size = np.diff(cuts)
+    out = np.zeros(len(size))
+    by_size = np.argsort(size, kind="stable")
+    sizes, first = np.unique(size[by_size], return_index=True)
+    for c, lo, hi in zip(sizes.tolist(), first.tolist(), [*first[1:].tolist(), len(size)]):
+        if c:
+            tables = by_size[lo:hi]
+            out[tables] = aps[cuts[tables][:, None] + np.arange(c)].reshape(hi - lo, -1).mean(axis=1)
+    means = out.tolist()
+    for k in np.flatnonzero(size == 0).tolist():
+        means[k] = None
+    return means
 
 
 def table_means(aps: np.ndarray, cuts: np.ndarray) -> tuple[list[float | None], list[list[float | None]]]:
     """Per table ``aps[cuts[k]:cuts[k + 1]]`` of a (rows, T) AP array: its ``mean_ap`` and its per-threshold means.
 
-    An empty table gives None and T Nones.
+    The tables must tile ``aps`` (``cuts[0] == 0``, ``cuts[-1] == len(aps)``),
+    as ``zone_eval._zone_aps``'s do.  Then threshold t of the K tables is K
+    consecutive runs of the threshold-major copy of ``aps``, ``t * rows``
+    past the tables' own cuts, and ``table_mean_aps`` reduces all T * K runs
+    as one-column tables: each figure is the mean of a contiguous run of one
+    threshold column.  An empty table gives None and T Nones.
     """
-    stacks = _tables_by_size(aps, cuts)
-    n, t_count = len(cuts) - 1, aps.shape[1]
-    return (_spread([None] * n, stacks, _whole_means),
-            _spread([[None] * t_count for _ in range(n)], stacks, _threshold_means))
-
-
-def _tables_by_size(aps: np.ndarray, cuts: np.ndarray) -> list[tuple[list[int], np.ndarray]]:
-    """The non-empty tables of ``table_means`` gathered by size: per size c, (the tables, their (m, c, T) stack).
-
-    Each reduction of a stack is one ``.mean`` over its contiguous last
-    axis: the c * T entries of a table in (category, threshold) order, or
-    per threshold its c entries.  numpy sums a contiguous run of one length
-    with the same pairwise tree, so each figure has the bits of ``mean_ap``
-    and of the mean of one threshold column alone.
-    """
-    size = np.diff(cuts)
-    by_size = np.argsort(size, kind="stable")
-    sizes, first = np.unique(size[by_size], return_index=True)
-    return [(by_size[lo:hi].tolist(), aps[cuts[by_size[lo:hi]][:, None] + np.arange(c)])
-            for c, lo, hi in zip(sizes.tolist(), first.tolist(), [*first[1:].tolist(), len(size)]) if c]
-
-
-def _whole_means(stack: np.ndarray) -> np.ndarray:
-    return stack.reshape(len(stack), -1).mean(axis=1)
-
-
-def _threshold_means(stack: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(stack.transpose(0, 2, 1)).mean(axis=2)
-
-
-def _spread(out: list, stacks: list[tuple[list[int], np.ndarray]], reduce) -> list:
-    """``out`` with each stacked table's entry set to its row of ``reduce(stack)``."""
-    for tables, stack in stacks:
-        for k, v in zip(tables, reduce(stack).tolist()):
-            out[k] = v
-    return out
+    rows, t_count = aps.shape
+    n = len(cuts) - 1
+    runs = np.append((np.arange(t_count)[:, None] * rows + cuts[:-1]).ravel(), t_count * rows)
+    by_threshold = table_mean_aps(np.ascontiguousarray(aps.T).reshape(-1, 1), runs)
+    return table_mean_aps(aps, cuts), [by_threshold[k::n] for k in range(n)]

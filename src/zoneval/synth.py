@@ -22,6 +22,7 @@ import numpy as np
 
 from .coco import Dataset, DetectionSet, box_centers, box_corners, corner_iou, iou_matrix
 from .equilibrium import spatial_weight
+from .errors import _integer, _real
 from .matching import DEFAULT_IOU_THRESHOLDS
 from .zone_eval import ZoneReport, ZoneResult, _sum
 from .zones import Grid, Partition, Zone, build_partition, spec_label
@@ -44,8 +45,10 @@ class SudokuConfig:
 
     def __post_init__(self) -> None:
         for name in ("canvas", "object_size"):
-            if not 0 < getattr(self, name) < math.inf:  # NaN fails
-                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)!r}")
+            value = _real(getattr(self, name), name)
+            if not 0 < value < math.inf:  # NaN fails
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+            object.__setattr__(self, name, value)
         if not self.object_size < self.canvas / GRID_SIDE:
             raise ValueError("object_size must be smaller than one grid cell")
         if not self.objects:
@@ -92,6 +95,8 @@ class ZoneQuality:
     loc_jitter: float = 0.0  # pixels
 
     def __post_init__(self) -> None:
+        for name in ("recall", "fp_per_tp", "loc_jitter"):
+            object.__setattr__(self, name, _real(getattr(self, name), name))
         if not 0.0 <= self.recall <= 1.0:
             raise ValueError(f"infeasible profile: recall {self.recall} outside [0, 1]")
         # capping fp_per_tp at COCO's 100 detections per image bounds the planting loop;
@@ -173,9 +178,9 @@ def synthetic_benchmark(
     checks it, but ``zone-eval synth bench --out-expected`` refuses an image
     over the cap.
     """
-    if n_images < 1 or n_objects < 1:
+    if _integer(n_images, "n_images") < 1 or _integer(n_objects, "n_objects") < 1:
         raise ValueError("need at least one image and one object")
-    if not 0.0 <= center_bias <= _MAX_CENTER_BIAS:
+    if not 0.0 <= _real(center_bias, "center_bias") <= _MAX_CENTER_BIAS:
         raise ValueError(f"center_bias must lie in [0, {_MAX_CENTER_BIAS:g}], got {center_bias!r}")
     for zid in partition.zone_ids:
         if zid not in profile.zones:

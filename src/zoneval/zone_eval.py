@@ -41,10 +41,11 @@ contention for a ground truth (``matching.pair_order``).  Its match outcome
 entries, taken from one precomputed stable score order, so one
 ``average_precision`` call scores a block's curves.  The AP rows form one
 table in (range, zone, category) order, each (range, zone) a row range of
-it, and ``matching.table_means`` reduces every range at once, one
-reduction per table size, so no step of a report runs numpy per zone
-(``table_mean_aps`` for ``scale_study`` and ``grid_heatmap``, which report
-no per-threshold figure).
+it.  ``matching.table_mean_aps``, the one table reducer, reduces every
+range at once, one reduction per table size, so no step of a report runs
+numpy per zone.  ``evaluate_zones`` reduces through ``matching.table_means``,
+which also gives each table's per-threshold figures; ``scale_study`` and
+``grid_heatmap``, which report none, call ``table_mean_aps`` directly.
 ``evaluate_zones`` is the one-range case, ``scale_study`` the
 one-range-per-bin case.
 """
@@ -60,6 +61,7 @@ import numpy as np
 
 from . import matching
 from .coco import Dataset, DetectionSet, box_centers, box_corners, corner_iou
+from .errors import _numeric
 from .matching import (
     EvalConfig,
     average_precision,
@@ -465,14 +467,14 @@ def scale_bins(r: int | None, cap: int = SCALE_CAP) -> list[tuple[float, float]]
 
     r=None stands for the all-scales setting: a single [0, inf) bin.  The
     catch-all starts where the last finite bin ends, so the bins always cover
-    [0, inf) even when r does not divide the cap.  An r that is not finite
-    and > 0 (or is a bool, numpy's included), whose squared bin edges
-    overflow, or that gives more than ``_MAX_SCALE_BINS`` bins raises
-    ValueError before any bin is built.
+    [0, inf) even when r does not divide the cap.  An r that is not a
+    number by the readers' rule (a bool, numpy's included, is not one) or not
+    finite and > 0, whose squared bin edges overflow, or that gives more than
+    ``_MAX_SCALE_BINS`` bins raises ValueError before any bin is built.
     """
     if r is None:
         return [(0.0, math.inf)]
-    if isinstance(r, (bool, np.bool_)) or not 0 < r < math.inf:  # nan fails this too; a bool is not a number
+    if not (_numeric((r,)) and 0 < r < math.inf):  # nan fails this too
         raise ValueError(f"scale bin width must be finite and positive, got {r}")
     edges = [0.0]
     if r <= cap:  # the first edge, so that an overflow is named before the count

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -67,6 +68,12 @@ class TestEvalConfig:
             {"iou_thresholds": ("0.5",)},  # raised a bare TypeError
             {"iou_thresholds": (0.5, True)},
             {"iou_thresholds": 0.5},
+            # numbers outside the readers' rule: they passed, and only to_json() failed or the
+            # report held a Fraction
+            {"iou_thresholds": (Fraction(1, 2),)},
+            {"iou_thresholds": (0.5, np.bool_(True))},
+            {"scale_range": (Fraction(0), 100.0)},
+            {"scale_range": (0.0, 10**400)},  # past the float range
         ],
     )
     def test_invalid(self, kwargs):
@@ -77,6 +84,20 @@ class TestEvalConfig:
         cfg = EvalConfig(iou_thresholds=(np.float32(0.5), np.float64(0.75)), recall_points=np.int64(11),
                          max_dets_per_image=np.int32(3), scale_range=(np.int64(0), math.inf))
         assert cfg.recall_grid().tolist() == EvalConfig(recall_points=11).recall_grid().tolist()
+
+    def test_numbers_are_stored_as_python_numbers(self):
+        cfg = EvalConfig(iou_thresholds=(np.float32(0.5), np.float64(0.75), 1), scale_range=(np.int64(0), 100))
+        assert cfg == EvalConfig(iou_thresholds=(0.5, 0.75, 1.0), scale_range=(0.0, 100.0))
+        assert [type(v) for v in (*cfg.iou_thresholds, *cfg.scale_range)] == [float] * 5
+        assert type(EvalConfig(iou_thresholds=[0.5, 0.75]).iou_thresholds) is tuple
+
+    def test_equal_configs_write_equal_reports(self):
+        # an int threshold wrote 1 where 1.0 wrote 1.0, and a float32 one made to_json() raise
+        ds, dets = random_multiclass_benchmark(4, gts_per_image=6, dets_per_image=12, seed=7)
+        p = build_partition(Annular(2))
+        for ts, want in [((1,), (1.0,)), ((np.float32(0.5), np.float64(0.75)), (0.5, 0.75))]:
+            got = evaluate_zones(ds, dets, p, EvalConfig(iou_thresholds=ts)).to_json()
+            assert got == evaluate_zones(ds, dets, p, EvalConfig(iou_thresholds=want)).to_json()
 
 
 class TestMatchImage:

@@ -1,5 +1,6 @@
 import math
 import sys
+from fractions import Fraction
 from dataclasses import replace
 
 import numpy as np
@@ -490,6 +491,31 @@ class TestZonesOnlyGeometry:
             assert (full.pair_slot[in_zone] < n_gt).all() and (full.pair_slot[~in_zone] >= n_gt).all()
 
 
+class TestPerThresholdZps:
+    @pytest.mark.parametrize("spec", [Annular(3), Grid(3, 3)])
+    @pytest.mark.parametrize("cap_after_zone", [False, True])
+    @pytest.mark.parametrize("thresholds", [(0.5,), tuple(round(0.05 * k, 2) for k in range(1, 21))],
+                             ids=["T1", "T20"])
+    def test_each_figure_is_the_mean_of_its_own_entries(self, spec, cap_after_zone, thresholds):
+        # a zone's zp_by_threshold[t] is 100 x the mean of column t of its AP table, and its zp
+        # 100 x mean_ap of the table, bit for bit; up to 12 categories a zone, so a column sums
+        # more than numpy's 8 values in one run and a whole table, at T = 20, more than 128
+        p = build_partition(spec)
+        ds, dets = random_multiclass_benchmark(12, gts_per_image=20, dets_per_image=40, n_categories=12, seed=61)
+        cfg = EvalConfig(iou_thresholds=thresholds, max_dets_per_image=30, cap_after_zone=cap_after_zone)
+        report = evaluate_zones(ds, dets, p, cfg)
+        aps, cuts = zone_eval._zone_aps(zone_eval._geometry(ds, dets, p, cfg), cfg, [None])
+        assert len(cuts) == len(p.zones) + 2
+        for k, z in enumerate(report.zones):
+            table = aps[cuts[k] : cuts[k + 1]]
+            assert len(table) > 8
+            assert z.zp == 100.0 * matching.mean_ap(table)
+            assert z.zp_by_threshold == [100.0 * float(np.ascontiguousarray(table[:, t]).mean())
+                                         for t in range(len(thresholds))]
+        assert report.full_ap == 100.0 * matching.mean_ap(aps[cuts[-2] :])
+        assert len({z.zp for z in report.zones}) == len(p.zones)
+
+
 class TestCapPlacement:
     def test_cap_after_zone_keeps_more_border_detections(self):
         # 6 gts in the left strip, 6 in the right; 12 detections but a cap of 6:
@@ -569,6 +595,12 @@ class TestScaleStudy:
     @pytest.mark.parametrize("r", [True, np.True_, False])
     def test_bin_width_must_not_be_a_bool(self, r):
         # True built width-1 bins
+        with pytest.raises(ValueError, match=f"^scale bin width must be finite and positive, got {r}$"):
+            scale_bins(r)
+
+    @pytest.mark.parametrize("r", [Fraction(32), "32"])
+    def test_bin_width_must_be_a_number_by_the_readers_rule(self, r):
+        # a Fraction passed, and a string raised TypeError
         with pytest.raises(ValueError, match=f"^scale bin width must be finite and positive, got {r}$"):
             scale_bins(r)
 
