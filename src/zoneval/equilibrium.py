@@ -18,9 +18,9 @@ image size (``sela_assign``) and their zone index for the last (image size,
 partition), the partition by identity (``supervision_density``), each built
 on first use, read-only, and replaced when its key changes.  ``anchor_grid``
 returns one shared ``AnchorSet`` per (width, height, cols, rows, box_size),
-from an ``lru_cache`` of at most 64 lattices (the sizes' types count, so 640
-and 640.0 are two keys; the counts are plain ints) whose arguments are checked
-on every call.  So a lattice reused image after image computes its arrays
+from an ``lru_cache`` of at most 64 lattices, keyed by value (the sizes are
+floats and the counts plain ints), whose arguments are checked on every
+call.  So a lattice reused image after image computes its arrays
 once, and a set the caller builds keeps its arrays until it dies.  The hit
 matrix is a new array on every call.  A call that raises raises again on
 every call: only built results are stored.
@@ -38,7 +38,7 @@ from functools import lru_cache
 import numpy as np
 
 from .coco import BBox, Dataset, GroundTruth, ImageInfo, bbox_center, iou_matrix, xywh
-from .errors import OutsideImageError, _integer, _real
+from .errors import OutsideImageError, _flag, _integer, _real
 from .zones import Partition, Zone, gt_zone_counts, normalize_points
 
 
@@ -189,14 +189,18 @@ def check_beta(alpha_pos: float, beta: float) -> None:
         raise ValueError(f"alpha_pos and beta must be finite, got {alpha_pos} and {beta}")
 
 
-def check_anchor_grid(cols: int, rows: int, box_size: float | None) -> tuple[int, int]:
-    """``cols`` and ``rows`` as plain ints; reject non-integer (or bool) or < 1 counts, or a bad box side."""
+def check_anchor_grid(cols: int, rows: int, box_size: float | None) -> tuple[int, int, float | None]:
+    """``cols``, ``rows`` as plain ints and ``box_size`` as a float (or None); reject bad counts or a bad side.
+
+    A count must be an integer (not a bool) >= 1; the box side a finite number > 0.
+    """
     cols, rows = _integer(cols, "cols"), _integer(rows, "rows")
     if cols < 1 or rows < 1:
         raise ValueError("anchor grid needs cols, rows >= 1")
-    if box_size is not None and not 0.0 < _real(box_size, "box_size") < math.inf:
+    side = None if box_size is None else _real(box_size, "box_size")
+    if side is not None and not 0.0 < side < math.inf:
         raise ValueError(f"anchor box side must be finite and > 0, got {box_size}")
-    return cols, rows
+    return cols, rows, side
 
 
 def beta_assign(
@@ -252,9 +256,9 @@ def object_density(ds: Dataset, partition: Partition, absolute: bool = False) ->
 
     Normalized zone areas (image fraction) keep reports comparable across
     image sizes; absolute mode divides by pixel area instead and requires all
-    images to share one size.
+    images to share one size.  ``absolute`` must be a bool (numpy's too).
     """
-    pixel_area = 1.0
+    pixel_area, absolute = 1.0, _flag(absolute, "absolute")
     if absolute:
         sizes = {(im.width, im.height) for im in ds.images}
         if len(sizes) > 1:
@@ -289,10 +293,10 @@ def anchor_grid(img: ImageInfo, cols: int, rows: int, box_size: float | None = N
     is (c + 0.5) * pitch exactly, not x + w / 2, which may differ in the last bit.
     Calls with equal image sizes and arguments return one shared ``AnchorSet``.
     """
-    return _lattice(img.width, img.height, *check_anchor_grid(cols, rows, box_size), box_size)
+    return _lattice(_real(img.width, "width"), _real(img.height, "height"), *check_anchor_grid(cols, rows, box_size))
 
 
-@lru_cache(maxsize=64, typed=True)
+@lru_cache(maxsize=64)
 def _lattice(width: float, height: float, cols: int, rows: int, box_size: float | None) -> AnchorSet:
     pitch_x, pitch_y = width / cols, height / rows
     size = box_size if box_size is not None else min(pitch_x, pitch_y)

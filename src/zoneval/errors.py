@@ -2,7 +2,8 @@
 
 ``_numeric`` is the one type rule for a number, of the readers and of every
 library parameter: an int, a float, or a numpy integer or floating, never a
-bool.  ``_real`` and ``_integer`` apply it to one parameter.
+bool.  ``_real`` and ``_integer`` apply it to one parameter, and ``_flag``
+is the rule for a boolean parameter: a bool, Python's or numpy's, alone.
 """
 
 import operator
@@ -55,3 +56,10 @@ def _integer(x, name: str) -> int:
         except TypeError:
             pass
     raise ValueError(f"{name} must be an integer, got {x!r}")
+
+
+def _flag(x, name: str) -> bool:
+    """x as a bool, for a Python or numpy bool; anything else (0, 1 and 'no' too) raises ValueError."""
+    if isinstance(x, (bool, np.bool_)):
+        return bool(x)
+    raise ValueError(f"{name} must be a bool, got {x!r}")

@@ -60,7 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import _integer, _numeric, _real
+from .errors import _flag, _integer, _numeric, _real
 
 DEFAULT_IOU_THRESHOLDS = tuple(round(0.5 + 0.05 * i, 2) for i in range(10))
 
@@ -74,8 +74,8 @@ class EvalConfig:
     cap_after_zone: bool = False
 
     def __post_init__(self) -> None:
-        # numbers by the readers' rule; the thresholds and the scale range are kept as the
-        # Python floats they stand for, so that equal configs write equal reports
+        # numbers by the readers' rule, the flag by ``_flag``'s; the thresholds and the scale range
+        # are kept as the Python floats they stand for, so that equal configs write equal reports
         ts = self.iou_thresholds
         if not (isinstance(ts, (tuple, list)) and _numeric(ts)):
             raise ValueError(f"iou thresholds must be a tuple of numbers, got {ts!r}")
@@ -97,6 +97,7 @@ class EvalConfig:
                 raise ValueError("scale_range must satisfy lo < hi")
         object.__setattr__(self, "iou_thresholds", ts)
         object.__setattr__(self, "scale_range", rng)
+        object.__setattr__(self, "cap_after_zone", _flag(self.cap_after_zone, "cap_after_zone"))
 
     def recall_grid(self) -> np.ndarray:
         # k/(R-1) by IEEE division, bit-identical to a scalar re-derivation

@@ -23,23 +23,26 @@ of the whole dataset (``_candidate_pairs``).  It keeps the candidate pairs
 (IoU at or above the lowest threshold) as flat dataset-wide arrays.
 
 Count, match, then score: a ground truth is countable when it is not crowd
-and its area lies in the scale range, and ``_zone_aps`` counts them per
-(range, segment).  Only the pairs of (zone, category) segments holding a
-countable ground truth are matched.  This is exact: AP accumulation leaves
-every other segment out of the zone's mean (as COCO's accumulate does).
+and its area lies in the scale range (``_countable``, the one statement of
+the rule), and ``_zone_aps`` counts them per (range, segment).  Only the
+pairs of (zone, category) segments holding a countable ground truth are
+matched.  This is exact: AP accumulation leaves every other segment out of
+the zone's mean (as COCO's accumulate does).
 
 ``_zone_aps``, the one step after the geometry, does this for a list of
 scale ranges at once, the range being one more part of the group key, and
 sends the ranges that hold a positive through ``_evaluate`` in
-``matching.blocks``.  Each candidate pair is expanded only into the ranges
-in which its segment is countable; such a (range, pair) instance has its AP
-entry as its row and a (range, slot) of its own, and one greedy pass
-(``matching.greedy_match``) with one ignore flag per slot matches every
-range, image and IoU threshold at once, in as many steps as the deepest
-contention for a ground truth (``matching.pair_order``).  Its match outcome
-(tp, ignored) is already in the (range, segment, -score) order of the AP
-entries, taken from one precomputed stable score order, so one
-``average_precision`` call scores a block's curves.  The AP rows form one
+``matching.blocks``, a range building one ignore flag per slot plus T
+entries per instance, AP entry and curve.  Each candidate pair is expanded
+only into the ranges in which its segment is countable; such a (range,
+pair) instance has its AP entry as its row and ``range * n_slots + slot``
+as its slot, and one greedy pass (``matching.greedy_match``) with one
+ignore flag per (range, slot), set where ``_countable`` is not, matches
+every range, image and IoU threshold at once, in as many steps as the
+deepest contention for a ground truth (``matching.pair_order``).  Its
+match outcome (tp, ignored) is already in the (range, segment, -score)
+order of the AP entries, taken from one precomputed stable score order, so
+one ``average_precision`` call scores a block's curves.  The AP rows form one
 table in (range, zone, category) order, each (range, zone) a row range of
 it.  ``matching.table_mean_aps``, the one table reducer, reduces every
 range at once, one reduction per table size, so no step of a report runs
@@ -330,6 +333,17 @@ def _in_ranges(area: np.ndarray, ranges: list[tuple[float, float]], b: np.ndarra
     return (lo[b] <= area) & (area < hi[b])
 
 
+def _countable(geo: _Geometry, ranges: list[tuple[float, float]]) -> np.ndarray:
+    """Whether each slot of ``geo`` counts under each scale range, as (ranges, slots) bools.
+
+    A slot counts when its ground truth is not crowd and its area lies in
+    the range.  Slot ``s`` is ground truth ``s % n_gt``: slot ``n_gt + g`` is
+    ground truth ``g`` in the whole image.
+    """
+    gt = np.arange(len(geo.slot_seg)) % len(geo.gt_area)
+    return ~geo.gt_crowd[gt] & _in_ranges(geo.gt_area[gt], ranges, np.arange(len(ranges))[:, None])
+
+
 def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(owner, place) of each item when owner i holds ``counts[i]`` items, listed owner by owner."""
     owner = np.repeat(np.arange(len(counts)), counts)
@@ -346,23 +360,22 @@ def _zone_aps(
 
     A range is [lo, hi) in pixels^2, None for [0, inf) (every area ``Dataset``
     accepts).  Positives are counted per (range, segment), keyed ``range *
-    n_segments + segment``, one per slot that ``geo`` holds (slot ``s`` is
-    ground truth ``s % n_gt``).  The ranges that hold one go through
-    ``_evaluate`` in ``matching.blocks``, a range building its (range, slot)
-    flags plus, per threshold, its live (range, pair) instances, (range, AP
-    row) entries and curves, and each block's outcome is scored at once.  One search over the keys gives each
-    (range, zone) its row range, a range without a positive getting empty
-    tables.  Counting goes in blocks too, a range building one flag per
-    slot.  A geometry without the whole image holds none of its slots, so
-    every whole-image table is empty.
+    n_segments + segment``, one per slot that ``geo`` holds and
+    ``_countable`` counts.  The ranges that hold one go through ``_evaluate``
+    in ``matching.blocks``, a range building one ignore flag per slot (of
+    which ``greedy_match`` keeps T matched flags) plus, per threshold, its
+    live (range, pair) instances, (range, AP row) entries and curves, and
+    each block's outcome is scored at once.  One search over the keys gives
+    each (range, zone) its row range, a range without a positive getting
+    empty tables.  Counting goes in blocks too, a range building one flag
+    per slot.  A geometry without the whole image holds none of its slots,
+    so every whole-image table is empty.
     """
     ranges = [(0.0, math.inf) if r is None else r for r in ranges]
     n_seg = (geo.n_zones + 1) * geo.n_categories
-    gt = np.arange(len(geo.slot_seg)) % len(geo.gt_area)
-    area, crowd = geo.gt_area[gt], geo.gt_crowd[gt]
     keys = [np.zeros(0, dtype=np.int64)]
-    for lo, hi in matching.blocks(np.full(len(ranges), len(gt))):
-        b, slot = np.nonzero(~crowd & _in_ranges(area, ranges[lo:hi], np.arange(hi - lo)[:, None]))
+    for lo, hi in matching.blocks(np.full(len(ranges), len(geo.slot_seg))):
+        b, slot = np.nonzero(_countable(geo, ranges[lo:hi]))
         keys.append((lo + b) * n_seg + geo.slot_seg[slot])
     keys, n_pos = np.unique(np.concatenate(keys), return_counts=True)
     key_range, key_seg = np.divmod(keys, n_seg)
@@ -390,10 +403,11 @@ def _evaluate(
     Each key is a curve, whose entries are its segment's AP rows, laid out in
     key order; ``starts`` holds each curve's first entry.  ``tp`` and
     ``ignored`` are C-contiguous (T, entries).  A greedy instance is a pair
-    of a curve's segment; its row is its entry, and its slot is its (range,
-    slot), numbered among those that some instance reaches.
+    of a curve's segment; its row is its entry, and its slot is ``range *
+    n_slots + slot``, ignored unless ``_countable`` counts that slot in that
+    range.
     """
-    n_seg, n_slots, n_ranges = (geo.n_zones + 1) * geo.n_categories, len(geo.slot_seg), len(ranges)
+    n_seg = (geo.n_zones + 1) * geo.n_categories
     key_range, key_seg = np.divmod(keys, n_seg)
     # entries, in (range, segment, -score) order
     size = np.diff(geo.seg_start)[key_seg]
@@ -407,17 +421,11 @@ def _evaluate(
     per_seg = np.bincount(key_seg, minlength=n_seg)
     pair, place = _ragged(per_seg[pair_seg])
     key = by_seg[(np.cumsum(per_seg) - per_seg)[pair_seg[pair]] + place]
-    order = np.argsort(geo.pair_step[pair].astype(np.int64) * n_ranges + key_range[key], kind="stable")
+    order = np.argsort(geo.pair_step[pair].astype(np.int64) * len(ranges) + key_range[key], kind="stable")
     pair, key = pair[order], key[order]
-    # the (range, slot)s that some instance reaches, numbered in order
-    slot_key = key_range[key] * n_slots + geo.pair_slot[pair]
-    reached = np.zeros(n_ranges * n_slots, dtype=bool)
-    reached[slot_key] = True
-    slot_range, slot = np.divmod(np.flatnonzero(reached), n_slots)
-    gt = slot % len(geo.gt_area)  # slot n_gt + g is ground truth g in the whole image
-    slot_ignored = geo.gt_crowd[gt] | ~_in_ranges(geo.gt_area[gt], ranges, slot_range)
-    tp, ignored = greedy_match(starts[key] + geo.ap_rank[geo.pair_row[pair]], (np.cumsum(reached) - 1)[slot_key],
-                               geo.pair_iou[pair], geo.pair_step[pair], slot_ignored, len(entry_row),
+    tp, ignored = greedy_match(starts[key] + geo.ap_rank[geo.pair_row[pair]],
+                               key_range[key] * len(geo.slot_seg) + geo.pair_slot[pair], geo.pair_iou[pair],
+                               geo.pair_step[pair], ~_countable(geo, ranges).ravel(), len(entry_row),
                                cfg.iou_thresholds)
     # an unmatched detection outside the range is ignored too; a range of every area leaves none out
     inside = _in_ranges(geo.row_area[entry_row], ranges, key_range[curve])

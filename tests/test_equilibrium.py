@@ -357,8 +357,8 @@ class TestAnchorGrid:
                     check()
 
     def test_numpy_counts_share_the_int_lattice(self):
-        assert check_anchor_grid(np.int64(8), np.int32(6), None) == (8, 6)
-        assert all(type(n) is int for n in check_anchor_grid(np.int64(8), np.uint8(6), None))
+        assert check_anchor_grid(np.int64(8), np.int32(6), None) == (8, 6, None)
+        assert all(type(n) is int for n in check_anchor_grid(np.int64(8), np.uint8(6), None)[:2])
         img = ImageInfo(1, 640.0, 480.0)
         lattice = anchor_grid(img, 8, 6)
         assert anchor_grid(img, np.int64(8), np.int16(6)) is lattice
@@ -595,14 +595,24 @@ class TestPerShapeCaches:
         (ImageInfo(1, 640.0, 480.0), 6, 8, 64.0),
         (ImageInfo(1, 640.0, 480.0), 8, 6, 32.0),
         (ImageInfo(1, 640.0, 480.0), 8, 6, None),
-        (ImageInfo(1, 640, 480), 8, 6, 64.0),  # int sizes
-        (ImageInfo(1, 640.0, 480.0), 8, 6, 64),  # int box side
     ])
-    def test_different_shapes_or_types_get_their_own_set(self, img, cols, rows, size):
+    def test_different_shapes_get_their_own_set(self, img, cols, rows, size):
         base = anchor_grid(ImageInfo(1, 640.0, 480.0), 8, 6, 64.0)
         other = anchor_grid(img, cols, rows, size)
         assert other is not base
         assert anchor_grid(img, cols, rows, size) is other
+
+    @pytest.mark.parametrize("img,size", [
+        (ImageInfo(1, 640, 480), 64.0),  # int sizes
+        (ImageInfo(1, 640.0, 480.0), 64),  # int box side
+        (ImageInfo(1, np.float64(640.0), np.int64(480)), np.float64(64.0)),
+    ])
+    def test_equal_sizes_of_other_types_share_the_set(self, img, size):
+        # the sizes are keyed by value, as floats: each of these built a lattice of its own
+        # while the cache keyed them by type
+        assert check_anchor_grid(8, 6, size) == (8, 6, 64.0) and type(check_anchor_grid(8, 6, size)[2]) is float
+        assert anchor_grid(img, 8, 6, size) is anchor_grid(ImageInfo(1, 640.0, 480.0), 8, 6, 64.0)
+        assert len({id(anchor_grid(IMG, 3, 3, b)) for b in (8, 8.0, np.float64(8.0))}) == 1
 
     def test_lattice_arguments_checked_on_every_call(self):
         for _ in range(2):

@@ -1,9 +1,10 @@
 """Library parameters follow the readers' number rule: a bool or a non-number is a ValueError that names them.
 
 A number is an int, a float, or a numpy integer or floating, never a bool
-(``errors._numeric``); a count is an integer by ``errors._integer``.  Each
-case below was accepted with a wrong meaning (True as 1), passed its range
-check, or failed later with a ``TypeError``.
+(``errors._numeric``); a count is an integer by ``errors._integer``; a flag
+is a Python or numpy bool (``errors._flag``).  Each case below was accepted
+with a wrong meaning (True as 1, 'no' as on), passed its range check, or
+failed later with a ``TypeError``.
 """
 
 from fractions import Fraction
@@ -12,14 +13,16 @@ import numpy as np
 import pytest
 
 from zoneval.analysis import pattern_distance
-from zoneval.coco import ImageInfo
-from zoneval.equilibrium import AssignConfig, anchor_grid, check_beta, se_loss_weight, spatial_weight
+from zoneval.coco import Category, Dataset, ImageInfo
+from zoneval.equilibrium import AssignConfig, anchor_grid, check_beta, object_density, se_loss_weight, spatial_weight
+from zoneval.matching import EvalConfig
 from zoneval.synth import QualityProfile, SudokuConfig, ZoneQuality, synthetic_benchmark
 from zoneval.zones import Annular, build_partition
 
 IMG = ImageInfo(1, 600.0, 600.0)
 XY = (np.array([10.0]), np.array([20.0]))
 OBJECTS = ((1, 1),)
+DS = Dataset([IMG], [Category(1, "c")], [])
 
 
 def _bench(n_images=2, n_objects=4, center_bias=0.0):
@@ -47,13 +50,15 @@ CASES = [
     ("center_bias", lambda v: _bench(center_bias=v), [True, "1"]),
     ("bin_count", lambda v: pattern_distance([], ("train", "in"), ("test", "in"), bin_count=v), [True, 2.5, 9.0]),
     ("bin_width", lambda v: pattern_distance([], ("train", "in"), ("test", "in"), bin_width=v), [True, "32"]),
+    ("cap_after_zone", lambda v: EvalConfig(cap_after_zone=v), ["no", "", 1, 0, None]),
+    ("absolute", lambda v: object_density(DS, build_partition(Annular(2)), absolute=v), ["no", 1, 0.0]),
 ]
 
 
 @pytest.mark.parametrize("name,call,value", [(name, call, v) for name, call, values in CASES for v in values],
                          ids=lambda x: x if isinstance(x, str) else None)
 def test_rejected_by_name(name, call, value):
-    with pytest.raises(ValueError, match=f"^{name} must be (a number|an integer), got "):
+    with pytest.raises(ValueError, match=f"^{name} must be (a number|an integer|a bool), got "):
         call(value)
 
 
@@ -65,3 +70,13 @@ def test_numpy_numbers_are_numbers():
     assert SudokuConfig(OBJECTS, canvas=np.int64(600)) == SudokuConfig(OBJECTS, canvas=600.0)
     assert spatial_weight(*XY, np.int64(600), np.float32(600.0)).tolist() == spatial_weight(*XY, 600.0, 600.0).tolist()
     assert _bench(n_images=np.int64(2))[0].to_coco_dict() == _bench()[0].to_coco_dict()
+
+
+def test_numpy_bools_are_flags():
+    # and numpy's bools stand for Python's, stored as them
+    cfg = EvalConfig(cap_after_zone=np.True_)
+    assert cfg == EvalConfig(cap_after_zone=True) and cfg.cap_after_zone is True
+    assert EvalConfig(cap_after_zone=np.False_).cap_after_zone is False
+    p = build_partition(Annular(2))
+    assert object_density(DS, p, absolute=np.True_) == object_density(DS, p, absolute=True)
+    assert object_density(DS, p, absolute=np.True_).absolute is True

@@ -330,19 +330,19 @@ class TestCountThenMatch:
         [((row, slot, iou, step, slot_ignored, n_rows, thresholds), tp, ignored)] = calls
         # under one scale range the pass gets the pairs of countable segments in pair order; a
         # pair's row is its row's place among the AP rows of the countable segments, its slot
-        # its slot's place among the slots those pairs reach
+        # is (range 0, slot) = its slot, and every slot has a flag: ignored when crowd, as
+        # every area lies in the range
         crowd = np.tile(geo.gt_crowd, 2)
         countable = np.bincount(geo.slot_seg[~crowd], minlength=(len(p.zones) + 1) * n_cat) > 0
         entry_rows = geo.ap_rows[countable[geo.row_seg[geo.ap_rows]]]
         live = countable[geo.row_seg[geo.pair_row]]
-        slots = np.unique(geo.pair_slot[live])
-        assert n_rows == len(entry_rows) and (slot_ignored == crowd[slots]).all()
-        assert (entry_rows[row] == geo.pair_row[live]).all() and (slots[slot] == geo.pair_slot[live]).all()
+        assert n_rows == len(entry_rows) and np.array_equal(slot_ignored, crowd)
+        assert (entry_rows[row] == geo.pair_row[live]).all() and (slot == geo.pair_slot[live]).all()
         assert (iou == geo.pair_iou[live]).all() and (step == geo.pair_step[live]).all()
         # per image: (x0, category 1) and (whole image, category 1); the right
         # strip holds category-1 detections but no category-1 ground truth
         assert groups(entry_rows[row]) == {(z, 1, i) for z in (0, len(p.zones)) for i in range(len(ds.images))}
-        gts = slots[slot] % n_gt
+        gts = slot % n_gt
         assert {ds.category_ids[c] for c in (geo.slot_seg[gts] % n_cat).tolist()} == {1}
         assert len(set(gts.tolist())) == len(ds.images)  # one category-1 ground truth per image
 
@@ -357,6 +357,59 @@ class TestCountThenMatch:
         monkeypatch.setattr(zone_eval, "greedy_match", lambda *args: (tp_all[entry_rows], ignored_all[entry_rows]))
         unpruned = evaluate_zones(ds, dets, p)
         assert pruned.to_json() == unpruned.to_json()
+
+    def test_scale_study_matches_range_slots(self, monkeypatch):
+        # a three-bin study with the cap after zoning: each block's greedy pass gets slot
+        # range * n_slots + slot for the pairs of the segments countable in that range, and one
+        # flag per (range, slot) of the block, ignored when crowd or out of the range
+        ds, dets = random_multiclass_benchmark(8, gts_per_image=10, dets_per_image=20, seed=0,
+                                               image_size=(400.0, 300.0))
+        doc, results = ds.to_coco_dict(), dets.to_coco_list()
+        for img in doc["images"]:  # one ground truth per image in the last bin, and a detection on it
+            doc["annotations"].append({"id": 1000 + img["id"], "image_id": img["id"], "category_id": 1,
+                                       "bbox": [60.0, 50.0, 250.0, 200.0], "area": 50000.0, "iscrowd": 0})
+            results.append({"image_id": img["id"], "category_id": 1, "bbox": [64.0, 52.0, 248.0, 196.0],
+                            "score": 0.55})
+        ds = Dataset.from_coco_dict(doc)
+        dets = DetectionSet.from_coco_list(results, ds)
+        p, cfg = build_partition(Annular(3)), EvalConfig(max_dets_per_image=8, cap_after_zone=True)
+        bins = scale_bins(100)
+        assert len(bins) == 3
+        geo = zone_eval._geometry(ds, dets, p, cfg, whole_image=False)
+        n_slots, n_seg = len(geo.slot_seg), (len(p.zones) + 1) * len(ds.category_ids)
+        assert n_slots == len(ds.gt_area)  # no whole-image copy
+
+        real_evaluate, real_match, calls = zone_eval._evaluate, zone_eval.greedy_match, []
+
+        def evaluate(geo, cfg, ranges, keys):
+            calls.append([ranges, keys])
+            return real_evaluate(geo, cfg, ranges, keys)
+
+        def match(*args):
+            calls[-1].append(args)
+            return real_match(*args)
+
+        monkeypatch.setattr(zone_eval, "_evaluate", evaluate)
+        monkeypatch.setattr(zone_eval, "greedy_match", match)
+        study = scale_study(ds, dets, p, cfg, steps=(100,))
+        assert [rng for ranges, _, _ in calls for rng in ranges] == bins  # each bin counts a ground truth
+
+        for ranges, keys, (row, slot, iou, step, slot_ignored, n_rows, _) in calls:
+            counted = ~geo.gt_crowd & np.array([in_scale_range(geo.gt_area, rng) for rng in ranges])
+            assert np.array_equal(slot_ignored, ~counted.ravel())
+            # the entries are the AP rows of each key's segment, key by key
+            entry_rows = np.concatenate([geo.ap_rows[geo.seg_start[k % n_seg]:geo.seg_start[k % n_seg + 1]]
+                                         for k in keys.tolist()])
+            entry_range = np.repeat(keys // n_seg, np.diff(geo.seg_start)[keys % n_seg])
+            assert n_rows == len(entry_rows) and (slot // n_slots == entry_range[row]).all()
+            got = sorted(zip((slot // n_slots).tolist(), entry_rows[row].tolist(), (slot % n_slots).tolist(),
+                             iou.tolist()))
+            seg_counted = np.array([np.bincount(geo.slot_seg[c], minlength=n_seg) > 0 for c in counted])
+            want = sorted((r, pr, ps, pi) for r in range(len(ranges))
+                          for pr, ps, pi in zip(geo.pair_row.tolist(), geo.pair_slot.tolist(), geo.pair_iou.tolist())
+                          if seg_counted[r, geo.row_seg[pr]])
+            assert got == want and len(want) > 0
+        assert study.mean_zp[100] and all(zp is not None for zp in study.mean_zp[100])
 
     def test_a_range_without_countable_ground_truth_reaches_neither_kernel(self, monkeypatch):
         # every ground truth has area 900, so [1000, inf) counts none: every ZP is undefined,
