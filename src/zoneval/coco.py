@@ -79,6 +79,17 @@ def _check_box(x, y, w, h) -> tuple:
     return x, y, w, h
 
 
+def _box_ok(box: np.ndarray) -> np.ndarray:
+    """Per row of an (N, 4) xywh array, whether ``_check_box`` accepts it: the one array form of its rule.
+
+    Finite x, y, w, h; w, h > 0; finite x + w, y + h and w * h.
+    """
+    x, y, w, h = box.T
+    # x + w is finite only if x and w are; the overflows are what is checked
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.isfinite(x + w) & np.isfinite(y + h) & np.isfinite(w * h) & (w > 0) & (h > 0)
+
+
 def bbox_center(b: BBox) -> tuple[float, float]:
     """Center point of a box in pixels."""
     return (b.x + b.w / 2.0, b.y + b.h / 2.0)
@@ -102,31 +113,55 @@ def box_corners(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
     return x0, y0, x0 + a[:, 2], y0 + a[:, 3]
 
 
+_SMALLEST_SUBNORMAL = np.finfo(float).smallest_subnormal
+
+
 def corner_iou(a: tuple, b: tuple) -> np.ndarray:
     """Elementwise IoU of boxes given as (x0, y0, x1, y1) corner arrays that broadcast together.
 
-    Disjoint pairs score 0.0, as do pairs whose intersection area underflows
-    to 0.  Areas come from the same corner differences as the intersection,
-    so identical boxes score exactly 1.0.  This is the one IoU kernel:
+    The domain is the boxes the package accepts (``_box_ok``): finite
+    corners and area, positive sides.  Disjoint pairs score 0.0, as do pairs
+    whose intersection area underflows to 0.  Areas come from the same
+    corner differences as the intersection, so identical boxes score exactly
+    1.0, unless a side is lost at its far corner or the two areas sum past
+    the float range.  This is the one IoU kernel:
     ``iou_matrix`` broadcasts it and the evaluator calls it on flat pairs, so
     both give the same bits for the same two boxes.
+
+    It works in two full-size buffers.  The x overlap, clamped at 0, goes
+    into the first and the y overlap into the second; their product, the
+    intersection, into the first.  The union (the two areas' sum less the
+    intersection, at least the intersection and at least the smallest
+    subnormal) goes into the second, and the quotient over it.  The floor
+    makes a zero intersection score 0.0 with no mask; it moves no union of a
+    positive intersection, which is at least that subnormal already.
     """
     ax0, ay0, ax1, ay1 = a
     bx0, by0, bx1, by1 = b
-    iw = np.minimum(ax1, bx1) - np.maximum(ax0, bx0)
-    ih = np.minimum(ay1, by1) - np.maximum(ay0, by0)
-    inter = np.clip(iw, 0.0, None) * np.clip(ih, 0.0, None)
-    area_a = (ax1 - ax0) * (ay1 - ay0)
-    area_b = (bx1 - bx0) * (by1 - by0)
-    union = np.maximum(area_a + area_b - inter, inter)
-    return np.divide(inter, union, out=np.zeros_like(inter), where=inter > 0)
+    inter = np.minimum(ax1, bx1)
+    inter -= np.maximum(ax0, bx0)
+    np.maximum(inter, 0.0, out=inter)
+    union = np.minimum(ay1, by1)
+    union -= np.maximum(ay0, by0)
+    np.maximum(union, 0.0, out=union)
+    inter *= union
+    np.add((ax1 - ax0) * (ay1 - ay0), (bx1 - bx0) * (by1 - by0), out=union)
+    union -= inter
+    np.maximum(union, inter, out=union)
+    np.maximum(union, _SMALLEST_SUBNORMAL, out=union)
+    return np.divide(inter, union, out=union)
 
 
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """IoU of every row of ``a`` with every row of ``b``, both (N, 4) xywh arrays.
+    """IoU of every row of ``a`` with every row of ``b``, both (N, 4) xywh arrays: (N, M) floats.
 
-    This is ``corner_iou`` broadcast over (N, 1) x (1, M).
+    This is ``corner_iou`` broadcast with the longer operand on the inner,
+    contiguous axis: (N, 1) x (1, M) when N <= M, else the transpose of the
+    (M, N) matrix, so the result may be a transposed (F-ordered) view.  IoU
+    is symmetric bit for bit, so the values do not depend on the orientation.
     """
+    if len(a) > len(b):
+        return iou_matrix(b, a).T
     return corner_iou([c[:, None] for c in box_corners(a)], [c[None, :] for c in box_corners(b)])
 
 
@@ -241,11 +276,9 @@ def _bboxes(records: list) -> list:
 
 
 def _box(boxes: list) -> np.ndarray:
-    """The (N, 4) column of ``bbox`` fields, checked by ``_check_box``'s rule as array masks."""
+    """The (N, 4) column of ``bbox`` fields, checked by ``_check_box``'s rule as array masks (``_box_ok``)."""
     box = _floats(list(chain.from_iterable(boxes)), "bbox value").reshape(-1, 4)
-    x, y, w, h = box.T
-    with np.errstate(over="ignore", invalid="ignore"):  # the overflows are what is checked
-        ok = np.isfinite(x + w) & np.isfinite(y + h) & np.isfinite(w * h) & (w > 0) & (h > 0)
+    ok = _box_ok(box)
     if not ok.all():
         _check_box(*box[np.argmin(ok)].tolist())  # raises, naming the first bad box
         raise ValueError("a bbox is not finite and positive")

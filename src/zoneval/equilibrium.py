@@ -37,9 +37,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .coco import BBox, Dataset, GroundTruth, ImageInfo, bbox_center, iou_matrix, xywh
+from .coco import BBox, Dataset, GroundTruth, ImageInfo, _box_ok, bbox_center, iou_matrix, xywh
 from .errors import OutsideImageError, _flag, _integer, _real
 from .zones import Partition, Zone, gt_zone_counts, normalize_points
+
+# what ``coco._box_ok`` asks of a box row, as the rejections of rows say it
+_BOX_RULE = "must be finite, with positive sides and a finite far corner and area"
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -66,8 +69,9 @@ class Anchor:
 class AnchorSet(Sequence):
     """Anchors as read-only arrays, row for row: (N, 4) xywh ``boxes`` and (N, 2) ``centers``.
 
-    Every value must be finite and every box side positive, as ``BBox`` asks;
-    a ``ValueError`` names the first row that is not.  It holds the last array
+    Every value must be finite, every box side positive and every far corner
+    and area finite, as ``BBox`` asks (``coco._box_ok``); a ``ValueError``
+    names the first row that is not.  It holds the last array
     of each kind derived from it (see the module docstring).
     """
 
@@ -81,12 +85,12 @@ class AnchorSet(Sequence):
             object.__setattr__(self, name, _read_only(a))
         if len(self.boxes) != len(self.centers):
             raise ValueError(f"{len(self.boxes)} anchor boxes but {len(self.centers)} centers")
-        box_ok, center_ok, side_ok = np.isfinite(self.boxes), np.isfinite(self.centers), self.boxes[:, 2:] > 0
-        if not (box_ok.all() and center_ok.all() and side_ok.all()):
-            # per-row reductions only on failure: numpy reduces a 2- or 4-wide axis slowly
-            i = int(np.argmin(box_ok.all(axis=1) & center_ok.all(axis=1) & side_ok.all(axis=1)))
+        box_ok, center_ok = _box_ok(self.boxes), np.isfinite(self.centers)
+        if not (box_ok.all() and center_ok.all()):
+            # the per-row reduction only on failure: numpy reduces a 2-wide axis slowly
+            i = int(np.argmin(box_ok & center_ok.all(axis=1)))
             raise ValueError(f"anchor {i}: box {self.boxes[i].tolist()} and center {self.centers[i].tolist()} "
-                             "must be finite, with positive sides")
+                             + _BOX_RULE)
 
     def __len__(self) -> int:
         return len(self.boxes)
@@ -164,9 +168,15 @@ def _as_arrays(anchors, gts) -> tuple[AnchorSet, np.ndarray]:
     """Anchors as an ``AnchorSet`` (an ``Anchor`` keeps its own center), ground truths as (M, 4) xywh."""
     if not isinstance(anchors, AnchorSet):
         anchors = AnchorSet(xywh([a.box for a in anchors]), [a.center for a in anchors])
-    boxes = np.asarray(gts, dtype=float) if isinstance(gts, np.ndarray) else xywh([g.bbox for g in gts])
+    if not isinstance(gts, np.ndarray):
+        return anchors, xywh([g.bbox for g in gts])  # each BBox checked itself
+    boxes = np.asarray(gts, dtype=float)
     if boxes.shape[1:] != (4,):
         raise ValueError(f"ground-truth boxes must be an (M, 4) xywh array, got shape {boxes.shape}")
+    ok = _box_ok(boxes)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise ValueError(f"ground truth {i}: box {boxes[i].tolist()} " + _BOX_RULE)
     return anchors, boxes
 
 

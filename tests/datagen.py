@@ -12,6 +12,9 @@ replaced.  ``reference_ground_truth`` and
 the route ``coco`` replaced with bulk column checks, so tests can hold the
 columns and the error messages of the loaders against them;
 ``random_coco_document`` makes valid documents in the forms a file may hold.
+``reference_corner_iou`` is ``coco.corner_iou`` as it was before it worked in
+place (clipped overlaps, a zero-filled output and a masked division), so
+tests can hold the kernel's bits against it.
 """
 
 import math
@@ -38,6 +41,19 @@ from zoneval.matching import (
     mean_ap,
     pair_order,
 )
+
+
+def reference_corner_iou(a: tuple, b: tuple) -> np.ndarray:
+    """Elementwise IoU of (x0, y0, x1, y1) corner arrays that broadcast together, by the masked route."""
+    ax0, ay0, ax1, ay1 = a
+    bx0, by0, bx1, by1 = b
+    iw = np.minimum(ax1, bx1) - np.maximum(ax0, bx0)
+    ih = np.minimum(ay1, by1) - np.maximum(ay0, by0)
+    inter = np.clip(iw, 0.0, None) * np.clip(ih, 0.0, None)
+    area_a = (ax1 - ax0) * (ay1 - ay0)
+    area_b = (bx1 - bx0) * (by1 - by0)
+    union = np.maximum(area_a + area_b - inter, inter)
+    return np.divide(inter, union, out=np.zeros_like(inter), where=inter > 0)
 
 
 def in_scale_range(area: np.ndarray, rng: tuple[float, float] | None) -> np.ndarray:

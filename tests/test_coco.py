@@ -28,7 +28,7 @@ from zoneval.zone_eval import evaluate_zones
 from zoneval.zones import Annular, build_partition
 
 from conftest import write_coco_gt
-from datagen import random_coco_document, reference_detections, reference_ground_truth
+from datagen import random_coco_document, reference_corner_iou, reference_detections, reference_ground_truth
 
 
 def coco_doc(images, annotations, categories):
@@ -654,6 +654,103 @@ class TestIoUMatrix:
 
     def test_empty_sides(self):
         assert iou_matrix(xywh([]), xywh([BBox(0, 0, 1, 1)])).shape == (0, 1)
+
+
+TINY = np.finfo(float).smallest_subnormal
+# boxes the package accepts, each a corner case of the IoU kernel
+ADVERSARIAL = np.array([
+    [0.0, 0.0, 10.0, 10.0], [10.0, 0.0, 10.0, 10.0], [0.0, 10.0, 10.0, 10.0],  # edges that touch
+    [10.0, 10.0, 5.0, 5.0], [3.0, 4.0, 7.0, 6.0],  # a touching corner; a box touching the first from inside
+    [-0.0, -0.0, 10.0, 10.0], [-0.0, 0.0, 3.0, 7.0], [0.0, -0.0, 7.0, 3.0], [-5.0, -0.0, 5.0, 2.0],  # signed zeros
+    [0.0, 0.0, TINY, TINY], [0.0, 0.0, 1e-310, 1e-310], [0.0, 0.0, TINY, 10.0], [-0.0, 0.0, 2 * TINY, 1e-300],
+    [1e-310, 0.0, 1e-310, 5.0],  # subnormal sides and corners
+    [0.0, 0.0, 1e-200, 1.0], [0.0, 0.0, 1.0, 1e-200], [0.5, 0.0, 1.0, 1e-200], [0.0, 0.0, 1e-170, 1e-170],
+    [1e-160, 1e-160, 1e-160, 1e-160],  # intersections and areas that underflow
+    [0.0, 0.0, 1e154, 1e154], [-1e154, -1e154, 1e154, 1e154], [5e153, 0.0, 1e154, 1e154],
+    [0.0, 0.0, 1.3e154, 1.3e154], [-1.3e154, 0.0, 1.3e154, 1.3e154], [0.0, 0.0, 1e154, 1.0],  # sides near 1e154
+    [1e300, 1e300, 1e7, 1e7], [-1e308, 0.0, 1e308, 1e-300], [1e16, 0.0, 1.0, 1.0],  # sides lost at their corner
+])
+
+
+def random_boxes(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Boxes at mixed scales, many overlapping, some sharing an edge with the one before."""
+    scale = 10.0 ** rng.integers(-3, 4, (n, 1))
+    box = np.column_stack([rng.uniform(-50, 150, (n, 2)), rng.uniform(0.5, 80, (n, 2))]) * scale
+    box[1::7, 0] = box[:-1:7, 0] + box[:-1:7, 2]  # touching in x
+    return box
+
+
+def reference_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return reference_corner_iou([c[:, None] for c in coco.box_corners(a)], [c[None, :] for c in coco.box_corners(b)])
+
+
+class TestIoUKernel:
+    """The in-place kernel against the masked one it replaced, bit for bit, on accepted boxes.
+
+    Two areas near 1e308 sum past the float range, which both kernels let
+    numpy warn about; those warnings are silenced here.
+    """
+
+    @pytest.fixture(autouse=True)
+    def _area_sums_may_overflow(self):
+        with np.errstate(over="ignore"):
+            yield
+
+    def test_adversarial_boxes_are_in_the_domain(self):
+        assert coco._box_ok(ADVERSARIAL).all()
+        for box in ADVERSARIAL.tolist():
+            BBox(*box)
+
+    @pytest.mark.parametrize("boxes", ["random", "adversarial"])
+    def test_flat_pairs_equal_the_reference(self, boxes):
+        box = random_boxes(np.random.default_rng(11), 300) if boxes == "random" else ADVERSARIAL
+        i, j = (k.ravel() for k in np.indices((len(box), len(box))))
+        a, b = coco.box_corners(box[i]), coco.box_corners(box[j])
+        got, want = coco.corner_iou(a, b), reference_corner_iou(a, b)
+        assert got.dtype == want.dtype and got.shape == want.shape == (len(box) ** 2,)
+        assert got.tobytes() == want.tobytes()
+        assert 0.0 < (got > 0).mean() < 1.0
+
+    @pytest.mark.parametrize("n,m", [(3, 40), (40, 3), (25, 25), (1, 40), (40, 1), (0, 40), (40, 0), (0, 0)])
+    def test_matrix_equals_the_reference_in_both_orientations(self, n, m):
+        rng = np.random.default_rng(n * 100 + m)
+        pool = np.concatenate([random_boxes(rng, 40), ADVERSARIAL])
+        a, b = pool[rng.permutation(len(pool))[:n]], pool[rng.permutation(len(pool))[:m]]
+        got, want = iou_matrix(a, b), reference_matrix(a, b)
+        assert got.shape == want.shape == (n, m) and got.dtype == want.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+        assert got.tobytes() == iou_matrix(b, a).T.tobytes()
+
+    def test_adversarial_matrix_is_symmetric_bit_for_bit(self):
+        got = iou_matrix(ADVERSARIAL, ADVERSARIAL)
+        assert got.tobytes() == reference_matrix(ADVERSARIAL, ADVERSARIAL).tobytes()
+        assert got.tobytes() == got.T.tobytes()
+        assert not np.signbit(got).any() and not np.isnan(got).any()
+
+    def test_identical_boxes_score_exactly_one(self):
+        x0, y0, x1, y1 = coco.box_corners(ADVERSARIAL)
+        area = (x1 - x0) * (y1 - y0)
+        got = np.diag(iou_matrix(ADVERSARIAL, ADVERSARIAL))
+        # a positive area whose double stays finite; a lost side or a sum that overflows scores 0
+        whole = (area > 0) & np.isfinite(2 * area)
+        assert whole.sum() > 15
+        assert (got[whole] == 1.0).all() and (got[~whole] == 0.0).all()
+
+
+class TestBoxRule:
+    @pytest.mark.parametrize("box", [
+        [0.0, 0.0, 10.0, 10.0], [-0.0, 0.0, TINY, TINY], [1e308, 0.0, 7e307, 1.0], [0.0, 0.0, 1.3e154, 1.3e154],
+        [math.nan, 0.0, 10.0, 10.0], [0.0, 0.0, -10.0, 10.0], [0.0, 0.0, math.inf, 10.0], [10.0, 10.0, 0.0, 0.0],
+        [1e308, 0.0, 1e308, 10.0], [0.0, -1e308, 10.0, -1e308], [0.0, 0.0, 1e200, 1e200], [0.0, 0.0, 10.0, -0.0],
+        [-math.inf, 0.0, math.inf, 1.0],
+    ])
+    def test_array_rule_is_the_scalar_rule(self, box):
+        try:
+            BBox(*box)
+            accepted = True
+        except IngestError:
+            accepted = False
+        assert coco._box_ok(np.array([box, [0.0, 0.0, 1.0, 1.0]])).tolist() == [accepted, True]
 
 
 class TestImageInfoValidation:

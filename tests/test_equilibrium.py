@@ -24,6 +24,7 @@ from zoneval.equilibrium import (
     supervision_density,
 )
 from zoneval.errors import OutsideImageError
+from zoneval.oracle import _overlap
 from zoneval.zones import Annular, Custom, Grid, build_partition, normalize_points, parse_zone_spec
 
 
@@ -560,10 +561,12 @@ class TestAnchorSetRows:
         ([0.0, math.inf, 10.0, 10.0], [5.0, 5.0]),
         ([0.0, 0.0, math.nan, 10.0], [5.0, 5.0]),
         ([0.0, 0.0, 10.0, 10.0], [5.0, -math.inf]),
+        ([1e308, 0.0, 1e308, 10.0], [5.0, 5.0]),  # finite values, infinite far corner
+        ([0.0, 0.0, 1e200, 1e200], [5.0, 5.0]),  # finite sides, infinite area
     ])
     def test_bad_row_rejected_by_index(self, box, center):
         good = [0.0, 0.0, 10.0, 10.0]
-        with pytest.raises(ValueError, match=r"anchor 1: .* must be finite, with positive sides"):
+        with pytest.raises(ValueError, match=r"anchor 1: .* must be finite, with positive sides and a finite far corner"):
             AnchorSet([good, box, box], [[5.0, 5.0], center, center])
 
     def test_anchor_with_nan_center_rejected_on_entry(self):
@@ -578,6 +581,82 @@ class TestAnchorSetRows:
 
     def test_empty_set_is_fine(self):
         assert len(AnchorSet(np.zeros((0, 4)), np.zeros((0, 2)))) == 0
+
+
+class TestGroundTruthArrayRows:
+    """An (M, 4) ground-truth array is held to ``BBox``'s box rule, row by row, by both rules."""
+
+    IMG = ImageInfo(1, 640.0, 480.0)
+    GOOD = [25.0, 5.0, 110.0, 110.0]  # near the first anchor box, [20, 0, 120, 120]
+
+    def assign(self, rule, gts):
+        anchors = anchor_grid(self.IMG, 4, 4)
+        if rule == "sela":
+            return sela_assign(anchors, gts, AssignConfig(t=0.3, gamma=0.3), self.IMG)
+        return beta_assign(anchors, gts, 0.3, 0.1, build_partition(Annular(3)).zones[0], self.IMG)
+
+    @pytest.mark.parametrize("rule", ["sela", "beta"])
+    @pytest.mark.parametrize("bad", [
+        [math.nan, 0.0, 10.0, 10.0],
+        [0.0, 0.0, -10.0, 10.0],
+        [0.0, 0.0, math.inf, 10.0],
+        [10.0, 10.0, 0.0, 0.0],
+        [1e308, 0.0, 1e308, 10.0],  # finite values, infinite far corner
+        [0.0, 0.0, 1e200, 1e200],  # finite sides, infinite area
+    ])
+    def test_bad_row_rejected_by_index(self, rule, bad):
+        # each used to run and score no hit for the row
+        message = r"^ground truth 1: box \[.*\] must be finite, with positive sides and a finite far corner and area$"
+        with pytest.raises(ValueError, match=message):
+            self.assign(rule, np.array([self.GOOD, bad, bad]))
+
+    @pytest.mark.parametrize("rule", ["sela", "beta"])
+    def test_accepted_rows_still_score(self, rule):
+        result = self.assign(rule, np.array([self.GOOD, [1e-300, 0.0, 5e-324, 1e-300], [-0.0, 0.0, 1.3e154, 1.3e154]]))
+        assert result.hits.shape == (16, 3) and result.hits[:, 0].any()
+
+
+class TestBothBroadcastOrientations:
+    """Fewer anchors than ground truths and more, each hit recounted with the oracle's scalar IoU."""
+
+    IMG = ImageInfo(1, 640.0, 480.0)
+    PARTITIONS = [build_partition(parse_zone_spec(s)) for s in ("annular:5", "grid:3x4")]
+
+    def ground_truths(self):
+        """30 boxes: jittered anchor boxes of both lattices, so that each gets hits, and random ones."""
+        rng = np.random.default_rng(40)
+        near = [anchor_grid(self.IMG, 12, 12).boxes[rng.integers(0, 144, 10)],
+                anchor_grid(self.IMG, 1, 2).boxes[rng.integers(0, 2, 10)]]
+        jittered = [b + rng.normal(0, 0.08, b.shape) * b[:, [2, 3, 2, 3]] for b in near]
+        wh = rng.uniform(10, 300, (10, 2))
+        random = np.column_stack([rng.uniform(0, 1, (10, 2)) * [640.0, 480.0] - wh / 2, wh])
+        return np.concatenate(jittered + [random])
+
+    def recount(self, anchors, boxes, cut, partition):
+        hits = np.array([[_overlap(anchors[i].box, BBox(*b)) >= cut[i] for b in boxes.tolist()]
+                         for i in range(len(anchors))])
+        counts = [0] * len(partition.zones)
+        for i in np.flatnonzero(hits.any(axis=1)):
+            (k,) = [k for k, z in enumerate(partition.zones) if z.contains(*unit_point(anchors[i].center, self.IMG))]
+            counts[k] += 1
+        return hits, counts
+
+    @pytest.mark.parametrize("cols,rows", [(1, 2), (12, 12)])
+    def test_hits_and_counts_equal_the_oracle_recount(self, cols, rows):
+        anchors, boxes = anchor_grid(self.IMG, cols, rows), self.ground_truths()
+        # the longer operand is broadcast along the contiguous axis: 144 anchors take the transposed view
+        assert iou_matrix(anchors.boxes, boxes).flags.c_contiguous == (len(anchors) <= len(boxes))
+        weight = spatial_weight(*anchors.centers.T, self.IMG.width, self.IMG.height)
+        us, vs = normalize_points(*anchors.centers.T, self.IMG.width, self.IMG.height)
+        for partition in self.PARTITIONS:
+            zone = partition.zones[-1]
+            cases = [(sela_assign(anchors, boxes, AssignConfig(t=0.5, gamma=0.25), self.IMG), 0.5 - 0.25 * weight),
+                     (beta_assign(anchors, boxes, 0.4, 0.2, zone, self.IMG), np.where(zone.contains(us, vs), 0.6, 0.4))]
+            for result, cut in cases:
+                hits, counts = self.recount(anchors, boxes, cut.tolist(), partition)
+                assert result.hits.shape == (cols * rows, 30) and hits.any() and not hits.all()
+                assert np.array_equal(result.hits, hits)
+                assert supervision_density(result, partition, self.IMG).counts() == counts
 
 
 class TestPerShapeCaches:
