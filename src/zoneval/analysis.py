@@ -74,7 +74,7 @@ class CorrelationCurve:
         for t, p, s in zip(self.iou_thresholds, self.pcc, self.scc):
             pc = "" if p is None else repr(p)
             sc = "" if s is None else repr(s)
-            f.write(f"{t:g},{pc},{sc}\n")
+            f.write(f"{float(t)!r},{pc},{sc}\n")  # repr, so that distinct thresholds read back distinct
 
 
 def correlate_zp_distribution(

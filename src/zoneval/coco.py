@@ -68,6 +68,10 @@ class BBox:
         return self.w * self.h
 
 
+# the largest area ``corner_iou`` may take from a box's corners: two of them sum to at most the float maximum
+_MAX_AREA = float(np.finfo(float).max) / 2
+
+
 def _check_box(x, y, w, h) -> tuple:
     # x + w is finite only if x and w are; finite sides can still overflow
     # at the far corner or in the area
@@ -76,18 +80,24 @@ def _check_box(x, y, w, h) -> tuple:
             raise IngestError(f"non-finite bbox corner or area in BBox(x={x!r}, y={y!r}, w={w!r}, h={h!r})")
     if w <= 0 or h <= 0:
         raise IngestError(f"bbox dimensions must be positive, got w={w}, h={h}")
+    if not ((x + w) - x) * ((y + h) - y) <= _MAX_AREA:
+        raise IngestError(f"bbox area past half the float range in BBox(x={x!r}, y={y!r}, w={w!r}, h={h!r})")
     return x, y, w, h
 
 
 def _box_ok(box: np.ndarray) -> np.ndarray:
     """Per row of an (N, 4) xywh array, whether ``_check_box`` accepts it: the one array form of its rule.
 
-    Finite x, y, w, h; w, h > 0; finite x + w, y + h and w * h.
+    Finite x, y, w, h; w, h > 0; finite x + w, y + h and w * h; and an area
+    from the corners, ``((x + w) - x) * ((y + h) - y)``, at most half the
+    float maximum, so that no union in ``corner_iou`` overflows.
     """
     x, y, w, h = box.T
     # x + w is finite only if x and w are; the overflows are what is checked
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.isfinite(x + w) & np.isfinite(y + h) & np.isfinite(w * h) & (w > 0) & (h > 0)
+        x1, y1 = x + w, y + h
+        return (np.isfinite(x1) & np.isfinite(y1) & np.isfinite(w * h) & (w > 0) & (h > 0)
+                & ((x1 - x) * (y1 - y) <= _MAX_AREA))
 
 
 def bbox_center(b: BBox) -> tuple[float, float]:
@@ -120,11 +130,12 @@ def corner_iou(a: tuple, b: tuple) -> np.ndarray:
     """Elementwise IoU of boxes given as (x0, y0, x1, y1) corner arrays that broadcast together.
 
     The domain is the boxes the package accepts (``_box_ok``): finite
-    corners and area, positive sides.  Disjoint pairs score 0.0, as do pairs
-    whose intersection area underflows to 0.  Areas come from the same
-    corner differences as the intersection, so identical boxes score exactly
-    1.0, unless a side is lost at its far corner or the two areas sum past
-    the float range.  This is the one IoU kernel:
+    corners and area, positive sides, and an area from the corners of at
+    most half the float maximum, so that no two areas sum past the float
+    range.  Disjoint pairs score 0.0, as do pairs whose intersection area
+    underflows to 0.  Areas come from the same corner differences as the
+    intersection, so identical boxes score exactly 1.0, unless a side is
+    lost at its far corner or the area underflows.  This is the one IoU kernel:
     ``iou_matrix`` broadcasts it and the evaluator calls it on flat pairs, so
     both give the same bits for the same two boxes.
 

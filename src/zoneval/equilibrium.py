@@ -42,7 +42,8 @@ from .errors import OutsideImageError, _flag, _integer, _real
 from .zones import Partition, Zone, gt_zone_counts, normalize_points
 
 # what ``coco._box_ok`` asks of a box row, as the rejections of rows say it
-_BOX_RULE = "must be finite, with positive sides and a finite far corner and area"
+_BOX_RULE = ("must be finite, with positive sides and a finite far corner and area, and an area from its"
+             " corners of at most half the float maximum")
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -69,9 +70,10 @@ class Anchor:
 class AnchorSet(Sequence):
     """Anchors as read-only arrays, row for row: (N, 4) xywh ``boxes`` and (N, 2) ``centers``.
 
-    Every value must be finite, every box side positive and every far corner
-    and area finite, as ``BBox`` asks (``coco._box_ok``); a ``ValueError``
-    names the first row that is not.  It holds the last array
+    Every value must be finite, every box side positive, every far corner
+    and area finite and every area from the corners at most half the float
+    maximum, as ``BBox`` asks (``coco._box_ok``); a ``ValueError`` names
+    the first row that is not.  It holds the last array
     of each kind derived from it (see the module docstring).
     """
 

@@ -121,7 +121,10 @@ def pair_order(row: np.ndarray, slot: np.ndarray, iou: np.ndarray) -> tuple[np.n
 
     Within a group, row ids must increase with detection rank, and a slot
     belongs to one group, so the rows before a row that reach one of its
-    slots are the earlier rows of its group that contend with it.  A row's
+    slots are the earlier rows of its group that contend with it.
+    ``zone_eval`` passes AP entry numbers as row ids; they increase with
+    rank within a group, as a group's entries lie in one segment's run, in
+    descending score order with ties in rank order.  A row's
     step is its conflict level: 0 when no earlier row reaches any of its
     slots, else one more than the highest level of such a row.  Pairs are
     ordered by (step, row, -IoU, -slot), so each step and each row is one

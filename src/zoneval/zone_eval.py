@@ -7,14 +7,17 @@ reproduces AP bit-for-bit.
 
 The whole image is one more zone, index ``n_zones``: every ground truth and
 detection appears once in its zone and, when the whole image is reported,
-once more in it (``_Geometry`` gives the slots and rows).  ``scale_study``
-and ``grid_heatmap`` report zones only, so their geometry holds the zone
-copy alone and they match and score nothing of the whole image; the two
-copies share no row or slot, so the zone copy is the same either way.  The
-cap ranks a detection within its image, or with ``cap_after_zone`` within
-its (image, zone), and a candidate pair is kept when its detection and
-ground truth share a zone and the detection is under the cap.  The same
-rule builds every zone.
+once more in it (``_Geometry`` gives the slots and AP entries).
+``scale_study`` and ``grid_heatmap`` report zones only, so their geometry
+holds the zone copy alone and they match and score nothing of the whole
+image; the two copies share no entry or slot, so the zone copy is the same
+either way.  The cap ranks a detection within its image, or with
+``cap_after_zone`` its zone copy within its (image, zone), and a candidate
+pair is kept when its detection and ground truth share a zone and the
+detection is under the cap.  Each copy of a detection under the cap is
+numbered once, by its AP entry: its place in the (segment, -score) order
+that scores it, so matching and scoring index it alike.  The same rule
+builds every zone.
 
 One geometry pass per evaluation does everything that does not depend on the
 scale range: the per-image cap, one ``Partition.assign`` call for all box
@@ -35,11 +38,11 @@ sends the ranges that hold a positive through ``_evaluate`` in
 ``matching.blocks``, a range building one ignore flag per slot plus T
 entries per instance, AP entry and curve.  Each candidate pair is expanded
 only into the ranges in which its segment is countable; such a (range,
-pair) instance has its AP entry as its row and ``range * n_slots + slot``
-as its slot, and one greedy pass (``matching.greedy_match``) with one
-ignore flag per (range, slot), set where ``_countable`` is not, matches
-every range, image and IoU threshold at once, in as many steps as the
-deepest contention for a ground truth (``matching.pair_order``).  Its
+pair) instance has its (range, AP entry) as its row and ``range * n_slots
++ slot`` as its slot, and one greedy pass (``matching.greedy_match``)
+with one ignore flag per (range, slot), set where ``_countable`` is not,
+matches every range, image and IoU threshold at once, in as many steps as
+the deepest contention for a ground truth (``matching.pair_order``).  Its
 match outcome (tp, ignored) is already in the (range, segment, -score)
 order of the AP entries, taken from one precomputed stable score order, so
 one ``average_precision`` call scores a block's curves.  The AP rows form one
@@ -133,7 +136,7 @@ class ZoneReport:
     def write_csv(self, f) -> None:
         writer = csv.writer(f)
         header = ["zone", "zp", "gt_count", "det_count", "area_fraction"]
-        header += [f"zp@{t:g}" for t in self.iou_thresholds]
+        header += [f"zp@{float(t)!r}" for t in self.iou_thresholds]  # repr: distinct thresholds, distinct columns
         writer.writerow(header)
         for z in self.zones:
             row = [z.zone_id, _cell(z.zp), z.gt_count, z.det_count, repr(z.area_fraction)]
@@ -180,12 +183,15 @@ class _Geometry:
     """The scale-independent part of one evaluation, as flat arrays.
 
     The whole image is zone ``n_zones``.  Ground truths are indexed in image
-    order; ground truth ``g`` fills slot ``g`` in its zone and detection
-    ``d`` row ``d``.  A geometry with the whole image also holds a second
-    copy, in zone ``n_zones``: slot ``n_gt + g`` and row ``n_dt + d``.
-    Without it, the whole-image segments are empty.  A segment is a (zone,
-    category) pair, ``zone * n_categories + category``.  A candidate pair is
-    kept when its row and slot share a zone and the row is under the cap.
+    order; ground truth ``g`` fills slot ``g`` in its zone.  A geometry with
+    the whole image also holds a second copy of each, in zone ``n_zones``:
+    slot ``n_gt + g``.  Without it, the whole-image segments are empty.  A
+    segment is a (zone, category) pair, ``zone * n_categories + category``.
+    Each detection has the same two copies, and each copy under the cap is
+    one AP entry: the entries go in (segment, -score) order, ties in
+    detection order.  A candidate pair is kept when its copy of the
+    detection is under the cap and shares its slot's zone; it names its
+    entry by segment and place in that segment.
     """
 
     n_zones: int
@@ -193,15 +199,13 @@ class _Geometry:
     gt_area: np.ndarray  # per ground truth
     gt_crowd: np.ndarray
     slot_seg: np.ndarray
-    row_seg: np.ndarray
-    row_area: np.ndarray  # box area of the row's detection
-    pair_row: np.ndarray  # candidate pairs, in matching.pair_order
+    seg_start: np.ndarray  # segment s holds entries seg_start[s]:seg_start[s + 1]
+    entry_area: np.ndarray  # box area of the entry's detection
+    pair_seg: np.ndarray  # candidate pairs, in matching.pair_order: the segment of the pair's entry
+    pair_place: np.ndarray  # and the entry's place in it
     pair_slot: np.ndarray
     pair_iou: np.ndarray
     pair_step: np.ndarray
-    ap_rows: np.ndarray  # rows under the cap, by (segment, -score), ties in detection order
-    seg_start: np.ndarray  # segment s holds ap_rows[seg_start[s]:seg_start[s + 1]]
-    ap_rank: np.ndarray  # per row: its place in its segment's run of ap_rows; -1 over the cap
 
 
 def _candidate_pairs(
@@ -262,14 +266,16 @@ def _geometry(
 ) -> _Geometry:
     """Cap, zone lookup and candidate pairs of every image; independent of ``cfg.scale_range``.
 
-    Without ``whole_image`` the whole-image copy is left out: no slot, row,
-    candidate pair or AP row of zone ``n_zones``.  The zone copy is the same
-    either way, bit for bit, as the two copies share no row or slot.
+    Without ``whole_image`` the whole-image copy is left out: no slot, AP
+    entry or candidate pair of zone ``n_zones``.  The zone copy is the same
+    either way, bit for bit, as the two copies share no entry or slot and
+    every zone entry precedes every whole-image one.
     """
     if dets.image_ids != ds.image_ids or dets.category_ids != ds.category_ids:
         raise ValueError("the detections were resolved against a dataset with other image or category ids")
     cap = cfg.max_dets_per_image
     n_zones, n_cat = len(partition.zones), len(ds.category_ids)
+    n_seg = (n_zones + 1) * n_cat
     rank = np.arange(dets.total) - dets.starts[dets.image]  # rank by score within the image
     kept = slice(None) if cfg.cap_after_zone else rank < cap
     dt_img, dt_cat, dt_box, score = dets.image[kept], dets.category[kept], dets.box[kept], dets.score[kept]
@@ -278,52 +284,51 @@ def _geometry(
     owner = np.concatenate([ds.gt_image, dt_img])
     zone = partition.assign(*box_centers(np.concatenate([gt_box, dt_box])), *ds.image_size[owner].T)
     gt_zone, dt_zone = zone[:n_gt], zone[n_gt:]
+    det, gt, iou = _candidate_pairs(dt_img * n_cat + dt_cat, dt_box, ds.gt_image * n_cat + gt_cat, gt_box, n_cat,
+                                    cfg.iou_thresholds[0])
 
     # copy c of ground truth g is slot c * n_gt + g, of detection d row c * n_dt + d
     copies = 2 if whole_image else 1
-    slot_zone = np.concatenate([gt_zone, np.full((copies - 1) * n_gt, n_zones)])
-    row_zone = np.concatenate([dt_zone, np.full((copies - 1) * n_dt, n_zones)])
-    row_img = np.tile(dt_img, copies)
-    # the cap ranks a row within its image, or within its (image, zone) after zoning
-    row_rank = rank_within(row_img * (n_zones + 1) + row_zone) if cfg.cap_after_zone else np.tile(rank[kept], copies)
-    under_cap = row_rank < cap
+    slot_seg = np.concatenate([gt_zone * n_cat + gt_cat, n_zones * n_cat + gt_cat][:copies])
+    row_seg = np.concatenate([dt_zone * n_cat + dt_cat, n_zones * n_cat + dt_cat][:copies])
+    # the cap ranks a detection within its image, or its zone copy within its (image, zone) after zoning
+    zone_rank = rank_within(dt_img * n_zones + dt_zone) if cfg.cap_after_zone else rank[kept]
+    under_cap = np.concatenate([zone_rank, rank[kept]][:copies]) < cap
 
-    det, gt, iou = _candidate_pairs(dt_img * n_cat + dt_cat, dt_box, ds.gt_image * n_cat + gt_cat, gt_box, n_cat,
-                                    cfg.iou_thresholds[0])
+    # the AP entries, the rows under the cap in (segment, -score) order: every zone segment
+    # precedes every whole-image one, so each copy is sorted by segment on its own, from one
+    # stable sort by -score.  The segments go in the smallest integer type, as numpy sorts 8-
+    # and 16-bit keys by radix
+    by_score = np.argsort(-score, kind="stable")
+    seg_key = row_seg.astype(np.min_scalar_type(n_seg))
+    runs = (rows[under_cap[rows]] for rows in (c * n_dt + by_score for c in range(copies)))
+    entry_row = np.concatenate([rows[np.argsort(seg_key[rows], kind="stable")] for rows in runs])
+    entry_seg = row_seg[entry_row]
+    seg_start = np.searchsorted(entry_seg, np.arange(n_seg + 1))
+    entry = np.full(len(row_seg), -1)
+    entry[entry_row] = np.arange(len(entry_row))
+
     pair_row = np.concatenate([c * n_dt + det for c in range(copies)])
     pair_slot = np.concatenate([c * n_gt + gt for c in range(copies)])
-    pair_iou = np.tile(iou, copies)
-    keep = under_cap[pair_row] & (row_zone[pair_row] == slot_zone[pair_slot])
-    pair_row, pair_slot, pair_iou = pair_row[keep], pair_slot[keep], pair_iou[keep]
-
-    row_seg = row_zone * n_cat + np.tile(dt_cat, copies)
-    order, pair_step = pair_order(pair_row, pair_slot, pair_iou)
-    # (segment, -score) order: every zone segment precedes every whole-image one, so each copy
-    # of the detections is sorted by segment on its own, from one stable sort by -score.  The
-    # segments go in the smallest integer type, as numpy sorts 8- and 16-bit keys by radix
-    by_score = np.argsort(-score, kind="stable")
-    seg_key = row_seg.astype(np.min_scalar_type((n_zones + 1) * n_cat))
-    runs = [rows[under_cap[rows]] for rows in (c * n_dt + by_score for c in range(copies))]
-    ap_rows = np.concatenate([rows[np.argsort(seg_key[rows], kind="stable")] for rows in runs])
-    ap_seg = row_seg[ap_rows]
-    seg_start = np.searchsorted(ap_seg, np.arange((n_zones + 1) * n_cat + 1))
-    ap_rank = np.full(len(row_seg), -1)
-    ap_rank[ap_rows] = np.arange(len(ap_rows)) - seg_start[ap_seg]
+    # same image and category, so a shared segment is a shared zone
+    keep = under_cap[pair_row] & (row_seg[pair_row] == slot_seg[pair_slot])
+    pair_entry, pair_slot, pair_iou = entry[pair_row[keep]], pair_slot[keep], np.tile(iou, copies)[keep]
+    order, pair_step = pair_order(pair_entry, pair_slot, pair_iou)
+    pair_entry = pair_entry[order]
+    pair_seg = entry_seg[pair_entry]
     return _Geometry(
         n_zones=n_zones,
         n_categories=n_cat,
         gt_area=ds.gt_area,
         gt_crowd=ds.gt_crowd,
-        slot_seg=(slot_zone * n_cat + np.tile(gt_cat, copies)).astype(np.int32),
-        row_seg=row_seg.astype(np.int32),
-        row_area=np.tile(dt_box[:, 2] * dt_box[:, 3], copies),
-        pair_row=pair_row[order].astype(np.int32),
+        slot_seg=slot_seg.astype(np.int32),
+        seg_start=seg_start,
+        entry_area=(dt_box[:, 2] * dt_box[:, 3])[entry_row % n_dt],
+        pair_seg=pair_seg.astype(np.int32),
+        pair_place=(pair_entry - seg_start[pair_seg]).astype(np.int32),
         pair_slot=pair_slot[order].astype(np.int32),
         pair_iou=pair_iou[order],
         pair_step=pair_step.astype(np.int32),
-        ap_rows=ap_rows.astype(np.int32),
-        seg_start=seg_start,
-        ap_rank=ap_rank.astype(np.int32),
     )
 
 
@@ -364,7 +369,7 @@ def _zone_aps(
     ``_countable`` counts.  The ranges that hold one go through ``_evaluate``
     in ``matching.blocks``, a range building one ignore flag per slot (of
     which ``greedy_match`` keeps T matched flags) plus, per threshold, its
-    live (range, pair) instances, (range, AP row) entries and curves, and
+    live (range, pair) instances, (range, AP entry) rows and curves, and
     each block's outcome is scored at once.  One search over the keys gives
     each (range, zone) its row range, a range without a positive getting
     empty tables.  Counting goes in blocks too, a range building one flag
@@ -379,7 +384,7 @@ def _zone_aps(
         keys.append((lo + b) * n_seg + geo.slot_seg[slot])
     keys, n_pos = np.unique(np.concatenate(keys), return_counts=True)
     key_range, key_seg = np.divmod(keys, n_seg)
-    work = np.bincount(geo.row_seg[geo.pair_row], minlength=n_seg) + np.diff(geo.seg_start) + 1
+    work = np.bincount(geo.pair_seg, minlength=n_seg) + np.diff(geo.seg_start) + 1
     per_range = np.bincount(key_range, weights=work[key_seg], minlength=len(ranges)).astype(np.int64)
     live = np.flatnonzero(per_range)
     aps = [np.zeros((0, len(cfg.iou_thresholds)))]
@@ -400,35 +405,35 @@ def _evaluate(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Match every curve under its scale range; returns the match outcome (tp, ignored, starts).
 
-    Each key is a curve, whose entries are its segment's AP rows, laid out in
-    key order; ``starts`` holds each curve's first entry.  ``tp`` and
+    Each key is a curve, whose entries are its segment's AP entries, laid
+    out in key order; ``starts`` holds each curve's first entry.  ``tp`` and
     ``ignored`` are C-contiguous (T, entries).  A greedy instance is a pair
-    of a curve's segment; its row is its entry, and its slot is ``range *
-    n_slots + slot``, ignored unless ``_countable`` counts that slot in that
-    range.
+    of a curve's segment; its row is ``starts[curve] + pair_place``, its
+    entry's place in the layout, and its slot is ``range * n_slots +
+    slot``, ignored unless ``_countable`` counts that slot in that range.
+    Each pair names its entry by segment and place, so nothing maps between
+    numberings.
     """
     n_seg = (geo.n_zones + 1) * geo.n_categories
     key_range, key_seg = np.divmod(keys, n_seg)
-    # entries, in (range, segment, -score) order
+    # curve c holds its segment's entries, in (range, segment, -score) order
     size = np.diff(geo.seg_start)[key_seg]
     starts = np.cumsum(size) - size
-    curve, place = _ragged(size)
-    entry_row = geo.ap_rows[geo.seg_start[key_seg[curve]] + place]
 
-    # instances, in (step, range, pair) order, which keeps each row's pairs in pair order
-    pair_seg = geo.row_seg[geo.pair_row]
+    # instances, in (step, range, pair) order, which keeps each entry's pairs in pair order
     by_seg = np.argsort(key_seg, kind="stable")
     per_seg = np.bincount(key_seg, minlength=n_seg)
-    pair, place = _ragged(per_seg[pair_seg])
-    key = by_seg[(np.cumsum(per_seg) - per_seg)[pair_seg[pair]] + place]
+    pair, place = _ragged(per_seg[geo.pair_seg])
+    key = by_seg[(np.cumsum(per_seg) - per_seg)[geo.pair_seg[pair]] + place]
     order = np.argsort(geo.pair_step[pair].astype(np.int64) * len(ranges) + key_range[key], kind="stable")
     pair, key = pair[order], key[order]
-    tp, ignored = greedy_match(starts[key] + geo.ap_rank[geo.pair_row[pair]],
+    tp, ignored = greedy_match(starts[key] + geo.pair_place[pair],
                                key_range[key] * len(geo.slot_seg) + geo.pair_slot[pair], geo.pair_iou[pair],
-                               geo.pair_step[pair], ~_countable(geo, ranges).ravel(), len(entry_row),
+                               geo.pair_step[pair], ~_countable(geo, ranges).ravel(), int(size.sum()),
                                cfg.iou_thresholds)
     # an unmatched detection outside the range is ignored too; a range of every area leaves none out
-    inside = _in_ranges(geo.row_area[entry_row], ranges, key_range[curve])
+    curve, place = _ragged(size)
+    inside = _in_ranges(geo.entry_area[geo.seg_start[key_seg[curve]] + place], ranges, key_range[curve])
     if not inside.all():
         ignored |= ~tp & ~inside[:, None]
     return np.ascontiguousarray(tp.T), np.ascontiguousarray(ignored.T), starts

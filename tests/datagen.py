@@ -14,10 +14,13 @@ columns and the error messages of the loaders against them;
 ``random_coco_document`` makes valid documents in the forms a file may hold.
 ``reference_corner_iou`` is ``coco.corner_iou`` as it was before it worked in
 place (clipped overlaps, a zero-filled output and a masked division), so
-tests can hold the kernel's bits against it.
+tests can hold the kernel's bits against it.  ``reference_entries`` lists
+the AP entries of ``zone_eval._geometry`` from one lexsort, so tests can map
+its entries back to detections.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +33,7 @@ from zoneval.coco import (
     DetectionSet,
     GroundTruth,
     ImageInfo,
+    box_centers,
     iou_matrix,
     xywh,
 )
@@ -40,6 +44,7 @@ from zoneval.matching import (
     greedy_match,
     mean_ap,
     pair_order,
+    rank_within,
 )
 
 
@@ -162,6 +167,43 @@ def candidate_pairs_by_image(
             found.append((d + a, g + c, ious[d, g]))
     det, gt, iou = zip(*found)
     return np.concatenate(det), np.concatenate(gt), np.concatenate(iou)
+
+
+@dataclass
+class Entries:
+    """The AP entries of one evaluation, in entry order: each one's copy, detection and segment.
+
+    Copy 0 is a detection in its zone, copy 1 the same detection in the whole
+    image (zone ``n_zones``); ``det`` indexes the whole ``DetectionSet`` and
+    ``seg`` is ``zone * n_categories + category``.
+    """
+
+    copy: np.ndarray
+    det: np.ndarray
+    seg: np.ndarray
+
+
+def reference_entries(ds: Dataset, dets: DetectionSet, partition, cfg: EvalConfig) -> Entries:
+    """The AP entries that ``zone_eval._geometry`` numbers, from one lexsort by (segment, -score, row).
+
+    Row ``c * dets.total + d`` is copy ``c`` of detection ``d``.  A copy is an
+    entry when it is under the cap: the detection's rank by score within its
+    image (from ``dets.starts``), or with ``cap_after_zone`` the copy's rank
+    within its (image, zone) by ``rank_within`` over both copies, the whole
+    image being zone ``n_zones``.
+    """
+    n, n_zones, n_cat = dets.total, len(partition.zones), len(ds.category_ids)
+    copy, det = np.repeat([0, 1], n), np.tile(np.arange(n), 2)
+    zone = partition.assign(*box_centers(dets.box), *ds.image_size[dets.image].T)
+    row_zone = np.where(copy == 0, zone[det], n_zones)
+    if cfg.cap_after_zone:
+        rank = rank_within(dets.image[det] * (n_zones + 1) + row_zone)
+    else:
+        rank = (np.arange(n) - dets.starts[dets.image])[det]
+    seg = row_zone * n_cat + dets.category[det]
+    rows = np.flatnonzero(rank < cfg.max_dets_per_image)
+    rows = rows[np.lexsort((rows, -dets.score[det[rows]], seg[rows]))]
+    return Entries(copy[rows], det[rows], seg[rows])
 
 
 def random_instance(rng: np.random.Generator) -> tuple[Dataset, DetectionSet]:
@@ -359,6 +401,8 @@ def _ref_box(x: float, y: float, w: float, h: float) -> tuple:
         raise IngestError(f"non-finite bbox corner or area in BBox(x={x!r}, y={y!r}, w={w!r}, h={h!r})")
     if w <= 0 or h <= 0:
         raise IngestError(f"bbox dimensions must be positive, got w={w}, h={h}")
+    if not ((x + w) - x) * ((y + h) - y) <= sys.float_info.max / 2:
+        raise IngestError(f"bbox area past half the float range in BBox(x={x!r}, y={y!r}, w={w!r}, h={h!r})")
     return x, y, w, h
 
 

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -164,6 +166,17 @@ class TestCorrelateZpDistribution:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             correlate_zp_distribution({0.5: [[1.0, 2.0]]}, np.array([[1, 2, 3]]))
+
+    def test_csv_tells_close_thresholds_apart(self):
+        # ':g' keeps six significant digits and wrote both thresholds as 0.5
+        counts = np.array([[1, 2], [3, 4]])
+        curve = correlate_zp_distribution({0.5: [[10.0, 20.0], [30.0, 40.0]], 0.5000001: [[4.0, 3.0], [2.0, 1.0]]},
+                                          counts)
+        f = io.StringIO()
+        curve.write_csv(f)
+        rows = list(csv.DictReader(io.StringIO(f.getvalue())))
+        assert [float(r["iou"]) for r in rows] == [0.5, 0.5000001]
+        assert [r["iou"] for r in rows] == ["0.5", "0.5000001"]
 
 
 def record(split, tag, cat, area, vector):

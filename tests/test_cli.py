@@ -94,6 +94,24 @@ class TestEval:
         header = out.read_text().splitlines()[0]
         assert header.startswith("zone,zp,gt_count,det_count,area_fraction")
 
+    def test_csv_columns_of_close_thresholds_are_distinct(self, bench_files, tmp_path):
+        # ':g' named both columns zp@0.5, and csv.DictReader kept only one of them
+        from zoneval import EvalConfig, evaluate_zones, load_detections, load_ground_truth
+
+        gt, dt, _ = bench_files
+        out = tmp_path / "report.csv"
+        assert main(["eval", "--gt", str(gt), "--dt", str(dt), "--iou", "0.5,0.5000001", "--format", "csv",
+                     "--out", str(out)]) == 0
+        with open(out, newline="") as f:
+            reader = csv.DictReader(f)
+            rows = list(reader)
+        assert reader.fieldnames[-2:] == ["zp@0.5", "zp@0.5000001"]
+        ds = load_ground_truth(gt)
+        report = evaluate_zones(ds, load_detections(dt, ds), build_partition(Annular(5)),
+                                EvalConfig(iou_thresholds=(0.5, 0.5000001)))
+        got = [[None if r[c] == "" else float(r[c]) for c in reader.fieldnames[-2:]] for r in rows]
+        assert got == [z.zp_by_threshold for z in report.zones]
+
     def test_missing_file_is_input_error(self, tmp_path, capsys):
         code = main(["eval", "--gt", str(tmp_path / "nope.json"), "--dt", str(tmp_path / "d.json")])
         assert code == 1
@@ -798,6 +816,17 @@ class TestIngestErrors:
         gt.write_text(json.dumps(_gt_doc(annotations=[_ANN])))
         dt.write_text(json.dumps(records))
         assert self._run(["eval", "--gt", str(gt), "--dt", str(dt)], capsys) == (1, f"error: {line}\n")
+
+    def test_box_whose_union_would_overflow(self, tmp_path, capsys):
+        # two 1.3e154-sided areas sum past the float range: the box scored 0.0 against an
+        # identical detection, with a RuntimeWarning, and the evaluation exited 0 with AP 0.0
+        box = [0, 0, 1.3e154, 1.3e154]
+        gt, dt = tmp_path / "gt.json", tmp_path / "dt.json"
+        gt.write_text(json.dumps(_gt_doc(images=[{"id": 1, "width": 1e160, "height": 1e160}],
+                                         annotations=[{**_ANN, "bbox": box}])))
+        dt.write_text(json.dumps([{**_DT, "bbox": box, "score": 0.9}]))
+        code, err = self._run(["eval", "--gt", str(gt), "--dt", str(dt), "--partition", "annular:1"], capsys)
+        assert code == 1 and err.startswith("error: annotation 1: bbox area past half the float range"), err
 
     @pytest.mark.parametrize("annotations,line", [
         pytest.param([_ANN, {**_ANN, "id": 2}, {**_ANN, "id": 1}], "duplicate annotation id 1", id="duplicate-id"),

@@ -666,8 +666,9 @@ ADVERSARIAL = np.array([
     [1e-310, 0.0, 1e-310, 5.0],  # subnormal sides and corners
     [0.0, 0.0, 1e-200, 1.0], [0.0, 0.0, 1.0, 1e-200], [0.5, 0.0, 1.0, 1e-200], [0.0, 0.0, 1e-170, 1e-170],
     [1e-160, 1e-160, 1e-160, 1e-160],  # intersections and areas that underflow
-    [0.0, 0.0, 1e154, 1e154], [-1e154, -1e154, 1e154, 1e154], [5e153, 0.0, 1e154, 1e154],
-    [0.0, 0.0, 1.3e154, 1.3e154], [-1.3e154, 0.0, 1.3e154, 1.3e154], [0.0, 0.0, 1e154, 1.0],  # sides near 1e154
+    [0.0, 0.0, 9e153, 9e153], [-9e153, -9e153, 9e153, 9e153], [4.5e153, 0.0, 9e153, 9e153],
+    [0.0, 0.0, 2.0**511, 2.0**512 - 2.0**459], [-2.0**511, 0.0, 2.0**511, 2.0**512 - 2.0**460],
+    [0.0, 0.0, 1e154, 1.0],  # areas up to half the float maximum, the largest accepted
     [1e300, 1e300, 1e7, 1e7], [-1e308, 0.0, 1e308, 1e-300], [1e16, 0.0, 1.0, 1.0],  # sides lost at their corner
 ])
 
@@ -687,14 +688,9 @@ def reference_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class TestIoUKernel:
     """The in-place kernel against the masked one it replaced, bit for bit, on accepted boxes.
 
-    Two areas near 1e308 sum past the float range, which both kernels let
-    numpy warn about; those warnings are silenced here.
+    An accepted box's area is at most half the float maximum, so no union
+    overflows and numpy has nothing to warn about.
     """
-
-    @pytest.fixture(autouse=True)
-    def _area_sums_may_overflow(self):
-        with np.errstate(over="ignore"):
-            yield
 
     def test_adversarial_boxes_are_in_the_domain(self):
         assert coco._box_ok(ADVERSARIAL).all()
@@ -731,18 +727,28 @@ class TestIoUKernel:
         x0, y0, x1, y1 = coco.box_corners(ADVERSARIAL)
         area = (x1 - x0) * (y1 - y0)
         got = np.diag(iou_matrix(ADVERSARIAL, ADVERSARIAL))
-        # a positive area whose double stays finite; a lost side or a sum that overflows scores 0
-        whole = (area > 0) & np.isfinite(2 * area)
+        # every accepted area doubles within the float range; a side lost at its far corner,
+        # or an area that underflows, scores 0
+        assert np.isfinite(2 * area).all() and 2 * area.max() == np.finfo(float).max
+        whole = area > 0
         assert whole.sum() > 15
         assert (got[whole] == 1.0).all() and (got[~whole] == 0.0).all()
+
+    def test_areas_past_half_the_float_maximum_are_rejected(self):
+        # their union would overflow: two such boxes scored 0.0 against themselves
+        for box in ([0.0, 0.0, 1.3e154, 1.3e154], [0.0, 0.0, 1e154, 1e154], [0.0, 0.0, 2.0**511, 2.0**512 - 2.0**458]):
+            assert not coco._box_ok(np.array([box])).any()
+            with pytest.raises(IngestError, match="^bbox area past half the float range in BBox"):
+                BBox(*box)
 
 
 class TestBoxRule:
     @pytest.mark.parametrize("box", [
-        [0.0, 0.0, 10.0, 10.0], [-0.0, 0.0, TINY, TINY], [1e308, 0.0, 7e307, 1.0], [0.0, 0.0, 1.3e154, 1.3e154],
+        [0.0, 0.0, 10.0, 10.0], [-0.0, 0.0, TINY, TINY], [1e308, 0.0, 7e307, 1.0], [0.0, 0.0, 9e153, 9e153],
+        [0.0, 0.0, 2.0**511, 2.0**512 - 2.0**459],
         [math.nan, 0.0, 10.0, 10.0], [0.0, 0.0, -10.0, 10.0], [0.0, 0.0, math.inf, 10.0], [10.0, 10.0, 0.0, 0.0],
         [1e308, 0.0, 1e308, 10.0], [0.0, -1e308, 10.0, -1e308], [0.0, 0.0, 1e200, 1e200], [0.0, 0.0, 10.0, -0.0],
-        [-math.inf, 0.0, math.inf, 1.0],
+        [-math.inf, 0.0, math.inf, 1.0], [0.0, 0.0, 1.3e154, 1.3e154], [0.0, 0.0, 2.0**511, 2.0**512 - 2.0**458],
     ])
     def test_array_rule_is_the_scalar_rule(self, box):
         try:

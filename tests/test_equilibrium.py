@@ -603,16 +603,18 @@ class TestGroundTruthArrayRows:
         [10.0, 10.0, 0.0, 0.0],
         [1e308, 0.0, 1e308, 10.0],  # finite values, infinite far corner
         [0.0, 0.0, 1e200, 1e200],  # finite sides, infinite area
+        [0.0, 0.0, 1.3e154, 1.3e154],  # a finite area whose double overflows
     ])
     def test_bad_row_rejected_by_index(self, rule, bad):
         # each used to run and score no hit for the row
-        message = r"^ground truth 1: box \[.*\] must be finite, with positive sides and a finite far corner and area$"
+        message = (r"^ground truth 1: box \[.*\] must be finite, with positive sides and a finite far corner and area,"
+                   r" and an area from its corners of at most half the float maximum$")
         with pytest.raises(ValueError, match=message):
             self.assign(rule, np.array([self.GOOD, bad, bad]))
 
     @pytest.mark.parametrize("rule", ["sela", "beta"])
     def test_accepted_rows_still_score(self, rule):
-        result = self.assign(rule, np.array([self.GOOD, [1e-300, 0.0, 5e-324, 1e-300], [-0.0, 0.0, 1.3e154, 1.3e154]]))
+        result = self.assign(rule, np.array([self.GOOD, [1e-300, 0.0, 5e-324, 1e-300], [-0.0, 0.0, 9e153, 9e153]]))
         assert result.hits.shape == (16, 3) and result.hits[:, 0].any()
 
 

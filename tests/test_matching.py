@@ -198,12 +198,12 @@ class TestMatchImage:
 class TestBatchedGroups:
     def test_group_alone_equals_group_batched(self):
         # evaluate_zones matches every group of every image in one greedy pass;
-        # each group's rows must equal match_image on that group alone
+        # each group's AP entries must equal match_image on that group alone
         from zoneval import zone_eval
         from zoneval.coco import bbox_center
         from zoneval.zones import Annular, build_partition
 
-        from datagen import random_multiclass_benchmark
+        from datagen import random_multiclass_benchmark, reference_entries
 
         ds, dset = random_multiclass_benchmark(6, gts_per_image=10, dets_per_image=30, seed=5)
         p = build_partition(Annular(3))
@@ -211,35 +211,36 @@ class TestBatchedGroups:
                     EvalConfig(max_dets_per_image=20, cap_after_zone=True,
                                scale_range=(0.0, 48.0**2))):
             geo = zone_eval._geometry(ds, dset, p, cfg)
+            # each (copy, detection)'s AP entry: copy 0 in its zone, copy 1 in the whole image
+            ref = reference_entries(ds, dset, p, cfg)
+            entry_of = {cd: e for e, cd in enumerate(zip(ref.copy.tolist(), ref.det.tolist()))}
+            assert len(entry_of) == geo.seg_start[-1]
             # every pair, also of the groups that evaluate_zones leaves out for want of a countable ground truth
             slot_ignored = np.tile(geo.gt_crowd | ~in_scale_range(geo.gt_area, cfg.scale_range), 2)
-            tp, ignored = greedy_match(geo.pair_row, geo.pair_slot, geo.pair_iou, geo.pair_step,
-                                       slot_ignored, len(geo.row_seg), cfg.iou_thresholds)
-            ignored |= ~tp & ~in_scale_range(geo.row_area, cfg.scale_range)[:, None]
-            n_dets = len(geo.row_seg) // 2
-            row = 0
+            tp, ignored = greedy_match(geo.seg_start[geo.pair_seg] + geo.pair_place, geo.pair_slot, geo.pair_iou,
+                                       geo.pair_step, slot_ignored, len(entry_of), cfg.iou_thresholds)
+            ignored |= ~tp & ~in_scale_range(geo.entry_area, cfg.scale_range)[:, None]
             compared = 0
-            for img in ds.images:
+            for k, img in enumerate(ds.images):
                 ranked = dset.for_image(img.id)
                 if not cfg.cap_after_zone:
                     ranked = ranked[: cfg.max_dets_per_image]
                 zone_of = {id(b): p.zone_of_clamped(bbox_center(b.bbox), img)
                            for b in [*ds.gts_by_image[img.id], *ranked]}
-                rows_of = {id(d): row + i for i, d in enumerate(ranked)}
-                row += len(ranked)
+                det_of = {id(d): int(dset.starts[k]) + i for i, d in enumerate(ranked)}
                 for zid in [*p.zone_ids, None]:
                     for cat in ds.category_ids:
                         gts = [g for g in ds.gts_by_image[img.id]
                                if g.category_id == cat and zid in (None, zone_of[id(g)])]
                         if zid is None:
                             dets = ranked[: cfg.max_dets_per_image]
-                            offset = n_dets
+                            copy = 1
                         else:
                             dets = [d for d in ranked if zone_of[id(d)] == zid][: cfg.max_dets_per_image]
-                            offset = 0
+                            copy = 0
                         dets = [d for d in dets if d.category_id == cat]
                         alone = match_image(gts, dets, cfg)
-                        idx = [offset + rows_of[id(d)] for d in dets]
+                        idx = [entry_of[copy, det_of[id(d)]] for d in dets]
                         assert (tp[idx].T == alone.tp).all()
                         assert (ignored[idx].T == alone.ignored).all()
                         compared += int(alone.tp.any())
@@ -332,6 +333,11 @@ class TestConflictLevels:
             assert (tp == want_tp).all() and (ign == want_ign).all(), b
 
     @staticmethod
+    def pair_entry(geo):
+        """Each candidate pair's AP entry, its row in the greedy pass over the whole geometry."""
+        return geo.seg_start[geo.pair_seg] + geo.pair_place
+
+    @staticmethod
     def row_levels(row, step):
         """Each row's step, checked to be one per row."""
         level = {}
@@ -348,12 +354,13 @@ class TestConflictLevels:
         ds, dset = single_image_instance(gts, dets)
         cfg = EvalConfig(iou_thresholds=self.THRESHOLDS, max_dets_per_image=cap)
         geo = zone_eval._geometry(ds, dset, build_partition(Annular(1)), cfg)
-        assert len(set(geo.pair_row.tolist())) == 2 * cap
+        entry = self.pair_entry(geo)
+        assert len(set(entry.tolist())) == 2 * cap
         assert int(geo.pair_step.max()) + 1 == cap
         rng = np.random.default_rng(61)
         for _ in range(10):
-            self.assert_columns_agree(rng, geo.pair_row, geo.pair_slot, geo.pair_iou, geo.pair_step,
-                                      len(geo.row_seg), len(geo.slot_seg))
+            self.assert_columns_agree(rng, entry, geo.pair_slot, geo.pair_iou, geo.pair_step,
+                                      geo.seg_start[-1], len(geo.slot_seg))
 
     def test_rows_of_one_group_share_a_level(self):
         # group 0: rows 0 and 1 reach slots 0 and 1 alone (level 0), row 2 reaches both
@@ -378,8 +385,8 @@ class TestConflictLevels:
         assert crowd[geo.pair_slot].any() and geo.pair_step.max() > 0
         rng = np.random.default_rng(71 + seed)
         for _ in range(3):
-            self.assert_columns_agree(rng, geo.pair_row, geo.pair_slot, geo.pair_iou, geo.pair_step,
-                                      len(geo.row_seg), len(geo.slot_seg), crowd)
+            self.assert_columns_agree(rng, self.pair_entry(geo), geo.pair_slot, geo.pair_iou, geo.pair_step,
+                                      geo.seg_start[-1], len(geo.slot_seg), crowd)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_sparse_row_ids(self, seed):
@@ -400,7 +407,7 @@ class TestConflictLevels:
         ds, dset = random_multiclass_benchmark(8, gts_per_image=12, dets_per_image=40, seed=seed)
         for cfg in (EvalConfig(max_dets_per_image=30), EvalConfig(max_dets_per_image=30, cap_after_zone=True)):
             geo = zone_eval._geometry(ds, dset, build_partition(Annular(3)), cfg)
-            row, slot, step = geo.pair_row, geo.pair_slot, geo.pair_step
+            row, slot, step = self.pair_entry(geo), geo.pair_slot, geo.pair_step
             assert (np.diff(step) >= 0).all()
             # no step holds two pairs of one slot
             key = step.astype(np.int64) * len(geo.slot_seg) + slot

@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 from zoneval.coco import (BBox, Category, Dataset, Detection, DetectionSet, GroundTruth, ImageInfo,
                           load_detections, load_ground_truth)
 from zoneval import matching, zone_eval
-from zoneval.coco import box_corners
+from zoneval.coco import box_centers, box_corners
 from zoneval.matching import EvalConfig
 from zoneval.oracle import ap_oracle, zone_instance
 from zoneval.synth import QualityProfile, ZoneQuality, synthetic_benchmark
@@ -26,7 +26,7 @@ from zoneval.zones import Annular, Custom, Grid, StripX, build_partition
 
 from conftest import write_coco_dt, write_coco_gt
 from datagen import (candidate_pairs_by_image, in_scale_range, random_benchmark, random_instance,
-                     random_multiclass_benchmark)
+                     random_multiclass_benchmark, reference_entries)
 
 THREE_ZONES = Custom(
     (
@@ -305,16 +305,14 @@ class TestCountThenMatch:
         cfg = EvalConfig()
         geo = zone_eval._geometry(ds, dets, p, cfg)
         n_cat, n_gt = len(ds.category_ids), len(geo.gt_area)
-        # row d is detection d in its zone, row n_dets + d the same detection in the whole image
-        det_image = np.repeat(np.arange(len(ds.images)),
-                              [len(dets.for_image(img.id)) for img in ds.images])
+        # each AP entry's detection, in its zone or in the whole image
+        ref = reference_entries(ds, dets, p, cfg)
 
-        def groups(rows):
-            """(zone index, n_zones for the whole image; category id; image index) of the pairs' rows."""
+        def groups(entries):
+            """(zone index, n_zones for the whole image; category id; image index) of the entries."""
             return {
                 (seg // n_cat, ds.category_ids[seg % n_cat], img)
-                for seg, img in zip(geo.row_seg[rows].tolist(),
-                                    det_image[rows % len(det_image)].tolist())
+                for seg, img in zip(ref.seg[entries].tolist(), dets.image[ref.det[entries]].tolist())
             }
 
         # capture the pruned greedy pass of one evaluation; copies, since _evaluate then edits ignored
@@ -329,32 +327,33 @@ class TestCountThenMatch:
         pruned = evaluate_zones(ds, dets, p)
         [((row, slot, iou, step, slot_ignored, n_rows, thresholds), tp, ignored)] = calls
         # under one scale range the pass gets the pairs of countable segments in pair order; a
-        # pair's row is its row's place among the AP rows of the countable segments, its slot
-        # is (range 0, slot) = its slot, and every slot has a flag: ignored when crowd, as
+        # pair's row is its AP entry's place among the entries of the countable segments, its
+        # slot is (range 0, slot) = its slot, and every slot has a flag: ignored when crowd, as
         # every area lies in the range
         crowd = np.tile(geo.gt_crowd, 2)
         countable = np.bincount(geo.slot_seg[~crowd], minlength=(len(p.zones) + 1) * n_cat) > 0
-        entry_rows = geo.ap_rows[countable[geo.row_seg[geo.ap_rows]]]
-        live = countable[geo.row_seg[geo.pair_row]]
-        assert n_rows == len(entry_rows) and np.array_equal(slot_ignored, crowd)
-        assert (entry_rows[row] == geo.pair_row[live]).all() and (slot == geo.pair_slot[live]).all()
+        entries = np.flatnonzero(countable[ref.seg])
+        pair_entry = geo.seg_start[geo.pair_seg] + geo.pair_place
+        live = countable[geo.pair_seg]
+        assert n_rows == len(entries) and np.array_equal(slot_ignored, crowd)
+        assert (entries[row] == pair_entry[live]).all() and (slot == geo.pair_slot[live]).all()
         assert (iou == geo.pair_iou[live]).all() and (step == geo.pair_step[live]).all()
         # per image: (x0, category 1) and (whole image, category 1); the right
         # strip holds category-1 detections but no category-1 ground truth
-        assert groups(entry_rows[row]) == {(z, 1, i) for z in (0, len(p.zones)) for i in range(len(ds.images))}
+        assert groups(entries[row]) == {(z, 1, i) for z in (0, len(p.zones)) for i in range(len(ds.images))}
         gts = slot % n_gt
         assert {ds.category_ids[c] for c in (geo.slot_seg[gts] % n_cat).tolist()} == {1}
         assert len(set(gts.tolist())) == len(ds.images)  # one category-1 ground truth per image
 
-        # the unpruned pass over every pair agrees on every row of a countable segment
-        tp_all, ignored_all = real(geo.pair_row, geo.pair_slot, geo.pair_iou, geo.pair_step,
-                                   crowd, len(geo.row_seg), thresholds)
-        assert len(groups(geo.pair_row)) > 2 * len(ds.images)
-        assert groups(entry_rows[row]) == groups(geo.pair_row[live])
-        assert (tp_all[entry_rows] == tp).all()
-        assert (ignored_all[entry_rows] == ignored).all()
+        # the unpruned pass over every pair agrees on every entry of a countable segment
+        tp_all, ignored_all = real(pair_entry, geo.pair_slot, geo.pair_iou, geo.pair_step,
+                                   crowd, len(ref.seg), thresholds)
+        assert len(groups(pair_entry)) > 2 * len(ds.images)
+        assert groups(entries[row]) == groups(pair_entry[live])
+        assert (tp_all[entries] == tp).all()
+        assert (ignored_all[entries] == ignored).all()
 
-        monkeypatch.setattr(zone_eval, "greedy_match", lambda *args: (tp_all[entry_rows], ignored_all[entry_rows]))
+        monkeypatch.setattr(zone_eval, "greedy_match", lambda *args: (tp_all[entries], ignored_all[entries]))
         unpruned = evaluate_zones(ds, dets, p)
         assert pruned.to_json() == unpruned.to_json()
 
@@ -397,17 +396,18 @@ class TestCountThenMatch:
         for ranges, keys, (row, slot, iou, step, slot_ignored, n_rows, _) in calls:
             counted = ~geo.gt_crowd & np.array([in_scale_range(geo.gt_area, rng) for rng in ranges])
             assert np.array_equal(slot_ignored, ~counted.ravel())
-            # the entries are the AP rows of each key's segment, key by key
-            entry_rows = np.concatenate([geo.ap_rows[geo.seg_start[k % n_seg]:geo.seg_start[k % n_seg + 1]]
-                                         for k in keys.tolist()])
+            # the block's entries are the AP entries of each key's segment, key by key
+            entries = np.concatenate([np.arange(geo.seg_start[k % n_seg], geo.seg_start[k % n_seg + 1])
+                                      for k in keys.tolist()])
             entry_range = np.repeat(keys // n_seg, np.diff(geo.seg_start)[keys % n_seg])
-            assert n_rows == len(entry_rows) and (slot // n_slots == entry_range[row]).all()
-            got = sorted(zip((slot // n_slots).tolist(), entry_rows[row].tolist(), (slot % n_slots).tolist(),
+            assert n_rows == len(entries) and (slot // n_slots == entry_range[row]).all()
+            got = sorted(zip((slot // n_slots).tolist(), entries[row].tolist(), (slot % n_slots).tolist(),
                              iou.tolist()))
             seg_counted = np.array([np.bincount(geo.slot_seg[c], minlength=n_seg) > 0 for c in counted])
-            want = sorted((r, pr, ps, pi) for r in range(len(ranges))
-                          for pr, ps, pi in zip(geo.pair_row.tolist(), geo.pair_slot.tolist(), geo.pair_iou.tolist())
-                          if seg_counted[r, geo.row_seg[pr]])
+            pairs = zip(geo.pair_seg.tolist(), (geo.seg_start[geo.pair_seg] + geo.pair_place).tolist(),
+                        geo.pair_slot.tolist(), geo.pair_iou.tolist())
+            want = sorted((r, pe, ps, pi) for ms, pe, ps, pi in pairs for r in range(len(ranges))
+                          if seg_counted[r, ms])
             assert got == want and len(want) > 0
         assert study.mean_zp[100] and all(zp is not None for zp in study.mean_zp[100])
 
@@ -481,59 +481,67 @@ class TestMatchOutcome:
 class TestApOrder:
     @pytest.mark.parametrize("cap_after_zone", [False, True])
     def test_equals_one_lexsort_over_both_copies(self, cap_after_zone):
-        # the AP rows are the rows under the cap by (segment, -score), ties in row order;
-        # scores are rounded to two decimals, so ties are frequent
+        # the AP entries are the detection copies under the cap by (segment, -score), ties in
+        # row order (reference_entries); scores are rounded to two decimals, so ties are frequent
         rng = np.random.default_rng(29)
         p = build_partition(Annular(3))
+        n_pairs = 0
         for _ in range(60):
             ds, dets = random_instance(rng)
-            cap = int(rng.integers(1, 8))
-            geo = zone_eval._geometry(ds, dets, p, EvalConfig(max_dets_per_image=cap, cap_after_zone=cap_after_zone))
-            rank = np.arange(dets.total) - dets.starts[dets.image]
-            kept = np.ones(dets.total, dtype=bool) if cap_after_zone else rank < cap
-            score, image = np.tile(dets.score[kept], 2), np.tile(dets.image[kept], 2)
-            under_cap = np.ones(len(score), dtype=bool)
-            if cap_after_zone:
-                zone = geo.row_seg // geo.n_categories
-                under_cap = matching.rank_within(image * (len(p.zones) + 1) + zone) < cap
-            rows = np.flatnonzero(under_cap)
-            want = rows[np.lexsort((-score[rows], geo.row_seg[rows]))]
-            assert geo.ap_rows.tolist() == want.tolist()
-            # seg_start: each segment's first place, the count of AP rows in lower segments
-            seg, n_seg = geo.row_seg[want].tolist(), (len(p.zones) + 1) * geo.n_categories
+            cfg = EvalConfig(max_dets_per_image=int(rng.integers(1, 8)), cap_after_zone=cap_after_zone)
+            geo = zone_eval._geometry(ds, dets, p, cfg)
+            ref = reference_entries(ds, dets, p, cfg)
+            # seg_start: each segment's first entry, the count of entries in lower segments
+            seg, n_seg = ref.seg.tolist(), (len(p.zones) + 1) * geo.n_categories
             assert geo.seg_start.tolist() == [sum(x < s for x in seg) for s in range(n_seg + 1)]
-            # ap_rank: a row's place in its segment's run of AP rows, -1 over the cap
+            assert geo.entry_area.tolist() == (dets.box[ref.det, 2] * dets.box[ref.det, 3]).tolist()
+            # a pair names its entry by segment and place there: the candidate pairs of the
+            # entries' detections whose ground truth shares the entry's zone, slot n_gt + g in
+            # the whole image
             place = [seg[:i].count(s) for i, s in enumerate(seg)]
-            assert geo.ap_rank[want].tolist() == place
-            assert (geo.ap_rank[~under_cap] == -1).all()
+            got = sorted(zip(geo.pair_seg.tolist(), geo.pair_place.tolist(), geo.pair_slot.tolist(),
+                             geo.pair_iou.tolist()))
+            det, gt, iou = candidate_pairs_by_image(dets.image, dets.box, dets.category, ds.gt_starts, ds.gt_box,
+                                                    ds.gt_category, cfg.iou_thresholds[0])
+            n_gt = len(ds.gt_box)
+            gt_zone = p.assign(*box_centers(ds.gt_box), *ds.image_size[ds.gt_image].T)
+            gt_seg = gt_zone * geo.n_categories + ds.gt_category
+            want = []
+            for e, (c, d, s) in enumerate(zip(ref.copy.tolist(), ref.det.tolist(), seg)):
+                for g, v in zip(gt[det == d].tolist(), iou[det == d].tolist()):
+                    if c == 1 or s == gt_seg[g]:  # one image and category: one segment is one zone
+                        want.append((s, place[e], c * n_gt + g, v))
+            assert got == sorted(want)
+            n_pairs += len(want)
+        assert n_pairs > 50
 
 
 class TestZonesOnlyGeometry:
     @pytest.mark.parametrize("spec", [Annular(1), Grid(3, 3), THREE_ZONES])
     @pytest.mark.parametrize("cap_after_zone", [False, True])
     def test_equals_the_zone_half_of_the_full_geometry(self, spec, cap_after_zone):
-        # the zone copy shares no row or slot with the whole-image copy, so leaving the
-        # whole image out changes none of the zone copy's slots, rows, pairs or AP rows
+        # the zone copy shares no entry or slot with the whole-image copy, and its entries come
+        # first, so leaving the whole image out changes none of the zone copy's slots, entries
+        # or pairs: the zones-only geometry is the full one's entries before the whole-image
+        # segments and its pairs of zone segments
         p = build_partition(spec)
         for seed in range(3):
             ds, dets = random_multiclass_benchmark(6, gts_per_image=8, dets_per_image=20, seed=seed)
             cfg = EvalConfig(max_dets_per_image=5, cap_after_zone=cap_after_zone)
             full = zone_eval._geometry(ds, dets, p, cfg)
             zones = zone_eval._geometry(ds, dets, p, cfg, whole_image=False)
-            n_gt, n_dt = len(full.gt_area), len(full.row_seg) // 2
-            in_zone = full.pair_row < n_dt  # the zone copy's pairs, in their order
-            zone_rows = full.ap_rows[full.ap_rows < n_dt]
-            n_zone_seg = len(p.zones) * full.n_categories
+            n_gt, n_zone_seg = len(full.gt_area), len(p.zones) * full.n_categories
+            n_entries = full.seg_start[n_zone_seg]
+            in_zone = full.pair_seg < n_zone_seg  # the zone copy's pairs, in their order
             want = {
                 "n_zones": full.n_zones, "n_categories": full.n_categories,
                 "gt_area": full.gt_area, "gt_crowd": full.gt_crowd, "slot_seg": full.slot_seg[:n_gt],
-                "row_seg": full.row_seg[:n_dt], "row_area": full.row_area[:n_dt],
-                "pair_row": full.pair_row[in_zone], "pair_slot": full.pair_slot[in_zone],
-                "pair_iou": full.pair_iou[in_zone], "pair_step": full.pair_step[in_zone],
-                "ap_rows": zone_rows, "ap_rank": full.ap_rank[:n_dt],
                 # the whole-image segments are empty runs after the zone ones
-                "seg_start": np.append(full.seg_start[:n_zone_seg + 1],
-                                       np.full(full.n_categories, len(zone_rows))),
+                "seg_start": np.append(full.seg_start[:n_zone_seg + 1], np.full(full.n_categories, n_entries)),
+                "entry_area": full.entry_area[:n_entries],
+                "pair_seg": full.pair_seg[in_zone], "pair_place": full.pair_place[in_zone],
+                "pair_slot": full.pair_slot[in_zone], "pair_iou": full.pair_iou[in_zone],
+                "pair_step": full.pair_step[in_zone],
             }
             assert want.keys() == zones.__dict__.keys()
             for name, value in want.items():
@@ -766,7 +774,7 @@ class TestScaleStudy:
             assert study.mean_zp[r] == [s / c if c else None for s, c in zip(sums, counts)]
 
         doc = json.dumps(study.to_json_dict(), sort_keys=True)
-        rows = len(zone_eval._geometry(ds, dets, p, cfg).row_seg) * len(cfg.iou_thresholds)
+        rows = zone_eval._geometry(ds, dets, p, cfg).seg_start[-1] * len(cfg.iou_thresholds)  # T per AP entry
         for entries in (1, 2 * rows, 3 * rows + 1):  # one bin per pass, then passes that straddle steps
             monkeypatch.setattr(matching, "BLOCK_ENTRIES", entries)
             again = scale_study(ds, dets, p, cfg, steps)
@@ -791,12 +799,12 @@ class TestScaleStudy:
             seg = np.zeros(n_seg, dtype=bool)
             seg[geo.slot_seg[~geo.gt_crowd & in_scale_range(geo.gt_area, rng)]] = True
             countable.append(seg)
-        instances = sum(int(c[geo.row_seg[geo.pair_row]].sum()) for c in countable)
+        instances = sum(int(c[geo.pair_seg].sum()) for c in countable)
         curves = sum(int(c.sum()) for c in countable)
-        entries = sum(int(c[geo.row_seg[geo.ap_rows]].sum()) for c in countable)
+        entries = sum(int(np.diff(geo.seg_start)[c].sum()) for c in countable)
         live = Counter(rng for rng, c in zip(bins, countable) if c.any())
         assert 0 < sum(live.values()) < len(bins)
-        assert 0 < instances < len(bins) * len(geo.pair_row)
+        assert 0 < instances < len(bins) * len(geo.pair_seg)
 
         seen = Counter()
         real_evaluate, real_greedy, real_ap = zone_eval._evaluate, zone_eval.greedy_match, zone_eval.average_precision
