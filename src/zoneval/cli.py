@@ -196,7 +196,9 @@ def _threshold_paths(base: Path, thresholds) -> list[Path]:
     for t in thresholds:
         path = base.with_name(f"{base.stem}_t{t:.2f}{base.suffix or '.csv'}")
         if path in paths:
-            raise ValueError(f"--iou thresholds {paths[path]:g} and {t:g} would share the heatmap file {path}")
+            # repr, as the CSV writers write thresholds: :g would name 0.5 and 0.5000001 both "0.5"
+            raise ValueError(f"--iou thresholds {float(paths[path])!r} and {float(t)!r}"
+                             f" would share the heatmap file {path}")
         paths[path] = t
     return list(paths)
 

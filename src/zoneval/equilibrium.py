@@ -12,18 +12,21 @@ indexing).  The rules convert a list of ``Anchor`` or ``GroundTruth`` once on
 entry, or take ground truths as an (M, 4) xywh array, and return the boolean
 (anchors x ground truths) hit matrix; ``positives`` is a view derived from it.
 
-What depends only on the anchors and the image size is kept on the anchor
-set, which never changes: the ``spatial_weight`` of its centers for the last
-image size (``sela_assign``) and their zone index for the last (image size,
-partition), the partition by identity (``supervision_density``), each built
-on first use, read-only, and replaced when its key changes.  ``anchor_grid``
-returns one shared ``AnchorSet`` per (width, height, cols, rows, box_size),
-from an ``lru_cache`` of at most 64 lattices, keyed by value (the sizes are
-floats and the counts plain ints), whose arguments are checked on every
-call.  So a lattice reused image after image computes its arrays
-once, and a set the caller builds keeps its arrays until it dies.  The hit
-matrix is a new array on every call.  A call that raises raises again on
-every call: only built results are stored.
+What the rules derive from the anchors is kept on the anchor set, which
+never changes: the ``spatial_weight`` of its centers for the last image size
+(``sela_assign``), their zone index for the last (image size, partition), the
+partition by identity (``supervision_density``), and their IoU matrix with
+the last ground-truth boxes, keyed by the exact bytes of the float64 (M, 4)
+array (both rules), held only when it has at most ``matching.BLOCK_ENTRIES``
+entries.  Each is built on first use, read-only, and replaced when its key
+changes.  ``anchor_grid`` returns one shared ``AnchorSet`` per (width,
+height, cols, rows, box_size), from an ``lru_cache`` of at most 64 lattices,
+keyed by value (the sizes are floats and the counts plain ints), whose
+arguments are checked on every call.  So a lattice reused image after image
+computes its weights and zone index once, a gamma sweep on one image
+computes its IoU once, and a set the caller builds keeps its arrays until
+it dies.  The hit matrix is a new array on every call.  A call that raises
+raises again on every call: only built results are stored.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ import numpy as np
 
 from .coco import BBox, Dataset, GroundTruth, ImageInfo, _box_ok, bbox_center, iou_matrix, xywh
 from .errors import OutsideImageError, _flag, _integer, _real
+from .matching import BLOCK_ENTRIES
 from .zones import Partition, Zone, gt_zone_counts, normalize_points
 
 # what ``coco._box_ok`` asks of a box row, as the rejections of rows say it
@@ -73,8 +77,9 @@ class AnchorSet(Sequence):
     Every value must be finite, every box side positive, every far corner
     and area finite and every area from the corners at most half the float
     maximum, as ``BBox`` asks (``coco._box_ok``); a ``ValueError`` names
-    the first row that is not.  It holds the last array
-    of each kind derived from it (see the module docstring).
+    the first row that is not.  It holds the last array of each kind derived
+    from it, read-only: weights, zone index and IoU matrix (see the module
+    docstring).
     """
 
     boxes: np.ndarray
@@ -239,8 +244,17 @@ def beta_assign(
 
 
 def _threshold_positives(anchors: AnchorSet, gt_boxes: np.ndarray, cut: np.ndarray) -> AssignmentResult:
-    """Anchor ai is positive for ground truth gi iff their IoU >= cut[ai]."""
-    return AssignmentResult(anchors, iou_matrix(anchors.boxes, gt_boxes) >= cut[:, None])
+    """Anchor ai is positive for ground truth gi iff their IoU >= cut[ai].
+
+    The IoU matrix is held on the anchor set, keyed by the exact bytes of the
+    float64 ``gt_boxes``, when it has at most ``BLOCK_ENTRIES`` entries: so
+    rules and thresholds tried in turn on one image compute it once.
+    """
+    if len(anchors) * len(gt_boxes) > BLOCK_ENTRIES:
+        iou = iou_matrix(anchors.boxes, gt_boxes)
+    else:
+        iou = anchors._derived("iou", (gt_boxes.tobytes(),), lambda: iou_matrix(anchors.boxes, gt_boxes))
+    return AssignmentResult(anchors, iou >= cut[:, None])
 
 
 @dataclass

@@ -163,7 +163,7 @@ class Partition:
 
     def __init__(self, spec: ZoneSpec, zones: list[Zone]) -> None:
         self.spec = spec
-        self.zones = zones
+        self._zones = zones = tuple(zones)
         self.zones_by_id = {z.id: z for z in zones}
         if len(self.zones_by_id) != len(zones):
             raise PartitionError("duplicate zone id in partition")
@@ -192,6 +192,11 @@ class Partition:
                 i, j = np.argwhere(bad)[0]
                 u, v = (self._xs[i] + self._xs[i + 1]) / 2, (self._ys[j] + self._ys[j + 1]) / 2
                 raise PartitionError(f"zones {what} near ({u:.4f}, {v:.4f})")
+
+    @property
+    def zones(self) -> tuple[Zone, ...]:
+        """The zones in index order, the order of the edge table ``assign`` reads: read-only."""
+        return self._zones
 
     @property
     def zone_ids(self) -> list[str]:

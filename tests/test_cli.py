@@ -86,6 +86,15 @@ class TestEval:
         rows = hm.read_text().strip().splitlines()
         assert len(rows) == 3
 
+    def test_heatmap_collision_names_both_thresholds_exactly(self, bench_files, tmp_path, capsys):
+        # ':g' wrote "thresholds 0.5 and 0.5", two equal-looking numbers
+        gt, dt, _ = bench_files
+        code = main(["eval", "--gt", str(gt), "--dt", str(dt), "--partition", "grid:3x3",
+                     "--iou", "0.5,0.5000001", "--heatmap", str(tmp_path / "h.csv")])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err == f"error: --iou thresholds 0.5 and 0.5000001 would share the heatmap file {tmp_path}/h_t0.50.csv\n"
+
     def test_csv_format(self, bench_files, tmp_path):
         gt, dt, _ = bench_files
         out = tmp_path / "report.csv"

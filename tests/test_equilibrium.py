@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from zoneval import equilibrium
 from zoneval.coco import BBox, Category, Dataset, GroundTruth, ImageInfo, iou, iou_matrix
 from zoneval.equilibrium import (
     Anchor,
@@ -24,8 +25,11 @@ from zoneval.equilibrium import (
     supervision_density,
 )
 from zoneval.errors import OutsideImageError
+from zoneval.matching import BLOCK_ENTRIES
 from zoneval.oracle import _overlap
 from zoneval.zones import Annular, Custom, Grid, build_partition, normalize_points, parse_zone_spec
+
+from datagen import random_benchmark
 
 
 class TestSpatialWeight:
@@ -662,7 +666,7 @@ class TestBothBroadcastOrientations:
 
 
 class TestPerShapeCaches:
-    """One lattice per shape; every anchor set holds only its last weights and zone index."""
+    """One lattice per shape; every anchor set holds only its last weights, zone index and IoU matrix."""
 
     GTS = np.array([[10.0, 10.0, 80.0, 60.0], [300.0, 200.0, 120.0, 90.0], [560.0, 400.0, 70.0, 70.0]])
 
@@ -710,7 +714,7 @@ class TestPerShapeCaches:
             result = sela_assign(anchors, self.GTS, AssignConfig(t=0.4, gamma=0.2), img)
             supervision_density(result, partition, img)
             held = [a for _, a in anchors._held.values()]
-            assert len(held) == 2
+            assert len(held) == 3 and anchors._held["iou"][1].shape == (48, 3)
             for a in held + [anchors.boxes, anchors.centers]:
                 with pytest.raises(ValueError, match="read-only"):
                     a[0] = 1
@@ -726,7 +730,7 @@ class TestPerShapeCaches:
             for anchors in (own, list(own)):
                 result = sela_assign(anchors, self.GTS, AssignConfig(t=0.4, gamma=0.2), img)
                 supervision_density(result, partition, img)
-                assert result.anchors is not lattice and len(result.anchors._held) == 2
+                assert result.anchors is not lattice and len(result.anchors._held) == 3
                 refs += [weakref.ref(result.anchors)] + [weakref.ref(a) for _, a in result.anchors._held.values()]
             del own, anchors, result
         gc.collect()
@@ -744,7 +748,7 @@ class TestPerShapeCaches:
         del partition
         gc.collect()
         assert [r() is not None for r in refs] == [False] * 49 + [True]  # only the last partition's index
-        assert sorted(lattice._held) == ["weight", "zones"]
+        assert sorted(lattice._held) == ["iou", "weight", "zones"]
 
         # two partitions and two image sizes alternate, so each step's key differs from the last step's
         partitions = [build_partition(parse_zone_spec(s)) for s in ("annular:3", "grid:3x4")]
@@ -759,7 +763,7 @@ class TestPerShapeCaches:
                 want = np.bincount(partition.assign(xs, ys, im.width, im.height), minlength=len(partition.zones))
                 assert supervision_density(result, partition, im).counts() == want.tolist()
             assert lattice._held["weight"][0] == (im.width, im.height)
-            assert lattice._held["zones"][0][2] is partition and len(lattice._held) == 2
+            assert lattice._held["zones"][0][2] is partition and len(lattice._held) == 3
 
     def test_threads_sharing_a_lattice_get_their_own_keys_arrays(self):
         img = ImageInfo(1, 640.0, 480.0)
@@ -849,3 +853,100 @@ class TestPerShapeCaches:
         for _ in range(2):
             with pytest.raises(OutsideImageError):
                 sela_assign(outside, self.GTS, AssignConfig(t=0.5, gamma=0.1), IMG)
+
+
+@pytest.fixture
+def iou_builds(monkeypatch):
+    """The (anchors, ground truths) shape of every IoU matrix the rules compute."""
+    shapes = []
+
+    def spy(a, b):
+        shapes.append((len(a), len(b)))
+        return iou_matrix(a, b)
+
+    monkeypatch.setattr(equilibrium, "iou_matrix", spy)
+    return shapes
+
+
+class TestHeldIoU:
+    """An anchor set holds its IoU with the last ground-truth boxes, keyed by their bytes."""
+
+    def test_one_matrix_per_image_for_a_gamma_sweep(self, iou_builds):
+        ds, _ = random_benchmark(6, 12, 1, seed=3)
+        zone = build_partition(Annular(3)).zones[-1]
+        for k, img in enumerate(ds.images):
+            lattice = anchor_grid(img, 12, 12)
+            rows = ds.gt_box[ds.gt_starts[k]:ds.gt_starts[k + 1]]
+            for gts in (ds.gts_by_image[img.id], rows):  # a list is turned into the same bytes
+                for gamma in (0.0, 0.1, 0.2, 0.3):
+                    sela_assign(lattice, gts, AssignConfig(t=0.5, gamma=gamma), img)
+                beta_assign(lattice, gts, 0.4, 0.2, zone, img)
+            assert iou_builds == [(144, 12)] * (k + 1)
+
+    def test_hits_equal_a_fresh_sets_bit_for_bit(self):
+        ds, _ = random_benchmark(20, 30, 1, seed=11)
+        zones = build_partition(Grid(3, 3)).zones
+        for k, img in enumerate(ds.images):
+            lattice = anchor_grid(img, 16, 12)
+            rows = ds.gt_box[ds.gt_starts[k]:ds.gt_starts[k + 1]]
+            for gts in (rows, ds.gts_by_image[img.id]):
+                for gamma in (0.0, 0.1, 0.2, 0.3):
+                    cfg = AssignConfig(t=0.5, gamma=gamma)
+                    fresh = AnchorSet(lattice.boxes, lattice.centers)  # computes its own IoU matrix
+                    assert np.array_equal(sela_assign(lattice, gts, cfg, img).hits,
+                                          sela_assign(fresh, gts, cfg, img).hits)
+                fresh, zone = AnchorSet(lattice.boxes, lattice.centers), zones[k % len(zones)]
+                assert np.array_equal(beta_assign(lattice, gts, 0.3, 0.3, zone, img).hits,
+                                      beta_assign(fresh, gts, 0.3, 0.3, zone, img).hits)
+            assert lattice._held["iou"][1].tobytes() == iou_matrix(lattice.boxes, rows).tobytes()
+
+    def test_other_bytes_rebuild_the_matrix(self, iou_builds):
+        img = ImageInfo(1, 640.0, 480.0)
+        lattice = anchor_grid(img, 8, 6, 64.0)
+        gts = np.array([[0.0, 0.0, 80.0, 60.0], [300.0, 200.0, 120.0, 90.0], [560.0, 400.0, 70.0, 70.0]])
+        nudged, signed = gts.copy(), gts.copy()
+        nudged[1, 2] = np.nextafter(nudged[1, 2], math.inf)
+        signed[0, 0] = -0.0  # equal to 0.0, other bytes
+        weight = spatial_weight(*lattice.centers.T, img.width, img.height)
+        cfg = AssignConfig(t=0.4, gamma=0.2)
+        # equal bytes (a copy, a Fortran-ordered copy) read the held matrix; other bytes rebuild it
+        as_list = [make_gt(i + 1, BBox(*b)) for i, b in enumerate(gts[:2].tolist())]
+        for given, boxes, builds in [(gts, gts, 1), (gts.copy(), gts, 1), (np.asfortranarray(gts), gts, 1),
+                                     (nudged, nudged, 2), (nudged, nudged, 2), (signed, signed, 3), (gts, gts, 4),
+                                     (gts[:2], gts[:2], 5), (as_list, gts[:2], 5)]:
+            result = sela_assign(lattice, given, cfg, img)
+            assert len(iou_builds) == builds
+            assert lattice._held["iou"][0] == (boxes.tobytes(),)
+            cut = cfg.t - cfg.gamma * weight
+            assert np.array_equal(result.hits, iou_matrix(lattice.boxes, boxes) >= cut[:, None])
+
+    def test_a_matrix_over_the_block_bound_is_not_held(self, iou_builds):
+        img = ImageInfo(1, 640.0, 640.0)
+        lattice = anchor_grid(img, 64, 64)
+        assert len(lattice) * 16 == BLOCK_ENTRIES
+        rng = np.random.default_rng(2)
+        gts = np.column_stack([rng.uniform(0, 500, (17, 2)), rng.uniform(20, 100, (17, 2))])
+        weight = spatial_weight(*lattice.centers.T, img.width, img.height)
+        for m, held in [(17, False), (16, True), (17, False)]:
+            for gamma in (0.1, 0.2):
+                result = sela_assign(lattice, gts[:m], AssignConfig(t=0.3, gamma=gamma), img)
+                cut = 0.3 - gamma * weight
+                assert np.array_equal(result.hits, iou_matrix(lattice.boxes, gts[:m]) >= cut[:, None])
+            assert ("iou" in lattice._held and lattice._held["iou"][0] == (gts[:m].tobytes(),)) is held
+        assert iou_builds == [(4096, 17)] * 2 + [(4096, 16)] + [(4096, 17)] * 2
+        assert lattice._held["iou"][0] == (gts[:16].tobytes(),)  # a larger matrix leaves the held one
+
+    @pytest.mark.parametrize("cols,rows", [(8, 6), (1, 2)])  # more and fewer anchors than ground truths
+    def test_held_matrix_is_read_only_and_dies_with_its_set(self, cols, rows):
+        img = ImageInfo(1, 640.0, 480.0)
+        lattice = anchor_grid(img, cols, rows, 64.0)
+        own = AnchorSet(lattice.boxes, lattice.centers)
+        result = sela_assign(own, TestPerShapeCaches.GTS, AssignConfig(t=0.4, gamma=0.2), img)
+        iou = own._held["iou"][1]
+        assert iou.shape == (cols * rows, 3) and not np.shares_memory(iou, result.hits)
+        with pytest.raises(ValueError, match="read-only"):
+            iou[0, 0] = 1.0
+        refs = [weakref.ref(a) for a in (own, iou, iou.base) if a is not None]
+        del own, iou, result
+        gc.collect()
+        assert [r() for r in refs] == [None] * len(refs)

@@ -22,7 +22,7 @@ from zoneval.zone_eval import (
     scale_study,
     zp_variance,
 )
-from zoneval.zones import Annular, Custom, Grid, StripX, build_partition
+from zoneval.zones import Annular, Custom, Grid, Partition, StripX, build_partition
 
 from conftest import write_coco_dt, write_coco_gt
 from datagen import (candidate_pairs_by_image, in_scale_range, random_benchmark, random_instance,
@@ -138,16 +138,28 @@ class TestEvaluateZones:
             assert sum(z.gt_count for z in report.zones) == len(mini_dataset.ground_truths)
 
     def test_variance_invariant_under_zone_permutation(self, mini_dataset, mini_detections):
-        p = build_partition(StripX(3))
+        spec = StripX(3)
+        p = build_partition(spec)
         report = evaluate_zones(mini_dataset, mini_detections, p)
-        reordered = build_partition(StripX(3))
-        reordered.zones = list(reversed(reordered.zones))
+        reordered = Partition(spec, list(reversed(p.zones)))  # the edge table is built in the new order
         report2 = evaluate_zones(mini_dataset, mini_detections, reordered)
         assert [z.zone_id for z in report2.zones] == list(
             reversed([z.zone_id for z in report.zones])
         )
+        by_id = {z.zone_id: (z.zp, z.gt_count, z.det_count) for z in report.zones}
+        assert {z.zone_id: (z.zp, z.gt_count, z.det_count) for z in report2.zones} == by_id
+        assert len(set(by_id.values())) == 3  # the strips differ, so a swap would show
         assert report2.zp_variance == report.zp_variance
         assert report2.full_ap == report.full_ap
+
+    def test_zones_cannot_be_reassigned(self):
+        # reassigning the zones used to leave the edge table in the old order, so a zone
+        # was given the ground truths of another
+        p = build_partition(StripX(3))
+        with pytest.raises(AttributeError):
+            p.zones = list(reversed(p.zones))
+        assert isinstance(p.zones, tuple) and p.zone_ids == ["x0", "x1", "x2"]
+        assert p.zone_of_clamped((10.0, 10.0), ImageInfo(1, 640.0, 480.0)) == "x0"
 
     def test_report_identical_across_runs_and_workers(self, mini_dataset, mini_detections):
         p = build_partition(Annular(5))
