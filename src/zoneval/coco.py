@@ -15,7 +15,9 @@ on first read and cached, for callers outside the evaluator.  ``DetectionSet``
 holds the ``image``, ``category``, ``box`` and ``score`` columns, by image,
 then descending score (image ``i`` at rows ``starts[i]:starts[i + 1]``);
 ``for_image`` builds ``Detection`` views.
-Ids become indices through the dataset's ``{id: index}`` dicts.
+Ids become indices through the dataset's ``{id: index}`` dicts.  Every view
+is built from the checked columns by one helper, ``_views``, which sets the
+fields of values that passed ingest's rules and runs no check again.
 
 There is one ingest path: ``Dataset(...)`` and ``DetectionSet(...)`` read
 their objects as the COCO records they stand for, by the same step as
@@ -36,7 +38,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import chain, repeat
 from operator import eq, itemgetter
@@ -222,6 +225,21 @@ class Detection:
     category_id: int
     bbox: BBox
     score: float
+
+
+def _views(cls, *columns) -> list:
+    """A ``cls`` object per row of ``columns``, one column per field in order: the views of checked columns.
+
+    Each field is set on every object in one pass, by ``object.__setattr__``
+    as a frozen dataclass's ``__init__`` sets it, but with no constructor: a
+    box column has passed ``_box_ok`` at ingest, ``_check_box``'s rule, so
+    ``BBox.__post_init__`` does not check it again.  A view equals, hashes
+    and prints as the object the public constructor builds from the same values.
+    """
+    views = list(map(object.__new__, repeat(cls, len(columns[0]))))
+    for field, column in zip(fields(cls), columns, strict=True):
+        deque(map(object.__setattr__, views, repeat(field.name), column), maxlen=0)
+    return views
 
 
 _FLAG = (int, np.integer, np.bool_)  # 0, 1, true or false, from JSON (bool is an int) or from numpy
@@ -425,17 +443,16 @@ class Dataset:
         self.gt_box, self.gt_crowd = np.asfortranarray(box[rows]), crowd[rows]
         self.gt_starts = np.searchsorted(self.gt_image, np.arange(len(self.images) + 1))
 
-    def _gt_rows(self) -> list[tuple]:
-        """``(id, image_id, category_id, [x, y, w, h], area, crowd)`` per ground truth, by (image, id)."""
-        columns = (self.gt_image.tolist(), self.gt_category.tolist(), self.gt_box.tolist(),
-                   self.gt_area.tolist(), self.gt_crowd.tolist())
-        return [(g, self.image_ids[i], self.category_ids[c], box, a, crowd)
-                for g, i, c, box, a, crowd in zip(self.gt_id, *columns)]
+    def _gt_columns(self, box: list) -> tuple:
+        """``(id, image_id, category_id, box, area, crowd)`` of the ground truths as lists, by (image, id)."""
+        return (self.gt_id, [self.image_ids[i] for i in self.gt_image.tolist()],
+                [self.category_ids[c] for c in self.gt_category.tolist()], box,
+                self.gt_area.tolist(), self.gt_crowd.tolist())
 
     @cached_property
     def gts_by_image(self) -> dict[int, list[GroundTruth]]:
-        """Each image's ground truths as ``GroundTruth`` objects, by id; built on first read."""
-        gts = [GroundTruth(g, i, c, BBox(*box), a, crowd) for g, i, c, box, a, crowd in self._gt_rows()]
+        """Each image's ground truths as ``GroundTruth`` objects, by id; built on first read, from the columns."""
+        gts = _views(GroundTruth, *self._gt_columns(_views(BBox, *self.gt_box.T.tolist())))
         starts = self.gt_starts.tolist()
         return {i: gts[s:e] for i, s, e in zip(self.image_ids, starts, starts[1:])}
 
@@ -455,7 +472,7 @@ class Dataset:
 
     def to_coco_dict(self) -> dict:
         """Serialize back to the COCO annotation schema, annotations by id, from the columns."""
-        rows = sorted(self._gt_rows(), key=itemgetter(0))
+        rows = sorted(zip(*self._gt_columns(self.gt_box.tolist())), key=itemgetter(0))
         return {
             "images": [{"id": im.id, "width": im.width, "height": im.height, "file_name": im.file_name}
                        for im in self.images],
@@ -499,9 +516,12 @@ class DetectionSet:
     def for_image(self, image_id: int) -> list[Detection]:
         """One image's detections as ``Detection`` objects, by descending score."""
         i = self._image_index.get(image_id)
-        rows = slice(0, 0) if i is None else slice(self.starts[i], self.starts[i + 1])
-        columns = (self.category[rows].tolist(), self.box[rows].tolist(), self.score[rows].tolist())
-        return [Detection(self.image_ids[i], self.category_ids[c], BBox(*box), s) for c, box, s in zip(*columns)]
+        if i is None:
+            return []
+        rows = slice(self.starts[i], self.starts[i + 1])
+        boxes = _views(BBox, *self.box[rows].T.tolist())
+        return _views(Detection, [self.image_ids[i]] * len(boxes),
+                      [self.category_ids[c] for c in self.category[rows].tolist()], boxes, self.score[rows].tolist())
 
     @classmethod
     def from_coco_list(cls, data: list, dataset: Dataset) -> "DetectionSet":

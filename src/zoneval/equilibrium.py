@@ -257,7 +257,7 @@ def _threshold_positives(anchors: AnchorSet, gt_boxes: np.ndarray, cut: np.ndarr
     return AssignmentResult(anchors, iou >= cut[:, None])
 
 
-@dataclass
+@dataclass(slots=True)
 class ZoneDensity:
     zone_id: str
     count: int
@@ -308,7 +308,7 @@ def _density_report(
 ) -> DensityReport:
     areas = partition.area_fractions * pixel_area
     density = np.divide(counts, areas, out=np.zeros(len(areas)), where=areas > 0)
-    rows = zip(partition.zone_ids, counts.tolist(), areas.tolist(), density.tolist())
+    rows = zip(partition._zone_ids, counts.tolist(), areas.tolist(), density.tolist())
     return DensityReport([ZoneDensity(*row) for row in rows], absolute)
 
 

@@ -34,6 +34,15 @@ One builder numbers grid cells row-major (``g{r}_{c}``); ``strip-x:N`` is the
 1 x N grid (``x{k}``), ``strip-y:N`` the N x 1 grid (``y{k}``).  ``grid_rows``
 turns a grid's per-zone values into rows, so no other module knows the layout.
 
+There is one partition per spec: ``build_partition`` keeps the partitions
+of the ``PARTITION_CACHE`` specs most recently asked for, keyed by value, so a caller that
+builds ``grid:11x11`` and then calls ``analysis.center_counts`` or
+``zone_eval.grid_heatmap`` on an 11 x 11 grid builds it once.  The key is
+the spec with plain int counts (a bool or non-integral count is a
+``PartitionError``) and custom zones as nested tuples.  A shared partition
+must not change, so a ``Partition`` and its ``Zone``s are read-only; each
+partition builds its zone ids once, as a tuple.
+
 A custom-zones file goes through the COCO reader and record parser
 (``IngestError`` names the file and the zone record); an empty zone or a
 rectangle outside the unit square is a ``PartitionError``.
@@ -42,14 +51,16 @@ rectangle outside the unit square is a ``PartitionError``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
 from .coco import Dataset, ImageInfo, _columns, _number, _read_json, box_centers
-from .errors import IngestError, PartitionError
+from .errors import IngestError, PartitionError, _integer
 
 
 @dataclass(frozen=True)
@@ -96,14 +107,21 @@ class Rect:
         return self.x1 <= self.x0 or self.y1 <= self.y0
 
 
+@dataclass(frozen=True, eq=False)
 class Zone:
-    """Named union of non-overlapping rectangles with an exact area."""
+    """Named union of non-overlapping rectangles with an exact area; read-only, like its partition.
 
-    def __init__(self, zone_id: str, rects: list[Rect], area_exact: Fraction) -> None:
-        self.id = zone_id
-        self.rects = [r for r in rects if not r.is_empty]
-        self.area_exact = area_exact
-        self.area_fraction = float(area_exact)
+    ``rects`` keeps the non-empty rectangles, as a tuple.
+    """
+
+    id: str
+    rects: tuple[Rect, ...]
+    area_exact: Fraction
+    area_fraction: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "rects", tuple(r for r in self.rects if not r.is_empty))
+        object.__setattr__(self, "area_fraction", float(self.area_exact))
 
     def contains(self, u, v):
         """Whether the zone holds each normalized point; elementwise over scalars or arrays."""
@@ -159,16 +177,21 @@ def normalize_points(xs, ys, width, height) -> tuple[np.ndarray, np.ndarray]:
 
 
 class Partition:
-    """Ordered disjoint cover of [0, 1)^2, checked when built. Immutable after build."""
+    """Ordered disjoint cover of [0, 1)^2, checked when built.
+
+    Read-only, since ``build_partition`` shares one partition per spec: its
+    spec, zones, zone index and area fractions are properties with no setter.
+    """
 
     def __init__(self, spec: ZoneSpec, zones: list[Zone]) -> None:
-        self.spec = spec
+        self._spec = spec
         self._zones = zones = tuple(zones)
-        self.zones_by_id = {z.id: z for z in zones}
-        if len(self.zones_by_id) != len(zones):
+        self._zone_ids = tuple(z.id for z in zones)
+        self._zones_by_id = MappingProxyType(dict(zip(self._zone_ids, zones)))
+        if len(self._zones_by_id) != len(zones):
             raise PartitionError("duplicate zone id in partition")
-        self.area_fractions = np.array([z.area_fraction for z in zones], dtype=float)
-        self.area_fractions.setflags(write=False)
+        self._area_fractions = np.array([z.area_fraction for z in zones], dtype=float)
+        self._area_fractions.setflags(write=False)
         owner = [k for k, z in enumerate(zones) for _ in z.rects]
         bounds = np.array([(r.x0, r.x1, r.y0, r.y1) for z in zones for r in z.rects]).reshape(-1, 4)
         # sorted sets, not np.union1d, which imports numpy.ma on first use
@@ -194,13 +217,28 @@ class Partition:
                 raise PartitionError(f"zones {what} near ({u:.4f}, {v:.4f})")
 
     @property
+    def spec(self) -> ZoneSpec:
+        return self._spec
+
+    @property
     def zones(self) -> tuple[Zone, ...]:
-        """The zones in index order, the order of the edge table ``assign`` reads: read-only."""
+        """The zones in index order, the order of the edge table ``assign`` reads."""
         return self._zones
 
     @property
     def zone_ids(self) -> list[str]:
-        return [z.id for z in self.zones]
+        """The zone ids in index order, as a new list."""
+        return list(self._zone_ids)
+
+    @property
+    def zones_by_id(self) -> MappingProxyType:
+        """The zones by id, as a read-only mapping."""
+        return self._zones_by_id
+
+    @property
+    def area_fractions(self) -> np.ndarray:
+        """Each zone's exact area as a float, in index order: a read-only array."""
+        return self._area_fractions
 
     def assign(self, xs, ys, width, height) -> np.ndarray:
         """Index into ``zones`` of each pixel point, clamped into its image (vectorized).
@@ -305,10 +343,42 @@ def _kind(spec: ZoneSpec) -> tuple:
     return _KINDS[type(spec)]
 
 
+# ``build_partition`` keeps the partitions of at most this many specs, the most recently used:
+# a few, since a partition of many zones holds that many zone objects and its edge table
+PARTITION_CACHE = 8
+
+
 def build_partition(spec: ZoneSpec) -> Partition:
-    """Build a partition from a spec; ``Partition`` checks that its zones tile the image."""
+    """The partition of a spec; ``Partition`` checks that its zones tile the image.
+
+    Equal specs share one read-only partition, from a cache of at most
+    ``PARTITION_CACHE`` partitions keyed by the spec's value (``_plain``).  A
+    spec that fails raises again on every call: only built partitions are kept.
+    """
+    return _partition(_plain(spec))
+
+
+@lru_cache(maxsize=PARTITION_CACHE)
+def _partition(spec: ZoneSpec) -> Partition:
     *_, build = _kind(spec)
     return Partition(spec, build(spec))
+
+
+def _plain(spec: ZoneSpec) -> ZoneSpec:
+    """The spec as its partition holds it and the cache keys it: counts as ints, custom zones as nested tuples.
+
+    A count is an integer by ``errors._integer``'s rule (numpy's too), never
+    a bool, so ``Annular(True)``, which equals ``Annular(1)``, cannot take its
+    partition or label; anything else is one ``PartitionError``.  A custom
+    zone's name is its id, ``str(name)``, so a name of 1 and of True differ.
+    """
+    _kind(spec)
+    if isinstance(spec, Custom):
+        return Custom(tuple((str(name), tuple(map(tuple, rects)) if rects else ()) for name, rects in spec.zones))
+    try:
+        return type(spec)(*(_integer(getattr(spec, f.name), f"{type(spec).__name__}.{f.name}") for f in fields(spec)))
+    except ValueError as e:
+        raise PartitionError(str(e)) from None
 
 
 def spec_label(spec: ZoneSpec) -> str:

@@ -28,7 +28,8 @@ from zoneval.zone_eval import evaluate_zones
 from zoneval.zones import Annular, build_partition
 
 from conftest import write_coco_gt
-from datagen import random_coco_document, reference_corner_iou, reference_detections, reference_ground_truth
+from datagen import (random_coco_document, random_multiclass_benchmark, reference_corner_iou,
+                     reference_detections, reference_ground_truth)
 
 
 def coco_doc(images, annotations, categories):
@@ -345,6 +346,33 @@ class TestColumnsAndViews:
         assert [ds.gt_id[s[i]:s[i + 1]] for i in range(len(ds.images))] == \
             [[g.id for g in gts] for gts in ds.gts_by_image.values()]
 
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_views_match_the_public_constructors(self, seed):
+        # crowd flags, several categories, score ties and detections past the image edge
+        ds, dets = random_multiclass_benchmark(6, 8, 12, seed=seed)
+        assert any(g.ignore for g in ds.ground_truths)
+        want = {a["id"]: GroundTruth(a["id"], a["image_id"], a["category_id"], BBox(*a["bbox"]), a["area"],
+                                     bool(a["iscrowd"])) for a in ds.to_coco_dict()["annotations"]}
+        pairs = [(g, want[g.id]) for g in ds.ground_truths]
+        pairs += [(g, want[g.id]) for gts in ds.gts_by_image.values() for g in gts]
+        assert [g.id for g in ds.ground_truths] == sorted(want)
+        records = dets.to_coco_list()
+        for img in ds.images:
+            got = dets.for_image(img.id)
+            expected = [Detection(r["image_id"], r["category_id"], BBox(*r["bbox"]), r["score"])
+                        for r in records if r["image_id"] == img.id]
+            assert len(got) == len(expected)
+            pairs += zip(got, expected)
+        assert any(d.bbox.x + d.bbox.w > img.width for img in ds.images for d in dets.for_image(img.id))
+        for got, expected in pairs:
+            assert type(got) is type(expected) and type(got.bbox) is BBox
+            assert got == expected and hash(got) == hash(expected) and repr(got) == repr(expected)
+            assert got.bbox == expected.bbox and hash(got.bbox) == hash(expected.bbox)
+
+    def test_for_image_of_an_unknown_image_is_empty(self):
+        ds, dets = random_multiclass_benchmark(2, 3, 4, seed=0)
+        assert dets.for_image(999) == []
 
 _GT_COLUMNS = ("gt_id", "gt_image", "gt_category", "gt_box", "gt_area", "gt_crowd", "gt_starts", "image_size",
                "images", "image_ids", "category_ids")

@@ -27,7 +27,7 @@ from zoneval.equilibrium import (
 from zoneval.errors import OutsideImageError
 from zoneval.matching import BLOCK_ENTRIES
 from zoneval.oracle import _overlap
-from zoneval.zones import Annular, Custom, Grid, build_partition, normalize_points, parse_zone_spec
+from zoneval.zones import Annular, Custom, Grid, Partition, build_partition, normalize_points, parse_zone_spec
 
 from datagen import random_benchmark
 
@@ -741,8 +741,9 @@ class TestPerShapeCaches:
         lattice = anchor_grid(img, 8, 6, 64.0)
         result = sela_assign(lattice, self.GTS, AssignConfig(t=0.4, gamma=0.2), img)
         refs = []
-        for _ in range(50):
-            partition = build_partition(Annular(3))
+        zones = build_partition(Annular(3)).zones
+        for _ in range(50):  # fresh partitions: build_partition would share one
+            partition = Partition(Annular(3), zones)
             supervision_density(result, partition, img)
             refs.append(weakref.ref(partition))
         del partition

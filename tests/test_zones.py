@@ -1,7 +1,9 @@
 import dataclasses
+import gc
 import json
 import math
 import typing
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +13,7 @@ from zoneval.coco import ImageInfo
 from zoneval.errors import PartitionError
 from zoneval.zones import (
     BUCKETS,
+    PARTITION_CACHE,
     Annular,
     Custom,
     Grid,
@@ -173,6 +176,99 @@ class TestBuildPartition:
         p = build_partition(spec)
         assert p.zone_ids == ["left", "right"]
         assert p.area_fraction("left") == 0.5
+
+
+class TestSharedPartitions:
+    """``build_partition`` returns one read-only partition per equal spec, from a bounded cache."""
+
+    def test_equal_specs_share_one_partition(self):
+        assert build_partition(parse_zone_spec("grid:11x11")) is build_partition(Grid(11, 11))
+        assert build_partition(Annular(5)) is build_partition(Annular(5))
+        assert build_partition(Grid(3, 4)) is not build_partition(Grid(4, 3))
+
+    def test_numpy_counts_are_read_as_ints(self):
+        p = build_partition(StripX(np.int64(3)))
+        assert p is build_partition(StripX(3))
+        assert spec_label(p.spec) == "strip-x:3" and type(p.spec.n) is int
+        assert build_partition(Grid(np.int32(2), np.uint8(5))).spec == Grid(2, 5)
+
+    @pytest.mark.parametrize("spec", [Annular(True), StripX(False), StripY(True), Grid(True, 3), Grid(3, True),
+                                      Annular(2.0), StripX(np.float64(3.0)), Grid(3, 1.5), Annular("3"),
+                                      Annular(None)], ids=repr)
+    def test_counts_are_integers_not_bools(self, spec):
+        with pytest.raises(PartitionError, match="must be an integer"):
+            build_partition(spec)
+
+    def test_a_bool_count_does_not_take_an_int_counts_partition(self):
+        one = build_partition(Annular(1))
+        with pytest.raises(PartitionError):
+            build_partition(Annular(True))
+        assert build_partition(Annular(1)) is one and spec_label(one.spec) == "annular:1"
+
+    def test_custom_zones_as_lists_build_and_share(self):
+        lists = Custom([["left", [[0.0, 0.0, 0.5, 1.0]]], ["right", [[0.5, 0.0, 1.0, 1.0]]]])
+        tuples = Custom((("left", ((0.0, 0.0, 0.5, 1.0),)), ("right", ((0.5, 0.0, 1.0, 1.0),))))
+        p = build_partition(lists)
+        assert p is build_partition(tuples)
+        assert p.zone_ids == ["left", "right"] and p.spec == tuples
+
+    def test_custom_zone_names_are_their_ids(self):
+        def zones(name):
+            return Custom(((name, ((0.0, 0.0, 0.5, 1.0),)), ("right", ((0.5, 0.0, 1.0, 1.0),))))
+
+        # 1 == True, but the zone ids are str(name)
+        assert build_partition(zones(1)).zone_ids == ["1", "right"]
+        assert build_partition(zones(True)).zone_ids == ["True", "right"]
+
+    def test_the_cache_is_bounded(self):
+        first = weakref.ref(build_partition(Grid(97, 1)))
+        for k in range(PARTITION_CACHE):
+            build_partition(Grid(97, k + 2))
+        gc.collect()
+        assert first() is None
+
+    def test_a_failing_spec_raises_on_every_call(self):
+        for _ in range(2):
+            with pytest.raises(PartitionError, match="n >= 1"):
+                build_partition(Annular(0))
+
+
+class TestReadOnly:
+    def test_partition_fields_cannot_be_set(self):
+        p = build_partition(StripX(3))
+        for name, value in (("spec", Annular(5)), ("zones", ()), ("zone_ids", []), ("zones_by_id", {}),
+                            ("area_fractions", np.zeros(3))):
+            with pytest.raises(AttributeError):
+                setattr(p, name, value)
+        assert spec_label(p.spec) == "strip-x:3"
+
+    def test_zone_index_cannot_be_changed(self):
+        p = build_partition(StripX(3))
+        with pytest.raises(TypeError):
+            p.zones_by_id["x0"] = p.zones[2]
+        with pytest.raises(TypeError):
+            del p.zones_by_id["x0"]
+        assert p.area_fraction("x0") == pytest.approx(1 / 3) and p.zones_by_id["x0"] is p.zones[0]
+
+    def test_zone_ids_are_a_new_list(self):
+        p = build_partition(StripX(3))
+        p.zone_ids.append("x3")
+        assert p.zone_ids == ["x0", "x1", "x2"]
+
+    def test_zone_fields_cannot_be_set(self):
+        zone = build_partition(StripX(3)).zones[0]
+        assert isinstance(zone.rects, tuple)
+        for name, value in (("id", "x2"), ("rects", []), ("area_fraction", 0.5), ("area_exact", Fraction(1, 2))):
+            with pytest.raises(AttributeError):
+                setattr(zone, name, value)
+            with pytest.raises(AttributeError):
+                delattr(zone, name)
+        assert (zone.id, zone.area_fraction) == ("x0", float(Fraction(1, 3)))
+
+    def test_zones_keep_identity_equality(self):
+        a, b = (Zone("a", [Rect(0.0, 0.0, 1.0, 1.0)], Fraction(1)) for _ in range(2))
+        assert a != b and a == a and len({a, b}) == 2
+        assert a.rects == (Rect(0.0, 0.0, 1.0, 1.0),)
 
 
 class TestZoneOf:
